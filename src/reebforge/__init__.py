@@ -31,6 +31,7 @@ from .errors import (
     FormatError,
     InvalidParamsError,
     InvalidSimplexError,
+    InvariantError,
     MissingFaceError,
     NonMonotoneMapError,
     NotSimplicialError,
@@ -59,10 +60,8 @@ from .fixtures import (
 )
 from .homology import (
     BettiVector,
-    ChainComplexQ,
     betti,
     betti_report,
-    chain_complex,
     convolve,
     euler_characteristic,
     rank_fraction_free,

@@ -10,7 +10,8 @@ and the cell count of the induced partition of the line follows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -29,10 +30,7 @@ class BoundParams:
     c: int = 1
 
     def __post_init__(self):
-        for name in ("s", "d", "k", "n", "m", "c"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise InvalidParamsError(f"{name} must be a positive integer, got {value!r}")
+        _require_positive(**asdict(self))
 
 
 def _require_positive(**params):
@@ -186,5 +184,13 @@ def univariate_sign_components(polys):
 
 
 def bound_report(name, value, **params):
-    """Report document with the value as a decimal string."""
-    return {"bound_name": name, "params": dict(sorted(params.items())), "value": str(value)}
+    """Report document with the value as a decimal string.
+
+    ``str(Decimal(value))`` is exact for an integer and, unlike ``str(value)``,
+    has no limit on the number of digits.
+    """
+    return {
+        "bound_name": name,
+        "params": dict(sorted(params.items())),
+        "value": str(Decimal(value)),
+    }

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all computations and checks succeeded, 1 input or verification
-failure, 2 usage error, 3 cell-cap budget exceeded.  Identical inputs and
-flags produce byte-identical output.
+failure, 2 usage error, 3 cell-cap budget exceeded, 4 an internal invariant
+failed (a bug in reebforge, not in the input).  Identical inputs and flags
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .bounds import (
     bound_report,
     bound_sign_components,
 )
-from .errors import BudgetExceededError, ReebForgeError
+from .errors import BudgetExceededError, InvariantError, ReebForgeError
 from .fiberprod import descent_check, fiber_power_betti
-from .homology import betti_report, euler_characteristic
+from .homology import betti_report
 from .io import (
     complex_to_doc,
     dumps_report,
@@ -40,6 +41,7 @@ from .reeb import b1_inequality_check, pl_as_simplicial_map, reeb_graph, reeb_sp
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 
 def _write_output(text, out_path):
@@ -89,9 +91,9 @@ def cmd_reeb(args):
     report = {
         "betti": bv.as_list(),
         "total": bv.total,
-        "euler": euler_characteristic(space.realization),
+        "euler": bv.euler,
         "num_strata": len(space.strata),
-        "strata": reeb_complex_to_doc(space)["strata"],
+        **reeb_complex_to_doc(space),
     }
     if args.emit_realization:
         report["realization"] = complex_to_doc(space.realization)
@@ -278,6 +280,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"reebforge: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvariantError as exc:
+        print(f"reebforge: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except ReebForgeError as exc:
         print(f"reebforge: error: {exc}", file=sys.stderr)
         return EXIT_FAIL

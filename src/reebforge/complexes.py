@@ -287,15 +287,11 @@ class PLFunction:
             )
 
 
-def connected_components(complex_, subset, assume_up_closed=False):
+def connected_components(complex_, subset):
     """Partition ``subset`` under the equivalence generated by the face relation.
 
     Two simplices are joined whenever one is a face of the other and both lie
-    in the subset.  When the subset is known to be closed under taking cofaces
-    (every coface of a member is a member), joining each simplex to its facets
-    already generates the same classes, which ``assume_up_closed`` exploits.
-
-    Returns the classes as lists in canonical order.
+    in the subset.  Returns the classes as lists in canonical order.
     """
     members = sorted({canonical_simplex(s) for s in subset}, key=simplex_key)
     for s in members:
@@ -304,20 +300,12 @@ def connected_components(complex_, subset, assume_up_closed=False):
     index = {s: i for i, s in enumerate(members)}
     uf = UnionFind(len(members))
     for s in members:
-        n = len(s)
-        if n == 1:
-            continue
-        if assume_up_closed:
-            faces = itertools.combinations(s, n - 1)
-        else:
-            faces = itertools.chain.from_iterable(
-                itertools.combinations(s, k) for k in range(1, n)
-            )
         i = index[s]
-        for face in faces:
-            j = index.get(face)
-            if j is not None:
-                uf.union(i, j)
+        for k in range(1, len(s)):
+            for face in itertools.combinations(s, k):
+                j = index.get(face)
+                if j is not None:
+                    uf.union(i, j)
     classes = {}
     for i, s in enumerate(members):
         classes.setdefault(uf.find(i), []).append(s)

@@ -50,7 +50,12 @@ class BudgetExceededError(ReebForgeError):
 
 
 class InvalidParamsError(ReebForgeError):
-    """Bound-evaluator parameters violate their positivity constraints."""
+    """A numeric parameter is out of range: a bound parameter, a fold count,
+    a cell cap or a thread count."""
+
+
+class InvariantError(ReebForgeError):
+    """An internal invariant failed; the input is fine, the engine is not."""
 
 
 class ZeroPolynomialError(ReebForgeError):

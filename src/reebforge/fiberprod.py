@@ -23,15 +23,14 @@ small-instance test suite checks exactly that.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, simplex_key
-from .errors import BudgetExceededError
-from .homology import BettiVector, betti, regular_cw_betti
+from .errors import BudgetExceededError, InvalidParamsError
+from .homology import betti, collapse_face_poset, regular_cw_betti
 from .reeb import reeb_space
 
 DEFAULT_CELL_CAP = 200_000
@@ -39,13 +38,24 @@ CELL_CAP_ENV = "REEBFORGE_CELL_CAP"
 
 
 def resolve_cell_cap(cell_cap=None):
-    """Explicit cap, else the environment override, else the default."""
-    if cell_cap is not None:
-        return int(cell_cap)
-    env = os.environ.get(CELL_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_CELL_CAP
+    """Explicit cap, else the environment override, else the default.
+
+    The cap must be a positive integer; anything else raises
+    InvalidParamsError.
+    """
+    if cell_cap is None:
+        cell_cap = os.environ.get(CELL_CAP_ENV) or DEFAULT_CELL_CAP
+    try:
+        cap = int(cell_cap)
+    except ValueError:
+        raise InvalidParamsError(f"cell cap must be an integer, got {cell_cap!r}") from None
+    _require_at_least("cell cap", cap, 1)
+    return cap
+
+
+def _require_at_least(name, value, low):
+    if value < low:
+        raise InvalidParamsError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,7 @@ def fiber_power_nerve(f, p, cell_cap=None):
     intersections share a codomain vertex.  Enumeration aborts with
     BudgetExceededError once the simplex count passes the cap.
     """
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
     maximal = f.domain.maximal_simplices
     by_cod_vertex = {}
@@ -182,55 +191,10 @@ def _cell_poset(f, p, cap):
     return cells, dims, facets
 
 
-def _collapse_cell_poset(facets):
-    """Greedy elementary collapse on a polytopal face poset.
-
-    A cell is free exactly when it has a single covering cell and that cover
-    is maximal; the pair is then removed.  The covering relation is all that
-    is needed: any deeper coface would force a second cover by the diamond
-    property.
-    """
-    n = len(facets)
-    covers = [set() for _ in range(n)]
-    for c, fs in enumerate(facets):
-        for g in fs:
-            covers[g].add(c)
-    alive = [True] * n
-    heap = [i for i in range(n) if len(covers[i]) == 1]
-    heapq.heapify(heap)
-    while heap:
-        i = heapq.heappop(heap)
-        if not alive[i] or len(covers[i]) != 1:
-            continue
-        (j,) = covers[i]
-        if not alive[j] or covers[j]:
-            continue
-        alive[i] = alive[j] = False
-        for gone in (i, j):
-            for g in facets[gone]:
-                if not alive[g]:
-                    continue
-                group = covers[g]
-                group.discard(gone)
-                if len(group) == 1:
-                    heapq.heappush(heap, g)
-                elif not group:
-                    for h in facets[g]:
-                        if alive[h] and len(covers[h]) == 1:
-                            heapq.heappush(heap, h)
-    return alive
-
-
 def _fiber_power_cells_betti(f, p, cap):
-    cells, dims, facets = _cell_poset(f, p, cap)
-    if not cells:
-        return BettiVector(())
-    alive = _collapse_cell_poset(facets)
-    ids = [i for i in range(len(cells)) if alive[i]]
-    reindex = {i: k for k, i in enumerate(ids)}
-    core_dims = [dims[i] for i in ids]
-    core_facets = [[reindex[g] for g in facets[i]] for i in ids]
-    return regular_cw_betti(core_dims, core_facets)
+    _, dims, facets = _cell_poset(f, p, cap)
+    kept, core = collapse_face_poset(facets)
+    return regular_cw_betti([dims[i] for i in kept], core)
 
 
 def fiber_power_betti(f, p, engine="auto", cell_cap=None):
@@ -241,6 +205,7 @@ def fiber_power_betti(f, p, engine="auto", cell_cap=None):
     forces at least 2**(g**(p+1)) nerve faces) and falls back to the cell
     model whenever nerve enumeration overruns.
     """
+    _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
     if engine == "nerve":
         return betti(fiber_power_nerve(f, p, cap).nerve)
@@ -278,20 +243,18 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, engine="auto", thre
     the quotient map onto the Reeb realization.  The inequality is a theorem
     for these maps, so a failing row signals an implementation bug.
     """
-    if p_max < 0:
-        raise ValueError("p_max must be >= 0")
+    _require_at_least("p_max", p_max, 0)
+    _require_at_least("threads", threads, 1)
     cap = resolve_cell_cap(cell_cap)
     if target == "image":
-        target_complex = image_subcomplex(f)
+        target_betti = betti(image_subcomplex(f))
         power_map = f
     elif target == "reeb":
         space = reeb_space(f)
-        target_complex = space.realization
+        target_betti = space.betti()
         power_map = space.quotient_map
     else:
         raise ValueError(f"unknown target {target!r}")
-
-    target_betti = betti(target_complex)
 
     def compute(j):
         return fiber_power_betti(power_map, j, engine=engine, cell_cap=cap)

@@ -14,7 +14,7 @@ from .complexes import (
     staircase_product,
     validate_complex,
 )
-from .errors import InvalidParamsError, UnsupportedDimensionError
+from .errors import InvalidParamsError, InvariantError, UnsupportedDimensionError
 from .reeb import pl_as_simplicial_map
 
 
@@ -123,7 +123,8 @@ def torus_height():
     for i in range(m):
         for j in range(n):
             values.append(Fraction((8 + tube[j]) * swing[i] * 1000 + (i * n + j)))
-    assert len(set(values)) == m * n
+    if len(set(values)) != m * n:
+        raise InvariantError("torus height values are not distinct")
     height = PLFunction(torus, values)
     return height, pl_as_simplicial_map(height).map
 
@@ -243,4 +244,4 @@ def build_fixture(spec):
         return {"function": height, "map": sliced}
     if spec.name == "random_map":
         return {"map": random_map(params.get("seed", 0), size=params.get("size", 12))}
-    raise AssertionError("unreachable")
+    raise InvariantError(f"fixture {spec.name!r} is listed but has no builder")

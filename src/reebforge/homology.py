@@ -1,20 +1,24 @@
-"""Exact simplicial homology with rational coefficients.
+"""Exact rational homology on one cellular core.
 
-Boundary matrices carry their usual +-1 entries; ranks are computed by
-fraction-free integer elimination (cross-multiplication plus a gcd sweep per
-updated column), so every Betti number is exact.  A free-face collapse pass
-shrinks the complex first; collapses preserve the homotopy type, so they
-change nothing but the matrix sizes.
+A complex is given as a face poset: the dimension and the codimension-one
+faces of every cell.  One greedy free-face collapse shrinks it (collapses
+preserve the homotopy type, so they change nothing but the matrix sizes),
+incidence signs are fixed on the core, and one assembly reads the Betti
+numbers off the ranks of the boundary matrices.  A simplicial complex is the
+case whose signs are known; a regular cell complex, such as a fiber power's
+cell model or a Reeb space's stratum poset, gets its signs by propagation
+around each cell's facet graph.  Ranks come from fraction-free integer
+elimination (cross-multiplication plus a gcd sweep per updated column), so
+every Betti number is exact.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass
 from math import gcd
 
 from .complexes import simplex_key
+from .errors import InvariantError
 
 
 class BettiVector:
@@ -68,95 +72,72 @@ class BettiVector:
         return f"BettiVector{self.numbers}"
 
 
-@dataclass(frozen=True)
-class ChainComplexQ:
-    """Explicit boundary matrices over the rationals.
+def collapse_face_poset(facets):
+    """Greedy elementary collapse on the face poset of a regular cell complex.
 
-    ``bases[d]`` is the canonical list of d-simplices; ``boundaries[d]`` holds
-    one sparse column per d-simplex, mapping (d-1)-basis indices to +-1.
+    ``facets[c]`` lists the codimension-one faces of cell c.  A cell is free
+    exactly when it has a single covering cell and that cover is maximal; the
+    pair is then removed, smallest free id first, so the result is
+    deterministic.  The covering relation is all that is needed: any deeper
+    coface would force a second cover by the diamond property.  Returns
+    (kept, core_facets): the surviving ids in ascending order and their
+    facets renumbered to positions in ``kept``.
     """
+    n = len(facets)
+    covers = [set() for _ in range(n)]
+    for c, fs in enumerate(facets):
+        for g in fs:
+            covers[g].add(c)
+    alive = [True] * n
+    heap = [i for i in range(n) if len(covers[i]) == 1]
+    heapq.heapify(heap)
+    while heap:
+        i = heapq.heappop(heap)
+        if not alive[i] or len(covers[i]) != 1:
+            continue
+        (j,) = covers[i]
+        if not alive[j] or covers[j]:
+            continue
+        alive[i] = alive[j] = False
+        for gone in (i, j):
+            for g in facets[gone]:
+                if not alive[g]:
+                    continue
+                group = covers[g]
+                group.discard(gone)
+                if len(group) == 1:
+                    heapq.heappush(heap, g)
+                elif not group:
+                    for h in facets[g]:
+                        if alive[h] and len(covers[h]) == 1:
+                            heapq.heappush(heap, h)
+    kept = [i for i in range(n) if alive[i]]
+    position = [0] * n
+    for k, i in enumerate(kept):
+        position[i] = k
+    return kept, [[position[g] for g in facets[i]] for i in kept]
 
-    bases: dict
-    boundaries: dict
 
-    def matrix_shape(self, d):
-        rows = len(self.bases.get(d - 1, ()))
-        cols = len(self.bases.get(d, ()))
-        return rows, cols
-
-
-def chain_complex(complex_):
-    """Boundary matrices of a complex, with the d(d) = 0 identity verified."""
-    bases = {d: list(simps) for d, simps in complex_.by_dim().items()}
-    index = {d: {s: i for i, s in enumerate(simps)} for d, simps in bases.items()}
-    boundaries = {}
-    for d, simps in bases.items():
-        cols = []
-        lower = index.get(d - 1, {})
-        for s in simps:
-            col = {}
-            if d > 0:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    col[lower[face]] = -1 if i % 2 else 1
-            cols.append(col)
-        boundaries[d] = cols
-    for d in bases:
-        if d - 1 in bases and d in bases:
-            _verify_squares_to_zero(boundaries[d - 1], boundaries[d])
-    return ChainComplexQ(bases, boundaries)
-
-
-def _verify_squares_to_zero(lower_cols, upper_cols):
-    for col in upper_cols:
-        acc = {}
-        for row, coeff in col.items():
-            for r2, c2 in lower_cols[row].items():
-                acc[r2] = acc.get(r2, 0) + coeff * c2
-        if any(v != 0 for v in acc.values()):
-            raise AssertionError("boundary composed with boundary is nonzero")
+def _facet_ids(simplices):
+    """Facet ids of each simplex in a face-closed list; facet i omits vertex i."""
+    index = {s: i for i, s in enumerate(simplices)}
+    return [
+        [index[s[:i] + s[i + 1 :]] for i in range(len(s))] if len(s) > 1 else []
+        for s in simplices
+    ]
 
 
 def free_face_collapse(simplices):
-    """Greedy elementary collapse; returns the surviving simplex set.
+    """Greedy elementary collapse of a simplicial complex; returns the
+    surviving simplex set.
 
-    A simplex with exactly one proper coface is removed together with that
-    coface.  Each removal is an elementary collapse, so the homotopy type of
-    the complex is untouched.  Processing order is canonical, hence the result
-    is deterministic.
+    The complex goes through ``collapse_face_poset`` with its simplices in
+    canonical order, so the result is deterministic.  Each removal is an
+    elementary collapse, so the homotopy type is untouched.
     """
-    alive = set(simplices)
-    cofaces = {}
-    for s in alive:
-        if len(s) > 1:
-            for facet in itertools.combinations(s, len(s) - 1):
-                cofaces.setdefault(facet, set()).add(s)
-    # A facet with a unique coface anywhere has a unique proper coface:
-    # a deeper coface would force a second codimension-one coface.
-    heap = [simplex_key(s) + (s,) for s in alive if len(cofaces.get(s, ())) == 1]
-    heapq.heapify(heap)
-    while heap:
-        entry = heapq.heappop(heap)
-        s = entry[-1]
-        if s not in alive:
-            continue
-        owners = cofaces.get(s)
-        if not owners or len(owners) != 1:
-            continue
-        (t,) = owners
-        if t not in alive:
-            continue
-        alive.discard(s)
-        alive.discard(t)
-        for gone in (s, t):
-            if len(gone) > 1:
-                for facet in itertools.combinations(gone, len(gone) - 1):
-                    group = cofaces.get(facet)
-                    if group is not None:
-                        group.discard(gone)
-                        if len(group) == 1 and facet in alive:
-                            heapq.heappush(heap, simplex_key(facet) + (facet,))
-    return alive
+    simplices = sorted(simplices, key=simplex_key)
+    kept, _ = collapse_face_poset(_facet_ids(simplices))
+    return {simplices[i] for i in kept}
 
 
 def rank_fraction_free(columns, normalize=True):
@@ -194,36 +175,40 @@ def rank_fraction_free(columns, normalize=True):
     return rank
 
 
-def betti(complex_, collapse=True):
+def _betti_numbers(dims, boundaries):
+    """Betti vector of a cellular chain complex.
+
+    ``boundaries[c]`` maps each facet id of cell c to its incidence, +-1.
+    Within a dimension, cells become matrix rows and columns in id order.
+    """
+    by_dim = {}
+    row = [0] * len(dims)
+    for c, d in enumerate(dims):
+        group = by_dim.setdefault(d, [])
+        row[c] = len(group)
+        group.append(c)
+    top = max(by_dim, default=-1)
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        ranks[d] = rank_fraction_free(
+            [{row[g]: e for g, e in boundaries[c].items()} for c in by_dim.get(d, ())]
+        )
+    return BettiVector(len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1))
+
+
+def betti(complex_):
     """Betti vector over the rationals.
 
-    ``collapse`` turns the free-face preprocessing on (default); results are
-    identical either way.
+    The free-face collapse shrinks the complex first; the core is a cell
+    complex whose incidence signs are known, (-1)**i for the facet that omits
+    vertex i.
     """
-    simplices = complex_.simplex_set
-    if not simplices:
-        return BettiVector(())
-    if collapse:
-        simplices = free_face_collapse(simplices)
-    by_dim = {}
-    for s in sorted(simplices, key=simplex_key):
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    top = max(by_dim)
-    ranks = {0: 0}
-    for d in range(1, top + 1):
-        lower = {s: i for i, s in enumerate(by_dim.get(d - 1, ()))}
-        cols = []
-        for s in by_dim.get(d, ()):
-            col = {}
-            for i in range(len(s)):
-                col[lower[s[:i] + s[i + 1 :]]] = -1 if i % 2 else 1
-            cols.append(col)
-        ranks[d] = rank_fraction_free(cols)
-    numbers = []
-    for d in range(top + 1):
-        n_d = len(by_dim.get(d, ()))
-        numbers.append(n_d - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return BettiVector(numbers)
+    alive = free_face_collapse(complex_.simplices)
+    core = [s for s in complex_.simplices if s in alive]
+    boundaries = [
+        {g: -1 if i % 2 else 1 for i, g in enumerate(fs)} for fs in _facet_ids(core)
+    ]
+    return _betti_numbers([len(s) - 1 for s in core], boundaries)
 
 
 def euler_characteristic(complex_):
@@ -239,74 +224,51 @@ def regular_cw_betti(dims, facets):
     cells are polytopes: every ridge of a cell lies in exactly two of its
     facets, so signs propagate along the facet graph from an arbitrary seed,
     and the two-facet condition is exactly the boundary-of-boundary identity.
-    Both facts are asserted cell by cell.
+    Both facts are checked cell by cell; a violation raises InvariantError.
     """
-    if not dims:
-        return BettiVector(())
-    cells_by_dim = {}
-    for c, d in enumerate(dims):
-        cells_by_dim.setdefault(d, []).append(c)
-    top = max(cells_by_dim)
-    for d in range(top + 1):
-        cells_by_dim.setdefault(d, [])
-
-    incidence = {}
-    for d in range(1, top + 1):
-        for c in cells_by_dim[d]:
-            fs = sorted(facets[c])
-            if d == 1:
-                if len(fs) != 2 or fs[0] == fs[1]:
-                    raise AssertionError(f"1-cell {c} lacks two distinct endpoints")
-                incidence[(c, fs[0])] = 1
-                incidence[(c, fs[1])] = -1
-                continue
-            ridges = {}
-            for fa in fs:
-                for g in facets[fa]:
-                    ridges.setdefault(g, []).append(fa)
-            for g, pair in ridges.items():
-                if len(pair) != 2:
-                    raise AssertionError(
-                        f"ridge {g} of cell {c} lies in {len(pair)} facets, not 2"
-                    )
-            neighbors = {fa: [] for fa in fs}
-            for g, (fa, fb) in ridges.items():
-                neighbors[fa].append((g, fb))
-                neighbors[fb].append((g, fa))
-            sign = {fs[0]: 1}
-            queue = [fs[0]]
-            while queue:
-                fa = queue.pop()
-                for g, fb in neighbors[fa]:
-                    wanted = -sign[fa] * incidence[(fa, g)] * incidence[(fb, g)]
-                    known = sign.get(fb)
-                    if known is None:
-                        sign[fb] = wanted
-                        queue.append(fb)
-                    elif known != wanted:
-                        raise AssertionError(f"inconsistent orientation around cell {c}")
-            if len(sign) != len(fs):
-                raise AssertionError(f"facet graph of cell {c} is disconnected")
-            for fa in fs:
-                incidence[(c, fa)] = sign[fa]
-
-    numbers = []
-    ranks = {0: 0}
-    for d in range(1, top + 1):
-        local = {c: i for i, c in enumerate(cells_by_dim[d - 1])}
-        cols = []
-        for c in cells_by_dim[d]:
-            cols.append({local[fa]: incidence[(c, fa)] for fa in facets[c]})
-        ranks[d] = rank_fraction_free(cols)
-    for d in range(top + 1):
-        n_d = len(cells_by_dim[d])
-        numbers.append(n_d - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return BettiVector(numbers)
+    boundaries = [{} for _ in dims]
+    for c in sorted(range(len(dims)), key=dims.__getitem__):
+        d = dims[c]
+        if d == 0:
+            continue
+        fs = sorted(facets[c])
+        if d == 1:
+            if len(fs) != 2 or fs[0] == fs[1]:
+                raise InvariantError(f"1-cell {c} lacks two distinct endpoints")
+            boundaries[c] = {fs[0]: 1, fs[1]: -1}
+            continue
+        ridges = {}
+        for fa in fs:
+            for g in facets[fa]:
+                ridges.setdefault(g, []).append(fa)
+        neighbors = {fa: [] for fa in fs}
+        for g, pair in ridges.items():
+            if len(pair) != 2:
+                raise InvariantError(f"ridge {g} of cell {c} lies in {len(pair)} facets, not 2")
+            fa, fb = pair
+            neighbors[fa].append((g, fb))
+            neighbors[fb].append((g, fa))
+        sign = {fs[0]: 1}
+        queue = [fs[0]]
+        while queue:
+            fa = queue.pop()
+            for g, fb in neighbors[fa]:
+                wanted = -sign[fa] * boundaries[fa][g] * boundaries[fb][g]
+                known = sign.get(fb)
+                if known is None:
+                    sign[fb] = wanted
+                    queue.append(fb)
+                elif known != wanted:
+                    raise InvariantError(f"inconsistent orientation around cell {c}")
+        if len(sign) != len(fs):
+            raise InvariantError(f"facet graph of cell {c} is disconnected")
+        boundaries[c] = sign
+    return _betti_numbers(dims, boundaries)
 
 
-def betti_report(complex_, collapse=True):
+def betti_report(complex_):
     """Report document for a Betti computation."""
-    bv = betti(complex_, collapse=collapse)
+    bv = betti(complex_)
     return {
         "betti": bv.as_list(),
         "total": bv.total,

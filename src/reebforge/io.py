@@ -174,8 +174,9 @@ def dumps_report(doc):
 
 
 def reeb_complex_to_doc(space):
+    """The strata of a Reeb space; the realization is serialized on request
+    with ``complex_to_doc(space.realization)``."""
     return {
-        "realization": complex_to_doc(space.realization),
         "strata": [
             {"tau": list(s.tau), "component": s.component} for s in space.strata
         ],

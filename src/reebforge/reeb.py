@@ -4,9 +4,11 @@ The Reeb space of a simplicial map f: K -> L is realized combinatorially.
 Points of |L| are stratified by the open simplices of L; over a codomain
 simplex tau the fiber components of f correspond to the connected components
 of S_tau = {sigma in K : tau is contained in f(sigma)} under the face
-relation.  The pairs (tau, component) form the stratum poset, whose order
-complex is a triangulation of the Reeb space, and the quotient map becomes a
-genuine simplicial map from the barycentric subdivision of K onto it.
+relation.  The pairs (tau, component) form the stratum poset, the face poset
+of a regular cell structure on the Reeb space: its cellular homology gives
+the Betti numbers, its order complex triangulates the Reeb space, and the
+quotient map becomes a genuine simplicial map from the barycentric
+subdivision of K onto that triangulation.
 
 For a real-valued function the classical sweep is implemented independently:
 level and slab components are tracked with union-find over the 2-skeleton,
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (
     Poset,
@@ -30,8 +33,8 @@ from .complexes import (
     connected_components,
     simplex_key,
 )
-from .errors import UnknownSimplexError
-from .homology import BettiVector, betti
+from .errors import InvariantError, UnknownSimplexError
+from .homology import BettiVector, betti, collapse_face_poset, regular_cw_betti
 
 
 def _partition_up_closed(members):
@@ -70,56 +73,65 @@ class ReebComplex:
 
     ``strata[i]`` names stratum i; ``stratum_members[i]`` is its component of
     S_tau; ``poset`` orders strata by codomain-face inclusion and component
-    containment; ``realization`` is the order complex of that poset; and
-    ``codomain_projection[i]`` recovers the codomain simplex under stratum i.
-    The quotient map from sd(domain) onto the realization is built on first
-    access (large inputs rarely need it).
+    containment; and ``codomain_projection[i]`` recovers the codomain simplex
+    under stratum i.  The poset is the face poset of a regular cell complex
+    whose cell i has dimension dim tau_i, so ``betti`` works on it directly.
+    ``realization``, the order complex of the poset, and the quotient map
+    from sd(domain) onto it are built on first access (large inputs rarely
+    need them).
     """
 
-    def __init__(self, source_map, strata, stratum_members, comp_of, poset, realization):
+    def __init__(self, source_map, strata, stratum_members, comp_of, poset):
         self.map = source_map
         self.strata = strata
         self.stratum_members = stratum_members
         self.poset = poset
-        self.realization = realization
         self.codomain_projection = tuple(s.tau for s in strata)
         self._comp_of = comp_of
         self._stratum_id = {(s.tau, s.component): i for i, s in enumerate(strata)}
-        self._quotient = None
-        self._sd_carrier = None
 
     def stratum_index(self, tau, component):
         return self._stratum_id[(canonical_simplex(tau), component)]
 
+    @cached_property
+    def realization(self):
+        return self.poset.order_complex()
+
+    @cached_property
+    def _quotient(self):
+        sd, carrier = barycentric_subdivision(self.map.domain)
+        images = []
+        for s in carrier:
+            tau = self.map.image_simplex(s)
+            images.append(self._stratum_id[(tau, self._comp_of[tau][s])])
+        return SimplicialMap(sd, self.realization, images), carrier
+
     @property
     def quotient_map(self):
-        if self._quotient is None:
-            sd, carrier = barycentric_subdivision(self.map.domain)
-            images = []
-            for s in carrier:
-                tau = self.map.image_simplex(s)
-                images.append(self._stratum_id[(tau, self._comp_of[tau][s])])
-            self._sd_carrier = carrier
-            self._quotient = SimplicialMap(sd, self.realization, images)
-        return self._quotient
+        return self._quotient[0]
 
     @property
     def sd_carrier(self):
-        self.quotient_map
-        return self._sd_carrier
+        return self._quotient[1]
 
     def betti(self):
-        return betti(self.realization)
+        """Reeb-space Betti numbers, by cellular homology on the stratum poset."""
+        facets = [[] for _ in self.strata]
+        for lower, upper in self.poset.covers:
+            facets[upper].append(lower)
+        kept, core = collapse_face_poset(facets)
+        return regular_cw_betti([len(self.strata[i].tau) - 1 for i in kept], core)
 
     def __repr__(self):
-        return f"ReebComplex(strata={len(self.strata)}, realization={self.realization!r})"
+        return f"ReebComplex(strata={len(self.strata)})"
 
 
 def reeb_space(f):
     """Construct the Reeb space of a simplicial map.
 
-    Strata are computed over every codomain simplex with nonempty S_tau;
-    their poset's order complex is the returned realization.
+    Strata are computed over every codomain simplex with nonempty S_tau and
+    ordered by their face relation; the order complex of that poset, the
+    realization, is left to be built on demand.
     """
     buckets = {}
     for s in f.domain.simplices:
@@ -145,7 +157,7 @@ def reeb_space(f):
     # otherwise the quotient map could not reach it.
     for stratum, members in zip(strata, stratum_members):
         if all(f.image_simplex(s) != stratum.tau for s in members):
-            raise AssertionError(f"stratum {stratum} has no exact-image member")
+            raise InvariantError(f"stratum {stratum} has no exact-image member")
 
     stratum_id = {(s.tau, s.component): i for i, s in enumerate(strata)}
     covers = []
@@ -157,8 +169,7 @@ def reeb_space(f):
                 lower = stratum_id[(facet, comp_of[facet][rep])]
                 covers.append((lower, sid))
     poset = Poset(strata, covers)
-    realization = poset.order_complex()
-    return ReebComplex(f, tuple(strata), tuple(stratum_members), comp_of, poset, realization)
+    return ReebComplex(f, tuple(strata), tuple(stratum_members), comp_of, poset)
 
 
 def fiber_components_at(f, tau):
@@ -224,7 +235,7 @@ def b1_inequality_check(f):
             sub, f.codomain, [f.vertex_images[v] for v in verts]
         )
         b1_domain = betti(sub)[1]
-        b1_reeb = betti(reeb_space(restricted).realization)[1]
+        b1_reeb = reeb_space(restricted).betti()[1]
         rows.append(
             {
                 "vertices": len(verts),

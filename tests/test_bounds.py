@@ -148,3 +148,11 @@ def test_bound_report_uses_decimal_strings():
     assert isinstance(report["value"], str)
     assert report["bound_name"] == "reeb"
     assert report["params"] == {"c": 3, "d": 3, "m": 3, "n": 3, "s": 3}
+
+
+def test_bound_report_writes_values_past_the_int_str_limit():
+    # (10 * 10) ** (6 ** 5) = 10 ** 15552 has 15,553 digits, more than
+    # str(int) converts by default.
+    value = bound_reeb(10, 10, 3, 3, 5)
+    report = bound_report("reeb", value, s=10, d=10, n=3, m=3, c=5)
+    assert report["value"] == "1" + "0" * 15552

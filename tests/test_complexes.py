@@ -26,6 +26,7 @@ from reebforge.fixtures import (
     minimal_torus,
     path_complex,
 )
+from reebforge.reeb import _partition_up_closed
 
 
 def test_validate_accepts_complete_two_simplex():
@@ -141,12 +142,15 @@ def test_components_partition_property():
 
 def test_components_up_closed_fast_path_agrees():
     k = minimal_torus()
-    # Stars are up-closed families.
+    # Stars are up-closed families, and so are their triangles alone, which
+    # share no member face and fall apart into one class each.
     for v in range(4):
         star = [s for s in k.simplices if v in s]
-        fast = connected_components(k, star, assume_up_closed=True)
-        slow = connected_components(k, star)
-        assert fast == slow
+        assert _partition_up_closed(star) == connected_components(k, star)
+        triangles = [s for s in star if len(s) == 3]
+        classes = _partition_up_closed(triangles)
+        assert classes == connected_components(k, triangles)
+        assert len(classes) == 6
 
 
 def test_components_rejects_foreign_simplices():

@@ -2,6 +2,7 @@ import pytest
 
 from reebforge import (
     BudgetExceededError,
+    InvalidParamsError,
     SimplicialComplex,
     betti,
     check_simplicial,
@@ -239,3 +240,20 @@ def test_cell_cap_env_override(monkeypatch):
     monkeypatch.delenv("REEBFORGE_CELL_CAP")
     assert resolve_cell_cap() == 200_000
     assert resolve_cell_cap(77) == 77
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: fiber_power_betti(f, -1),
+        lambda f: fiber_power_nerve(f, -1),
+        lambda f: fiber_power_betti(f, 0, cell_cap=0),
+        lambda f: descent_check(f, p_max=-1),
+        lambda f: descent_check(f, p_max=1, threads=0),
+        lambda f: resolve_cell_cap(-5),
+    ],
+    ids=["p", "nerve_p", "cap", "p_max", "threads", "resolve_cap"],
+)
+def test_bad_numbers_raise_invalid_params(call):
+    with pytest.raises(InvalidParamsError):
+        call(disk_collapse(1))

@@ -4,11 +4,11 @@ import pytest
 
 from reebforge import (
     BettiVector,
+    InvariantError,
     SimplicialComplex,
     barycentric_subdivision,
     betti,
     betti_report,
-    chain_complex,
     connected_components,
     convolve,
     euler_characteristic,
@@ -80,29 +80,17 @@ def test_projective_plane_rational_betti():
     assert betti(rp2) == (1,)
 
 
-def test_chain_complex_circle_column_sums():
-    cc = chain_complex(circle(3))
-    for col in cc.boundaries[1]:
-        assert sum(col.values()) == 0
-    assert cc.matrix_shape(1) == (3, 3)
-
-
-def test_chain_complex_single_vertex():
-    cc = chain_complex(SimplicialComplex(1, [(0,)]))
-    assert cc.bases[0] == [(0,)]
-    assert cc.boundaries[0] == [{}]
-
-
-def test_chain_complex_full_triangle_boundary_squares_to_zero():
-    cc = chain_complex(full_simplex(2))
-    assert cc.matrix_shape(2) == (3, 1)
-    # d(d(triangle)) = 0 is verified at construction; recheck by hand.
-    tri_col = cc.boundaries[2][0]
-    acc = {}
-    for row, coeff in tri_col.items():
-        for r2, c2 in cc.boundaries[1][row].items():
-            acc[r2] = acc.get(r2, 0) + coeff * c2
-    assert all(v == 0 for v in acc.values())
+def test_boundary_matrix_squares_to_zero():
+    for complex_ in (full_simplex(2), full_simplex(3), minimal_torus()):
+        by_dim = {d: list(v) for d, v in complex_.by_dim().items()}
+        for d in range(2, max(by_dim) + 1):
+            lower = boundary_matrix_dense(by_dim, d - 1)
+            upper = boundary_matrix_dense(by_dim, d)
+            product = [
+                [sum(row[k] * upper[k][j] for k in range(len(upper))) for j in range(len(upper[0]))]
+                for row in lower
+            ]
+            assert all(v == 0 for row in product for v in row)
 
 
 @pytest.mark.parametrize("complex_", SUITE)
@@ -119,7 +107,8 @@ def test_betti_invariant_under_subdivision(complex_):
 
 @pytest.mark.parametrize("complex_", SUITE)
 def test_collapse_does_not_change_betti(complex_):
-    assert betti(complex_, collapse=True) == betti(complex_, collapse=False)
+    core = free_face_collapse(complex_.simplex_set)
+    assert naive_betti(core) == naive_betti(complex_.simplex_set)
 
 
 @pytest.mark.parametrize("complex_", SUITE)
@@ -226,3 +215,30 @@ def test_regular_cw_betti_on_a_square_complex():
     assert regular_cw_betti(dims, facets) == (1,)
     # Remove the 2-cell: a circle.
     assert regular_cw_betti(dims[:-1], facets[:-1]) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "dims, facets, message",
+    [
+        # A 1-cell with a single endpoint.
+        ([0, 1], [[], [0]], "two distinct endpoints"),
+        # Three edges at one vertex, glued as the boundary of one 2-cell.
+        (
+            [0, 0, 0, 0, 1, 1, 1, 2],
+            [[], [], [], [], [0, 1], [0, 2], [0, 3], [4, 5, 6]],
+            "lies in 3 facets",
+        ),
+        # A 2-cell bounded by two disjoint triangles.
+        (
+            [0] * 6 + [1] * 6 + [2],
+            [[]] * 6
+            + [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
+            + [[6, 7, 8, 9, 10, 11]],
+            "disconnected",
+        ),
+    ],
+    ids=["endpoints", "ridge_in_three_facets", "disconnected_facet_graph"],
+)
+def test_regular_cw_betti_rejects_broken_posets(dims, facets, message):
+    with pytest.raises(InvariantError, match=message):
+        regular_cw_betti(dims, facets)

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from reebforge import FormatError
+import reebforge
+from reebforge import FormatError, InvariantError, Poset
 from reebforge.cli import main
 from reebforge.fixtures import boundary_delta3, disk_collapse, torus_height
 from reebforge.io import (
@@ -328,3 +331,68 @@ def test_cli_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dst.read_text(encoding="utf-8"))["total"] == 2
+
+
+def test_cli_reeb_space_builds_no_order_complex(tmp_path, capsys, monkeypatch):
+    def refuse(self, cap=None):
+        raise AssertionError("order complex built")
+
+    monkeypatch.setattr(Poset, "order_complex", refuse)
+    path = tmp_path / "disk.json"
+    path.write_text(dumps_report(map_to_doc(disk_collapse(2))), encoding="utf-8")
+    code, out, _ = run_cli(["reeb", str(path), "--space"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["betti"] == [1, 0, 1]
+    assert report["euler"] == 2
+    assert "realization" not in report
+
+
+def test_cli_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(complex_):
+        raise InvariantError("ridge 0 of cell 7 lies in 3 facets, not 2")
+
+    monkeypatch.setattr("reebforge.cli.betti_report", broken)
+    path = tmp_path / "sphere.json"
+    path.write_text(dumps_report(complex_to_doc(boundary_delta3())), encoding="utf-8")
+    code, out, err = run_cli(["betti", str(path)], capsys)
+    assert code == 4
+    assert out == ""
+    assert "internal invariant failed" in err
+
+
+def run_cli_process(args, env=None):
+    """The CLI in a fresh interpreter, where an uncaught exception would
+    print a traceback."""
+    src = os.path.dirname(os.path.dirname(reebforge.__file__))
+    full_env = dict(os.environ, PYTHONPATH=src, **(env or {}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "reebforge.cli", *args],
+        capture_output=True,
+        text=True,
+        env=full_env,
+        timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+BAD_NUMBERS = {
+    "fiber_power_p_negative": (["fiber-power", "MAP", "-p", "-1"], None),
+    "verify_descent_negative": (["verify", "MAP", "--descent", "-1"], None),
+    "cell_cap_env_not_integer": (["fiber-power", "MAP", "-p", "1"], {"REEBFORGE_CELL_CAP": "abc"}),
+    "cell_cap_zero": (["fiber-power", "MAP", "-p", "1", "--cell-cap", "0"], None),
+    "cell_cap_negative": (["fiber-power", "MAP", "-p", "1", "--cell-cap", "-5"], None),
+    "threads_zero": (["verify", "MAP", "--descent", "1", "--threads", "0"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_cli_rejects_bad_number(tmp_path, case):
+    path = tmp_path / "disk.json"
+    path.write_text(dumps_report(map_to_doc(disk_collapse(1))), encoding="utf-8")
+    argv, env = BAD_NUMBERS[case]
+    code, out, err = run_cli_process([str(path) if a == "MAP" else a for a in argv], env)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("reebforge: error:")

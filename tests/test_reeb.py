@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebforge import (
     PLFunction,
@@ -12,6 +14,7 @@ from reebforge import (
     check_simplicial,
     connected_components,
     convolve,
+    euler_characteristic,
     fiber_components_at,
     pl_as_simplicial_map,
     reeb_graph,
@@ -290,3 +293,30 @@ def test_quotient_map_carrier_commutation():
     q = space.quotient_map
     for i, sigma in enumerate(space.sd_carrier):
         assert space.codomain_projection[q.vertex_images[i]] == f.image_simplex(sigma)
+
+
+def assert_stratum_betti_matches_realization(f):
+    space = reeb_space(f)
+    bv = space.betti()
+    assert bv == betti(space.realization)
+    assert bv.euler == euler_characteristic(space.realization)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_stratum_betti_matches_realization_on_random_maps(seed):
+    assert_stratum_betti_matches_realization(random_map(seed))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: disk_collapse(1),
+        lambda: disk_collapse(2),
+        lambda: torus_height()[1],
+        *(lambda s=s: pl_as_simplicial_map(random_function(s)).map for s in range(10)),
+    ],
+    ids=["disk1", "disk2", "torus"] + [f"sliced{s}" for s in range(10)],
+)
+def test_stratum_betti_matches_realization(build):
+    assert_stratum_betti_matches_realization(build())
