@@ -28,6 +28,7 @@ from .complexes import (
 from .errors import (
     BudgetExceededError,
     DuplicateSimplexError,
+    EmptyComplexError,
     FormatError,
     InvalidParamsError,
     InvalidSimplexError,

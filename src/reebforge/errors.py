@@ -50,8 +50,12 @@ class BudgetExceededError(ReebForgeError):
 
 
 class InvalidParamsError(ReebForgeError):
-    """A numeric parameter is out of range: a bound parameter, a fold count,
-    a cell cap or a thread count."""
+    """A parameter is out of range or unknown: a bound parameter, a fold
+    count, a cell cap, a thread count, an engine name or a descent target."""
+
+
+class EmptyComplexError(ReebForgeError):
+    """A construction that needs at least one simplex got an empty complex."""
 
 
 class InvariantError(ReebForgeError):

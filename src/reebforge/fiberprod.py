@@ -212,7 +212,7 @@ def fiber_power_betti(f, p, engine="auto", cell_cap=None):
     if engine == "cells":
         return _fiber_power_cells_betti(f, p, cap)
     if engine != "auto":
-        raise ValueError(f"unknown engine {engine!r}")
+        raise InvalidParamsError(f"unknown engine {engine!r}")
 
     degree = {}
     for s in f.domain.maximal_simplices:
@@ -254,7 +254,7 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, engine="auto", thre
         target_betti = space.betti()
         power_map = space.quotient_map
     else:
-        raise ValueError(f"unknown target {target!r}")
+        raise InvalidParamsError(f"unknown target {target!r}")
 
     def compute(j):
         return fiber_power_betti(power_map, j, engine=engine, cell_cap=cap)

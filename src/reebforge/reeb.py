@@ -11,8 +11,10 @@ quotient map becomes a genuine simplicial map from the barycentric
 subdivision of K onto that triangulation.
 
 For a real-valued function the classical sweep is implemented independently:
-level and slab components are tracked with union-find over the 2-skeleton,
-whose face relation determines level-set connectivity exactly.
+each simplex of the 2-skeleton, whose face relation determines level-set
+connectivity exactly, enters an active set at its lowest vertex level and
+leaves it after its highest, and level and slab components are labelled by
+union-find over the active simplices.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .complexes import (
     connected_components,
     simplex_key,
 )
-from .errors import InvariantError, UnknownSimplexError
+from .errors import EmptyComplexError, InvariantError, UnknownSimplexError
 from .homology import BettiVector, betti, collapse_face_poset, regular_cw_betti
 
 
@@ -277,58 +279,104 @@ class ReebGraph:
         return tuple(n.value for n in self.nodes)
 
 
+def _find(parent, x):
+    """Root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _label_up_closed(members, cofaces, parent):
+    """Union-find over an up-closed set of simplex ids; returns its sorted roots.
+
+    Every coface of a member is a member, so joining each member to its
+    cofaces generates the face-relation components.  The smaller root wins
+    each union, so a class's root is its smallest id.  ``_find`` is inlined:
+    this loop is the whole cost of the Reeb-graph sweep.
+    """
+    for s in members:
+        parent[s] = s
+    for s in members:
+        for c in cofaces[s]:
+            a = s
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            b = c
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    return sorted(s for s in members if parent[s] == s)
+
+
 def reeb_graph(g):
-    """Exact Reeb graph of the PL extension of g, by a sweep over levels.
+    """Exact Reeb graph of the PL extension of g, by an event sweep over levels.
 
     Only the 2-skeleton matters: the level set of any simplex is convex and
     its edge graph lives in the simplex's 2-faces, so components of level and
-    slab sets match those computed from simplices of dimension <= 2.  Each
-    sorted vertex value contributes one node per level-set component; each gap
-    between consecutive values contributes one edge per slab component, and a
-    slab component lies inside a single level component at both ends, which
-    fixes the attachments.
+    slab sets match those computed from simplices of dimension <= 2.  Level i
+    is the i-th sorted vertex value; a simplex spanning levels lo..hi enters
+    the active set at lo and leaves it after hi.  The simplices active at
+    level i are those meeting its level set; those still active once the
+    simplices ending at i are dropped meet the open slab up to level i+1.
+    Both families are up-closed, so union-find over the active ids and their
+    cofaces gives one node per level-set component and one edge per slab
+    component; a slab component lies inside a single level component at both
+    ends, which fixes the attachments.  Simplex ids follow the canonical
+    order and each class is named by its smallest id, so components keep the
+    order of their first simplex.
     """
     k2 = g.complex.skeleton(2)
     simps = k2.simplices
-    lo = {}
-    hi = {}
-    for s in simps:
-        vals = [g.values[v] for v in s]
-        lo[s] = min(vals)
-        hi[s] = max(vals)
     vertices = [s[0] for s in k2.by_dim().get(0, ())]
     levels = sorted({g.values[v] for v in vertices})
+    position = {t: i for i, t in enumerate(levels)}
+    level_of = {v: position[g.values[v]] for v in vertices}
 
+    index = {s: i for i, s in enumerate(simps)}
+    cofaces = [[] for _ in simps]
+    starts = [[] for _ in levels]
+    ends = [[] for _ in levels]
+    for i, s in enumerate(simps):
+        if len(s) > 1:
+            for facet in itertools.combinations(s, len(s) - 1):
+                cofaces[index[facet]].append(i)
+        span = [level_of[v] for v in s]
+        starts[min(span)].append(i)
+        ends[max(span)].append(i)
+
+    level_parent = list(range(len(simps)))
+    slab_parent = list(range(len(simps)))
     nodes = []
-    node_id = {}
-    level_class = []
-    for i, t in enumerate(levels):
-        members = [s for s in simps if lo[s] <= t <= hi[s]]
-        classes = _partition_up_closed(members)
-        table = {}
-        for ci, cls in enumerate(classes):
-            node_id[(i, ci)] = len(nodes)
-            nodes.append(ReebNode(len(nodes), t, i, ci))
-            for s in cls:
-                table[s] = ci
-        level_class.append(table)
-
     edges = []
-    for i in range(len(levels) - 1):
-        lower_v, upper_v = levels[i], levels[i + 1]
-        members = [s for s in simps if lo[s] <= lower_v and hi[s] >= upper_v]
-        for cls in _partition_up_closed(members):
-            rep = cls[0]
-            a = node_id[(i, level_class[i][rep])]
-            b = node_id[(i + 1, level_class[i + 1][rep])]
+    node_of_vertex = {}
+    active = set()
+    open_slab = []  # (slab root, node below) for the slab under this level
+    for i, t in enumerate(levels):
+        active.update(starts[i])
+        node_of_root = {}
+        for ci, root in enumerate(_label_up_closed(active, cofaces, level_parent)):
+            node_of_root[root] = len(nodes)
+            nodes.append(ReebNode(len(nodes), t, i, ci))
+        for rep, a in open_slab:
+            b = node_of_root[_find(level_parent, rep)]
             edges.append((a, b) if a <= b else (b, a))
+        for s in starts[i]:
+            if len(simps[s]) == 1:
+                node_of_vertex[simps[s][0]] = node_of_root[_find(level_parent, s)]
+        active.difference_update(ends[i])
+        open_slab = [
+            (rep, node_of_root[_find(level_parent, rep)])
+            for rep in _label_up_closed(active, cofaces, slab_parent)
+        ]
     edges.sort()
 
-    level_of_value = {t: i for i, t in enumerate(levels)}
-    vertex_to_node = {}
-    for v in vertices:
-        i = level_of_value[g.values[v]]
-        vertex_to_node[v] = node_id[(i, level_class[i][(v,)])]
+    vertex_to_node = {v: node_of_vertex[v] for v in vertices}
     return ReebGraph(tuple(nodes), tuple(edges), vertex_to_node)
 
 
@@ -358,10 +406,12 @@ def pl_as_simplicial_map(g):
     """
     k = g.complex
     if not k.simplex_set:
-        raise ValueError("cannot slice an empty complex")
+        raise EmptyComplexError("cannot slice an empty complex")
     vertices = [s[0] for s in k.by_dim()[0]]
     levels = sorted({g.values[v] for v in vertices})
     n = len(levels)
+    position = {t: i for i, t in enumerate(levels)}
+    level_of = {v: position[g.values[v]] for v in vertices}
 
     codomain_levels = []
     for i, t in enumerate(levels):
@@ -375,20 +425,20 @@ def pl_as_simplicial_map(g):
     )
 
     # Cells (sigma, c): c = 2i is the slice of sigma at level i, c = 2i+1 the
-    # slice over the open gap (levels[i], levels[i+1]).
+    # slice over the open gap (levels[i], levels[i+1]).  A simplex spanning
+    # levels lo < hi has value cells strictly between them and gap cells from
+    # lo up to hi.
     cells = []
     for s in k.simplices:
-        vals = [g.values[v] for v in s]
-        lo, hi = min(vals), max(vals)
+        span = [level_of[v] for v in s]
+        lo, hi = min(span), max(span)
         if lo == hi:
-            cells.append((s, 2 * levels.index(lo)))
+            cells.append((s, 2 * lo))
             continue
-        for i, t in enumerate(levels):
-            if lo < t < hi:
-                cells.append((s, 2 * i))
-        for i in range(n - 1):
-            if levels[i] < hi and levels[i + 1] > lo:
-                cells.append((s, 2 * i + 1))
+        for i in range(lo + 1, hi):
+            cells.append((s, 2 * i))
+        for i in range(lo, hi):
+            cells.append((s, 2 * i + 1))
 
     # Ids ascend along the face order: smaller simplex first, then value
     # cells before gap cells within the same simplex.

@@ -4,10 +4,14 @@ Everything in here is deliberately written from scratch against the math,
 not against the package internals: naive dense linear algebra over exact
 fractions, an integer Smith-form rank, geometric level-set component counts
 from edge crossings, and a coordinate-level triangulation of fiber powers.
+The one exception is ``reeb_graph_rescan``, the per-level rescan that the
+event sweep in ``reebforge.reeb`` replaced, kept to check the sweep against.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from reebforge.reeb import ReebGraph, ReebNode, _partition_up_closed
 
 
 def gauss_rank_fractions(rows):
@@ -249,3 +253,62 @@ def fiber_power_triangulation_betti(f, p):
         if vectors:
             assert gauss_rank_fractions(vectors) == len(vectors), "degenerate chain"
     return naive_betti(chains)
+
+
+def reeb_graph_rescan(g):
+    """Exact Reeb graph of the PL extension of g, rescanning every level.
+
+    Every level and every slab is rebuilt from all simplices of the
+    2-skeleton: O(levels x simplices), kept as the reference for the event
+    sweep.
+
+    Only the 2-skeleton matters: the level set of any simplex is convex and
+    its edge graph lives in the simplex's 2-faces, so components of level and
+    slab sets match those computed from simplices of dimension <= 2.  Each
+    sorted vertex value contributes one node per level-set component; each gap
+    between consecutive values contributes one edge per slab component, and a
+    slab component lies inside a single level component at both ends, which
+    fixes the attachments.
+    """
+    k2 = g.complex.skeleton(2)
+    simps = k2.simplices
+    lo = {}
+    hi = {}
+    for s in simps:
+        vals = [g.values[v] for v in s]
+        lo[s] = min(vals)
+        hi[s] = max(vals)
+    vertices = [s[0] for s in k2.by_dim().get(0, ())]
+    levels = sorted({g.values[v] for v in vertices})
+
+    nodes = []
+    node_id = {}
+    level_class = []
+    for i, t in enumerate(levels):
+        members = [s for s in simps if lo[s] <= t <= hi[s]]
+        classes = _partition_up_closed(members)
+        table = {}
+        for ci, cls in enumerate(classes):
+            node_id[(i, ci)] = len(nodes)
+            nodes.append(ReebNode(len(nodes), t, i, ci))
+            for s in cls:
+                table[s] = ci
+        level_class.append(table)
+
+    edges = []
+    for i in range(len(levels) - 1):
+        lower_v, upper_v = levels[i], levels[i + 1]
+        members = [s for s in simps if lo[s] <= lower_v and hi[s] >= upper_v]
+        for cls in _partition_up_closed(members):
+            rep = cls[0]
+            a = node_id[(i, level_class[i][rep])]
+            b = node_id[(i + 1, level_class[i + 1][rep])]
+            edges.append((a, b) if a <= b else (b, a))
+    edges.sort()
+
+    level_of_value = {t: i for i, t in enumerate(levels)}
+    vertex_to_node = {}
+    for v in vertices:
+        i = level_of_value[g.values[v]]
+        vertex_to_node[v] = node_id[(i, level_class[i][(v,)])]
+    return ReebGraph(tuple(nodes), tuple(edges), vertex_to_node)

@@ -257,3 +257,16 @@ def test_cell_cap_env_override(monkeypatch):
 def test_bad_numbers_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call(disk_collapse(1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: fiber_power_betti(f, 1, engine="simplicial"),
+        lambda f: descent_check(f, target="domain"),
+    ],
+    ids=["engine", "target"],
+)
+def test_unknown_names_raise_invalid_params(call):
+    with pytest.raises(InvalidParamsError):
+        call(disk_collapse(1))

@@ -396,3 +396,13 @@ def test_cli_rejects_bad_number(tmp_path, case):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("reebforge: error:")
+
+
+def test_cli_rejects_slicing_an_empty_complex(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"complex": {"simplices": []}, "values": []}', encoding="utf-8")
+    code, out, err = run_cli_process(["reeb", str(path), "--space"])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("reebforge: error:")

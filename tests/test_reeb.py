@@ -1,15 +1,19 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebforge import (
+    EmptyComplexError,
     PLFunction,
     SimplicialComplex,
     UnknownSimplexError,
     ValueCountMismatchError,
     b1_inequality_check,
+    barycentric_subdivision,
     betti,
     check_simplicial,
     connected_components,
@@ -27,6 +31,7 @@ from reebforge.fixtures import (
     circle,
     disk_collapse,
     full_simplex,
+    grid_torus,
     minimal_torus,
     path_complex,
     random_function,
@@ -34,7 +39,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 
-from .oracles import level_component_count
+from .oracles import level_component_count, reeb_graph_rescan
 
 
 def height_on_square_circle():
@@ -320,3 +325,68 @@ def test_stratum_betti_matches_realization_on_random_maps(seed):
 )
 def test_stratum_betti_matches_realization(build):
     assert_stratum_betti_matches_realization(build())
+
+
+# The event sweep against the per-level rescan it replaced.
+
+
+def assert_sweep_matches_rescan(g):
+    got, want = reeb_graph(g), reeb_graph_rescan(g)
+    assert got.nodes == want.nodes
+    assert got.edges == want.edges
+    assert got.vertex_to_node == want.vertex_to_node
+
+
+def grid_torus_function(m, kind):
+    values = list(range(m * m))
+    if kind == "shuffled":
+        random.Random(m).shuffle(values)
+    elif kind == "rowindex":
+        values = [v // m for v in values]
+    return PLFunction(grid_torus(m, m), [Fraction(v) for v in values])
+
+
+@pytest.mark.parametrize("kind", ["shuffled", "rowmajor", "rowindex"])
+@pytest.mark.parametrize("m", range(3, 13))
+def test_sweep_matches_rescan_on_grid_tori(m, kind):
+    assert_sweep_matches_rescan(grid_torus_function(m, kind))
+
+
+def test_sweep_matches_rescan_on_random_functions():
+    for seed in range(50):
+        assert_sweep_matches_rescan(random_function(seed))
+
+
+def test_sweep_matches_rescan_on_named_functions():
+    assert_sweep_matches_rescan(torus_height()[0])
+    assert_sweep_matches_rescan(PLFunction(minimal_torus(), [Fraction(4)] * 7))
+    assert_sweep_matches_rescan(height_on_square_circle())
+
+
+def test_sweep_matches_rescan_on_three_dimensional_complexes():
+    # Only the 2-skeleton enters the sweep; the 3-cells must be cut away.
+    sphere3 = SimplicialComplex(5, [s for k in range(1, 5) for s in combinations(range(5), k)])
+    solid, _ = barycentric_subdivision(full_simplex(3))
+    for complex_ in (sphere3, solid, full_simplex(4)):
+        assert complex_.dim >= 3
+        n = complex_.num_vertices
+        rng = random.Random(n)
+        for values in (rng.sample(range(n), n), [rng.randrange(3) for _ in range(n)]):
+            assert_sweep_matches_rescan(PLFunction(complex_, [Fraction(v) for v in values]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_sweep_matches_rescan_with_tied_values(data):
+    m = data.draw(st.integers(min_value=4, max_value=6))
+    n = data.draw(st.integers(min_value=4, max_value=6))
+    top = data.draw(st.integers(min_value=0, max_value=m * n // 3))
+    values = data.draw(
+        st.lists(st.integers(min_value=0, max_value=top), min_size=m * n, max_size=m * n)
+    )
+    assert_sweep_matches_rescan(PLFunction(grid_torus(m, n), [Fraction(v) for v in values]))
+
+
+def test_slice_of_empty_complex_is_a_typed_error():
+    with pytest.raises(EmptyComplexError):
+        pl_as_simplicial_map(PLFunction(SimplicialComplex(0, []), []))
