@@ -123,12 +123,7 @@ def cmd_verify(args):
     checks = {}
     if args.descent is not None:
         checks["descent"] = descent_check(
-            f,
-            target=args.target,
-            p_max=args.descent,
-            cell_cap=args.cell_cap,
-            engine=args.engine,
-            threads=args.threads,
+            f, target=args.target, p_max=args.descent, cell_cap=args.cell_cap
         )
     if args.b1:
         checks["b1"] = b1_inequality_check(f)
@@ -242,9 +237,7 @@ def build_parser():
     p.add_argument("--b1", action="store_true")
     p.add_argument("--quotient", action="store_true")
     p.add_argument("--target", choices=("image", "reeb"), default="image")
-    p.add_argument("--engine", choices=("auto", "nerve", "cells"), default="auto")
     p.add_argument("--cell-cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import (
     BudgetExceededError,
     DuplicateSimplexError,
+    InvalidParamsError,
     InvalidSimplexError,
     MissingFaceError,
     NonMonotoneMapError,
@@ -479,16 +480,16 @@ def staircase_product(k1, k2, f1=None, f2=None, orders=None):
     pinned orders that leave a map non-monotone raise NonMonotoneMapError.
     """
     if (f1 is None) != (f2 is None):
-        raise ValueError("supply both factor maps or neither")
+        raise InvalidParamsError("supply both factor maps or neither")
     if f1 is not None and (f1.domain != k1 or f2.domain != k2):
-        raise ValueError("factor maps must be defined on the factor complexes")
+        raise InvalidParamsError("factor maps must be defined on the factor complexes")
 
     def _order_for(k, f, pinned):
         verts = [s[0] for s in k.by_dim().get(0, ())]
         if pinned is not None:
             order = [v for v in pinned if (v,) in k.simplex_set]
             if sorted(order) != verts:
-                raise ValueError("pinned order must be a permutation of the vertices")
+                raise InvalidParamsError("pinned order must be a permutation of the vertices")
             if f is not None:
                 rank = {v: i for i, v in enumerate(order)}
                 for u in order:

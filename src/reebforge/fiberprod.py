@@ -1,7 +1,15 @@
 """Iterated fiber powers of simplicial maps and the descent-inequality check.
 
-Two exact models of the (p+1)-fold fiber power W_p = X x_f ... x_f X are
-implemented.
+The (p+1)-fold fiber power W_p = X x_f ... x_f X has one production engine,
+the cell model, and one independent reference, the nerve.
+
+The cell model decomposes W_p itself: the tuples (r0..rp) of simplices with
+one common exact image form a regular polytopal cell structure on W_p (cell =
+fiber product of the closed simplices), its face poset is ordered
+componentwise, and cellular homology on that poset gives the Betti numbers.
+The poset is polynomial in the input, and free pairs are collapsed away
+before the ranks are taken.  ``fiber_power_betti`` (engine "auto" or "cells")
+and ``descent_check`` run only this model.
 
 The nerve model covers W_p by the closed convex cells
 P_(s0..sp) = {(x0..xp) in s0 x ... x sp : f(x0) = ... = f(xp)} over tuples of
@@ -10,22 +18,14 @@ is homotopy equivalent to W_p and its Betti numbers are exact.  The nerve is
 enumerated face by face and therefore only fits small inputs: around any
 domain vertex of maximal-simplex degree g the cover contains g**(p+1) cells
 through the diagonal with a common point, giving the nerve a simplex on
-g**(p+1) vertices and 2**(g**(p+1)) faces.
-
-The cell model instead decomposes W_p itself: the tuples (r0..rp) of simplices
-with one common exact image form a regular polytopal cell structure on W_p
-(cell = fiber product of the closed simplices), its face poset is ordered
-componentwise, and the order complex of that poset triangulates W_p.  The
-poset is polynomial in the input, and free pairs are collapsed away before
-the order complex is expanded.  Both engines agree wherever both run; the
-small-instance test suite checks exactly that.
+g**(p+1) vertices and 2**(g**(p+1)) faces.  It is reached only by an explicit
+``engine="nerve"``, and the test suite checks the cell model against it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, simplex_key
@@ -200,30 +200,17 @@ def _fiber_power_cells_betti(f, p, cap):
 def fiber_power_betti(f, p, engine="auto", cell_cap=None):
     """Betti vector of the (p+1)-fold fiber power of f.
 
-    ``engine`` is "nerve", "cells", or "auto".  Auto skips the nerve when the
-    cover provably blows past the cap (any vertex of maximal-simplex degree g
-    forces at least 2**(g**(p+1)) nerve faces) and falls back to the cell
-    model whenever nerve enumeration overruns.
+    ``engine`` is "auto" (the default) or "cells", which both run the cell
+    model, or "nerve", which enumerates the nerve of the convex cover as an
+    independent reference; the nerve only fits small maximal-simplex degrees
+    and raises BudgetExceededError past the cap.
     """
     _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
     if engine == "nerve":
         return betti(fiber_power_nerve(f, p, cap).nerve)
-    if engine == "cells":
-        return _fiber_power_cells_betti(f, p, cap)
-    if engine != "auto":
+    if engine not in ("auto", "cells"):
         raise InvalidParamsError(f"unknown engine {engine!r}")
-
-    degree = {}
-    for s in f.domain.maximal_simplices:
-        for v in s:
-            degree[v] = degree.get(v, 0) + 1
-    max_degree = max(degree.values(), default=0)
-    if max_degree ** (p + 1) <= max(cap.bit_length(), 8):
-        try:
-            return betti(fiber_power_nerve(f, p, cap).nerve)
-        except BudgetExceededError:
-            pass
     return _fiber_power_cells_betti(f, p, cap)
 
 
@@ -235,13 +222,15 @@ def image_subcomplex(f):
     )
 
 
-def descent_check(f, target="image", p_max=1, cell_cap=None, engine="auto", threads=1):
+def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
     """Verify b_p(target) <= sum_{i+j=p} b_i((j+1)-fold fiber power), p <= p_max.
 
     With target "image" the fiber powers are taken over f itself and the
     target is f's image subcomplex; with target "reeb" they are taken over
-    the quotient map onto the Reeb realization.  The inequality is a theorem
-    for these maps, so a failing row signals an implementation bug.
+    the quotient map onto the Reeb realization.  The powers come from the
+    cell model.  The inequality is a theorem for these maps, so a failing
+    row signals an implementation bug.  ``threads`` has no effect: it is
+    accepted (and must be >= 1) only for callers that still pass it.
     """
     _require_at_least("p_max", p_max, 0)
     _require_at_least("threads", threads, 1)
@@ -256,15 +245,7 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, engine="auto", thre
     else:
         raise InvalidParamsError(f"unknown target {target!r}")
 
-    def compute(j):
-        return fiber_power_betti(power_map, j, engine=engine, cell_cap=cap)
-
-    orders = list(range(p_max + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            powers = list(pool.map(compute, orders))
-    else:
-        powers = [compute(j) for j in orders]
+    powers = [fiber_power_betti(power_map, j, cell_cap=cap) for j in range(p_max + 1)]
 
     rows = []
     for p in range(p_max + 1):

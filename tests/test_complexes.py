@@ -4,6 +4,7 @@ import pytest
 
 from reebforge import (
     DuplicateSimplexError,
+    InvalidParamsError,
     InvalidSimplexError,
     MissingFaceError,
     NonMonotoneMapError,
@@ -211,6 +212,22 @@ def test_staircase_pinned_orders_can_fail():
     # Automatic reordering always succeeds.
     prod = staircase_product(edge, edge, swap, swap)
     assert prod.product_map is not None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda edge, f, tri: staircase_product(edge, edge, f, None),
+        lambda edge, f, tri: staircase_product(tri, edge, f, f),
+        lambda edge, f, tri: staircase_product(edge, edge, orders=([0, 0], [0, 1])),
+    ],
+    ids=["one_factor_map", "map_off_factor", "order_not_permutation"],
+)
+def test_staircase_bad_arguments_raise_invalid_params(call):
+    edge = path_complex(2)
+    ident = check_simplicial(edge, edge, [0, 1])
+    with pytest.raises(InvalidParamsError):
+        call(edge, ident, full_simplex(2))
 
 
 def test_every_constructor_output_revalidates():

@@ -267,6 +267,17 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_cli_fiber_power_nerve_engine(tmp_path, capsys):
+    path = tmp_path / "disk.json"
+    path.write_text(dumps_report(map_to_doc(disk_collapse(1))), encoding="utf-8")
+    code, default_out, _ = run_cli(["fiber-power", str(path), "-p", "1"], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["fiber-power", str(path), "-p", "1", "--engine", "nerve"], capsys)
+    assert code == 0
+    assert '"engine": "nerve"' in out
+    assert json.loads(out)["betti"] == json.loads(default_out)["betti"]
+
+
 def test_cli_bounds(capsys):
     code, out, _ = run_cli(["bounds", "closed", "--s", "1", "--d", "2", "--k", "1"], capsys)
     assert code == 0
@@ -382,7 +393,6 @@ BAD_NUMBERS = {
     "cell_cap_env_not_integer": (["fiber-power", "MAP", "-p", "1"], {"REEBFORGE_CELL_CAP": "abc"}),
     "cell_cap_zero": (["fiber-power", "MAP", "-p", "1", "--cell-cap", "0"], None),
     "cell_cap_negative": (["fiber-power", "MAP", "-p", "1", "--cell-cap", "-5"], None),
-    "threads_zero": (["verify", "MAP", "--descent", "1", "--threads", "0"], None),
 }
 
 
