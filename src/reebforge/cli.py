@@ -31,7 +31,7 @@ from .io import (
     load_complex,
     map_from_doc,
     map_to_doc,
-    parse_document,
+    read_document,
     reeb_complex_to_doc,
     reeb_graph_to_doc,
     reeb_graph_to_dot,
@@ -54,8 +54,7 @@ def _write_output(text, out_path):
 
 def _load_map_or_function(path, close_faces):
     """A map file carries 'vertex_images'; a function file carries 'values'."""
-    with open(path, encoding="utf-8") as fh:
-        doc = parse_document(fh.read())
+    doc = read_document(path)
     base = os.path.dirname(path)
     if isinstance(doc, dict) and "vertex_images" in doc:
         return map_from_doc(doc, base_dir=base, close_faces=close_faces), None

@@ -43,35 +43,53 @@ def canonical_simplex(vertices):
     return t
 
 
-class UnionFind:
-    """Union-find over 0..n-1 with path compression and union by size."""
+def find_root(parent, x):
+    """Root of x in a union-find parent array, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+def label_components(members, neighbors, parent):
+    """Union-find over ids; returns the sorted roots of the classes.
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Every member is joined to each id in ``neighbors[member]``, and each of
+    those must itself be a member.  ``parent`` is an id-indexed array that is
+    reset for the members only, so one array can serve many disjoint or
+    successive calls.  The smaller root wins each union, so a class's root is
+    its smallest id and the sorted roots give the classes in id order.
+    ``find_root`` is inlined: this loop is the whole cost of the Reeb-graph
+    sweep.
+    """
+    for s in members:
+        parent[s] = s
+    for s in members:
+        for c in neighbors[s]:
+            a = s
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            b = c
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    return sorted(s for s in members if parent[s] == s)
 
-    def groups(self):
-        out = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return out
+
+def component_classes(members, neighbors, parent):
+    """The classes of ``label_components`` as id lists, in class order.
+
+    Each class lists its members in the order ``members`` gives them.
+    """
+    classes = {root: [] for root in label_components(members, neighbors, parent)}
+    for s in members:
+        classes[find_root(parent, s)].append(s)
+    return list(classes.values())
 
 
 class SimplicialComplex:
@@ -82,7 +100,9 @@ class SimplicialComplex:
     with a common ambient dimension.
     """
 
-    __slots__ = ("num_vertices", "simplex_set", "coordinates", "_sorted", "_by_dim", "_maximal")
+    __slots__ = (
+        "num_vertices", "simplex_set", "coordinates", "_sorted", "_by_dim", "_cofaces", "_maximal"
+    )
 
     def __init__(self, num_vertices, simplices, coordinates=None, check=True):
         self.num_vertices = int(num_vertices)
@@ -92,6 +112,7 @@ class SimplicialComplex:
         self.coordinates = coordinates
         self._sorted = None
         self._by_dim = None
+        self._cofaces = None
         self._maximal = None
         if check:
             self._check()
@@ -136,14 +157,27 @@ class SimplicialComplex:
         return max((len(s) - 1 for s in self.simplex_set), default=-1)
 
     @property
+    def cofaces(self):
+        """Ids of the codimension-one cofaces of each simplex, ascending.
+
+        Ids are positions in ``simplices``, and the table is aligned with it.
+        """
+        if self._cofaces is None:
+            simps = self.simplices
+            index = {s: i for i, s in enumerate(simps)}
+            table = [[] for _ in simps]
+            for i, s in enumerate(simps):
+                if len(s) > 1:
+                    for facet in itertools.combinations(s, len(s) - 1):
+                        table[index[facet]].append(i)
+            self._cofaces = tuple(map(tuple, table))
+        return self._cofaces
+
+    @property
     def maximal_simplices(self):
         """Simplices that are not proper faces of any other simplex."""
         if self._maximal is None:
-            proper_faces = set()
-            for s in self.simplex_set:
-                if len(s) > 1:
-                    proper_faces.update(itertools.combinations(s, len(s) - 1))
-            self._maximal = tuple(s for s in self.simplices if s not in proper_faces)
+            self._maximal = tuple(s for s, up in zip(self.simplices, self.cofaces) if not up)
         return self._maximal
 
     def simplex_counts(self):
@@ -209,7 +243,7 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
             raise DuplicateSimplexError(f"simplex {s} listed twice")
         seen.add(s)
     for s in canon:
-        if s and (s[0] < 0 or (num_vertices is not None and s[-1] >= num_vertices)):
+        if s[0] < 0 or s[-1] >= num_vertices:
             raise VertexOutOfRangeError(f"simplex {s} outside 0..{num_vertices - 1}")
     if close_faces:
         closed = set()
@@ -292,25 +326,21 @@ def connected_components(complex_, subset):
     """Partition ``subset`` under the equivalence generated by the face relation.
 
     Two simplices are joined whenever one is a face of the other and both lie
-    in the subset.  Returns the classes as lists in canonical order.
+    in the subset; the subset need not be up-closed, so every proper face is
+    a neighbour, not only the facets.  Returns the classes as lists in
+    canonical order.
     """
     members = sorted({canonical_simplex(s) for s in subset}, key=simplex_key)
     for s in members:
         if s not in complex_.simplex_set:
             raise UnknownSimplexError(f"{s} is not a simplex of the complex")
     index = {s: i for i, s in enumerate(members)}
-    uf = UnionFind(len(members))
-    for s in members:
-        i = index[s]
-        for k in range(1, len(s)):
-            for face in itertools.combinations(s, k):
-                j = index.get(face)
-                if j is not None:
-                    uf.union(i, j)
-    classes = {}
-    for i, s in enumerate(members):
-        classes.setdefault(uf.find(i), []).append(s)
-    return sorted(classes.values(), key=lambda cls: simplex_key(cls[0]))
+    faces = [
+        [index[f] for k in range(1, len(s)) for f in itertools.combinations(s, k) if f in index]
+        for s in members
+    ]
+    ids = range(len(members))
+    return [[members[i] for i in cls] for cls in component_classes(ids, faces, list(ids))]
 
 
 def barycentric_subdivision(complex_):

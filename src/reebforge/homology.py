@@ -51,11 +51,8 @@ class BettiVector:
     def __iter__(self):
         return iter(self.numbers)
 
-    def as_list(self, min_len=0):
-        out = list(self.numbers)
-        while len(out) < min_len:
-            out.append(0)
-        return out
+    def as_list(self):
+        return list(self.numbers)
 
     def __eq__(self, other):
         if isinstance(other, BettiVector):
@@ -140,7 +137,7 @@ def free_face_collapse(simplices):
     return {simplices[i] for i in kept}
 
 
-def rank_fraction_free(columns, normalize=True):
+def rank_fraction_free(columns):
     """Exact rank of a sparse integer matrix given as row->value column dicts.
 
     Columns are consumed left to right; each is reduced against previously
@@ -166,7 +163,7 @@ def rank_fraction_free(columns, normalize=True):
             for r, v in seen.items():
                 merged[r] = merged.get(r, 0) - v * mb
             col = {r: v for r, v in merged.items() if v}
-            if normalize and col:
+            if col:
                 g = 0
                 for v in col.values():
                     g = gcd(g, v)

@@ -39,13 +39,26 @@ def _no_floats(text):
 
 
 def parse_document(text):
-    """Strict JSON parse; trailing garbage and floats are format errors."""
+    """Strict JSON parse; trailing garbage, floats and nesting past the
+    recursion limit are format errors."""
     try:
         return json.loads(text, parse_float=_no_floats)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"invalid document: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
+    except RecursionError:
+        raise FormatError("invalid document: nested too deeply") from None
+
+
+def read_document(path):
+    """Parse the UTF-8 document at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_document(text)
 
 
 def _check_fields(doc, kind, required, optional=()):
@@ -75,7 +88,7 @@ def complex_from_doc(doc, close_faces=False):
     coordinates = None
     if "vertices" in doc:
         raw = doc["vertices"]
-        if not isinstance(raw, list):
+        if not isinstance(raw, list) or not all(isinstance(point, list) for point in raw):
             raise FormatError("'vertices' must be a list of coordinate arrays")
         coordinates = [[parse_rational(c) for c in point] for point in raw]
         if "ambient_dim" in doc:
@@ -152,20 +165,7 @@ def function_to_doc(g):
 
 
 def load_complex(path, close_faces=False):
-    with open(path, encoding="utf-8") as fh:
-        return complex_from_doc(parse_document(fh.read()), close_faces=close_faces)
-
-
-def load_map(path, close_faces=False):
-    with open(path, encoding="utf-8") as fh:
-        doc = parse_document(fh.read())
-    return map_from_doc(doc, base_dir=os.path.dirname(path), close_faces=close_faces)
-
-
-def load_function(path, close_faces=False):
-    with open(path, encoding="utf-8") as fh:
-        doc = parse_document(fh.read())
-    return function_from_doc(doc, base_dir=os.path.dirname(path), close_faces=close_faces)
+    return complex_from_doc(read_document(path), close_faces=close_faces)
 
 
 def dumps_report(doc):

@@ -28,38 +28,17 @@ from .complexes import (
     Poset,
     SimplicialComplex,
     SimplicialMap,
-    UnionFind,
     _enumerate_chains,
     barycentric_subdivision,
     canonical_simplex,
+    component_classes,
     connected_components,
+    find_root,
+    label_components,
     simplex_key,
 )
 from .errors import EmptyComplexError, InvariantError, UnknownSimplexError
 from .homology import BettiVector, betti, collapse_face_poset, regular_cw_betti
-
-
-def _partition_up_closed(members):
-    """Components of an up-closed simplex family under the face relation.
-
-    ``members`` must be closed under taking cofaces inside the ambient
-    complex, so joining each simplex to its facets generates the full
-    equivalence.  Classes come back as canonically ordered lists.
-    """
-    members = sorted(members, key=simplex_key)
-    index = {s: i for i, s in enumerate(members)}
-    uf = UnionFind(len(members))
-    for s in members:
-        if len(s) > 1:
-            i = index[s]
-            for facet in itertools.combinations(s, len(s) - 1):
-                j = index.get(facet)
-                if j is not None:
-                    uf.union(i, j)
-    groups = {}
-    for i, s in enumerate(members):
-        groups.setdefault(uf.find(i), []).append(s)
-    return sorted(groups.values(), key=lambda g: simplex_key(g[0]))
 
 
 @dataclass(frozen=True)
@@ -92,9 +71,6 @@ class ReebComplex:
         self._comp_of = comp_of
         self._stratum_id = {(s.tau, s.component): i for i, s in enumerate(strata)}
 
-    def stratum_index(self, tau, component):
-        return self._stratum_id[(canonical_simplex(tau), component)]
-
     @cached_property
     def realization(self):
         return self.poset.order_complex()
@@ -103,9 +79,9 @@ class ReebComplex:
     def _quotient(self):
         sd, carrier = barycentric_subdivision(self.map.domain)
         images = []
-        for s in carrier:
+        for i, s in enumerate(carrier):
             tau = self.map.image_simplex(s)
-            images.append(self._stratum_id[(tau, self._comp_of[tau][s])])
+            images.append(self._stratum_id[(tau, self._comp_of[tau][i])])
         return SimplicialMap(sd, self.realization, images), carrier
 
     @property
@@ -133,26 +109,32 @@ def reeb_space(f):
 
     Strata are computed over every codomain simplex with nonempty S_tau and
     ordered by their face relation; the order complex of that poset, the
-    realization, is left to be built on demand.
+    realization, is left to be built on demand.  Each S_tau is up-closed, so
+    its components come from union-find over the domain's coface index; one
+    parent array serves every tau.
     """
+    simps = f.domain.simplices
     buckets = {}
-    for s in f.domain.simplices:
+    for i, s in enumerate(simps):
         img = f.image_simplex(s)
         for k in range(1, len(img) + 1):
             for tau in itertools.combinations(img, k):
-                buckets.setdefault(tau, []).append(s)
+                buckets.setdefault(tau, []).append(i)
 
+    cofaces = f.domain.cofaces
+    parent = list(range(len(simps)))
     strata = []
     stratum_members = []
+    heads = []
     comp_of = {}
     for tau in sorted(buckets, key=simplex_key):
-        classes = _partition_up_closed(buckets[tau])
         table = {}
-        for ci, cls in enumerate(classes):
+        for ci, cls in enumerate(component_classes(buckets[tau], cofaces, parent)):
             strata.append(Stratum(tau, ci))
-            stratum_members.append(tuple(cls))
-            for s in cls:
-                table[s] = ci
+            stratum_members.append(tuple(simps[i] for i in cls))
+            heads.append(cls[0])
+            for i in cls:
+                table[i] = ci
         comp_of[tau] = table
 
     # Every stratum must contain a simplex mapping exactly onto its tau,
@@ -166,9 +148,9 @@ def reeb_space(f):
     for sid, stratum in enumerate(strata):
         tau = stratum.tau
         if len(tau) > 1:
-            rep = stratum_members[sid][0]
+            head = heads[sid]
             for facet in itertools.combinations(tau, len(tau) - 1):
-                lower = stratum_id[(facet, comp_of[facet][rep])]
+                lower = stratum_id[(facet, comp_of[facet][head])]
                 covers.append((lower, sid))
     poset = Poset(strata, covers)
     return ReebComplex(f, tuple(strata), tuple(stratum_members), comp_of, poset)
@@ -184,8 +166,10 @@ def fiber_components_at(f, tau):
     if tau not in f.codomain.simplex_set:
         raise UnknownSimplexError(f"{tau} is not a simplex of the codomain")
     tau_set = set(tau)
-    members = [s for s in f.domain.simplices if tau_set.issubset(f.image_simplex(s))]
-    return _partition_up_closed(members)
+    simps = f.domain.simplices
+    members = [i for i, s in enumerate(simps) if tau_set.issubset(f.image_simplex(s))]
+    classes = component_classes(members, f.domain.cofaces, list(range(len(simps))))
+    return [[simps[i] for i in cls] for cls in classes]
 
 
 def verify_quotient(f):
@@ -268,50 +252,16 @@ class ReebGraph:
     vertex_to_node: dict
 
     def betti(self):
-        uf = UnionFind(len(self.nodes))
+        ids = range(len(self.nodes))
+        adjacent = [[] for _ in ids]
         for a, b in self.edges:
-            uf.union(a, b)
-        b0 = len({uf.find(i) for i in range(len(self.nodes))})
+            adjacent[a].append(b)
+        b0 = len(label_components(ids, adjacent, list(ids)))
         b1 = len(self.edges) - len(self.nodes) + b0
         return BettiVector((b0, b1))
 
     def node_values(self):
         return tuple(n.value for n in self.nodes)
-
-
-def _find(parent, x):
-    """Root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _label_up_closed(members, cofaces, parent):
-    """Union-find over an up-closed set of simplex ids; returns its sorted roots.
-
-    Every coface of a member is a member, so joining each member to its
-    cofaces generates the face-relation components.  The smaller root wins
-    each union, so a class's root is its smallest id.  ``_find`` is inlined:
-    this loop is the whole cost of the Reeb-graph sweep.
-    """
-    for s in members:
-        parent[s] = s
-    for s in members:
-        for c in cofaces[s]:
-            a = s
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            b = c
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    return sorted(s for s in members if parent[s] == s)
 
 
 def reeb_graph(g):
@@ -338,14 +288,10 @@ def reeb_graph(g):
     position = {t: i for i, t in enumerate(levels)}
     level_of = {v: position[g.values[v]] for v in vertices}
 
-    index = {s: i for i, s in enumerate(simps)}
-    cofaces = [[] for _ in simps]
+    cofaces = k2.cofaces
     starts = [[] for _ in levels]
     ends = [[] for _ in levels]
     for i, s in enumerate(simps):
-        if len(s) > 1:
-            for facet in itertools.combinations(s, len(s) - 1):
-                cofaces[index[facet]].append(i)
         span = [level_of[v] for v in s]
         starts[min(span)].append(i)
         ends[max(span)].append(i)
@@ -360,19 +306,19 @@ def reeb_graph(g):
     for i, t in enumerate(levels):
         active.update(starts[i])
         node_of_root = {}
-        for ci, root in enumerate(_label_up_closed(active, cofaces, level_parent)):
+        for ci, root in enumerate(label_components(active, cofaces, level_parent)):
             node_of_root[root] = len(nodes)
             nodes.append(ReebNode(len(nodes), t, i, ci))
         for rep, a in open_slab:
-            b = node_of_root[_find(level_parent, rep)]
+            b = node_of_root[find_root(level_parent, rep)]
             edges.append((a, b) if a <= b else (b, a))
         for s in starts[i]:
             if len(simps[s]) == 1:
-                node_of_vertex[simps[s][0]] = node_of_root[_find(level_parent, s)]
+                node_of_vertex[simps[s][0]] = node_of_root[find_root(level_parent, s)]
         active.difference_update(ends[i])
         open_slab = [
-            (rep, node_of_root[_find(level_parent, rep)])
-            for rep in _label_up_closed(active, cofaces, slab_parent)
+            (rep, node_of_root[find_root(level_parent, rep)])
+            for rep in label_components(active, cofaces, slab_parent)
         ]
     edges.sort()
 

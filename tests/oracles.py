@@ -3,15 +3,79 @@
 Everything in here is deliberately written from scratch against the math,
 not against the package internals: naive dense linear algebra over exact
 fractions, an integer Smith-form rank, geometric level-set component counts
-from edge crossings, and a coordinate-level triangulation of fiber powers.
-The one exception is ``reeb_graph_rescan``, the per-level rescan that the
-event sweep in ``reebforge.reeb`` replaced, kept to check the sweep against.
+from edge crossings, face-relation partitions over a dictionary union-find,
+and a coordinate-level triangulation of fiber powers.  ``reeb_graph_rescan``
+is the per-level rescan that the event sweep in ``reebforge.reeb`` replaced,
+and ``partition_up_closed`` the per-family sort-and-index partition that the
+package's coface-index union-find replaced; both are kept to check the
+production paths against.  Only the result types come from the package.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from reebforge.reeb import ReebGraph, ReebNode, _partition_up_closed
+from reebforge.reeb import ReebGraph, ReebNode
+
+
+class UnionFind:
+    """Union-find over arbitrary hashable items, kept in a dictionary."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+    def classes(self, order):
+        """The classes as lists in ``order``, ordered by their first item."""
+        groups = {}
+        for x in order:
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
+
+
+def _canonical(members):
+    return sorted(set(members), key=lambda s: (len(s), s))
+
+
+def partition_up_closed(members):
+    """Components of an up-closed simplex family under the face relation.
+
+    ``members`` must be closed under taking cofaces inside the ambient
+    complex, so joining each simplex to its facets generates the full
+    equivalence.  Classes come back as canonically ordered lists, in the
+    canonical order of their first simplex.
+    """
+    members = _canonical(members)
+    uf = UnionFind(members)
+    for s in members:
+        for facet in combinations(s, len(s) - 1):
+            if facet in uf.parent:
+                uf.union(s, facet)
+    return uf.classes(members)
+
+
+def partition_face_relation(members):
+    """Components of any simplex family under the face relation.
+
+    Every pair in which one simplex is a proper face of the other is joined
+    directly, so the family need not be up-closed.  Classes are ordered as in
+    ``partition_up_closed``.
+    """
+    members = _canonical(members)
+    uf = UnionFind(members)
+    for a, b in combinations(members, 2):
+        if set(a) < set(b):
+            uf.union(a, b)
+    return uf.classes(members)
 
 
 def gauss_rank_fractions(rows):
@@ -139,27 +203,15 @@ def level_component_count(complex_, values, t):
             a, b = sorted(s, key=lambda v: values[v])
             if values[a] < t < values[b]:
                 atoms.add(("e", s))
-    parent = {a: a for a in atoms}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    uf = UnionFind(atoms)
     for s in complex_.simplices:
         local = [("v", v) for v in s if values[v] == t]
         for e in combinations(s, 2):
             if ("e", e) in atoms:
                 local.append(("e", e))
         for a, b in zip(local, local[1:]):
-            union(a, b)
-    return len({find(a) for a in atoms})
+            uf.union(a, b)
+    return len({uf.find(a) for a in atoms})
 
 
 def _centroid(points):
@@ -286,7 +338,7 @@ def reeb_graph_rescan(g):
     level_class = []
     for i, t in enumerate(levels):
         members = [s for s in simps if lo[s] <= t <= hi[s]]
-        classes = _partition_up_closed(members)
+        classes = partition_up_closed(members)
         table = {}
         for ci, cls in enumerate(classes):
             node_id[(i, ci)] = len(nodes)
@@ -299,7 +351,7 @@ def reeb_graph_rescan(g):
     for i in range(len(levels) - 1):
         lower_v, upper_v = levels[i], levels[i + 1]
         members = [s for s in simps if lo[s] <= lower_v and hi[s] >= upper_v]
-        for cls in _partition_up_closed(members):
+        for cls in partition_up_closed(members):
             rep = cls[0]
             a = node_id[(i, level_class[i][rep])]
             b = node_id[(i + 1, level_class[i + 1][rep])]

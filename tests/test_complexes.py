@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebforge import (
     DuplicateSimplexError,
@@ -26,8 +28,10 @@ from reebforge.fixtures import (
     full_simplex,
     minimal_torus,
     path_complex,
+    random_map,
 )
-from reebforge.reeb import _partition_up_closed
+
+from .oracles import partition_face_relation, partition_up_closed
 
 
 def test_validate_accepts_complete_two_simplex():
@@ -147,11 +151,20 @@ def test_components_up_closed_fast_path_agrees():
     # share no member face and fall apart into one class each.
     for v in range(4):
         star = [s for s in k.simplices if v in s]
-        assert _partition_up_closed(star) == connected_components(k, star)
+        assert connected_components(k, star) == partition_up_closed(star)
         triangles = [s for s in star if len(s) == 3]
-        classes = _partition_up_closed(triangles)
-        assert classes == connected_components(k, triangles)
+        classes = connected_components(k, triangles)
+        assert classes == partition_up_closed(triangles)
         assert len(classes) == 6
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.data())
+def test_components_match_oracle_on_arbitrary_subsets(seed, data):
+    # Subsets that are not up-closed join through faces of any codimension.
+    k = random_map(seed).domain
+    subset = data.draw(st.lists(st.sampled_from(k.simplices), unique=True))
+    assert connected_components(k, subset) == partition_face_relation(subset)
 
 
 def test_components_rejects_foreign_simplices():

@@ -186,7 +186,6 @@ def test_betti_vector_semantics():
     assert bv == [1, 0, 2, 0]
     assert bv[5] == 0
     assert bv.total == 3
-    assert bv.as_list(5) == [1, 0, 2, 0, 0]
 
 
 def test_convolve():

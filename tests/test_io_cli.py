@@ -408,6 +408,27 @@ def test_cli_rejects_bad_number(tmp_path, case):
     assert err.startswith("reebforge: error:")
 
 
+BAD_DOCUMENTS = {
+    "vertex_entry_not_an_array": (["betti", "FILE"], b'{"simplices": [[0]], "vertices": [5]}'),
+    "vertex_entry_a_string": (["betti", "FILE"], b'{"simplices": [[0]], "vertices": ["12"]}'),
+    "complex_not_utf8": (["betti", "FILE"], b'{"simplices": [[0]], "vertices": [["\xff"]]}'),
+    "map_not_utf8": (["reeb", "FILE", "--space"], b'{"vertex_images": "\xff"}'),
+    "nested_too_deeply": (["betti", "FILE"], b"[" * 100000 + b"]" * 100000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_cli_rejects_malformed_document(tmp_path, case):
+    argv, data = BAD_DOCUMENTS[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run_cli_process([str(path) if a == "FILE" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("reebforge: error:")
+
+
 def test_cli_rejects_slicing_an_empty_complex(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"complex": {"simplices": []}, "values": []}', encoding="utf-8")

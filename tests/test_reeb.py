@@ -34,12 +34,13 @@ from reebforge.fixtures import (
     grid_torus,
     minimal_torus,
     path_complex,
+    product_power,
     random_function,
     random_map,
     torus_height,
 )
 
-from .oracles import level_component_count, reeb_graph_rescan
+from .oracles import level_component_count, partition_up_closed, reeb_graph_rescan
 
 
 def height_on_square_circle():
@@ -325,6 +326,36 @@ def test_stratum_betti_matches_realization_on_random_maps(seed):
 )
 def test_stratum_betti_matches_realization(build):
     assert_stratum_betti_matches_realization(build())
+
+
+# Strata and fiber components against the sort-and-index partition that the
+# coface-index union-find replaced.
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda s=s: random_map(s) for s in range(50)),
+        lambda: disk_collapse(1),
+        lambda: disk_collapse(2),
+        lambda: torus_height()[1],
+        lambda: product_power(disk_collapse(2), 2),
+    ],
+    ids=[f"random{s}" for s in range(50)] + ["disk1", "disk2", "torus", "product"],
+)
+def test_strata_and_fiber_components_match_oracle_partition(build):
+    f = build()
+    space = reeb_space(f)
+    strata_by_tau = {}
+    for stratum, members in zip(space.strata, space.stratum_members):
+        classes = strata_by_tau.setdefault(stratum.tau, [])
+        assert stratum.component == len(classes)
+        classes.append(list(members))
+    images = [(s, set(f.image_simplex(s))) for s in f.domain.simplices]
+    for tau in f.codomain.simplices:
+        want = partition_up_closed([s for s, image in images if image.issuperset(tau)])
+        assert strata_by_tau.get(tau, []) == want
+        assert fiber_components_at(f, tau) == want
 
 
 # The event sweep against the per-level rescan it replaced.
