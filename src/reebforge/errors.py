@@ -42,10 +42,16 @@ class UnknownSimplexError(ReebForgeError):
 
 
 class BudgetExceededError(ReebForgeError):
-    """A construction grew past the configured cell cap."""
+    """A construction grew past the configured cell cap.
 
-    def __init__(self, message, cap=None):
+    ``cap`` is the cap, ``stage`` names the construction that hit it and
+    ``count`` is how many cells it would have built; each may be None.
+    """
+
+    def __init__(self, message, cap=None, stage=None, count=None):
         self.cap = cap
+        self.stage = stage
+        self.count = count
         super().__init__(message)
 
 

@@ -11,6 +11,16 @@ The poset is polynomial in the input, and free pairs are collapsed away
 before the ranks are taken.  ``fiber_power_betti`` (engine "auto" or "cells")
 and ``descent_check`` run only this model.
 
+Cells carry no keys.  Over each tau the cells are the (p+1)-tuples of the
+simplices of exact image tau, numbered in mixed radix by the positions of
+their components, so a cell is just an int.  Every facet id is integer
+arithmetic on the cell's id with two tables built once per simplex: the
+positions of the shrinks that keep its image (type-(a) facets change one
+digit) and, for each vertex t of tau, the position of the simplex trimmed of
+its vertex over t (type-(b) facets are a Horner sum in the radix of tau - t).
+The collapse that follows keeps per cell only a count and an XOR of its live
+covers, see ``homology.collapse_face_poset``.
+
 The nerve model covers W_p by the closed convex cells
 P_(s0..sp) = {(x0..xp) in s0 x ... x sp : f(x0) = ... = f(xp)} over tuples of
 maximal simplices; all intersections of cover cells are convex, so the nerve
@@ -135,64 +145,102 @@ def fiber_power_nerve(f, p, cell_cap=None):
 
 
 def _cell_poset(f, p, cap):
-    """Cells of the fiber power with dimensions and facet (cover) relations.
+    """Dimensions and facet (cover) relations of the fiber power's cells.
 
-    A cell is a tuple of simplices sharing one exact image tau; its polytope
-    is the fiber product of the closed simplices, of dimension
-    sum(dim rho_i) - p*dim(tau).  Its facets are (a) one component shrunk by
-    a vertex whose image repeats inside it, and (b) for a codomain vertex t
-    of tau covered exactly once in every component, all components shrunk by
-    their vertex over t (the common image drops to tau minus t).  Returns
-    (cells, dims, facets); ids are a linear extension of the face order.
+    A cell is a tuple (rho_0..rho_p) of simplices sharing one exact image
+    tau; its polytope is the fiber product of the closed simplices, of
+    dimension sum(dim rho_k) - p*dim(tau).  Its facets are (a) one component
+    shrunk by a vertex whose image repeats inside it, and (b) for a codomain
+    vertex t of tau covered exactly once in every component, all components
+    shrunk by their vertex over t (the common image drops to tau minus t).
+
+    Cells are numbered arithmetically: with ``groups[tau]`` the simplices of
+    exact image tau in canonical order, n = len(groups[tau]) and pos_k the
+    position of rho_k there, the cell's id is
+    ``base[tau] + sum_k pos_k * n**(p-k)``, taus in canonical order.  Ids are
+    a linear extension of the face order.  A type-(a) facet then differs from
+    its cell in one digit, and a type-(b) facet is the Horner sum of the
+    trimmed positions in radix len(groups[tau - t]).  Returns (dims, facets).
     """
+    images = f.vertex_images
     groups = {}
     for s in f.domain.simplices:
         groups.setdefault(f.image_simplex(s), []).append(s)
     taus = sorted(groups, key=simplex_key)
     total = sum(len(groups[t]) ** (p + 1) for t in taus)
     if total > cap:
-        raise BudgetExceededError(f"{total} fiber-power cells exceed the cap of {cap}", cap=cap)
+        raise BudgetExceededError(
+            f"{total} fiber-power cells exceed the cap of {cap}",
+            cap=cap, stage="fiber-power cells", count=total,
+        )
 
-    cells = []
+    position = {}
+    base = {}
+    start = 0
     for tau in taus:
-        for tup in itertools.product(groups[tau], repeat=p + 1):
-            cells.append((tau, tup))
-    cell_id = {c: i for i, c in enumerate(cells)}
+        base[tau] = start
+        start += len(groups[tau]) ** (p + 1)
+        for q, s in enumerate(groups[tau]):
+            position[s] = q
 
     dims = []
     facets = []
-    for tau, tup in cells:
-        dims.append(sum(len(r) - 1 for r in tup) - p * (len(tau) - 1))
-        found = []
-        image_count = []
-        for rho in tup:
-            counts = {}
-            for v in rho:
-                w = f.vertex_images[v]
-                counts[w] = counts.get(w, 0) + 1
-            image_count.append(counts)
-        for i, rho in enumerate(tup):
-            if len(rho) == 1:
-                continue
-            counts = image_count[i]
-            for j, v in enumerate(rho):
-                if counts[f.vertex_images[v]] > 1:
-                    shrunk = rho[:j] + rho[j + 1 :]
-                    found.append(cell_id[(tau, tup[:i] + (shrunk,) + tup[i + 1 :])])
-        if len(tau) > 1:
-            for t in tau:
-                if all(counts[t] == 1 for counts in image_count):
-                    sub = tuple(x for x in tau if x != t)
-                    trimmed = tuple(
-                        tuple(v for v in rho if f.vertex_images[v] != t) for rho in tup
-                    )
-                    found.append(cell_id[(sub, trimmed)])
-        facets.append(found)
-    return cells, dims, facets
+    for tau in taus:
+        group = groups[tau]
+        n = len(group)
+        # deltas[q]: group positions of the image-keeping shrinks of the
+        # simplex at position q, minus q, in vertex order; shift[k][q]: the
+        # same as cell-id offsets when that simplex is component k.
+        deltas = []
+        for q, rho in enumerate(group):
+            over = [images[v] for v in rho]
+            deltas.append(
+                [
+                    position[rho[:j] + rho[j + 1 :]] - q
+                    for j, w in enumerate(over)
+                    if over.count(w) > 1
+                ]
+            )
+        shift = [[[d * n ** (p - k) for d in ds] for ds in deltas] for k in range(p + 1)]
+        # One trim column per vertex t of tau: for each position, the
+        # position in groups[tau - t] of the simplex without its vertex over
+        # t, or None when t is not covered exactly once.
+        columns = []
+        for t in tau if len(tau) > 1 else ():
+            sub = tuple(x for x in tau if x != t)
+            column = []
+            for rho in group:
+                over_t = [v for v in rho if images[v] == t]
+                if len(over_t) == 1:
+                    column.append(position[tuple(v for v in rho if v != over_t[0])])
+                else:
+                    column.append(None)
+            columns.append((base[sub], len(groups[sub]), column))
+        dim_of = [len(rho) - 1 for rho in group]
+        drop = p * (len(tau) - 1)
+        cid = base[tau]
+        for tup in itertools.product(range(n), repeat=p + 1):
+            found = []
+            for k, q in enumerate(tup):
+                for d in shift[k][q]:
+                    found.append(cid + d)
+            for sub_base, radix, column in columns:
+                h = 0
+                for q in tup:
+                    x = column[q]
+                    if x is None:
+                        break
+                    h = h * radix + x
+                else:
+                    found.append(sub_base + h)
+            dims.append(sum(dim_of[q] for q in tup) - drop)
+            facets.append(found)
+            cid += 1
+    return dims, facets
 
 
 def _fiber_power_cells_betti(f, p, cap):
-    _, dims, facets = _cell_poset(f, p, cap)
+    dims, facets = _cell_poset(f, p, cap)
     kept, core = collapse_face_poset(facets)
     return regular_cw_betti([dims[i] for i in kept], core)
 

@@ -72,41 +72,47 @@ class BettiVector:
 def collapse_face_poset(facets):
     """Greedy elementary collapse on the face poset of a regular cell complex.
 
-    ``facets[c]`` lists the codimension-one faces of cell c.  A cell is free
-    exactly when it has a single covering cell and that cover is maximal; the
-    pair is then removed, smallest free id first, so the result is
-    deterministic.  The covering relation is all that is needed: any deeper
-    coface would force a second cover by the diamond property.  Returns
-    (kept, core_facets): the surviving ids in ascending order and their
-    facets renumbered to positions in ``kept``.
+    ``facets[c]`` lists the codimension-one faces of cell c, with no id
+    repeated inside one list; every regular complex has that property, since
+    distinct facets are distinct cells.  A cell is free exactly when it has a
+    single covering cell and that cover is maximal; the pair is then removed,
+    smallest free id first, so the result is deterministic.  The covering
+    relation is all that is needed: any deeper coface would force a second
+    cover by the diamond property.  Each cell keeps only the number of its
+    live covers and the XOR of their ids, which is the cover itself when the
+    number is one; removing a cover decrements the one and XORs the other.
+    Returns (kept, core_facets): the surviving ids in ascending order and
+    their facets renumbered to positions in ``kept``.
     """
     n = len(facets)
-    covers = [set() for _ in range(n)]
+    count = [0] * n
+    xor = [0] * n
     for c, fs in enumerate(facets):
         for g in fs:
-            covers[g].add(c)
+            count[g] += 1
+            xor[g] ^= c
     alive = [True] * n
-    heap = [i for i in range(n) if len(covers[i]) == 1]
+    heap = [i for i in range(n) if count[i] == 1]
     heapq.heapify(heap)
     while heap:
         i = heapq.heappop(heap)
-        if not alive[i] or len(covers[i]) != 1:
+        if not alive[i] or count[i] != 1:
             continue
-        (j,) = covers[i]
-        if not alive[j] or covers[j]:
+        j = xor[i]
+        if not alive[j] or count[j]:
             continue
         alive[i] = alive[j] = False
         for gone in (i, j):
             for g in facets[gone]:
                 if not alive[g]:
                     continue
-                group = covers[g]
-                group.discard(gone)
-                if len(group) == 1:
+                count[g] -= 1
+                xor[g] ^= gone
+                if count[g] == 1:
                     heapq.heappush(heap, g)
-                elif not group:
+                elif not count[g]:
                     for h in facets[g]:
-                        if alive[h] and len(covers[h]) == 1:
+                        if alive[h] and count[h] == 1:
                             heapq.heappush(heap, h)
     kept = [i for i in range(n) if alive[i]]
     position = [0] * n

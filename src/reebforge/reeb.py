@@ -160,15 +160,40 @@ def fiber_components_at(f, tau):
     """Partition of S_tau = {sigma : tau inside f(sigma)} into components.
 
     Over any point in the open simplex tau these classes correspond one-to-one
-    with the connected components of the fiber.
+    with the connected components of the fiber.  The members are collected
+    by walking up the coface index from the vertices over tau[0], not by
+    scanning the domain.  A minimal member maps exactly onto tau, so it lies
+    above such a vertex through faces with image inside tau, and every
+    coface of a member is a member: the walk only passes simplices whose
+    image is inside tau or contains it.
     """
     tau = canonical_simplex(tau)
     if tau not in f.codomain.simplex_set:
         raise UnknownSimplexError(f"{tau} is not a simplex of the codomain")
     tau_set = set(tau)
     simps = f.domain.simplices
-    members = [i for i, s in enumerate(simps) if tau_set.issubset(f.image_simplex(s))]
-    classes = component_classes(members, f.domain.cofaces, list(range(len(simps))))
+    cofaces = f.domain.cofaces
+    # Vertices come first in canonical order, so their ids are 0..V-1.
+    stack = [
+        i
+        for i, (v,) in enumerate(f.domain.by_dim().get(0, ()))
+        if f.vertex_images[v] == tau[0]
+    ]
+    seen = set(stack)
+    members = []
+    while stack:
+        i = stack.pop()
+        image = f.image_simplex(simps[i])
+        if tau_set.issubset(image):
+            members.append(i)
+        elif not tau_set.issuperset(image):
+            continue
+        for c in cofaces[i]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    members.sort()
+    classes = component_classes(members, cofaces, list(range(len(simps))))
     return [[simps[i] for i in cls] for cls in classes]
 
 
@@ -259,9 +284,6 @@ class ReebGraph:
         b0 = len(label_components(ids, adjacent, list(ids)))
         b1 = len(self.edges) - len(self.nodes) + b0
         return BettiVector((b0, b1))
-
-    def node_values(self):
-        return tuple(n.value for n in self.nodes)
 
 
 def reeb_graph(g):

@@ -8,9 +8,13 @@ and a coordinate-level triangulation of fiber powers.  ``reeb_graph_rescan``
 is the per-level rescan that the event sweep in ``reebforge.reeb`` replaced,
 and ``partition_up_closed`` the per-family sort-and-index partition that the
 package's coface-index union-find replaced; both are kept to check the
-production paths against.  Only the result types come from the package.
+production paths against.  Likewise ``fiber_power_cells_tuples`` is the
+tuple-keyed fiber-power cell enumerator that mixed-radix cell ids replaced,
+and ``collapse_face_poset_sets`` the collapse that kept a set of covers per
+cell.  Only the result types come from the package.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -267,6 +271,104 @@ def fiber_power_cells_geometric(f, p):
             cells.append((tau, tup))
             points.append(tuple(witness))
     return cells, points
+
+
+def fiber_power_cells_tuples(f, p):
+    """Cells of the fiber power with dimensions and facet (cover) relations.
+
+    A cell is a tuple of simplices sharing one exact image tau; its polytope
+    is the fiber product of the closed simplices, of dimension
+    sum(dim rho_i) - p*dim(tau).  Its facets are (a) one component shrunk by
+    a vertex whose image repeats inside it, and (b) for a codomain vertex t
+    of tau covered exactly once in every component, all components shrunk by
+    their vertex over t (the common image drops to tau minus t).  Every cell
+    is keyed by (tau, tuple) in a dictionary and every facet looked up by its
+    rebuilt key.  Returns (cells, dims, facets); ids are a linear extension
+    of the face order.
+    """
+    groups = {}
+    for s in f.domain.simplices:
+        groups.setdefault(f.image_simplex(s), []).append(s)
+    taus = sorted(groups, key=lambda s: (len(s), s))
+
+    cells = []
+    for tau in taus:
+        for tup in product(groups[tau], repeat=p + 1):
+            cells.append((tau, tup))
+    cell_id = {c: i for i, c in enumerate(cells)}
+
+    dims = []
+    facets = []
+    for tau, tup in cells:
+        dims.append(sum(len(r) - 1 for r in tup) - p * (len(tau) - 1))
+        found = []
+        image_count = []
+        for rho in tup:
+            counts = {}
+            for v in rho:
+                w = f.vertex_images[v]
+                counts[w] = counts.get(w, 0) + 1
+            image_count.append(counts)
+        for i, rho in enumerate(tup):
+            if len(rho) == 1:
+                continue
+            counts = image_count[i]
+            for j, v in enumerate(rho):
+                if counts[f.vertex_images[v]] > 1:
+                    shrunk = rho[:j] + rho[j + 1 :]
+                    found.append(cell_id[(tau, tup[:i] + (shrunk,) + tup[i + 1 :])])
+        if len(tau) > 1:
+            for t in tau:
+                if all(counts[t] == 1 for counts in image_count):
+                    sub = tuple(x for x in tau if x != t)
+                    trimmed = tuple(
+                        tuple(v for v in rho if f.vertex_images[v] != t) for rho in tup
+                    )
+                    found.append(cell_id[(sub, trimmed)])
+        facets.append(found)
+    return cells, dims, facets
+
+
+def collapse_face_poset_sets(facets):
+    """Greedy elementary collapse keeping the set of live covers of each cell.
+
+    Same contract as ``reebforge.homology.collapse_face_poset``: a cell with
+    a single cover that is itself maximal is removed with it, smallest free
+    id first.  Returns (kept, core_facets).
+    """
+    n = len(facets)
+    covers = [set() for _ in range(n)]
+    for c, fs in enumerate(facets):
+        for g in fs:
+            covers[g].add(c)
+    alive = [True] * n
+    heap = [i for i in range(n) if len(covers[i]) == 1]
+    heapq.heapify(heap)
+    while heap:
+        i = heapq.heappop(heap)
+        if not alive[i] or len(covers[i]) != 1:
+            continue
+        (j,) = covers[i]
+        if not alive[j] or covers[j]:
+            continue
+        alive[i] = alive[j] = False
+        for gone in (i, j):
+            for g in facets[gone]:
+                if not alive[g]:
+                    continue
+                group = covers[g]
+                group.discard(gone)
+                if len(group) == 1:
+                    heapq.heappush(heap, g)
+                elif not group:
+                    for h in facets[g]:
+                        if alive[h] and len(covers[h]) == 1:
+                            heapq.heappush(heap, h)
+    kept = [i for i in range(n) if alive[i]]
+    position = [0] * n
+    for k, i in enumerate(kept):
+        position[i] = k
+    return kept, [[position[g] for g in facets[i]] for i in kept]
 
 
 def fiber_power_triangulation_betti(f, p):

@@ -10,8 +10,9 @@ from reebforge import (
     fiber_power_betti,
     fiber_power_nerve,
     image_subcomplex,
+    reeb_space,
 )
-from reebforge.fiberprod import _fiber_power_cells_betti, resolve_cell_cap
+from reebforge.fiberprod import _cell_poset, _fiber_power_cells_betti, resolve_cell_cap
 from reebforge.fixtures import (
     boundary_delta3,
     circle,
@@ -22,7 +23,7 @@ from reebforge.fixtures import (
     random_map,
 )
 
-from .oracles import fiber_power_triangulation_betti
+from .oracles import fiber_power_cells_tuples, fiber_power_triangulation_betti
 
 
 def point():
@@ -138,14 +139,15 @@ def test_cell_facets_match_componentwise_bruteforce(p):
     # component, or the unique vertex over a codomain vertex in every
     # component) must agree with the definition: faces are componentwise
     # subsets, facets those of dimension exactly one less.  Quadratic brute
-    # force, so only small maps are fed in.
-    from reebforge.fiberprod import _cell_poset
-
+    # force, so only small maps are fed in.  The production cells carry no
+    # keys; the tuple enumerator decodes their ids.
     maps = [disk_collapse(1), constant_circle_map()]
     if p < 2:
         maps.append(check_simplicial(full_simplex(2), path_complex(2), [0, 1, 1]))
     for f in maps:
-        cells, dims, facets = _cell_poset(f, p, 10**7)
+        cells, _, _ = fiber_power_cells_tuples(f, p)
+        dims, facets = _cell_poset(f, p, 10**7)
+        assert len(dims) == len(facets) == len(cells)
         by_dim = {}
         for j, d in enumerate(dims):
             by_dim.setdefault(d, []).append(j)
@@ -156,6 +158,23 @@ def test_cell_facets_match_componentwise_bruteforce(p):
                 if all(set(a).issubset(b) for a, b in zip(cells[j][1], tup))
             }
             assert set(facets[i]) == expected, (i, cells[i])
+
+
+@pytest.mark.parametrize(
+    "build, powers",
+    [
+        *((lambda s=s: random_map(s), (0, 1, 2)) for s in range(50)),
+        (lambda: reeb_space(disk_collapse(2)).quotient_map, (2,)),
+    ],
+    ids=[f"random{s}" for s in range(50)] + ["disk2_quotient"],
+)
+def test_mixed_radix_cells_match_tuple_enumerator(build, powers):
+    # Same ids, dimensions and facet lists, facet order included, as the
+    # tuple-keyed enumerator the mixed-radix numbering replaced.
+    f = build()
+    for p in powers:
+        _, dims, facets = fiber_power_cells_tuples(f, p)
+        assert _cell_poset(f, p, 10**8) == (dims, facets), p
 
 
 def test_nerve_symmetric_under_permuted_maximal_order():
@@ -217,6 +236,16 @@ def test_budget_exceeded_on_tiny_cap():
         fiber_power_nerve(disk_collapse(2), 1, cell_cap=50)
     with pytest.raises(BudgetExceededError):
         _fiber_power_cells_betti(disk_collapse(2), 2, 50)
+
+
+def test_budget_error_names_stage_count_and_cap():
+    with pytest.raises(BudgetExceededError) as info:
+        _fiber_power_cells_betti(disk_collapse(2), 2, 50)
+    exc = info.value
+    assert exc.stage == "fiber-power cells"
+    assert exc.cap == 50
+    assert exc.count == 4441
+    assert str(exc) == "4441 fiber-power cells exceed the cap of 50"
 
 
 def test_default_engine_never_enumerates_the_nerve(monkeypatch):

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebforge import (
     BettiVector,
@@ -15,17 +18,33 @@ from reebforge import (
     rank_fraction_free,
     validate_complex,
 )
-from reebforge.homology import free_face_collapse, regular_cw_betti
+from reebforge.fiberprod import _cell_poset
+from reebforge.homology import (
+    _facet_ids,
+    collapse_face_poset,
+    free_face_collapse,
+    regular_cw_betti,
+)
 from reebforge.fixtures import (
     boundary_delta3,
     circle,
+    disk_collapse,
     full_simplex,
     grid_torus,
     minimal_torus,
     path_complex,
+    product_power,
+    random_map,
 )
+from reebforge.reeb import reeb_space
 
-from .oracles import boundary_matrix_dense, gauss_rank_fractions, naive_betti, smith_rank
+from .oracles import (
+    boundary_matrix_dense,
+    collapse_face_poset_sets,
+    gauss_rank_fractions,
+    naive_betti,
+    smith_rank,
+)
 
 SUITE = [
     path_complex(5),
@@ -167,6 +186,57 @@ def test_free_face_collapse_preserves_face_closure():
 def test_collapse_leaves_closed_surfaces_alone():
     torus = minimal_torus()
     assert free_face_collapse(torus.simplex_set) == torus.simplex_set
+
+
+# The count/XOR collapse against the set-of-covers collapse it replaced, on
+# the three producers of face posets: simplicial complexes, fiber-power cell
+# models and Reeb-space stratum posets.
+
+
+def stratum_facets(space):
+    facets = [[] for _ in space.strata]
+    for lower, upper in space.poset.covers:
+        facets[upper].append(lower)
+    return facets
+
+
+@st.composite
+def simplicial_facets(draw):
+    tops = draw(
+        st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=10)
+    )
+    closed = {
+        face for top in tops for k in range(1, len(top) + 1) for face in combinations(sorted(top), k)
+    }
+    return _facet_ids(sorted(closed, key=lambda s: (len(s), s)))
+
+
+face_posets = st.one_of(
+    simplicial_facets(),
+    st.builds(
+        lambda seed, p: _cell_poset(random_map(seed, size=8), p, 10**8)[1],
+        st.integers(0, 49),
+        st.integers(0, 2),
+    ),
+    st.builds(lambda seed: stratum_facets(reeb_space(random_map(seed))), st.integers(0, 49)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(face_posets)
+def test_collapse_matches_set_of_covers_oracle(facets):
+    assert collapse_face_poset(facets) == collapse_face_poset_sets(facets)
+
+
+def test_face_poset_producers_never_repeat_a_facet():
+    # collapse_face_poset keeps only a count and an XOR of each cell's
+    # covers, which is exact only when no facet list repeats an id.
+    posets = [_facet_ids(k.simplices) for k in SUITE]
+    posets += [_cell_poset(random_map(seed), p, 10**8)[1] for seed in range(10) for p in range(3)]
+    posets += [stratum_facets(reeb_space(random_map(seed))) for seed in range(50)]
+    posets.append(stratum_facets(reeb_space(product_power(disk_collapse(2), 2))))
+    for facets in posets:
+        assert all(len(set(fs)) == len(fs) for fs in facets)
 
 
 def test_betti_report_shape():
