@@ -381,7 +381,8 @@ def _enumerate_chains(n, ups, cap=None):
             chains.append(chain)
             if cap is not None and len(chains) > cap:
                 raise BudgetExceededError(
-                    f"chain enumeration passed the cap of {cap}", cap=cap
+                    f"chain enumeration passed the cap of {cap}",
+                    cap=cap, stage="chains", count=len(chains),
                 )
             top = chain[-1]
             for nxt in ups[top]:

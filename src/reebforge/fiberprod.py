@@ -87,7 +87,9 @@ def fiber_power_nerve(f, p, cell_cap=None):
     their images is nonempty; a set of tuples spans a nerve simplex iff all
     componentwise simplex intersections are nonempty and the images of those
     intersections share a codomain vertex.  Enumeration aborts with
-    BudgetExceededError once the simplex count passes the cap.
+    BudgetExceededError, stage "nerve cover", once the cover passes the cap
+    (or one codomain vertex's tuples alone pass four times the cap), and
+    stage "nerve simplices" once the simplex count passes the cap.
     """
     _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
@@ -100,14 +102,19 @@ def fiber_power_nerve(f, p, cell_cap=None):
     cover = set()
     for w in sorted(by_cod_vertex):
         group = by_cod_vertex[w]
-        if len(group) ** (p + 1) + len(cover) > 4 * cap:
+        count = len(group) ** (p + 1) + len(cover)
+        if count > 4 * cap:
             raise BudgetExceededError(
-                f"cover for codomain vertex {w} alone exceeds the cap of {cap}", cap=cap
+                f"cover for codomain vertex {w} alone exceeds the cap of {cap}",
+                cap=cap, stage="nerve cover", count=count,
             )
         cover.update(itertools.product(group, repeat=p + 1))
     cover = sorted(cover, key=lambda t: tuple(simplex_key(s) for s in t))
     if len(cover) > cap:
-        raise BudgetExceededError(f"{len(cover)} cover cells exceed the cap of {cap}", cap=cap)
+        raise BudgetExceededError(
+            f"{len(cover)} cover cells exceed the cap of {cap}",
+            cap=cap, stage="nerve cover", count=len(cover),
+        )
 
     images = {s: set(f.image_simplex(s)) for s in maximal}
     vertex_sets = [tuple(set(s) for s in tup) for tup in cover]
@@ -121,7 +128,8 @@ def fiber_power_nerve(f, p, cell_cap=None):
         simplices.append(ids)
         if len(simplices) > cap:
             raise BudgetExceededError(
-                f"nerve enumeration passed the cap of {cap}", cap=cap
+                f"nerve enumeration passed the cap of {cap}",
+                cap=cap, stage="nerve simplices", count=len(simplices),
             )
         for j in range(ids[-1] + 1, len(cover)):
             other = vertex_sets[j]

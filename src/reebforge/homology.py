@@ -4,12 +4,17 @@ A complex is given as a face poset: the dimension and the codimension-one
 faces of every cell.  One greedy free-face collapse shrinks it (collapses
 preserve the homotopy type, so they change nothing but the matrix sizes),
 incidence signs are fixed on the core, and one assembly reads the Betti
-numbers off the ranks of the boundary matrices.  A simplicial complex is the
-case whose signs are known; a regular cell complex, such as a fiber power's
-cell model or a Reeb space's stratum poset, gets its signs by propagation
-around each cell's facet graph.  Ranks come from fraction-free integer
-elimination (cross-multiplication plus a gcd sweep per updated column), so
-every Betti number is exact.
+numbers off the ranks of the coboundary matrices, taken bottom up over the
+dimensions with clearing.  A simplicial complex is the case whose signs are
+known; a regular cell complex, such as a fiber power's cell model or a Reeb
+space's stratum poset, gets its signs by propagation around each cell's
+facet graph.  Ranks come from one fraction-free integer elimination
+(cross-multiplication plus a gcd sweep per updated column) that returns its
+pivot rows, so every Betti number is exact.  Clearing (Chen and Kerber,
+"Persistent homology computation with a twist", 2011, here on the
+coboundary as in Bauer's Ripser) skips each d-cell that was a pivot row of
+the previous coboundary, since its column would reduce to zero; that is a
+theorem over any field, so no rank is approximated.
 """
 
 from __future__ import annotations
@@ -143,16 +148,17 @@ def free_face_collapse(simplices):
     return {simplices[i] for i in kept}
 
 
-def rank_fraction_free(columns):
-    """Exact rank of a sparse integer matrix given as row->value column dicts.
+def _pivot_rows(columns):
+    """Pivot rows of a sparse integer matrix given as row->value column dicts.
 
     Columns are consumed left to right; each is reduced against previously
     found pivot columns (pivot row = largest remaining row index) by integer
-    cross-multiplication, with a gcd division keeping entries small.  The
-    pivot order is deterministic, so reduced columns are reproducible.
+    cross-multiplication, with a gcd division keeping entries small.  A column
+    that does not reduce to zero adds its lowest row.  The pivot order is
+    deterministic, so reduced columns are reproducible.  Returns the set of
+    pivot rows; the reduced columns are dropped with the call.
     """
     pivots = {}
-    rank = 0
     for col in columns:
         col = {r: v for r, v in col.items() if v}
         while col:
@@ -160,7 +166,6 @@ def rank_fraction_free(columns):
             seen = pivots.get(low)
             if seen is None:
                 pivots[low] = col
-                rank += 1
                 break
             a, b = col[low], seen[low]
             g = gcd(a, b)
@@ -175,14 +180,26 @@ def rank_fraction_free(columns):
                     g = gcd(g, v)
                 if g > 1:
                     col = {r: v // g for r, v in col.items()}
-    return rank
+    return set(pivots)
+
+
+def rank_fraction_free(columns):
+    """Exact rank of a sparse integer matrix given as row->value column dicts:
+    the number of pivots of its fraction-free reduction."""
+    return len(_pivot_rows(columns))
 
 
 def _betti_numbers(dims, boundaries):
     """Betti vector of a cellular chain complex.
 
     ``boundaries[c]`` maps each facet id of cell c to its incidence, +-1.
-    Within a dimension, cells become matrix rows and columns in id order.
+    Within a dimension, cells are numbered in id order.  The ranks come from
+    the coboundaries, bottom up: delta^d has the d-cells as columns and the
+    (d+1)-cells as rows, and rank delta^d = rank of the boundary on the
+    (d+1)-cells.  Clearing: a d-cell that is the pivot row of a reduced
+    column of delta^(d-1) is a column of delta^d that lies in the span of the
+    columns before it (the reduced column is a cocycle with that lowest row),
+    so it would reduce to zero and is skipped.
     """
     by_dim = {}
     row = [0] * len(dims)
@@ -192,10 +209,17 @@ def _betti_numbers(dims, boundaries):
         group.append(c)
     top = max(by_dim, default=-1)
     ranks = [0] * (top + 2)
-    for d in range(1, top + 1):
-        ranks[d] = rank_fraction_free(
-            [{row[g]: e for g, e in boundaries[c].items()} for c in by_dim.get(d, ())]
+    cleared = ()
+    for d in range(top):
+        coboundary = [{} for _ in by_dim.get(d, ())]
+        for c in by_dim.get(d + 1, ()):
+            r = row[c]
+            for g, e in boundaries[c].items():
+                coboundary[row[g]][r] = e
+        cleared = _pivot_rows(
+            col for i, col in enumerate(coboundary) if i not in cleared
         )
+        ranks[d + 1] = len(cleared)
     return BettiVector(len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
 
@@ -206,12 +230,10 @@ def betti(complex_):
     complex whose incidence signs are known, (-1)**i for the facet that omits
     vertex i.
     """
-    alive = free_face_collapse(complex_.simplices)
-    core = [s for s in complex_.simplices if s in alive]
-    boundaries = [
-        {g: -1 if i % 2 else 1 for i, g in enumerate(fs)} for fs in _facet_ids(core)
-    ]
-    return _betti_numbers([len(s) - 1 for s in core], boundaries)
+    simplices = complex_.simplices
+    kept, core = collapse_face_poset(_facet_ids(simplices))
+    boundaries = [{g: -1 if i % 2 else 1 for i, g in enumerate(fs)} for fs in core]
+    return _betti_numbers([len(simplices[i]) - 1 for i in kept], boundaries)
 
 
 def euler_characteristic(complex_):

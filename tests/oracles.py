@@ -11,11 +11,14 @@ package's coface-index union-find replaced; both are kept to check the
 production paths against.  Likewise ``fiber_power_cells_tuples`` is the
 tuple-keyed fiber-power cell enumerator that mixed-radix cell ids replaced,
 and ``collapse_face_poset_sets`` the collapse that kept a set of covers per
-cell.  Only the result types come from the package.
+cell.  ``betti_numbers_uncleared`` is the cellular Betti assembly that ranked
+every boundary matrix in full before clearing on the coboundaries replaced
+it.  Only the result types come from the package.
 """
 
 import heapq
 from fractions import Fraction
+from math import gcd
 from itertools import combinations, product
 
 from reebforge.reeb import ReebGraph, ReebNode
@@ -369,6 +372,60 @@ def collapse_face_poset_sets(facets):
     for k, i in enumerate(kept):
         position[i] = k
     return kept, [[position[g] for g in facets[i]] for i in kept]
+
+
+def rank_fraction_free_uncleared(columns):
+    """Rank of a sparse integer matrix given as row->value column dicts, by
+    fraction-free elimination on the lowest row of each column."""
+    pivots = {}
+    for col in columns:
+        col = {r: v for r, v in col.items() if v}
+        while col:
+            low = max(col)
+            seen = pivots.get(low)
+            if seen is None:
+                pivots[low] = col
+                break
+            a, b = col[low], seen[low]
+            g = gcd(a, b)
+            ma, mb = b // g, a // g
+            merged = {r: v * ma for r, v in col.items()}
+            for r, v in seen.items():
+                merged[r] = merged.get(r, 0) - v * mb
+            col = {r: v for r, v in merged.items() if v}
+            if col:
+                g = 0
+                for v in col.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    col = {r: v // g for r, v in col.items()}
+    return len(pivots)
+
+
+def betti_numbers_uncleared(dims, boundaries):
+    """Betti numbers of a cellular chain complex from the rank of every
+    boundary matrix, with nothing skipped.
+
+    ``dims[c]`` is the dimension of cell c and ``boundaries[c]`` maps each of
+    its facet ids to the incidence.  Returns the list with trailing zeros
+    trimmed.
+    """
+    by_dim = {}
+    row = [0] * len(dims)
+    for c, d in enumerate(dims):
+        group = by_dim.setdefault(d, [])
+        row[c] = len(group)
+        group.append(c)
+    top = max(by_dim, default=-1)
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        ranks[d] = rank_fraction_free_uncleared(
+            [{row[g]: e for g, e in boundaries[c].items()} for c in by_dim.get(d, ())]
+        )
+    out = [len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def fiber_power_triangulation_betti(f, p):

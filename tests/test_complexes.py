@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebforge import (
+    BudgetExceededError,
     DuplicateSimplexError,
     InvalidParamsError,
     InvalidSimplexError,
@@ -265,6 +266,14 @@ def test_poset_order_complex_of_chain():
     oc = p.order_complex()
     # A 3-chain's order complex is the full triangle.
     assert oc.simplex_counts() == (3, 3, 1)
+
+
+def test_chain_cap_names_stage_count_and_cap():
+    # The 3-chain has 7 chains; the sixth passes a cap of 5.
+    with pytest.raises(BudgetExceededError) as info:
+        Poset(["a", "b", "c"], [(0, 1), (1, 2)]).order_complex(cap=5)
+    exc = info.value
+    assert (exc.stage, exc.count, exc.cap) == ("chains", 6, 5)
 
 
 def test_poset_ids_need_not_be_a_linear_extension():

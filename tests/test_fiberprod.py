@@ -248,6 +248,24 @@ def test_budget_error_names_stage_count_and_cap():
     assert str(exc) == "4441 fiber-power cells exceed the cap of 50"
 
 
+@pytest.mark.parametrize(
+    "cap, stage, count",
+    [
+        # The constant circle map has 3 maximal edges over one codomain
+        # vertex, so 9 cover cells at p = 1, all in one group.
+        (2, "nerve cover", 9),  # the group alone passes 4 * cap
+        (3, "nerve cover", 9),  # the deduplicated cover passes cap
+        (9, "nerve simplices", 10),  # the nerve's tenth simplex passes cap
+    ],
+    ids=["cover_group", "cover_total", "simplices"],
+)
+def test_nerve_budget_errors_name_stage_count_and_cap(cap, stage, count):
+    with pytest.raises(BudgetExceededError) as info:
+        fiber_power_nerve(constant_circle_map(), 1, cell_cap=cap)
+    exc = info.value
+    assert (exc.stage, exc.count, exc.cap) == (stage, count, cap)
+
+
 def test_default_engine_never_enumerates_the_nerve(monkeypatch):
     # Maximal-simplex degree 2: small enough for the nerve at p <= 2, so the
     # nerve's values are the reference the default engine must reproduce

@@ -15,6 +15,8 @@ from reebforge import (
     connected_components,
     convolve,
     euler_characteristic,
+    fiber_power_betti,
+    homology,
     rank_fraction_free,
     validate_complex,
 )
@@ -39,6 +41,7 @@ from reebforge.fixtures import (
 from reebforge.reeb import reeb_space
 
 from .oracles import (
+    betti_numbers_uncleared,
     boundary_matrix_dense,
     collapse_face_poset_sets,
     gauss_rank_fractions,
@@ -201,18 +204,18 @@ def stratum_facets(space):
 
 
 @st.composite
-def simplicial_facets(draw):
+def simplicial_complexes(draw):
     tops = draw(
         st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=10)
     )
     closed = {
         face for top in tops for k in range(1, len(top) + 1) for face in combinations(sorted(top), k)
     }
-    return _facet_ids(sorted(closed, key=lambda s: (len(s), s)))
+    return SimplicialComplex(7, closed)
 
 
 face_posets = st.one_of(
-    simplicial_facets(),
+    simplicial_complexes().map(lambda k: _facet_ids(k.simplices)),
     st.builds(
         lambda seed, p: _cell_poset(random_map(seed, size=8), p, 10**8)[1],
         st.integers(0, 49),
@@ -226,6 +229,55 @@ face_posets = st.one_of(
 @given(face_posets)
 def test_collapse_matches_set_of_covers_oracle(facets):
     assert collapse_face_poset(facets) == collapse_face_poset_sets(facets)
+
+
+# Betti numbers from cleared coboundary ranks against the uncleared boundary
+# ranks they replaced, on the signed chain complexes that each producer hands
+# to the rank stage.
+
+
+def signed_cores(monkeypatch, run):
+    """(dims, boundaries, Betti vector) of every chain complex ``run`` ranks."""
+    seen = []
+    ranked = homology._betti_numbers
+
+    def record(dims, boundaries):
+        out = ranked(dims, boundaries)
+        seen.append((dims, boundaries, out))
+        return out
+
+    monkeypatch.setattr(homology, "_betti_numbers", record)
+    run()
+    return seen
+
+
+CORE_PRODUCERS = {
+    "battery_p_le_2": lambda: [
+        fiber_power_betti(random_map(seed), p) for seed in range(10) for p in range(3)
+    ],
+    "disk2_quotient_p2": lambda: fiber_power_betti(
+        reeb_space(disk_collapse(2)).quotient_map, 2
+    ),
+    "strata": lambda: [reeb_space(random_map(seed)).betti() for seed in range(20)]
+    + [reeb_space(product_power(disk_collapse(2), 2)).betti()],
+    "simplicial": lambda: [
+        betti(k) for k in SUITE + [projective_plane(), barycentric_subdivision(minimal_torus())[0]]
+    ],
+}
+
+
+@pytest.mark.parametrize("producer", sorted(CORE_PRODUCERS))
+def test_cleared_betti_matches_uncleared_oracle(monkeypatch, producer):
+    cores = signed_cores(monkeypatch, CORE_PRODUCERS[producer])
+    assert cores
+    for dims, boundaries, out in cores:
+        assert out.as_list() == betti_numbers_uncleared(dims, boundaries)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(simplicial_complexes())
+def test_betti_matches_naive_oracle_on_random_complexes(complex_):
+    assert betti(complex_).as_list() == naive_betti(complex_.simplex_set)
 
 
 def test_face_poset_producers_never_repeat_a_facet():
