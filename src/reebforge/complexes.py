@@ -18,6 +18,7 @@ from .errors import (
     DuplicateSimplexError,
     InvalidParamsError,
     InvalidSimplexError,
+    InvariantError,
     MissingFaceError,
     NonMonotoneMapError,
     NotSimplicialError,
@@ -116,6 +117,22 @@ class SimplicialComplex:
         self._maximal = None
         if check:
             self._check()
+
+    @classmethod
+    def _from_canonical(cls, num_vertices, simplices):
+        """A complex on simplices already known to be canonical and in range.
+
+        Nothing is re-sorted or re-checked; the caller vouches for the input.
+        """
+        self = cls.__new__(cls)
+        self.num_vertices = num_vertices
+        self.simplex_set = frozenset(simplices)
+        self.coordinates = None
+        self._sorted = None
+        self._by_dim = None
+        self._cofaces = None
+        self._maximal = None
+        return self
 
     def _check(self):
         if self.num_vertices < 0:
@@ -275,9 +292,16 @@ class SimplicialMap:
             for w in self.vertex_images:
                 if w < 0 or w >= codomain.num_vertices:
                     raise VertexOutOfRangeError(f"image vertex {w} outside codomain")
-            for s in domain.simplices:
-                if self.image_simplex(s) not in codomain.simplex_set:
-                    raise NotSimplicialError(s)
+            # Every simplex is tested, in set order; the error names the
+            # failure that comes first in canonical order.
+            images = self.vertex_images
+            targets = codomain.simplex_set
+            failed = [
+                s for s in domain.simplex_set
+                if tuple(sorted({images[v] for v in s})) not in targets
+            ]
+            if failed:
+                raise NotSimplicialError(min(failed, key=simplex_key))
 
     def image_simplex(self, simplex):
         """Image vertex set of a domain simplex, as a canonical simplex."""
@@ -361,17 +385,48 @@ def barycentric_subdivision(complex_):
             for face in itertools.combinations(s, k):
                 ups[index[face]].append(i)
     ups = [tuple(sorted(u)) for u in ups]
-    chains = _enumerate_chains(len(carrier), ups)
-    sd = SimplicialComplex(len(carrier), chains, check=False)
-    return sd, carrier
+    return _complex_of_chains(len(carrier), ups), carrier
+
+
+def _complex_of_chains(n, ups, cap=None, labels=None):
+    """The order complex of a poset on ids 0..n-1, given by its up-sets.
+
+    ``ups`` is as ``_enumerate_chains`` takes it, and is verified there, so
+    every chain is a strictly ascending tuple of ids in 0..n-1: canonical and
+    distinct, and the complex is built without re-sorting any of them.
+    ``labels``, a permutation of 0..n-1, renames id i to ``labels[i]``; each
+    renamed chain is sorted again.  Face closure rests on ``ups[i]`` holding
+    every id above i, which each caller derives from a transitive relation.
+    """
+    chains = _enumerate_chains(n, ups, cap=cap)
+    if labels is not None:
+        chains = [tuple(sorted(labels[i] for i in chain)) for chain in chains]
+    return SimplicialComplex._from_canonical(n, chains)
+
+
+def _check_up_sets(n, ups):
+    """Raise InvariantError unless each ``ups[i]`` ascends strictly within i+1..n-1."""
+    if len(ups) != n:
+        raise InvariantError(f"{len(ups)} up-sets for {n} poset elements")
+    for i, up in enumerate(ups):
+        prev = i
+        for j in up:
+            if j <= prev:
+                raise InvariantError(f"up-set of {i} is not strictly ascending above {i}: {up}")
+            prev = j
+        if prev >= n:
+            raise InvariantError(f"up-set of {i} names {prev}, outside 0..{n - 1}")
 
 
 def _enumerate_chains(n, ups, cap=None):
     """All nonempty chains of a poset on ids 0..n-1.
 
-    ``ups[i]`` must list, in ascending order, every id strictly above i; id
-    order must be a linear extension.  Chains come out as ascending tuples.
+    ``ups[i]`` must list, in strictly ascending order, every id above i, and
+    each must be greater than i and less than n (id order is a linear
+    extension); anything else raises InvariantError.  Chains come out as
+    ascending tuples, each once.
     """
+    _check_up_sets(n, ups)
     chains = []
     stack = []
     for start in range(n):
@@ -428,20 +483,27 @@ class Poset:
                 above[i] |= above[j]
         return [tuple(sorted(s)) for s in above]
 
-    def chains(self, cap=None):
-        """All nonempty chains, each as a sorted tuple of element ids."""
+    def _ranked_up_sets(self):
+        """(order, ups): a topological order and the up-sets of its ranks.
+
+        Rank i stands for element ``order[i]``, so ids ascend along chains.
+        """
         n = len(self.elements)
         order = _topological_order(n, self.covers)
         pos = {e: i for i, e in enumerate(order)}
         ups_raw = self.up_sets()
-        # Relabel through the topological order so ids ascend along chains.
-        ups = [tuple(sorted(pos[j] for j in ups_raw[order[i]])) for i in range(n)]
-        chains = _enumerate_chains(n, ups, cap=cap)
+        return order, [tuple(sorted(pos[j] for j in ups_raw[order[i]])) for i in range(n)]
+
+    def chains(self, cap=None):
+        """All nonempty chains, each as a sorted tuple of element ids."""
+        order, ups = self._ranked_up_sets()
+        chains = _enumerate_chains(len(ups), ups, cap=cap)
         return [tuple(sorted(order[i] for i in chain)) for chain in chains]
 
     def order_complex(self, cap=None):
         """The simplicial complex of chains of this poset."""
-        return SimplicialComplex(len(self.elements), self.chains(cap=cap), check=False)
+        order, ups = self._ranked_up_sets()
+        return _complex_of_chains(len(ups), ups, cap=cap, labels=order)
 
 
 def _topological_order(n, edges):

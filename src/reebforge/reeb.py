@@ -28,7 +28,7 @@ from .complexes import (
     Poset,
     SimplicialComplex,
     SimplicialMap,
-    _enumerate_chains,
+    _complex_of_chains,
     barycentric_subdivision,
     canonical_simplex,
     component_classes,
@@ -408,9 +408,8 @@ def pl_as_simplicial_map(g):
         for i in range(lo, hi):
             cells.append((s, 2 * i + 1))
 
-    # Ids ascend along the face order: smaller simplex first, then value
-    # cells before gap cells within the same simplex.
-    cells.sort(key=lambda c: (simplex_key(c[0]), c[1] % 2, c[1]))
+    # Ids ascend along the face order: k.simplices is canonical, and each
+    # simplex lists its value cells before its gap cells, each ascending.
     cell_id = {c: i for i, c in enumerate(cells)}
 
     proper_cofaces = {}
@@ -434,7 +433,6 @@ def pl_as_simplicial_map(g):
                     bigger.append(other)
         ups.append(tuple(sorted(bigger)))
 
-    chains = _enumerate_chains(len(cells), ups)
-    sliced = SimplicialComplex(len(cells), chains, check=False)
+    sliced = _complex_of_chains(len(cells), ups)
     images = [c for (_, c) in cells]
     return LevelSliceModel(SimplicialMap(sliced, path, images), tuple(codomain_levels), tuple(cells))

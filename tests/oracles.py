@@ -13,7 +13,9 @@ tuple-keyed fiber-power cell enumerator that mixed-radix cell ids replaced,
 and ``collapse_face_poset_sets`` the collapse that kept a set of covers per
 cell.  ``betti_numbers_uncleared`` is the cellular Betti assembly that ranked
 every boundary matrix in full before clearing on the coboundaries replaced
-it.  Only the result types come from the package.
+it, and ``first_non_simplicial`` the simplex check that walked the domain in
+canonical order before the map check became sort-free.  Only the result
+types come from the package.
 """
 
 import heapq
@@ -51,6 +53,16 @@ class UnionFind:
 
 def _canonical(members):
     return sorted(set(members), key=lambda s: (len(s), s))
+
+
+def first_non_simplicial(domain_simplices, codomain_simplices, vertex_images):
+    """First domain simplex, in (dimension, lexicographic) order, whose image
+    vertex set is not a codomain simplex; None when the map is simplicial."""
+    targets = {tuple(sorted(t)) for t in codomain_simplices}
+    for s in _canonical(domain_simplices):
+        if tuple(sorted({vertex_images[v] for v in s})) not in targets:
+            return s
+    return None
 
 
 def partition_up_closed(members):

@@ -9,11 +9,13 @@ from reebforge import (
     DuplicateSimplexError,
     InvalidParamsError,
     InvalidSimplexError,
+    InvariantError,
     MissingFaceError,
     NonMonotoneMapError,
     NotSimplicialError,
     Poset,
     SimplicialComplex,
+    SimplicialMap,
     UnknownSimplexError,
     VertexOutOfRangeError,
     barycentric_subdivision,
@@ -23,16 +25,20 @@ from reebforge import (
     staircase_product,
     validate_complex,
 )
+from reebforge.complexes import _complex_of_chains, simplex_key
 from reebforge.fixtures import (
     boundary_delta3,
     circle,
+    disk_collapse,
     full_simplex,
+    grid_torus,
     minimal_torus,
     path_complex,
     random_map,
 )
+from reebforge.reeb import reeb_space
 
-from .oracles import partition_face_relation, partition_up_closed
+from .oracles import first_non_simplicial, partition_face_relation, partition_up_closed
 
 
 def test_validate_accepts_complete_two_simplex():
@@ -108,6 +114,31 @@ def test_check_simplicial_names_offending_simplex():
     with pytest.raises(NotSimplicialError) as err:
         check_simplicial(edge, two_points, [0, 1])
     assert err.value.simplex == (0, 1)
+
+
+def test_not_simplicial_error_names_the_canonically_first_failure():
+    # Onto a path of four vertices, the edges (0, 2), (1, 2) and (2, 3) and
+    # both triangles map onto non-simplices.  The error names the first
+    # failure in canonical order, as the walk over the sorted domain did, and
+    # not the first one the domain's set happens to yield.
+    domain = validate_complex(4, [(0, 1, 2), (0, 2, 3), (1, 3)], close_faces=True)
+    line = path_complex(4)
+    images = [0, 1, 3, 0]
+    failed = [s for s in domain.simplex_set if first_non_simplicial([s], line.simplex_set, images)]
+    want = first_non_simplicial(domain.simplex_set, line.simplex_set, images)
+    assert len(failed) >= 2 and failed[0] != want
+    assert want == min(failed, key=simplex_key)
+    for _ in range(3):
+        with pytest.raises(NotSimplicialError) as err:
+            SimplicialMap(domain, line, images)
+        assert err.value.simplex == want
+
+
+def test_map_check_leaves_the_image_cache_to_callers():
+    f = check_simplicial(boundary_delta3(), full_simplex(3), [0, 1, 2, 3])
+    assert f._image_cache == {}
+    assert f.image_simplex((0, 2)) == (0, 2)
+    assert f._image_cache == {(0, 2): (0, 2)}
 
 
 def test_constant_map_is_simplicial():
@@ -249,6 +280,63 @@ def test_every_constructor_output_revalidates():
         SimplicialComplex(k.num_vertices, k.simplex_set)  # re-runs all checks
         sd, _ = barycentric_subdivision(k)
         SimplicialComplex(sd.num_vertices, sd.simplex_set)
+
+
+# The order-complex builders skip the checked constructor; each output must
+# equal its checked rebuild, which canonicalises every simplex and checks
+# vertex range and face closure.
+
+
+def assert_checked_rebuild(complex_):
+    assert SimplicialComplex(complex_.num_vertices, complex_.simplex_set) == complex_
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: path_complex(5),
+        lambda: circle(5),
+        lambda: boundary_delta3(),
+        lambda: minimal_torus(),
+        lambda: full_simplex(3),
+        lambda: grid_torus(3, 4),
+        lambda: staircase_product(circle(3), path_complex(2)).complex,
+        lambda: SimplicialComplex(0, []),
+    ],
+    ids=["path", "circle", "sphere", "torus", "tetrahedron", "grid", "staircase", "empty"],
+)
+def test_subdivision_equals_its_checked_rebuild(build):
+    sd, _ = barycentric_subdivision(build())
+    assert_checked_rebuild(sd)
+
+
+def reeb_posets():
+    yield from (reeb_space(random_map(seed)).poset for seed in range(10))
+    yield reeb_space(disk_collapse(2)).poset
+    yield Poset(["a", "b", "c"], [(2, 1), (1, 0)])
+
+
+def test_order_complex_equals_its_checked_rebuild_and_its_chains():
+    for poset in reeb_posets():
+        oc = poset.order_complex()
+        assert_checked_rebuild(oc)
+        assert oc == SimplicialComplex(len(poset.elements), poset.chains())
+
+
+@pytest.mark.parametrize(
+    "ups",
+    [
+        [(2, 1), (2,), ()],
+        [(1, 2), (0, 2), ()],
+        [(1, 3), (2,), ()],
+        [(1,), (1, 2), ()],
+        [(1,), ()],
+    ],
+    ids=["not_ascending", "below_own_id", "id_past_n", "own_id", "too_few_up_sets"],
+)
+def test_malformed_up_sets_raise_invariant_error(ups):
+    with pytest.raises(InvariantError):
+        _complex_of_chains(3, ups)
 
 
 def test_poset_rejects_cycles():

@@ -280,6 +280,20 @@ def test_betti_matches_naive_oracle_on_random_complexes(complex_):
     assert betti(complex_).as_list() == naive_betti(complex_.simplex_set)
 
 
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(simplicial_complexes())
+def test_subdivision_keeps_betti_and_equals_its_checked_rebuild(complex_):
+    sd, _ = barycentric_subdivision(complex_)
+    assert betti(sd) == betti(complex_)
+    assert SimplicialComplex(sd.num_vertices, sd.simplex_set) == sd
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(simplicial_complexes())
+def test_euler_is_alternating_betti_sum_on_random_complexes(complex_):
+    assert betti(complex_).euler == euler_characteristic(complex_)
+
+
 def test_face_poset_producers_never_repeat_a_facet():
     # collapse_face_poset keeps only a count and an XOR of each cell's
     # covers, which is exact only when no facet list repeats an id.

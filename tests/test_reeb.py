@@ -10,6 +10,7 @@ from reebforge import (
     EmptyComplexError,
     PLFunction,
     SimplicialComplex,
+    SimplicialMap,
     UnknownSimplexError,
     ValueCountMismatchError,
     b1_inequality_check,
@@ -40,7 +41,12 @@ from reebforge.fixtures import (
     torus_height,
 )
 
-from .oracles import level_component_count, partition_up_closed, reeb_graph_rescan
+from .oracles import (
+    first_non_simplicial,
+    level_component_count,
+    partition_up_closed,
+    reeb_graph_rescan,
+)
 
 
 def height_on_square_circle():
@@ -416,6 +422,36 @@ def test_sweep_matches_rescan_with_tied_values(data):
         st.lists(st.integers(min_value=0, max_value=top), min_size=m * n, max_size=m * n)
     )
     assert_sweep_matches_rescan(PLFunction(grid_torus(m, n), [Fraction(v) for v in values]))
+
+
+# The slice builds its domain from verified up-sets and checks its map
+# without sorting the domain.  Both must equal their checked rebuilds: the
+# constructor canonicalises every chain and checks vertex range and face
+# closure, and the oracle walks the domain in canonical order.
+
+
+def assert_slice_matches_checked_rebuild(g):
+    model = pl_as_simplicial_map(g)
+    f = model.map
+    domain = SimplicialComplex(f.domain.num_vertices, f.domain.simplex_set)
+    assert domain == f.domain
+    assert SimplicialMap(domain, f.codomain, f.vertex_images, check=True) == f
+    assert first_non_simplicial(domain.simplex_set, f.codomain.simplex_set, f.vertex_images) is None
+    # The cells come out in face order without a sort.
+    assert list(model.cells) == sorted(
+        model.cells, key=lambda c: (len(c[0]), c[0], c[1] % 2, c[1])
+    )
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_slice_matches_checked_rebuild_on_shuffled_grid_tori(m):
+    assert_slice_matches_checked_rebuild(grid_torus_function(m, "shuffled"))
+
+
+def test_slice_matches_checked_rebuild_on_random_and_named_functions():
+    for seed in range(10):
+        assert_slice_matches_checked_rebuild(random_function(seed))
+    assert_slice_matches_checked_rebuild(torus_height()[0])
 
 
 def test_slice_of_empty_complex_is_a_typed_error():
