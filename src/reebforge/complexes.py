@@ -60,8 +60,9 @@ def label_components(members, neighbors, parent):
     reset for the members only, so one array can serve many disjoint or
     successive calls.  The smaller root wins each union, so a class's root is
     its smallest id and the sorted roots give the classes in id order.
-    ``find_root`` is inlined: this loop is the whole cost of the Reeb-graph
-    sweep.
+    ``find_root`` is inlined, as this loop is hot: it labels every S_tau of
+    a Reeb space and every component that a leaving simplex touches in the
+    Reeb-graph sweep.
     """
     for s in members:
         parent[s] = s
@@ -155,9 +156,15 @@ class SimplicialComplex:
 
     @property
     def simplices(self):
-        """All simplices in canonical order."""
+        """All simplices in canonical order.
+
+        A lexicographic sort followed by a stable sort on length gives the
+        order of ``simplex_key`` without building a key tuple per simplex.
+        """
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.simplex_set, key=simplex_key))
+            ordered = sorted(self.simplex_set)
+            ordered.sort(key=len)
+            self._sorted = tuple(ordered)
         return self._sorted
 
     def by_dim(self):
@@ -203,7 +210,14 @@ class SimplicialComplex:
         return tuple(len(table.get(d, ())) for d in range(self.dim + 1))
 
     def skeleton(self, k):
-        """Sub-complex of all simplices of dimension <= k."""
+        """Sub-complex of all simplices of dimension <= k.
+
+        A complex is its own k-skeleton once k reaches its dimension, and is
+        returned as it is: it is immutable, so sharing it (and its cached
+        order and coface index) is safe.
+        """
+        if k >= self.dim:
+            return self
         return SimplicialComplex(
             self.num_vertices,
             [s for s in self.simplex_set if len(s) <= k + 1],
@@ -393,10 +407,10 @@ def _complex_of_chains(n, ups, cap=None, labels=None):
 
     ``ups`` is as ``_enumerate_chains`` takes it, and is verified there, so
     every chain is a strictly ascending tuple of ids in 0..n-1: canonical and
-    distinct, and the complex is built without re-sorting any of them.
+    distinct, and the complex is built without re-sorting any of them; the
+    up-sets are transitive, so the chains are closed under faces.
     ``labels``, a permutation of 0..n-1, renames id i to ``labels[i]``; each
-    renamed chain is sorted again.  Face closure rests on ``ups[i]`` holding
-    every id above i, which each caller derives from a transitive relation.
+    renamed chain is sorted again.
     """
     chains = _enumerate_chains(n, ups, cap=cap)
     if labels is not None:
@@ -405,7 +419,12 @@ def _complex_of_chains(n, ups, cap=None, labels=None):
 
 
 def _check_up_sets(n, ups):
-    """Raise InvariantError unless each ``ups[i]`` ascends strictly within i+1..n-1."""
+    """Raise InvariantError unless the up-sets are those of a poset on 0..n-1.
+
+    Each ``ups[i]`` must ascend strictly within i+1..n-1, and hold ``ups[j]``
+    for each j in it: the relation is transitive, so every subsequence of a
+    chain is a chain and the chains are closed under faces.
+    """
     if len(ups) != n:
         raise InvariantError(f"{len(ups)} up-sets for {n} poset elements")
     for i, up in enumerate(ups):
@@ -416,6 +435,14 @@ def _check_up_sets(n, ups):
             prev = j
         if prev >= n:
             raise InvariantError(f"up-set of {i} names {prev}, outside 0..{n - 1}")
+    for i, up in enumerate(ups):
+        if up:
+            above = set(up)
+            for j in up:
+                if not above.issuperset(ups[j]):
+                    raise InvariantError(
+                        f"up-set of {i} holds {j} but not all of its up-set {ups[j]}"
+                    )
 
 
 def _enumerate_chains(n, ups, cap=None):
@@ -483,27 +510,18 @@ class Poset:
                 above[i] |= above[j]
         return [tuple(sorted(s)) for s in above]
 
-    def _ranked_up_sets(self):
-        """(order, ups): a topological order and the up-sets of its ranks.
+    def order_complex(self, cap=None):
+        """The simplicial complex of chains of this poset.
 
-        Rank i stands for element ``order[i]``, so ids ascend along chains.
+        Chains are enumerated on ranks in a topological order, so ids ascend
+        along them, and renamed back to element ids.
         """
         n = len(self.elements)
         order = _topological_order(n, self.covers)
         pos = {e: i for i, e in enumerate(order)}
         ups_raw = self.up_sets()
-        return order, [tuple(sorted(pos[j] for j in ups_raw[order[i]])) for i in range(n)]
-
-    def chains(self, cap=None):
-        """All nonempty chains, each as a sorted tuple of element ids."""
-        order, ups = self._ranked_up_sets()
-        chains = _enumerate_chains(len(ups), ups, cap=cap)
-        return [tuple(sorted(order[i] for i in chain)) for chain in chains]
-
-    def order_complex(self, cap=None):
-        """The simplicial complex of chains of this poset."""
-        order, ups = self._ranked_up_sets()
-        return _complex_of_chains(len(ups), ups, cap=cap, labels=order)
+        ups = [tuple(sorted(pos[j] for j in ups_raw[order[i]])) for i in range(n)]
+        return _complex_of_chains(n, ups, cap=cap, labels=order)
 
 
 def _topological_order(n, edges):

@@ -13,8 +13,9 @@ subdivision of K onto that triangulation.
 For a real-valued function the classical sweep is implemented independently:
 each simplex of the 2-skeleton, whose face relation determines level-set
 connectivity exactly, enters an active set at its lowest vertex level and
-leaves it after its highest, and level and slab components are labelled by
-union-find over the active simplices.
+leaves it after its highest.  One union-find carries the level and slab
+components across levels: entering simplices are joined to their cofaces,
+and only the components that a leaving simplex touches are relabelled.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ class ReebGraph:
 
 
 def reeb_graph(g):
-    """Exact Reeb graph of the PL extension of g, by an event sweep over levels.
+    """Exact Reeb graph of the PL extension of g, by an incremental level sweep.
 
     Only the 2-skeleton matters: the level set of any simplex is convex and
     its edge graph lives in the simplex's 2-faces, so components of level and
@@ -296,12 +297,20 @@ def reeb_graph(g):
     the active set at lo and leaves it after hi.  The simplices active at
     level i are those meeting its level set; those still active once the
     simplices ending at i are dropped meet the open slab up to level i+1.
-    Both families are up-closed, so union-find over the active ids and their
-    cofaces gives one node per level-set component and one edge per slab
-    component; a slab component lies inside a single level component at both
-    ends, which fixes the attachments.  Simplex ids follow the canonical
-    order and each class is named by its smallest id, so components keep the
-    order of their first simplex.
+    Both families are up-closed, so their components under the face relation
+    are the level and slab components.
+
+    One union-find carries the components across levels.  A coface of an
+    active simplex started no later than it, so the only face pairs a level
+    adds join an entering simplex to its cofaces, and unions suffice.  Only
+    a component holding a leaving simplex can split; its survivors are
+    closed under cofaces and are relabelled alone, each new part keeping the
+    old component's node as the node below its slab edge.  Every other
+    component keeps its root and node.  The smaller root wins each union, so
+    a root is its component's smallest active id; simplex ids follow the
+    canonical order, and nodes inside a level come in root order.  Work is
+    the sizes of the touched components plus the output, each simplex
+    weighted by its coface count.
     """
     k2 = g.complex.skeleton(2)
     simps = k2.simplices
@@ -313,35 +322,55 @@ def reeb_graph(g):
     cofaces = k2.cofaces
     starts = [[] for _ in levels]
     ends = [[] for _ in levels]
+    last = []
     for i, s in enumerate(simps):
         span = [level_of[v] for v in s]
+        hi = max(span)
         starts[min(span)].append(i)
-        ends[max(span)].append(i)
+        ends[hi].append(i)
+        last.append(hi)
 
-    level_parent = list(range(len(simps)))
-    slab_parent = list(range(len(simps)))
+    parent = list(range(len(simps)))
+    members = {}  # live root -> active ids of its component
+    node_of = {}  # live root -> its node at this level, or below its slab
     nodes = []
     edges = []
     node_of_vertex = {}
-    active = set()
-    open_slab = []  # (slab root, node below) for the slab under this level
     for i, t in enumerate(levels):
-        active.update(starts[i])
-        node_of_root = {}
-        for ci, root in enumerate(label_components(active, cofaces, level_parent)):
-            node_of_root[root] = len(nodes)
+        open_slab = list(node_of.items())
+        for s in starts[i]:
+            members[s] = [s]
+        for s in starts[i]:
+            a = find_root(parent, s)
+            for c in cofaces[s]:
+                b = find_root(parent, c)
+                if a != b:
+                    if b < a:
+                        a, b = b, a
+                    parent[b] = a
+                    kept, merged = members[a], members.pop(b)
+                    if len(kept) < len(merged):
+                        kept, merged = merged, kept
+                        members[a] = kept
+                    kept.extend(merged)
+        node_of = {}
+        for ci, root in enumerate(sorted(members)):
+            node_of[root] = len(nodes)
             nodes.append(ReebNode(len(nodes), t, i, ci))
         for rep, a in open_slab:
-            b = node_of_root[find_root(level_parent, rep)]
+            b = node_of[find_root(parent, rep)]
             edges.append((a, b) if a <= b else (b, a))
         for s in starts[i]:
             if len(simps[s]) == 1:
-                node_of_vertex[simps[s][0]] = node_of_root[find_root(level_parent, s)]
-        active.difference_update(ends[i])
-        open_slab = [
-            (rep, node_of_root[find_root(level_parent, rep)])
-            for rep in label_components(active, cofaces, slab_parent)
-        ]
+                node_of_vertex[simps[s][0]] = node_of[find_root(parent, s)]
+        for r in {find_root(parent, s) for s in ends[i]}:
+            below = node_of.pop(r)
+            survivors = [s for s in members.pop(r) if last[s] > i]
+            for root in label_components(survivors, cofaces, parent):
+                members[root] = []
+                node_of[root] = below
+            for s in survivors:
+                members[find_root(parent, s)].append(s)
     edges.sort()
 
     vertex_to_node = {v: node_of_vertex[v] for v in vertices}

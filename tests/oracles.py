@@ -14,8 +14,10 @@ and ``collapse_face_poset_sets`` the collapse that kept a set of covers per
 cell.  ``betti_numbers_uncleared`` is the cellular Betti assembly that ranked
 every boundary matrix in full before clearing on the coboundaries replaced
 it, and ``first_non_simplicial`` the simplex check that walked the domain in
-canonical order before the map check became sort-free.  Only the result
-types come from the package.
+canonical order before the map check became sort-free.  ``poset_chains``
+finds the chains of a poset by brute force over pairwise-comparable subsets,
+for the order complexes that the package enumerates from up-sets.  Only the
+result types come from the package.
 """
 
 import heapq
@@ -63,6 +65,35 @@ def first_non_simplicial(domain_simplices, codomain_simplices, vertex_images):
         if tuple(sorted({vertex_images[v] for v in s})) not in targets:
             return s
     return None
+
+
+def poset_chains(n, covers):
+    """Every nonempty chain of the poset on 0..n-1 generated by ``covers``.
+
+    The order is the transitive closure of the (lower, upper) pairs, by
+    Warshall's algorithm on a boolean matrix; a chain is any subset of
+    elements that are pairwise comparable.  Subsets grow one element at a
+    time in id order, so each is met once; chains come back as sorted tuples
+    in sorted order.
+    """
+    less = [[False] * n for _ in range(n)]
+    for a, b in covers:
+        less[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            if less[i][k]:
+                for j in range(n):
+                    if less[k][j]:
+                        less[i][j] = True
+    chains = []
+    stack = [(i,) for i in range(n)]
+    while stack:
+        chain = stack.pop()
+        chains.append(chain)
+        for x in range(chain[-1] + 1, n):
+            if all(less[c][x] or less[x][c] for c in chain):
+                stack.append(chain + (x,))
+    return sorted(chains)
 
 
 def partition_up_closed(members):

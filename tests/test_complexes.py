@@ -38,7 +38,12 @@ from reebforge.fixtures import (
 )
 from reebforge.reeb import reeb_space
 
-from .oracles import first_non_simplicial, partition_face_relation, partition_up_closed
+from .oracles import (
+    first_non_simplicial,
+    partition_face_relation,
+    partition_up_closed,
+    poset_chains,
+)
 
 
 def test_validate_accepts_complete_two_simplex():
@@ -320,7 +325,7 @@ def test_order_complex_equals_its_checked_rebuild_and_its_chains():
     for poset in reeb_posets():
         oc = poset.order_complex()
         assert_checked_rebuild(oc)
-        assert oc == SimplicialComplex(len(poset.elements), poset.chains())
+        assert sorted(oc.simplex_set) == poset_chains(len(poset.elements), poset.covers)
 
 
 @pytest.mark.parametrize(
@@ -331,8 +336,9 @@ def test_order_complex_equals_its_checked_rebuild_and_its_chains():
         [(1, 3), (2,), ()],
         [(1,), (1, 2), ()],
         [(1,), ()],
+        [(1,), (2,), ()],
     ],
-    ids=["not_ascending", "below_own_id", "id_past_n", "own_id", "too_few_up_sets"],
+    ids=["not_ascending", "below_own_id", "id_past_n", "own_id", "too_few_up_sets", "not_transitive"],
 )
 def test_malformed_up_sets_raise_invariant_error(ups):
     with pytest.raises(InvariantError):
@@ -368,7 +374,7 @@ def test_poset_ids_need_not_be_a_linear_extension():
     # Same chain poset, element ids reversed relative to the order.
     p = Poset(["a", "b", "c"], [(2, 1), (1, 0)])
     assert p.order_complex().simplex_counts() == (3, 3, 1)
-    assert sorted(p.chains()) == [
+    assert sorted(p.order_complex().simplex_set) == poset_chains(3, p.covers) == [
         (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,),
     ]
 
@@ -384,3 +390,8 @@ def test_restrict_to_vertices_reindexes_densely():
 def test_skeleton():
     k = full_simplex(3)
     assert k.skeleton(1).simplex_counts() == (4, 6)
+    assert k.skeleton(2).simplex_counts() == (4, 6, 4)
+    # At or above its dimension a complex is its own skeleton, shared as is.
+    for k in (full_simplex(3), grid_torus(3, 3), SimplicialComplex(0, [])):
+        assert k.skeleton(k.dim) is k
+        assert k.skeleton(k.dim + 1) is k

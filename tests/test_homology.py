@@ -286,6 +286,8 @@ def test_subdivision_keeps_betti_and_equals_its_checked_rebuild(complex_):
     sd, _ = barycentric_subdivision(complex_)
     assert betti(sd) == betti(complex_)
     assert SimplicialComplex(sd.num_vertices, sd.simplex_set) == sd
+    # Canonical order: dimension first, then lexicographic.
+    assert sd.simplices == tuple(sorted(sd.simplex_set, key=lambda s: (len(s), s)))
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)

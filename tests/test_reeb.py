@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +40,7 @@ from reebforge.fixtures import (
     random_map,
     torus_height,
 )
+from reebforge.io import reeb_graph_to_dot
 
 from .oracles import (
     first_non_simplicial,
@@ -47,6 +48,7 @@ from .oracles import (
     partition_up_closed,
     reeb_graph_rescan,
 )
+from .test_homology import simplicial_complexes
 
 
 def height_on_square_circle():
@@ -109,6 +111,7 @@ def test_reeb_graph_uses_only_two_skeleton():
     # Adding a 3-cell changes nothing the sweep sees.
     solid = full_simplex(3)
     skel = solid.skeleton(2)
+    assert (solid.dim, skel.dim) == (3, 2)
     values = [Fraction(v) for v in (0, 1, 2, 3)]
     a = reeb_graph(PLFunction(solid, values))
     b = reeb_graph(PLFunction(skel, values))
@@ -372,6 +375,7 @@ def assert_sweep_matches_rescan(g):
     assert got.nodes == want.nodes
     assert got.edges == want.edges
     assert got.vertex_to_node == want.vertex_to_node
+    assert reeb_graph_to_dot(got) == reeb_graph_to_dot(want)
 
 
 def grid_torus_function(m, kind):
@@ -410,6 +414,35 @@ def test_sweep_matches_rescan_on_three_dimensional_complexes():
         rng = random.Random(n)
         for values in (rng.sample(range(n), n), [rng.randrange(3) for _ in range(n)]):
             assert_sweep_matches_rescan(PLFunction(complex_, [Fraction(v) for v in values]))
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_sweep_matches_rescan_on_two_disjoint_tori(m):
+    # Row-index values on both copies: each level touches both tori, so
+    # components enter, merge and split in two places at once.
+    torus = grid_torus(m, m).simplices
+    n = m * m
+    union = SimplicialComplex(2 * n, torus + tuple(tuple(v + n for v in s) for s in torus))
+    for values in ([v // m for v in range(n)] * 2, [v // m for v in range(n)] + [0] * n):
+        assert_sweep_matches_rescan(PLFunction(union, [Fraction(v) for v in values]))
+
+
+def test_sweep_matches_rescan_with_isolated_vertex_and_edge():
+    # A triangle, the isolated vertex 3 and the isolated edge (4, 5): under
+    # every value assignment in 0..2 the vertex, and the edge whenever its
+    # ends tie, start and end within one level.
+    k = SimplicialComplex(6, [(0,), (1,), (2,), (3,), (4,), (5,), (0, 1), (0, 2), (1, 2),
+                              (0, 1, 2), (4, 5)])
+    for values in product(range(3), repeat=6):
+        assert_sweep_matches_rescan(PLFunction(k, [Fraction(v) for v in values]))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(simplicial_complexes())
+def test_reeb_space_of_identity_is_the_domain_on_random_complexes(k):
+    space = reeb_space(check_simplicial(k, k, list(range(k.num_vertices))))
+    assert len(space.strata) == len(k.simplex_set)
+    assert space.betti() == betti(space.realization) == betti(k)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
