@@ -291,13 +291,17 @@ class SimplicialMap:
     Dimension-collapsing images are allowed; constant maps are legal.
     """
 
-    __slots__ = ("domain", "codomain", "vertex_images", "_image_cache")
+    __slots__ = ("domain", "codomain", "vertex_images", "_image_cache", "_vertical")
 
     def __init__(self, domain, codomain, vertex_images, check=True):
         self.domain = domain
         self.codomain = codomain
         self.vertex_images = tuple(int(v) for v in vertex_images)
         self._image_cache = {}
+        # The map over its domain collapsed along the fibers (False when
+        # nothing collapses), built on first use by ``fiberprod`` and shared
+        # by every fiber power of this map.
+        self._vertical = None
         if check:
             if len(self.vertex_images) != domain.num_vertices:
                 raise ValueCountMismatchError(

@@ -7,9 +7,10 @@ The cell model decomposes W_p itself: the tuples (r0..rp) of simplices with
 one common exact image form a regular polytopal cell structure on W_p (cell =
 fiber product of the closed simplices), its face poset is ordered
 componentwise, and cellular homology on that poset gives the Betti numbers.
-The poset is polynomial in the input, and free pairs are collapsed away
-before the ranks are taken.  ``fiber_power_betti`` (engine "auto" or "cells")
-and ``descent_check`` run only this model.
+The poset is polynomial in the input, and free pairs are collapsed away, in
+the domain and then in the power, before the ranks are taken.
+``fiber_power_betti`` (engine "auto" or "cells") and ``descent_check`` run
+only this model.
 
 Cells carry no keys.  Over each tau the cells are the (p+1)-tuples of the
 simplices of exact image tau, numbered in mixed radix by the positions of
@@ -20,6 +21,29 @@ digit) and, for each vertex t of tau, the position of the simplex trimmed of
 its vertex over t (type-(b) facets are a Horner sum in the radix of tau - t).
 The collapse that follows keeps per cell only a count and an XOR of its live
 covers, see ``homology.collapse_face_poset``.
+
+Before any power is enumerated, the domain itself is collapsed along the
+fibers, once per map: the same greedy collapse, keyed on the exact image,
+removes only vertical free pairs, a simplex sigma and its only coface
+sigma' with f(sigma) = f(sigma'), sigma' maximal.  A fiber of n simplices
+carries n**(p+1) cells, so each simplex removed there removes many cells of
+every power.  The Betti numbers do not change, because removing one
+vertical pair from X, leaving f', collapses W_p(f) onto W_p(f'): match each
+cell that has a component in {sigma, sigma'} with the cell that toggles its
+first such component, at index k, between sigma and sigma'.  The pair is a
+type-(a) facet relation, since the vertex of sigma' missing from sigma has
+an image that repeats.  The unmatched cells are exactly those of W_p(f'), a
+subcomplex.  The matching is acyclic (Forman, "Morse theory for cell
+complexes", 1998): along a V-path, each further facet of an upper cell
+either leaves the set of lower cells or raises k strictly.  A type-(b) facet
+drops the image to tau - t, so none of its components is sigma or sigma'.
+Shrinking a component before k cannot give sigma or sigma', because sigma'
+is sigma's only coface and sigma' is maximal; shrinking one after k leaves
+sigma' at k, an upper cell.  Shrinking sigma' at k by another vertex moves
+the first component in {sigma, sigma'} past k, or removes it.  Hence
+W_p(f) collapses onto W_p(f') and, by induction over the pairs removed, onto
+the power of the collapsed map.  The cell cap still counts the cells of the
+unreduced power, so the collapse never changes which inputs are refused.
 
 The nerve model covers W_p by the closed convex cells
 P_(s0..sp) = {(x0..xp) in s0 x ... x sp : f(x0) = ... = f(xp)} over tuples of
@@ -38,9 +62,9 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, simplex_key
+from .complexes import SimplicialComplex, SimplicialMap, simplex_key
 from .errors import BudgetExceededError, InvalidParamsError
-from .homology import betti, collapse_face_poset, regular_cw_betti
+from .homology import _facet_ids, betti, collapse_face_poset, regular_cw_betti
 from .reeb import reeb_space
 
 DEFAULT_CELL_CAP = 200_000
@@ -152,7 +176,39 @@ def fiber_power_nerve(f, p, cell_cap=None):
     return NerveComplex(tuple(cover), nerve)
 
 
-def _cell_poset(f, p, cap):
+def _exact_image_groups(f):
+    """The domain simplices of each exact image, in canonical order."""
+    groups = {}
+    for s in f.domain.simplices:
+        groups.setdefault(f.image_simplex(s), []).append(s)
+    return groups
+
+
+def _vertical_collapse(f):
+    """f over its domain collapsed along the fibers, built once per map.
+
+    ``collapse_face_poset`` keyed on the exact image removes the vertical
+    free pairs, smallest free id first; the module docstring shows that no
+    fiber power changes its Betti numbers.  Returns f itself when the domain
+    has no vertical free pair; that case is stored as False, since storing f
+    would make f a reference cycle that outlives its last use.
+    """
+    if f._vertical is None:
+        simplices = f.domain.simplices
+        kept, _ = collapse_face_poset(
+            _facet_ids(simplices), [f.image_simplex(s) for s in simplices]
+        )
+        if len(kept) == len(simplices):
+            f._vertical = False
+        else:
+            domain = SimplicialComplex._from_canonical(
+                f.domain.num_vertices, [simplices[i] for i in kept]
+            )
+            f._vertical = SimplicialMap(domain, f.codomain, f.vertex_images, check=False)
+    return f._vertical or f
+
+
+def _cell_poset(f, p):
     """Dimensions and facet (cover) relations of the fiber power's cells.
 
     A cell is a tuple (rho_0..rho_p) of simplices sharing one exact image
@@ -168,19 +224,12 @@ def _cell_poset(f, p, cap):
     ``base[tau] + sum_k pos_k * n**(p-k)``, taus in canonical order.  Ids are
     a linear extension of the face order.  A type-(a) facet then differs from
     its cell in one digit, and a type-(b) facet is the Horner sum of the
-    trimmed positions in radix len(groups[tau - t]).  Returns (dims, facets).
+    trimmed positions in radix len(groups[tau - t]).  Returns (dims, facets);
+    the caller checks the cell count against the cap.
     """
     images = f.vertex_images
-    groups = {}
-    for s in f.domain.simplices:
-        groups.setdefault(f.image_simplex(s), []).append(s)
+    groups = _exact_image_groups(f)
     taus = sorted(groups, key=simplex_key)
-    total = sum(len(groups[t]) ** (p + 1) for t in taus)
-    if total > cap:
-        raise BudgetExceededError(
-            f"{total} fiber-power cells exceed the cap of {cap}",
-            cap=cap, stage="fiber-power cells", count=total,
-        )
 
     position = {}
     base = {}
@@ -248,7 +297,18 @@ def _cell_poset(f, p, cap):
 
 
 def _fiber_power_cells_betti(f, p, cap):
-    dims, facets = _cell_poset(f, p, cap)
+    """Betti vector of the (p+1)-fold fiber power of f, by the cell model
+    over f's vertical collapse.
+
+    The cap is checked once, on the cells of f's own, unreduced power.
+    """
+    total = sum(len(g) ** (p + 1) for g in _exact_image_groups(f).values())
+    if total > cap:
+        raise BudgetExceededError(
+            f"{total} fiber-power cells exceed the cap of {cap}",
+            cap=cap, stage="fiber-power cells", count=total,
+        )
+    dims, facets = _cell_poset(_vertical_collapse(f), p)
     kept, core = collapse_face_poset(facets)
     return regular_cw_betti([dims[i] for i in kept], core)
 
@@ -257,9 +317,9 @@ def fiber_power_betti(f, p, engine="auto", cell_cap=None):
     """Betti vector of the (p+1)-fold fiber power of f.
 
     ``engine`` is "auto" (the default) or "cells", which both run the cell
-    model, or "nerve", which enumerates the nerve of the convex cover as an
-    independent reference; the nerve only fits small maximal-simplex degrees
-    and raises BudgetExceededError past the cap.
+    model, or "nerve", which enumerates the nerve of the convex cover of the
+    unreduced map as an independent reference; the nerve only fits small
+    maximal-simplex degrees and raises BudgetExceededError past the cap.
     """
     _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
@@ -284,7 +344,8 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
     With target "image" the fiber powers are taken over f itself and the
     target is f's image subcomplex; with target "reeb" they are taken over
     the quotient map onto the Reeb realization.  The powers come from the
-    cell model.  The inequality is a theorem for these maps, so a failing
+    cell model, and all of them share the one vertical collapse of that
+    map's domain.  The inequality is a theorem for these maps, so a failing
     row signals an implementation bug.  ``threads`` has no effect: it is
     accepted (and must be >= 1) only for callers that still pass it.
     """

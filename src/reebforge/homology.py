@@ -74,7 +74,7 @@ class BettiVector:
         return f"BettiVector{self.numbers}"
 
 
-def collapse_face_poset(facets):
+def collapse_face_poset(facets, key=None):
     """Greedy elementary collapse on the face poset of a regular cell complex.
 
     ``facets[c]`` lists the codimension-one faces of cell c, with no id
@@ -86,6 +86,7 @@ def collapse_face_poset(facets):
     cover by the diamond property.  Each cell keeps only the number of its
     live covers and the XOR of their ids, which is the cover itself when the
     number is one; removing a cover decrements the one and XORs the other.
+    With ``key``, a free pair (i, j) is removed only when key[i] == key[j].
     Returns (kept, core_facets): the surviving ids in ascending order and
     their facets renumbered to positions in ``kept``.
     """
@@ -104,7 +105,7 @@ def collapse_face_poset(facets):
         if not alive[i] or count[i] != 1:
             continue
         j = xor[i]
-        if not alive[j] or count[j]:
+        if not alive[j] or count[j] or (key is not None and key[i] != key[j]):
             continue
         alive[i] = alive[j] = False
         for gone in (i, j):

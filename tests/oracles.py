@@ -11,13 +11,14 @@ package's coface-index union-find replaced; both are kept to check the
 production paths against.  Likewise ``fiber_power_cells_tuples`` is the
 tuple-keyed fiber-power cell enumerator that mixed-radix cell ids replaced,
 and ``collapse_face_poset_sets`` the collapse that kept a set of covers per
-cell.  ``betti_numbers_uncleared`` is the cellular Betti assembly that ranked
-every boundary matrix in full before clearing on the coboundaries replaced
-it, and ``first_non_simplicial`` the simplex check that walked the domain in
-canonical order before the map check became sort-free.  ``poset_chains``
-finds the chains of a poset by brute force over pairwise-comparable subsets,
-for the order complexes that the package enumerates from up-sets.  Only the
-result types come from the package.
+cell, with the same optional key.  ``betti_numbers_uncleared`` is the
+cellular Betti assembly that ranked every boundary matrix in full before
+clearing on the coboundaries replaced it, and ``first_non_simplicial`` the
+simplex check that walked the domain in canonical order before the map
+check became sort-free.  ``poset_chains`` finds the chains of a poset by
+brute force over pairwise-comparable subsets, for the order complexes that
+the package enumerates from up-sets.  Only the result types come from the
+package.
 """
 
 import heapq
@@ -375,12 +376,14 @@ def fiber_power_cells_tuples(f, p):
     return cells, dims, facets
 
 
-def collapse_face_poset_sets(facets):
+def collapse_face_poset_sets(facets, key=None, pairs=None):
     """Greedy elementary collapse keeping the set of live covers of each cell.
 
     Same contract as ``reebforge.homology.collapse_face_poset``: a cell with
     a single cover that is itself maximal is removed with it, smallest free
-    id first.  Returns (kept, core_facets).
+    id first, and with ``key`` only when both cells have the same key.
+    Returns (kept, core_facets); each removed (cell, cover) pair is appended
+    to ``pairs`` when a list is given.
     """
     n = len(facets)
     covers = [set() for _ in range(n)]
@@ -397,7 +400,11 @@ def collapse_face_poset_sets(facets):
         (j,) = covers[i]
         if not alive[j] or covers[j]:
             continue
+        if key is not None and key[i] != key[j]:
+            continue
         alive[i] = alive[j] = False
+        if pairs is not None:
+            pairs.append((i, j))
         for gone in (i, j):
             for g in facets[gone]:
                 if not alive[g]:

@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reebforge import (
     BudgetExceededError,
@@ -12,7 +16,13 @@ from reebforge import (
     image_subcomplex,
     reeb_space,
 )
-from reebforge.fiberprod import _cell_poset, _fiber_power_cells_betti, resolve_cell_cap
+from reebforge.fiberprod import (
+    _cell_poset,
+    _exact_image_groups,
+    _fiber_power_cells_betti,
+    _vertical_collapse,
+    resolve_cell_cap,
+)
 from reebforge.fixtures import (
     boundary_delta3,
     circle,
@@ -22,8 +32,13 @@ from reebforge.fixtures import (
     path_complex,
     random_map,
 )
+from reebforge.homology import _facet_ids, collapse_face_poset, regular_cw_betti
 
-from .oracles import fiber_power_cells_tuples, fiber_power_triangulation_betti
+from .oracles import (
+    collapse_face_poset_sets,
+    fiber_power_cells_tuples,
+    fiber_power_triangulation_betti,
+)
 
 
 def point():
@@ -146,7 +161,7 @@ def test_cell_facets_match_componentwise_bruteforce(p):
         maps.append(check_simplicial(full_simplex(2), path_complex(2), [0, 1, 1]))
     for f in maps:
         cells, _, _ = fiber_power_cells_tuples(f, p)
-        dims, facets = _cell_poset(f, p, 10**7)
+        dims, facets = _cell_poset(f, p)
         assert len(dims) == len(facets) == len(cells)
         by_dim = {}
         for j, d in enumerate(dims):
@@ -174,7 +189,108 @@ def test_mixed_radix_cells_match_tuple_enumerator(build, powers):
     f = build()
     for p in powers:
         _, dims, facets = fiber_power_cells_tuples(f, p)
-        assert _cell_poset(f, p, 10**8) == (dims, facets), p
+        assert _cell_poset(f, p) == (dims, facets), p
+
+
+def test_vertical_collapse_matches_set_oracle_on_battery_domains():
+    # The domain collapse keyed on exact images against the set-of-covers
+    # collapse with the same key: equal survivors, every removed pair
+    # vertical, and the survivors a complex (the checked constructor proves
+    # them face-closed).  Without the key the same domains lose more.
+    refused = 0
+    for seed in range(50):
+        f = random_map(seed)
+        simplices = f.domain.simplices
+        facets = _facet_ids(simplices)
+        key = [f.image_simplex(s) for s in simplices]
+        pairs = []
+        kept, core = collapse_face_poset_sets(facets, key, pairs)
+        assert collapse_face_poset(facets, key) == (kept, core), seed
+        assert all(key[i] == key[j] for i, j in pairs), seed
+        assert 2 * len(pairs) + len(kept) == len(simplices)
+        rebuilt = SimplicialComplex(f.domain.num_vertices, [simplices[i] for i in kept])
+        assert _vertical_collapse(f).domain == rebuilt, seed
+        refused += collapse_face_poset(facets)[0] != kept
+    assert refused
+
+
+def test_vertical_collapse_is_built_once_per_map():
+    f = random_map(1)
+    reduced = _vertical_collapse(f)
+    assert len(reduced.domain.simplex_set) < len(f.domain.simplex_set)
+    assert _vertical_collapse(f) is reduced
+    assert _vertical_collapse(reduced) is reduced
+    # No vertical pair: the map is its own collapse.
+    assert _vertical_collapse(disk_collapse(2)).domain == disk_collapse(2).domain
+
+
+def unreduced_cells(f, p):
+    return sum(len(g) ** (p + 1) for g in _exact_image_groups(f).values())
+
+
+def small_battery_seeds():
+    """Battery seeds whose unreduced p = 2 power has under 20,000 cells."""
+    return [seed for seed in range(50) if unreduced_cells(random_map(seed), 2) < 20_000]
+
+
+def test_reduced_powers_match_unreduced_cell_posets():
+    # The cell model over the vertical collapse against the cell poset of
+    # the map itself, with no collapse of any kind before the ranks.
+    seeds = small_battery_seeds()
+    assert len(seeds) >= 30
+    for seed in seeds:
+        f = random_map(seed)
+        for p in range(3):
+            expected = regular_cw_betti(*_cell_poset(f, p))
+            assert _fiber_power_cells_betti(f, p, 10**8) == expected, (seed, p)
+
+
+def test_cap_counts_the_unreduced_power():
+    # random_map(1) at p = 2: 50,653 cells unreduced, 29,791 after the
+    # vertical collapse.  A cap between the two still refuses it.
+    f = random_map(1)
+    assert len(_cell_poset(_vertical_collapse(f), 2)[0]) == 29_791
+    with pytest.raises(BudgetExceededError) as info:
+        _fiber_power_cells_betti(f, 2, 30_000)
+    exc = info.value
+    assert (exc.stage, exc.count, exc.cap) == ("fiber-power cells", 50_653, 30_000)
+    assert str(exc) == "50653 fiber-power cells exceed the cap of 30000"
+    with pytest.raises(BudgetExceededError) as info:
+        descent_check(f, p_max=2, cell_cap=30_000)
+    assert (info.value.count, info.value.cap) == (50_653, 30_000)
+
+
+def random_sub_map(seed, size, picks):
+    """random_map(seed, size) restricted to the closure of a few of its
+    maximal simplices, small enough for the triangulation oracle."""
+    f = random_map(seed, size)
+    tops = f.domain.maximal_simplices
+    closed = {
+        face
+        for i in picks
+        for k in range(1, len(tops[i % len(tops)]) + 1)
+        for face in combinations(tops[i % len(tops)], k)
+    }
+    domain = SimplicialComplex(f.domain.num_vertices, closed)
+    return check_simplicial(domain, f.codomain, f.vertex_images)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.builds(
+        random_sub_map,
+        st.integers(0, 49),
+        st.integers(6, 12),
+        st.lists(st.integers(0, 40), min_size=2, max_size=3),
+    ),
+    st.integers(0, 1),
+)
+def test_reduced_powers_match_triangulation_oracle(f, p):
+    # The oracle triangulates every chain of the cell order with dense
+    # rational ranks; about 40 cells keep an example under a second.
+    assume(unreduced_cells(f, p) <= 40)
+    expected = fiber_power_triangulation_betti(f, p)
+    assert _fiber_power_cells_betti(f, p, 10**6).as_list() == expected
 
 
 def test_nerve_symmetric_under_permuted_maximal_order():
