@@ -63,14 +63,14 @@ class ReebComplex:
     need them).
     """
 
-    def __init__(self, source_map, strata, stratum_members, comp_of, poset):
+    def __init__(self, source_map, strata, stratum_members, comp_of, stratum_id, poset):
         self.map = source_map
         self.strata = strata
         self.stratum_members = stratum_members
         self.poset = poset
         self.codomain_projection = tuple(s.tau for s in strata)
         self._comp_of = comp_of
-        self._stratum_id = {(s.tau, s.component): i for i, s in enumerate(strata)}
+        self._stratum_id = stratum_id
 
     @cached_property
     def realization(self):
@@ -154,7 +154,7 @@ def reeb_space(f):
                 lower = stratum_id[(facet, comp_of[facet][head])]
                 covers.append((lower, sid))
     poset = Poset(strata, covers)
-    return ReebComplex(f, tuple(strata), tuple(stratum_members), comp_of, poset)
+    return ReebComplex(f, tuple(strata), tuple(stratum_members), comp_of, stratum_id, poset)
 
 
 def fiber_components_at(f, tau):

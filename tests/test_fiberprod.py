@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from reebforge import (
     BudgetExceededError,
     InvalidParamsError,
+    InvariantError,
     SimplicialComplex,
     betti,
     check_simplicial,
@@ -17,9 +18,11 @@ from reebforge import (
     reeb_space,
 )
 from reebforge.fiberprod import (
+    DEFAULT_CELL_CAP,
     _cell_poset,
     _exact_image_groups,
     _fiber_power_cells_betti,
+    _stratum_labels,
     _vertical_collapse,
     resolve_cell_cap,
 )
@@ -337,6 +340,141 @@ def test_descent_disk_reeb_target():
     report = descent_check(disk_collapse(2), target="reeb", p_max=2)
     assert report["ok"]
     assert report["betti_target"] == [1, 0, 1]
+
+
+# Battery seeds whose Reeb quotient map has at most DEFAULT_CELL_CAP cells
+# in its p = 2 power: 33 of the 50.  Seeds 5, 10, 27, 31, 33, 46 and 49 are
+# left out only for time, since each of their reference powers over sd(X)
+# takes 0.4-1.1 s; the 26 kept take about 2 s together.
+REEB_REFERENCE_SEEDS = [
+    0, 2, 6, 9, 11, 12, 14, 17, 19, 23, 24, 25, 28,
+    29, 30, 32, 34, 35, 38, 40, 41, 42, 43, 44, 45, 48,
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: disk_collapse(1), lambda: disk_collapse(2)]
+    + [lambda s=s: random_map(s) for s in REEB_REFERENCE_SEEDS],
+    ids=["disk1", "disk2"] + [f"random{s}" for s in REEB_REFERENCE_SEEDS],
+)
+def test_reeb_strata_powers_match_quotient_map_powers(build):
+    # The powers cut out of f's cell model by the Reeb strata against the
+    # cell model of the quotient map sd(X) -> realization itself.
+    f = build()
+    quotient = reeb_space(f).quotient_map
+    expected = [
+        _fiber_power_cells_betti(quotient, p, DEFAULT_CELL_CAP).as_list() for p in range(3)
+    ]
+    assert descent_check(f, target="reeb", p_max=2)["power_betti"] == expected
+
+
+def test_reeb_strata_cells_are_a_subcomplex_of_the_image_cells():
+    # Decode the stratum model's ids to tuples: the stratum cells are
+    # exactly the image-model cells whose components share one stratum, with
+    # the same dimensions and the image-model facets among them.
+    for seed in (0, 12, 24):
+        f = random_map(seed)
+        label = _stratum_labels(f, reeb_space(f))
+        groups = _exact_image_groups(f, label)
+        keys = sorted(groups, key=lambda g: (len(g[0]), g))
+        for p in (1, 2):
+            tuples, image_dims, image_facets = fiber_power_cells_tuples(f, p)
+            index = {cell: i for i, cell in enumerate(tuples)}
+            decoded = [
+                (g[0], tup) for g in keys for tup in product(groups[g], repeat=p + 1)
+            ]
+            assert all(len({label[s] for s in tup}) == 1 for _, tup in decoded)
+            inside = {index[cell] for cell in decoded}
+            assert len(inside) == len(decoded)
+            assert inside == {
+                i for i, (_, tup) in enumerate(tuples) if len({label[s] for s in tup}) == 1
+            }
+            dims, facets = _cell_poset(f, p, label)
+            assert dims == [image_dims[index[cell]] for cell in decoded]
+            for cell, found in zip(decoded, facets):
+                assert sorted(index[decoded[j]] for j in found) == sorted(
+                    image_facets[index[cell]]
+                ), (seed, p, cell)
+
+
+def test_reeb_strata_shrink_the_disk_powers():
+    f = disk_collapse(2)
+    space = reeb_space(f)
+    label = _stratum_labels(f, space)
+    assert [unreduced_cells(space.quotient_map, p) for p in range(3)] == [337, 6121, 170_137]
+    assert [len(_cell_poset(f, p, label)[0]) for p in range(3)] == [61, 469, 4441]
+
+
+def test_reeb_target_never_enumerates_the_quotient_map(monkeypatch):
+    f = disk_collapse(2)
+    enumerated = []
+
+    def record(g, p, label=None):
+        enumerated.append(g.domain)
+        return _cell_poset(g, p, label)
+
+    monkeypatch.setattr("reebforge.fiberprod._cell_poset", record)
+    assert descent_check(f, target="reeb", p_max=2)["ok"]
+    assert enumerated == [f.domain] * 3
+
+
+def test_reeb_target_cap_counts_the_quotient_map_powers():
+    # Refused on the quotient map's own power, with the message, stage,
+    # count and cap of the enumeration over sd(X); the stratum model of
+    # random_map(1) would have far fewer cells.
+    with pytest.raises(BudgetExceededError) as info:
+        descent_check(random_map(1), target="reeb", p_max=2)
+    exc = info.value
+    assert (exc.stage, exc.count, exc.cap) == ("fiber-power cells", 1_771_561, 200_000)
+    assert str(exc) == "1771561 fiber-power cells exceed the cap of 200000"
+    # The 2-disk's stratum model has 4,441 cells at p = 2, its quotient
+    # power 170,137: a cap between the two still refuses.
+    with pytest.raises(BudgetExceededError) as info:
+        descent_check(disk_collapse(2), target="reeb", p_max=2, cell_cap=10_000)
+    assert (info.value.count, info.value.cap) == (170_137, 10_000)
+
+
+def test_trims_split_across_strata_raise_invariant_error(monkeypatch):
+    # Give one vertex its own stratum while an edge group over the same
+    # codomain edge trims to it and to another vertex over the same point.
+    f = disk_collapse(2)
+    simplices = f.domain.simplices
+    index = {s: i for i, s in enumerate(simplices)}
+    trims = {}
+    for e in simplices:
+        if len(e) == 2 and len(f.image_simplex(e)) == 2:
+            for v in e:
+                trims.setdefault((f.image_simplex(e), f.vertex_images[v]), set()).add((v,))
+    (_, w), vertices = next((key, vs) for key, vs in sorted(trims.items()) if len(vs) > 1)
+    moved = min(vertices)
+
+    def split(g):
+        space = reeb_space(g)
+        space.quotient_map  # built from the true strata, for the cap count
+        space._comp_of[(w,)][index[moved]] = 99
+        return space
+
+    monkeypatch.setattr("reebforge.fiberprod.reeb_space", split)
+    with pytest.raises(InvariantError, match="trims of group"):
+        descent_check(f, target="reeb", p_max=1)
+
+
+@pytest.mark.parametrize(
+    "build, p_max",
+    [*((lambda i=i: low_degree_instances()[i], 1) for i in range(4)), (lambda: disk_collapse(2), 0)],
+    ids=[f"low_degree{i}" for i in range(4)] + ["disk2"],
+)
+def test_reeb_strata_powers_match_nerve_of_quotient_map(build, p_max):
+    # The nerve of the quotient map's own power, an independent reference.
+    # The 2-disk's sd(X) has maximal-simplex degree 12, so at p = 1 its
+    # nerve would hold a simplex on 144 vertices: it runs at p = 0 only.
+    f = build()
+    quotient = reeb_space(f).quotient_map
+    expected = [
+        fiber_power_betti(quotient, p, engine="nerve").as_list() for p in range(p_max + 1)
+    ]
+    assert descent_check(f, target="reeb", p_max=p_max)["power_betti"] == expected
 
 
 def test_descent_report_shape():
