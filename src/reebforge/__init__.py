@@ -44,7 +44,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .fiberprod import (
-    NerveComplex,
     descent_check,
     fiber_power_betti,
     fiber_power_nerve,

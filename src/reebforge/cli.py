@@ -53,7 +53,8 @@ def _write_output(text, out_path):
 
 
 def _load_map_or_function(path, close_faces):
-    """A map file carries 'vertex_images'; a function file carries 'values'."""
+    """(map, None) for a map file, which carries 'vertex_images'; (None, g)
+    for a function file, which carries 'values'."""
     doc = read_document(path)
     base = os.path.dirname(path)
     if isinstance(doc, dict) and "vertex_images" in doc:
@@ -62,6 +63,11 @@ def _load_map_or_function(path, close_faces):
         g = function_from_doc(doc, base_dir=base, close_faces=close_faces)
         return None, g
     raise ReebForgeError(f"{path} is neither a map file nor a function file")
+
+
+def _as_map(f, g):
+    """The loaded map f, or else the simplicial map slicing the function g."""
+    return pl_as_simplicial_map(g).map if f is None else f
 
 
 def cmd_betti(args):
@@ -83,9 +89,7 @@ def cmd_reeb(args):
         else:
             _write_output(dumps_report(reeb_graph_to_doc(graph)), args.output)
         return EXIT_OK
-    if f is None:
-        f = pl_as_simplicial_map(g).map
-    space = reeb_space(f)
+    space = reeb_space(_as_map(f, g))
     bv = space.betti()
     report = {
         "betti": bv.as_list(),
@@ -101,9 +105,7 @@ def cmd_reeb(args):
 
 
 def cmd_fiber_power(args):
-    f, g = _load_map_or_function(args.file, args.close_faces)
-    if f is None:
-        f = pl_as_simplicial_map(g).map
+    f = _as_map(*_load_map_or_function(args.file, args.close_faces))
     bv = fiber_power_betti(f, args.p, engine=args.engine, cell_cap=args.cell_cap)
     report = {
         "p": args.p,
@@ -116,9 +118,7 @@ def cmd_fiber_power(args):
 
 
 def cmd_verify(args):
-    f, g = _load_map_or_function(args.file, args.close_faces)
-    if f is None:
-        f = pl_as_simplicial_map(g).map
+    f = _as_map(*_load_map_or_function(args.file, args.close_faces))
     checks = {}
     if args.descent is not None:
         checks["descent"] = descent_check(
@@ -137,21 +137,19 @@ def cmd_verify(args):
 
 
 def cmd_bounds(args):
-    name = args.name
-    if name == "closed":
-        value = bound_closed(args.s, args.d, args.k)
-        report = bound_report(name, value, s=args.s, d=args.d, k=args.k)
-    elif name == "general":
-        value = bound_general(args.s, args.d, args.k)
-        report = bound_report(name, value, s=args.s, d=args.d, k=args.k)
-    elif name == "sign-components":
-        value = bound_sign_components(args.s, args.d, args.k)
-        report = bound_report(name, value, s=args.s, d=args.d, k=args.k)
-    elif name == "reeb":
-        value = bound_reeb(args.s, args.d, args.n, args.m, args.c)
-        report = bound_report(name, value, s=args.s, d=args.d, n=args.n, m=args.m, c=args.c)
-    else:
-        raise ReebForgeError(f"unknown bound {name!r}")
+    # Built per call, so that the evaluators are looked up in the module
+    # globals when the command runs.
+    table = {
+        "closed": (bound_closed, ("s", "d", "k")),
+        "general": (bound_general, ("s", "d", "k")),
+        "sign-components": (bound_sign_components, ("s", "d", "k")),
+        "reeb": (bound_reeb, ("s", "d", "n", "m", "c")),
+    }
+    if args.name not in table:
+        raise ReebForgeError(f"unknown bound {args.name!r}")
+    evaluate, names = table[args.name]
+    params = {key: getattr(args, key) for key in names}
+    report = bound_report(args.name, evaluate(*params.values()), **params)
     _write_output(dumps_report(report), args.output)
     return EXIT_OK
 
@@ -177,16 +175,11 @@ def cmd_fixtures(args):
     artifacts = fixtures_mod.build_fixture(spec)
     os.makedirs(args.output, exist_ok=True)
     written = []
-    if "map" in artifacts:
-        path = os.path.join(args.output, f"{args.name}.map.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_report(map_to_doc(artifacts["map"])))
-        written.append(path)
-    if "function" in artifacts:
-        path = os.path.join(args.output, f"{args.name}.function.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_report(function_to_doc(artifacts["function"])))
-        written.append(path)
+    for kind, to_doc in (("map", map_to_doc), ("function", function_to_doc)):
+        if kind in artifacts:
+            path = os.path.join(args.output, f"{args.name}.{kind}.json")
+            _write_output(dumps_report(to_doc(artifacts[kind])), path)
+            written.append(path)
     _write_output(dumps_report({"written": written}), None)
     return EXIT_OK
 

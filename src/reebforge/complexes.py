@@ -291,17 +291,13 @@ class SimplicialMap:
     Dimension-collapsing images are allowed; constant maps are legal.
     """
 
-    __slots__ = ("domain", "codomain", "vertex_images", "_image_cache", "_vertical")
+    __slots__ = ("domain", "codomain", "vertex_images", "_image_cache")
 
     def __init__(self, domain, codomain, vertex_images, check=True):
         self.domain = domain
         self.codomain = codomain
         self.vertex_images = tuple(int(v) for v in vertex_images)
         self._image_cache = {}
-        # The map over its domain collapsed along the fibers (False when
-        # nothing collapses), built on first use by ``fiberprod`` and shared
-        # by every fiber power of this map.
-        self._vertical = None
         if check:
             if len(self.vertex_images) != domain.num_vertices:
                 raise ValueCountMismatchError(
@@ -481,7 +477,9 @@ class Poset:
     """A finite poset stored as elements plus covering pairs.
 
     Covers are (lower, higher) index pairs and are reduced to the transitive
-    reduction at construction time.  Indices need not be a linear extension.
+    reduction at construction time.  Indices need not be a linear extension;
+    ``_order``, the smallest-id-first topological order, is kept from
+    construction.
     """
 
     elements: tuple
@@ -496,22 +494,16 @@ class Poset:
                 raise InvalidSimplexError(f"reflexive relation ({a}, {b})")
             if not (0 <= a < n and 0 <= b < n):
                 raise VertexOutOfRangeError(f"relation ({a}, {b}) outside 0..{n - 1}")
-        order = _topological_order(n, covers)  # raises on cycles
-        covers = _transitive_reduction(n, covers, order)
+        # Raises on cycles.  The reduced covers have the same transitive
+        # closure, so this smallest-id-first order is also theirs.
+        order = _topological_order(n, covers)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "covers", _transitive_reduction(n, covers, order))
+        object.__setattr__(self, "_order", order)
 
     def up_sets(self):
         """For each element, the ascending ids of all strictly greater elements."""
-        n = len(self.elements)
-        above = [set() for _ in range(n)]
-        succ = [[] for _ in range(n)]
-        for a, b in self.covers:
-            succ[a].append(b)
-        for i in reversed(_topological_order(n, self.covers)):
-            for j in succ[i]:
-                above[i].add(j)
-                above[i] |= above[j]
+        _, above = _closure(len(self.elements), self.covers, self._order)
         return [tuple(sorted(s)) for s in above]
 
     def order_complex(self, cap=None):
@@ -521,10 +513,10 @@ class Poset:
         along them, and renamed back to element ids.
         """
         n = len(self.elements)
-        order = _topological_order(n, self.covers)
+        order = self._order
         pos = {e: i for i, e in enumerate(order)}
-        ups_raw = self.up_sets()
-        ups = [tuple(sorted(pos[j] for j in ups_raw[order[i]])) for i in range(n)]
+        _, above = _closure(n, self.covers, order)
+        ups = [tuple(sorted(pos[j] for j in above[e])) for e in order]
         return _complex_of_chains(n, ups, cap=cap, labels=order)
 
 
@@ -549,16 +541,26 @@ def _topological_order(n, edges):
     return out
 
 
-def _transitive_reduction(n, edges, order):
-    """Drop covering pairs implied by longer paths."""
-    succ = [set() for _ in range(n)]
+def _closure(n, edges, order):
+    """Successor lists and, for each id, the set of ids above it.
+
+    ``edges`` hold no repeated pair, and ``order`` is a topological order
+    of them.
+    """
+    succ = [[] for _ in range(n)]
     for a, b in edges:
-        succ[a].add(b)
+        succ[a].append(b)
     above = [set() for _ in range(n)]
     for i in reversed(order):
         for j in succ[i]:
             above[i].add(j)
             above[i] |= above[j]
+    return succ, above
+
+
+def _transitive_reduction(n, edges, order):
+    """Drop covering pairs implied by longer paths."""
+    succ, above = _closure(n, edges, order)
     reduced = []
     for a, b in edges:
         if not any(b in above[j] for j in succ[a] if j != b):

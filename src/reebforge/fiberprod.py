@@ -24,10 +24,10 @@ the radix of the trims' group, over tau - t).
 The collapse that follows keeps per cell only a count and an XOR of its live
 covers, see ``homology.collapse_face_poset``.
 
-Before any power is enumerated, the domain itself is collapsed along the
-fibers, once per map: the same greedy collapse, keyed on the exact image,
-removes only vertical free pairs, a simplex sigma and its only coface
-sigma' with f(sigma) = f(sigma'), sigma' maximal.  A fiber of n simplices
+Before each power is enumerated, the domain itself is collapsed along the
+fibers: the same greedy collapse, keyed on the exact image, removes only
+vertical free pairs, a simplex sigma and its only coface sigma' with
+f(sigma) = f(sigma'), sigma' maximal.  A fiber of n simplices
 carries n**(p+1) cells, so each simplex removed there removes many cells of
 every power.  The Betti numbers do not change, because removing one
 vertical pair from X, leaving f', collapses W_p(f) onto W_p(f'): match each
@@ -46,6 +46,8 @@ the first component in {sigma, sigma'} past k, or removes it.  Hence
 W_p(f) collapses onto W_p(f') and, by induction over the pairs removed, onto
 the power of the collapsed map.  The cell cap still counts the cells of the
 unreduced power, so the collapse never changes which inputs are refused.
+The collapse is redone for each power; it costs a small fraction of the
+power's enumeration.
 
 The powers of the Reeb quotient map q: sd(X) -> R are cut out of the cell
 model over X itself, not enumerated over sd(X).  By the quotient theorem,
@@ -68,8 +70,9 @@ so both lie in one stratum.  Toggling between them keeps a cell inside the
 subcomplex, the matching restricts to it and stays acyclic, and the
 unmatched cells are the cells of the collapsed map in the same strata.
 So the strata can be taken from the original f and carried to the
-collapsed map by the simplex tuples.  The cap counts the cells of q's own powers, so the
-same inputs are refused as when those powers were enumerated.
+collapsed map by the simplex tuples.  The cap counts the cells of q's own
+powers, so the same inputs are refused as when those powers were
+enumerated.
 
 The nerve model covers W_p by the closed convex cells
 P_(s0..sp) = {(x0..xp) in s0 x ... x sp : f(x0) = ... = f(xp)} over tuples of
@@ -86,7 +89,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, SimplicialMap, simplex_key
 from .errors import BudgetExceededError, InvalidParamsError, InvariantError
@@ -100,41 +102,32 @@ CELL_CAP_ENV = "REEBFORGE_CELL_CAP"
 def resolve_cell_cap(cell_cap=None):
     """Explicit cap, else the environment override, else the default.
 
-    The cap must be a positive integer; anything else raises
-    InvalidParamsError.
+    The cap must be a positive int; the environment's string is parsed as
+    one.  Anything else raises InvalidParamsError.
     """
     if cell_cap is None:
-        cell_cap = os.environ.get(CELL_CAP_ENV) or DEFAULT_CELL_CAP
-    try:
-        cap = int(cell_cap)
-    except ValueError:
-        raise InvalidParamsError(f"cell cap must be an integer, got {cell_cap!r}") from None
-    _require_at_least("cell cap", cap, 1)
-    return cap
+        raw = os.environ.get(CELL_CAP_ENV)
+        try:
+            cell_cap = int(raw) if raw else DEFAULT_CELL_CAP
+        except ValueError:
+            raise InvalidParamsError(f"cell cap must be an integer, got {raw!r}") from None
+    _require_at_least("cell cap", cell_cap, 1)
+    return cell_cap
 
 
 def _require_at_least(name, value, low):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise InvalidParamsError(f"{name} must be >= {low}, got {value}")
-
-
-@dataclass(frozen=True)
-class NerveComplex:
-    """Nerve of the closed convex cover of a fiber power.
-
-    ``cover_index[i]`` is the (p+1)-tuple of maximal domain simplices behind
-    nerve vertex i.
-    """
-
-    cover_index: tuple
-    nerve: SimplicialComplex
 
 
 def fiber_power_nerve(f, p, cell_cap=None):
     """Nerve of the maximal-simplex cover of the (p+1)-fold fiber power.
 
-    A tuple of maximal simplices is a cover vertex iff the intersection of
-    their images is nonempty; a set of tuples spans a nerve simplex iff all
+    Nerve vertex i is the i-th cover tuple in canonical order.  A tuple of
+    maximal simplices is a cover vertex iff the intersection of their
+    images is nonempty; a set of tuples spans a nerve simplex iff all
     componentwise simplex intersections are nonempty and the images of those
     intersections share a codomain vertex.  Enumeration aborts with
     BudgetExceededError, stage "nerve cover", once the cover passes the cap
@@ -197,8 +190,7 @@ def fiber_power_nerve(f, p, cell_cap=None):
                         break
                 if witness:
                     stack.append((ids + (j,), new_rhos))
-    nerve = SimplicialComplex(len(cover), simplices, check=False)
-    return NerveComplex(tuple(cover), nerve)
+    return SimplicialComplex(len(cover), simplices, check=False)
 
 
 def _exact_image_groups(f, label=None):
@@ -215,27 +207,23 @@ def _exact_image_groups(f, label=None):
 
 
 def _vertical_collapse(f):
-    """f over its domain collapsed along the fibers, built once per map.
+    """f over its domain collapsed along the fibers, or f itself when the
+    domain has no vertical free pair.
 
     ``collapse_face_poset`` keyed on the exact image removes the vertical
     free pairs, smallest free id first; the module docstring shows that no
-    fiber power changes its Betti numbers.  Returns f itself when the domain
-    has no vertical free pair; that case is stored as False, since storing f
-    would make f a reference cycle that outlives its last use.
+    fiber power changes its Betti numbers.
     """
-    if f._vertical is None:
-        simplices = f.domain.simplices
-        kept, _ = collapse_face_poset(
-            _facet_ids(simplices), [f.image_simplex(s) for s in simplices]
-        )
-        if len(kept) == len(simplices):
-            f._vertical = False
-        else:
-            domain = SimplicialComplex._from_canonical(
-                f.domain.num_vertices, [simplices[i] for i in kept]
-            )
-            f._vertical = SimplicialMap(domain, f.codomain, f.vertex_images, check=False)
-    return f._vertical or f
+    simplices = f.domain.simplices
+    kept, _ = collapse_face_poset(
+        _facet_ids(simplices), [f.image_simplex(s) for s in simplices]
+    )
+    if len(kept) == len(simplices):
+        return f
+    domain = SimplicialComplex._from_canonical(
+        f.domain.num_vertices, [simplices[i] for i in kept]
+    )
+    return SimplicialMap(domain, f.codomain, f.vertex_images, check=False)
 
 
 def _cell_poset(f, p, label=None):
@@ -341,20 +329,26 @@ def _cell_poset(f, p, label=None):
     return dims, facets
 
 
-def _fiber_power_cells_betti(f, p, cap, label=None, counted=None):
-    """Betti vector of the (p+1)-fold fiber power of f, by the cell model
-    over f's vertical collapse.
+def _group_sizes(f):
+    """How many domain simplices have each exact image."""
+    return [len(g) for g in _exact_image_groups(f).values()]
 
-    ``label`` restricts the cells as in ``_cell_poset``.  The cap is checked
-    once, on the cells of the unreduced power of ``counted``, f by default.
-    """
-    counted = f if counted is None else counted
-    total = sum(len(g) ** (p + 1) for g in _exact_image_groups(counted).values())
+
+def _check_cell_cap(sizes, p, cap):
+    """Refuse a (p+1)-fold power whose unreduced cell count, the sum of
+    n**(p+1) over the exact-image group sizes n, passes the cap."""
+    total = sum(n ** (p + 1) for n in sizes)
     if total > cap:
         raise BudgetExceededError(
             f"{total} fiber-power cells exceed the cap of {cap}",
             cap=cap, stage="fiber-power cells", count=total,
         )
+
+
+def _fiber_power_cells_betti(f, p, label=None):
+    """Betti vector of the (p+1)-fold fiber power of f, by the cell model
+    over f's vertical collapse; ``label`` restricts the cells as in
+    ``_cell_poset``.  The caller checks the cap."""
     dims, facets = _cell_poset(_vertical_collapse(f), p, label)
     kept, core = collapse_face_poset(facets)
     return regular_cw_betti([dims[i] for i in kept], core)
@@ -362,9 +356,14 @@ def _fiber_power_cells_betti(f, p, cap, label=None, counted=None):
 
 def _stratum_labels(f, space):
     """Each domain simplex's component of S_tau, tau its exact image, keyed
-    by the simplex tuple so that the labels also serve f's vertical collapse."""
-    comp_of = space._comp_of
-    return {s: comp_of[f.image_simplex(s)][i] for i, s in enumerate(f.domain.simplices)}
+    by the simplex tuple so that the labels also serve f's vertical collapse.
+    A simplex of exact image tau lies in exactly one stratum over tau."""
+    label = {}
+    for stratum, members in zip(space.strata, space.stratum_members):
+        for s in members:
+            if f.image_simplex(s) == stratum.tau:
+                label[s] = stratum.component
+    return label
 
 
 def fiber_power_betti(f, p, engine="auto", cell_cap=None):
@@ -378,10 +377,11 @@ def fiber_power_betti(f, p, engine="auto", cell_cap=None):
     _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
     if engine == "nerve":
-        return betti(fiber_power_nerve(f, p, cap).nerve)
+        return betti(fiber_power_nerve(f, p, cap))
     if engine not in ("auto", "cells"):
         raise InvalidParamsError(f"unknown engine {engine!r}")
-    return _fiber_power_cells_betti(f, p, cap)
+    _check_cell_cap(_group_sizes(f), p, cap)
+    return _fiber_power_cells_betti(f, p)
 
 
 def image_subcomplex(f):
@@ -400,10 +400,9 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
     Reeb space and the powers are those of the quotient map sd(X) -> Reeb
     realization, computed as the cells of f's powers whose components lie
     in one Reeb stratum (module docstring); the cap still counts the cells
-    of the quotient map's own powers.  The powers come from the cell model,
-    and all of them share the one vertical collapse of f's domain.  The
-    inequality is a theorem for these maps, so a failing row signals an
-    implementation bug.  ``threads`` has no effect: it is accepted (and must
+    of the quotient map's own powers.  The powers come from the cell model
+    over the vertical collapse of f's domain.  The inequality is a theorem
+    for these maps, so a failing row signals an implementation bug.  ``threads`` has no effect: it is accepted (and must
     be >= 1) only for callers that still pass it.
     """
     _require_at_least("p_max", p_max, 0)
@@ -416,10 +415,11 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
         space = reeb_space(f)
         target_betti = space.betti()
         label = _stratum_labels(f, space)
-        powers = [
-            _fiber_power_cells_betti(f, j, cap, label, space.quotient_map)
-            for j in range(p_max + 1)
-        ]
+        sizes = _group_sizes(space.quotient_map)
+        powers = []
+        for j in range(p_max + 1):
+            _check_cell_cap(sizes, j, cap)
+            powers.append(_fiber_power_cells_betti(f, j, label))
     else:
         raise InvalidParamsError(f"unknown target {target!r}")
 

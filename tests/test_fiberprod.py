@@ -12,13 +12,13 @@ from reebforge import (
     betti,
     check_simplicial,
     descent_check,
+    fiber_components_at,
     fiber_power_betti,
     fiber_power_nerve,
     image_subcomplex,
     reeb_space,
 )
 from reebforge.fiberprod import (
-    DEFAULT_CELL_CAP,
     _cell_poset,
     _exact_image_groups,
     _fiber_power_cells_betti,
@@ -55,34 +55,34 @@ def constant_circle_map():
 def test_nerve_identity_edge_is_a_point():
     edge = path_complex(2)
     ident = check_simplicial(edge, edge, [0, 1])
-    nc = fiber_power_nerve(ident, 1)
-    assert len(nc.cover_index) == 1
-    assert betti(nc.nerve) == (1,)
+    nerve = fiber_power_nerve(ident, 1)
+    assert nerve.num_vertices == 1
+    assert betti(nerve) == (1,)
 
 
 def test_nerve_two_vertices_distinct_images():
     two = SimplicialComplex(2, [(0,), (1,)])
     f = check_simplicial(two, two, [0, 1])
-    assert betti(fiber_power_nerve(f, 1).nerve) == (2,)
+    assert betti(fiber_power_nerve(f, 1)) == (2,)
 
 
 def test_nerve_two_vertices_same_image():
     two = SimplicialComplex(2, [(0,), (1,)])
     f = check_simplicial(two, point(), [0, 0])
-    nc = fiber_power_nerve(f, 1)
-    assert len(nc.cover_index) == 4
-    assert betti(nc.nerve) == (4,)
+    nerve = fiber_power_nerve(f, 1)
+    assert nerve.num_vertices == 4
+    assert betti(nerve) == (4,)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_nerve_p0_recovers_domain_betti(seed):
     f = random_map(seed)
-    assert betti(fiber_power_nerve(f, 0).nerve) == betti(f.domain)
+    assert betti(fiber_power_nerve(f, 0)) == betti(f.domain)
 
 
 def test_cells_p0_recovers_domain_betti():
     for f in (disk_collapse(1), disk_collapse(2), constant_circle_map()):
-        assert _fiber_power_cells_betti(f, 0, 10**6) == betti(f.domain)
+        assert _fiber_power_cells_betti(f, 0) == betti(f.domain)
 
 
 def test_constant_map_powers_are_cartesian_powers():
@@ -217,14 +217,15 @@ def test_vertical_collapse_matches_set_oracle_on_battery_domains():
     assert refused
 
 
-def test_vertical_collapse_is_built_once_per_map():
+def test_vertical_collapse_is_idempotent():
     f = random_map(1)
     reduced = _vertical_collapse(f)
     assert len(reduced.domain.simplex_set) < len(f.domain.simplex_set)
-    assert _vertical_collapse(f) is reduced
+    assert _vertical_collapse(f).domain == reduced.domain
+    # A collapsed map has no vertical pair left, so it is its own collapse.
     assert _vertical_collapse(reduced) is reduced
-    # No vertical pair: the map is its own collapse.
-    assert _vertical_collapse(disk_collapse(2)).domain == disk_collapse(2).domain
+    disk = disk_collapse(2)
+    assert _vertical_collapse(disk) is disk
 
 
 def unreduced_cells(f, p):
@@ -245,7 +246,7 @@ def test_reduced_powers_match_unreduced_cell_posets():
         f = random_map(seed)
         for p in range(3):
             expected = regular_cw_betti(*_cell_poset(f, p))
-            assert _fiber_power_cells_betti(f, p, 10**8) == expected, (seed, p)
+            assert _fiber_power_cells_betti(f, p) == expected, (seed, p)
 
 
 def test_cap_counts_the_unreduced_power():
@@ -254,7 +255,7 @@ def test_cap_counts_the_unreduced_power():
     f = random_map(1)
     assert len(_cell_poset(_vertical_collapse(f), 2)[0]) == 29_791
     with pytest.raises(BudgetExceededError) as info:
-        _fiber_power_cells_betti(f, 2, 30_000)
+        fiber_power_betti(f, 2, cell_cap=30_000)
     exc = info.value
     assert (exc.stage, exc.count, exc.cap) == ("fiber-power cells", 50_653, 30_000)
     assert str(exc) == "50653 fiber-power cells exceed the cap of 30000"
@@ -293,7 +294,7 @@ def test_reduced_powers_match_triangulation_oracle(f, p):
     # rational ranks; about 40 cells keep an example under a second.
     assume(unreduced_cells(f, p) <= 40)
     expected = fiber_power_triangulation_betti(f, p)
-    assert _fiber_power_cells_betti(f, p, 10**6).as_list() == expected
+    assert _fiber_power_cells_betti(f, p).as_list() == expected
 
 
 def test_nerve_symmetric_under_permuted_maximal_order():
@@ -308,7 +309,7 @@ def test_nerve_symmetric_under_permuted_maximal_order():
     for v in range(4):
         images[perm[v]] = f.vertex_images[v]
     g = check_simplicial(relabeled, f.codomain, images)
-    assert betti(fiber_power_nerve(g, 1).nerve) == betti(base.nerve)
+    assert betti(fiber_power_nerve(g, 1)) == betti(base)
 
 
 def test_image_subcomplex():
@@ -363,9 +364,7 @@ def test_reeb_strata_powers_match_quotient_map_powers(build):
     # cell model of the quotient map sd(X) -> realization itself.
     f = build()
     quotient = reeb_space(f).quotient_map
-    expected = [
-        _fiber_power_cells_betti(quotient, p, DEFAULT_CELL_CAP).as_list() for p in range(3)
-    ]
+    expected = [fiber_power_betti(quotient, p).as_list() for p in range(3)]
     assert descent_check(f, target="reeb", p_max=2)["power_betti"] == expected
 
 
@@ -406,6 +405,25 @@ def test_reeb_strata_shrink_the_disk_powers():
     assert [len(_cell_poset(f, p, label)[0]) for p in range(3)] == [61, 469, 4441]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: disk_collapse(1), lambda: disk_collapse(2)]
+    + [lambda s=s: random_map(s) for s in range(50)],
+    ids=["disk1", "disk2"] + [f"random{s}" for s in range(50)],
+)
+def test_stratum_labels_match_fiber_components(build):
+    # Each simplex's label is the index of its class among the components
+    # over its exact image, as the independent coface walk finds them.
+    f = build()
+    label = _stratum_labels(f, reeb_space(f))
+    assert set(label) == set(f.domain.simplices)
+    for tau in {f.image_simplex(s) for s in f.domain.simplices}:
+        for ci, cls in enumerate(fiber_components_at(f, tau)):
+            for s in cls:
+                if f.image_simplex(s) == tau:
+                    assert label[s] == ci, (tau, s)
+
+
 def test_reeb_target_never_enumerates_the_quotient_map(monkeypatch):
     f = disk_collapse(2)
     enumerated = []
@@ -440,22 +458,20 @@ def test_trims_split_across_strata_raise_invariant_error(monkeypatch):
     # codomain edge trims to it and to another vertex over the same point.
     f = disk_collapse(2)
     simplices = f.domain.simplices
-    index = {s: i for i, s in enumerate(simplices)}
     trims = {}
     for e in simplices:
         if len(e) == 2 and len(f.image_simplex(e)) == 2:
             for v in e:
                 trims.setdefault((f.image_simplex(e), f.vertex_images[v]), set()).add((v,))
-    (_, w), vertices = next((key, vs) for key, vs in sorted(trims.items()) if len(vs) > 1)
+    vertices = next(vs for _, vs in sorted(trims.items()) if len(vs) > 1)
     moved = min(vertices)
 
-    def split(g):
-        space = reeb_space(g)
-        space.quotient_map  # built from the true strata, for the cap count
-        space._comp_of[(w,)][index[moved]] = 99
-        return space
+    def split(g, space):
+        label = _stratum_labels(g, space)
+        label[moved] = 99
+        return label
 
-    monkeypatch.setattr("reebforge.fiberprod.reeb_space", split)
+    monkeypatch.setattr("reebforge.fiberprod._stratum_labels", split)
     with pytest.raises(InvariantError, match="trims of group"):
         descent_check(f, target="reeb", p_max=1)
 
@@ -489,12 +505,12 @@ def test_budget_exceeded_on_tiny_cap():
     with pytest.raises(BudgetExceededError):
         fiber_power_nerve(disk_collapse(2), 1, cell_cap=50)
     with pytest.raises(BudgetExceededError):
-        _fiber_power_cells_betti(disk_collapse(2), 2, 50)
+        fiber_power_betti(disk_collapse(2), 2, cell_cap=50)
 
 
 def test_budget_error_names_stage_count_and_cap():
     with pytest.raises(BudgetExceededError) as info:
-        _fiber_power_cells_betti(disk_collapse(2), 2, 50)
+        fiber_power_betti(disk_collapse(2), 2, cell_cap=50)
     exc = info.value
     assert exc.stage == "fiber-power cells"
     assert exc.cap == 50
@@ -559,6 +575,31 @@ def test_cell_cap_env_override(monkeypatch):
 )
 def test_bad_numbers_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
+        call(disk_collapse(1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: fiber_power_betti(f, 1.5),
+        lambda f: fiber_power_betti(f, True),
+        lambda f: fiber_power_nerve(f, 1.5),
+        lambda f: fiber_power_betti(f, 1, cell_cap=2.5),
+        lambda f: fiber_power_betti(f, 1, cell_cap="12"),
+        lambda f: descent_check(f, p_max=1.5),
+        lambda f: descent_check(f, p_max=True),
+        lambda f: descent_check(f, threads=1.5),
+        lambda f: resolve_cell_cap(True),
+    ],
+    ids=[
+        "p_float", "p_bool", "nerve_p_float", "cap_float", "cap_str",
+        "p_max_float", "p_max_bool", "threads_float", "resolve_cap_bool",
+    ],
+)
+def test_non_integer_numbers_raise_invalid_params(call):
+    # Only an int that is not a bool is a count: no TypeError escapes, and
+    # nothing is truncated or read as 0 or 1.
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
         call(disk_collapse(1))
 
 
