@@ -15,7 +15,12 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
-from .errors import InvalidParamsError, ZeroPolynomialError
+from .errors import BudgetExceededError, InvalidParamsError, ZeroPolynomialError
+
+# The most decimal digits a bound value may have, and the bit length of
+# 10 ** MAX_BOUND_DIGITS: 2 ** (_CAP_BITS - 1) < 10 ** MAX_BOUND_DIGITS < 2 ** _CAP_BITS.
+MAX_BOUND_DIGITS = 1_000_000
+_CAP_BITS = 3_321_929
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,37 @@ def bound_reeb(s, d, n, m, c):
 
     The exponent constant c is caller-supplied; no specific value is claimed,
     so comparisons against computed Betti totals are reported, never asserted.
+    A value with more than MAX_BOUND_DIGITS decimal digits raises
+    BudgetExceededError, stage "bound digits", and is refused before the
+    power is taken: base ** e with base >= 2 has more than e / 4 digits, so
+    the exponent is built factor by factor only up to 4 * MAX_BOUND_DIGITS,
+    and then the base's bit length brackets base ** e between powers of two
+    on either side of 10 ** MAX_BOUND_DIGITS.  Only a value inside that
+    bracket is computed and compared exactly.
     """
     _require_positive(s=s, d=d, n=n, m=m, c=c)
-    return (s * d) ** ((n + m) ** c)
+    base = s * d
+    if base == 1:
+        return 1
+    exponent = 1
+    for _ in range(c):
+        exponent *= n + m
+        if exponent > 4 * MAX_BOUND_DIGITS:
+            raise _too_many_digits()
+    bits = base.bit_length()
+    if (bits - 1) * exponent >= _CAP_BITS:
+        raise _too_many_digits()
+    value = base**exponent
+    if bits * exponent >= _CAP_BITS and value >= 10**MAX_BOUND_DIGITS:
+        raise _too_many_digits()
+    return value
+
+
+def _too_many_digits():
+    return BudgetExceededError(
+        f"bound digits exceed the cap of {MAX_BOUND_DIGITS}",
+        cap=MAX_BOUND_DIGITS, stage="bound digits",
+    )
 
 
 def _strip(poly):

@@ -60,9 +60,9 @@ def label_components(members, neighbors, parent):
     reset for the members only, so one array can serve many disjoint or
     successive calls.  The smaller root wins each union, so a class's root is
     its smallest id and the sorted roots give the classes in id order.
-    ``find_root`` is inlined, as this loop is hot: it labels every S_tau of
-    a Reeb space and every component that a leaving simplex touches in the
-    Reeb-graph sweep.
+    ``find_root`` is inlined, as this loop is hot: it labels every
+    exact-image group of a Reeb space and every component that a leaving
+    simplex touches in the Reeb-graph sweep.
     """
     for s in members:
         parent[s] = s

@@ -357,13 +357,10 @@ def _fiber_power_cells_betti(f, p, label=None):
 def _stratum_labels(f, space):
     """Each domain simplex's component of S_tau, tau its exact image, keyed
     by the simplex tuple so that the labels also serve f's vertical collapse.
-    A simplex of exact image tau lies in exactly one stratum over tau."""
-    label = {}
-    for stratum, members in zip(space.strata, space.stratum_members):
-        for s in members:
-            if f.image_simplex(s) == stratum.tau:
-                label[s] = stratum.component
-    return label
+    They are read off ``space.exact_strata``, so no stratum's members are
+    built."""
+    strata = space.strata
+    return {s: strata[i].component for s, i in zip(f.domain.simplices, space.exact_strata)}
 
 
 def fiber_power_betti(f, p, engine="auto", cell_cap=None):

@@ -5,7 +5,8 @@ faces of every cell.  One greedy free-face collapse shrinks it (collapses
 preserve the homotopy type, so they change nothing but the matrix sizes),
 incidence signs are fixed on the core, and one assembly reads the Betti
 numbers off the ranks of the coboundary matrices, taken bottom up over the
-dimensions with clearing.  A simplicial complex is the case whose signs are
+dimensions with clearing; the rank in degree 0 is a component count of the
+1-skeleton, by union-find.  A simplicial complex is the case whose signs are
 known; a regular cell complex, such as a fiber power's cell model or a Reeb
 space's stratum poset, gets its signs by propagation around each cell's
 facet graph.  Ranks come from one fraction-free integer elimination
@@ -22,7 +23,7 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-from .complexes import simplex_key
+from .complexes import find_root, simplex_key
 from .errors import InvariantError
 
 
@@ -179,6 +180,8 @@ def _pivot_rows(columns):
                 g = 0
                 for v in col.values():
                     g = gcd(g, v)
+                    if g == 1:
+                        break
                 if g > 1:
                     col = {r: v // g for r, v in col.items()}
     return set(pivots)
@@ -197,10 +200,23 @@ def _betti_numbers(dims, boundaries):
     Within a dimension, cells are numbered in id order.  The ranks come from
     the coboundaries, bottom up: delta^d has the d-cells as columns and the
     (d+1)-cells as rows, and rank delta^d = rank of the boundary on the
-    (d+1)-cells.  Clearing: a d-cell that is the pivot row of a reduced
-    column of delta^(d-1) is a column of delta^d that lies in the span of the
-    columns before it (the reduced column is a cocycle with that lowest row),
-    so it would reduce to zero and is skipped.
+    (d+1)-cells.
+
+    Degree 0 needs no elimination: every 1-cell has boundary a - b for two
+    distinct 0-cells (anything else raises InvariantError), so rank delta^0
+    is the number of 0-cells minus the number of components of the
+    1-skeleton, the size of a spanning forest.  One union-find walks the
+    1-cells in descending id order and keeps those that join two trees.
+    Those forest 1-cells are cleared from delta^1: for a forest edge e, the
+    cut cochain of one side A of T - e, T the tree of e, is delta^0 of the
+    indicator of A, and e is its only forest edge.  Since delta^1 delta^0 =
+    0, delta^1 e lies in the span of the non-forest columns.
+
+    Higher degrees are cleared the same way (Chen and Kerber): a d-cell that
+    is the pivot row of a reduced column of delta^(d-1) is a column of
+    delta^d that lies in the span of the columns before it (the reduced
+    column is a cocycle with that lowest row), so it would reduce to zero
+    and is skipped.
     """
     by_dim = {}
     row = [0] * len(dims)
@@ -211,7 +227,19 @@ def _betti_numbers(dims, boundaries):
     top = max(by_dim, default=-1)
     ranks = [0] * (top + 2)
     cleared = ()
-    for d in range(top):
+    if top > 0:
+        parent = list(range(len(by_dim.get(0, ()))))
+        cleared = set()
+        for c in reversed(by_dim.get(1, ())):
+            ends = boundaries[c]
+            if len(ends) != 2 or sorted(ends.values()) != [-1, 1]:
+                raise InvariantError(f"1-cell {c} has boundary {ends}, not a - b")
+            a, b = (find_root(parent, row[g]) for g in ends)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                cleared.add(row[c])
+        ranks[1] = len(cleared)
+    for d in range(1, top):
         coboundary = [{} for _ in by_dim.get(d, ())]
         for c in by_dim.get(d + 1, ()):
             r = row[c]

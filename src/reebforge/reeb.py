@@ -10,6 +10,21 @@ the Betti numbers, its order complex triangulates the Reeb space, and the
 quotient map becomes a genuine simplicial map from the barycentric
 subdivision of K onto that triangulation.
 
+The components of S_tau are found inside E_tau = {sigma : f(sigma) = tau}.
+For sigma in S_tau let sigma|tau be the face spanned by the vertices of
+sigma over tau; it is a face of sigma with image exactly tau, so it lies in
+E_tau and in sigma's component.  If sigma <= sigma' inside S_tau, then
+sigma|tau <= sigma'|tau.  Inside E_tau, rho < rho' is a chain of
+image-keeping facets, each dropping a vertex whose image repeats, since
+every simplex between rho and rho' has image tau.  So a path in S_tau
+restricts to a path in E_tau under the image-keeping facet relation, and
+the components of S_tau are those of E_tau, one to one.  Simplex ids follow
+the canonical order, in which sigma|tau comes no later than sigma, so each
+component's smallest member has exact image tau and the components keep
+their order.  The stratum below stratum (tau, c) over a facet tau' of tau
+holds every member's restriction to tau', in particular the restriction of
+the smallest member.
+
 For a real-valued function the classical sweep is implemented independently:
 each simplex of the 2-skeleton, whose face relation determines level-set
 connectivity exactly, enters an active set at its lowest vertex level and
@@ -53,24 +68,40 @@ class Stratum:
 class ReebComplex:
     """The Reeb space of a simplicial map, with its quotient structure.
 
-    ``strata[i]`` names stratum i; ``stratum_members[i]`` is its component of
-    S_tau; ``poset`` orders strata by codomain-face inclusion and component
-    containment; and ``codomain_projection[i]`` recovers the codomain simplex
-    under stratum i.  The poset is the face poset of a regular cell complex
-    whose cell i has dimension dim tau_i, so ``betti`` works on it directly.
-    ``realization``, the order complex of the poset, and the quotient map
-    from sd(domain) onto it are built on first access (large inputs rarely
-    need them).
+    ``strata[i]`` names stratum i; ``exact_strata[j]`` is the stratum of
+    domain simplex j over its exact image; ``poset`` orders strata by
+    codomain-face inclusion and component containment; and
+    ``codomain_projection[i]`` recovers the codomain simplex under stratum i.
+    The poset is the face poset of a regular cell complex whose cell i has
+    dimension dim tau_i, so ``betti`` works on it directly.
+    ``stratum_members[i]``, stratum i's component of S_tau, ``realization``,
+    the order complex of the poset, and the quotient map from sd(domain)
+    onto it are built on first access (large inputs rarely need them).
     """
 
-    def __init__(self, source_map, strata, stratum_members, comp_of, stratum_id, poset):
+    def __init__(self, source_map, strata, exact_strata, poset):
         self.map = source_map
         self.strata = strata
-        self.stratum_members = stratum_members
+        self.exact_strata = exact_strata
         self.poset = poset
         self.codomain_projection = tuple(s.tau for s in strata)
-        self._comp_of = comp_of
-        self._stratum_id = stratum_id
+
+    @cached_property
+    def stratum_members(self):
+        """Each stratum's component of S_tau, in canonical order: sigma lies
+        in the stratum of sigma|tau, its face over tau (module docstring)."""
+        f = self.map
+        simps = f.domain.simplices
+        images = f.vertex_images
+        index = {s: i for i, s in enumerate(simps)}
+        members = [[] for _ in self.strata]
+        for s in simps:
+            image = f.image_simplex(s)
+            for k in range(1, len(image) + 1):
+                for tau in itertools.combinations(image, k):
+                    face = tuple(v for v in s if images[v] in tau)
+                    members[self.exact_strata[index[face]]].append(s)
+        return tuple(map(tuple, members))
 
     @cached_property
     def realization(self):
@@ -79,11 +110,7 @@ class ReebComplex:
     @cached_property
     def _quotient(self):
         sd, carrier = barycentric_subdivision(self.map.domain)
-        images = []
-        for i, s in enumerate(carrier):
-            tau = self.map.image_simplex(s)
-            images.append(self._stratum_id[(tau, self._comp_of[tau][i])])
-        return SimplicialMap(sd, self.realization, images), carrier
+        return SimplicialMap(sd, self.realization, self.exact_strata), carrier
 
     @property
     def quotient_map(self):
@@ -108,53 +135,52 @@ class ReebComplex:
 def reeb_space(f):
     """Construct the Reeb space of a simplicial map.
 
-    Strata are computed over every codomain simplex with nonempty S_tau and
-    ordered by their face relation; the order complex of that poset, the
-    realization, is left to be built on demand.  Each S_tau is up-closed, so
-    its components come from union-find over the domain's coface index; one
-    parent array serves every tau.
+    Strata are computed over every exact image tau and ordered by their face
+    relation; the order complex of that poset, the realization, is left to
+    be built on demand.  The components of S_tau are those of E_tau (module
+    docstring), found by one union-find per tau that joins each simplex of
+    E_tau to its image-keeping facets; one parent array serves every tau, so
+    each domain simplex is touched once.
     """
     simps = f.domain.simplices
-    buckets = {}
+    images = f.vertex_images
+    index = {s: i for i, s in enumerate(simps)}
+    groups = {}
+    keeping = []
     for i, s in enumerate(simps):
-        img = f.image_simplex(s)
-        for k in range(1, len(img) + 1):
-            for tau in itertools.combinations(img, k):
-                buckets.setdefault(tau, []).append(i)
+        image = f.image_simplex(s)
+        groups.setdefault(image, []).append(i)
+        if len(image) == len(s):
+            keeping.append(())
+            continue
+        over = [images[v] for v in s]
+        keeping.append(
+            [index[s[:j] + s[j + 1 :]] for j, w in enumerate(over) if over.count(w) > 1]
+        )
 
-    cofaces = f.domain.cofaces
     parent = list(range(len(simps)))
+    exact_strata = [0] * len(simps)
     strata = []
-    stratum_members = []
     heads = []
-    comp_of = {}
-    for tau in sorted(buckets, key=simplex_key):
-        table = {}
-        for ci, cls in enumerate(component_classes(buckets[tau], cofaces, parent)):
-            strata.append(Stratum(tau, ci))
-            stratum_members.append(tuple(simps[i] for i in cls))
-            heads.append(cls[0])
+    for tau in sorted(groups, key=simplex_key):
+        for ci, cls in enumerate(component_classes(groups[tau], keeping, parent)):
             for i in cls:
-                table[i] = ci
-        comp_of[tau] = table
+                exact_strata[i] = len(strata)
+            strata.append(Stratum(tau, ci))
+            heads.append(simps[cls[0]])
 
-    # Every stratum must contain a simplex mapping exactly onto its tau,
-    # otherwise the quotient map could not reach it.
-    for stratum, members in zip(strata, stratum_members):
-        if all(f.image_simplex(s) != stratum.tau for s in members):
-            raise InvariantError(f"stratum {stratum} has no exact-image member")
-
-    stratum_id = {(s.tau, s.component): i for i, s in enumerate(strata)}
     covers = []
-    for sid, stratum in enumerate(strata):
+    for sid, (stratum, head) in enumerate(zip(strata, heads)):
         tau = stratum.tau
+        # The quotient map reaches a stratum through its exact-image members.
+        if f.image_simplex(head) != tau:
+            raise InvariantError(f"stratum {stratum} has no exact-image member")
         if len(tau) > 1:
-            head = heads[sid]
-            for facet in itertools.combinations(tau, len(tau) - 1):
-                lower = stratum_id[(facet, comp_of[facet][head])]
-                covers.append((lower, sid))
+            for t in tau:
+                face = tuple(v for v in head if images[v] != t)
+                covers.append((exact_strata[index[face]], sid))
     poset = Poset(strata, covers)
-    return ReebComplex(f, tuple(strata), tuple(stratum_members), comp_of, stratum_id, poset)
+    return ReebComplex(f, tuple(strata), tuple(exact_strata), poset)
 
 
 def fiber_components_at(f, tau):

@@ -8,7 +8,9 @@ and a coordinate-level triangulation of fiber powers.  ``reeb_graph_rescan``
 is the per-level rescan that the event sweep in ``reebforge.reeb`` replaced,
 and ``partition_up_closed`` the per-family sort-and-index partition that the
 package's coface-index union-find replaced; both are kept to check the
-production paths against.  Likewise ``fiber_power_cells_tuples`` is the
+production paths against.  ``reeb_space_scan`` is the Reeb-space
+construction that partitioned every S_tau = {sigma : tau inside f(sigma)},
+before the strata came from the exact-image groups alone.  Likewise ``fiber_power_cells_tuples`` is the
 tuple-keyed fiber-power cell enumerator that mixed-radix cell ids replaced,
 and ``collapse_face_poset_sets`` the collapse that kept a set of covers per
 cell, with the same optional key.  ``betti_numbers_uncleared`` is the
@@ -26,7 +28,8 @@ from fractions import Fraction
 from math import gcd
 from itertools import combinations, product
 
-from reebforge.reeb import ReebGraph, ReebNode
+from reebforge.complexes import Poset
+from reebforge.reeb import ReebComplex, ReebGraph, ReebNode, Stratum
 
 
 class UnionFind:
@@ -573,3 +576,47 @@ def reeb_graph_rescan(g):
         i = level_of_value[g.values[v]]
         vertex_to_node[v] = node_id[(i, level_class[i][(v,)])]
     return ReebGraph(tuple(nodes), tuple(edges), vertex_to_node)
+
+
+def reeb_space_scan(f):
+    """The Reeb space of f from a partition of every S_tau.
+
+    S_tau = {sigma : tau inside f(sigma)} is gathered for every face tau of
+    every image and split into components under the face relation; stratum
+    (tau, c) is the c-th class in the canonical order of first members.  A
+    stratum covers the stratum over each facet of tau that holds its first
+    member, and each simplex goes to the stratum over its exact image that
+    holds it.  Returns (space, members): a ReebComplex with these strata,
+    covers and quotient images, and each stratum's class as a tuple.
+    """
+    simplices = f.domain.simplices
+    buckets = {}
+    for s in simplices:
+        image = f.image_simplex(s)
+        for k in range(1, len(image) + 1):
+            for tau in combinations(image, k):
+                buckets.setdefault(tau, []).append(s)
+    strata = []
+    members = []
+    comp_of = {}
+    for tau in sorted(buckets, key=lambda t: (len(t), t)):
+        table = {}
+        for c, cls in enumerate(partition_up_closed(buckets[tau])):
+            strata.append(Stratum(tau, c))
+            members.append(tuple(cls))
+            for s in cls:
+                table[s] = c
+        comp_of[tau] = table
+    stratum_id = {(st.tau, st.component): i for i, st in enumerate(strata)}
+    for stratum, cls in zip(strata, members):
+        assert any(f.image_simplex(s) == stratum.tau for s in cls), stratum
+    covers = []
+    for i, (stratum, cls) in enumerate(zip(strata, members)):
+        tau = stratum.tau
+        for facet in combinations(tau, len(tau) - 1) if len(tau) > 1 else ():
+            covers.append((stratum_id[(facet, comp_of[facet][cls[0]])], i))
+    exact = [
+        stratum_id[(f.image_simplex(s), comp_of[f.image_simplex(s)][s])] for s in simplices
+    ]
+    space = ReebComplex(f, tuple(strata), tuple(exact), Poset(strata, covers))
+    return space, tuple(members)

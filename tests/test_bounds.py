@@ -1,8 +1,10 @@
 import math
+import time
 
 import pytest
 
 from reebforge import (
+    BudgetExceededError,
     InvalidParamsError,
     ZeroPolynomialError,
     bound_closed,
@@ -12,7 +14,7 @@ from reebforge import (
     count_distinct_real_roots,
     univariate_sign_components,
 )
-from reebforge.bounds import BoundParams, bound_report
+from reebforge.bounds import _CAP_BITS, MAX_BOUND_DIGITS, BoundParams, bound_report
 
 X = [0, 1]  # the polynomial X in ascending coefficients
 
@@ -156,3 +158,39 @@ def test_bound_report_writes_values_past_the_int_str_limit():
     value = bound_reeb(10, 10, 3, 3, 5)
     report = bound_report("reeb", value, s=10, d=10, n=3, m=3, c=5)
     assert report["value"] == "1" + "0" * 15552
+
+
+def test_bound_reeb_digit_counts_below_the_cap():
+    # (10 * 10) ** (6 ** c) = 10 ** (2 * 6 ** c) has 2 * 6 ** c + 1 digits.
+    for c, digits in ((5, 15_553), (6, 93_313), (7, 559_873)):
+        value = bound_reeb(10, 10, 3, 3, c)
+        assert value == 10 ** (2 * 6**c)
+        assert digits == 2 * 6**c + 1 <= MAX_BOUND_DIGITS
+    assert len(bound_report("reeb", bound_reeb(10, 10, 3, 3, 6))["value"]) == 93_313
+
+
+@pytest.mark.parametrize("c", [8, 100, 10**12])
+def test_bound_reeb_refuses_values_past_the_digit_cap_at_once(c):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        bound_reeb(10, 10, 3, 3, c)
+    assert time.perf_counter() - start < 1.0
+    exc = info.value
+    assert (exc.stage, exc.cap, exc.count) == ("bound digits", MAX_BOUND_DIGITS, None)
+    assert str(exc) == f"bound digits exceed the cap of {MAX_BOUND_DIGITS}"
+
+
+def test_bound_reeb_digit_cap_is_exact_at_the_boundary():
+    # 10 ** 999_999 has exactly MAX_BOUND_DIGITS digits; 10 ** 1_000_000 has
+    # one more.  Both exponents fall between the bit-length brackets, so the
+    # values are compared exactly.
+    assert (10**MAX_BOUND_DIGITS).bit_length() == _CAP_BITS
+    assert bound_reeb(10, 1, 999_998, 1, 1) == 10**999_999
+    with pytest.raises(BudgetExceededError):
+        bound_reeb(10, 1, 999_999, 1, 1)
+
+
+def test_bound_reeb_of_base_one_is_one_for_any_exponent():
+    assert bound_reeb(1, 1, 3, 3, 40) == 1
+    assert bound_reeb(1, 1, 3, 3, 10**18) == 1
+

@@ -379,3 +379,18 @@ def test_regular_cw_betti_on_a_square_complex():
 def test_regular_cw_betti_rejects_broken_posets(dims, facets, message):
     with pytest.raises(InvariantError, match=message):
         regular_cw_betti(dims, facets)
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [{0: 1}, {0: 1, 1: 1}, {0: 2, 1: -2}, {0: 1, 1: -1, 2: 1}],
+    ids=["one_endpoint", "same_signs", "not_unit", "three_endpoints"],
+)
+def test_betti_numbers_rejects_malformed_one_cells(boundary):
+    # Degree 0 is ranked by union-find on the 1-cells' endpoints, which
+    # holds only for boundaries a - b.
+    dims = [0, 0, 0, 1]
+    boundaries = [{}, {}, {}, boundary]
+    with pytest.raises(InvariantError, match="1-cell 3 has boundary"):
+        homology._betti_numbers(dims, boundaries)
+

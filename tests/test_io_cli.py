@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,17 @@ def test_cli_bounds(capsys):
         capsys,
     )
     assert json.loads(out)["value"] == "16"
+
+
+@pytest.mark.parametrize("c", ["8", "100"])
+def test_cli_bounds_reeb_past_the_digit_cap_exits_3_at_once(capsys, c):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["bounds", "reeb", "--s", "10", "--d", "10", "--n", "3", "--m", "3", "-c", c], capsys
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "bound digits exceed the cap of 1000000" in err
 
 
 def test_cli_bounds_invalid_params(capsys):

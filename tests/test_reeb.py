@@ -47,6 +47,7 @@ from .oracles import (
     level_component_count,
     partition_up_closed,
     reeb_graph_rescan,
+    reeb_space_scan,
 )
 from .test_homology import simplicial_complexes
 
@@ -365,6 +366,64 @@ def test_strata_and_fiber_components_match_oracle_partition(build):
         want = partition_up_closed([s for s, image in images if image.issuperset(tau)])
         assert strata_by_tau.get(tau, []) == want
         assert fiber_components_at(f, tau) == want
+
+
+# The strata from the exact-image groups against the S_tau scan they
+# replaced.
+
+
+def assert_reeb_space_matches_scan(f, quotient=True):
+    space = reeb_space(f)
+    want, members = reeb_space_scan(f)
+    assert space.strata == want.strata
+    assert space.poset.covers == want.poset.covers
+    assert space.exact_strata == want.exact_strata
+    assert space.stratum_members == members
+    assert space.betti() == want.betti()
+    if quotient:
+        assert space.quotient_map.vertex_images == want.exact_strata
+
+
+@pytest.mark.parametrize(
+    "build, quotient",
+    [
+        *(pytest.param(lambda s=s: random_map(s), True, id=f"random{s}") for s in range(50)),
+        pytest.param(lambda: disk_collapse(1), True, id="disk1"),
+        pytest.param(lambda: disk_collapse(2), True, id="disk2"),
+        pytest.param(lambda: torus_height()[1], True, id="torus"),
+        # sd(X) of the product has 1.5 million simplices: its quotient
+        # images are compared through ``exact_strata`` alone.
+        pytest.param(lambda: product_power(disk_collapse(2), 2), False, id="product"),
+        *(
+            pytest.param(
+                lambda s=s: pl_as_simplicial_map(random_function(s)).map, True, id=f"sliced{s}"
+            )
+            for s in range(10)
+        ),
+    ],
+)
+def test_reeb_space_matches_s_tau_scan(build, quotient):
+    assert_reeb_space_matches_scan(build(), quotient)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_reeb_space_matches_s_tau_scan_on_random_maps(seed):
+    assert_reeb_space_matches_scan(random_map(seed))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: disk_collapse(2), lambda: product_power(disk_collapse(2), 2), lambda: random_map(3)],
+    ids=["disk2", "product", "random3"],
+)
+def test_reeb_space_builds_no_coface_index(build):
+    f = build()
+    assert f.domain._cofaces is None
+    space = reeb_space(f)
+    space.betti()
+    space.stratum_members
+    assert f.domain._cofaces is None
 
 
 # The event sweep against the per-level rescan it replaced.
