@@ -120,7 +120,7 @@ class SimplicialComplex:
             self._check()
 
     @classmethod
-    def _from_canonical(cls, num_vertices, simplices):
+    def _from_canonical(cls, num_vertices, simplices, coordinates=None):
         """A complex on simplices already known to be canonical and in range.
 
         Nothing is re-sorted or re-checked; the caller vouches for the input.
@@ -128,7 +128,9 @@ class SimplicialComplex:
         self = cls.__new__(cls)
         self.num_vertices = num_vertices
         self.simplex_set = frozenset(simplices)
-        self.coordinates = None
+        if coordinates is not None:
+            coordinates = tuple(tuple(Fraction(c) for c in point) for point in coordinates)
+        self.coordinates = coordinates
         self._sorted = None
         self._by_dim = None
         self._cofaces = None
@@ -141,6 +143,9 @@ class SimplicialComplex:
         for s in self.simplex_set:
             if s[0] < 0 or s[-1] >= self.num_vertices:
                 raise VertexOutOfRangeError(f"simplex {s} outside 0..{self.num_vertices - 1}")
+        self._check_faces_and_coordinates()
+
+    def _check_faces_and_coordinates(self):
         # Facet closure implies full face closure by induction on dimension.
         for s in self.simplex_set:
             if len(s) > 1:
@@ -265,24 +270,29 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
     """Build a SimplicialComplex from raw input, loudly.
 
     Raw simplices must not repeat; absent faces are an error unless
-    ``close_faces`` asks for downward completion.
+    ``close_faces`` asks for downward completion.  Each simplex is
+    canonicalised once, here, and the complex is built on the results.
     """
+    num_vertices = int(num_vertices)
     canon = [canonical_simplex(s) for s in simplices]
-    seen = set()
+    unique = set()
     for s in canon:
-        if s in seen:
+        if s in unique:
             raise DuplicateSimplexError(f"simplex {s} listed twice")
-        seen.add(s)
+        unique.add(s)
     for s in canon:
         if s[0] < 0 or s[-1] >= num_vertices:
             raise VertexOutOfRangeError(f"simplex {s} outside 0..{num_vertices - 1}")
+    if num_vertices < 0:
+        raise VertexOutOfRangeError("negative vertex count")
     if close_faces:
-        closed = set()
         for s in canon:
-            for k in range(1, len(s) + 1):
-                closed.update(itertools.combinations(s, k))
-        canon = closed
-    return SimplicialComplex(num_vertices, canon, coordinates=coordinates)
+            for k in range(1, len(s)):
+                unique.update(itertools.combinations(s, k))
+    # The simplices are canonical and in range: build on them as they are.
+    complex_ = SimplicialComplex._from_canonical(num_vertices, unique, coordinates)
+    complex_._check_faces_and_coordinates()
+    return complex_
 
 
 class SimplicialMap:
@@ -345,6 +355,39 @@ def check_simplicial(domain, codomain, vertex_images):
     return SimplicialMap(domain, codomain, vertex_images)
 
 
+def _edge_checked_map(domain, codomain, vertex_images, edges):
+    """A vertex map the package built into a flag complex, checked edge by edge.
+
+    ``edges`` yields every edge (i, j) of the domain, each at least once.
+    The codomain must be flag: a vertex set whose members are pairwise
+    joined by edges is a simplex.  Then the map is simplicial exactly when
+    every image is a codomain vertex and every domain edge maps onto a vertex
+    or an edge.  One way is plain.  For the other, two distinct image
+    vertices of a domain simplex are the images of two of its vertices,
+    which span one of its edges; so the image is a set of codomain vertices
+    pairwise joined by edges, and a simplex since the codomain is flag.  A
+    failure is the engine's, not the input's, so it raises InvariantError
+    naming the edge and its images.
+    """
+    f = SimplicialMap(domain, codomain, vertex_images, check=False)
+    images = f.vertex_images
+    targets = codomain.simplex_set
+    if len(images) != domain.num_vertices:
+        raise InvariantError(f"{len(images)} images for {domain.num_vertices} domain vertices")
+    for w in set(images):
+        if (w,) not in targets:
+            raise InvariantError(
+                f"domain vertex {images.index(w)} maps to {w}, not a codomain vertex"
+            )
+    for i, j in edges:
+        a, b = images[i], images[j]
+        if a != b and ((a, b) if a < b else (b, a)) not in targets:
+            raise InvariantError(
+                f"domain edge ({i}, {j}) maps to {a} and {b}, not a codomain simplex"
+            )
+    return f
+
+
 @dataclass(frozen=True)
 class PLFunction:
     """A piecewise-linear function given by one rational value per vertex."""
@@ -389,17 +432,23 @@ def barycentric_subdivision(complex_):
     input simplex behind sd vertex i.
     """
     carrier = complex_.simplices
-    index = {s: i for i, s in enumerate(carrier)}
-    # ups[i]: sd vertices of the proper cofaces of carrier[i], ascending.
+    # ups[i]: sd vertices of the proper cofaces of carrier[i], ascending,
+    # as the cofaces come in id order.
     ups = [[] for _ in carrier]
-    for s in carrier:
-        i = index[s]
-        n = len(s)
-        for k in range(1, n):
-            for face in itertools.combinations(s, k):
-                ups[index[face]].append(i)
-    ups = [tuple(sorted(u)) for u in ups]
+    for i, j in _face_pairs(carrier):
+        ups[i].append(j)
     return _complex_of_chains(len(carrier), ups), carrier
+
+
+def _face_pairs(carrier):
+    """(face id, coface id) for every proper face pair of a canonical
+    simplex list, cofaces in id order: the edges of its barycentric
+    subdivision."""
+    index = {s: i for i, s in enumerate(carrier)}
+    for j, s in enumerate(carrier):
+        for k in range(1, len(s)):
+            for face in itertools.combinations(s, k):
+                yield index[face], j
 
 
 def _complex_of_chains(n, ups, cap=None, labels=None):

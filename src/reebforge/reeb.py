@@ -45,6 +45,8 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     _complex_of_chains,
+    _edge_checked_map,
+    _face_pairs,
     barycentric_subdivision,
     canonical_simplex,
     component_classes,
@@ -109,8 +111,22 @@ class ReebComplex:
 
     @cached_property
     def _quotient(self):
+        """The quotient map sd(domain) -> realization, sending sd vertex j,
+        domain simplex j, to its stratum over its exact image.
+
+        The realization is an order complex, and so flag: pairwise
+        comparable strata form a chain.  So the map is checked on the edges
+        of sd(domain), the face pairs rho < sigma, alone, and each maps
+        onto one stratum or two comparable ones.  Let t = f(rho), a face of
+        T = f(sigma).  Inside E_t, rho is a face of sigma|t, so both lie in
+        the stratum over t that holds sigma (module docstring).  Along a
+        chain of facets from T down to t, the stratum holding sigma over
+        each face lies above the one over the next, since a stratum's cover
+        over a facet holds the restrictions of all its members, sigma's too.
+        """
         sd, carrier = barycentric_subdivision(self.map.domain)
-        return SimplicialMap(sd, self.realization, self.exact_strata), carrier
+        q = _edge_checked_map(sd, self.realization, self.exact_strata, _face_pairs(carrier))
+        return q, carrier
 
     @property
     def quotient_map(self):
@@ -426,6 +442,12 @@ def pl_as_simplicial_map(g):
     The domain complex is subdivided along every level of a vertex value, so
     each new simplex maps into a single closed cell of the codomain path; the
     resulting map has the same Reeb space as g.
+
+    The map is checked on the comparable cell pairs, the domain's edges,
+    alone.  The path is flag: its only edges join c and c + 1, so no three
+    vertices are pairwise joined.  A level cell's up-set holds cells at
+    c - 1, c and c + 1 only, and a gap cell's at c only, so each edge maps
+    onto a vertex or an edge of the path, and then every chain does.
     """
     k = g.complex
     if not k.simplex_set:
@@ -490,4 +512,6 @@ def pl_as_simplicial_map(g):
 
     sliced = _complex_of_chains(len(cells), ups)
     images = [c for (_, c) in cells]
-    return LevelSliceModel(SimplicialMap(sliced, path, images), tuple(codomain_levels), tuple(cells))
+    edges = ((i, j) for i, up in enumerate(ups) for j in up)
+    f = _edge_checked_map(sliced, path, images, edges)
+    return LevelSliceModel(f, tuple(codomain_levels), tuple(cells))

@@ -17,6 +17,7 @@ from reebforge import (
     SimplicialComplex,
     SimplicialMap,
     UnknownSimplexError,
+    ValueCountMismatchError,
     VertexOutOfRangeError,
     barycentric_subdivision,
     check_simplicial,
@@ -25,7 +26,12 @@ from reebforge import (
     staircase_product,
     validate_complex,
 )
-from reebforge.complexes import _complex_of_chains, simplex_key
+from reebforge.complexes import (
+    _complex_of_chains,
+    _edge_checked_map,
+    _face_pairs,
+    simplex_key,
+)
 from reebforge.fixtures import (
     boundary_delta3,
     circle,
@@ -395,3 +401,71 @@ def test_skeleton():
     for k in (full_simplex(3), grid_torus(3, 3), SimplicialComplex(0, [])):
         assert k.skeleton(k.dim) is k
         assert k.skeleton(k.dim + 1) is k
+
+
+# The edge check against the full check, on maps into flag complexes: order
+# complexes of random posets, and paths.
+
+
+@st.composite
+def maps_into_flag_complexes(draw):
+    tops = draw(
+        st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=8)
+    )
+    domain = SimplicialComplex(
+        7, {face for top in tops for k in range(1, len(top) + 1)
+            for face in itertools.combinations(sorted(top), k)}
+    )
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        relations = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        codomain = Poset(range(n), [(a, b) for a, b in relations if a < b]).order_complex()
+    else:
+        codomain = path_complex(n)
+    if draw(st.booleans()):
+        # Into one codomain simplex: always simplicial until corrupted.
+        target = draw(st.sampled_from(codomain.simplices))
+        images = draw(st.lists(st.sampled_from(target), min_size=7, max_size=7))
+    else:
+        images = draw(st.lists(st.integers(0, n - 1), min_size=7, max_size=7))
+    corruption = draw(st.sampled_from(["none", "one_image", "too_few", "too_many"]))
+    if corruption == "one_image":
+        images[draw(st.integers(0, 6))] = draw(st.integers(-1, n))
+    elif corruption == "too_few":
+        images.pop()
+    elif corruption == "too_many":
+        images.append(0)
+    return domain, codomain, images
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(maps_into_flag_complexes())
+def test_edge_check_agrees_with_full_check(case):
+    domain, codomain, images = case
+    edges = [s for s in domain.simplex_set if len(s) == 2]
+    try:
+        full = SimplicialMap(domain, codomain, images, check=True)
+    except (NotSimplicialError, VertexOutOfRangeError, ValueCountMismatchError):
+        full = None
+    try:
+        fast = _edge_checked_map(domain, codomain, images, edges)
+    except InvariantError:
+        fast = None
+    assert fast == full
+
+
+def test_edge_check_names_the_edge_and_its_images():
+    path = path_complex(4)
+    domain = path_complex(3)
+    with pytest.raises(InvariantError, match=r"domain edge \(1, 2\) maps to 1 and 3"):
+        _edge_checked_map(domain, path, [0, 1, 3], [(0, 1), (1, 2)])
+    with pytest.raises(InvariantError, match="domain vertex 2 maps to 4, not a codomain vertex"):
+        _edge_checked_map(domain, path, [0, 1, 4], [(0, 1), (1, 2)])
+    with pytest.raises(InvariantError, match="2 images for 3 domain vertices"):
+        _edge_checked_map(domain, path, [0, 1], [(0, 1), (1, 2)])
+
+
+def test_face_pairs_are_the_edges_of_the_subdivision():
+    for k in (circle(4), boundary_delta3(), minimal_torus(), full_simplex(3)):
+        sd, carrier = barycentric_subdivision(k)
+        assert sorted(_face_pairs(carrier)) == sorted(s for s in sd.simplex_set if len(s) == 2)

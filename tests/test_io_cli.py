@@ -8,9 +8,25 @@ from fractions import Fraction
 import pytest
 
 import reebforge
-from reebforge import FormatError, InvariantError, Poset
+from reebforge import (
+    DuplicateSimplexError,
+    FormatError,
+    InvalidSimplexError,
+    InvariantError,
+    MissingFaceError,
+    Poset,
+    SimplicialComplex,
+    ValueCountMismatchError,
+    VertexOutOfRangeError,
+)
 from reebforge.cli import main
-from reebforge.fixtures import boundary_delta3, disk_collapse, torus_height
+from reebforge.fixtures import (
+    FixtureSpec,
+    boundary_delta3,
+    build_fixture,
+    disk_collapse,
+    torus_height,
+)
 from reebforge.io import (
     complex_from_doc,
     complex_to_doc,
@@ -449,3 +465,97 @@ def test_cli_rejects_slicing_an_empty_complex(tmp_path):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("reebforge: error:")
+
+
+# A parsed complex is built on the canonical simplices that the validator
+# made, without canonicalising them again.  Every malformed complex still
+# raises its error, and every emitted fixture parses to the complex that the
+# checked constructor builds.
+
+MALFORMED_COMPLEXES = {
+    "duplicate": (
+        {"simplices": [[0], [1], [0, 1], [1, 0]]}, False,
+        DuplicateSimplexError, "simplex (0, 1) listed twice",
+    ),
+    "repeated_vertex": (
+        {"simplices": [[0], [0, 0]]}, False,
+        InvalidSimplexError, "repeated vertex id 0 in simplex (0, 0)",
+    ),
+    "empty_simplex": ({"simplices": [[0], []]}, False, InvalidSimplexError, "empty simplex"),
+    "out_of_range": (
+        {"num_vertices": 2, "simplices": [[0], [1], [0, 2]]}, False,
+        VertexOutOfRangeError, "simplex (0, 2) outside 0..1",
+    ),
+    "negative_id": (
+        {"num_vertices": 2, "simplices": [[-1], [0]]}, False,
+        VertexOutOfRangeError, "simplex (-1,) outside 0..1",
+    ),
+    "out_of_range_closing_faces": (
+        {"num_vertices": 2, "simplices": [[2, 0]]}, True,
+        VertexOutOfRangeError, "simplex (0, 2) outside 0..1",
+    ),
+    "missing_face": (
+        {"simplices": [[0], [1], [2], [0, 1], [0, 2], [0, 1, 2]]}, False,
+        MissingFaceError, "face (1, 2) of (0, 1, 2) is missing",
+    ),
+    "coordinate_arity": (
+        {"simplices": [[0]], "vertices": [["1", "2"]], "ambient_dim": 3}, False,
+        FormatError, "coordinate arity disagrees with 'ambient_dim'",
+    ),
+    "coordinate_count": (
+        {"num_vertices": 2, "simplices": [[0], [1]], "vertices": [["1"]]}, False,
+        ValueCountMismatchError, "one coordinate point per vertex required",
+    ),
+    "mixed_dimensions": (
+        {"simplices": [[0], [1]], "vertices": [["1"], ["1", "2"]]}, False,
+        InvalidSimplexError, "coordinate points have mixed ambient dimensions",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEXES))
+def test_malformed_complex_raises_its_error_and_message(case):
+    doc, close_faces, error, message = MALFORMED_COMPLEXES[case]
+    with pytest.raises(error) as info:
+        complex_from_doc(json.loads(json.dumps(doc)), close_faces=close_faces)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def checked_rebuild(complex_):
+    return SimplicialComplex(
+        complex_.num_vertices, complex_.simplex_set, coordinates=complex_.coordinates
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FixtureSpec("disk_collapse", {"n": 1}),
+        FixtureSpec("disk_collapse", {"n": 2}),
+        FixtureSpec("product_power", {"n": 1, "k": 3}),
+        FixtureSpec("product_power", {"n": 2, "k": 2}),
+        FixtureSpec("torus_height"),
+        *(FixtureSpec("random_map", {"seed": seed}) for seed in range(5)),
+    ],
+    ids=lambda spec: "-".join([spec.name, *map(str, spec.parameters.values())]),
+)
+def test_parsed_fixtures_equal_the_checked_constructor(spec):
+    for kind, artifact in build_fixture(spec).items():
+        text = dumps_report((map_to_doc if kind == "map" else function_to_doc)(artifact))
+        doc = parse_document(text)
+        if kind == "map":
+            parsed = map_from_doc(doc)
+            complexes = [(parsed.domain, doc["domain"]), (parsed.codomain, doc["codomain"])]
+        else:
+            parsed = function_from_doc(doc)
+            complexes = [(parsed.complex, doc["complex"])]
+        assert parsed == artifact
+        for complex_, complex_doc in complexes:
+            want = SimplicialComplex(
+                complex_doc["num_vertices"],
+                complex_doc["simplices"],
+                coordinates=complex_.coordinates,
+            )
+            assert complex_ == want == checked_rebuild(complex_)
+            assert complex_.simplices == want.simplices

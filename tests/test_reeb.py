@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from reebforge import (
     EmptyComplexError,
+    InvariantError,
     PLFunction,
+    ReebComplex,
     SimplicialComplex,
     SimplicialMap,
     UnknownSimplexError,
@@ -40,6 +43,8 @@ from reebforge.fixtures import (
     random_map,
     torus_height,
 )
+from reebforge import reeb
+from reebforge.complexes import _face_pairs
 from reebforge.io import reeb_graph_to_dot
 
 from .oracles import (
@@ -384,24 +389,24 @@ def assert_reeb_space_matches_scan(f, quotient=True):
         assert space.quotient_map.vertex_images == want.exact_strata
 
 
-@pytest.mark.parametrize(
-    "build, quotient",
-    [
-        *(pytest.param(lambda s=s: random_map(s), True, id=f"random{s}") for s in range(50)),
-        pytest.param(lambda: disk_collapse(1), True, id="disk1"),
-        pytest.param(lambda: disk_collapse(2), True, id="disk2"),
-        pytest.param(lambda: torus_height()[1], True, id="torus"),
-        # sd(X) of the product has 1.5 million simplices: its quotient
-        # images are compared through ``exact_strata`` alone.
-        pytest.param(lambda: product_power(disk_collapse(2), 2), False, id="product"),
-        *(
-            pytest.param(
-                lambda s=s: pl_as_simplicial_map(random_function(s)).map, True, id=f"sliced{s}"
-            )
-            for s in range(10)
-        ),
-    ],
-)
+SCAN_CASES = [
+    *(pytest.param(lambda s=s: random_map(s), True, id=f"random{s}") for s in range(50)),
+    pytest.param(lambda: disk_collapse(1), True, id="disk1"),
+    pytest.param(lambda: disk_collapse(2), True, id="disk2"),
+    pytest.param(lambda: torus_height()[1], True, id="torus"),
+    # sd(X) of the product has 1.5 million simplices: the scan compares its
+    # quotient images through ``exact_strata`` alone.
+    pytest.param(lambda: product_power(disk_collapse(2), 2), False, id="product"),
+    *(
+        pytest.param(
+            lambda s=s: pl_as_simplicial_map(random_function(s)).map, True, id=f"sliced{s}"
+        )
+        for s in range(10)
+    ),
+]
+
+
+@pytest.mark.parametrize("build, quotient", SCAN_CASES)
 def test_reeb_space_matches_s_tau_scan(build, quotient):
     assert_reeb_space_matches_scan(build(), quotient)
 
@@ -410,6 +415,60 @@ def test_reeb_space_matches_s_tau_scan(build, quotient):
 @given(st.integers(min_value=0, max_value=2**32))
 def test_reeb_space_matches_s_tau_scan_on_random_maps(seed):
     assert_reeb_space_matches_scan(random_map(seed))
+
+
+# The quotient map is checked on the edges of sd(domain) alone; it must equal
+# the map that the full check accepts, and a corrupted stratum list must
+# fail on an edge.
+
+
+@pytest.mark.parametrize("build, _quotient", SCAN_CASES)
+def test_quotient_map_equals_its_checked_rebuild(build, _quotient):
+    space = reeb_space(build())
+    sd, carrier = barycentric_subdivision(space.map.domain)
+    assert space.sd_carrier == carrier
+    assert space.quotient_map == SimplicialMap(
+        sd, space.realization, space.exact_strata, check=True
+    )
+
+
+def named_edge(err):
+    match = re.fullmatch(r"domain edge \((\d+), (\d+)\) maps to (\d+) and (\d+), .*", str(err))
+    assert match, str(err)
+    return tuple(map(int, match.groups()))
+
+
+def first_incomparable_swap(space):
+    """The stratum list with two entries swapped so that a face pair of the
+    domain lands on two incomparable strata; the first such swap."""
+    exact = space.exact_strata
+    realization = space.realization.simplex_set
+    pairs = list(_face_pairs(space.map.domain.simplices))
+    for j in range(len(exact)):
+        for k in range(j):
+            swapped = list(exact)
+            swapped[j], swapped[k] = exact[k], exact[j]
+            for a, b in pairs:
+                wa, wb = swapped[a], swapped[b]
+                if wa != wb and (min(wa, wb), max(wa, wb)) not in realization:
+                    return swapped
+    raise AssertionError("no swap breaks the quotient map")
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: disk_collapse(2), lambda: random_map(0)], ids=["disk2", "random0"]
+)
+def test_quotient_with_swapped_strata_raises_on_an_incomparable_edge(build):
+    space = reeb_space(build())
+    swapped = first_incomparable_swap(space)
+    broken = ReebComplex(space.map, space.strata, tuple(swapped), space.poset)
+    with pytest.raises(InvariantError) as info:
+        broken.quotient_map
+    a, b, wa, wb = named_edge(info.value)
+    simps = space.map.domain.simplices
+    assert set(simps[a]) < set(simps[b])
+    assert (wa, wb) == (swapped[a], swapped[b])
+    assert wa != wb and (min(wa, wb), max(wa, wb)) not in space.realization.simplex_set
 
 
 @pytest.mark.parametrize(
@@ -544,6 +603,38 @@ def test_slice_matches_checked_rebuild_on_random_and_named_functions():
     for seed in range(10):
         assert_slice_matches_checked_rebuild(random_function(seed))
     assert_slice_matches_checked_rebuild(torus_height()[0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: random_function(0), lambda: grid_torus_function(4, "shuffled"),
+     lambda: torus_height()[0]],
+    ids=["random0", "torus4", "height"],
+)
+def test_slice_with_an_image_shifted_by_two_raises_on_an_edge(build, monkeypatch):
+    g = build()
+    f = pl_as_simplicial_map(g).map
+    images = f.vertex_images
+    top = f.codomain.num_vertices
+    edges = [s for s in f.domain.simplex_set if len(s) == 2]
+    # The first cell that can move up by two and has a comparable cell at
+    # or below its own level.
+    i = min(
+        v for e in edges for v, w in (e, e[::-1])
+        if images[v] + 2 < top and images[w] <= images[v]
+    )
+    shifted = list(images)
+    shifted[i] += 2
+    check = reeb._edge_checked_map
+    monkeypatch.setattr(
+        reeb, "_edge_checked_map", lambda d, c, _images, e: check(d, c, shifted, e)
+    )
+    with pytest.raises(InvariantError) as info:
+        pl_as_simplicial_map(g)
+    a, b, wa, wb = named_edge(info.value)
+    assert i in (a, b)
+    assert (wa, wb) == (shifted[a], shifted[b])
+    assert abs(wa - wb) >= 2
 
 
 def test_slice_of_empty_complex_is_a_typed_error():
