@@ -5,7 +5,6 @@ no floating point appears anywhere in the pipeline or its outputs.
 """
 
 from .bounds import (
-    BoundParams,
     bound_closed,
     bound_general,
     bound_reeb,
@@ -20,7 +19,6 @@ from .complexes import (
     SimplicialMap,
     StaircaseProduct,
     barycentric_subdivision,
-    check_simplicial,
     connected_components,
     staircase_product,
     validate_complex,
@@ -34,7 +32,6 @@ from .errors import (
     InvalidSimplexError,
     InvariantError,
     MissingFaceError,
-    NonMonotoneMapError,
     NotSimplicialError,
     ReebForgeError,
     UnknownSimplexError,

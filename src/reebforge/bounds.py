@@ -10,7 +10,6 @@ and the cell count of the induced partition of the line follows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -21,21 +20,6 @@ from .errors import BudgetExceededError, InvalidParamsError, ZeroPolynomialError
 # 10 ** MAX_BOUND_DIGITS: 2 ** (_CAP_BITS - 1) < 10 ** MAX_BOUND_DIGITS < 2 ** _CAP_BITS.
 MAX_BOUND_DIGITS = 1_000_000
 _CAP_BITS = 3_321_929
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameters shared by the bound evaluators; all strictly positive."""
-
-    s: int = 1
-    d: int = 1
-    k: int = 1
-    n: int = 1
-    m: int = 1
-    c: int = 1
-
-    def __post_init__(self):
-        _require_positive(**asdict(self))
 
 
 def _require_positive(**params):

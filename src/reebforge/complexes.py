@@ -20,7 +20,6 @@ from .errors import (
     InvalidSimplexError,
     InvariantError,
     MissingFaceError,
-    NonMonotoneMapError,
     NotSimplicialError,
     UnknownSimplexError,
     ValueCountMismatchError,
@@ -106,18 +105,9 @@ class SimplicialComplex:
         "num_vertices", "simplex_set", "coordinates", "_sorted", "_by_dim", "_cofaces", "_maximal"
     )
 
-    def __init__(self, num_vertices, simplices, coordinates=None, check=True):
-        self.num_vertices = int(num_vertices)
-        self.simplex_set = frozenset(canonical_simplex(s) for s in simplices)
-        if coordinates is not None:
-            coordinates = tuple(tuple(Fraction(c) for c in point) for point in coordinates)
-        self.coordinates = coordinates
-        self._sorted = None
-        self._by_dim = None
-        self._cofaces = None
-        self._maximal = None
-        if check:
-            self._check()
+    def __init__(self, num_vertices, simplices, coordinates=None):
+        self._fill(int(num_vertices), (canonical_simplex(s) for s in simplices), coordinates)
+        self._check()
 
     @classmethod
     def _from_canonical(cls, num_vertices, simplices, coordinates=None):
@@ -126,6 +116,10 @@ class SimplicialComplex:
         Nothing is re-sorted or re-checked; the caller vouches for the input.
         """
         self = cls.__new__(cls)
+        self._fill(num_vertices, simplices, coordinates)
+        return self
+
+    def _fill(self, num_vertices, simplices, coordinates):
         self.num_vertices = num_vertices
         self.simplex_set = frozenset(simplices)
         if coordinates is not None:
@@ -135,7 +129,6 @@ class SimplicialComplex:
         self._by_dim = None
         self._cofaces = None
         self._maximal = None
-        return self
 
     def _check(self):
         if self.num_vertices < 0:
@@ -223,17 +216,17 @@ class SimplicialComplex:
         """
         if k >= self.dim:
             return self
-        return SimplicialComplex(
+        return SimplicialComplex._from_canonical(
             self.num_vertices,
             [s for s in self.simplex_set if len(s) <= k + 1],
-            coordinates=self.coordinates,
-            check=False,
+            self.coordinates,
         )
 
     def restrict_to_vertices(self, keep):
         """Full subcomplex on ``keep`` with dense reindexing.
 
-        Returns (subcomplex, old_to_new dict).
+        Returns (subcomplex, old_to_new dict).  The reindexing keeps vertex
+        order, so each simplex stays canonical.
         """
         keep = sorted(set(keep))
         old_to_new = {v: i for i, v in enumerate(keep)}
@@ -246,7 +239,7 @@ class SimplicialComplex:
         coords = None
         if self.coordinates is not None:
             coords = tuple(self.coordinates[v] for v in keep)
-        return SimplicialComplex(len(keep), simplices, coordinates=coords, check=False), old_to_new
+        return SimplicialComplex._from_canonical(len(keep), simplices, coords), old_to_new
 
     def __contains__(self, simplex):
         return tuple(sorted(simplex)) in self.simplex_set
@@ -348,11 +341,6 @@ class SimplicialMap:
 
     def __repr__(self):
         return f"SimplicialMap({self.domain!r} -> {self.codomain!r})"
-
-
-def check_simplicial(domain, codomain, vertex_images):
-    """Validate a vertex assignment as a simplicial map K -> L."""
-    return SimplicialMap(domain, codomain, vertex_images)
 
 
 def _edge_checked_map(domain, codomain, vertex_images, edges):
@@ -550,11 +538,6 @@ class Poset:
         object.__setattr__(self, "covers", _transitive_reduction(n, covers, order))
         object.__setattr__(self, "_order", order)
 
-    def up_sets(self):
-        """For each element, the ascending ids of all strictly greater elements."""
-        _, above = _closure(len(self.elements), self.covers, self._order)
-        return [tuple(sorted(s)) for s in above]
-
     def order_complex(self, cap=None):
         """The simplicial complex of chains of this poset.
 
@@ -633,44 +616,29 @@ class StaircaseProduct:
     codomain_pairs: tuple = None
 
 
-def staircase_product(k1, k2, f1=None, f2=None, orders=None):
+def staircase_product(k1, k2, f1=None, f2=None):
     """Staircase (order-complex-of-product-poset) triangulation of |K1| x |K2|.
 
     Simplices are chains of vertex pairs, monotone in both coordinates with
     respect to total vertex orders, whose coordinate projections are simplices
     of the factors.  When maps ``f1: K1 -> L1`` and ``f2: K2 -> L2`` are given,
-    domain vertices are re-ordered by image so both maps become monotone, and
-    the product map onto the staircase triangulation of L1 x L2 is returned.
-
-    ``orders`` pins explicit domain vertex orders (two permutations) instead;
-    pinned orders that leave a map non-monotone raise NonMonotoneMapError.
+    domain vertices are ordered by image, so both maps are monotone by
+    construction, and the product map onto the staircase triangulation of
+    L1 x L2 is returned.
     """
     if (f1 is None) != (f2 is None):
         raise InvalidParamsError("supply both factor maps or neither")
     if f1 is not None and (f1.domain != k1 or f2.domain != k2):
         raise InvalidParamsError("factor maps must be defined on the factor complexes")
 
-    def _order_for(k, f, pinned):
+    def _order_for(k, f):
         verts = [s[0] for s in k.by_dim().get(0, ())]
-        if pinned is not None:
-            order = [v for v in pinned if (v,) in k.simplex_set]
-            if sorted(order) != verts:
-                raise InvalidParamsError("pinned order must be a permutation of the vertices")
-            if f is not None:
-                rank = {v: i for i, v in enumerate(order)}
-                for u in order:
-                    for w in order:
-                        if rank[u] < rank[w] and f.vertex_images[u] > f.vertex_images[w]:
-                            raise NonMonotoneMapError(
-                                f"vertices {u} < {w} map to {f.vertex_images[u]} > {f.vertex_images[w]}"
-                            )
-            return order
         if f is None:
             return verts
         return sorted(verts, key=lambda v: (f.vertex_images[v], v))
 
-    o1 = _order_for(k1, f1, orders[0] if orders else None)
-    o2 = _order_for(k2, f2, orders[1] if orders else None)
+    o1 = _order_for(k1, f1)
+    o2 = _order_for(k2, f2)
     pos1 = {v: i for i, v in enumerate(o1)}
     pos2 = {v: i for i, v in enumerate(o2)}
 
@@ -708,22 +676,18 @@ def staircase_product(k1, k2, f1=None, f2=None, orders=None):
 
 
 def _lattice_paths(rows, cols):
-    """Monotone unit-step paths through a rows x cols grid of indices."""
+    """Monotone unit-step paths through a rows x cols grid of indices, one
+    for each choice of the rows - 1 down-steps among the rows + cols - 2."""
+    steps = rows + cols - 2
     paths = []
-    path = [(0, 0)]
-
-    def walk(i, j):
-        if i == rows - 1 and j == cols - 1:
-            paths.append(tuple(path))
-            return
-        if i + 1 < rows:
-            path.append((i + 1, j))
-            walk(i + 1, j)
-            path.pop()
-        if j + 1 < cols:
-            path.append((i, j + 1))
-            walk(i, j + 1)
-            path.pop()
-
-    walk(0, 0)
+    for down in itertools.combinations(range(steps), rows - 1):
+        i = j = 0
+        path = [(0, 0)]
+        for t in range(steps):
+            if t in down:
+                i += 1
+            else:
+                j += 1
+            path.append((i, j))
+        paths.append(tuple(path))
     return paths

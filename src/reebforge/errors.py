@@ -29,10 +29,6 @@ class NotSimplicialError(ReebForgeError):
         super().__init__(f"image of simplex {self.simplex} is not a codomain simplex")
 
 
-class NonMonotoneMapError(ReebForgeError):
-    """A map is not order-preserving with respect to the pinned vertex orders."""
-
-
 class ValueCountMismatchError(ReebForgeError):
     """A vertex-value array does not match the vertex count of its complex."""
 

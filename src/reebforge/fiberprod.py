@@ -90,7 +90,7 @@ from __future__ import annotations
 import itertools
 import os
 
-from .complexes import SimplicialComplex, SimplicialMap, simplex_key
+from .complexes import SimplicialComplex, SimplicialMap, _face_pairs, simplex_key
 from .errors import BudgetExceededError, InvalidParamsError, InvariantError
 from .homology import _facet_ids, betti, collapse_face_poset, regular_cw_betti
 from .reeb import reeb_space
@@ -190,7 +190,7 @@ def fiber_power_nerve(f, p, cell_cap=None):
                         break
                 if witness:
                     stack.append((ids + (j,), new_rhos))
-    return SimplicialComplex(len(cover), simplices, check=False)
+    return SimplicialComplex._from_canonical(len(cover), simplices)
 
 
 def _exact_image_groups(f, label=None):
@@ -334,6 +334,18 @@ def _group_sizes(f):
     return [len(g) for g in _exact_image_groups(f).values()]
 
 
+def _subdivision_size(k):
+    """|sd(K)|, the number of chains of K's face poset, without building
+    sd(K): the chains ending at sigma are sigma alone and the chains ending
+    at each proper face of sigma, extended by sigma.  Faces come before
+    their cofaces in ``_face_pairs``, so each count is final when read."""
+    simps = k.simplices
+    ending = [1] * len(simps)
+    for i, j in _face_pairs(simps):
+        ending[j] += ending[i]
+    return sum(ending)
+
+
 def _check_cell_cap(sizes, p, cap):
     """Refuse a (p+1)-fold power whose unreduced cell count, the sum of
     n**(p+1) over the exact-image group sizes n, passes the cap."""
@@ -397,10 +409,12 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
     Reeb space and the powers are those of the quotient map sd(X) -> Reeb
     realization, computed as the cells of f's powers whose components lie
     in one Reeb stratum (module docstring); the cap still counts the cells
-    of the quotient map's own powers.  The powers come from the cell model
-    over the vertical collapse of f's domain.  The inequality is a theorem
-    for these maps, so a failing row signals an implementation bug.  ``threads`` has no effect: it is accepted (and must
-    be >= 1) only for callers that still pass it.
+    of the quotient map's own powers.  Their p = 0 count, the sum of the
+    group sizes, is |sd(X)|, so it is checked before sd(X) is built.  The
+    powers come from the cell model over the vertical collapse of f's
+    domain.  The inequality is a theorem for these maps, so a failing row
+    signals an implementation bug.  ``threads`` has no effect: it is
+    accepted (and must be >= 1) only for callers that still pass it.
     """
     _require_at_least("p_max", p_max, 0)
     _require_at_least("threads", threads, 1)
@@ -409,6 +423,7 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
         target_betti = betti(image_subcomplex(f))
         powers = [fiber_power_betti(f, j, cell_cap=cap) for j in range(p_max + 1)]
     elif target == "reeb":
+        _check_cell_cap([_subdivision_size(f.domain)], 0, cap)
         space = reeb_space(f)
         target_betti = space.betti()
         label = _stratum_labels(f, space)

@@ -35,7 +35,6 @@ and only the components that a leaving simplex touches are relabelled.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -76,9 +75,9 @@ class ReebComplex:
     ``codomain_projection[i]`` recovers the codomain simplex under stratum i.
     The poset is the face poset of a regular cell complex whose cell i has
     dimension dim tau_i, so ``betti`` works on it directly.
-    ``stratum_members[i]``, stratum i's component of S_tau, ``realization``,
-    the order complex of the poset, and the quotient map from sd(domain)
-    onto it are built on first access (large inputs rarely need them).
+    ``realization``, the order complex of the poset, and ``quotient_map``,
+    from sd(domain) onto it, are built on first access (large inputs rarely
+    need them).
     """
 
     def __init__(self, source_map, strata, exact_strata, poset):
@@ -89,28 +88,11 @@ class ReebComplex:
         self.codomain_projection = tuple(s.tau for s in strata)
 
     @cached_property
-    def stratum_members(self):
-        """Each stratum's component of S_tau, in canonical order: sigma lies
-        in the stratum of sigma|tau, its face over tau (module docstring)."""
-        f = self.map
-        simps = f.domain.simplices
-        images = f.vertex_images
-        index = {s: i for i, s in enumerate(simps)}
-        members = [[] for _ in self.strata]
-        for s in simps:
-            image = f.image_simplex(s)
-            for k in range(1, len(image) + 1):
-                for tau in itertools.combinations(image, k):
-                    face = tuple(v for v in s if images[v] in tau)
-                    members[self.exact_strata[index[face]]].append(s)
-        return tuple(map(tuple, members))
-
-    @cached_property
     def realization(self):
         return self.poset.order_complex()
 
     @cached_property
-    def _quotient(self):
+    def quotient_map(self):
         """The quotient map sd(domain) -> realization, sending sd vertex j,
         domain simplex j, to its stratum over its exact image.
 
@@ -125,16 +107,7 @@ class ReebComplex:
         over a facet holds the restrictions of all its members, sigma's too.
         """
         sd, carrier = barycentric_subdivision(self.map.domain)
-        q = _edge_checked_map(sd, self.realization, self.exact_strata, _face_pairs(carrier))
-        return q, carrier
-
-    @property
-    def quotient_map(self):
-        return self._quotient[0]
-
-    @property
-    def sd_carrier(self):
-        return self._quotient[1]
+        return _edge_checked_map(sd, self.realization, self.exact_strata, _face_pairs(carrier))
 
     def betti(self):
         """Reeb-space Betti numbers, by cellular homology on the stratum poset."""
@@ -250,7 +223,7 @@ def verify_quotient(f):
     """
     space = reeb_space(f)
     q = space.quotient_map
-    carrier = space.sd_carrier
+    carrier = f.domain.simplices
 
     commutes = all(
         space.codomain_projection[q.vertex_images[i]] == f.image_simplex(carrier[i])
@@ -472,43 +445,44 @@ def pl_as_simplicial_map(g):
     # Cells (sigma, c): c = 2i is the slice of sigma at level i, c = 2i+1 the
     # slice over the open gap (levels[i], levels[i+1]).  A simplex spanning
     # levels lo < hi has value cells strictly between them and gap cells from
-    # lo up to hi.
+    # lo up to hi.  Ids ascend along the face order: k.simplices is
+    # canonical, and each simplex lists its value cells before its gap
+    # cells, each ascending.  ``cell_of[sid][c]`` is the id of cell
+    # (simplex sid, c).
+    simps = k.simplices
     cells = []
-    for s in k.simplices:
+    cell_of = []
+    for s in simps:
         span = [level_of[v] for v in s]
         lo, hi = min(span), max(span)
         if lo == hi:
-            cells.append((s, 2 * lo))
-            continue
-        for i in range(lo + 1, hi):
-            cells.append((s, 2 * i))
-        for i in range(lo, hi):
-            cells.append((s, 2 * i + 1))
-
-    # Ids ascend along the face order: k.simplices is canonical, and each
-    # simplex lists its value cells before its gap cells, each ascending.
-    cell_id = {c: i for i, c in enumerate(cells)}
-
-    proper_cofaces = {}
-    for s in k.simplices:
-        for kk in range(1, len(s)):
-            for face in itertools.combinations(s, kk):
-                proper_cofaces.setdefault(face, []).append(s)
-
-    ups = []
-    for s, c in cells:
-        bigger = []
-        hosts = [s] + proper_cofaces.get(s, [])
-        if c % 2 == 0:
-            targets = (c, c - 1, c + 1)
+            own = [2 * lo]
         else:
-            targets = (c,)
-        for host in hosts:
-            for c2 in targets:
-                other = cell_id.get((host, c2))
-                if other is not None and (host, c2) != (s, c):
-                    bigger.append(other)
-        ups.append(tuple(sorted(bigger)))
+            own = [2 * i for i in range(lo + 1, hi)] + [2 * i + 1 for i in range(lo, hi)]
+        ids = {}
+        for c in own:
+            ids[c] = len(cells)
+            cells.append((s, c))
+        cell_of.append(ids)
+
+    # A cell's up-set holds the cells of its simplex and of the proper
+    # cofaces of that simplex, at c - 1, c and c + 1 for a level cell and at
+    # c for a gap cell.
+    hosts = [[sid] for sid in range(len(simps))]
+    for i, j in _face_pairs(simps):
+        hosts[i].append(j)
+    ups = []
+    for sid, ids in enumerate(cell_of):
+        for c, me in ids.items():
+            targets = (c, c - 1, c + 1) if c % 2 == 0 else (c,)
+            bigger = []
+            for host in hosts[sid]:
+                theirs = cell_of[host]
+                for c2 in targets:
+                    other = theirs.get(c2)
+                    if other is not None and other != me:
+                        bigger.append(other)
+            ups.append(tuple(sorted(bigger)))
 
     sliced = _complex_of_chains(len(cells), ups)
     images = [c for (_, c) in cells]

@@ -586,8 +586,8 @@ def reeb_space_scan(f):
     (tau, c) is the c-th class in the canonical order of first members.  A
     stratum covers the stratum over each facet of tau that holds its first
     member, and each simplex goes to the stratum over its exact image that
-    holds it.  Returns (space, members): a ReebComplex with these strata,
-    covers and quotient images, and each stratum's class as a tuple.
+    holds it.  Returns a ReebComplex with these strata, covers and quotient
+    images.
     """
     simplices = f.domain.simplices
     buckets = {}
@@ -618,5 +618,4 @@ def reeb_space_scan(f):
     exact = [
         stratum_id[(f.image_simplex(s), comp_of[f.image_simplex(s)][s])] for s in simplices
     ]
-    space = ReebComplex(f, tuple(strata), tuple(exact), Poset(strata, covers))
-    return space, tuple(members)
+    return ReebComplex(f, tuple(strata), tuple(exact), Poset(strata, covers))

@@ -13,6 +13,7 @@ import pytest
 from reebforge import (
     PLFunction,
     SimplicialComplex,
+    SimplicialMap,
     barycentric_subdivision,
     betti,
     bound_closed,
@@ -20,7 +21,6 @@ from reebforge import (
     bound_reeb,
     bound_sign_components,
     b1_inequality_check,
-    check_simplicial,
     convolve,
     descent_check,
     euler_characteristic,
@@ -125,11 +125,11 @@ def test_criterion_4_descent_inequality():
         assert descent_check(disk, target=target, p_max=2)["ok"]
 
     for k in (circle(3), boundary_delta3(), minimal_torus()):
-        ident = check_simplicial(k, k, list(range(k.num_vertices)))
+        ident = SimplicialMap(k, k, list(range(k.num_vertices)))
         assert descent_check(ident, target="image", p_max=2)["ok"]
 
     point = SimplicialComplex(1, [(0,)])
-    const = check_simplicial(circle(3), point, [0, 0, 0])
+    const = SimplicialMap(circle(3), point, [0, 0, 0])
     report = descent_check(const, target="image", p_max=2)
     assert report["ok"]
     # Oracle value: the square of the circle under a constant map is a torus.
@@ -215,12 +215,12 @@ def test_criterion_7_oracle_equivalence():
     edge = path_complex(2)
     point = SimplicialComplex(1, [(0,)])
     small_maps = [
-        check_simplicial(edge, edge, [0, 1]),
-        check_simplicial(path_complex(3), edge, [0, 1, 0]),
-        check_simplicial(SimplicialComplex(2, [(0,), (1,)]), point, [0, 0]),
-        check_simplicial(circle(3), point, [0, 0, 0]),
+        SimplicialMap(edge, edge, [0, 1]),
+        SimplicialMap(path_complex(3), edge, [0, 1, 0]),
+        SimplicialMap(SimplicialComplex(2, [(0,), (1,)]), point, [0, 0]),
+        SimplicialMap(circle(3), point, [0, 0, 0]),
         disk_collapse(1),
-        check_simplicial(full_simplex(2), edge, [0, 1, 1]),
+        SimplicialMap(full_simplex(2), edge, [0, 1, 1]),
     ]
     for f in small_maps:
         assert len(f.domain.maximal_simplices) <= 6

@@ -14,7 +14,7 @@ from reebforge import (
     count_distinct_real_roots,
     univariate_sign_components,
 )
-from reebforge.bounds import _CAP_BITS, MAX_BOUND_DIGITS, BoundParams, bound_report
+from reebforge.bounds import _CAP_BITS, MAX_BOUND_DIGITS, bound_report
 
 X = [0, 1]  # the polynomial X in ascending coefficients
 
@@ -86,9 +86,6 @@ def test_invalid_params():
             bound_closed(bad, 1, 1)
         with pytest.raises(InvalidParamsError):
             bound_reeb(1, 1, 1, 1, bad)
-    with pytest.raises(InvalidParamsError):
-        BoundParams(s=0)
-    BoundParams(s=2, d=3, k=1, n=2, m=1, c=4)
 
 
 def test_root_counts():

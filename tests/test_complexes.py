@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from reebforge import (
     InvalidSimplexError,
     InvariantError,
     MissingFaceError,
-    NonMonotoneMapError,
     NotSimplicialError,
     Poset,
     SimplicialComplex,
@@ -20,9 +20,9 @@ from reebforge import (
     ValueCountMismatchError,
     VertexOutOfRangeError,
     barycentric_subdivision,
-    check_simplicial,
     connected_components,
     euler_characteristic,
+    fiber_power_nerve,
     staircase_product,
     validate_complex,
 )
@@ -30,6 +30,7 @@ from reebforge.complexes import (
     _complex_of_chains,
     _edge_checked_map,
     _face_pairs,
+    _lattice_paths,
     simplex_key,
 )
 from reebforge.fixtures import (
@@ -115,7 +116,7 @@ def test_sd_preserves_euler_and_counts_vertices(complex_):
 
 
 def test_check_simplicial_path_onto_triangle():
-    f = check_simplicial(path_complex(3), full_simplex(2), [0, 1, 2])
+    f = SimplicialMap(path_complex(3), full_simplex(2), [0, 1, 2])
     assert f.image_simplex((0, 1)) == (0, 1)
 
 
@@ -123,7 +124,7 @@ def test_check_simplicial_names_offending_simplex():
     edge = path_complex(2)
     two_points = SimplicialComplex(2, [(0,), (1,)])
     with pytest.raises(NotSimplicialError) as err:
-        check_simplicial(edge, two_points, [0, 1])
+        SimplicialMap(edge, two_points, [0, 1])
     assert err.value.simplex == (0, 1)
 
 
@@ -146,7 +147,7 @@ def test_not_simplicial_error_names_the_canonically_first_failure():
 
 
 def test_map_check_leaves_the_image_cache_to_callers():
-    f = check_simplicial(boundary_delta3(), full_simplex(3), [0, 1, 2, 3])
+    f = SimplicialMap(boundary_delta3(), full_simplex(3), [0, 1, 2, 3])
     assert f._image_cache == {}
     assert f.image_simplex((0, 2)) == (0, 2)
     assert f._image_cache == {(0, 2): (0, 2)}
@@ -154,7 +155,7 @@ def test_map_check_leaves_the_image_cache_to_callers():
 
 def test_constant_map_is_simplicial():
     point = SimplicialComplex(1, [(0,)])
-    f = check_simplicial(boundary_delta3(), point, [0, 0, 0, 0])
+    f = SimplicialMap(boundary_delta3(), point, [0, 0, 0, 0])
     assert f.image_simplex((0, 1, 2)) == (0,)
 
 
@@ -235,8 +236,6 @@ def test_staircase_triangle_squared_top_cells():
     ],
 )
 def test_staircase_top_cell_count_law(k1, k2):
-    import math
-
     prod = staircase_product(k1, k2)
     d1 = len(k1.maximal_simplices[0]) - 1
     d2 = len(k2.maximal_simplices[0]) - 1
@@ -253,21 +252,21 @@ def test_staircase_top_cell_count_law(k1, k2):
 
 def test_staircase_identity_product_map():
     edge = path_complex(2)
-    ident = check_simplicial(edge, edge, [0, 1])
+    ident = SimplicialMap(edge, edge, [0, 1])
     prod = staircase_product(edge, edge, ident, ident)
     assert prod.product_map is not None
     assert prod.product_map.domain == prod.complex
 
 
-def test_staircase_pinned_orders_can_fail():
-    # 0 -> 1, 1 -> 0 cannot be monotone when both orders are pinned natural.
+def test_staircase_orders_a_decreasing_map_by_image():
+    # 0 -> 1, 1 -> 0 is not monotone in vertex order; the domain vertices
+    # are ordered by image instead, so the product map is monotone.
     edge = path_complex(2)
-    swap = check_simplicial(edge, edge, [1, 0])
-    with pytest.raises(NonMonotoneMapError):
-        staircase_product(edge, edge, swap, swap, orders=([0, 1], [0, 1]))
-    # Automatic reordering always succeeds.
+    swap = SimplicialMap(edge, edge, [1, 0])
     prod = staircase_product(edge, edge, swap, swap)
-    assert prod.product_map is not None
+    assert prod.vertex_pairs == ((1, 1), (1, 0), (0, 1), (0, 0))
+    images = [prod.codomain_pairs[w] for w in prod.product_map.vertex_images]
+    assert images == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 @pytest.mark.parametrize(
@@ -275,13 +274,12 @@ def test_staircase_pinned_orders_can_fail():
     [
         lambda edge, f, tri: staircase_product(edge, edge, f, None),
         lambda edge, f, tri: staircase_product(tri, edge, f, f),
-        lambda edge, f, tri: staircase_product(edge, edge, orders=([0, 0], [0, 1])),
     ],
-    ids=["one_factor_map", "map_off_factor", "order_not_permutation"],
+    ids=["one_factor_map", "map_off_factor"],
 )
 def test_staircase_bad_arguments_raise_invalid_params(call):
     edge = path_complex(2)
-    ident = check_simplicial(edge, edge, [0, 1])
+    ident = SimplicialMap(edge, edge, [0, 1])
     with pytest.raises(InvalidParamsError):
         call(edge, ident, full_simplex(2))
 
@@ -299,7 +297,8 @@ def test_every_constructor_output_revalidates():
 
 
 def assert_checked_rebuild(complex_):
-    assert SimplicialComplex(complex_.num_vertices, complex_.simplex_set) == complex_
+    rebuilt = SimplicialComplex(complex_.num_vertices, complex_.simplex_set, complex_.coordinates)
+    assert rebuilt == complex_
 
 
 @pytest.mark.parametrize(
@@ -319,6 +318,27 @@ def assert_checked_rebuild(complex_):
 def test_subdivision_equals_its_checked_rebuild(build):
     sd, _ = barycentric_subdivision(build())
     assert_checked_rebuild(sd)
+
+
+def test_skeleton_restriction_and_nerve_equal_their_checked_rebuilds():
+    triangle = SimplicialComplex(3, full_simplex(2).simplex_set, [(0, 0), (1, 0), (0, 1)])
+    for k in (minimal_torus(), triangle):
+        assert_checked_rebuild(k.skeleton(1))
+        assert_checked_rebuild(k.restrict_to_vertices([0, 2])[0])
+    assert_checked_rebuild(minimal_torus().restrict_to_vertices([0, 2, 3, 5])[0])
+    assert_checked_rebuild(fiber_power_nerve(disk_collapse(1), 1))
+
+
+def test_lattice_paths_are_all_monotone_grid_paths():
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            paths = _lattice_paths(rows, cols)
+            # Distinct monotone corner-to-corner paths, as many as there are.
+            assert len(set(paths)) == len(paths) == math.comb(rows + cols - 2, rows - 1)
+            for path in paths:
+                assert path[0] == (0, 0) and path[-1] == (rows - 1, cols - 1)
+                steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(path, path[1:])}
+                assert steps <= {(1, 0), (0, 1)}
 
 
 def reeb_posets():

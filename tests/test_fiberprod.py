@@ -9,8 +9,9 @@ from reebforge import (
     InvalidParamsError,
     InvariantError,
     SimplicialComplex,
+    SimplicialMap,
+    barycentric_subdivision,
     betti,
-    check_simplicial,
     descent_check,
     fiber_components_at,
     fiber_power_betti,
@@ -23,6 +24,7 @@ from reebforge.fiberprod import (
     _exact_image_groups,
     _fiber_power_cells_betti,
     _stratum_labels,
+    _subdivision_size,
     _vertical_collapse,
     resolve_cell_cap,
 )
@@ -33,7 +35,9 @@ from reebforge.fixtures import (
     full_simplex,
     minimal_torus,
     path_complex,
+    product_power,
     random_map,
+    torus_height,
 )
 from reebforge.homology import _facet_ids, collapse_face_poset, regular_cw_betti
 
@@ -49,12 +53,12 @@ def point():
 
 
 def constant_circle_map():
-    return check_simplicial(circle(3), point(), [0, 0, 0])
+    return SimplicialMap(circle(3), point(), [0, 0, 0])
 
 
 def test_nerve_identity_edge_is_a_point():
     edge = path_complex(2)
-    ident = check_simplicial(edge, edge, [0, 1])
+    ident = SimplicialMap(edge, edge, [0, 1])
     nerve = fiber_power_nerve(ident, 1)
     assert nerve.num_vertices == 1
     assert betti(nerve) == (1,)
@@ -62,13 +66,13 @@ def test_nerve_identity_edge_is_a_point():
 
 def test_nerve_two_vertices_distinct_images():
     two = SimplicialComplex(2, [(0,), (1,)])
-    f = check_simplicial(two, two, [0, 1])
+    f = SimplicialMap(two, two, [0, 1])
     assert betti(fiber_power_nerve(f, 1)) == (2,)
 
 
 def test_nerve_two_vertices_same_image():
     two = SimplicialComplex(2, [(0,), (1,)])
-    f = check_simplicial(two, point(), [0, 0])
+    f = SimplicialMap(two, point(), [0, 0])
     nerve = fiber_power_nerve(f, 1)
     assert nerve.num_vertices == 4
     assert betti(nerve) == (4,)
@@ -94,7 +98,7 @@ def test_constant_map_powers_are_cartesian_powers():
 
 def test_identity_powers_are_the_domain():
     sphere = boundary_delta3()
-    ident = check_simplicial(sphere, sphere, list(range(4)))
+    ident = SimplicialMap(sphere, sphere, list(range(4)))
     for p in (0, 1, 2):
         assert fiber_power_betti(ident, p, engine="cells") == (1, 0, 1)
     assert fiber_power_betti(ident, 1, engine="nerve") == (1, 0, 1)
@@ -104,14 +108,14 @@ def small_instances():
     """Maps with at most 6 maximal domain simplices for the oracle."""
     edge = path_complex(2)
     v_shape = path_complex(3)
-    collapse = check_simplicial(v_shape, edge, [0, 1, 0])
+    collapse = SimplicialMap(v_shape, edge, [0, 1, 0])
     two = SimplicialComplex(2, [(0,), (1,)])
     tri = full_simplex(2)
-    squash = check_simplicial(tri, edge, [0, 1, 1])
+    squash = SimplicialMap(tri, edge, [0, 1, 1])
     return [
-        check_simplicial(edge, edge, [0, 1]),
+        SimplicialMap(edge, edge, [0, 1]),
         collapse,
-        check_simplicial(two, point(), [0, 0]),
+        SimplicialMap(two, point(), [0, 0]),
         constant_circle_map(),
         disk_collapse(1),
         squash,
@@ -130,10 +134,10 @@ def test_engines_match_geometric_triangulation_oracle(index, p):
 
 def low_degree_instances():
     """Maps whose nerve stays enumerable: small maximal-simplex degrees."""
-    double_cover = check_simplicial(circle(6), circle(3), [0, 1, 2, 0, 1, 2])
-    fold = check_simplicial(path_complex(5), path_complex(3), [0, 1, 2, 1, 0])
+    double_cover = SimplicialMap(circle(6), circle(3), [0, 1, 2, 0, 1, 2])
+    fold = SimplicialMap(path_complex(5), path_complex(3), [0, 1, 2, 1, 0])
     wrap = disk_collapse(1)
-    ident4 = check_simplicial(circle(4), circle(4), [0, 1, 2, 3])
+    ident4 = SimplicialMap(circle(4), circle(4), [0, 1, 2, 3])
     return [double_cover, fold, wrap, ident4]
 
 
@@ -147,7 +151,7 @@ def test_engines_agree_on_low_degree_maps(index):
 
 
 def test_double_cover_fiber_square_is_two_circles():
-    double_cover = check_simplicial(circle(6), circle(3), [0, 1, 2, 0, 1, 2])
+    double_cover = SimplicialMap(circle(6), circle(3), [0, 1, 2, 0, 1, 2])
     assert fiber_power_betti(double_cover, 1, engine="cells") == (2, 2)
 
 
@@ -161,7 +165,7 @@ def test_cell_facets_match_componentwise_bruteforce(p):
     # keys; the tuple enumerator decodes their ids.
     maps = [disk_collapse(1), constant_circle_map()]
     if p < 2:
-        maps.append(check_simplicial(full_simplex(2), path_complex(2), [0, 1, 1]))
+        maps.append(SimplicialMap(full_simplex(2), path_complex(2), [0, 1, 1]))
     for f in maps:
         cells, _, _ = fiber_power_cells_tuples(f, p)
         dims, facets = _cell_poset(f, p)
@@ -276,7 +280,7 @@ def random_sub_map(seed, size, picks):
         for face in combinations(tops[i % len(tops)], k)
     }
     domain = SimplicialComplex(f.domain.num_vertices, closed)
-    return check_simplicial(domain, f.codomain, f.vertex_images)
+    return SimplicialMap(domain, f.codomain, f.vertex_images)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -308,7 +312,7 @@ def test_nerve_symmetric_under_permuted_maximal_order():
     images = [0] * 4
     for v in range(4):
         images[perm[v]] = f.vertex_images[v]
-    g = check_simplicial(relabeled, f.codomain, images)
+    g = SimplicialMap(relabeled, f.codomain, images)
     assert betti(fiber_power_nerve(g, 1)) == betti(base)
 
 
@@ -316,13 +320,13 @@ def test_image_subcomplex():
     f = disk_collapse(1)
     img = image_subcomplex(f)
     assert img.simplex_set == f.codomain.simplex_set  # surjective wrap
-    squash = check_simplicial(path_complex(2), full_simplex(2), [0, 0])
+    squash = SimplicialMap(path_complex(2), full_simplex(2), [0, 0])
     assert image_subcomplex(squash).simplex_set == {(0,)}
 
 
 def test_descent_identity():
     sphere = boundary_delta3()
-    ident = check_simplicial(sphere, sphere, list(range(4)))
+    ident = SimplicialMap(sphere, sphere, list(range(4)))
     report = descent_check(ident, target="image", p_max=2)
     assert report["ok"]
     # b_p <= sum_{i+j=p} b_i trivially.
@@ -451,6 +455,42 @@ def test_reeb_target_cap_counts_the_quotient_map_powers():
     with pytest.raises(BudgetExceededError) as info:
         descent_check(disk_collapse(2), target="reeb", p_max=2, cell_cap=10_000)
     assert (info.value.count, info.value.cap) == (170_137, 10_000)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: disk_collapse(2).domain,
+        lambda: torus_height()[1].domain,
+        *(lambda s=s: random_map(s).domain for s in range(10)),
+        lambda: product_power(disk_collapse(2), 2).domain,
+    ],
+    ids=["disk2", "torus_slice"] + [f"random{s}" for s in range(10)] + ["product"],
+)
+def test_subdivision_size_counts_the_subdivision(build):
+    k = build()
+    assert _subdivision_size(k) == len(barycentric_subdivision(k)[0].simplex_set)
+
+
+@pytest.mark.parametrize("p_max", [0, 2])
+def test_reeb_target_refuses_the_product_before_building_its_subdivision(monkeypatch, p_max):
+    # The p = 0 power of the quotient map has |sd(X)| cells, so the product
+    # is refused with the message, stage, count and cap of that check, and
+    # sd(X), 1,507,489 simplices, is never built.
+    def refuse(k):
+        raise AssertionError("barycentric_subdivision was called")
+
+    monkeypatch.setattr("reebforge.reeb.barycentric_subdivision", refuse)
+    f = product_power(disk_collapse(2), 2)
+    with pytest.raises(BudgetExceededError) as info:
+        descent_check(f, target="reeb", p_max=p_max)
+    exc = info.value
+    assert (str(exc), exc.stage, exc.count, exc.cap) == (
+        "1507489 fiber-power cells exceed the cap of 200000",
+        "fiber-power cells",
+        1_507_489,
+        200_000,
+    )
 
 
 def test_trims_split_across_strata_raise_invariant_error(monkeypatch):

@@ -19,7 +19,6 @@ from reebforge import (
     b1_inequality_check,
     barycentric_subdivision,
     betti,
-    check_simplicial,
     connected_components,
     convolve,
     euler_characteristic,
@@ -162,7 +161,7 @@ def test_seven_vertex_torus_height_reeb_graph():
 
 def test_reeb_space_of_identity_is_the_domain():
     for k in (circle(3), boundary_delta3()):
-        ident = check_simplicial(k, k, list(range(k.num_vertices)))
+        ident = SimplicialMap(k, k, list(range(k.num_vertices)))
         space = reeb_space(ident)
         assert len(space.strata) == len(k.simplex_set)
         assert betti(space.realization) == betti(k)
@@ -183,7 +182,7 @@ def test_disk_collapse_two_gives_a_sphere():
 def test_constant_map_on_disconnected_domain():
     two_edges = SimplicialComplex(4, [(0,), (1,), (2,), (3,), (0, 1), (2, 3)])
     point = SimplicialComplex(1, [(0,)])
-    const = check_simplicial(two_edges, point, [0, 0, 0, 0])
+    const = SimplicialMap(two_edges, point, [0, 0, 0, 0])
     space = reeb_space(const)
     assert len(space.strata) == 2
     assert verify_quotient(const)["ok"]
@@ -200,7 +199,7 @@ def test_fiber_components_disk1():
 def test_fiber_components_constant_map():
     k = minimal_torus()
     point = SimplicialComplex(1, [(0,)])
-    const = check_simplicial(k, point, [0] * 7)
+    const = SimplicialMap(k, point, [0] * 7)
     assert len(fiber_components_at(const, (0,))) == 1
 
 
@@ -228,7 +227,7 @@ def test_fiber_components_match_full_subcomplex_over_vertices():
 
 def test_verify_quotient_identity():
     k = boundary_delta3()
-    ident = check_simplicial(k, k, list(range(4)))
+    ident = SimplicialMap(k, k, list(range(4)))
     assert verify_quotient(ident)["ok"]
 
 
@@ -245,7 +244,7 @@ def test_verify_quotient_disk():
 def test_b1_inequality_examples():
     # Identity: equality.
     k = minimal_torus()
-    ident = check_simplicial(k, k, list(range(7)))
+    ident = SimplicialMap(k, k, list(range(7)))
     report = b1_inequality_check(ident)
     assert report["ok"]
     row = report["components"][0]
@@ -312,7 +311,7 @@ def test_quotient_map_carrier_commutation():
     f = disk_collapse(2)
     space = reeb_space(f)
     q = space.quotient_map
-    for i, sigma in enumerate(space.sd_carrier):
+    for i, sigma in enumerate(f.domain.simplices):
         assert space.codomain_projection[q.vertex_images[i]] == f.image_simplex(sigma)
 
 
@@ -355,21 +354,29 @@ def test_stratum_betti_matches_realization(build):
         lambda: disk_collapse(2),
         lambda: torus_height()[1],
         lambda: product_power(disk_collapse(2), 2),
+        *(lambda s=s: pl_as_simplicial_map(random_function(s)).map for s in range(10)),
     ],
-    ids=[f"random{s}" for s in range(50)] + ["disk1", "disk2", "torus", "product"],
+    ids=[f"random{s}" for s in range(50)]
+    + ["disk1", "disk2", "torus", "product"]
+    + [f"sliced{s}" for s in range(10)],
 )
 def test_strata_and_fiber_components_match_oracle_partition(build):
     f = build()
     space = reeb_space(f)
+    exact_members = [[] for _ in space.strata]
+    for s, i in zip(f.domain.simplices, space.exact_strata):
+        exact_members[i].append(s)
     strata_by_tau = {}
-    for stratum, members in zip(space.strata, space.stratum_members):
+    for stratum, members in zip(space.strata, exact_members):
         classes = strata_by_tau.setdefault(stratum.tau, [])
         assert stratum.component == len(classes)
-        classes.append(list(members))
+        classes.append(members)
     images = [(s, set(f.image_simplex(s))) for s in f.domain.simplices]
     for tau in f.codomain.simplices:
         want = partition_up_closed([s for s, image in images if image.issuperset(tau)])
-        assert strata_by_tau.get(tau, []) == want
+        # A stratum's exact-image members are its class's members over tau.
+        exact = [[s for s in cls if f.image_simplex(s) == tau] for cls in want]
+        assert strata_by_tau.get(tau, []) == exact
         assert fiber_components_at(f, tau) == want
 
 
@@ -379,11 +386,10 @@ def test_strata_and_fiber_components_match_oracle_partition(build):
 
 def assert_reeb_space_matches_scan(f, quotient=True):
     space = reeb_space(f)
-    want, members = reeb_space_scan(f)
+    want = reeb_space_scan(f)
     assert space.strata == want.strata
     assert space.poset.covers == want.poset.covers
     assert space.exact_strata == want.exact_strata
-    assert space.stratum_members == members
     assert space.betti() == want.betti()
     if quotient:
         assert space.quotient_map.vertex_images == want.exact_strata
@@ -425,8 +431,7 @@ def test_reeb_space_matches_s_tau_scan_on_random_maps(seed):
 @pytest.mark.parametrize("build, _quotient", SCAN_CASES)
 def test_quotient_map_equals_its_checked_rebuild(build, _quotient):
     space = reeb_space(build())
-    sd, carrier = barycentric_subdivision(space.map.domain)
-    assert space.sd_carrier == carrier
+    sd, _ = barycentric_subdivision(space.map.domain)
     assert space.quotient_map == SimplicialMap(
         sd, space.realization, space.exact_strata, check=True
     )
@@ -481,7 +486,6 @@ def test_reeb_space_builds_no_coface_index(build):
     assert f.domain._cofaces is None
     space = reeb_space(f)
     space.betti()
-    space.stratum_members
     assert f.domain._cofaces is None
 
 
@@ -558,7 +562,7 @@ def test_sweep_matches_rescan_with_isolated_vertex_and_edge():
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(simplicial_complexes())
 def test_reeb_space_of_identity_is_the_domain_on_random_complexes(k):
-    space = reeb_space(check_simplicial(k, k, list(range(k.num_vertices))))
+    space = reeb_space(SimplicialMap(k, k, list(range(k.num_vertices))))
     assert len(space.strata) == len(k.simplex_set)
     assert space.betti() == betti(space.realization) == betti(k)
 
