@@ -59,7 +59,6 @@ from .homology import (
     BettiVector,
     betti,
     betti_report,
-    convolve,
     euler_characteristic,
     rank_fraction_free,
 )

@@ -296,29 +296,36 @@ class SimplicialMap:
 
     __slots__ = ("domain", "codomain", "vertex_images", "_image_cache")
 
-    def __init__(self, domain, codomain, vertex_images, check=True):
-        self.domain = domain
-        self.codomain = codomain
+    def __init__(self, domain, codomain, vertex_images):
+        self.domain, self.codomain = domain, codomain
         self.vertex_images = tuple(int(v) for v in vertex_images)
         self._image_cache = {}
-        if check:
-            if len(self.vertex_images) != domain.num_vertices:
-                raise ValueCountMismatchError(
-                    f"{len(self.vertex_images)} images for {domain.num_vertices} vertices"
-                )
-            for w in self.vertex_images:
-                if w < 0 or w >= codomain.num_vertices:
-                    raise VertexOutOfRangeError(f"image vertex {w} outside codomain")
-            # Every simplex is tested, in set order; the error names the
-            # failure that comes first in canonical order.
-            images = self.vertex_images
-            targets = codomain.simplex_set
-            failed = [
-                s for s in domain.simplex_set
-                if tuple(sorted({images[v] for v in s})) not in targets
-            ]
-            if failed:
-                raise NotSimplicialError(min(failed, key=simplex_key))
+        if len(self.vertex_images) != domain.num_vertices:
+            raise ValueCountMismatchError(
+                f"{len(self.vertex_images)} images for {domain.num_vertices} vertices"
+            )
+        for w in self.vertex_images:
+            if w < 0 or w >= codomain.num_vertices:
+                raise VertexOutOfRangeError(f"image vertex {w} outside codomain")
+        # Every simplex is tested, in set order; the error names the
+        # failure that comes first in canonical order.
+        images = self.vertex_images
+        targets = codomain.simplex_set
+        failed = [
+            s for s in domain.simplex_set
+            if tuple(sorted({images[v] for v in s})) not in targets
+        ]
+        if failed:
+            raise NotSimplicialError(min(failed, key=simplex_key))
+
+    @classmethod
+    def _unchecked(cls, domain, codomain, vertex_images):
+        """A map the package built, with int images; the caller checks it."""
+        self = cls.__new__(cls)
+        self.domain, self.codomain = domain, codomain
+        self.vertex_images = tuple(vertex_images)
+        self._image_cache = {}
+        return self
 
     def image_simplex(self, simplex):
         """Image vertex set of a domain simplex, as a canonical simplex."""
@@ -357,7 +364,7 @@ def _edge_checked_map(domain, codomain, vertex_images, edges):
     failure is the engine's, not the input's, so it raises InvariantError
     naming the edge and its images.
     """
-    f = SimplicialMap(domain, codomain, vertex_images, check=False)
+    f = SimplicialMap._unchecked(domain, codomain, vertex_images)
     images = f.vertex_images
     targets = codomain.simplex_set
     if len(images) != domain.num_vertices:

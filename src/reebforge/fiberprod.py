@@ -1,98 +1,66 @@
 """Iterated fiber powers of simplicial maps and the descent-inequality check.
 
-The (p+1)-fold fiber power W_p = X x_f ... x_f X has one production engine,
-the cell model, and one independent reference, the nerve.
+The (p+1)-fold fiber power W_p = X x_f ... x_f X is computed by the cell
+model reduced by a discrete Morse matching.  The tuples (rho_0..rho_p) of
+simplices with one exact image tau are the cells of a regular polytopal
+structure on W_p (fiber products of closed simplices).  A cell's facets are
+(a) one component shrunk by a vertex whose image repeats in it, which keeps
+tau, and (b) for a vertex t of tau covered once in every component, every
+component trimmed of its vertex over t.  With V_(k,t) the m_(k,t) vertices
+of rho_k over t, a cell is the join, over t in tau in order, of
+Q_t = prod_k Delta(V_(k,t)) (the Cayley trick; Huber, Rambau & Santos, JEMS
+2000).  With J_t the sum over t' < t of dim Q_t' + 1, dropping the i-th
+vertex of V_(k,t) has sign (-1)^(J_t + sum_{k'<k} (m_(k',t) - 1) + i) and
+trimming t has sign (-1)^J_t.
 
-The cell model decomposes W_p itself: the tuples (r0..rp) of simplices with
-one common exact image form a regular polytopal cell structure on W_p (cell =
-fiber product of the closed simplices), its face poset is ordered
-componentwise, and cellular homology on that poset gives the Betti numbers.
-The poset is polynomial in the input, and free pairs are collapsed away, in
-the domain and then in the power, before the ranks are taken.
-``fiber_power_betti`` (engine "auto" or "cells") and ``descent_check`` run
-only this model.
-
-Cells carry no keys.  The simplices of each exact image tau form one group,
-or one group per Reeb stratum over tau for the Reeb target (below).  Over
-each group the cells are the (p+1)-tuples of its simplices, numbered in
-mixed radix by the positions of their components, so a cell is just an int.
-Every facet id is integer arithmetic on the cell's id with two tables built
-once per simplex: the positions of the shrinks that keep its image (type-(a)
-facets change one digit) and, for each vertex t of tau, the position of the
-simplex trimmed of its vertex over t (type-(b) facets are a Horner sum in
-the radix of the trims' group, over tau - t).
-The collapse that follows keeps per cell only a count and an XOR of its live
-covers, see ``homology.collapse_face_poset``.
-
-Before each power is enumerated, the domain itself is collapsed along the
-fibers: the same greedy collapse, keyed on the exact image, removes only
-vertical free pairs, a simplex sigma and its only coface sigma' with
-f(sigma) = f(sigma'), sigma' maximal.  A fiber of n simplices
-carries n**(p+1) cells, so each simplex removed there removes many cells of
-every power.  The Betti numbers do not change, because removing one
-vertical pair from X, leaving f', collapses W_p(f) onto W_p(f'): match each
-cell that has a component in {sigma, sigma'} with the cell that toggles its
-first such component, at index k, between sigma and sigma'.  The pair is a
-type-(a) facet relation, since the vertex of sigma' missing from sigma has
-an image that repeats.  The unmatched cells are exactly those of W_p(f'), a
-subcomplex.  The matching is acyclic (Forman, "Morse theory for cell
-complexes", 1998): along a V-path, each further facet of an upper cell
-either leaves the set of lower cells or raises k strictly.  A type-(b) facet
-drops the image to tau - t, so none of its components is sigma or sigma'.
-Shrinking a component before k cannot give sigma or sigma', because sigma'
-is sigma's only coface and sigma' is maximal; shrinking one after k leaves
-sigma' at k, an upper cell.  Shrinking sigma' at k by another vertex moves
-the first component in {sigma, sigma'} past k, or removes it.  Hence
-W_p(f) collapses onto W_p(f') and, by induction over the pairs removed, onto
-the power of the collapsed map.  The cell cap still counts the cells of the
-unreduced power, so the collapse never changes which inputs are refused.
-The collapse is redone for each power; it costs a small fraction of the
-power's enumeration.
+No cell is listed.  The simplices of one exact image form a group E_g, left
+by no type-(a) facet; ``_group_matching`` pairs them along those facets by
+coreductions and collapses.  It is acyclic: on a closed V-path a_0 < b_0 >
+a_1 < b_1 > ..., the pair (a_j, b_j) removed first was no coreduction, as
+b_j's facet a_(j+1) was still there, and no collapse, as a_j's coface
+b_(j-1) was.  A power cell is paired with the cell that toggles its first
+non-critical component with that simplex's partner, a type-(a) pair of
+incidence +-1.  The lift is acyclic too.  A type-(b) facet lowers tau and a
+pair keeps it, so a V-path never returns to a group it has left.  Inside a
+group each step moves each component along E_g's modified Hasse diagram (up
+a matched edge, down another) or leaves it alone; that diagram has no cycle,
+so on a closed V-path the first component never moves, and is then critical,
+as a non-critical first component moves at every step; and so on for each
+later component, which leaves no step.  This is the product case of
+algebraic Morse theory (Skoldberg, Trans. AMS 2006).  So the Morse complex
+(Forman, "Morse theory for cell complexes", 1998) on the tuples of critical
+simplices of one group has the Betti numbers of W_p, and its boundary, from
+gradient flow, is integral.  The cell cap counts the unreduced power.
 
 The powers of the Reeb quotient map q: sd(X) -> R are cut out of the cell
-model over X itself, not enumerated over sd(X).  By the quotient theorem,
-q(x) = q(y) exactly when f(x) = f(y) and x, y lie in one component of that
-fiber.  A point x in an open simplex rho of exact image tau lies over the
-open simplex tau, and its fiber component is named by the stratum of rho,
-its component of S_tau (see ``reeb``).  So W_p(q), as a subspace of
-X**(p+1), is the union of the open cells (rho_0..rho_p) of W_p(f) whose
-components all lie in one stratum of S_tau.  That union is a subcomplex:
-a type-(a) face shrinks one rho_k to a face of the same image tau, joined
-to rho_k inside S_tau, so it keeps the stratum.  A type-(b) face trims
-every rho_k to a face in S_(tau-t).  Since S_tau is contained in S_(tau-t),
-the stratum of S_tau holding every rho_k lies inside one stratum of
-S_(tau-t), and each trim, a face of its rho_k, lies in that one too.  The
-subcomplex is a regular cell structure on the space W_p(q), so it has the
-Betti numbers of the power of q over sd(X), with far fewer cells (4,441
-against 170,137 for the 2-disk at p = 2).  The vertical collapse still
-applies: a vertical pair (sigma, sigma') has one image and is a face pair,
-so both lie in one stratum.  Toggling between them keeps a cell inside the
-subcomplex, the matching restricts to it and stays acyclic, and the
-unmatched cells are the cells of the collapsed map in the same strata.
-So the strata can be taken from the original f and carried to the
-collapsed map by the simplex tuples.  The cap counts the cells of q's own
-powers, so the same inputs are refused as when those powers were
-enumerated.
+model over X itself.  By the quotient theorem, q(x) = q(y) exactly when
+f(x) = f(y) and x, y lie in one component of that fiber.  A point in an
+open simplex rho of exact image tau lies in the fiber component named by
+the stratum of rho, its component of S_tau (see ``reeb``).  So W_p(q) is
+the union of the open cells (rho_0..rho_p) of W_p(f) whose components lie
+in one stratum of S_tau.  That union is a subcomplex: a type-(a) face
+shrinks one rho_k to a face of the same image, joined to rho_k inside S_tau,
+so it keeps the stratum.  A type-(b) face trims every rho_k to a face in
+S_(tau-t); as S_tau lies in S_(tau-t), the stratum of S_tau holding every
+rho_k lies in one stratum of S_(tau-t), which holds each trim too.  So the
+groups become the pairs (tau, stratum), and the argument above holds as is.
 
-The nerve model covers W_p by the closed convex cells
-P_(s0..sp) = {(x0..xp) in s0 x ... x sp : f(x0) = ... = f(xp)} over tuples of
-maximal simplices; all intersections of cover cells are convex, so the nerve
-is homotopy equivalent to W_p and its Betti numbers are exact.  The nerve is
-enumerated face by face and therefore only fits small inputs: around any
-domain vertex of maximal-simplex degree g the cover contains g**(p+1) cells
-through the diagonal with a common point, giving the nerve a simplex on
-g**(p+1) vertices and 2**(g**(p+1)) faces.  It is reached only by an explicit
-``engine="nerve"``, and the test suite checks the cell model against it.
+The nerve of the closed convex cells {(x0..xp) in s0 x ... x sp : f(x0) =
+... = f(xp)} over tuples of maximal simplices is homotopy equivalent to W_p.
+A vertex of maximal-simplex degree g gives it a simplex on g**(p+1) vertices,
+so it runs only for ``engine="nerve"``, as the tests' reference.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
+from operator import xor
 
-from .complexes import SimplicialComplex, SimplicialMap, _face_pairs, simplex_key
+from .complexes import SimplicialComplex, _face_pairs, simplex_key
 from .errors import BudgetExceededError, InvalidParamsError, InvariantError
-from .homology import _facet_ids, betti, collapse_face_poset, regular_cw_betti
+from .homology import _betti_numbers, betti
 from .reeb import reeb_space
 
 DEFAULT_CELL_CAP = 200_000
@@ -193,157 +161,202 @@ def fiber_power_nerve(f, p, cell_cap=None):
     return SimplicialComplex._from_canonical(len(cover), simplices)
 
 
-def _exact_image_groups(f, label=None):
-    """The domain simplices of each group, in canonical order.
+def _group_matching(facets):
+    """An acyclic matching on the Hasse diagram ``facets``, ids in canonical
+    order: a cell leaves with its only remaining facet (a coreduction) or
+    coface (a collapse), else the lowest remaining cell leaves alone, as
+    critical.  ``mate[i]`` is -1 if so, else the partner, a coface if > i."""
+    n = len(facets)
+    cofaces = [[] for _ in range(n)]
+    for i, fs in enumerate(facets):
+        for j in fs:
+            cofaces[j].append(i)
+    below, above = [len(fs) for fs in facets], [len(cs) for cs in cofaces]
+    mate = [-2] * n
+    todo = [i for i in reversed(range(n)) if 1 in (below[i], above[i])]
+    lowest = 0
+    while True:
+        i = todo.pop() if todo else None
+        if i is None:
+            while lowest < n and mate[lowest] != -2:
+                lowest += 1
+            if lowest == n:
+                return mate
+            mate[lowest] = -1
+            gone = (lowest,)
+        elif mate[i] == -2 and 1 in (below[i], above[i]):
+            j = next(x for x in (facets if below[i] == 1 else cofaces)[i] if mate[x] == -2)
+            mate[i], mate[j] = j, i
+            gone = (i, j)
+        else:
+            continue
+        for x in gone:
+            for near, left in ((cofaces[x], below), (facets[x], above)):
+                for c in near:
+                    if mate[c] == -2:
+                        left[c] -= 1
+                        if left[c] == 1:
+                            todo.append(c)
 
-    A group is keyed (tau, label): the simplices of exact image tau with one
-    ``label[s]``, or all of them, keyed (tau, 0), when ``label`` is None.
-    """
-    groups = {}
-    for s in f.domain.simplices:
-        key = (f.image_simplex(s), 0 if label is None else label[s])
-        groups.setdefault(key, []).append(s)
-    return groups
 
+class _MorseModel:
+    """The cell model of f's powers over the groups (tau, label), reduced by
+    the lifted group matching (module docstring).  Per simplex: its group,
+    its image-keeping facets as (facet, sign, 1 << u), u the place in tau of
+    the dropped vertex's image, a mask of the parities of sum_{u' < u}
+    (m_u' - 1), and per u its trim over tau[u], or -1, with a mask of them.
+    Critical cells are numbered in mixed radix, group by group."""
 
-def _vertical_collapse(f):
-    """f over its domain collapsed along the fibers, or f itself when the
-    domain has no vertical free pair.
-
-    ``collapse_face_poset`` keyed on the exact image removes the vertical
-    free pairs, smallest free id first; the module docstring shows that no
-    fiber power changes its Betti numbers.
-    """
-    simplices = f.domain.simplices
-    kept, _ = collapse_face_poset(
-        _facet_ids(simplices), [f.image_simplex(s) for s in simplices]
+    __slots__ = (
+        "group", "dims", "taus", "shrinks", "masks", "trims", "tmasks", "mate", "critical"
     )
-    if len(kept) == len(simplices):
-        return f
-    domain = SimplicialComplex._from_canonical(
-        f.domain.num_vertices, [simplices[i] for i in kept]
-    )
-    return SimplicialMap(domain, f.codomain, f.vertex_images, check=False)
 
+    def __init__(self, f, label=None):
+        simps = f.domain.simplices
+        index = {s: i for i, s in enumerate(simps)}
+        keys, self.shrinks, self.masks, self.trims, self.tmasks = [], [], [], [], []
+        for s in simps:
+            tau = f.image_simplex(s)
+            keys.append((tau, 0 if label is None else label[s]))
+            over = [tau.index(f.vertex_images[v]) for v in s]
+            counts = [over.count(u) for u in range(len(tau))]
+            parity = itertools.accumulate((m - 1 & 1 for m in counts), xor, initial=0)
+            mask = sum(bit << u for u, bit in enumerate(parity))
+            self.masks.append(mask)
+            shrinks = []
+            for j, u in enumerate(over):
+                if counts[u] > 1:
+                    flip = (mask >> u) + over[:j].count(u) + u & 1
+                    shrinks.append((index[s[:j] + s[j + 1 :]], -1 if flip else 1, 1 << u))
+            self.shrinks.append(shrinks)
+            self.trims.append([
+                index[tuple(v for v, w in zip(s, over) if w != u)] if m == 1 < len(tau) else -1
+                for u, m in enumerate(counts)
+            ])
+            self.tmasks.append(sum(1 << u for u, x in enumerate(self.trims[-1]) if x >= 0))
+        order = sorted(set(keys), key=lambda g: (len(g[0]), g))
+        rank = {g: r for r, g in enumerate(order)}
+        self.group = [rank[g] for g in keys]
+        self.taus = [g[0] for g in order]
+        self.dims = [len(s) - 1 for s in simps]
+        column = {}  # the trims of one group over one vertex share a group
+        for i, cut in enumerate(self.trims):
+            g = order[self.group[i]]
+            for u, x in enumerate(cut):
+                if x >= 0 and column.setdefault((g, u), self.group[x]) != self.group[x]:
+                    raise InvariantError(
+                        f"the trims of group {g} over vertex {g[0][u]} span groups "
+                        f"{sorted(order[h] for h in (column[g, u], self.group[x]))}"
+                    )
+        self.mate = _group_matching([[x for x, _, _ in fs] for fs in self.shrinks])
+        self.critical = [[] for _ in order]
+        for i, m in enumerate(self.mate):
+            if m < 0:
+                self.critical[self.group[i]].append(i)
 
-def _cell_poset(f, p, label=None):
-    """Dimensions and facet (cover) relations of the fiber power's cells.
+    def facets(self, cell):
+        """The facets of a cell, a tuple of simplex ids, with their signs."""
+        masks, out, total, common = self.masks, [], 0, -1
+        for s in cell:
+            total ^= masks[s]
+            common &= self.tmasks[s]
+        before, after = 0, total
+        for k, s in enumerate(cell):
+            after ^= masks[s]
+            head, tail, flip = cell[:k], cell[k + 1 :], before ^ after
+            out += [(head + (x,) + tail, -e if flip & bit else e) for x, e, bit in self.shrinks[s]]
+            before ^= masks[s] >> 1
+        for u in range(common.bit_length()):
+            if common >> u & 1:
+                sign = -1 if u + (total >> u) & 1 else 1
+                out.append((tuple(self.trims[s][u] for s in cell), sign))
+        return out
 
-    A cell is a tuple (rho_0..rho_p) of simplices sharing one exact image
-    tau, and one ``label`` when labels are given; its polytope is the fiber
-    product of the closed simplices, of dimension sum(dim rho_k) -
-    p*dim(tau).  Its facets are (a) one component shrunk by a vertex whose
-    image repeats inside it, and (b) for a codomain vertex t of tau covered
-    exactly once in every component, all components shrunk by their vertex
-    over t (the common image drops to tau minus t).  With Reeb strata as
-    labels the cells span the subcomplex of the power of the Reeb quotient
-    map (module docstring); the trims of one column must then land in one
-    group, else InvariantError.
+    def betti(self, p):
+        """Betti vector of the (p+1)-fold power from its Morse complex."""
+        cells, dims = [], []
+        for tau, members in zip(self.taus, self.critical):
+            for cell in itertools.product(members, repeat=p + 1):
+                cells.append(cell)
+                dims.append(sum(self.dims[s] for s in cell) - p * (len(tau) - 1))
+        cid, memo = {cell: j for j, cell in enumerate(cells)}, {}
+        bounds = [self._boundary(c, cid, memo) if d else {} for c, d in zip(cells, dims)]
+        return _betti_numbers(dims, bounds)
 
-    Cells are numbered arithmetically: with ``groups[g]`` the simplices of
-    group g = (tau, label) in canonical order, n = len(groups[g]) and pos_k
-    the position of rho_k there, the cell's id is
-    ``base[g] + sum_k pos_k * n**(p-k)``, groups in canonical order of tau,
-    then by label.  Ids are a linear extension of the face order.  A
-    type-(a) facet then differs from its cell in one digit, and a type-(b)
-    facet is the Horner sum of the trimmed positions in the radix of the
-    trims' group.  Returns (dims, facets); the caller checks the cell count
-    against the cap.
-    """
-    images = f.vertex_images
-    groups = _exact_image_groups(f, label)
-    keys = sorted(groups, key=lambda g: (len(g[0]), g))
-
-    position = {}
-    group_of = {}
-    base = {}
-    start = 0
-    for g in keys:
-        base[g] = start
-        start += len(groups[g]) ** (p + 1)
-        for q, s in enumerate(groups[g]):
-            position[s] = q
-            group_of[s] = g
-
-    dims = []
-    facets = []
-    for g in keys:
-        tau = g[0]
-        group = groups[g]
-        n = len(group)
-        # deltas[q]: group positions of the image-keeping shrinks of the
-        # simplex at position q, minus q, in vertex order; shift[k][q]: the
-        # same as cell-id offsets when that simplex is component k.
-        deltas = []
-        for q, rho in enumerate(group):
-            over = [images[v] for v in rho]
-            deltas.append(
-                [
-                    position[rho[:j] + rho[j + 1 :]] - q
-                    for j, w in enumerate(over)
-                    if over.count(w) > 1
-                ]
-            )
-        shift = [[[d * n ** (p - k) for d in ds] for ds in deltas] for k in range(p + 1)]
-        # One trim column per vertex t of tau: for each position, the
-        # simplex without its vertex over t, or None when t is not covered
-        # exactly once; then its position in the one group all trims share.
-        columns = []
-        for t in tau if len(tau) > 1 else ():
-            trims = []
-            for rho in group:
-                over_t = [v for v in rho if images[v] == t]
-                trims.append(
-                    tuple(v for v in rho if v != over_t[0]) if len(over_t) == 1 else None
-                )
-            subs = {group_of[r] for r in trims if r is not None}
-            if not subs:
-                continue
-            if len(subs) > 1:
-                raise InvariantError(
-                    f"the trims of group {g} over vertex {t} span groups {sorted(subs)}"
-                )
-            (sub,) = subs
-            column = [None if r is None else position[r] for r in trims]
-            columns.append((base[sub], len(groups[sub]), column))
-        dim_of = [len(rho) - 1 for rho in group]
-        drop = p * (len(tau) - 1)
-        cid = base[g]
-        for tup in itertools.product(range(n), repeat=p + 1):
-            found = []
-            for k, q in enumerate(tup):
-                for d in shift[k][q]:
-                    found.append(cid + d)
-            for sub_base, radix, column in columns:
-                h = 0
-                for q in tup:
-                    x = column[q]
-                    if x is None:
-                        break
-                    h = h * radix + x
+    def _boundary(self, cell, cid, memo):
+        """Morse boundary of a critical cell by gradient flow on a stack.
+        ``memo`` maps each non-critical cell met to its flow: none for an
+        upper cell, -[u:y] times the flow of u's other facets for a lower cell
+        y of partner u.  A flow back to a pending cell raises InvariantError."""
+        mate, stack, pending = self.mate, [(cell, None)], set()
+        while stack:
+            y, fs = stack[-1]
+            if fs is None:
+                u = y
+                if y is not cell:
+                    if y in memo:
+                        stack.pop()
+                        continue
+                    k = next(k for k, s in enumerate(y) if mate[s] >= 0)
+                    if mate[y[k]] < y[k]:
+                        memo[y] = {}
+                        stack.pop()
+                        continue
+                    if y in pending:
+                        raise InvariantError(f"the gradient flow from cell {y} returns to it")
+                    pending.add(y)
+                    u = y[:k] + (mate[y[k]],) + y[k + 1 :]
+                fs = self.facets(u)
+                stack[-1] = (y, fs)
+                depth = len(stack)
+                stack += [(z, None) for z, _ in fs if z != y and z not in memo and z not in cid]
+                if len(stack) > depth:
+                    continue
+            own = -1 if y is cell else 0
+            out = {}
+            for z, e in fs:
+                if z == y:
+                    own = e
+                elif z in cid:
+                    out[cid[z]] = out.get(cid[z], 0) + e
                 else:
-                    found.append(sub_base + h)
-            dims.append(sum(dim_of[q] for q in tup) - drop)
-            facets.append(found)
-            cid += 1
-    return dims, facets
+                    for j, v in memo[z].items():
+                        out[j] = out.get(j, 0) + e * v
+            if not own:
+                raise InvariantError(f"cell {y} is not a facet of its partner")
+            memo[y] = {j: -own * v for j, v in out.items() if v}
+            stack.pop()
+        return memo.pop(cell)
 
 
 def _group_sizes(f):
     """How many domain simplices have each exact image."""
-    return [len(g) for g in _exact_image_groups(f).values()]
+    return list(Counter(map(f.image_simplex, f.domain.simplices)).values())
 
 
 def _subdivision_size(k):
-    """|sd(K)|, the number of chains of K's face poset, without building
-    sd(K): the chains ending at sigma are sigma alone and the chains ending
-    at each proper face of sigma, extended by sigma.  Faces come before
-    their cofaces in ``_face_pairs``, so each count is final when read."""
-    simps = k.simplices
-    ending = [1] * len(simps)
-    for i, j in _face_pairs(simps):
+    """|sd(K)|, the chains of K's face poset, without sd(K): ``ending[j]``
+    counts the chains ending at simplex j, j alone and those ending at each
+    proper face, extended by j.  Faces come first in ``_face_pairs``."""
+    ending = [1] * len(k.simplices)
+    for i, j in _face_pairs(k.simplices):
         ending[j] += ending[i]
     return sum(ending)
+
+
+def _quotient_group_sizes(k, strata):
+    """The group sizes of the Reeb quotient map sd(K) -> R, without sd(K):
+    sd vertex j maps to ``strata[j]``, a chain onto its set of strata, and
+    ``ending[j]`` counts the chains ending at j by that set, sorted."""
+    ending = [Counter({(s,): 1}) for s in strata]
+    for i, j in _face_pairs(k.simplices):
+        top = strata[j]
+        for key, n in ending[i].items():
+            ending[j][key if top in key else tuple(sorted(key + (top,)))] += n
+    sizes = Counter()
+    for counts in ending:
+        sizes.update(counts)
+    return list(sizes.values())
 
 
 def _check_cell_cap(sizes, p, cap):
@@ -358,21 +371,15 @@ def _check_cell_cap(sizes, p, cap):
 
 
 def _fiber_power_cells_betti(f, p, label=None):
-    """Betti vector of the (p+1)-fold fiber power of f, by the cell model
-    over f's vertical collapse; ``label`` restricts the cells as in
-    ``_cell_poset``.  The caller checks the cap."""
-    dims, facets = _cell_poset(_vertical_collapse(f), p, label)
-    kept, core = collapse_face_poset(facets)
-    return regular_cw_betti([dims[i] for i in kept], core)
+    """Betti vector of the (p+1)-fold fiber power of f, over the groups
+    (tau, label) (module docstring).  The caller checks the cap."""
+    return _MorseModel(f, label).betti(p)
 
 
 def _stratum_labels(f, space):
-    """Each domain simplex's component of S_tau, tau its exact image, keyed
-    by the simplex tuple so that the labels also serve f's vertical collapse.
-    They are read off ``space.exact_strata``, so no stratum's members are
-    built."""
-    strata = space.strata
-    return {s: strata[i].component for s, i in zip(f.domain.simplices, space.exact_strata)}
+    """Each domain simplex's component of S_tau, tau its exact image, read
+    off ``space.exact_strata``, so no stratum's members are built."""
+    return {s: space.strata[i].component for s, i in zip(f.domain.simplices, space.exact_strata)}
 
 
 def fiber_power_betti(f, p, engine="auto", cell_cap=None):
@@ -404,17 +411,13 @@ def image_subcomplex(f):
 def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
     """Verify b_p(target) <= sum_{i+j=p} b_i((j+1)-fold fiber power), p <= p_max.
 
-    With target "image" the fiber powers are taken over f itself and the
-    target is f's image subcomplex.  With target "reeb" the target is the
-    Reeb space and the powers are those of the quotient map sd(X) -> Reeb
-    realization, computed as the cells of f's powers whose components lie
-    in one Reeb stratum (module docstring); the cap still counts the cells
-    of the quotient map's own powers.  Their p = 0 count, the sum of the
-    group sizes, is |sd(X)|, so it is checked before sd(X) is built.  The
-    powers come from the cell model over the vertical collapse of f's
-    domain.  The inequality is a theorem for these maps, so a failing row
-    signals an implementation bug.  ``threads`` has no effect: it is
-    accepted (and must be >= 1) only for callers that still pass it.
+    With target "image" the powers are f's and the target is f's image
+    subcomplex; with "reeb", the Reeb space and the powers of the quotient
+    map sd(X) -> R, cut out of f's cells by the strata (module docstring).
+    The cap counts the quotient map's cells from X's face pairs, |sd(X)|
+    before the Reeb space is built; sd(X) never is.  The inequality is a
+    theorem, so a failing row signals an implementation bug.  ``threads``
+    has no effect; it is accepted (if >= 1) for callers that still pass it.
     """
     _require_at_least("p_max", p_max, 0)
     _require_at_least("threads", threads, 1)
@@ -427,7 +430,7 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
         space = reeb_space(f)
         target_betti = space.betti()
         label = _stratum_labels(f, space)
-        sizes = _group_sizes(space.quotient_map)
+        sizes = _quotient_group_sizes(f.domain, space.exact_strata)
         powers = []
         for j in range(p_max + 1):
             _check_cell_cap(sizes, j, cap)

@@ -7,15 +7,15 @@ incidence signs are fixed on the core, and one assembly reads the Betti
 numbers off the ranks of the coboundary matrices, taken bottom up over the
 dimensions with clearing; the rank in degree 0 is a component count of the
 1-skeleton, by union-find.  A simplicial complex is the case whose signs are
-known; a regular cell complex, such as a fiber power's cell model or a Reeb
-space's stratum poset, gets its signs by propagation around each cell's
-facet graph.  Ranks come from one fraction-free integer elimination
-(cross-multiplication plus a gcd sweep per updated column) that returns its
-pivot rows, so every Betti number is exact.  Clearing (Chen and Kerber,
-"Persistent homology computation with a twist", 2011, here on the
-coboundary as in Bauer's Ripser) skips each d-cell that was a pivot row of
-the previous coboundary, since its column would reduce to zero; that is a
-theorem over any field, so no rank is approximated.
+known; a regular cell complex, such as a Reeb space's stratum poset, gets its
+signs by propagation around each cell's facet graph, and a fiber power's
+Morse complex (``fiberprod``) brings its own.  Ranks come from one
+fraction-free integer elimination (cross-multiplication plus a gcd sweep per
+updated column) that returns its pivot rows, so every Betti number is exact.
+Clearing (Chen and Kerber, "Persistent homology computation with a twist",
+2011, here on the coboundary as in Bauer's Ripser) skips each d-cell that
+was a pivot row of the previous coboundary, since its column would reduce to
+zero; that is a theorem over any field, so no rank is approximated.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class BettiVector:
         return f"BettiVector{self.numbers}"
 
 
-def collapse_face_poset(facets, key=None):
+def collapse_face_poset(facets):
     """Greedy elementary collapse on the face poset of a regular cell complex.
 
     ``facets[c]`` lists the codimension-one faces of cell c, with no id
@@ -87,7 +87,6 @@ def collapse_face_poset(facets, key=None):
     cover by the diamond property.  Each cell keeps only the number of its
     live covers and the XOR of their ids, which is the cover itself when the
     number is one; removing a cover decrements the one and XORs the other.
-    With ``key``, a free pair (i, j) is removed only when key[i] == key[j].
     Returns (kept, core_facets): the surviving ids in ascending order and
     their facets renumbered to positions in ``kept``.
     """
@@ -106,7 +105,7 @@ def collapse_face_poset(facets, key=None):
         if not alive[i] or count[i] != 1:
             continue
         j = xor[i]
-        if not alive[j] or count[j] or (key is not None and key[i] != key[j]):
+        if not alive[j] or count[j]:
             continue
         alive[i] = alive[j] = False
         for gone in (i, j):
@@ -196,17 +195,18 @@ def rank_fraction_free(columns):
 def _betti_numbers(dims, boundaries):
     """Betti vector of a cellular chain complex.
 
-    ``boundaries[c]`` maps each facet id of cell c to its incidence, +-1.
-    Within a dimension, cells are numbered in id order.  The ranks come from
-    the coboundaries, bottom up: delta^d has the d-cells as columns and the
-    (d+1)-cells as rows, and rank delta^d = rank of the boundary on the
-    (d+1)-cells.
+    ``boundaries[c]`` maps each facet id of cell c, or critical cell of a
+    Morse complex, to its incidence.  Within a dimension, cells are numbered
+    in id order.  The ranks come from the coboundaries, bottom up: delta^d
+    has the d-cells as columns and the (d+1)-cells as rows, and rank delta^d
+    = rank of the boundary on the (d+1)-cells.
 
     Degree 0 needs no elimination: every 1-cell has boundary a - b for two
-    distinct 0-cells (anything else raises InvariantError), so rank delta^0
-    is the number of 0-cells minus the number of components of the
-    1-skeleton, the size of a spanning forest.  One union-find walks the
-    1-cells in descending id order and keeps those that join two trees.
+    distinct 0-cells, or 0 for a Morse complex's loop (anything else raises
+    InvariantError), so rank delta^0 is the number of 0-cells minus the
+    number of components of the 1-skeleton, the size of a spanning forest.
+    One union-find walks the 1-cells in descending id order and keeps those
+    that join two trees.
     Those forest 1-cells are cleared from delta^1: for a forest edge e, the
     cut cochain of one side A of T - e, T the tree of e, is delta^0 of the
     indicator of A, and e is its only forest edge.  Since delta^1 delta^0 =
@@ -232,6 +232,8 @@ def _betti_numbers(dims, boundaries):
         cleared = set()
         for c in reversed(by_dim.get(1, ())):
             ends = boundaries[c]
+            if not ends:
+                continue
             if len(ends) != 2 or sorted(ends.values()) != [-1, 1]:
                 raise InvariantError(f"1-cell {c} has boundary {ends}, not a - b")
             a, b = (find_root(parent, row[g]) for g in ends)
@@ -329,15 +331,3 @@ def betti_report(complex_):
         "euler": euler_characteristic(complex_),
     }
 
-
-def convolve(a, b):
-    """Coefficient-wise convolution of two Betti vectors (Kunneth over Q)."""
-    a = list(a)
-    b = list(b)
-    if not a or not b:
-        return BettiVector(())
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return BettiVector(out)

@@ -10,17 +10,21 @@ and ``partition_up_closed`` the per-family sort-and-index partition that the
 package's coface-index union-find replaced; both are kept to check the
 production paths against.  ``reeb_space_scan`` is the Reeb-space
 construction that partitioned every S_tau = {sigma : tau inside f(sigma)},
-before the strata came from the exact-image groups alone.  Likewise ``fiber_power_cells_tuples`` is the
-tuple-keyed fiber-power cell enumerator that mixed-radix cell ids replaced,
-and ``collapse_face_poset_sets`` the collapse that kept a set of covers per
-cell, with the same optional key.  ``betti_numbers_uncleared`` is the
+before the strata came from the exact-image groups alone.  Likewise
+``fiber_power_cells_tuples`` is the tuple-keyed fiber-power cell enumerator
+that mixed-radix cell ids replaced, ``_cell_poset`` the mixed-radix
+enumerator of every cell of a power, whose regular cellular homology the
+Morse complex in ``reebforge.fiberprod`` replaced, and
+``collapse_face_poset_sets`` the collapse that kept a set of covers per
+cell.  ``betti_numbers_uncleared`` is the
 cellular Betti assembly that ranked every boundary matrix in full before
 clearing on the coboundaries replaced it, and ``first_non_simplicial`` the
 simplex check that walked the domain in canonical order before the map
 check became sort-free.  ``poset_chains`` finds the chains of a poset by
 brute force over pairwise-comparable subsets, for the order complexes that
-the package enumerates from up-sets.  Only the result types come from the
-package.
+the package enumerates from up-sets, and ``convolve`` the Kunneth product of
+Betti vectors that product spaces are checked against.  Only the result
+types and the internal-invariant error come from the package.
 """
 
 import heapq
@@ -29,6 +33,8 @@ from math import gcd
 from itertools import combinations, product
 
 from reebforge.complexes import Poset
+from reebforge.errors import InvariantError
+from reebforge.homology import BettiVector
 from reebforge.reeb import ReebComplex, ReebGraph, ReebNode, Stratum
 
 
@@ -379,14 +385,127 @@ def fiber_power_cells_tuples(f, p):
     return cells, dims, facets
 
 
-def collapse_face_poset_sets(facets, key=None, pairs=None):
+def _exact_image_groups(f, label=None):
+    """The domain simplices of each group, in canonical order.
+
+    A group is keyed (tau, label): the simplices of exact image tau with one
+    ``label[s]``, or all of them, keyed (tau, 0), when ``label`` is None.
+    """
+    groups = {}
+    for s in f.domain.simplices:
+        key = (f.image_simplex(s), 0 if label is None else label[s])
+        groups.setdefault(key, []).append(s)
+    return groups
+
+
+def _cell_poset(f, p, label=None):
+    """Dimensions and facet (cover) relations of the fiber power's cells.
+
+    A cell is a tuple (rho_0..rho_p) of simplices sharing one exact image
+    tau, and one ``label`` when labels are given; its polytope is the fiber
+    product of the closed simplices, of dimension sum(dim rho_k) -
+    p*dim(tau).  Its facets are (a) one component shrunk by a vertex whose
+    image repeats inside it, and (b) for a codomain vertex t of tau covered
+    exactly once in every component, all components shrunk by their vertex
+    over t (the common image drops to tau minus t).  With Reeb strata as
+    labels the cells span the subcomplex of the power of the Reeb quotient
+    map; the trims of one column must then land in one group, else
+    InvariantError.
+
+    Cells are numbered arithmetically: with ``groups[g]`` the simplices of
+    group g = (tau, label) in canonical order, n = len(groups[g]) and pos_k
+    the position of rho_k there, the cell's id is
+    ``base[g] + sum_k pos_k * n**(p-k)``, groups in canonical order of tau,
+    then by label.  Ids are a linear extension of the face order.  A
+    type-(a) facet then differs from its cell in one digit, and a type-(b)
+    facet is the Horner sum of the trimmed positions in the radix of the
+    trims' group.  Returns (dims, facets).
+    """
+    images = f.vertex_images
+    groups = _exact_image_groups(f, label)
+    keys = sorted(groups, key=lambda g: (len(g[0]), g))
+
+    position = {}
+    group_of = {}
+    base = {}
+    start = 0
+    for g in keys:
+        base[g] = start
+        start += len(groups[g]) ** (p + 1)
+        for q, s in enumerate(groups[g]):
+            position[s] = q
+            group_of[s] = g
+
+    dims = []
+    facets = []
+    for g in keys:
+        tau = g[0]
+        group = groups[g]
+        n = len(group)
+        # deltas[q]: group positions of the image-keeping shrinks of the
+        # simplex at position q, minus q, in vertex order; shift[k][q]: the
+        # same as cell-id offsets when that simplex is component k.
+        deltas = []
+        for q, rho in enumerate(group):
+            over = [images[v] for v in rho]
+            deltas.append(
+                [
+                    position[rho[:j] + rho[j + 1 :]] - q
+                    for j, w in enumerate(over)
+                    if over.count(w) > 1
+                ]
+            )
+        shift = [[[d * n ** (p - k) for d in ds] for ds in deltas] for k in range(p + 1)]
+        # One trim column per vertex t of tau: for each position, the
+        # simplex without its vertex over t, or None when t is not covered
+        # exactly once; then its position in the one group all trims share.
+        columns = []
+        for t in tau if len(tau) > 1 else ():
+            trims = []
+            for rho in group:
+                over_t = [v for v in rho if images[v] == t]
+                trims.append(
+                    tuple(v for v in rho if v != over_t[0]) if len(over_t) == 1 else None
+                )
+            subs = {group_of[r] for r in trims if r is not None}
+            if not subs:
+                continue
+            if len(subs) > 1:
+                raise InvariantError(
+                    f"the trims of group {g} over vertex {t} span groups {sorted(subs)}"
+                )
+            (sub,) = subs
+            column = [None if r is None else position[r] for r in trims]
+            columns.append((base[sub], len(groups[sub]), column))
+        dim_of = [len(rho) - 1 for rho in group]
+        drop = p * (len(tau) - 1)
+        cid = base[g]
+        for tup in product(range(n), repeat=p + 1):
+            found = []
+            for k, q in enumerate(tup):
+                for d in shift[k][q]:
+                    found.append(cid + d)
+            for sub_base, radix, column in columns:
+                h = 0
+                for q in tup:
+                    x = column[q]
+                    if x is None:
+                        break
+                    h = h * radix + x
+                else:
+                    found.append(sub_base + h)
+            dims.append(sum(dim_of[q] for q in tup) - drop)
+            facets.append(found)
+            cid += 1
+    return dims, facets
+
+
+def collapse_face_poset_sets(facets):
     """Greedy elementary collapse keeping the set of live covers of each cell.
 
     Same contract as ``reebforge.homology.collapse_face_poset``: a cell with
     a single cover that is itself maximal is removed with it, smallest free
-    id first, and with ``key`` only when both cells have the same key.
-    Returns (kept, core_facets); each removed (cell, cover) pair is appended
-    to ``pairs`` when a list is given.
+    id first.  Returns (kept, core_facets).
     """
     n = len(facets)
     covers = [set() for _ in range(n)]
@@ -403,11 +522,7 @@ def collapse_face_poset_sets(facets, key=None, pairs=None):
         (j,) = covers[i]
         if not alive[j] or covers[j]:
             continue
-        if key is not None and key[i] != key[j]:
-            continue
         alive[i] = alive[j] = False
-        if pairs is not None:
-            pairs.append((i, j))
         for gone in (i, j):
             for g in facets[gone]:
                 if not alive[g]:
@@ -619,3 +734,16 @@ def reeb_space_scan(f):
         stratum_id[(f.image_simplex(s), comp_of[f.image_simplex(s)][s])] for s in simplices
     ]
     return ReebComplex(f, tuple(strata), tuple(exact), Poset(strata, covers))
+
+
+def convolve(a, b):
+    """Coefficient-wise convolution of two Betti vectors (Kunneth over Q)."""
+    a = list(a)
+    b = list(b)
+    if not a or not b:
+        return BettiVector(())
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return BettiVector(out)

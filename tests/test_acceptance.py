@@ -21,7 +21,6 @@ from reebforge import (
     bound_reeb,
     bound_sign_components,
     b1_inequality_check,
-    convolve,
     descent_check,
     euler_characteristic,
     fiber_components_at,
@@ -46,7 +45,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 
-from .oracles import fiber_power_triangulation_betti
+from .oracles import convolve, fiber_power_triangulation_betti
 
 X = [0, 1]
 

@@ -464,7 +464,7 @@ def test_edge_check_agrees_with_full_check(case):
     domain, codomain, images = case
     edges = [s for s in domain.simplex_set if len(s) == 2]
     try:
-        full = SimplicialMap(domain, codomain, images, check=True)
+        full = SimplicialMap(domain, codomain, images)
     except (NotSimplicialError, VertexOutOfRangeError, ValueCountMismatchError):
         full = None
     try:

@@ -19,13 +19,14 @@ from reebforge import (
     image_subcomplex,
     reeb_space,
 )
+from reebforge import fiberprod
 from reebforge.fiberprod import (
-    _cell_poset,
-    _exact_image_groups,
+    _MorseModel,
     _fiber_power_cells_betti,
+    _group_sizes,
+    _quotient_group_sizes,
     _stratum_labels,
     _subdivision_size,
-    _vertical_collapse,
     resolve_cell_cap,
 )
 from reebforge.fixtures import (
@@ -36,13 +37,17 @@ from reebforge.fixtures import (
     minimal_torus,
     path_complex,
     product_power,
+    random_function,
     random_map,
     torus_height,
 )
-from reebforge.homology import _facet_ids, collapse_face_poset, regular_cw_betti
+from reebforge.homology import regular_cw_betti
+from reebforge.reeb import pl_as_simplicial_map
 
 from .oracles import (
-    collapse_face_poset_sets,
+    _cell_poset,
+    _exact_image_groups,
+    betti_numbers_uncleared,
     fiber_power_cells_tuples,
     fiber_power_triangulation_betti,
 )
@@ -161,8 +166,8 @@ def test_cell_facets_match_componentwise_bruteforce(p):
     # component, or the unique vertex over a codomain vertex in every
     # component) must agree with the definition: faces are componentwise
     # subsets, facets those of dimension exactly one less.  Quadratic brute
-    # force, so only small maps are fed in.  The production cells carry no
-    # keys; the tuple enumerator decodes their ids.
+    # force, so only small maps are fed in.  The reference enumerator's
+    # cells carry no keys; the tuple enumerator decodes their ids.
     maps = [disk_collapse(1), constant_circle_map()]
     if p < 2:
         maps.append(SimplicialMap(full_simplex(2), path_complex(2), [0, 1, 1]))
@@ -199,65 +204,233 @@ def test_mixed_radix_cells_match_tuple_enumerator(build, powers):
         assert _cell_poset(f, p) == (dims, facets), p
 
 
-def test_vertical_collapse_matches_set_oracle_on_battery_domains():
-    # The domain collapse keyed on exact images against the set-of-covers
-    # collapse with the same key: equal survivors, every removed pair
-    # vertical, and the survivors a complex (the checked constructor proves
-    # them face-closed).  Without the key the same domains lose more.
-    refused = 0
-    for seed in range(50):
-        f = random_map(seed)
-        simplices = f.domain.simplices
-        facets = _facet_ids(simplices)
-        key = [f.image_simplex(s) for s in simplices]
-        pairs = []
-        kept, core = collapse_face_poset_sets(facets, key, pairs)
-        assert collapse_face_poset(facets, key) == (kept, core), seed
-        assert all(key[i] == key[j] for i, j in pairs), seed
-        assert 2 * len(pairs) + len(kept) == len(simplices)
-        rebuilt = SimplicialComplex(f.domain.num_vertices, [simplices[i] for i in kept])
-        assert _vertical_collapse(f).domain == rebuilt, seed
-        refused += collapse_face_poset(facets)[0] != kept
-    assert refused
-
-
-def test_vertical_collapse_is_idempotent():
-    f = random_map(1)
-    reduced = _vertical_collapse(f)
-    assert len(reduced.domain.simplex_set) < len(f.domain.simplex_set)
-    assert _vertical_collapse(f).domain == reduced.domain
-    # A collapsed map has no vertical pair left, so it is its own collapse.
-    assert _vertical_collapse(reduced) is reduced
-    disk = disk_collapse(2)
-    assert _vertical_collapse(disk) is disk
-
-
 def unreduced_cells(f, p):
     return sum(len(g) ** (p + 1) for g in _exact_image_groups(f).values())
 
 
-def small_battery_seeds():
-    """Battery seeds whose unreduced p = 2 power has under 20,000 cells."""
-    return [seed for seed in range(50) if unreduced_cells(random_map(seed), 2) < 20_000]
+def morse_power(monkeypatch, f, p, label=None):
+    """The Betti vector of the Morse engine and the signed complex it ranked."""
+    seen = []
+    ranked = fiberprod._betti_numbers
+
+    def record(dims, boundaries):
+        seen.append((dims, boundaries))
+        return ranked(dims, boundaries)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fiberprod, "_betti_numbers", record)
+        out = _fiber_power_cells_betti(f, p, label)
+    ((dims, boundaries),) = seen
+    return out, dims, boundaries
 
 
-def test_reduced_powers_match_unreduced_cell_posets():
-    # The cell model over the vertical collapse against the cell poset of
-    # the map itself, with no collapse of any kind before the ranks.
-    seeds = small_battery_seeds()
-    assert len(seeds) >= 30
-    for seed in seeds:
-        f = random_map(seed)
+def assert_boundary_squares_to_zero(dims, boundaries):
+    # A 1-cell's boundary is a - b or 0, so its coefficients sum to 0; every
+    # other boundary of a boundary cancels cell by cell.
+    for c, bd in enumerate(boundaries):
+        if dims[c] == 1:
+            assert sum(bd.values()) == 0, c
+        total = {}
+        for g, e in bd.items():
+            assert dims[g] == dims[c] - 1, (c, g)
+            for h, v in boundaries[g].items():
+                total[h] = total.get(h, 0) + e * v
+        assert not any(total.values()), c
+
+
+def small_sliced_maps():
+    return [("torus", torus_height()[1])] + [
+        (f"sliced{s}", pl_as_simplicial_map(random_function(s)).map) for s in range(10)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_morse_powers_match_cell_poset_reference(monkeypatch, seed):
+    # Both targets at p <= 2 against the regular cellular homology of every
+    # cell of the power, and d o d = 0 on each Morse complex.  The engine is
+    # called past the cap: the Reeb target refuses 17 battery maps at p = 2
+    # on the quotient map's own count, while their stratum models are small.
+    f = random_map(seed)
+    label = _stratum_labels(f, reeb_space(f))
+    for lab in (None, label):
         for p in range(3):
-            expected = regular_cw_betti(*_cell_poset(f, p))
-            assert _fiber_power_cells_betti(f, p) == expected, (seed, p)
+            out, dims, boundaries = morse_power(monkeypatch, f, p, lab)
+            assert out == regular_cw_betti(*_cell_poset(f, p, lab)), (p, lab is None)
+            assert_boundary_squares_to_zero(dims, boundaries)
+
+
+def test_reduced_powers_match_unreduced_cell_posets(monkeypatch):
+    # The Morse complex against the cell poset of the map itself, with no
+    # reduction of any kind before the ranks, on both targets: the disks,
+    # the torus-height slice and the sliced random functions, at each p
+    # whose unreduced power has at most 20,000 cells.
+    checked = 0
+    cases = [("disk1", disk_collapse(1)), ("disk2", disk_collapse(2))] + small_sliced_maps()
+    for name, f in cases:
+        label = _stratum_labels(f, reeb_space(f))
+        for p in range(3):
+            if unreduced_cells(f, p) > 20_000:
+                break
+            for lab in (None, label):
+                out, dims, boundaries = morse_power(monkeypatch, f, p, lab)
+                assert out == regular_cw_betti(*_cell_poset(f, p, lab)), (name, p)
+                assert_boundary_squares_to_zero(dims, boundaries)
+                checked += 1
+    assert checked >= 36
+
+
+def power_cells(f, p, label=None):
+    """Every cell of the power as a tuple of simplex ids, in the order of
+    the reference poset's ids."""
+    index = {s: i for i, s in enumerate(f.domain.simplices)}
+    groups = _exact_image_groups(f, label)
+    keys = sorted(groups, key=lambda g: (len(g[0]), g))
+    return [
+        tuple(index[s] for s in tup) for g in keys for tup in product(groups[g], repeat=p + 1)
+    ]
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_closed_form_facets_and_signs_on_every_cell(p):
+    # The facets the engine generates from a tuple are the reference
+    # poset's, and the closed-form signs make d o d = 0 on the whole power.
+    disk = disk_collapse(2)
+    cases = [(random_map(seed), None) for seed in range(0, 50, 5)]
+    cases += [(random_map(seed), _stratum_labels(random_map(seed), reeb_space(random_map(seed))))
+              for seed in (12, 24)]
+    cases += [(disk, None), (disk, _stratum_labels(disk, reeb_space(disk)))]
+    checked = 0
+    for f, label in cases:
+        if unreduced_cells(f, p) > 20_000:
+            continue
+        model = _MorseModel(f, label)
+        cells = power_cells(f, p, label)
+        cid = {cell: i for i, cell in enumerate(cells)}
+        dims, facets = _cell_poset(f, p, label)
+        boundaries = []
+        for cell, expected in zip(cells, facets):
+            found = {cid[x]: sign for x, sign in model.facets(cell)}
+            assert sorted(found) == sorted(expected), cell
+            boundaries.append(found)
+        assert_boundary_squares_to_zero(dims, boundaries)
+        checked += 1
+    assert checked >= 8
+
+
+def lifted_matching(f, p, label=None):
+    """The lift of the group matching to every cell of the power, in the
+    ids of the reference poset: pair[i] is the cell paired with cell i, or
+    None when cell i is critical."""
+    mate = _MorseModel(f, label).mate
+    cells = power_cells(f, p, label)
+    cid = {cell: i for i, cell in enumerate(cells)}
+    pair = [None] * len(cells)
+    for i, cell in enumerate(cells):
+        for k, s in enumerate(cell):
+            if mate[s] >= 0:
+                pair[i] = cid[cell[:k] + (mate[s],) + cell[k + 1 :]]
+                break
+    return pair
+
+
+def lifted_matching_cases():
+    disk = disk_collapse(2)
+    return [
+        (random_map(0), None),
+        (random_map(12), None),
+        (random_map(24), _stratum_labels(random_map(24), reeb_space(random_map(24)))),
+        (disk, None),
+        (disk, _stratum_labels(disk, reeb_space(disk))),
+        (constant_circle_map(), None),
+    ]
+
+
+def test_group_matching_is_perfect_on_the_battery():
+    # Each group keeps as many critical simplices as the rational Betti sum
+    # of its relative complex (its image-keeping facets, simplicial signs),
+    # the fewest any acyclic matching inside the group can keep.
+    for seed in range(50):
+        f = random_map(seed)
+        model = _MorseModel(f)
+        simplices = f.domain.simplices
+        index = {s: i for i, s in enumerate(simplices)}
+        members = {}
+        for i, g in enumerate(model.group):
+            members.setdefault(g, []).append(i)
+        for g, ids in members.items():
+            row = {i: r for r, i in enumerate(ids)}
+            boundaries = []
+            for i in ids:
+                s = simplices[i]
+                faces = (index.get(s[:j] + s[j + 1 :]) for j in range(len(s)))
+                boundaries.append(
+                    {row[x]: (-1) ** j for j, x in enumerate(faces) if x in row}
+                )
+            dims = [len(simplices[i]) - 1 for i in ids]
+            assert len(model.critical[g]) == sum(betti_numbers_uncleared(dims, boundaries))
+
+
+@pytest.mark.parametrize(
+    "mate, message",
+    [
+        # (0,) -> (0, 1) -> (1,) -> (1, 2) -> (2,) -> (0, 2) -> (0,)
+        ([4, 7, 5, -1, 0, 2, -1, 1], "returns to it"),
+        # (3,) paired with (1, 2), which it is not a facet of.
+        ([-1, 4, 5, 7, 1, 2, -1, 3], "not a facet of its partner"),
+    ],
+    ids=["cycle", "non_facet_pair"],
+)
+def test_broken_matchings_raise_invariant_error(monkeypatch, mate, message):
+    # A triangle with a pendant edge, mapped to a point: one group, ids
+    # (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2).  The flow out
+    # of the critical edge (0, 3) meets the broken pairs.
+    domain = SimplicialComplex(4, [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (0, 3)])
+    f = SimplicialMap(domain, point(), [0, 0, 0, 0])
+    monkeypatch.setattr(fiberprod, "_group_matching", lambda facets: list(mate))
+    with pytest.raises(InvariantError, match=message):
+        _fiber_power_cells_betti(f, 0)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_lifted_matching_is_acyclic_on_explicit_posets(p):
+    # On the reference poset: the lift is an involution on facet pairs, the
+    # Hasse diagram with matched edges turned upward has no directed cycle
+    # (Kahn's algorithm removes every cell), and the critical cells are the
+    # tuples of critical simplices of one group.
+    for f, label in lifted_matching_cases():
+        dims, facets = _cell_poset(f, p, label)
+        pair = lifted_matching(f, p, label)
+        for i, j in enumerate(pair):
+            if j is not None:
+                assert pair[j] == i
+                assert j in facets[i] or i in facets[j]
+                assert abs(dims[i] - dims[j]) == 1
+        out = [[] for _ in dims]
+        indegree = [0] * len(dims)
+        for c, fs in enumerate(facets):
+            for x in fs:
+                tail, head = (x, c) if pair[c] == x else (c, x)
+                out[tail].append(head)
+                indegree[head] += 1
+        ready = [c for c, d in enumerate(indegree) if not d]
+        removed = 0
+        while ready:
+            c = ready.pop()
+            removed += 1
+            for h in out[c]:
+                indegree[h] -= 1
+                if not indegree[h]:
+                    ready.append(h)
+        assert removed == len(dims)
+        critical = _MorseModel(f, label).critical
+        assert pair.count(None) == sum(len(c) ** (p + 1) for c in critical)
 
 
 def test_cap_counts_the_unreduced_power():
-    # random_map(1) at p = 2: 50,653 cells unreduced, 29,791 after the
-    # vertical collapse.  A cap between the two still refuses it.
+    # random_map(1) at p = 2: 50,653 cells unreduced, 2,197 critical.  A cap
+    # between the two still refuses it.
     f = random_map(1)
-    assert len(_cell_poset(_vertical_collapse(f), 2)[0]) == 29_791
+    assert sum(len(c) ** 3 for c in _MorseModel(f).critical) == 2_197
     with pytest.raises(BudgetExceededError) as info:
         fiber_power_betti(f, 2, cell_cap=30_000)
     exc = info.value
@@ -434,9 +607,9 @@ def test_reeb_target_never_enumerates_the_quotient_map(monkeypatch):
 
     def record(g, p, label=None):
         enumerated.append(g.domain)
-        return _cell_poset(g, p, label)
+        return _fiber_power_cells_betti(g, p, label)
 
-    monkeypatch.setattr("reebforge.fiberprod._cell_poset", record)
+    monkeypatch.setattr("reebforge.fiberprod._fiber_power_cells_betti", record)
     assert descent_check(f, target="reeb", p_max=2)["ok"]
     assert enumerated == [f.domain] * 3
 
@@ -470,6 +643,35 @@ def test_reeb_target_cap_counts_the_quotient_map_powers():
 def test_subdivision_size_counts_the_subdivision(build):
     k = build()
     assert _subdivision_size(k) == len(barycentric_subdivision(k)[0].simplex_set)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: disk_collapse(1), lambda: disk_collapse(2), lambda: torus_height()[1]]
+    + [lambda s=s: random_map(s) for s in range(50)],
+    ids=["disk1", "disk2", "torus_slice"] + [f"random{s}" for s in range(50)],
+)
+def test_quotient_group_sizes_count_the_quotient_map(build):
+    # Counted over X's face pairs, keyed by the strata on each chain, equal
+    # to the exact-image group sizes of the quotient map over sd(X).
+    f = build()
+    space = reeb_space(f)
+    sizes = _quotient_group_sizes(f.domain, space.exact_strata)
+    assert sorted(sizes) == sorted(_group_sizes(space.quotient_map))
+
+
+def test_reeb_target_never_builds_the_subdivision(monkeypatch):
+    def refuse(k):
+        raise AssertionError("barycentric_subdivision was called")
+
+    # The quotient map's own powers, over sd(X), built before the patch.
+    f = disk_collapse(2)
+    quotient = reeb_space(f).quotient_map
+    expected = [fiber_power_betti(quotient, p).as_list() for p in range(3)]
+    monkeypatch.setattr("reebforge.reeb.barycentric_subdivision", refuse)
+    report = descent_check(f, target="reeb", p_max=2)
+    assert report["ok"]
+    assert report["power_betti"] == expected
 
 
 @pytest.mark.parametrize("p_max", [0, 2])

@@ -127,7 +127,9 @@ def test_random_map_descent_p1_sweep():
 
 
 def test_product_of_interval_reebs_is_a_disk():
-    from reebforge import betti, convolve, reeb_space
+    from reebforge import betti, reeb_space
+
+    from .oracles import convolve
 
     f = disk_collapse(1)
     squared = product_power(f, 2)

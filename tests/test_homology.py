@@ -13,14 +13,13 @@ from reebforge import (
     betti,
     betti_report,
     connected_components,
-    convolve,
     euler_characteristic,
     fiber_power_betti,
+    fiberprod,
     homology,
     rank_fraction_free,
     validate_complex,
 )
-from reebforge.fiberprod import _cell_poset
 from reebforge.homology import (
     _facet_ids,
     collapse_face_poset,
@@ -41,9 +40,11 @@ from reebforge.fixtures import (
 from reebforge.reeb import reeb_space
 
 from .oracles import (
+    _cell_poset,
     betti_numbers_uncleared,
     boundary_matrix_dense,
     collapse_face_poset_sets,
+    convolve,
     gauss_rank_fractions,
     naive_betti,
     smith_rank,
@@ -247,6 +248,7 @@ def signed_cores(monkeypatch, run):
         return out
 
     monkeypatch.setattr(homology, "_betti_numbers", record)
+    monkeypatch.setattr(fiberprod, "_betti_numbers", record)
     run()
     return seen
 
@@ -394,3 +396,10 @@ def test_betti_numbers_rejects_malformed_one_cells(boundary):
     with pytest.raises(InvariantError, match="1-cell 3 has boundary"):
         homology._betti_numbers(dims, boundaries)
 
+
+def test_betti_numbers_accepts_a_loop_one_cell():
+    # A critical 1-cell of a Morse complex whose two ends flow to one
+    # critical 0-cell has boundary 0: a loop, which joins nothing.
+    assert homology._betti_numbers([0, 1], [{}, {}]) == (1, 1)
+    dims = [0, 0, 1, 1]
+    assert homology._betti_numbers(dims, [{}, {}, {}, {0: 1, 1: -1}]) == (1, 1)

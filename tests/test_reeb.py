@@ -20,7 +20,6 @@ from reebforge import (
     barycentric_subdivision,
     betti,
     connected_components,
-    convolve,
     euler_characteristic,
     fiber_components_at,
     pl_as_simplicial_map,
@@ -47,6 +46,7 @@ from reebforge.complexes import _face_pairs
 from reebforge.io import reeb_graph_to_dot
 
 from .oracles import (
+    convolve,
     first_non_simplicial,
     level_component_count,
     partition_up_closed,
@@ -432,9 +432,7 @@ def test_reeb_space_matches_s_tau_scan_on_random_maps(seed):
 def test_quotient_map_equals_its_checked_rebuild(build, _quotient):
     space = reeb_space(build())
     sd, _ = barycentric_subdivision(space.map.domain)
-    assert space.quotient_map == SimplicialMap(
-        sd, space.realization, space.exact_strata, check=True
-    )
+    assert space.quotient_map == SimplicialMap(sd, space.realization, space.exact_strata)
 
 
 def named_edge(err):
@@ -590,7 +588,7 @@ def assert_slice_matches_checked_rebuild(g):
     f = model.map
     domain = SimplicialComplex(f.domain.num_vertices, f.domain.simplex_set)
     assert domain == f.domain
-    assert SimplicialMap(domain, f.codomain, f.vertex_images, check=True) == f
+    assert SimplicialMap(domain, f.codomain, f.vertex_images) == f
     assert first_non_simplicial(domain.simplex_set, f.codomain.simplex_set, f.vertex_images) is None
     # The cells come out in face order without a sort.
     assert list(model.cells) == sorted(
