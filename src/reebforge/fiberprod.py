@@ -32,6 +32,37 @@ algebraic Morse theory (Skoldberg, Trans. AMS 2006).  So the Morse complex
 simplices of one group has the Betti numbers of W_p, and its boundary, from
 gradient flow, is integral.  The cell cap counts the unreduced power.
 
+The flow generates only cells that can reach a critical one.  A cell is
+critical, lower or upper as its first non-critical component is, and an
+upper cell flows to 0.  The flow expands a critical cell c, and the partner
+u of each lower cell y it meets: with k the first non-critical place of y,
+u has critical components before k and an upper one at k.  Rule 1: a facet
+of u that keeps component k, or that moves an earlier component to a
+critical or upper simplex, has an upper first non-critical component, so it
+is upper; so is a facet of c that moves a component to an upper simplex.
+None of them is generated.  What is left of u: its trims, the facets that
+move component k to a simplex that is not upper (y among them), and those
+that move an earlier component to a lower simplex; of c, every facet that
+is not upper.  Rule 2: let z move the component j < k of u to a lower x.
+Inside the group, each step of the flow moves the first non-critical
+component up to its partner, then it or an earlier one down to a facet;
+with Rule 1 that facet is lower, or critical at the first non-critical
+place, which leaves the cell upper, as component k stays upper.  So the
+flow out of z keeps every component after j, meets no critical cell of its
+group, and reaches one only through the trims of the partners w that it
+expands.  A trim over tau[u] needs bit u in tmasks[w_i] for every i.  Here
+w_i = u_i for i > j; w_j is an upper simplex reached from x by moves from a
+lower simplex to its partner and from an upper one to a lower facet but its
+partner; and w_i for i < j is u_i, or such a simplex reached from a lower
+facet of u_i.  ``reach[s]`` is the OR of the trim masks of the simplices
+that are not lower and are reached so from s, s included.  So z flows to 0,
+and is not generated, when reach[x] & AND_{i<j} reach[u_i] & AND_{i>j}
+tmasks[u_i] is 0.  The moves that ``reach`` follows are the edges of E_g's
+modified Hasse diagram between the cells of V-paths, so it is finite as the
+matching is acyclic; a cycle raises InvariantError.  Both rules drop only
+terms that are 0, so the Morse complex is the unpruned flow's, entry by
+entry.
+
 The powers of the Reeb quotient map q: sd(X) -> R are cut out of the cell
 model over X itself.  By the quotient theorem, q(x) = q(y) exactly when
 f(x) = f(y) and x, y lie in one component of that fiber.  A point in an
@@ -199,16 +230,51 @@ def _group_matching(facets):
                             todo.append(c)
 
 
+def _flow_reach(mate, down, tmasks):
+    """``reach[s]``, the OR of ``tmasks[t]`` over every simplex t that is
+    not lower and that the group flow can move s to: a lower simplex moves
+    to its partner, any other to its lower facets ``down[s]`` but its own
+    partner.  Walked on an explicit stack; a simplex met again while pending
+    closes a V-path, which raises InvariantError."""
+    reach, pending = [-1] * len(mate), set()
+    for root in range(len(mate)):
+        stack = [root]
+        while stack:
+            s = stack[-1]
+            if reach[s] >= 0:
+                stack.pop()
+                continue
+            m = mate[s]
+            moves = (m,) if m > s else [x for x, _, _ in down[s] if x != m]
+            todo = [x for x in moves if reach[x] < 0]
+            if todo:
+                if s in pending:
+                    raise InvariantError(f"the group flow from simplex {s} returns to it")
+                pending.add(s)
+                stack += todo
+                continue
+            bits = 0 if m > s else tmasks[s]
+            for x in moves:
+                bits |= reach[x]
+            reach[s] = bits
+            pending.discard(s)
+            stack.pop()
+    return reach
+
+
 class _MorseModel:
     """The cell model of f's powers over the groups (tau, label), reduced by
     the lifted group matching (module docstring).  Per simplex: its group,
     its image-keeping facets as (facet, sign, 1 << u), u the place in tau of
-    the dropped vertex's image, a mask of the parities of sum_{u' < u}
-    (m_u' - 1), and per u its trim over tau[u], or -1, with a mask of them.
-    Critical cells are numbered in mixed radix, group by group."""
+    the dropped vertex's image, and those of them that are not upper
+    (``keep``) or lower (``down``), a mask of the parities of sum_{u' < u}
+    (m_u' - 1), per u its trim over tau[u], or -1, with a mask of them, and
+    the trims its group flow can reach (``_flow_reach``).  Critical cells are
+    numbered in mixed radix, group by group."""
 
     __slots__ = (
-        "group", "dims", "taus", "shrinks", "masks", "trims", "tmasks", "mate", "critical"
+        "group", "dims", "taus", "shrinks", "keep", "down", "masks", "trims", "tmasks",
+        "reach", "mate", "critical",
     )
 
     def __init__(self, f, label=None):
@@ -248,23 +314,37 @@ class _MorseModel:
                         f"the trims of group {g} over vertex {g[0][u]} span groups "
                         f"{sorted(order[h] for h in (column[g, u], self.group[x]))}"
                     )
-        self.mate = _group_matching([[x for x, _, _ in fs] for fs in self.shrinks])
+        self.mate = mate = _group_matching([[x for x, _, _ in fs] for fs in self.shrinks])
+        self.keep = [[e for e in fs if not 0 <= mate[e[0]] < e[0]] for fs in self.shrinks]
+        self.down = [[e for e in fs if mate[e[0]] > e[0]] for fs in self.shrinks]
+        self.reach = _flow_reach(mate, self.down, self.tmasks)
         self.critical = [[] for _ in order]
         for i, m in enumerate(self.mate):
             if m < 0:
                 self.critical[self.group[i]].append(i)
 
-    def facets(self, cell):
-        """The facets of a cell, a tuple of simplex ids, with their signs."""
-        masks, out, total, common = self.masks, [], 0, -1
-        for s in cell:
-            total ^= masks[s]
+    def _facets(self, cell, k):
+        """The facets of a cell, a tuple of simplex ids, that can flow to a
+        nonzero chain, with their signs.  ``k`` is the place of the cell's
+        upper component, those before it critical, or len(cell) when all
+        are critical (Rules 1 and 2, module docstring)."""
+        masks, reach, out = self.masks, self.reach, []
+        total, common, later = 0, -1, []
+        for s in reversed(cell):
+            later.append(common)
             common &= self.tmasks[s]
-        before, after = 0, total
-        for k, s in enumerate(cell):
+            total ^= masks[s]
+        before, after, earlier = 0, total, -1
+        for j, s in enumerate(cell[: k + 1]):
             after ^= masks[s]
-            head, tail, flip = cell[:k], cell[k + 1 :], before ^ after
-            out += [(head + (x,) + tail, -e if flip & bit else e) for x, e, bit in self.shrinks[s]]
+            head, tail, flip = cell[:j], cell[j + 1 :], before ^ after
+            if j < k < len(cell):
+                live = earlier & later[-1 - j]
+                out += [(head + (x,) + tail, -e if flip & bit else e)
+                        for x, e, bit in self.down[s] if reach[x] & live]
+                earlier &= reach[s]
+            else:
+                out += [(head + (x,) + tail, -e if flip & bit else e) for x, e, bit in self.keep[s]]
             before ^= masks[s] >> 1
         for u in range(common.bit_length()):
             if common >> u & 1:
@@ -286,13 +366,14 @@ class _MorseModel:
     def _boundary(self, cell, cid, memo):
         """Morse boundary of a critical cell by gradient flow on a stack.
         ``memo`` maps each non-critical cell met to its flow: none for an
-        upper cell, -[u:y] times the flow of u's other facets for a lower cell
-        y of partner u.  A flow back to a pending cell raises InvariantError."""
+        upper cell, -[u:y] times the flow of u's other facets from
+        ``_facets`` for a lower cell y of partner u.  A flow back to a
+        pending cell raises InvariantError."""
         mate, stack, pending = self.mate, [(cell, None)], set()
         while stack:
             y, fs = stack[-1]
             if fs is None:
-                u = y
+                u, k = y, len(y)
                 if y is not cell:
                     if y in memo:
                         stack.pop()
@@ -306,7 +387,7 @@ class _MorseModel:
                         raise InvariantError(f"the gradient flow from cell {y} returns to it")
                     pending.add(y)
                     u = y[:k] + (mate[y[k]],) + y[k + 1 :]
-                fs = self.facets(u)
+                fs = self._facets(u, k)
                 stack[-1] = (y, fs)
                 depth = len(stack)
                 stack += [(z, None) for z, _ in fs if z != y and z not in memo and z not in cid]

@@ -23,8 +23,12 @@ simplex check that walked the domain in canonical order before the map
 check became sort-free.  ``poset_chains`` finds the chains of a poset by
 brute force over pairwise-comparable subsets, for the order complexes that
 the package enumerates from up-sets, and ``convolve`` the Kunneth product of
-Betti vectors that product spaces are checked against.  Only the result
-types and the internal-invariant error come from the package.
+Betti vectors that product spaces are checked against.
+``morse_complex_unpruned`` is the gradient flow over every facet of every
+cell met, with ``morse_facets_unpruned`` generating them, that the pruned
+flow of ``reebforge.fiberprod`` replaced; it reads the tables of the
+package's ``_MorseModel``.  Otherwise only the result types and the
+internal-invariant error come from the package.
 """
 
 import heapq
@@ -747,3 +751,81 @@ def convolve(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return BettiVector(out)
+
+
+def morse_facets_unpruned(model, cell):
+    """Every facet of a power cell, a tuple of simplex ids, with its
+    closed-form sign, from the tables of a ``fiberprod._MorseModel``."""
+    masks, out, total, common = model.masks, [], 0, -1
+    for s in cell:
+        total ^= masks[s]
+        common &= model.tmasks[s]
+    before, after = 0, total
+    for k, s in enumerate(cell):
+        after ^= masks[s]
+        head, tail, flip = cell[:k], cell[k + 1 :], before ^ after
+        out += [(head + (x,) + tail, -e if flip & bit else e) for x, e, bit in model.shrinks[s]]
+        before ^= masks[s] >> 1
+    for u in range(common.bit_length()):
+        if common >> u & 1:
+            sign = -1 if u + (total >> u) & 1 else 1
+            out.append((tuple(model.trims[s][u] for s in cell), sign))
+    return out
+
+
+def morse_complex_unpruned(model, p):
+    """Dimensions and Morse boundaries of the (p+1)-fold power's critical
+    cells, numbered as the engine numbers them, by the gradient flow over
+    every facet of every cell met: the flow the pruned one replaced.  Upper
+    cells flow to 0, a lower cell y of partner u to -[u:y] times the flow of
+    u's other facets; memoised, on an explicit stack."""
+    mate, cells, dims = model.mate, [], []
+    for tau, members in zip(model.taus, model.critical):
+        for cell in product(members, repeat=p + 1):
+            cells.append(cell)
+            dims.append(sum(model.dims[s] for s in cell) - p * (len(tau) - 1))
+    cid, memo, bounds = {cell: j for j, cell in enumerate(cells)}, {}, []
+    for cell, d in zip(cells, dims):
+        if not d:
+            bounds.append({})
+            continue
+        stack, pending = [(cell, None)], set()
+        while stack:
+            y, fs = stack[-1]
+            if fs is None:
+                u = y
+                if y is not cell:
+                    if y in memo:
+                        stack.pop()
+                        continue
+                    k = next(k for k, s in enumerate(y) if mate[s] >= 0)
+                    if mate[y[k]] < y[k]:
+                        memo[y] = {}
+                        stack.pop()
+                        continue
+                    if y in pending:
+                        raise InvariantError(f"the gradient flow from cell {y} returns to it")
+                    pending.add(y)
+                    u = y[:k] + (mate[y[k]],) + y[k + 1 :]
+                fs = morse_facets_unpruned(model, u)
+                stack[-1] = (y, fs)
+                depth = len(stack)
+                stack += [(z, None) for z, _ in fs if z != y and z not in memo and z not in cid]
+                if len(stack) > depth:
+                    continue
+            own = -1 if y is cell else 0
+            out = {}
+            for z, e in fs:
+                if z == y:
+                    own = e
+                elif z in cid:
+                    out[cid[z]] = out.get(cid[z], 0) + e
+                else:
+                    for j, v in memo[z].items():
+                        out[j] = out.get(j, 0) + e * v
+            if not own:
+                raise InvariantError(f"cell {y} is not a facet of its partner")
+            memo[y] = {j: -own * v for j, v in out.items() if v}
+            stack.pop()
+        bounds.append(memo.pop(cell))
+    return dims, bounds

@@ -50,6 +50,8 @@ from .oracles import (
     betti_numbers_uncleared,
     fiber_power_cells_tuples,
     fiber_power_triangulation_betti,
+    morse_complex_unpruned,
+    morse_facets_unpruned,
 )
 
 
@@ -209,7 +211,8 @@ def unreduced_cells(f, p):
 
 
 def morse_power(monkeypatch, f, p, label=None):
-    """The Betti vector of the Morse engine and the signed complex it ranked."""
+    """The Betti vector of the Morse engine and the signed complex it ranked,
+    which must equal the complex of the unpruned flow over every facet."""
     seen = []
     ranked = fiberprod._betti_numbers
 
@@ -221,6 +224,7 @@ def morse_power(monkeypatch, f, p, label=None):
         patch.setattr(fiberprod, "_betti_numbers", record)
         out = _fiber_power_cells_betti(f, p, label)
     ((dims, boundaries),) = seen
+    assert (dims, boundaries) == morse_complex_unpruned(_MorseModel(f, label), p), p
     return out, dims, boundaries
 
 
@@ -247,9 +251,10 @@ def small_sliced_maps():
 @pytest.mark.parametrize("seed", range(50))
 def test_morse_powers_match_cell_poset_reference(monkeypatch, seed):
     # Both targets at p <= 2 against the regular cellular homology of every
-    # cell of the power, and d o d = 0 on each Morse complex.  The engine is
-    # called past the cap: the Reeb target refuses 17 battery maps at p = 2
-    # on the quotient map's own count, while their stratum models are small.
+    # cell of the power, the Morse complex against the unpruned flow's, and
+    # d o d = 0 on each Morse complex.  The engine is called past the cap:
+    # the Reeb target refuses 17 battery maps at p = 2 on the quotient map's
+    # own count, while their stratum models are small.
     f = random_map(seed)
     label = _stratum_labels(f, reeb_space(f))
     for lab in (None, label):
@@ -261,9 +266,10 @@ def test_morse_powers_match_cell_poset_reference(monkeypatch, seed):
 
 def test_reduced_powers_match_unreduced_cell_posets(monkeypatch):
     # The Morse complex against the cell poset of the map itself, with no
-    # reduction of any kind before the ranks, on both targets: the disks,
-    # the torus-height slice and the sliced random functions, at each p
-    # whose unreduced power has at most 20,000 cells.
+    # reduction of any kind before the ranks, and against the unpruned
+    # flow's complex, on both targets: the disks, the torus-height slice and
+    # the sliced random functions, at each p whose unreduced power has at
+    # most 20,000 cells.
     checked = 0
     cases = [("disk1", disk_collapse(1)), ("disk2", disk_collapse(2))] + small_sliced_maps()
     for name, f in cases:
@@ -290,10 +296,21 @@ def power_cells(f, p, label=None):
     ]
 
 
+def pruned_facets_place(mate, cell):
+    """Where the flow expands ``cell``: len(cell) if it is critical, the
+    place of its first non-critical component if that one is upper and the
+    cell is thus a partner, else None."""
+    k = next((k for k, s in enumerate(cell) if mate[s] >= 0), len(cell))
+    if k == len(cell) or mate[cell[k]] < cell[k]:
+        return k
+    return None
+
+
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_closed_form_facets_and_signs_on_every_cell(p):
-    # The facets the engine generates from a tuple are the reference
-    # poset's, and the closed-form signs make d o d = 0 on the whole power.
+    # The facets generated from a tuple are the reference poset's, and the
+    # closed-form signs make d o d = 0 on the whole power.  The flow's
+    # pruned facets of each cell it expands are among them, signs and all.
     disk = disk_collapse(2)
     cases = [(random_map(seed), None) for seed in range(0, 50, 5)]
     cases += [(random_map(seed), _stratum_labels(random_map(seed), reeb_space(random_map(seed))))
@@ -309,9 +326,13 @@ def test_closed_form_facets_and_signs_on_every_cell(p):
         dims, facets = _cell_poset(f, p, label)
         boundaries = []
         for cell, expected in zip(cells, facets):
-            found = {cid[x]: sign for x, sign in model.facets(cell)}
+            found = {cid[x]: sign for x, sign in morse_facets_unpruned(model, cell)}
             assert sorted(found) == sorted(expected), cell
             boundaries.append(found)
+            k = pruned_facets_place(model.mate, cell)
+            if k is not None:
+                pruned = {cid[x]: sign for x, sign in model._facets(cell, k)}
+                assert pruned.items() <= found.items(), cell
         assert_boundary_squares_to_zero(dims, boundaries)
         checked += 1
     assert checked >= 8
@@ -370,25 +391,68 @@ def test_group_matching_is_perfect_on_the_battery():
             assert len(model.critical[g]) == sum(betti_numbers_uncleared(dims, boundaries))
 
 
+def test_flow_reach_is_the_or_of_trim_masks_over_the_group_flow():
+    # reach[s] against a breadth-first walk from s: a lower simplex moves to
+    # its partner, any other to each lower image-keeping facet but its own
+    # partner; reach[s] ORs the trim masks of the simplices met that are
+    # not lower.  Both targets on the battery and the 2-disk.
+    disk = disk_collapse(2)
+    cases = [(random_map(seed), None) for seed in range(50)]
+    cases += [(random_map(seed), _stratum_labels(random_map(seed), reeb_space(random_map(seed))))
+              for seed in range(0, 50, 7)]
+    cases += [(disk, None), (disk, _stratum_labels(disk, reeb_space(disk)))]
+    for f, label in cases:
+        model = _MorseModel(f, label)
+        mate = model.mate
+        simplices = f.domain.simplices
+        index = {s: i for i, s in enumerate(simplices)}
+        lower = [m > i for i, m in enumerate(mate)]
+        image = [f.image_simplex(s) for s in simplices]
+        for s in range(len(simplices)):
+            seen, todo, bits = {s}, [s], 0
+            while todo:
+                t = todo.pop()
+                if lower[t]:
+                    moves = [mate[t]]
+                else:
+                    bits |= model.tmasks[t]
+                    rho = simplices[t]
+                    faces = (index.get(rho[:j] + rho[j + 1 :]) for j in range(len(rho)))
+                    moves = [x for x in faces if x is not None and image[x] == image[t]
+                             and lower[x] and x != mate[t]]
+                for x in moves:
+                    if x not in seen:
+                        seen.add(x)
+                        todo.append(x)
+            assert model.reach[s] == bits, (s, label is None)
+
+
+# (0,) -> (0, 1) -> (1,) -> (1, 2) -> (2,) -> (0, 2) -> (0,)
+CYCLIC_MATE = [4, 7, 5, -1, 0, 2, -1, 1]
+# (3,) paired with (1, 2), which it is not a facet of.
+NON_FACET_MATE = [-1, 4, 5, 7, 1, 2, -1, 3]
+
+
 @pytest.mark.parametrize(
-    "mate, message",
+    "mate, p, message",
     [
-        # (0,) -> (0, 1) -> (1,) -> (1, 2) -> (2,) -> (0, 2) -> (0,)
-        ([4, 7, 5, -1, 0, 2, -1, 1], "returns to it"),
-        # (3,) paired with (1, 2), which it is not a facet of.
-        ([-1, 4, 5, 7, 1, 2, -1, 3], "not a facet of its partner"),
+        (CYCLIC_MATE, 0, "group flow from simplex 0 returns to it"),
+        (NON_FACET_MATE, 0, "not a facet of its partner"),
+        (CYCLIC_MATE, 1, "group flow from simplex 0 returns to it"),
+        (NON_FACET_MATE, 1, "not a facet of its partner"),
     ],
-    ids=["cycle", "non_facet_pair"],
+    ids=["cycle", "non_facet_pair", "cycle_p1", "non_facet_pair_p1"],
 )
-def test_broken_matchings_raise_invariant_error(monkeypatch, mate, message):
+def test_broken_matchings_raise_invariant_error(monkeypatch, mate, p, message):
     # A triangle with a pendant edge, mapped to a point: one group, ids
-    # (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2).  The flow out
-    # of the critical edge (0, 3) meets the broken pairs.
+    # (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2).  The reach
+    # table's walk meets the cycle before any flow; the flow out of the
+    # critical edge (0, 3), and out of ((0, 3), (0, 3)), meets the pair.
     domain = SimplicialComplex(4, [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (0, 3)])
     f = SimplicialMap(domain, point(), [0, 0, 0, 0])
     monkeypatch.setattr(fiberprod, "_group_matching", lambda facets: list(mate))
     with pytest.raises(InvariantError, match=message):
-        _fiber_power_cells_betti(f, 0)
+        _fiber_power_cells_betti(f, p)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
