@@ -272,7 +272,7 @@ def main(argv=None):
         print(f"reebforge: error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except OSError as exc:
-        print(f"reebforge: {exc}", file=sys.stderr)
+        print(f"reebforge: error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -1,67 +1,76 @@
 """Iterated fiber powers of simplicial maps and the descent-inequality check.
 
-The (p+1)-fold fiber power W_p = X x_f ... x_f X is computed by the cell
-model reduced by a discrete Morse matching.  The tuples (rho_0..rho_p) of
-simplices with one exact image tau are the cells of a regular polytopal
-structure on W_p (fiber products of closed simplices).  A cell's facets are
-(a) one component shrunk by a vertex whose image repeats in it, which keeps
-tau, and (b) for a vertex t of tau covered once in every component, every
-component trimmed of its vertex over t.  With V_(k,t) the m_(k,t) vertices
-of rho_k over t, a cell is the join, over t in tau in order, of
-Q_t = prod_k Delta(V_(k,t)) (the Cayley trick; Huber, Rambau & Santos, JEMS
-2000).  With J_t the sum over t' < t of dim Q_t' + 1, dropping the i-th
-vertex of V_(k,t) has sign (-1)^(J_t + sum_{k'<k} (m_(k',t) - 1) + i) and
-trimming t has sign (-1)^J_t.
+The (p+1)-fold fiber power W_p = X x_f ... x_f X is computed from its cell
+model, reduced group by group.  The tuples c = (rho_0..rho_p) of simplices
+with one exact image tau, d = dim tau, are the cells of a regular polytopal
+structure on W_p (fiber products of closed simplices), of dimension
+sum_k dim rho_k - p d.  A cell's facets are (a) one component shrunk by a
+vertex whose image repeats in it, which keeps tau, and (b) for a vertex
+tau[u] covered once in every component, every component trimmed of its
+vertex over tau[u], which lowers tau.  With V_(k,u) the m_(k,u) vertices of
+rho_k over tau[u] and n_(k,u) = m_(k,u) - 1, a cell is the join, over u in
+order, of Q_u = prod_k Delta(V_(k,u)) (the Cayley trick; Huber, Rambau &
+Santos, JEMS 2000), which orients it: with J_u = sum_{u'<u} (dim Q_u' + 1),
+dropping the i-th vertex of V_(k,u) has sign (-1)^(J_u + sum_{k'<k}
+n_(k',u) + i), and trimming u has sign (-1)^J_u.
 
-No cell is listed.  The simplices of one exact image form a group E_g, left
-by no type-(a) facet; ``_group_matching`` pairs them along those facets by
-coreductions and collapses.  It is acyclic: on a closed V-path a_0 < b_0 >
-a_1 < b_1 > ..., the pair (a_j, b_j) removed first was no coreduction, as
-b_j's facet a_(j+1) was still there, and no collapse, as a_j's coface
-b_(j-1) was.  A power cell is paired with the cell that toggles its first
-non-critical component with that simplex's partner, a type-(a) pair of
-incidence +-1.  The lift is acyclic too.  A type-(b) facet lowers tau and a
-pair keeps it, so a V-path never returns to a group it has left.  Inside a
-group each step moves each component along E_g's modified Hasse diagram (up
-a matched edge, down another) or leaves it alone; that diagram has no cycle,
-so on a closed V-path the first component never moves, and is then critical,
-as a non-critical first component moves at every step; and so on for each
-later component, which leaves no step.  This is the product case of
-algebraic Morse theory (Skoldberg, Trans. AMS 2006).  So the Morse complex
-(Forman, "Morse theory for cell complexes", 1998) on the tuples of critical
-simplices of one group has the Betti numbers of W_p, and its boundary, from
-gradient flow, is integral.  The cell cap counts the unreduced power.
+The simplices of one exact image form a group E_g, left by no type-(a)
+facet; ``_group_matching`` pairs them along those facets by coreductions and
+collapses.  It is acyclic: on a closed V-path a_0 < b_0 > a_1 < b_1 > ...,
+the pair (a_j, b_j) removed first was no coreduction, as b_j's facet a_(j+1)
+was still there, and no collapse, as a_j's coface b_(j-1) was.  The cell
+cap counts the unreduced power.
 
-The flow generates only cells that can reach a critical one.  A cell is
-critical, lower or upper as its first non-critical component is, and an
-upper cell flows to 0.  The flow expands a critical cell c, and the partner
-u of each lower cell y it meets: with k the first non-critical place of y,
-u has critical components before k and an upper one at k.  Rule 1: a facet
-of u that keeps component k, or that moves an earlier component to a
-critical or upper simplex, has an upper first non-critical component, so it
-is upper; so is a facet of c that moves a component to an upper simplex.
-None of them is generated.  What is left of u: its trims, the facets that
-move component k to a simplex that is not upper (y among them), and those
-that move an earlier component to a lower simplex; of c, every facet that
-is not upper.  Rule 2: let z move the component j < k of u to a lower x.
-Inside the group, each step of the flow moves the first non-critical
-component up to its partner, then it or an earlier one down to a facet;
-with Rule 1 that facet is lower, or critical at the first non-critical
-place, which leaves the cell upper, as component k stays upper.  So the
-flow out of z keeps every component after j, meets no critical cell of its
-group, and reaches one only through the trims of the partners w that it
-expands.  A trim over tau[u] needs bit u in tmasks[w_i] for every i.  Here
-w_i = u_i for i > j; w_j is an upper simplex reached from x by moves from a
-lower simplex to its partner and from an upper one to a lower facet but its
-partner; and w_i for i < j is u_i, or such a simplex reached from a lower
-facet of u_i.  ``reach[s]`` is the OR of the trim masks of the simplices
-that are not lower and are reached so from s, s included.  So z flows to 0,
-and is not generated, when reach[x] & AND_{i<j} reach[u_i] & AND_{i>j}
-tmasks[u_i] is 0.  The moves that ``reach`` follows are the edges of E_g's
-modified Hasse diagram between the cells of V-paths, so it is finite as the
-matching is acyclic; a cycle raises InvariantError.  Both rules drop only
-terms that are 0, so the Morse complex is the unpruned flow's, entry by
-entry.
+1. The power is a Koszul tensor product.  Orient each simplex by its
+vertices sorted by image, then by id, and let t_u(rho) = (-1)^j (rho minus
+its j-th vertex, the one over tau[u]).  With N_k = sum_u n_(k,u) = dim rho_k
+- d, take the basis sigma(c) c, sigma(c) = (-1)^(sum_{k<k'} sum_{u>u'}
+n_(k,u) n_(k',u') + d sum_k k N_k).  Dropping the i-th vertex of V_(k,u)
+lowers n_(k,u) by one, so sigma's exponent changes by S = sum_{k'>k, u'<u}
+n_(k',u') + sum_{k'<k, u'>u} n_(k',u') + d k.  That vertex is the j-th of
+rho_k, j = u + sum_{u'<u} n_(k,u') + i, and the Cayley exponent differs from
+sum_{k'<k} dim rho_k' + j by S, mod 2.  So in this basis the type-(a) part
+is the Koszul tensor product d^(x) of the groups' relative chains C(E_g),
+graded by dim rho, with facet sign (-1)^j.  A trim leaves every n_(k,u')
+but n_(k,u) = 0 and lowers d by one, so sigma's exponent changes by sum_k k
+N_k; with j_k the place of rho_k's vertex over tau[u] and dim c = d + sum_k
+N_k, J_u differs from sum_k ((p - k) dim rho_k + j_k) by p (u + dim c) + d
+p(p+3)/2 + sum_k k N_k, mod 2.  So a trim is eps t_u^(x)(p+1) with Koszul
+signs, eps = (-1)^(p (u + dim c) + d p(p+3)/2).  The power's chains are thus
+(C, d^(x) + T), C the sum over groups of C(E_g)^(x)(p+1) and T the trims.
+
+2. The transfer, and why its series ends.  An acyclic matching gives a
+strong deformation retract of C(E_g) onto its critical simplices M_g
+(Skoldberg, "Morse theory from an algebraic viewpoint", Trans. AMS 2006):
+for a lower x with partner y and o = [dy:x], pi(x) = -o sum_{z != x} [dy:z]
+pi(z) and h(x) = -o y - o sum_{z != x} [dy:z] h(z); a critical c has pi(c)
+= c, h(c) = 0 and iota(c) = c + h(dc); an upper simplex has pi = h = 0.
+Then pi iota = 1 and iota pi - 1 = dh + hd.  The recursion follows V-paths,
+so it ends; ``_group_sdr`` walks it once per model on an explicit stack.
+By the tensor trick, pi^(x), iota^(x) and h^(x) = sum_k (iota pi)^(x)k (x)
+h (x) 1^(x)(p-k), with Koszul signs, retract C(E_g)^(x)(p+1) onto
+M_g^(x)(p+1) with differential d_M^(x), d_M = pi d iota.  T perturbs
+d^(x), and the basic perturbation lemma (Crainic, "On the perturbation
+lemma, and deformations", 2004) transfers the retract: M, the sum of the
+M_g^(x)(p+1), gets D = d_M^(x) + pi^(x) T sum_n (h^(x) T)^n iota^(x).
+h^(x) keeps the group and T lowers dim tau by one, so (h^(x) T)^n lands in
+groups of dimension d - n; a vertex group has no trim, so the terms with n
+>= d are 0 and the series is finite.  Each term is a Kronecker product of
+per-group matrices pi t_u Y ... Y t_u iota, each Y one of iota pi, h and 1,
+times a sign.  The Koszul signs of T and h and eps depend on the dims of
+the components and on dim c = sum_k dim rho_k - p d, so the sign is a
+constant times a column sign (-1)^(dim rho_k) per place (``_term_signs``).
+
+3. Why D has the power's Betti numbers.  (C, d^(x) + T) is the cellular
+chain complex of W_p in the basis sigma(c) c.  The lemma also returns maps
+that make (M, D) a deformation retract of it, so (M, D) has W_p's homology,
+and its ranks over Q give the Betti numbers.  The cells of M are the tuples
+of critical simplices of one group, sum_g c_g**(p+1), numbered in mixed
+radix.  D is, entry by entry, the Morse boundary (Forman 1998) of the lift
+that pairs a cell through its first non-critical component, conjugated by
+sigma, as the tests check against that lift's gradient flow.  A 0-cell
+lies over a vertex, where sigma = 1, so a 1-cell's boundary is still a - b
+or 0, up to its own sign.
 
 The powers of the Reeb quotient map q: sd(X) -> R are cut out of the cell
 model over X itself.  By the quotient theorem, q(x) = q(y) exactly when
@@ -87,7 +96,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from operator import xor
 
 from .complexes import SimplicialComplex, _face_pairs, simplex_key
 from .errors import BudgetExceededError, InvalidParamsError, InvariantError
@@ -144,8 +152,10 @@ def fiber_power_nerve(f, p, cell_cap=None):
     cover = set()
     for w in sorted(by_cod_vertex):
         group = by_cod_vertex[w]
-        count = len(group) ** (p + 1) + len(cover)
-        if count > 4 * cap:
+        count = _power_count([len(group)], p, 4 * cap)
+        if count is not None:
+            count += len(cover)
+        if count is None or count > 4 * cap:
             raise BudgetExceededError(
                 f"cover for codomain vertex {w} alone exceeds the cap of {cap}",
                 cap=cap, stage="nerve cover", count=count,
@@ -230,184 +240,194 @@ def _group_matching(facets):
                             todo.append(c)
 
 
-def _flow_reach(mate, down, tmasks):
-    """``reach[s]``, the OR of ``tmasks[t]`` over every simplex t that is
-    not lower and that the group flow can move s to: a lower simplex moves
-    to its partner, any other to its lower facets ``down[s]`` but its own
-    partner.  Walked on an explicit stack; a simplex met again while pending
-    closes a V-path, which raises InvariantError."""
-    reach, pending = [-1] * len(mate), set()
+def _group_sdr(shrinks, mate):
+    """The matching's strong deformation retract of the groups' relative
+    chains (module docstring, part 2): per simplex, ``proj`` (pi) and
+    ``homot`` (h) as {simplex: coefficient}.  Walked on an explicit stack; a
+    simplex met again while pending closes a V-path, which raises
+    InvariantError, as does a lower simplex that is no facet of its partner."""
+    proj, homot, pending = [None] * len(mate), [None] * len(mate), set()
+    for i, m in enumerate(mate):
+        if m < i:
+            proj[i], homot[i] = {i: 1} if m == -1 else {}, {}
     for root in range(len(mate)):
         stack = [root]
         while stack:
-            s = stack[-1]
-            if reach[s] >= 0:
+            x = stack[-1]
+            if proj[x] is not None:
                 stack.pop()
                 continue
-            m = mate[s]
-            moves = (m,) if m > s else [x for x, _, _ in down[s] if x != m]
-            todo = [x for x in moves if reach[x] < 0]
+            facets = shrinks[mate[x]]
+            o = next((e for z, e in facets if z == x), 0)
+            if not o:
+                raise InvariantError(f"simplex {x} is not a facet of its partner")
+            todo = [z for z, _ in facets if proj[z] is None and z != x]
             if todo:
-                if s in pending:
-                    raise InvariantError(f"the group flow from simplex {s} returns to it")
-                pending.add(s)
+                if x in pending:
+                    raise InvariantError(f"the group flow from simplex {x} returns to it")
+                pending.add(x)
                 stack += todo
                 continue
-            bits = 0 if m > s else tmasks[s]
-            for x in moves:
-                bits |= reach[x]
-            reach[s] = bits
-            pending.discard(s)
+            others = [(z, -o * e) for z, e in facets if z != x]
+            proj[x] = _combine((proj[z], e) for z, e in others)
+            homot[x] = _combine([({mate[x]: -o}, 1)] + [(homot[z], e) for z, e in others])
+            pending.discard(x)
             stack.pop()
-    return reach
+    return proj, homot
+
+
+def _combine(terms):
+    """The chain sum of e * chain over ``terms``, zeros dropped."""
+    out = {}
+    for chain, e in terms:
+        for s, v in chain.items():
+            out[s] = out.get(s, 0) + e * v
+    return {s: v for s, v in out.items() if v}
+
+
+def _push(chains, table):
+    """Each chain sum v * table[s], through a per-simplex table of chains."""
+    return [_combine((table[s], v) for s, v in chain.items()) for chain in chains]
+
+
+def _term_signs(p, d, us, ks):
+    """Sign parities of pi T (h T)^n iota's term with trims ``us`` from a
+    group of dimension d and step l's h at place ``ks[l]``: a constant, and
+    per place whether its columns are signed by dimension (module docstring)."""
+    half, tri = p * (p + 3) // 2, p * (p + 1) // 2
+    odd = sum(
+        p * (u + p * d) + (d - j) * half + j * tri + sum(p - k for k in ks[:j])
+        for j, u in enumerate(us)
+    )
+    odd += sum((j + 1) * k + sum(x < k for x in ks[:j]) for j, k in enumerate(ks))
+    return odd & 1, [len(us) * i + sum(k > i for k in ks) & 1 for i in range(p + 1)]
 
 
 class _MorseModel:
-    """The cell model of f's powers over the groups (tau, label), reduced by
-    the lifted group matching (module docstring).  Per simplex: its group,
-    its image-keeping facets as (facet, sign, 1 << u), u the place in tau of
-    the dropped vertex's image, and those of them that are not upper
-    (``keep``) or lower (``down``), a mask of the parities of sum_{u' < u}
-    (m_u' - 1), per u its trim over tau[u], or -1, with a mask of them, and
-    the trims its group flow can reach (``_flow_reach``).  Critical cells are
-    numbered in mixed radix, group by group."""
+    """The cell model of f's powers over the groups (tau, label), reduced
+    group by group (module docstring).  Per simplex: its group and the
+    group matching's ``proj`` and ``homot``; ``trims[u][s]``, s's trim over
+    tau[u] as {facet: sign}; per critical simplex ``incl`` (iota) and
+    ``morse`` (pi of its boundary); per group, the group of its trims over
+    each u (``target``).  A simplex is oriented by its vertices sorted by
+    image, then by id."""
 
     __slots__ = (
-        "group", "dims", "taus", "shrinks", "keep", "down", "masks", "trims", "tmasks",
-        "reach", "mate", "critical",
+        "group", "dims", "taus", "trims", "target", "mate", "critical", "proj", "homot",
+        "incl", "morse",
     )
 
     def __init__(self, f, label=None):
         simps = f.domain.simplices
         index = {s: i for i, s in enumerate(simps)}
-        keys, self.shrinks, self.masks, self.trims, self.tmasks = [], [], [], [], []
+        keys, shrinks, cuts = [], [], []
         for s in simps:
             tau = f.image_simplex(s)
             keys.append((tau, 0 if label is None else label[s]))
             over = [tau.index(f.vertex_images[v]) for v in s]
             counts = [over.count(u) for u in range(len(tau))]
-            parity = itertools.accumulate((m - 1 & 1 for m in counts), xor, initial=0)
-            mask = sum(bit << u for u, bit in enumerate(parity))
-            self.masks.append(mask)
-            shrinks = []
-            for j, u in enumerate(over):
-                if counts[u] > 1:
-                    flip = (mask >> u) + over[:j].count(u) + u & 1
-                    shrinks.append((index[s[:j] + s[j + 1 :]], -1 if flip else 1, 1 << u))
-            self.shrinks.append(shrinks)
-            self.trims.append([
-                index[tuple(v for v, w in zip(s, over) if w != u)] if m == 1 < len(tau) else -1
+            facets = {
+                j: (index.get(s[:j] + s[j + 1 :]), -1 if r & 1 else 1)
+                for r, j in enumerate(sorted(range(len(s)), key=over.__getitem__))
+            }
+            shrinks.append([facets[j] for j, u in enumerate(over) if counts[u] > 1])
+            cuts.append([
+                dict([facets[over.index(u)]]) if m == 1 < len(tau) else {}
                 for u, m in enumerate(counts)
             ])
-            self.tmasks.append(sum(1 << u for u, x in enumerate(self.trims[-1]) if x >= 0))
         order = sorted(set(keys), key=lambda g: (len(g[0]), g))
         rank = {g: r for r, g in enumerate(order)}
         self.group = [rank[g] for g in keys]
         self.taus = [g[0] for g in order]
         self.dims = [len(s) - 1 for s in simps]
-        column = {}  # the trims of one group over one vertex share a group
-        for i, cut in enumerate(self.trims):
-            g = order[self.group[i]]
-            for u, x in enumerate(cut):
-                if x >= 0 and column.setdefault((g, u), self.group[x]) != self.group[x]:
-                    raise InvariantError(
-                        f"the trims of group {g} over vertex {g[0][u]} span groups "
-                        f"{sorted(order[h] for h in (column[g, u], self.group[x]))}"
-                    )
-        self.mate = mate = _group_matching([[x for x, _, _ in fs] for fs in self.shrinks])
-        self.keep = [[e for e in fs if not 0 <= mate[e[0]] < e[0]] for fs in self.shrinks]
-        self.down = [[e for e in fs if mate[e[0]] > e[0]] for fs in self.shrinks]
-        self.reach = _flow_reach(mate, self.down, self.tmasks)
+        width = max(map(len, cuts), default=0)
+        self.trims = [[c[u] if u < len(c) else {} for c in cuts] for u in range(width)]
+        self.target = [{} for _ in order]  # the trims of one group over one vertex share a group
+        for i, cut in enumerate(cuts):
+            column = self.target[self.group[i]]
+            for u, t in enumerate(cut):
+                for x in t:
+                    if column.setdefault(u, self.group[x]) != self.group[x]:
+                        g = order[self.group[i]]
+                        raise InvariantError(
+                            f"the trims of group {g} over vertex {g[0][u]} span groups "
+                            f"{sorted(order[h] for h in (column[u], self.group[x]))}"
+                        )
+        self.mate = mate = _group_matching([[x for x, _ in fs] for fs in shrinks])
+        self.proj, self.homot = _group_sdr(shrinks, mate)
         self.critical = [[] for _ in order]
-        for i, m in enumerate(self.mate):
+        self.incl, self.morse = {}, {}
+        for c, m in enumerate(mate):
             if m < 0:
-                self.critical[self.group[i]].append(i)
-
-    def _facets(self, cell, k):
-        """The facets of a cell, a tuple of simplex ids, that can flow to a
-        nonzero chain, with their signs.  ``k`` is the place of the cell's
-        upper component, those before it critical, or len(cell) when all
-        are critical (Rules 1 and 2, module docstring)."""
-        masks, reach, out = self.masks, self.reach, []
-        total, common, later = 0, -1, []
-        for s in reversed(cell):
-            later.append(common)
-            common &= self.tmasks[s]
-            total ^= masks[s]
-        before, after, earlier = 0, total, -1
-        for j, s in enumerate(cell[: k + 1]):
-            after ^= masks[s]
-            head, tail, flip = cell[:j], cell[j + 1 :], before ^ after
-            if j < k < len(cell):
-                live = earlier & later[-1 - j]
-                out += [(head + (x,) + tail, -e if flip & bit else e)
-                        for x, e, bit in self.down[s] if reach[x] & live]
-                earlier &= reach[s]
-            else:
-                out += [(head + (x,) + tail, -e if flip & bit else e) for x, e, bit in self.keep[s]]
-            before ^= masks[s] >> 1
-        for u in range(common.bit_length()):
-            if common >> u & 1:
-                sign = -1 if u + (total >> u) & 1 else 1
-                out.append((tuple(self.trims[s][u] for s in cell), sign))
-        return out
+                self.critical[self.group[c]].append(c)
+                self.incl[c] = _combine([({c: 1}, 1)] + [(self.homot[z], e) for z, e in shrinks[c]])
+                self.morse[c] = _combine((self.proj[z], e) for z, e in shrinks[c])
 
     def betti(self, p):
-        """Betti vector of the (p+1)-fold power from its Morse complex."""
-        cells, dims = [], []
+        """Betti vector of the (p+1)-fold power from its transferred complex."""
+        dims, blocks, pos = [], [], {}
         for tau, members in zip(self.taus, self.critical):
-            for cell in itertools.product(members, repeat=p + 1):
-                cells.append(cell)
-                dims.append(sum(self.dims[s] for s in cell) - p * (len(tau) - 1))
-        cid, memo = {cell: j for j, cell in enumerate(cells)}, {}
-        bounds = [self._boundary(c, cid, memo) if d else {} for c, d in zip(cells, dims)]
-        return _betti_numbers(dims, bounds)
+            blocks.append((len(dims), len(members)))
+            pos.update((c, q) for q, c in enumerate(members))
+            power = [-p * (len(tau) - 1)]
+            for _ in range(p + 1):
+                power = [a + self.dims[c] for a in power for c in members]
+            dims += power
+        bounds = [{} for _ in dims]
+        for g, (base, m) in enumerate(blocks):
+            # Each term's Kronecker product, over the non-empty columns only.
+            for h, mats, odd in self._terms(g, p, pos):
+                (top, n), acc = blocks[h], [(0, 0, -1 if odd else 1)]
+                for mat in mats:
+                    acc = [
+                        (a * m + q, b * n + r, c * e)
+                        for a, b, c in acc for q, col in mat for r, e in col
+                    ]
+                for a, b, c in acc:
+                    row = bounds[base + a]
+                    row[top + b] = row.get(top + b, 0) + c
+        return _betti_numbers(dims, [{r: e for r, e in b.items() if e} for b in bounds])
 
-    def _boundary(self, cell, cid, memo):
-        """Morse boundary of a critical cell by gradient flow on a stack.
-        ``memo`` maps each non-critical cell met to its flow: none for an
-        upper cell, -[u:y] times the flow of u's other facets from
-        ``_facets`` for a lower cell y of partner u.  A flow back to a
-        pending cell raises InvariantError."""
-        mate, stack, pending = self.mate, [(cell, None)], set()
+    def _terms(self, g, p, pos):
+        """The Morse boundary of group g's cells as Kronecker terms (target
+        group, per-place matrices, sign parity): d_M^(x) place by place,
+        then pi T (h T)^n iota over every path of trims (module docstring)."""
+        members = self.critical[g]
+        odd = [self.dims[c] & 1 for c in members]
+
+        def matrix(chains, flip=0):
+            return [
+                (q, [(pos[r], -e if flip and odd[q] else e) for r, e in chain.items()])
+                for q, chain in enumerate(chains) if chain
+            ]
+
+        one = [{c: 1} for c in members]
+        signed, plain, morse = matrix(one, 1), matrix(one), matrix(self.morse[c] for c in members)
+        for k in range(p + 1 if morse else 0):
+            yield g, [signed] * k + [morse] + [plain] * (p - k), 0
+        # Depth first over paths of trims; ``words`` maps the maps each place
+        # met at each step so far (0: iota pi, 1: h, 2: 1) to its chains.
+        d = len(self.taus[g]) - 1
+        stack = [((), g, {(): [self.incl[c] for c in members]})]
         while stack:
-            y, fs = stack[-1]
-            if fs is None:
-                u, k = y, len(y)
-                if y is not cell:
-                    if y in memo:
-                        stack.pop()
-                        continue
-                    k = next(k for k, s in enumerate(y) if mate[s] >= 0)
-                    if mate[y[k]] < y[k]:
-                        memo[y] = {}
-                        stack.pop()
-                        continue
-                    if y in pending:
-                        raise InvariantError(f"the gradient flow from cell {y} returns to it")
-                    pending.add(y)
-                    u = y[:k] + (mate[y[k]],) + y[k + 1 :]
-                fs = self._facets(u, k)
-                stack[-1] = (y, fs)
-                depth = len(stack)
-                stack += [(z, None) for z, _ in fs if z != y and z not in memo and z not in cid]
-                if len(stack) > depth:
-                    continue
-            own = -1 if y is cell else 0
-            out = {}
-            for z, e in fs:
-                if z == y:
-                    own = e
-                elif z in cid:
-                    out[cid[z]] = out.get(cid[z], 0) + e
-                else:
-                    for j, v in memo[z].items():
-                        out[j] = out.get(j, 0) + e * v
-            if not own:
-                raise InvariantError(f"cell {y} is not a facet of its partner")
-            memo[y] = {j: -own * v for j, v in out.items() if v}
-            stack.pop()
-        return memo.pop(cell)
+            us, here, words = stack.pop()
+            for u, h in sorted(self.target[here].items()):
+                path = us + (u,)
+                cut = {w: _push(chains, self.trims[u]) for w, chains in words.items()}
+                ends = {w: _push(chains, self.proj) for w, chains in cut.items()}
+                for ks in itertools.product(range(p + 1), repeat=len(us)):
+                    const, flips = _term_signs(p, d, path, ks)
+                    mats = [
+                        matrix(ends[tuple((i >= k) + (i > k) for k in ks)], flip)
+                        for i, flip in enumerate(flips)
+                    ]
+                    if all(mats):
+                        yield h, mats, const
+                nxt = {w + (1,): _push(chains, self.homot) for w, chains in cut.items()}
+                if len(self.taus[h]) > 1 and any(map(any, nxt.values())):
+                    for w, chains in cut.items():
+                        nxt[w + (0,)], nxt[w + (2,)] = _push(ends[w], self.incl), chains
+                    stack.append((path, h, nxt))
 
 
 def _group_sizes(f):
@@ -440,10 +460,25 @@ def _quotient_group_sizes(k, strata):
     return list(sizes.values())
 
 
+def _power_count(sizes, p, cap):
+    """The sum of n**(p+1) over ``sizes``, or None when one term passes the
+    cap by more than 2**64: n >= 2**(b-1), b its bit length, so n**(p+1) >=
+    2**((p+1)(b-1)), which decides it before any power with many digits is
+    built."""
+    if any((p + 1) * (n.bit_length() - 1) > cap.bit_length() + 64 for n in sizes):
+        return None
+    return sum(n ** (p + 1) for n in sizes)
+
+
 def _check_cell_cap(sizes, p, cap):
     """Refuse a (p+1)-fold power whose unreduced cell count, the sum of
-    n**(p+1) over the exact-image group sizes n, passes the cap."""
-    total = sum(n ** (p + 1) for n in sizes)
+    n**(p+1) over the exact-image group sizes n, passes the cap; a count
+    too large to write out is left out of the message."""
+    total = _power_count(sizes, p, cap)
+    if total is None:
+        raise BudgetExceededError(
+            f"fiber-power cells exceed the cap of {cap}", cap=cap, stage="fiber-power cells"
+        )
     if total > cap:
         raise BudgetExceededError(
             f"{total} fiber-power cells exceed the cap of {cap}",

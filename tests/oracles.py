@@ -24,10 +24,13 @@ check became sort-free.  ``poset_chains`` finds the chains of a poset by
 brute force over pairwise-comparable subsets, for the order complexes that
 the package enumerates from up-sets, and ``convolve`` the Kunneth product of
 Betti vectors that product spaces are checked against.
-``morse_complex_unpruned`` is the gradient flow over every facet of every
-cell met, with ``morse_facets_unpruned`` generating them, that the pruned
-flow of ``reebforge.fiberprod`` replaced; it reads the tables of the
-package's ``_MorseModel``.  Otherwise only the result types and the
+``morse_complex_unpruned`` is the gradient flow of the lifted matching over
+every facet of every cell met, with ``morse_facets_unpruned`` generating
+them from the Cayley-trick parity tables of ``cayley_tables``, that the
+transferred complex of ``reebforge.fiberprod`` replaced; it reads only the
+matching and the critical simplices of the package's ``_MorseModel``.
+``koszul_signs`` gives each critical cell its sign sigma, which carries the
+flow's complex to the package's.  Otherwise only the result types and the
 internal-invariant error come from the package.
 """
 
@@ -38,6 +41,7 @@ from itertools import combinations, product
 
 from reebforge.complexes import Poset
 from reebforge.errors import InvariantError
+from reebforge.fiberprod import _MorseModel
 from reebforge.homology import BettiVector
 from reebforge.reeb import ReebComplex, ReebGraph, ReebNode, Stratum
 
@@ -753,37 +757,101 @@ def convolve(a, b):
     return BettiVector(out)
 
 
-def morse_facets_unpruned(model, cell):
+def cayley_tables(f):
+    """The Cayley-trick parity tables of f's simplices: per simplex (ids in
+    canonical order) a mask of the parities of sum_{u' < u} (m_u' - 1),
+    m_u the vertices over tau[u]; its image-keeping facets as (facet,
+    sign, 1 << u), the sign that of the facet within its own Delta(V_u);
+    per u its trim over tau[u], or -1; and a mask of the u with a trim."""
+    simps = f.domain.simplices
+    index = {s: i for i, s in enumerate(simps)}
+    masks, shrinks, trims, tmasks = [], [], [], []
+    for s in simps:
+        tau = f.image_simplex(s)
+        over = [tau.index(f.vertex_images[v]) for v in s]
+        counts = [over.count(u) for u in range(len(tau))]
+        mask, parity = 0, 0
+        for u, m in enumerate(counts):
+            mask |= parity << u
+            parity ^= m - 1 & 1
+        masks.append(mask | parity << len(counts))
+        shrinks.append([
+            (index[s[:j] + s[j + 1 :]], (-1) ** ((mask >> u) + over[:j].count(u) + u & 1), 1 << u)
+            for j, u in enumerate(over) if counts[u] > 1
+        ])
+        trims.append([
+            index[tuple(v for v, w in zip(s, over) if w != u)] if m == 1 < len(tau) else -1
+            for u, m in enumerate(counts)
+        ])
+        tmasks.append(sum(1 << u for u, x in enumerate(trims[-1]) if x >= 0))
+    return masks, shrinks, trims, tmasks
+
+
+def morse_facets_unpruned(tables, cell):
     """Every facet of a power cell, a tuple of simplex ids, with its
-    closed-form sign, from the tables of a ``fiberprod._MorseModel``."""
-    masks, out, total, common = model.masks, [], 0, -1
+    closed-form sign, from ``cayley_tables``."""
+    masks, shrinks, trims, tmasks = tables
+    out, total, common = [], 0, -1
     for s in cell:
         total ^= masks[s]
-        common &= model.tmasks[s]
+        common &= tmasks[s]
     before, after = 0, total
     for k, s in enumerate(cell):
         after ^= masks[s]
         head, tail, flip = cell[:k], cell[k + 1 :], before ^ after
-        out += [(head + (x,) + tail, -e if flip & bit else e) for x, e, bit in model.shrinks[s]]
+        out += [(head + (x,) + tail, -e if flip & bit else e) for x, e, bit in shrinks[s]]
         before ^= masks[s] >> 1
     for u in range(common.bit_length()):
         if common >> u & 1:
             sign = -1 if u + (total >> u) & 1 else 1
-            out.append((tuple(model.trims[s][u] for s in cell), sign))
+            out.append((tuple(trims[s][u] for s in cell), sign))
     return out
 
 
-def morse_complex_unpruned(model, p):
+def critical_cells(model, p):
+    """The (p+1)-fold power's critical cells, tuples of critical simplices
+    of one group, in the engine's mixed-radix order, with their taus."""
+    return [
+        (tau, cell)
+        for tau, members in zip(model.taus, model.critical)
+        for cell in product(members, repeat=p + 1)
+    ]
+
+
+def koszul_signs(f, model, p):
+    """sigma(c) of each critical cell c of the (p+1)-fold power, in the
+    engine's order: (-1)^(sum_{k<k'} sum_{u>u'} n_(k,u) n_(k',u') + d sum_k
+    k N_k), with n_(k,u) = m_(k,u) - 1 for the m_(k,u) vertices of
+    component k over tau[u], N_k = sum_u n_(k,u) and d = dim tau."""
+    simps, out = f.domain.simplices, []
+    for tau, cell in critical_cells(model, p):
+        n = []
+        for s in cell:
+            over = [tau.index(f.vertex_images[v]) for v in simps[s]]
+            n.append([over.count(u) - 1 for u in range(len(tau))])
+        e = sum(
+            n[k][u] * n[k2][u2]
+            for k, k2 in combinations(range(p + 1), 2)
+            for u2, u in combinations(range(len(tau)), 2)
+        )
+        e += (len(tau) - 1) * sum(k * sum(row) for k, row in enumerate(n))
+        out.append(-1 if e & 1 else 1)
+    return out
+
+
+def morse_complex_unpruned(f, p, label=None):
     """Dimensions and Morse boundaries of the (p+1)-fold power's critical
-    cells, numbered as the engine numbers them, by the gradient flow over
-    every facet of every cell met: the flow the pruned one replaced.  Upper
-    cells flow to 0, a lower cell y of partner u to -[u:y] times the flow of
-    u's other facets; memoised, on an explicit stack."""
+    cells, numbered as the engine numbers them, by the gradient flow of the
+    first-non-critical lift of the engine's group matching over every facet
+    of every cell met, with Cayley-trick signs.  Upper cells flow to 0, a
+    lower cell y of partner u to -[u:y] times the flow of u's other facets;
+    memoised, on an explicit stack."""
+    model = _MorseModel(f, label)
+    tables = cayley_tables(f)
     mate, cells, dims = model.mate, [], []
-    for tau, members in zip(model.taus, model.critical):
-        for cell in product(members, repeat=p + 1):
-            cells.append(cell)
-            dims.append(sum(model.dims[s] for s in cell) - p * (len(tau) - 1))
+    for tau, cell in critical_cells(model, p):
+        cells.append(cell)
+        dims.append(sum(model.dims[s] for s in cell) - p * (len(tau) - 1))
     cid, memo, bounds = {cell: j for j, cell in enumerate(cells)}, {}, []
     for cell, d in zip(cells, dims):
         if not d:
@@ -807,7 +875,7 @@ def morse_complex_unpruned(model, p):
                         raise InvariantError(f"the gradient flow from cell {y} returns to it")
                     pending.add(y)
                     u = y[:k] + (mate[y[k]],) + y[k + 1 :]
-                fs = morse_facets_unpruned(model, u)
+                fs = morse_facets_unpruned(tables, u)
                 stack[-1] = (y, fs)
                 depth = len(stack)
                 stack += [(z, None) for z, _ in fs if z != y and z not in memo and z not in cid]

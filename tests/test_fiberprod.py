@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, product
 
 import pytest
@@ -48,8 +49,10 @@ from .oracles import (
     _cell_poset,
     _exact_image_groups,
     betti_numbers_uncleared,
+    cayley_tables,
     fiber_power_cells_tuples,
     fiber_power_triangulation_betti,
+    koszul_signs,
     morse_complex_unpruned,
     morse_facets_unpruned,
 )
@@ -109,6 +112,16 @@ def test_identity_powers_are_the_domain():
     for p in (0, 1, 2):
         assert fiber_power_betti(ident, p, engine="cells") == (1, 0, 1)
     assert fiber_power_betti(ident, 1, engine="nerve") == (1, 0, 1)
+
+
+def test_identity_power_at_a_large_p_takes_time_linear_in_p():
+    # Groups of one simplex pass any cap, so p is unbounded; a group with
+    # no Morse differential emits no d^(x) terms, which would cost p**2.
+    sphere = boundary_delta3()
+    ident = SimplicialMap(sphere, sphere, list(range(4)))
+    start = time.perf_counter()
+    assert fiber_power_betti(ident, 5000) == (1, 0, 1)
+    assert time.perf_counter() - start < 5
 
 
 def small_instances():
@@ -211,8 +224,9 @@ def unreduced_cells(f, p):
 
 
 def morse_power(monkeypatch, f, p, label=None):
-    """The Betti vector of the Morse engine and the signed complex it ranked,
-    which must equal the complex of the unpruned flow over every facet."""
+    """The Betti vector of the engine and the complex it ranked, which must
+    equal, entry by entry, the complex of the unpruned flow over every
+    facet conjugated by sigma: entry (c, r) times sigma(c) sigma(r)."""
     seen = []
     ranked = fiberprod._betti_numbers
 
@@ -224,7 +238,12 @@ def morse_power(monkeypatch, f, p, label=None):
         patch.setattr(fiberprod, "_betti_numbers", record)
         out = _fiber_power_cells_betti(f, p, label)
     ((dims, boundaries),) = seen
-    assert (dims, boundaries) == morse_complex_unpruned(_MorseModel(f, label), p), p
+    flow_dims, flow = morse_complex_unpruned(f, p, label)
+    sigma = koszul_signs(f, _MorseModel(f, label), p)
+    assert dims == flow_dims, p
+    assert boundaries == [
+        {r: sigma[c] * sigma[r] * e for r, e in bd.items()} for c, bd in enumerate(flow)
+    ], p
     return out, dims, boundaries
 
 
@@ -240,6 +259,20 @@ def assert_boundary_squares_to_zero(dims, boundaries):
             for h, v in boundaries[g].items():
                 total[h] = total.get(h, 0) + e * v
         assert not any(total.values()), c
+
+
+GROUP_MATCHING = fiberprod._group_matching
+
+
+def imperfect_matching(facets):
+    """The package's group matching with every third pair split into two
+    critical simplices: still acyclic, but no longer perfect, so the groups'
+    Morse differentials are not 0."""
+    mate = list(GROUP_MATCHING(facets))
+    pairs = [(i, m) for i, m in enumerate(mate) if m > i]
+    for i, m in pairs[::3]:
+        mate[i] = mate[m] = -1
+    return mate
 
 
 def small_sliced_maps():
@@ -262,6 +295,56 @@ def test_morse_powers_match_cell_poset_reference(monkeypatch, seed):
             out, dims, boundaries = morse_power(monkeypatch, f, p, lab)
             assert out == regular_cw_betti(*_cell_poset(f, p, lab)), (p, lab is None)
             assert_boundary_squares_to_zero(dims, boundaries)
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 5))
+def test_transferred_complex_of_imperfect_matchings_matches_the_flow(monkeypatch, seed):
+    # With a perfect matching every group's Morse differential is 0, and
+    # terms built from it vanish; split pairs make it nonzero.  The complex
+    # still equals the flow's, has d o d = 0 and the power's Betti numbers.
+    monkeypatch.setattr(fiberprod, "_group_matching", imperfect_matching)
+    f = random_map(seed)
+    label = _stratum_labels(f, reeb_space(f))
+    for lab in (None, label):
+        for p in range(3):
+            out, dims, boundaries = morse_power(monkeypatch, f, p, lab)
+            assert out == regular_cw_betti(*_cell_poset(f, p, lab)), (p, lab is None)
+            assert_boundary_squares_to_zero(dims, boundaries)
+
+
+def higher_dimensional_maps():
+    """Maps from domains of dimension 3 to 6 onto a triangle or a
+    tetrahedron: groups over a tetrahedron give terms with two h steps, at
+    one place or at two, and a group holds simplices of both dimension
+    parities."""
+    s4 = full_simplex(4)
+    sphere = SimplicialComplex(5, [s for s in s4.simplices if len(s) < 5])
+    tet, tri = full_simplex(3), full_simplex(2)
+    return [
+        ("s4_tet", SimplicialMap(s4, tet, [0, 1, 2, 3, 3])),
+        ("s4_tri", SimplicialMap(s4, tri, [0, 1, 2, 1, 2])),
+        ("sphere_tet", SimplicialMap(sphere, tet, [0, 1, 2, 3, 3])),
+        ("s5_tet", SimplicialMap(full_simplex(5), tet, [0, 1, 2, 3, 3, 2])),
+        ("s6_tet", SimplicialMap(full_simplex(6), tet, [1, 3, 1, 0, 3, 1, 2])),
+    ]
+
+
+@pytest.mark.parametrize("matching", ["package", "imperfect"])
+def test_transferred_complex_on_higher_dimensional_maps(monkeypatch, matching):
+    if matching == "imperfect":
+        monkeypatch.setattr(fiberprod, "_group_matching", imperfect_matching)
+    checked = 0
+    for name, f in higher_dimensional_maps():
+        label = _stratum_labels(f, reeb_space(f))
+        for p in range(3):
+            if unreduced_cells(f, p) > 20_000:
+                break
+            for lab in (None, label):
+                out, dims, boundaries = morse_power(monkeypatch, f, p, lab)
+                assert out == regular_cw_betti(*_cell_poset(f, p, lab)), (name, p)
+                assert_boundary_squares_to_zero(dims, boundaries)
+                checked += 1
+    assert checked >= 20
 
 
 def test_reduced_powers_match_unreduced_cell_posets(monkeypatch):
@@ -296,21 +379,10 @@ def power_cells(f, p, label=None):
     ]
 
 
-def pruned_facets_place(mate, cell):
-    """Where the flow expands ``cell``: len(cell) if it is critical, the
-    place of its first non-critical component if that one is upper and the
-    cell is thus a partner, else None."""
-    k = next((k for k, s in enumerate(cell) if mate[s] >= 0), len(cell))
-    if k == len(cell) or mate[cell[k]] < cell[k]:
-        return k
-    return None
-
-
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_closed_form_facets_and_signs_on_every_cell(p):
     # The facets generated from a tuple are the reference poset's, and the
-    # closed-form signs make d o d = 0 on the whole power.  The flow's
-    # pruned facets of each cell it expands are among them, signs and all.
+    # closed-form signs make d o d = 0 on the whole power.
     disk = disk_collapse(2)
     cases = [(random_map(seed), None) for seed in range(0, 50, 5)]
     cases += [(random_map(seed), _stratum_labels(random_map(seed), reeb_space(random_map(seed))))
@@ -320,19 +392,15 @@ def test_closed_form_facets_and_signs_on_every_cell(p):
     for f, label in cases:
         if unreduced_cells(f, p) > 20_000:
             continue
-        model = _MorseModel(f, label)
+        tables = cayley_tables(f)
         cells = power_cells(f, p, label)
         cid = {cell: i for i, cell in enumerate(cells)}
         dims, facets = _cell_poset(f, p, label)
         boundaries = []
         for cell, expected in zip(cells, facets):
-            found = {cid[x]: sign for x, sign in morse_facets_unpruned(model, cell)}
+            found = {cid[x]: sign for x, sign in morse_facets_unpruned(tables, cell)}
             assert sorted(found) == sorted(expected), cell
             boundaries.append(found)
-            k = pruned_facets_place(model.mate, cell)
-            if k is not None:
-                pruned = {cid[x]: sign for x, sign in model._facets(cell, k)}
-                assert pruned.items() <= found.items(), cell
         assert_boundary_squares_to_zero(dims, boundaries)
         checked += 1
     assert checked >= 8
@@ -391,40 +459,59 @@ def test_group_matching_is_perfect_on_the_battery():
             assert len(model.critical[g]) == sum(betti_numbers_uncleared(dims, boundaries))
 
 
-def test_flow_reach_is_the_or_of_trim_masks_over_the_group_flow():
-    # reach[s] against a breadth-first walk from s: a lower simplex moves to
-    # its partner, any other to each lower image-keeping facet but its own
-    # partner; reach[s] ORs the trim masks of the simplices met that are
-    # not lower.  Both targets on the battery and the 2-disk.
-    disk = disk_collapse(2)
-    cases = [(random_map(seed), None) for seed in range(50)]
-    cases += [(random_map(seed), _stratum_labels(random_map(seed), reeb_space(random_map(seed))))
-              for seed in range(0, 50, 7)]
-    cases += [(disk, None), (disk, _stratum_labels(disk, reeb_space(disk)))]
-    for f, label in cases:
+def group_boundaries(f):
+    """The image-keeping part of each simplex's boundary, {facet id:
+    sign}, ids in canonical order, every simplex oriented by its vertices
+    sorted by image, then by id."""
+    images = f.vertex_images
+    index = {s: i for i, s in enumerate(f.domain.simplices)}
+    out = []
+    for s in f.domain.simplices:
+        ordered = sorted(s, key=lambda v: (images[v], v))
+        out.append({
+            index[tuple(x for x in s if x != v)]: (-1) ** r
+            for r, v in enumerate(ordered)
+            if sum(images[x] == images[v] for x in s) > 1
+        })
+    return out
+
+
+def chain_sum(terms):
+    out = {}
+    for chain, e in terms:
+        for s, v in chain.items():
+            out[s] = out.get(s, 0) + e * v
+    return {s: v for s, v in out.items() if v}
+
+
+def sdr_cases():
+    disk1, disk2 = disk_collapse(1), disk_collapse(2)
+    cases = [(f"random{s}", random_map(s)) for s in range(50)]
+    cases += [("disk1", disk1), ("disk2", disk2)]
+    return [
+        (name, f, label)
+        for name, f in cases
+        for label in (None, _stratum_labels(f, reeb_space(f)))
+    ]
+
+
+def test_group_sdr_is_a_strong_deformation_retract():
+    # For every group of the battery and both disks, on both targets: pi
+    # iota = 1 on the critical simplices, and iota pi - 1 = dh + hd on every
+    # simplex, d the image-keeping boundary inside the groups.
+    for name, f, label in sdr_cases():
         model = _MorseModel(f, label)
-        mate = model.mate
-        simplices = f.domain.simplices
-        index = {s: i for i, s in enumerate(simplices)}
-        lower = [m > i for i, m in enumerate(mate)]
-        image = [f.image_simplex(s) for s in simplices]
-        for s in range(len(simplices)):
-            seen, todo, bits = {s}, [s], 0
-            while todo:
-                t = todo.pop()
-                if lower[t]:
-                    moves = [mate[t]]
-                else:
-                    bits |= model.tmasks[t]
-                    rho = simplices[t]
-                    faces = (index.get(rho[:j] + rho[j + 1 :]) for j in range(len(rho)))
-                    moves = [x for x in faces if x is not None and image[x] == image[t]
-                             and lower[x] and x != mate[t]]
-                for x in moves:
-                    if x not in seen:
-                        seen.add(x)
-                        todo.append(x)
-            assert model.reach[s] == bits, (s, label is None)
+        bd = group_boundaries(f)
+        for c in model.incl:
+            assert chain_sum((model.proj[s], v) for s, v in model.incl[c].items()) == {c: 1}
+        for s in range(len(bd)):
+            iota_pi = chain_sum((model.incl[c], v) for c, v in model.proj[s].items())
+            lhs = chain_sum([(iota_pi, 1), ({s: 1}, -1)])
+            rhs = chain_sum(
+                [(bd[x], v) for x, v in model.homot[s].items()]
+                + [(model.homot[x], v) for x, v in bd[s].items()]
+            )
+            assert lhs == rhs, (name, label is None, s)
 
 
 # (0,) -> (0, 1) -> (1,) -> (1, 2) -> (2,) -> (0, 2) -> (0,)
@@ -445,9 +532,10 @@ NON_FACET_MATE = [-1, 4, 5, 7, 1, 2, -1, 3]
 )
 def test_broken_matchings_raise_invariant_error(monkeypatch, mate, p, message):
     # A triangle with a pendant edge, mapped to a point: one group, ids
-    # (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2).  The reach
-    # table's walk meets the cycle before any flow; the flow out of the
-    # critical edge (0, 3), and out of ((0, 3), (0, 3)), meets the pair.
+    # (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2).  Both are
+    # caught while the group's deformation retract is built, before any
+    # power: the walk from (0,) closes the cycle, and (3,) is no facet of
+    # its partner (1, 2).
     domain = SimplicialComplex(4, [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (0, 3)])
     f = SimplicialMap(domain, point(), [0, 0, 0, 0])
     monkeypatch.setattr(fiberprod, "_group_matching", lambda facets: list(mate))
@@ -503,6 +591,33 @@ def test_cap_counts_the_unreduced_power():
     with pytest.raises(BudgetExceededError) as info:
         descent_check(f, p_max=2, cell_cap=30_000)
     assert (info.value.count, info.value.cap) == (50_653, 30_000)
+
+
+@pytest.mark.parametrize("p", [5000, 10_000_000])
+def test_huge_powers_are_refused_without_counting_them(p):
+    # Both engines decide from the group sizes' bit lengths: no count with
+    # thousands of digits is built or written, and the error names the
+    # stage and the cap.
+    f = disk_collapse(2)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as cells:
+        fiber_power_betti(f, p)
+    with pytest.raises(BudgetExceededError) as nerve:
+        fiber_power_betti(f, p, engine="nerve")
+    assert time.perf_counter() - start < 0.5
+    assert (cells.value.stage, cells.value.count, cells.value.cap) == (
+        "fiber-power cells", None, 200_000)
+    assert str(cells.value) == "fiber-power cells exceed the cap of 200000"
+    assert (nerve.value.stage, nerve.value.count, nerve.value.cap) == ("nerve cover", None, 200_000)
+
+
+def test_power_count_is_exact_until_far_past_the_cap():
+    # Exact while no term can pass the cap by 2**64, so every count that a
+    # message has reported stays; None beyond.
+    assert fiberprod._power_count([37, 2], 2, 30_000) == 50_661
+    assert fiberprod._power_count([2], 78, 30_000) == 2 ** 79
+    assert fiberprod._power_count([2], 79, 30_000) is None
+    assert fiberprod._power_count([1], 10 ** 9, 30_000) == 1
 
 
 def random_sub_map(seed, size, picks):

@@ -284,6 +284,44 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+HUGE_POWER_REFUSALS = {
+    "auto": "fiber-power cells exceed the cap of 200000",
+    "nerve": "cover for codomain vertex 0 alone exceeds the cap of 200000",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(HUGE_POWER_REFUSALS))
+@pytest.mark.parametrize("p", ["5000", "10000000"])
+def test_cli_refuses_a_huge_power_at_once(tmp_path, capsys, engine, p):
+    # 2**5001 cells and more: refused from the group sizes' bit lengths,
+    # with the stage and the cap, before any power is computed or printed.
+    path = tmp_path / "disk.json"
+    path.write_text(dumps_report(map_to_doc(disk_collapse(2))), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["fiber-power", str(path), "-p", p, "--engine", engine], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == f"reebforge: budget exceeded: {HUGE_POWER_REFUSALS[engine]}\n"
+
+
+def test_cli_missing_file_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli(["betti", str(tmp_path / "absent.json")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("reebforge: error: [Errno 2]")
+
+
+def test_cli_map_naming_a_missing_domain_is_an_input_error(tmp_path, capsys):
+    f = disk_collapse(1)
+    path = tmp_path / "map.json"
+    doc = {"domain": "absent.json", "codomain": complex_to_doc(f.codomain),
+           "vertex_images": list(f.vertex_images)}
+    path.write_text(dumps_report(doc), encoding="utf-8")
+    code, out, err = run_cli(["fiber-power", str(path), "-p", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("reebforge: error: [Errno 2]")
+    assert "absent.json" in err
+
+
 def test_cli_fiber_power_nerve_engine(tmp_path, capsys):
     path = tmp_path / "disk.json"
     path.write_text(dumps_report(map_to_doc(disk_collapse(1))), encoding="utf-8")
