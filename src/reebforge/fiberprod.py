@@ -304,8 +304,8 @@ def _term_signs(p, d, us, ks):
 
 
 class _MorseModel:
-    """The cell model of f's powers over the groups (tau, label), reduced
-    group by group (module docstring).  Per simplex: its group and the
+    """The cell model of f's powers over the groups (tau, label[i]), reduced
+    group by group (module docstring).  Per simplex i: its group and the
     group matching's ``proj`` and ``homot``; ``trims[u][s]``, s's trim over
     tau[u] as {facet: sign}; per critical simplex ``incl`` (iota) and
     ``morse`` (pi of its boundary); per group, the group of its trims over
@@ -321,9 +321,9 @@ class _MorseModel:
         simps = f.domain.simplices
         index = {s: i for i, s in enumerate(simps)}
         keys, shrinks, cuts = [], [], []
-        for s in simps:
+        for i, s in enumerate(simps):
             tau = f.image_simplex(s)
-            keys.append((tau, 0 if label is None else label[s]))
+            keys.append((tau, 0 if label is None else label[i]))
             over = [tau.index(f.vertex_images[v]) for v in s]
             counts = [over.count(u) for u in range(len(tau))]
             facets = {
@@ -470,32 +470,33 @@ def _power_count(sizes, p, cap):
     return sum(n ** (p + 1) for n in sizes)
 
 
-def _check_cell_cap(sizes, p, cap):
-    """Refuse a (p+1)-fold power whose unreduced cell count, the sum of
-    n**(p+1) over the exact-image group sizes n, passes the cap; a count
-    too large to write out is left out of the message."""
+def _check_cell_cap(sizes, p, cap, places=1, what="fiber-power cells"):
+    """Refuse a (p+1)-fold power when ``places`` times the sum of n**(p+1)
+    over the group sizes n, by default its unreduced cell count, passes the
+    cap; a count too large to write out is left out of the message."""
     total = _power_count(sizes, p, cap)
     if total is None:
         raise BudgetExceededError(
-            f"fiber-power cells exceed the cap of {cap}", cap=cap, stage="fiber-power cells"
+            f"{what} exceed the cap of {cap}", cap=cap, stage="fiber-power cells"
         )
-    if total > cap:
+    if total * places > cap:
         raise BudgetExceededError(
-            f"{total} fiber-power cells exceed the cap of {cap}",
-            cap=cap, stage="fiber-power cells", count=total,
+            f"{total * places} {what} exceed the cap of {cap}",
+            cap=cap, stage="fiber-power cells", count=total * places,
         )
 
 
-def _fiber_power_cells_betti(f, p, label=None):
+def _fiber_power_cells_betti(f, p, cap, label=None):
     """Betti vector of the (p+1)-fold fiber power of f, over the groups
-    (tau, label) (module docstring).  The caller checks the cap."""
-    return _MorseModel(f, label).betti(p)
-
-
-def _stratum_labels(f, space):
-    """Each domain simplex's component of S_tau, tau its exact image, read
-    off ``space.exact_strata``, so no stratum's members are built."""
-    return {s: space.strata[i].component for s, i in zip(f.domain.simplices, space.exact_strata)}
+    (tau, label) (module docstring).  The caller checks the unreduced count;
+    here the critical cells, sum_g c_g**(p+1) tuples of p + 1 components,
+    are refused past the cap, since groups of one simplex keep that sum
+    small for any p while the work grows with p."""
+    model = _MorseModel(f, label)
+    _check_cell_cap(
+        [len(c) for c in model.critical], p, cap, p + 1, "components of critical fiber-power cells"
+    )
+    return model.betti(p)
 
 
 def fiber_power_betti(f, p, engine="auto", cell_cap=None):
@@ -513,7 +514,7 @@ def fiber_power_betti(f, p, engine="auto", cell_cap=None):
     if engine not in ("auto", "cells"):
         raise InvalidParamsError(f"unknown engine {engine!r}")
     _check_cell_cap(_group_sizes(f), p, cap)
-    return _fiber_power_cells_betti(f, p)
+    return _fiber_power_cells_betti(f, p, cap)
 
 
 def image_subcomplex(f):
@@ -545,12 +546,11 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
         _check_cell_cap([_subdivision_size(f.domain)], 0, cap)
         space = reeb_space(f)
         target_betti = space.betti()
-        label = _stratum_labels(f, space)
         sizes = _quotient_group_sizes(f.domain, space.exact_strata)
         powers = []
         for j in range(p_max + 1):
             _check_cell_cap(sizes, j, cap)
-            powers.append(_fiber_power_cells_betti(f, j, label))
+            powers.append(_fiber_power_cells_betti(f, j, cap, space.exact_strata))
     else:
         raise InvalidParamsError(f"unknown target {target!r}")
 

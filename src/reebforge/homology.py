@@ -6,16 +6,17 @@ preserve the homotopy type, so they change nothing but the matrix sizes),
 incidence signs are fixed on the core, and one assembly reads the Betti
 numbers off the ranks of the coboundary matrices, taken bottom up over the
 dimensions with clearing; the rank in degree 0 is a component count of the
-1-skeleton, by union-find.  A simplicial complex is the case whose signs are
-known; a regular cell complex, such as a Reeb space's stratum poset, gets its
-signs by propagation around each cell's facet graph, and a fiber power's
-Morse complex (``fiberprod``) brings its own.  Ranks come from one
-fraction-free integer elimination (cross-multiplication plus a gcd sweep per
-updated column) that returns its pivot rows, so every Betti number is exact.
-Clearing (Chen and Kerber, "Persistent homology computation with a twist",
-2011, here on the coboundary as in Bauer's Ripser) skips each d-cell that
-was a pivot row of the previous coboundary, since its column would reduce to
-zero; that is a theorem over any field, so no rank is approximated.
+1-skeleton, by union-find.  A Delta-complex, a simplicial complex or a Reeb
+space's strata, has the known signs (-1)**u for its u-th face; a fiber
+power's Morse complex (``fiberprod``) brings its own, and the propagation
+of ``regular_cw_betti`` serves only the tests' cell-poset reference.  Ranks
+come from one fraction-free integer elimination (cross-multiplication plus
+a gcd sweep per updated column) that returns its pivot rows, so every Betti
+number is exact.  Clearing (Chen and Kerber, "Persistent homology
+computation with a twist", 2011, here on the coboundary as in Bauer's
+Ripser) skips each d-cell that was a pivot row of the previous coboundary,
+since its column would reduce to zero; that is a theorem over any field,
+so no rank is approximated.
 """
 
 from __future__ import annotations
@@ -254,17 +255,19 @@ def _betti_numbers(dims, boundaries):
     return BettiVector(len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
 
-def betti(complex_):
-    """Betti vector over the rationals.
+def _delta_betti(dims, facets):
+    """Betti vector of a Delta-complex: ``facets[c][u]``, the u-th face of
+    cell c, has incidence (-1)**u.  The free-face collapse goes first; a
+    kept cell keeps every face, each at its place u."""
+    kept, core = collapse_face_poset(facets)
+    boundaries = [{g: -1 if u % 2 else 1 for u, g in enumerate(fs)} for fs in core]
+    return _betti_numbers([dims[i] for i in kept], boundaries)
 
-    The free-face collapse shrinks the complex first; the core is a cell
-    complex whose incidence signs are known, (-1)**i for the facet that omits
-    vertex i.
-    """
+
+def betti(complex_):
+    """Betti vector over the rationals; a simplex's u-th face omits vertex u."""
     simplices = complex_.simplices
-    kept, core = collapse_face_poset(_facet_ids(simplices))
-    boundaries = [{g: -1 if i % 2 else 1 for i, g in enumerate(fs)} for fs in core]
-    return _betti_numbers([len(simplices[i]) - 1 for i in kept], boundaries)
+    return _delta_betti([len(s) - 1 for s in simplices], _facet_ids(simplices))
 
 
 def euler_characteristic(complex_):

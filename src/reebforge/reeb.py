@@ -4,11 +4,11 @@ The Reeb space of a simplicial map f: K -> L is realized combinatorially.
 Points of |L| are stratified by the open simplices of L; over a codomain
 simplex tau the fiber components of f correspond to the connected components
 of S_tau = {sigma in K : tau is contained in f(sigma)} under the face
-relation.  The pairs (tau, component) form the stratum poset, the face poset
-of a regular cell structure on the Reeb space: its cellular homology gives
-the Betti numbers, its order complex triangulates the Reeb space, and the
-quotient map becomes a genuine simplicial map from the barycentric
-subdivision of K onto that triangulation.
+relation.  The pairs (tau, component), the strata, are the cells of a
+Delta-complex structure on the Reeb space (below): its cellular homology
+gives the Betti numbers, its face poset's order complex triangulates the
+Reeb space, and the quotient map becomes a genuine simplicial map from the
+barycentric subdivision of K onto that triangulation.
 
 The components of S_tau are found inside E_tau = {sigma : f(sigma) = tau}.
 For sigma in S_tau let sigma|tau be the face spanned by the vertices of
@@ -23,7 +23,12 @@ the canonical order, in which sigma|tau comes no later than sigma, so each
 component's smallest member has exact image tau and the components keep
 their order.  The stratum below stratum (tau, c) over a facet tau' of tau
 holds every member's restriction to tau', in particular the restriction of
-the smallest member.
+the smallest member.  So (tau, c) has one facet d_u over tau minus tau[u],
+and for u < w both d_(w-1) d_u and d_u d_w are the stratum over tau minus
+tau[u] and tau[w] that holds the restriction of c's smallest member: the
+face maps commute, and the strata form a Delta-complex.  The signs (-1)**u
+orient it with no propagation, as for a simplicial complex: the two paths
+to a face of codimension two carry (-1)**(u+w-1) and (-1)**(u+w), so d d = 0.
 
 For a real-valued function the classical sweep is implemented independently:
 each simplex of the 2-skeleton, whose face relation determines level-set
@@ -55,7 +60,7 @@ from .complexes import (
     simplex_key,
 )
 from .errors import EmptyComplexError, InvariantError, UnknownSimplexError
-from .homology import BettiVector, betti, collapse_face_poset, regular_cw_betti
+from .homology import BettiVector, _delta_betti, betti
 
 
 @dataclass(frozen=True)
@@ -70,22 +75,25 @@ class ReebComplex:
     """The Reeb space of a simplicial map, with its quotient structure.
 
     ``strata[i]`` names stratum i; ``exact_strata[j]`` is the stratum of
-    domain simplex j over its exact image; ``poset`` orders strata by
-    codomain-face inclusion and component containment; and
-    ``codomain_projection[i]`` recovers the codomain simplex under stratum i.
-    The poset is the face poset of a regular cell complex whose cell i has
-    dimension dim tau_i, so ``betti`` works on it directly.
-    ``realization``, the order complex of the poset, and ``quotient_map``,
-    from sd(domain) onto it, are built on first access (large inputs rarely
-    need them).
+    domain simplex j over its exact image; ``facets[i][u]`` is the stratum
+    below stratum i over tau_i minus tau_i[u], a Delta-complex checked on
+    construction (module docstring); ``codomain_projection[i]`` is tau_i.
+    ``poset``, the face order, ``realization``, its order complex, and
+    ``quotient_map``, from sd(domain) onto it, are built on first access
+    (large inputs rarely need them).
     """
 
-    def __init__(self, source_map, strata, exact_strata, poset):
+    def __init__(self, source_map, strata, exact_strata, facets):
         self.map = source_map
         self.strata = strata
         self.exact_strata = exact_strata
-        self.poset = poset
+        self.facets = facets
         self.codomain_projection = tuple(s.tau for s in strata)
+        _check_face_maps(self.codomain_projection, facets)
+
+    @cached_property
+    def poset(self):
+        return Poset(self.strata, [(g, i) for i, fs in enumerate(self.facets) for g in fs])
 
     @cached_property
     def realization(self):
@@ -110,26 +118,36 @@ class ReebComplex:
         return _edge_checked_map(sd, self.realization, self.exact_strata, _face_pairs(carrier))
 
     def betti(self):
-        """Reeb-space Betti numbers, by cellular homology on the stratum poset."""
-        facets = [[] for _ in self.strata]
-        for lower, upper in self.poset.covers:
-            facets[upper].append(lower)
-        kept, core = collapse_face_poset(facets)
-        return regular_cw_betti([len(self.strata[i].tau) - 1 for i in kept], core)
+        """Reeb-space Betti numbers: cellular homology with the signs (-1)**u."""
+        return _delta_betti([len(tau) - 1 for tau in self.codomain_projection], self.facets)
 
     def __repr__(self):
         return f"ReebComplex(strata={len(self.strata)})"
 
 
+def _check_face_maps(taus, facets):
+    """Raise InvariantError, naming the stratum, unless the u-th facet of
+    stratum i over taus[i] lies over taus[i] minus its u-th vertex and, for
+    u < w, facets[facets[i][u]][w - 1] == facets[facets[i][w]][u]."""
+    for i, (tau, fs) in enumerate(zip(taus, facets)):
+        faces = [tau[:u] + tau[u + 1 :] for u in range(len(tau))] if len(tau) > 1 else []
+        if [taus[g] for g in fs] != faces:
+            raise InvariantError(f"the facets of stratum {i} over {tau} do not lie over its faces")
+    for i, fs in enumerate(facets):
+        if len(fs) > 2 and any(
+            facets[fs[u]][w - 1] != facets[fs[w]][u] for w in range(len(fs)) for u in range(w)
+        ):
+            raise InvariantError(f"the face maps of stratum {i} over {taus[i]} do not commute")
+
+
 def reeb_space(f):
     """Construct the Reeb space of a simplicial map.
 
-    Strata are computed over every exact image tau and ordered by their face
-    relation; the order complex of that poset, the realization, is left to
-    be built on demand.  The components of S_tau are those of E_tau (module
-    docstring), found by one union-find per tau that joins each simplex of
-    E_tau to its image-keeping facets; one parent array serves every tau, so
-    each domain simplex is touched once.
+    Strata are computed over every exact image tau in canonical order, so
+    their facets (module docstring) are numbered before them.  The
+    components of S_tau are those of E_tau, found by one union-find per tau
+    that joins each simplex of E_tau to its image-keeping facets; one parent
+    array serves every tau, so each domain simplex is touched once.
     """
     simps = f.domain.simplices
     images = f.vertex_images
@@ -150,26 +168,16 @@ def reeb_space(f):
     parent = list(range(len(simps)))
     exact_strata = [0] * len(simps)
     strata = []
-    heads = []
+    facets = []
     for tau in sorted(groups, key=simplex_key):
         for ci, cls in enumerate(component_classes(groups[tau], keeping, parent)):
+            head = simps[cls[0]]
+            off = [tuple(v for v in head if images[v] != t) for t in tau] if len(tau) > 1 else []
+            facets.append(tuple(exact_strata[index[face]] for face in off))
             for i in cls:
                 exact_strata[i] = len(strata)
             strata.append(Stratum(tau, ci))
-            heads.append(simps[cls[0]])
-
-    covers = []
-    for sid, (stratum, head) in enumerate(zip(strata, heads)):
-        tau = stratum.tau
-        # The quotient map reaches a stratum through its exact-image members.
-        if f.image_simplex(head) != tau:
-            raise InvariantError(f"stratum {stratum} has no exact-image member")
-        if len(tau) > 1:
-            for t in tau:
-                face = tuple(v for v in head if images[v] != t)
-                covers.append((exact_strata[index[face]], sid))
-    poset = Poset(strata, covers)
-    return ReebComplex(f, tuple(strata), tuple(exact_strata), poset)
+    return ReebComplex(f, tuple(strata), tuple(exact_strata), tuple(facets))
 
 
 def fiber_components_at(f, tau):
@@ -230,13 +238,9 @@ def verify_quotient(f):
         for i in range(len(carrier))
     )
 
-    second = reeb_space(q)
-    per_tau = {}
-    for stratum in second.strata:
-        per_tau[stratum.tau] = per_tau.get(stratum.tau, 0) + 1
-    fibers_connected = len(per_tau) == len(space.realization.simplex_set) and all(
-        per_tau.get(s, 0) == 1 for s in space.realization.simplices
-    )
+    # Each stratum of q lies over a realization simplex: one over each.
+    taus = reeb_space(q).codomain_projection
+    fibers_connected = len(taus) == len(set(taus)) == len(space.realization.simplex_set)
 
     vertex_surjective = set(q.vertex_images) == set(range(space.realization.num_vertices))
 

@@ -39,7 +39,6 @@ from fractions import Fraction
 from math import gcd
 from itertools import combinations, product
 
-from reebforge.complexes import Poset
 from reebforge.errors import InvariantError
 from reebforge.fiberprod import _MorseModel
 from reebforge.homology import BettiVector
@@ -397,11 +396,12 @@ def _exact_image_groups(f, label=None):
     """The domain simplices of each group, in canonical order.
 
     A group is keyed (tau, label): the simplices of exact image tau with one
-    ``label[s]``, or all of them, keyed (tau, 0), when ``label`` is None.
+    ``label[i]``, i the simplex id, or all of them, keyed (tau, 0), when
+    ``label`` is None.
     """
     groups = {}
-    for s in f.domain.simplices:
-        key = (f.image_simplex(s), 0 if label is None else label[s])
+    for i, s in enumerate(f.domain.simplices):
+        key = (f.image_simplex(s), 0 if label is None else label[i])
         groups.setdefault(key, []).append(s)
     return groups
 
@@ -707,10 +707,10 @@ def reeb_space_scan(f):
     S_tau = {sigma : tau inside f(sigma)} is gathered for every face tau of
     every image and split into components under the face relation; stratum
     (tau, c) is the c-th class in the canonical order of first members.  A
-    stratum covers the stratum over each facet of tau that holds its first
-    member, and each simplex goes to the stratum over its exact image that
-    holds it.  Returns a ReebComplex with these strata, covers and quotient
-    images.
+    stratum's u-th facet is the stratum over tau minus tau[u] that holds its
+    first member, and each simplex goes to the stratum over its exact image
+    that holds it.  Returns a ReebComplex with these strata, facets and
+    quotient images.
     """
     simplices = f.domain.simplices
     buckets = {}
@@ -733,15 +733,15 @@ def reeb_space_scan(f):
     stratum_id = {(st.tau, st.component): i for i, st in enumerate(strata)}
     for stratum, cls in zip(strata, members):
         assert any(f.image_simplex(s) == stratum.tau for s in cls), stratum
-    covers = []
-    for i, (stratum, cls) in enumerate(zip(strata, members)):
+    facets = []
+    for stratum, cls in zip(strata, members):
         tau = stratum.tau
-        for facet in combinations(tau, len(tau) - 1) if len(tau) > 1 else ():
-            covers.append((stratum_id[(facet, comp_of[facet][cls[0]])], i))
+        faces = [tau[:u] + tau[u + 1 :] for u in range(len(tau))] if len(tau) > 1 else []
+        facets.append(tuple(stratum_id[(face, comp_of[face][cls[0]])] for face in faces))
     exact = [
         stratum_id[(f.image_simplex(s), comp_of[f.image_simplex(s)][s])] for s in simplices
     ]
-    return ReebComplex(f, tuple(strata), tuple(exact), Poset(strata, covers))
+    return ReebComplex(f, tuple(strata), tuple(exact), tuple(facets))
 
 
 def convolve(a, b):

@@ -22,11 +22,11 @@ from reebforge import (
 )
 from reebforge import fiberprod
 from reebforge.fiberprod import (
+    DEFAULT_CELL_CAP,
     _MorseModel,
     _fiber_power_cells_betti,
     _group_sizes,
     _quotient_group_sizes,
-    _stratum_labels,
     _subdivision_size,
     resolve_cell_cap,
 )
@@ -43,7 +43,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 from reebforge.homology import regular_cw_betti
-from reebforge.reeb import pl_as_simplicial_map
+from reebforge.reeb import Stratum, pl_as_simplicial_map
 
 from .oracles import (
     _cell_poset,
@@ -96,7 +96,7 @@ def test_nerve_p0_recovers_domain_betti(seed):
 
 def test_cells_p0_recovers_domain_betti():
     for f in (disk_collapse(1), disk_collapse(2), constant_circle_map()):
-        assert _fiber_power_cells_betti(f, 0) == betti(f.domain)
+        assert _fiber_power_cells_betti(f, 0, DEFAULT_CELL_CAP) == betti(f.domain)
 
 
 def test_constant_map_powers_are_cartesian_powers():
@@ -122,6 +122,38 @@ def test_identity_power_at_a_large_p_takes_time_linear_in_p():
     start = time.perf_counter()
     assert fiber_power_betti(ident, 5000) == (1, 0, 1)
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("p", [20_000, 10_000_000])
+def test_identity_power_at_a_huge_p_is_refused_at_once(p):
+    # The unreduced count stays 14 for any p, but the 14 critical cells
+    # carry p + 1 components each, so (p + 1) * 14 passes the cap.
+    sphere = boundary_delta3()
+    ident = SimplicialMap(sphere, sphere, list(range(4)))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        fiber_power_betti(ident, p)
+    assert time.perf_counter() - start < 1
+    exc, count = info.value, 14 * (p + 1)
+    assert (str(exc), exc.stage, exc.count, exc.cap) == (
+        f"{count} components of critical fiber-power cells exceed the cap of 200000",
+        "fiber-power cells",
+        count,
+        200_000,
+    )
+
+
+@pytest.mark.parametrize("target", ["image", "reeb"])
+def test_descent_refuses_critical_components_past_the_cap(target):
+    # Both targets: the identity's quotient map has 74 groups of one chain,
+    # so each power passes the unreduced check at a cap of 80, and the six
+    # components of each of the 14 critical cells at p = 5 do not.
+    sphere = boundary_delta3()
+    ident = SimplicialMap(sphere, sphere, list(range(4)))
+    assert descent_check(ident, target=target, p_max=4, cell_cap=80)["ok"]
+    with pytest.raises(BudgetExceededError) as info:
+        descent_check(ident, target=target, p_max=5, cell_cap=80)
+    assert str(info.value) == "84 components of critical fiber-power cells exceed the cap of 80"
 
 
 def small_instances():
@@ -236,7 +268,7 @@ def morse_power(monkeypatch, f, p, label=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(fiberprod, "_betti_numbers", record)
-        out = _fiber_power_cells_betti(f, p, label)
+        out = _fiber_power_cells_betti(f, p, DEFAULT_CELL_CAP, label)
     ((dims, boundaries),) = seen
     flow_dims, flow = morse_complex_unpruned(f, p, label)
     sigma = koszul_signs(f, _MorseModel(f, label), p)
@@ -289,7 +321,7 @@ def test_morse_powers_match_cell_poset_reference(monkeypatch, seed):
     # the Reeb target refuses 17 battery maps at p = 2 on the quotient map's
     # own count, while their stratum models are small.
     f = random_map(seed)
-    label = _stratum_labels(f, reeb_space(f))
+    label = reeb_space(f).exact_strata
     for lab in (None, label):
         for p in range(3):
             out, dims, boundaries = morse_power(monkeypatch, f, p, lab)
@@ -304,7 +336,7 @@ def test_transferred_complex_of_imperfect_matchings_matches_the_flow(monkeypatch
     # still equals the flow's, has d o d = 0 and the power's Betti numbers.
     monkeypatch.setattr(fiberprod, "_group_matching", imperfect_matching)
     f = random_map(seed)
-    label = _stratum_labels(f, reeb_space(f))
+    label = reeb_space(f).exact_strata
     for lab in (None, label):
         for p in range(3):
             out, dims, boundaries = morse_power(monkeypatch, f, p, lab)
@@ -335,7 +367,7 @@ def test_transferred_complex_on_higher_dimensional_maps(monkeypatch, matching):
         monkeypatch.setattr(fiberprod, "_group_matching", imperfect_matching)
     checked = 0
     for name, f in higher_dimensional_maps():
-        label = _stratum_labels(f, reeb_space(f))
+        label = reeb_space(f).exact_strata
         for p in range(3):
             if unreduced_cells(f, p) > 20_000:
                 break
@@ -356,7 +388,7 @@ def test_reduced_powers_match_unreduced_cell_posets(monkeypatch):
     checked = 0
     cases = [("disk1", disk_collapse(1)), ("disk2", disk_collapse(2))] + small_sliced_maps()
     for name, f in cases:
-        label = _stratum_labels(f, reeb_space(f))
+        label = reeb_space(f).exact_strata
         for p in range(3):
             if unreduced_cells(f, p) > 20_000:
                 break
@@ -385,9 +417,9 @@ def test_closed_form_facets_and_signs_on_every_cell(p):
     # closed-form signs make d o d = 0 on the whole power.
     disk = disk_collapse(2)
     cases = [(random_map(seed), None) for seed in range(0, 50, 5)]
-    cases += [(random_map(seed), _stratum_labels(random_map(seed), reeb_space(random_map(seed))))
+    cases += [(random_map(seed), reeb_space(random_map(seed)).exact_strata)
               for seed in (12, 24)]
-    cases += [(disk, None), (disk, _stratum_labels(disk, reeb_space(disk)))]
+    cases += [(disk, None), (disk, reeb_space(disk).exact_strata)]
     checked = 0
     for f, label in cases:
         if unreduced_cells(f, p) > 20_000:
@@ -427,9 +459,9 @@ def lifted_matching_cases():
     return [
         (random_map(0), None),
         (random_map(12), None),
-        (random_map(24), _stratum_labels(random_map(24), reeb_space(random_map(24)))),
+        (random_map(24), reeb_space(random_map(24)).exact_strata),
         (disk, None),
-        (disk, _stratum_labels(disk, reeb_space(disk))),
+        (disk, reeb_space(disk).exact_strata),
         (constant_circle_map(), None),
     ]
 
@@ -491,7 +523,7 @@ def sdr_cases():
     return [
         (name, f, label)
         for name, f in cases
-        for label in (None, _stratum_labels(f, reeb_space(f)))
+        for label in (None, reeb_space(f).exact_strata)
     ]
 
 
@@ -540,7 +572,7 @@ def test_broken_matchings_raise_invariant_error(monkeypatch, mate, p, message):
     f = SimplicialMap(domain, point(), [0, 0, 0, 0])
     monkeypatch.setattr(fiberprod, "_group_matching", lambda facets: list(mate))
     with pytest.raises(InvariantError, match=message):
-        _fiber_power_cells_betti(f, p)
+        _fiber_power_cells_betti(f, p, DEFAULT_CELL_CAP)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -650,7 +682,7 @@ def test_reduced_powers_match_triangulation_oracle(f, p):
     # rational ranks; about 40 cells keep an example under a second.
     assume(unreduced_cells(f, p) <= 40)
     expected = fiber_power_triangulation_betti(f, p)
-    assert _fiber_power_cells_betti(f, p).as_list() == expected
+    assert _fiber_power_cells_betti(f, p, DEFAULT_CELL_CAP).as_list() == expected
 
 
 def test_nerve_symmetric_under_permuted_maximal_order():
@@ -730,7 +762,8 @@ def test_reeb_strata_cells_are_a_subcomplex_of_the_image_cells():
     # the same dimensions and the image-model facets among them.
     for seed in (0, 12, 24):
         f = random_map(seed)
-        label = _stratum_labels(f, reeb_space(f))
+        label = reeb_space(f).exact_strata
+        sid = {s: i for i, s in enumerate(f.domain.simplices)}
         groups = _exact_image_groups(f, label)
         keys = sorted(groups, key=lambda g: (len(g[0]), g))
         for p in (1, 2):
@@ -739,11 +772,11 @@ def test_reeb_strata_cells_are_a_subcomplex_of_the_image_cells():
             decoded = [
                 (g[0], tup) for g in keys for tup in product(groups[g], repeat=p + 1)
             ]
-            assert all(len({label[s] for s in tup}) == 1 for _, tup in decoded)
+            assert all(len({label[sid[s]] for s in tup}) == 1 for _, tup in decoded)
             inside = {index[cell] for cell in decoded}
             assert len(inside) == len(decoded)
             assert inside == {
-                i for i, (_, tup) in enumerate(tuples) if len({label[s] for s in tup}) == 1
+                i for i, (_, tup) in enumerate(tuples) if len({label[sid[s]] for s in tup}) == 1
             }
             dims, facets = _cell_poset(f, p, label)
             assert dims == [image_dims[index[cell]] for cell in decoded]
@@ -756,7 +789,7 @@ def test_reeb_strata_cells_are_a_subcomplex_of_the_image_cells():
 def test_reeb_strata_shrink_the_disk_powers():
     f = disk_collapse(2)
     space = reeb_space(f)
-    label = _stratum_labels(f, space)
+    label = space.exact_strata
     assert [unreduced_cells(space.quotient_map, p) for p in range(3)] == [337, 6121, 170_137]
     assert [len(_cell_poset(f, p, label)[0]) for p in range(3)] == [61, 469, 4441]
 
@@ -768,25 +801,28 @@ def test_reeb_strata_shrink_the_disk_powers():
     ids=["disk1", "disk2"] + [f"random{s}" for s in range(50)],
 )
 def test_stratum_labels_match_fiber_components(build):
-    # Each simplex's label is the index of its class among the components
-    # over its exact image, as the independent coface walk finds them.
+    # Each simplex's label, its stratum over its exact image, is the stratum
+    # of its class among the components over that image, as the independent
+    # coface walk finds them.
     f = build()
-    label = _stratum_labels(f, reeb_space(f))
-    assert set(label) == set(f.domain.simplices)
+    space = reeb_space(f)
+    label = space.exact_strata
+    assert len(label) == len(f.domain.simplices)
+    sid = {s: i for i, s in enumerate(f.domain.simplices)}
     for tau in {f.image_simplex(s) for s in f.domain.simplices}:
         for ci, cls in enumerate(fiber_components_at(f, tau)):
             for s in cls:
                 if f.image_simplex(s) == tau:
-                    assert label[s] == ci, (tau, s)
+                    assert space.strata[label[sid[s]]] == Stratum(tau, ci), (tau, s)
 
 
 def test_reeb_target_never_enumerates_the_quotient_map(monkeypatch):
     f = disk_collapse(2)
     enumerated = []
 
-    def record(g, p, label=None):
+    def record(g, p, cap, label=None):
         enumerated.append(g.domain)
-        return _fiber_power_cells_betti(g, p, label)
+        return _fiber_power_cells_betti(g, p, cap, label)
 
     monkeypatch.setattr("reebforge.fiberprod._fiber_power_cells_betti", record)
     assert descent_check(f, target="reeb", p_max=2)["ok"]
@@ -885,14 +921,15 @@ def test_trims_split_across_strata_raise_invariant_error(monkeypatch):
             for v in e:
                 trims.setdefault((f.image_simplex(e), f.vertex_images[v]), set()).add((v,))
     vertices = next(vs for _, vs in sorted(trims.items()) if len(vs) > 1)
-    moved = min(vertices)
+    moved = simplices.index(min(vertices))
+    engine = fiberprod._fiber_power_cells_betti
 
-    def split(g, space):
-        label = _stratum_labels(g, space)
+    def split(g, p, cap, label):
+        label = list(label)
         label[moved] = 99
-        return label
+        return engine(g, p, cap, label)
 
-    monkeypatch.setattr("reebforge.fiberprod._stratum_labels", split)
+    monkeypatch.setattr(fiberprod, "_fiber_power_cells_betti", split)
     with pytest.raises(InvariantError, match="trims of group"):
         descent_check(f, target="reeb", p_max=1)
 

@@ -304,6 +304,25 @@ def test_cli_refuses_a_huge_power_at_once(tmp_path, capsys, engine, p):
     assert err == f"reebforge: budget exceeded: {HUGE_POWER_REFUSALS[engine]}\n"
 
 
+@pytest.mark.parametrize("p", ["20000", "10000000"])
+def test_cli_refuses_a_huge_identity_power_at_once(tmp_path, capsys, p):
+    # Groups of one simplex keep the unreduced count at 14 for any p; the
+    # critical cells' p + 1 components each are what the cap refuses.
+    sphere = boundary_delta3()
+    path = tmp_path / "ident.map.json"
+    ident = map_to_doc(reebforge.SimplicialMap(sphere, sphere, list(range(4))))
+    path.write_text(dumps_report(ident), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["fiber-power", str(path), "-p", p], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    count = 14 * (int(p) + 1)
+    assert err == (
+        f"reebforge: budget exceeded: {count} components of critical fiber-power cells "
+        "exceed the cap of 200000\n"
+    )
+
+
 def test_cli_missing_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run_cli(["betti", str(tmp_path / "absent.json")], capsys)
     assert (code, out) == (1, "")

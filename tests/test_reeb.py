@@ -41,8 +41,9 @@ from reebforge.fixtures import (
     random_map,
     torus_height,
 )
-from reebforge import reeb
+from reebforge import descent_check, homology, reeb
 from reebforge.complexes import _face_pairs
+from reebforge.homology import regular_cw_betti
 from reebforge.io import reeb_graph_to_dot
 
 from .oracles import (
@@ -53,6 +54,7 @@ from .oracles import (
     reeb_graph_rescan,
     reeb_space_scan,
 )
+from .test_fiberprod import assert_boundary_squares_to_zero
 from .test_homology import simplicial_complexes
 
 
@@ -388,6 +390,7 @@ def assert_reeb_space_matches_scan(f, quotient=True):
     space = reeb_space(f)
     want = reeb_space_scan(f)
     assert space.strata == want.strata
+    assert space.facets == want.facets
     assert space.poset.covers == want.poset.covers
     assert space.exact_strata == want.exact_strata
     assert space.betti() == want.betti()
@@ -464,7 +467,7 @@ def first_incomparable_swap(space):
 def test_quotient_with_swapped_strata_raises_on_an_incomparable_edge(build):
     space = reeb_space(build())
     swapped = first_incomparable_swap(space)
-    broken = ReebComplex(space.map, space.strata, tuple(swapped), space.poset)
+    broken = ReebComplex(space.map, space.strata, tuple(swapped), space.facets)
     with pytest.raises(InvariantError) as info:
         broken.quotient_map
     a, b, wa, wb = named_edge(info.value)
@@ -472,6 +475,92 @@ def test_quotient_with_swapped_strata_raises_on_an_incomparable_edge(build):
     assert set(simps[a]) < set(simps[b])
     assert (wa, wb) == (swapped[a], swapped[b])
     assert wa != wb and (min(wa, wb), max(wa, wb)) not in space.realization.simplex_set
+
+
+# The strata as a Delta-complex: the signs (-1)**u against sign propagation
+# on the stratum poset's covers, and the face-map check on construction.
+
+
+def delta_boundaries(facets):
+    return [{g: -1 if u % 2 else 1 for u, g in enumerate(fs)} for fs in facets]
+
+
+@pytest.mark.parametrize("build, _quotient", SCAN_CASES)
+def test_reeb_betti_matches_sign_propagation_on_the_covers(monkeypatch, build, _quotient):
+    space = reeb_space(build())
+    dims = [len(tau) - 1 for tau in space.codomain_projection]
+    covers = [[] for _ in dims]
+    for lower, upper in space.poset.covers:
+        covers[upper].append(lower)
+    assert [set(fs) for fs in space.facets] == [set(fs) for fs in covers]
+    assert_boundary_squares_to_zero(dims, delta_boundaries(space.facets))
+    want = regular_cw_betti(dims, covers)
+    ranked = []
+    assemble = homology._betti_numbers
+
+    def record(dims, boundaries):
+        ranked.append((dims, boundaries))
+        return assemble(dims, boundaries)
+
+    monkeypatch.setattr(homology, "_betti_numbers", record)
+    assert space.betti() == want
+    ((core_dims, core),) = ranked
+    assert_boundary_squares_to_zero(core_dims, core)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: disk_collapse(2), lambda: random_map(9)], ids=["disk2", "random9"]
+)
+def test_reeb_path_builds_no_poset(monkeypatch, build):
+    def refuse(*args):
+        raise AssertionError("a Poset was built")
+
+    f = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(reeb, "Poset", refuse)
+        space = reeb_space(f)
+        bv = space.betti()
+        report = descent_check(f, target="reeb", p_max=2)
+    assert report["betti_target"] == bv.as_list()
+    assert betti(space.realization) == bv
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: disk_collapse(2), lambda: random_map(9), lambda: torus_height()[1]],
+    ids=["disk2", "random9", "torus"],
+)
+def test_swapped_facets_raise_invariant_error(build):
+    # Swapping the first and last facet of any stratum of dimension >= 1
+    # puts a facet over the wrong face.
+    space = reeb_space(build())
+    for i, fs in enumerate(space.facets):
+        if not fs:
+            continue
+        swapped = list(space.facets)
+        swapped[i] = (fs[-1],) + fs[1:-1] + (fs[0],)
+        with pytest.raises(InvariantError, match="do not lie over its faces") as info:
+            ReebComplex(space.map, space.strata, space.exact_strata, tuple(swapped))
+        assert f"stratum {i} over {space.strata[i].tau} " in str(info.value)
+
+
+def test_facets_that_do_not_commute_raise_invariant_error():
+    # A facet replaced by another stratum over the same face, with other
+    # facets of its own, breaks a face identity of the stratum above.
+    space = reeb_space(random_map(9))
+    strata, facets = space.strata, space.facets
+    checked = 0
+    for i, fs in enumerate(facets):
+        for u, g in enumerate(fs if len(fs) > 2 else ()):
+            for h, stratum in enumerate(strata):
+                if stratum.tau == strata[g].tau and facets[h] != facets[g]:
+                    broken = list(facets)
+                    broken[i] = fs[:u] + (h,) + fs[u + 1 :]
+                    with pytest.raises(InvariantError, match="do not commute") as info:
+                        ReebComplex(space.map, strata, space.exact_strata, tuple(broken))
+                    assert f"stratum {i} over {strata[i].tau} " in str(info.value)
+                    checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize(
