@@ -60,6 +60,8 @@ per-group matrices pi t_u Y ... Y t_u iota, each Y one of iota pi, h and 1,
 times a sign.  The Koszul signs of T and h and eps depend on the dims of
 the components and on dim c = sum_k dim rho_k - p d, so the sign is a
 constant times a column sign (-1)^(dim rho_k) per place (``_term_signs``).
+Only the signs, the Kronecker products and the ranks depend on p: the
+model, its retracts and matrices are built once per descent check.
 
 3. Why D has the power's Betti numbers.  (C, d^(x) + T) is the cellular
 chain complex of W_p in the basis sigma(c) c.  The lemma also returns maps
@@ -93,6 +95,7 @@ so it runs only for ``engine="nerve"``, as the tests' reference.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from collections import Counter
@@ -309,12 +312,12 @@ class _MorseModel:
     group matching's ``proj`` and ``homot``; ``trims[u][s]``, s's trim over
     tau[u] as {facet: sign}; per critical simplex ``incl`` (iota) and
     ``morse`` (pi of its boundary); per group, the group of its trims over
-    each u (``target``).  A simplex is oriented by its vertices sorted by
-    image, then by id."""
+    each u (``target``) and, once built, its ``matrices``.  A
+    simplex is oriented by its vertices sorted by image, then by id."""
 
     __slots__ = (
         "group", "dims", "taus", "trims", "target", "mate", "critical", "proj", "homot",
-        "incl", "morse",
+        "pos", "incl", "morse", "matrices",
     )
 
     def __init__(self, f, label=None):
@@ -362,13 +365,14 @@ class _MorseModel:
                 self.critical[self.group[c]].append(c)
                 self.incl[c] = _combine([({c: 1}, 1)] + [(self.homot[z], e) for z, e in shrinks[c]])
                 self.morse[c] = _combine((self.proj[z], e) for z, e in shrinks[c])
+        self.pos = {c: q for members in self.critical for q, c in enumerate(members)}
+        self.matrices = [None] * len(order)
 
     def betti(self, p):
         """Betti vector of the (p+1)-fold power from its transferred complex."""
-        dims, blocks, pos = [], [], {}
+        dims, blocks = [], []
         for tau, members in zip(self.taus, self.critical):
             blocks.append((len(dims), len(members)))
-            pos.update((c, q) for q, c in enumerate(members))
             power = [-p * (len(tau) - 1)]
             for _ in range(p + 1):
                 power = [a + self.dims[c] for a in power for c in members]
@@ -376,7 +380,7 @@ class _MorseModel:
         bounds = [{} for _ in dims]
         for g, (base, m) in enumerate(blocks):
             # Each term's Kronecker product, over the non-empty columns only.
-            for h, mats, odd in self._terms(g, p, pos):
+            for h, mats, odd in self._terms(g, p):
                 (top, n), acc = blocks[h], [(0, 0, -1 if odd else 1)]
                 for mat in mats:
                     acc = [
@@ -388,46 +392,57 @@ class _MorseModel:
                     row[top + b] = row.get(top + b, 0) + c
         return _betti_numbers(dims, [{r: e for r, e in b.items() if e} for b in bounds])
 
-    def _terms(self, g, p, pos):
+    def _terms(self, g, p):
         """The Morse boundary of group g's cells as Kronecker terms (target
         group, per-place matrices, sign parity): d_M^(x) place by place,
         then pi T (h T)^n iota over every path of trims (module docstring)."""
-        members = self.critical[g]
-        odd = [self.dims[c] & 1 for c in members]
-
-        def matrix(chains, flip=0):
-            return [
-                (q, [(pos[r], -e if flip and odd[q] else e) for r, e in chain.items()])
-                for q, chain in enumerate(chains) if chain
-            ]
-
-        one = [{c: 1} for c in members]
-        signed, plain, morse = matrix(one, 1), matrix(one), matrix(self.morse[c] for c in members)
+        signed, plain, morse, paths = self._matrices(g)
         for k in range(p + 1 if morse else 0):
             yield g, [signed] * k + [morse] + [plain] * (p - k), 0
-        # Depth first over paths of trims; ``words`` maps the maps each place
-        # met at each step so far (0: iota pi, 1: h, 2: 1) to its chains.
         d = len(self.taus[g]) - 1
-        stack = [((), g, {(): [self.incl[c] for c in members]})]
-        while stack:
-            us, here, words = stack.pop()
-            for u, h in sorted(self.target[here].items()):
-                path = us + (u,)
-                cut = {w: _push(chains, self.trims[u]) for w, chains in words.items()}
-                ends = {w: _push(chains, self.proj) for w, chains in cut.items()}
-                for ks in itertools.product(range(p + 1), repeat=len(us)):
-                    const, flips = _term_signs(p, d, path, ks)
-                    mats = [
-                        matrix(ends[tuple((i >= k) + (i > k) for k in ks)], flip)
-                        for i, flip in enumerate(flips)
-                    ]
-                    if all(mats):
-                        yield h, mats, const
-                nxt = {w + (1,): _push(chains, self.homot) for w, chains in cut.items()}
-                if len(self.taus[h]) > 1 and any(map(any, nxt.values())):
-                    for w, chains in cut.items():
-                        nxt[w + (0,)], nxt[w + (2,)] = _push(ends[w], self.incl), chains
-                    stack.append((path, h, nxt))
+        for path, h, ends in paths:
+            for ks in itertools.product(range(p + 1), repeat=len(path) - 1):
+                const, flips = _term_signs(p, d, path, ks)
+                mats = [
+                    ends[tuple((i >= k) + (i > k) for k in ks)][flip]
+                    for i, flip in enumerate(flips)
+                ]
+                if all(mats):
+                    yield h, mats, const
+
+    def _matrices(self, g):
+        """Group g's matrices, which no p changes, built on first use: 1
+        signed by dimension and not, d_M, and per path of trims its target
+        group and, per word, pi t_u Y ... Y t_u iota unsigned and signed."""
+        if self.matrices[g] is None:
+            members = self.critical[g]
+            odd = [self.dims[c] & 1 for c in members]
+
+            def matrix(chains, flip=0):
+                return [
+                    (q, [(self.pos[r], -e if flip and odd[q] else e) for r, e in chain.items()])
+                    for q, chain in enumerate(chains) if chain
+                ]
+
+            one, paths = [{c: 1} for c in members], []
+            # Depth first over paths of trims; ``words`` maps the maps each
+            # place met at each step so far (0: iota pi, 1: h, 2: 1) to its
+            # chains.
+            stack = [((), g, {(): [self.incl[c] for c in members]})]
+            while stack:
+                us, here, words = stack.pop()
+                for u, h in sorted(self.target[here].items()):
+                    path = us + (u,)
+                    cut = {w: _push(chains, self.trims[u]) for w, chains in words.items()}
+                    ends = {w: _push(chains, self.proj) for w, chains in cut.items()}
+                    paths.append((path, h, {w: (matrix(e), matrix(e, 1)) for w, e in ends.items()}))
+                    nxt = {w + (1,): _push(chains, self.homot) for w, chains in cut.items()}
+                    if len(self.taus[h]) > 1 and any(map(any, nxt.values())):
+                        for w, chains in cut.items():
+                            nxt[w + (0,)], nxt[w + (2,)] = _push(ends[w], self.incl), chains
+                        stack.append((path, h, nxt))
+            self.matrices[g] = matrix(one, 1), matrix(one), matrix(self.morse[c] for c in members), paths
+        return self.matrices[g]
 
 
 def _group_sizes(f):
@@ -486,17 +501,28 @@ def _check_cell_cap(sizes, p, cap, places=1, what="fiber-power cells"):
         )
 
 
-def _fiber_power_cells_betti(f, p, cap, label=None):
-    """Betti vector of the (p+1)-fold fiber power of f, over the groups
-    (tau, label) (module docstring).  The caller checks the unreduced count;
-    here the critical cells, sum_g c_g**(p+1) tuples of p + 1 components,
-    are refused past the cap, since groups of one simplex keep that sum
-    small for any p while the work grows with p."""
+def _fiber_powers(f, ps, sizes, cap, label=None):
+    """Betti vectors of f's (p+1)-fold fiber powers, p in the range ``ps``,
+    over the groups (tau, label), from one model (module docstring).  First
+    the least p is refused whose unreduced count (over the group ``sizes``)
+    or critical cells' components, (p + 1) sum_g c_g**(p+1), pass the cap:
+    groups of one simplex keep the first small for any p while the work
+    grows with p.  Both grow with p, so a bisection finds that p."""
+    _check_cell_cap(sizes, ps[0], cap)  # before the model is built
     model = _MorseModel(f, label)
-    _check_cell_cap(
-        [len(c) for c in model.critical], p, cap, p + 1, "components of critical fiber-power cells"
-    )
-    return model.betti(p)
+    critical = [len(c) for c in model.critical]
+
+    def refusal(p):
+        try:
+            _check_cell_cap(sizes, p, cap)
+            _check_cell_cap(critical, p, cap, p + 1, "components of critical fiber-power cells")
+        except BudgetExceededError as exc:
+            return exc
+        return None
+
+    if refusal(ps[-1]):
+        raise refusal(ps[bisect.bisect_left(ps, True, key=lambda p: bool(refusal(p)))])
+    return [model.betti(p) for p in ps]
 
 
 def fiber_power_betti(f, p, engine="auto", cell_cap=None):
@@ -513,8 +539,7 @@ def fiber_power_betti(f, p, engine="auto", cell_cap=None):
         return betti(fiber_power_nerve(f, p, cap))
     if engine not in ("auto", "cells"):
         raise InvalidParamsError(f"unknown engine {engine!r}")
-    _check_cell_cap(_group_sizes(f), p, cap)
-    return _fiber_power_cells_betti(f, p, cap)
+    return _fiber_powers(f, range(p, p + 1), _group_sizes(f), cap)[0]
 
 
 def image_subcomplex(f):
@@ -533,26 +558,25 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
     map sd(X) -> R, cut out of f's cells by the strata (module docstring).
     The cap counts the quotient map's cells from X's face pairs, |sd(X)|
     before the Reeb space is built; sd(X) never is.  The inequality is a
-    theorem, so a failing row signals an implementation bug.  ``threads``
-    has no effect; it is accepted (if >= 1) for callers that still pass it.
+    theorem, so a failing row signals an implementation bug.  One model
+    serves every p, and a power past the cap is refused before any power is
+    computed, with the error of the least such p.  ``threads`` has no
+    effect; it is accepted (if >= 1) for callers that still pass it.
     """
     _require_at_least("p_max", p_max, 0)
     _require_at_least("threads", threads, 1)
     cap = resolve_cell_cap(cell_cap)
     if target == "image":
         target_betti = betti(image_subcomplex(f))
-        powers = [fiber_power_betti(f, j, cell_cap=cap) for j in range(p_max + 1)]
+        label, sizes = None, _group_sizes(f)
     elif target == "reeb":
         _check_cell_cap([_subdivision_size(f.domain)], 0, cap)
         space = reeb_space(f)
-        target_betti = space.betti()
-        sizes = _quotient_group_sizes(f.domain, space.exact_strata)
-        powers = []
-        for j in range(p_max + 1):
-            _check_cell_cap(sizes, j, cap)
-            powers.append(_fiber_power_cells_betti(f, j, cap, space.exact_strata))
+        target_betti, label = space.betti(), space.exact_strata
+        sizes = _quotient_group_sizes(f.domain, label)
     else:
         raise InvalidParamsError(f"unknown target {target!r}")
+    powers = _fiber_powers(f, range(p_max + 1), sizes, cap, label)
 
     rows = []
     for p in range(p_max + 1):

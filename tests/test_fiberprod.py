@@ -24,7 +24,7 @@ from reebforge import fiberprod
 from reebforge.fiberprod import (
     DEFAULT_CELL_CAP,
     _MorseModel,
-    _fiber_power_cells_betti,
+    _check_cell_cap,
     _group_sizes,
     _quotient_group_sizes,
     _subdivision_size,
@@ -96,7 +96,7 @@ def test_nerve_p0_recovers_domain_betti(seed):
 
 def test_cells_p0_recovers_domain_betti():
     for f in (disk_collapse(1), disk_collapse(2), constant_circle_map()):
-        assert _fiber_power_cells_betti(f, 0, DEFAULT_CELL_CAP) == betti(f.domain)
+        assert _MorseModel(f).betti(0) == betti(f.domain)
 
 
 def test_constant_map_powers_are_cartesian_powers():
@@ -154,6 +154,59 @@ def test_descent_refuses_critical_components_past_the_cap(target):
     with pytest.raises(BudgetExceededError) as info:
         descent_check(ident, target=target, p_max=5, cell_cap=80)
     assert str(info.value) == "84 components of critical fiber-power cells exceed the cap of 80"
+
+
+def identity_map():
+    sphere = boundary_delta3()
+    return SimplicialMap(sphere, sphere, list(range(4)))
+
+
+def loop_refusal(f, target, p_max, cap):
+    """The refusal of the power-by-power loop: at each p the unreduced
+    count, then the critical components, until one passes the cap."""
+    if target == "image":
+        label, sizes = None, _group_sizes(f)
+    else:
+        label = reeb_space(f).exact_strata
+        sizes = _quotient_group_sizes(f.domain, label)
+    critical = [len(c) for c in _MorseModel(f, label).critical]
+    try:
+        for p in range(p_max + 1):
+            _check_cell_cap(sizes, p, cap)
+            _check_cell_cap(critical, p, cap, p + 1, "components of critical fiber-power cells")
+    except BudgetExceededError as exc:
+        return str(exc), exc.stage, exc.count, exc.cap
+    return None
+
+
+@pytest.mark.parametrize(
+    "build, target, p_max, cap",
+    [
+        (lambda: random_map(1), "image", 2, 30_000),
+        (lambda: random_map(1), "image", 10_000_000, 30_000),
+        *((lambda: random_map(1), t, 4, c) for t in ("image", "reeb") for c in (400, 6_000, 100_000)),
+        (lambda: random_map(1), "reeb", 2, DEFAULT_CELL_CAP),
+        (lambda: random_map(1), "reeb", 10_000_000, DEFAULT_CELL_CAP),
+        (identity_map, "image", 10_000_000, DEFAULT_CELL_CAP),
+        (identity_map, "reeb", 10_000_000, DEFAULT_CELL_CAP),
+        (identity_map, "reeb", 40, 80),
+    ],
+)
+def test_up_front_refusal_is_the_loops(build, target, p_max, cap):
+    # Refused at once, before any power, with the message, stage, count and
+    # cap of the least p the loop refuses: at a cap of 6,000 random_map(1)'s
+    # image-target counts both first pass it at p = 2, and the unreduced one
+    # is named; the identity's 14 critical cells of p + 1 components first
+    # pass the default cap at p = 14,285.
+    f = build()
+    expected = loop_refusal(f, target, p_max, cap)
+    assert expected is not None
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        descent_check(f, target=target, p_max=p_max, cell_cap=cap)
+    assert time.perf_counter() - start < 1
+    exc = info.value
+    assert (str(exc), exc.stage, exc.count, exc.cap) == expected
 
 
 def small_instances():
@@ -255,10 +308,11 @@ def unreduced_cells(f, p):
     return sum(len(g) ** (p + 1) for g in _exact_image_groups(f).values())
 
 
-def morse_power(monkeypatch, f, p, label=None):
+def morse_power(monkeypatch, f, p, label=None, model=None):
     """The Betti vector of the engine and the complex it ranked, which must
     equal, entry by entry, the complex of the unpruned flow over every
-    facet conjugated by sigma: entry (c, r) times sigma(c) sigma(r)."""
+    facet conjugated by sigma: entry (c, r) times sigma(c) sigma(r).  The
+    engine is ``model``, f's model over ``label``, else a fresh one."""
     seen = []
     ranked = fiberprod._betti_numbers
 
@@ -268,7 +322,7 @@ def morse_power(monkeypatch, f, p, label=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(fiberprod, "_betti_numbers", record)
-        out = _fiber_power_cells_betti(f, p, DEFAULT_CELL_CAP, label)
+        out = (model or _MorseModel(f, label)).betti(p)
     ((dims, boundaries),) = seen
     flow_dims, flow = morse_complex_unpruned(f, p, label)
     sigma = koszul_signs(f, _MorseModel(f, label), p)
@@ -398,6 +452,25 @@ def test_reduced_powers_match_unreduced_cell_posets(monkeypatch):
                 assert_boundary_squares_to_zero(dims, boundaries)
                 checked += 1
     assert checked >= 36
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: disk_collapse(1), lambda: disk_collapse(2)]
+    + [lambda s=s: random_map(s) for s in (0, 1, 7, 23)]
+    + [lambda: higher_dimensional_maps()[0][1]],
+    ids=["disk1", "disk2", "random0", "random1", "random7", "random23", "s4_tet"],
+)
+def test_one_model_serves_every_power(monkeypatch, build):
+    # The matrices a model keeps after one power serve the next: asked out
+    # of order, a shared model ranks the complexes of a fresh model per p,
+    # and morse_power checks both against the unpruned flow's.
+    f = build()
+    for lab in (None, reeb_space(f).exact_strata):
+        shared = _MorseModel(f, lab)
+        for p in (2, 0, 1):
+            fresh = morse_power(monkeypatch, f, p, lab)
+            assert morse_power(monkeypatch, f, p, lab, shared) == fresh, p
 
 
 def power_cells(f, p, label=None):
@@ -572,7 +645,7 @@ def test_broken_matchings_raise_invariant_error(monkeypatch, mate, p, message):
     f = SimplicialMap(domain, point(), [0, 0, 0, 0])
     monkeypatch.setattr(fiberprod, "_group_matching", lambda facets: list(mate))
     with pytest.raises(InvariantError, match=message):
-        _fiber_power_cells_betti(f, p, DEFAULT_CELL_CAP)
+        _MorseModel(f).betti(p)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -682,7 +755,7 @@ def test_reduced_powers_match_triangulation_oracle(f, p):
     # rational ranks; about 40 cells keep an example under a second.
     assume(unreduced_cells(f, p) <= 40)
     expected = fiber_power_triangulation_betti(f, p)
-    assert _fiber_power_cells_betti(f, p, DEFAULT_CELL_CAP).as_list() == expected
+    assert _MorseModel(f).betti(p).as_list() == expected
 
 
 def test_nerve_symmetric_under_permuted_maximal_order():
@@ -816,17 +889,41 @@ def test_stratum_labels_match_fiber_components(build):
                     assert space.strata[label[sid[s]]] == Stratum(tau, ci), (tau, s)
 
 
+def recording_models(monkeypatch):
+    """Patch ``_MorseModel`` to list the domain of every model built."""
+    built, model = [], fiberprod._MorseModel
+
+    def record(g, label=None):
+        built.append(g.domain)
+        return model(g, label)
+
+    monkeypatch.setattr(fiberprod, "_MorseModel", record)
+    return built
+
+
 def test_reeb_target_never_enumerates_the_quotient_map(monkeypatch):
     f = disk_collapse(2)
-    enumerated = []
-
-    def record(g, p, cap, label=None):
-        enumerated.append(g.domain)
-        return _fiber_power_cells_betti(g, p, cap, label)
-
-    monkeypatch.setattr("reebforge.fiberprod._fiber_power_cells_betti", record)
+    built = recording_models(monkeypatch)
     assert descent_check(f, target="reeb", p_max=2)["ok"]
-    assert enumerated == [f.domain] * 3
+    assert built == [f.domain]
+
+
+@pytest.mark.parametrize("target", ["image", "reeb"])
+@pytest.mark.parametrize(
+    "build, p_max",
+    [(lambda: random_map(1), 2), (lambda: random_map(4), 1), (identity_map, 40)],
+    ids=["random1", "random4", "identity"],
+)
+def test_descent_check_builds_one_model(monkeypatch, target, build, p_max):
+    # One model serves every p, also when the Reeb target refuses
+    # random_map(1) at p = 2.
+    f = build()
+    built = recording_models(monkeypatch)
+    try:
+        descent_check(f, target=target, p_max=p_max)
+    except BudgetExceededError:
+        assert (target, p_max) == ("reeb", 2)
+    assert built == [f.domain]
 
 
 def test_reeb_target_cap_counts_the_quotient_map_powers():
@@ -922,14 +1019,14 @@ def test_trims_split_across_strata_raise_invariant_error(monkeypatch):
                 trims.setdefault((f.image_simplex(e), f.vertex_images[v]), set()).add((v,))
     vertices = next(vs for _, vs in sorted(trims.items()) if len(vs) > 1)
     moved = simplices.index(min(vertices))
-    engine = fiberprod._fiber_power_cells_betti
+    model = fiberprod._MorseModel
 
-    def split(g, p, cap, label):
+    def split(g, label):
         label = list(label)
         label[moved] = 99
-        return engine(g, p, cap, label)
+        return model(g, label)
 
-    monkeypatch.setattr(fiberprod, "_fiber_power_cells_betti", split)
+    monkeypatch.setattr(fiberprod, "_MorseModel", split)
     with pytest.raises(InvariantError, match="trims of group"):
         descent_check(f, target="reeb", p_max=1)
 

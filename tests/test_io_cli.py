@@ -323,6 +323,23 @@ def test_cli_refuses_a_huge_identity_power_at_once(tmp_path, capsys, p):
     )
 
 
+def test_cli_refuses_a_huge_identity_descent_at_once(tmp_path, capsys):
+    # Refused before any power, at the least p whose critical components
+    # pass the cap: 14 * 14,286 at p = 14,285.
+    sphere = boundary_delta3()
+    path = tmp_path / "ident.map.json"
+    ident = map_to_doc(reebforge.SimplicialMap(sphere, sphere, list(range(4))))
+    path.write_text(dumps_report(ident), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", str(path), "--descent", "10000000"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        "reebforge: budget exceeded: 200004 components of critical fiber-power cells "
+        "exceed the cap of 200000\n"
+    )
+
+
 def test_cli_missing_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run_cli(["betti", str(tmp_path / "absent.json")], capsys)
     assert (code, out) == (1, "")
