@@ -127,7 +127,7 @@ def cmd_verify(args):
     if args.b1:
         checks["b1"] = b1_inequality_check(f)
     if args.quotient:
-        checks["quotient"] = verify_quotient(f)
+        checks["quotient"] = verify_quotient(f, cell_cap=args.cell_cap)
     if not checks:
         raise ReebForgeError("choose at least one of --descent, --b1, --quotient")
     ok = all(section["ok"] for section in checks.values())

@@ -102,7 +102,8 @@ class SimplicialComplex:
     """
 
     __slots__ = (
-        "num_vertices", "simplex_set", "coordinates", "_sorted", "_by_dim", "_cofaces", "_maximal"
+        "num_vertices", "simplex_set", "coordinates", "_sorted", "_by_dim", "_facets", "_cofaces",
+        "_maximal",
     )
 
     def __init__(self, num_vertices, simplices, coordinates=None):
@@ -127,6 +128,7 @@ class SimplicialComplex:
         self.coordinates = coordinates
         self._sorted = None
         self._by_dim = None
+        self._facets = None
         self._cofaces = None
         self._maximal = None
 
@@ -179,19 +181,26 @@ class SimplicialComplex:
         return max((len(s) - 1 for s in self.simplex_set), default=-1)
 
     @property
-    def cofaces(self):
-        """Ids of the codimension-one cofaces of each simplex, ascending.
+    def facets(self):
+        """The facet table, laid out as ``ReebComplex.facets``: ``facets[i][u]``
+        is the id, a position in ``simplices``, of simplex i minus vertex u.
+        ``combinations`` omits the last vertex first, hence the reversal."""
+        if self._facets is None:
+            get = {s: i for i, s in enumerate(self.simplices)}.__getitem__
+            self._facets = tuple(
+                tuple(map(get, itertools.combinations(s, len(s) - 1)))[::-1] if len(s) > 1 else ()
+                for s in self.simplices
+            )
+        return self._facets
 
-        Ids are positions in ``simplices``, and the table is aligned with it.
-        """
+    @property
+    def cofaces(self):
+        """Ids of each simplex's codimension-one cofaces, ascending: ``facets`` inverted."""
         if self._cofaces is None:
-            simps = self.simplices
-            index = {s: i for i, s in enumerate(simps)}
-            table = [[] for _ in simps]
-            for i, s in enumerate(simps):
-                if len(s) > 1:
-                    for facet in itertools.combinations(s, len(s) - 1):
-                        table[index[facet]].append(i)
+            table = [[] for _ in self.facets]
+            for i, fs in enumerate(self.facets):
+                for g in fs:
+                    table[g].append(i)
             self._cofaces = tuple(map(tuple, table))
         return self._cofaces
 
@@ -426,40 +435,46 @@ def barycentric_subdivision(complex_):
     one simplex per chain of the face relation, and ``carrier[i]`` is the
     input simplex behind sd vertex i.
     """
-    carrier = complex_.simplices
-    # ups[i]: sd vertices of the proper cofaces of carrier[i], ascending,
-    # as the cofaces come in id order.
-    ups = [[] for _ in carrier]
-    for i, j in _face_pairs(carrier):
+    return _face_order_complex(complex_.facets), complex_.simplices
+
+
+def _face_order_complex(facets):
+    """The order complex of a facet table's face poset, on its ids."""
+    ups = [[] for _ in facets]
+    for i, j in _face_pairs(facets):
         ups[i].append(j)
-    return _complex_of_chains(len(carrier), ups), carrier
+    return _complex_of_chains(len(facets), ups)
 
 
-def _face_pairs(carrier):
-    """(face id, coface id) for every proper face pair of a canonical
-    simplex list, cofaces in id order: the edges of its barycentric
-    subdivision."""
-    index = {s: i for i, s in enumerate(carrier)}
-    for j, s in enumerate(carrier):
-        for k in range(1, len(s)):
-            for face in itertools.combinations(s, k):
-                yield index[face], j
+def _face_pairs(facets):
+    """(face id, coface id) for each proper face pair of a facet table whose ids
+    ascend along the face order: each cell's down-set, its facets' united, is
+    yielded ascending, so cofaces come in id order, each after all its faces."""
+    below = []
+    for j, fs in enumerate(facets):
+        below.append(set(fs).union(*map(below.__getitem__, fs)))
+        for i in sorted(below[j]):
+            yield i, j
 
 
-def _complex_of_chains(n, ups, cap=None, labels=None):
+def _subdivision_size(k):
+    """|sd(K)|, the chains of K's face poset, without sd(K): ``ending[j]``
+    counts those ending at simplex j, j alone or extended from a face's."""
+    ending = [1] * len(k.simplices)
+    for i, j in _face_pairs(k.facets):
+        ending[j] += ending[i]
+    return sum(ending)
+
+
+def _complex_of_chains(n, ups):
     """The order complex of a poset on ids 0..n-1, given by its up-sets.
 
     ``ups`` is as ``_enumerate_chains`` takes it, and is verified there, so
     every chain is a strictly ascending tuple of ids in 0..n-1: canonical and
     distinct, and the complex is built without re-sorting any of them; the
     up-sets are transitive, so the chains are closed under faces.
-    ``labels``, a permutation of 0..n-1, renames id i to ``labels[i]``; each
-    renamed chain is sorted again.
     """
-    chains = _enumerate_chains(n, ups, cap=cap)
-    if labels is not None:
-        chains = [tuple(sorted(labels[i] for i in chain)) for chain in chains]
-    return SimplicialComplex._from_canonical(n, chains)
+    return SimplicialComplex._from_canonical(n, _enumerate_chains(n, ups))
 
 
 def _check_up_sets(n, ups):
@@ -549,14 +564,15 @@ class Poset:
         """The simplicial complex of chains of this poset.
 
         Chains are enumerated on ranks in a topological order, so ids ascend
-        along them, and renamed back to element ids.
+        along them, and renamed back to element ids, each sorted again.
         """
         n = len(self.elements)
         order = self._order
         pos = {e: i for i, e in enumerate(order)}
         _, above = _closure(n, self.covers, order)
         ups = [tuple(sorted(pos[j] for j in above[e])) for e in order]
-        return _complex_of_chains(n, ups, cap=cap, labels=order)
+        chains = [tuple(sorted(order[i] for i in c)) for c in _enumerate_chains(n, ups, cap=cap)]
+        return SimplicialComplex._from_canonical(n, chains)
 
 
 def _topological_order(n, edges):

@@ -100,7 +100,7 @@ import itertools
 import os
 from collections import Counter
 
-from .complexes import SimplicialComplex, _face_pairs, simplex_key
+from .complexes import SimplicialComplex, _face_pairs, _subdivision_size, simplex_key
 from .errors import BudgetExceededError, InvalidParamsError, InvariantError
 from .homology import _betti_numbers, betti
 from .reeb import reeb_space
@@ -322,15 +322,14 @@ class _MorseModel:
 
     def __init__(self, f, label=None):
         simps = f.domain.simplices
-        index = {s: i for i, s in enumerate(simps)}
         keys, shrinks, cuts = [], [], []
-        for i, s in enumerate(simps):
+        for i, (s, fs) in enumerate(zip(simps, f.domain.facets)):
             tau = f.image_simplex(s)
             keys.append((tau, 0 if label is None else label[i]))
             over = [tau.index(f.vertex_images[v]) for v in s]
             counts = [over.count(u) for u in range(len(tau))]
             facets = {
-                j: (index.get(s[:j] + s[j + 1 :]), -1 if r & 1 else 1)
+                j: (fs[j] if fs else None, -1 if r & 1 else 1)
                 for r, j in enumerate(sorted(range(len(s)), key=over.__getitem__))
             }
             shrinks.append([facets[j] for j, u in enumerate(over) if counts[u] > 1])
@@ -450,22 +449,12 @@ def _group_sizes(f):
     return list(Counter(map(f.image_simplex, f.domain.simplices)).values())
 
 
-def _subdivision_size(k):
-    """|sd(K)|, the chains of K's face poset, without sd(K): ``ending[j]``
-    counts the chains ending at simplex j, j alone and those ending at each
-    proper face, extended by j.  Faces come first in ``_face_pairs``."""
-    ending = [1] * len(k.simplices)
-    for i, j in _face_pairs(k.simplices):
-        ending[j] += ending[i]
-    return sum(ending)
-
-
 def _quotient_group_sizes(k, strata):
     """The group sizes of the Reeb quotient map sd(K) -> R, without sd(K):
     sd vertex j maps to ``strata[j]``, a chain onto its set of strata, and
     ``ending[j]`` counts the chains ending at j by that set, sorted."""
     ending = [Counter({(s,): 1}) for s in strata]
-    for i, j in _face_pairs(k.simplices):
+    for i, j in _face_pairs(k.facets):
         top = strata[j]
         for key, n in ending[i].items():
             ending[j][key if top in key else tuple(sorted(key + (top,)))] += n

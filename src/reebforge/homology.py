@@ -7,9 +7,9 @@ incidence signs are fixed on the core, and one assembly reads the Betti
 numbers off the ranks of the coboundary matrices, taken bottom up over the
 dimensions with clearing; the rank in degree 0 is a component count of the
 1-skeleton, by union-find.  A Delta-complex, a simplicial complex or a Reeb
-space's strata, has the known signs (-1)**u for its u-th face; a fiber
-power's Morse complex (``fiberprod``) brings its own, and the propagation
-of ``regular_cw_betti`` serves only the tests' cell-poset reference.  Ranks
+space's strata, is read as its facet table, with the known sign (-1)**u for
+its u-th face; a fiber power's Morse complex (``fiberprod``) brings its own,
+and ``regular_cw_betti`` propagates them for the tests' reference.  Ranks
 come from one fraction-free integer elimination (cross-multiplication plus
 a gcd sweep per updated column) that returns its pivot rows, so every Betti
 number is exact.  Clearing (Chen and Kerber, "Persistent homology
@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-from .complexes import find_root, simplex_key
+from .complexes import SimplicialComplex, find_root
 from .errors import InvariantError
 
 
@@ -128,26 +128,17 @@ def collapse_face_poset(facets):
     return kept, [[position[g] for g in facets[i]] for i in kept]
 
 
-def _facet_ids(simplices):
-    """Facet ids of each simplex in a face-closed list; facet i omits vertex i."""
-    index = {s: i for i, s in enumerate(simplices)}
-    return [
-        [index[s[:i] + s[i + 1 :]] for i in range(len(s))] if len(s) > 1 else []
-        for s in simplices
-    ]
-
-
 def free_face_collapse(simplices):
     """Greedy elementary collapse of a simplicial complex; returns the
     surviving simplex set.
 
-    The complex goes through ``collapse_face_poset`` with its simplices in
+    The complex's facet table goes through ``collapse_face_poset``, in
     canonical order, so the result is deterministic.  Each removal is an
     elementary collapse, so the homotopy type is untouched.
     """
-    simplices = sorted(simplices, key=simplex_key)
-    kept, _ = collapse_face_poset(_facet_ids(simplices))
-    return {simplices[i] for i in kept}
+    k = SimplicialComplex._from_canonical(1 + max(map(max, simplices), default=-1), simplices)
+    kept, _ = collapse_face_poset(k.facets)
+    return {k.simplices[i] for i in kept}
 
 
 def _pivot_rows(columns):
@@ -266,8 +257,7 @@ def _delta_betti(dims, facets):
 
 def betti(complex_):
     """Betti vector over the rationals; a simplex's u-th face omits vertex u."""
-    simplices = complex_.simplices
-    return _delta_betti([len(s) - 1 for s in simplices], _facet_ids(simplices))
+    return _delta_betti([len(s) - 1 for s in complex_.simplices], complex_.facets)
 
 
 def euler_characteristic(complex_):

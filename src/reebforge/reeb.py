@@ -6,9 +6,9 @@ simplex tau the fiber components of f correspond to the connected components
 of S_tau = {sigma in K : tau is contained in f(sigma)} under the face
 relation.  The pairs (tau, component), the strata, are the cells of a
 Delta-complex structure on the Reeb space (below): its cellular homology
-gives the Betti numbers, its face poset's order complex triangulates the
-Reeb space, and the quotient map becomes a genuine simplicial map from the
-barycentric subdivision of K onto that triangulation.
+gives the Betti numbers, the order complex of its facet table, built as
+sd(K) is from K's, triangulates the Reeb space, and the quotient map is a
+genuine simplicial map from sd(K) onto that triangulation.
 
 The components of S_tau are found inside E_tau = {sigma : f(sigma) = tau}.
 For sigma in S_tau let sigma|tau be the face spanned by the vertices of
@@ -19,14 +19,16 @@ image-keeping facets, each dropping a vertex whose image repeats, since
 every simplex between rho and rho' has image tau.  So a path in S_tau
 restricts to a path in E_tau under the image-keeping facet relation, and
 the components of S_tau are those of E_tau, one to one.  Simplex ids follow
-the canonical order, in which sigma|tau comes no later than sigma, so each
-component's smallest member has exact image tau and the components keep
-their order.  The stratum below stratum (tau, c) over a facet tau' of tau
-holds every member's restriction to tau', in particular the restriction of
-the smallest member.  So (tau, c) has one facet d_u over tau minus tau[u],
-and for u < w both d_(w-1) d_u and d_u d_w are the stratum over tau minus
-tau[u] and tau[w] that holds the restriction of c's smallest member: the
-face maps commute, and the strata form a Delta-complex.  The signs (-1)**u
+the canonical order, dimension first, in which sigma|tau comes no later
+than sigma, so the components keep their order, and each one's smallest
+member has one vertex over each vertex of tau: a member of E_tau stays in
+its component when a vertex whose image repeats is dropped.  The stratum
+below stratum (tau, c) over a facet tau' of tau holds every member's
+restriction to tau', the smallest member's facet among them.  So (tau, c)
+has one facet d_u over tau minus tau[u], and for u < w both d_(w-1) d_u and
+d_u d_w are the stratum over tau minus tau[u] and tau[w] that holds the
+restriction of c's smallest member: the face maps commute, and the strata
+form a Delta-complex.  The signs (-1)**u
 orient it with no propagation, as for a simplicial complex: the two paths
 to a face of codimension two carry (-1)**(u+w-1) and (-1)**(u+w), so d d = 0.
 
@@ -45,12 +47,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .complexes import (
-    Poset,
     SimplicialComplex,
     SimplicialMap,
     _complex_of_chains,
     _edge_checked_map,
+    _face_order_complex,
     _face_pairs,
+    _subdivision_size,
     barycentric_subdivision,
     canonical_simplex,
     component_classes,
@@ -59,7 +62,7 @@ from .complexes import (
     label_components,
     simplex_key,
 )
-from .errors import EmptyComplexError, InvariantError, UnknownSimplexError
+from .errors import BudgetExceededError, EmptyComplexError, InvariantError, UnknownSimplexError
 from .homology import BettiVector, _delta_betti, betti
 
 
@@ -78,9 +81,9 @@ class ReebComplex:
     domain simplex j over its exact image; ``facets[i][u]`` is the stratum
     below stratum i over tau_i minus tau_i[u], a Delta-complex checked on
     construction (module docstring); ``codomain_projection[i]`` is tau_i.
-    ``poset``, the face order, ``realization``, its order complex, and
-    ``quotient_map``, from sd(domain) onto it, are built on first access
-    (large inputs rarely need them).
+    ``realization``, the order complex of the face order that ``facets``
+    generate, and ``quotient_map``, from sd(domain) onto it, are built on
+    first access (large inputs rarely need them).
     """
 
     def __init__(self, source_map, strata, exact_strata, facets):
@@ -92,12 +95,8 @@ class ReebComplex:
         _check_face_maps(self.codomain_projection, facets)
 
     @cached_property
-    def poset(self):
-        return Poset(self.strata, [(g, i) for i, fs in enumerate(self.facets) for g in fs])
-
-    @cached_property
     def realization(self):
-        return self.poset.order_complex()
+        return _face_order_complex(self.facets)
 
     @cached_property
     def quotient_map(self):
@@ -114,8 +113,9 @@ class ReebComplex:
         each face lies above the one over the next, since a stratum's cover
         over a facet holds the restrictions of all its members, sigma's too.
         """
-        sd, carrier = barycentric_subdivision(self.map.domain)
-        return _edge_checked_map(sd, self.realization, self.exact_strata, _face_pairs(carrier))
+        sd, _ = barycentric_subdivision(self.map.domain)
+        edges = _face_pairs(self.map.domain.facets)
+        return _edge_checked_map(sd, self.realization, self.exact_strata, edges)
 
     def betti(self):
         """Reeb-space Betti numbers: cellular homology with the signs (-1)**u."""
@@ -150,8 +150,8 @@ def reeb_space(f):
     array serves every tau, so each domain simplex is touched once.
     """
     simps = f.domain.simplices
+    table = f.domain.facets
     images = f.vertex_images
-    index = {s: i for i, s in enumerate(simps)}
     groups = {}
     keeping = []
     for i, s in enumerate(simps):
@@ -161,9 +161,7 @@ def reeb_space(f):
             keeping.append(())
             continue
         over = [images[v] for v in s]
-        keeping.append(
-            [index[s[:j] + s[j + 1 :]] for j, w in enumerate(over) if over.count(w) > 1]
-        )
+        keeping.append([table[i][j] for j, w in enumerate(over) if over.count(w) > 1])
 
     parent = list(range(len(simps)))
     exact_strata = [0] * len(simps)
@@ -171,9 +169,8 @@ def reeb_space(f):
     facets = []
     for tau in sorted(groups, key=simplex_key):
         for ci, cls in enumerate(component_classes(groups[tau], keeping, parent)):
-            head = simps[cls[0]]
-            off = [tuple(v for v in head if images[v] != t) for t in tau] if len(tau) > 1 else []
-            facets.append(tuple(exact_strata[index[face]] for face in off))
+            over = [images[v] for v in simps[cls[0]]]
+            facets.append(tuple(exact_strata[g] for _, g in sorted(zip(over, table[cls[0]]))))
             for i in cls:
                 exact_strata[i] = len(strata)
             strata.append(Stratum(tau, ci))
@@ -221,14 +218,21 @@ def fiber_components_at(f, tau):
     return [[simps[i] for i in cls] for cls in classes]
 
 
-def verify_quotient(f):
+def verify_quotient(f, cell_cap=None):
     """Check the quotient structure of the Reeb space of f.
 
     Verifies that (a) projecting the quotient map to the codomain recovers the
     carrier image of f, (b) every point-fiber of the quotient map is connected
     and every realization simplex is hit, and (c) the quotient map covers all
     realization vertices.  Returns a report dict; nothing raises on failure.
+    It is refused first when |sd(X)| passes the cap, resolved as by ``descent_check``.
     """
+    from .fiberprod import resolve_cell_cap  # fiberprod imports this module
+    cap = resolve_cell_cap(cell_cap)
+    size = _subdivision_size(f.domain)
+    if size > cap:
+        message = f"{size} simplices of the quotient map's sd(X) exceed the cap of {cap}"
+        raise BudgetExceededError(message, cap=cap, stage="quotient subdivision", count=size)
     space = reeb_space(f)
     q = space.quotient_map
     carrier = f.domain.simplices
@@ -473,7 +477,7 @@ def pl_as_simplicial_map(g):
     # cofaces of that simplex, at c - 1, c and c + 1 for a level cell and at
     # c for a gap cell.
     hosts = [[sid] for sid in range(len(simps))]
-    for i, j in _face_pairs(simps):
+    for i, j in _face_pairs(k.facets):
         hosts[i].append(j)
     ups = []
     for sid, ids in enumerate(cell_of):

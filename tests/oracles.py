@@ -23,7 +23,12 @@ simplex check that walked the domain in canonical order before the map
 check became sort-free.  ``poset_chains`` finds the chains of a poset by
 brute force over pairwise-comparable subsets, for the order complexes that
 the package enumerates from up-sets, and ``convolve`` the Kunneth product of
-Betti vectors that product spaces are checked against.
+Betti vectors that product spaces are checked against.  ``facet_table`` is
+the slicing definition of a simplicial complex's facet table and
+``face_pairs_by_combinations`` the per-simplex listing of proper faces, both
+of which the cached ``SimplicialComplex.facets`` replaced; ``stratum_poset``
+hands a Reeb space's face relation to the package's generic ``Poset``, whose
+order complex the realization is checked against.
 ``morse_complex_unpruned`` is the gradient flow of the lifted matching over
 every facet of every cell met, with ``morse_facets_unpruned`` generating
 them from the Cayley-trick parity tables of ``cayley_tables``, that the
@@ -39,6 +44,7 @@ from fractions import Fraction
 from math import gcd
 from itertools import combinations, product
 
+from reebforge.complexes import Poset
 from reebforge.errors import InvariantError
 from reebforge.fiberprod import _MorseModel
 from reebforge.homology import BettiVector
@@ -111,6 +117,35 @@ def poset_chains(n, covers):
             if all(less[c][x] or less[x][c] for c in chain):
                 stack.append(chain + (x,))
     return sorted(chains)
+
+
+def facet_table(simplices):
+    """The facet ids of each simplex of a face-closed canonical list, by
+    slicing out one vertex at a time: entry u omits vertex u, and a vertex
+    has none."""
+    index = {s: i for i, s in enumerate(simplices)}
+    return tuple(
+        tuple(index[s[:u] + s[u + 1 :]] for u in range(len(s))) if len(s) > 1 else ()
+        for s in simplices
+    )
+
+
+def face_pairs_by_combinations(simplices):
+    """(face id, coface id) for every proper face of every simplex of a
+    face-closed canonical list, cofaces in id order and the faces of one
+    coface by dimension, then lexicographically: in id order."""
+    index = {s: i for i, s in enumerate(simplices)}
+    return [
+        (index[face], j)
+        for j, s in enumerate(simplices)
+        for k in range(1, len(s))
+        for face in combinations(s, k)
+    ]
+
+
+def stratum_poset(space):
+    """The face poset of a Reeb space's strata, generated by their facets."""
+    return Poset(space.strata, [(g, i) for i, fs in enumerate(space.facets) for g in fs])
 
 
 def partition_up_closed(members):

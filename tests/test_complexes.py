@@ -31,6 +31,7 @@ from reebforge.complexes import (
     _edge_checked_map,
     _face_pairs,
     _lattice_paths,
+    _subdivision_size,
     simplex_key,
 )
 from reebforge.fixtures import (
@@ -41,16 +42,23 @@ from reebforge.fixtures import (
     grid_torus,
     minimal_torus,
     path_complex,
+    product_power,
+    random_function,
     random_map,
+    torus_height,
 )
 from reebforge.reeb import reeb_space
 
 from .oracles import (
+    face_pairs_by_combinations,
+    facet_table,
     first_non_simplicial,
     partition_face_relation,
     partition_up_closed,
     poset_chains,
+    stratum_poset,
 )
+from .test_homology import simplicial_complexes
 
 
 def test_validate_accepts_complete_two_simplex():
@@ -342,8 +350,8 @@ def test_lattice_paths_are_all_monotone_grid_paths():
 
 
 def reeb_posets():
-    yield from (reeb_space(random_map(seed)).poset for seed in range(10))
-    yield reeb_space(disk_collapse(2)).poset
+    yield from (stratum_poset(reeb_space(random_map(seed))) for seed in range(10))
+    yield stratum_poset(reeb_space(disk_collapse(2)))
     yield Poset(["a", "b", "c"], [(2, 1), (1, 0)])
 
 
@@ -487,5 +495,64 @@ def test_edge_check_names_the_edge_and_its_images():
 
 def test_face_pairs_are_the_edges_of_the_subdivision():
     for k in (circle(4), boundary_delta3(), minimal_torus(), full_simplex(3)):
-        sd, carrier = barycentric_subdivision(k)
-        assert sorted(_face_pairs(carrier)) == sorted(s for s in sd.simplex_set if len(s) == 2)
+        sd, _ = barycentric_subdivision(k)
+        assert sorted(_face_pairs(k.facets)) == sorted(s for s in sd.simplex_set if len(s) == 2)
+
+
+# The facet table against the slicing definition it replaced, and every
+# face computation that reads it against the per-simplex loops before it.
+
+FIXTURE_COMPLEXES = [
+    pytest.param(lambda: path_complex(5), id="path5"),
+    pytest.param(lambda: circle(4), id="circle4"),
+    pytest.param(boundary_delta3, id="sphere"),
+    pytest.param(minimal_torus, id="torus"),
+    pytest.param(lambda: full_simplex(3), id="tetrahedron"),
+    pytest.param(lambda: grid_torus(4, 5), id="grid_torus"),
+    pytest.param(lambda: disk_collapse(1).domain, id="disk1"),
+    pytest.param(lambda: disk_collapse(2).domain, id="disk2"),
+    pytest.param(lambda: disk_collapse(2).codomain, id="disk2_codomain"),
+    pytest.param(lambda: torus_height()[0].complex, id="torus_height"),
+    pytest.param(lambda: torus_height()[1].domain, id="torus_slice"),
+    pytest.param(lambda: random_map(3).domain, id="random3"),
+    pytest.param(lambda: random_function(3).complex, id="random_function3"),
+    pytest.param(lambda: product_power(disk_collapse(2), 2).domain, id="product"),
+]
+
+
+def assert_facets_match_slicing(k):
+    assert k.facets == facet_table(k.simplices)
+    inverse = [[] for _ in k.simplices]
+    for i, fs in enumerate(facet_table(k.simplices)):
+        for g in fs:
+            inverse[g].append(i)
+    assert k.cofaces == tuple(map(tuple, inverse))
+
+
+@pytest.mark.parametrize("build", FIXTURE_COMPLEXES)
+def test_facets_and_cofaces_match_slicing_on_fixtures(build):
+    assert_facets_match_slicing(build())
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(simplicial_complexes())
+def test_facets_and_cofaces_match_slicing_on_random_complexes(k):
+    assert_facets_match_slicing(k)
+
+
+@pytest.mark.parametrize("build", FIXTURE_COMPLEXES)
+def test_face_pairs_match_the_combinations_listing(build):
+    k = build()
+    assert list(_face_pairs(k.facets)) == face_pairs_by_combinations(k.simplices)
+
+
+@pytest.mark.parametrize("build", [p for p in FIXTURE_COMPLEXES if p.id != "product"])
+def test_subdivision_equals_the_order_complex_of_the_face_poset(build):
+    # The product's subdivision, 1,507,489 simplices, is left out.
+    k = build()
+    n = len(k.simplices)
+    reference = Poset(range(n), face_pairs_by_combinations(k.simplices)).order_complex()
+    sd, carrier = barycentric_subdivision(k)
+    assert carrier == k.simplices
+    assert sd == reference
+    assert _subdivision_size(k) == len(reference.simplex_set)

@@ -21,13 +21,13 @@ from reebforge import (
     reeb_space,
 )
 from reebforge import fiberprod
+from reebforge.complexes import _subdivision_size
 from reebforge.fiberprod import (
     DEFAULT_CELL_CAP,
     _MorseModel,
     _check_cell_cap,
     _group_sizes,
     _quotient_group_sizes,
-    _subdivision_size,
     resolve_cell_cap,
 )
 from reebforge.fixtures import (

@@ -21,7 +21,6 @@ from reebforge import (
     validate_complex,
 )
 from reebforge.homology import (
-    _facet_ids,
     collapse_face_poset,
     free_face_collapse,
     regular_cw_betti,
@@ -48,6 +47,7 @@ from .oracles import (
     gauss_rank_fractions,
     naive_betti,
     smith_rank,
+    stratum_poset,
 )
 
 SUITE = [
@@ -199,7 +199,7 @@ def test_collapse_leaves_closed_surfaces_alone():
 
 def stratum_facets(space):
     facets = [[] for _ in space.strata]
-    for lower, upper in space.poset.covers:
+    for lower, upper in stratum_poset(space).covers:
         facets[upper].append(lower)
     return facets
 
@@ -216,7 +216,7 @@ def simplicial_complexes(draw):
 
 
 face_posets = st.one_of(
-    simplicial_complexes().map(lambda k: _facet_ids(k.simplices)),
+    simplicial_complexes().map(lambda k: k.facets),
     st.builds(
         lambda seed, p: _cell_poset(random_map(seed, size=8), p)[1],
         st.integers(0, 49),
@@ -301,7 +301,7 @@ def test_euler_is_alternating_betti_sum_on_random_complexes(complex_):
 def test_face_poset_producers_never_repeat_a_facet():
     # collapse_face_poset keeps only a count and an XOR of each cell's
     # covers, which is exact only when no facet list repeats an id.
-    posets = [_facet_ids(k.simplices) for k in SUITE]
+    posets = [k.facets for k in SUITE]
     posets += [_cell_poset(random_map(seed), p)[1] for seed in range(10) for p in range(3)]
     posets += [stratum_facets(reeb_space(random_map(seed))) for seed in range(50)]
     posets.append(stratum_facets(reeb_space(product_power(disk_collapse(2), 2))))

@@ -14,10 +14,10 @@ from reebforge import (
     InvalidSimplexError,
     InvariantError,
     MissingFaceError,
-    Poset,
     SimplicialComplex,
     ValueCountMismatchError,
     VertexOutOfRangeError,
+    complexes,
 )
 from reebforge.cli import main
 from reebforge.fixtures import (
@@ -25,6 +25,7 @@ from reebforge.fixtures import (
     boundary_delta3,
     build_fixture,
     disk_collapse,
+    product_power,
     torus_height,
 )
 from reebforge.io import (
@@ -265,6 +266,21 @@ def test_cli_verify_quotient_and_b1(tmp_path, capsys):
     assert report["checks"]["b1"]["ok"]
 
 
+def test_cli_verify_quotient_runs_under_the_cell_cap(tmp_path, capsys):
+    path = tmp_path / "disk.json"
+    path.write_text(dumps_report(map_to_doc(disk_collapse(2))), encoding="utf-8")
+    code, out, err = run_cli(["verify", str(path), "--quotient", "--cell-cap", "336"], capsys)
+    assert (code, out) == (3, "")
+    assert "337 simplices of the quotient map's sd(X) exceed the cap of 336" in err
+    product = tmp_path / "product.json"
+    product.write_text(
+        dumps_report(map_to_doc(product_power(disk_collapse(2), 2))), encoding="utf-8"
+    )
+    code, out, err = run_cli(["verify", str(product), "--quotient"], capsys)
+    assert (code, out) == (3, "")
+    assert "1507489 simplices of the quotient map's sd(X) exceed the cap of 200000" in err
+
+
 def test_cli_verify_descent(tmp_path, capsys):
     path = tmp_path / "disk.json"
     path.write_text(dumps_report(map_to_doc(disk_collapse(2))), encoding="utf-8")
@@ -447,18 +463,22 @@ def test_cli_output_file(tmp_path, capsys):
 
 
 def test_cli_reeb_space_builds_no_order_complex(tmp_path, capsys, monkeypatch):
-    def refuse(self, cap=None):
+    # Every order complex the package builds enumerates its chains in
+    # ``complexes._enumerate_chains``; the guard fires on the realization.
+    def refuse(n, ups, cap=None):
         raise AssertionError("order complex built")
 
-    monkeypatch.setattr(Poset, "order_complex", refuse)
     path = tmp_path / "disk.json"
     path.write_text(dumps_report(map_to_doc(disk_collapse(2))), encoding="utf-8")
+    monkeypatch.setattr(complexes, "_enumerate_chains", refuse)
     code, out, _ = run_cli(["reeb", str(path), "--space"], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["betti"] == [1, 0, 1]
     assert report["euler"] == 2
     assert "realization" not in report
+    with pytest.raises(AssertionError, match="order complex built"):
+        run_cli(["reeb", str(path), "--space", "--emit-realization"], capsys)
 
 
 def test_cli_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):

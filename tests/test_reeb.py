@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebforge import (
+    BudgetExceededError,
     EmptyComplexError,
+    InvalidParamsError,
     InvariantError,
     PLFunction,
     ReebComplex,
@@ -41,7 +43,7 @@ from reebforge.fixtures import (
     random_map,
     torus_height,
 )
-from reebforge import descent_check, homology, reeb
+from reebforge import complexes, descent_check, homology, reeb
 from reebforge.complexes import _face_pairs
 from reebforge.homology import regular_cw_betti
 from reebforge.io import reeb_graph_to_dot
@@ -53,6 +55,7 @@ from .oracles import (
     partition_up_closed,
     reeb_graph_rescan,
     reeb_space_scan,
+    stratum_poset,
 )
 from .test_fiberprod import assert_boundary_squares_to_zero
 from .test_homology import simplicial_complexes
@@ -243,6 +246,41 @@ def test_verify_quotient_disk():
     }
 
 
+def test_verify_quotient_refuses_the_product_before_building_anything(monkeypatch):
+    # sd(X) of the product has 1,507,489 simplices: the check is refused on
+    # that count, before the Reeb space or sd(X) is built.
+    def refuse(*args):
+        raise AssertionError("a construction ran")
+
+    f = product_power(disk_collapse(2), 2)
+    monkeypatch.setattr(reeb, "reeb_space", refuse)
+    monkeypatch.setattr(reeb, "barycentric_subdivision", refuse)
+    with pytest.raises(BudgetExceededError) as info:
+        verify_quotient(f)
+    exc = info.value
+    assert (exc.stage, exc.count, exc.cap) == ("quotient subdivision", 1_507_489, 200_000)
+    assert str(exc) == "1507489 simplices of the quotient map's sd(X) exceed the cap of 200000"
+
+
+def test_verify_quotient_cap_resolves_as_descent_checks_does(monkeypatch):
+    # The disk's sd(X) has 337 simplices.
+    f = disk_collapse(2)
+    assert verify_quotient(f, cell_cap=337)["ok"]
+    with pytest.raises(BudgetExceededError) as info:
+        verify_quotient(f, cell_cap=336)
+    assert (info.value.count, info.value.cap) == (337, 336)
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "336")
+    with pytest.raises(BudgetExceededError):
+        verify_quotient(f)
+    assert verify_quotient(f, cell_cap=337)["ok"]
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "abc")
+    with pytest.raises(InvalidParamsError):
+        verify_quotient(f)
+    for bad in (0, True, 2.5):
+        with pytest.raises(InvalidParamsError):
+            verify_quotient(f, cell_cap=bad)
+
+
 def test_b1_inequality_examples():
     # Identity: equality.
     k = minimal_torus()
@@ -391,7 +429,7 @@ def assert_reeb_space_matches_scan(f, quotient=True):
     want = reeb_space_scan(f)
     assert space.strata == want.strata
     assert space.facets == want.facets
-    assert space.poset.covers == want.poset.covers
+    assert stratum_poset(space).covers == stratum_poset(want).covers
     assert space.exact_strata == want.exact_strata
     assert space.betti() == want.betti()
     if quotient:
@@ -432,6 +470,12 @@ def test_reeb_space_matches_s_tau_scan_on_random_maps(seed):
 
 
 @pytest.mark.parametrize("build, _quotient", SCAN_CASES)
+def test_realization_equals_the_order_complex_of_the_stratum_poset(build, _quotient):
+    space = reeb_space(build())
+    assert space.realization == stratum_poset(space).order_complex()
+
+
+@pytest.mark.parametrize("build, _quotient", SCAN_CASES)
 def test_quotient_map_equals_its_checked_rebuild(build, _quotient):
     space = reeb_space(build())
     sd, _ = barycentric_subdivision(space.map.domain)
@@ -449,7 +493,7 @@ def first_incomparable_swap(space):
     domain lands on two incomparable strata; the first such swap."""
     exact = space.exact_strata
     realization = space.realization.simplex_set
-    pairs = list(_face_pairs(space.map.domain.simplices))
+    pairs = list(_face_pairs(space.map.domain.facets))
     for j in range(len(exact)):
         for k in range(j):
             swapped = list(exact)
@@ -490,7 +534,7 @@ def test_reeb_betti_matches_sign_propagation_on_the_covers(monkeypatch, build, _
     space = reeb_space(build())
     dims = [len(tau) - 1 for tau in space.codomain_projection]
     covers = [[] for _ in dims]
-    for lower, upper in space.poset.covers:
+    for lower, upper in stratum_poset(space).covers:
         covers[upper].append(lower)
     assert [set(fs) for fs in space.facets] == [set(fs) for fs in covers]
     assert_boundary_squares_to_zero(dims, delta_boundaries(space.facets))
@@ -517,12 +561,13 @@ def test_reeb_path_builds_no_poset(monkeypatch, build):
 
     f = build()
     with monkeypatch.context() as patch:
-        patch.setattr(reeb, "Poset", refuse)
+        patch.setattr(complexes, "Poset", refuse)
         space = reeb_space(f)
         bv = space.betti()
         report = descent_check(f, target="reeb", p_max=2)
+        realization = space.realization
     assert report["betti_target"] == bv.as_list()
-    assert betti(space.realization) == bv
+    assert betti(realization) == bv
 
 
 @pytest.mark.parametrize(
