@@ -20,8 +20,9 @@ from .bounds import (
     bound_report,
     bound_sign_components,
 )
+from .complexes import _chain_count
 from .errors import BudgetExceededError, InvariantError, ReebForgeError
-from .fiberprod import descent_check, fiber_power_betti
+from .fiberprod import descent_check, fiber_power_betti, resolve_cell_cap
 from .homology import betti_report
 from .io import (
     complex_to_doc,
@@ -99,6 +100,10 @@ def cmd_reeb(args):
         **reeb_complex_to_doc(space),
     }
     if args.emit_realization:
+        cap, size = resolve_cell_cap(), _chain_count(space.facets)
+        if size > cap:
+            message = f"{size} simplices of the realization exceed the cap of {cap}"
+            raise BudgetExceededError(message, cap=cap, stage="realization", count=size)
         report["realization"] = complex_to_doc(space.realization)
     _write_output(dumps_report(report), args.output)
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,15 +139,18 @@ class SimplicialComplex:
         for s in self.simplex_set:
             if s[0] < 0 or s[-1] >= self.num_vertices:
                 raise VertexOutOfRangeError(f"simplex {s} outside 0..{self.num_vertices - 1}")
-        self._check_faces_and_coordinates()
+        self._check_faces()
+        self._check_coordinates()
 
-    def _check_faces_and_coordinates(self):
+    def _check_faces(self):
         # Facet closure implies full face closure by induction on dimension.
         for s in self.simplex_set:
             if len(s) > 1:
                 for facet in itertools.combinations(s, len(s) - 1):
                     if facet not in self.simplex_set:
                         raise MissingFaceError(f"face {facet} of {s} is missing")
+
+    def _check_coordinates(self):
         if self.coordinates is not None:
             if len(self.coordinates) != self.num_vertices:
                 raise ValueCountMismatchError("one coordinate point per vertex required")
@@ -184,13 +188,28 @@ class SimplicialComplex:
     def facets(self):
         """The facet table, laid out as ``ReebComplex.facets``: ``facets[i][u]``
         is the id, a position in ``simplices``, of simplex i minus vertex u.
-        ``combinations`` omits the last vertex first, hence the reversal."""
+        Per dimension, the columns u are zipped into rows, so a missing facet
+        raises MissingFaceError naming the first simplex that misses one."""
         if self._facets is None:
             get = {s: i for i, s in enumerate(self.simplices)}.__getitem__
-            self._facets = tuple(
-                tuple(map(get, itertools.combinations(s, len(s) - 1)))[::-1] if len(s) > 1 else ()
-                for s in self.simplices
-            )
+            table = []
+            try:
+                for n, block in itertools.groupby(self.simplices, len):
+                    block = list(block)
+                    if n == 1:
+                        table.extend([()] * len(block))
+                        continue
+                    columns = []
+                    for u in range(n):
+                        faces = map(operator.itemgetter(*range(u), *range(u + 1, n)), block)
+                        # An edge's face is one vertex; zip makes it a 1-tuple.
+                        columns.append(map(get, faces if n > 2 else zip(faces)))
+                    table.extend(zip(*columns))
+            except KeyError as exc:
+                face = exc.args[0]
+                s = next(s for s in self.simplices if set(face) < set(s))
+                raise MissingFaceError(f"face {face} of {s} is missing") from None
+            self._facets = tuple(table)
         return self._facets
 
     @property
@@ -272,16 +291,20 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
     """Build a SimplicialComplex from raw input, loudly.
 
     Raw simplices must not repeat; absent faces are an error unless
-    ``close_faces`` asks for downward completion.  Each simplex is
-    canonicalised once, here, and the complex is built on the results.
+    ``close_faces`` asks for downward completion.  A canonical listing, as
+    ``io.complex_to_doc`` writes it, keeps its order, and building its facet
+    table is its face check; any other is canonicalised once, here.
     """
     num_vertices = int(num_vertices)
-    canon = [canonical_simplex(s) for s in simplices]
-    unique = set()
-    for s in canon:
-        if s in unique:
-            raise DuplicateSimplexError(f"simplex {s} listed twice")
-        unique.add(s)
+    canon = list(map(tuple, simplices))
+    ordered = not close_faces and _is_canonical_listing(canon)
+    if not ordered:
+        canon = [canonical_simplex(s) for s in canon]
+        unique = set()
+        for s in canon:
+            if s in unique:
+                raise DuplicateSimplexError(f"simplex {s} listed twice")
+            unique.add(s)
     for s in canon:
         if s[0] < 0 or s[-1] >= num_vertices:
             raise VertexOutOfRangeError(f"simplex {s} outside 0..{num_vertices - 1}")
@@ -292,9 +315,28 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
             for k in range(1, len(s)):
                 unique.update(itertools.combinations(s, k))
     # The simplices are canonical and in range: build on them as they are.
-    complex_ = SimplicialComplex._from_canonical(num_vertices, unique, coordinates)
-    complex_._check_faces_and_coordinates()
+    complex_ = SimplicialComplex._from_canonical(
+        num_vertices, canon if ordered else unique, coordinates
+    )
+    if ordered:
+        complex_._sorted = tuple(canon)
+        complex_.facets  # the face check: a failed facet lookup raises MissingFaceError
+    else:
+        complex_._check_faces()
+    complex_._check_coordinates()
     return complex_
+
+
+def _is_canonical_listing(simplices):
+    """Whether each simplex is non-empty and strictly ascending, and each
+    neighbouring pair strictly increases under ``simplex_key``: then the
+    listing is in canonical order and holds no duplicate."""
+    keys = list(map(simplex_key, simplices))
+    return (
+        all(simplices)
+        and all(all(map(operator.lt, s, s[1:])) for s in simplices)
+        and all(map(operator.lt, keys, keys[1:]))
+    )
 
 
 class SimplicialMap:
@@ -449,21 +491,33 @@ def _face_order_complex(facets):
 def _face_pairs(facets):
     """(face id, coface id) for each proper face pair of a facet table whose ids
     ascend along the face order: each cell's down-set, its facets' united, is
-    yielded ascending, so cofaces come in id order, each after all its faces."""
+    yielded ascending, so cofaces come in id order, each after all its faces.
+    A down-set is kept, as a sorted list, only until the last cell that
+    lists it as a facet, and not at all for a cell with no coface."""
+    last = {g: j for j, fs in enumerate(facets) for g in fs}
     below = []
     for j, fs in enumerate(facets):
-        below.append(set(fs).union(*map(below.__getitem__, fs)))
-        for i in sorted(below[j]):
+        down = sorted(set(fs).union(*map(below.__getitem__, fs)))
+        for g in fs:
+            if last[g] == j:
+                below[g] = None
+        below.append(down if j in last else None)
+        for i in down:
             yield i, j
 
 
-def _subdivision_size(k):
-    """|sd(K)|, the chains of K's face poset, without sd(K): ``ending[j]``
-    counts those ending at simplex j, j alone or extended from a face's."""
-    ending = [1] * len(k.simplices)
-    for i, j in _face_pairs(k.facets):
+def _chain_count(facets):
+    """The chains of a facet table's face poset, without them: ``ending[j]``
+    counts those ending at cell j, j alone or extended from a face's."""
+    ending = [1] * len(facets)
+    for i, j in _face_pairs(facets):
         ending[j] += ending[i]
     return sum(ending)
+
+
+def _subdivision_size(k):
+    """|sd(K)|, the chains of K's face poset, without sd(K)."""
+    return _chain_count(k.facets)
 
 
 def _complex_of_chains(n, ups):

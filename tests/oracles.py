@@ -26,7 +26,9 @@ the package enumerates from up-sets, and ``convolve`` the Kunneth product of
 Betti vectors that product spaces are checked against.  ``facet_table`` is
 the slicing definition of a simplicial complex's facet table and
 ``face_pairs_by_combinations`` the per-simplex listing of proper faces, both
-of which the cached ``SimplicialComplex.facets`` replaced; ``stratum_poset``
+of which the cached ``SimplicialComplex.facets`` replaced, and
+``face_pairs_keeping_down_sets`` the face-pair walk that kept every cell's
+down-set to the end; ``stratum_poset``
 hands a Reeb space's face relation to the package's generic ``Poset``, whose
 order complex the realization is checked against.
 ``morse_complex_unpruned`` is the gradient flow of the lifted matching over
@@ -141,6 +143,16 @@ def face_pairs_by_combinations(simplices):
         for k in range(1, len(s))
         for face in combinations(s, k)
     ]
+
+
+def face_pairs_keeping_down_sets(facets):
+    """(face id, coface id) pairs of a facet table whose ids ascend along the
+    face order, each cell's down-set, its facets' united, kept to the end."""
+    below = []
+    for j, fs in enumerate(facets):
+        below.append(set(fs).union(*map(below.__getitem__, fs)))
+        for i in sorted(below[j]):
+            yield i, j
 
 
 def stratum_poset(space):

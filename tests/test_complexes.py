@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,13 @@ from reebforge import (
     staircase_product,
     validate_complex,
 )
+from reebforge import complexes
 from reebforge.complexes import (
+    _chain_count,
     _complex_of_chains,
     _edge_checked_map,
     _face_pairs,
+    _is_canonical_listing,
     _lattice_paths,
     _subdivision_size,
     simplex_key,
@@ -47,10 +52,12 @@ from reebforge.fixtures import (
     random_map,
     torus_height,
 )
+from reebforge.io import complex_to_doc
 from reebforge.reeb import reeb_space
 
 from .oracles import (
     face_pairs_by_combinations,
+    face_pairs_keeping_down_sets,
     facet_table,
     first_non_simplicial,
     partition_face_relation,
@@ -556,3 +563,146 @@ def test_subdivision_equals_the_order_complex_of_the_face_poset(build):
     assert carrier == k.simplices
     assert sd == reference
     assert _subdivision_size(k) == len(reference.simplex_set)
+
+
+def test_face_pairs_free_each_down_set_after_its_last_coface():
+    # Counting the product's 1,507,489 chains kept every down-set to the
+    # end; only those of cells that a later cell lists as a facet stay now.
+    k = product_power(disk_collapse(2), 2).domain
+    facets = k.facets
+
+    def peak(pairs):
+        tracemalloc.start()
+        ending = [1] * len(facets)
+        for i, j in pairs(facets):
+            ending[j] += ending[i]
+        top = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return sum(ending), top
+
+    count, now = peak(_face_pairs)
+    reference, before = peak(face_pairs_keeping_down_sets)
+    assert count == reference == _subdivision_size(k) == 1507489
+    assert 2 * now <= before
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: disk_collapse(2),
+        lambda: torus_height()[1],
+        lambda: random_map(3),
+        lambda: product_power(disk_collapse(2), 2),
+    ],
+    ids=["disk2", "torus_slice", "random3", "product"],
+)
+def test_chain_count_of_the_strata_is_the_size_of_the_realization(build):
+    space = reeb_space(build())
+    assert _chain_count(space.facets) == len(space.realization.simplex_set)
+
+
+# A canonical listing, as ``complex_to_doc`` writes it, keeps its order and
+# builds the facet table as its face check; any other listing is
+# canonicalised, deduplicated, sorted and face-checked as before.  Both
+# build the same complex, and bad input raises the same error types.
+
+
+def emitted(k):
+    doc = complex_to_doc(k)
+    return doc["num_vertices"], doc["simplices"]
+
+
+@pytest.mark.parametrize("build", FIXTURE_COMPLEXES)
+def test_canonical_listing_and_its_fallback_build_equal_complexes(build, monkeypatch):
+    n, listing = emitted(build())
+    shuffled = list(listing)
+    random.Random(0).shuffle(shuffled)
+    slow = [validate_complex(n, order) for order in (listing[::-1], shuffled)]
+    assert _is_canonical_listing(list(map(tuple, listing)))
+    # The canonical listing is never re-canonicalised.
+    monkeypatch.setattr(complexes, "canonical_simplex", None)
+    fast = validate_complex(n, listing)
+    want = facet_table(fast.simplices)
+    for k in slow:
+        assert fast == k
+        assert fast.simplex_set == k.simplex_set
+        assert fast.simplices == k.simplices == tuple(map(tuple, listing))
+        assert fast.facets == k.facets == want
+
+
+DISK = emitted(disk_collapse(2).domain)
+TRIANGLES = [tuple(s) for s in DISK[1] if len(s) == 3]
+# The last edge in canonical order of two triangles, so that the face
+# check meets it first in the earlier one.
+SHARED_EDGE = max(
+    (e for e in itertools.combinations(range(DISK[0]), 2)
+     if sum(set(e) < set(t) for t in TRIANGLES) == 2),
+    key=simplex_key,
+)
+
+
+def relisted(change):
+    n, listing = DISK
+    listing = [list(s) for s in listing]
+    change(listing)
+    return n, listing
+
+
+def reverse_one_triangle(listing):
+    listing[-1].reverse()
+
+
+def shuffle(listing):
+    random.Random(1).shuffle(listing)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda listing: listing.reverse(), shuffle, reverse_one_triangle],
+    ids=["reversed", "shuffled", "descending_simplex"],
+)
+def test_reordered_listings_take_the_fallback_to_the_same_complex(change):
+    n, listing = relisted(change)
+    assert not _is_canonical_listing(list(map(tuple, listing)))
+    assert validate_complex(n, listing) == validate_complex(*DISK)
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (lambda listing: listing.append(listing[-1]), DuplicateSimplexError),
+        (lambda listing: listing.insert(5, listing[4]), DuplicateSimplexError),
+        (lambda listing: (listing.reverse(), listing.append(listing[0])), DuplicateSimplexError),
+        (lambda listing: listing.insert(0, []), InvalidSimplexError),
+        (lambda listing: listing.append([]), InvalidSimplexError),
+        (lambda listing: listing[-1].insert(0, listing[-1][0]), InvalidSimplexError),
+        (lambda listing: (shuffle(listing), listing.append([0, 0])), InvalidSimplexError),
+        (lambda listing: (listing.remove(list(SHARED_EDGE)), shuffle(listing)), MissingFaceError),
+    ],
+    ids=[
+        "duplicated_last", "duplicated_neighbour", "reversed_duplicated", "empty_first",
+        "empty_last", "repeated_vertex", "shuffled_repeated_vertex", "shuffled_missing_face",
+    ],
+)
+def test_malformed_listings_raise_the_fallback_errors(change, error):
+    n, listing = relisted(change)
+    with pytest.raises(error) as info:
+        validate_complex(n, listing)
+    assert type(info.value) is error
+
+
+def test_canonical_listing_names_its_first_missing_face():
+    n, listing = DISK
+    listing = [s for s in listing if tuple(s) != SHARED_EDGE]
+    assert _is_canonical_listing(list(map(tuple, listing)))
+    first = min((t for t in TRIANGLES if set(SHARED_EDGE) < set(t)), key=simplex_key)
+    with pytest.raises(MissingFaceError) as info:
+        validate_complex(n, listing)
+    assert str(info.value) == f"face {SHARED_EDGE} of {first} is missing"
+
+
+def test_canonical_listing_past_its_vertex_count_is_out_of_range():
+    n, listing = DISK
+    with pytest.raises(VertexOutOfRangeError) as info:
+        validate_complex(n - 1, listing)
+    assert str(info.value) == f"simplex ({n - 1},) outside 0..{n - 2}"

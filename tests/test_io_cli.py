@@ -452,6 +452,46 @@ def test_cli_env_cell_cap(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["betti"] == [1]
 
 
+def test_cli_emit_realization_is_refused_past_the_cell_cap(tmp_path, capsys, monkeypatch):
+    # The disk's realization has 74 simplices; they are counted from the
+    # strata's facets before any is built.
+    path = tmp_path / "disk.json"
+    path.write_text(dumps_report(map_to_doc(disk_collapse(2))), encoding="utf-8")
+    args = ["reeb", str(path), "--space", "--emit-realization"]
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "73")
+    monkeypatch.setattr(complexes, "_enumerate_chains", None)
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (3, "")
+    assert "74 simplices of the realization exceed the cap of 73" in err
+    monkeypatch.undo()
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "74")
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert len(json.loads(out)["realization"]["simplices"]) == 74
+
+
+def test_cli_betti_reads_canonical_and_reversed_listings_alike(tmp_path, capsys):
+    doc = complex_to_doc(product_power(disk_collapse(1), 2).domain)
+    canonical, reversed_ = tmp_path / "canonical.json", tmp_path / "reversed.json"
+    canonical.write_text(dumps_report(doc), encoding="utf-8")
+    reversed_.write_text(
+        dumps_report({**doc, "simplices": doc["simplices"][::-1]}), encoding="utf-8"
+    )
+    code, first, _ = run_cli(["betti", str(canonical)], capsys)
+    assert code == 0
+    assert run_cli(["betti", str(reversed_)], capsys) == (0, first, "")
+    edge = next(s for s in doc["simplices"] if len(s) == 2)
+    missing = tmp_path / "missing.json"
+    missing.write_text(
+        dumps_report({**doc, "simplices": [s for s in doc["simplices"] if s != edge]}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(["betti", str(missing)], capsys)
+    assert (code, out) == (1, "")
+    assert f"reebforge: error: face {tuple(edge)} of " in err
+    assert err.rstrip().endswith("is missing")
+
+
 def test_cli_output_file(tmp_path, capsys):
     src = tmp_path / "sphere.json"
     src.write_text(dumps_report(complex_to_doc(boundary_delta3())), encoding="utf-8")
