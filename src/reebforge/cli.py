@@ -20,7 +20,7 @@ from .bounds import (
     bound_report,
     bound_sign_components,
 )
-from .complexes import _chain_count
+from .complexes import _refuse_chains
 from .errors import BudgetExceededError, InvariantError, ReebForgeError
 from .fiberprod import descent_check, fiber_power_betti, resolve_cell_cap
 from .homology import betti_report
@@ -100,10 +100,7 @@ def cmd_reeb(args):
         **reeb_complex_to_doc(space),
     }
     if args.emit_realization:
-        cap, size = resolve_cell_cap(), _chain_count(space.facets)
-        if size > cap:
-            message = f"{size} simplices of the realization exceed the cap of {cap}"
-            raise BudgetExceededError(message, cap=cap, stage="realization", count=size)
+        _refuse_chains(space.facets, resolve_cell_cap(), "the realization", "realization")
         report["realization"] = complex_to_doc(space.realization)
     _write_output(dumps_report(report), args.output)
     return EXIT_OK
@@ -183,7 +180,9 @@ def cmd_fixtures(args):
     for kind, to_doc in (("map", map_to_doc), ("function", function_to_doc)):
         if kind in artifacts:
             path = os.path.join(args.output, f"{args.name}.{kind}.json")
-            _write_output(dumps_report(to_doc(artifacts[kind])), path)
+            # Popped, so that the fixture, facet tables and all, is freed
+            # before its document is serialized.
+            _write_output(dumps_report(to_doc(artifacts.pop(kind))), path)
             written.append(path)
     _write_output(dumps_report({"written": written}), None)
     return EXIT_OK

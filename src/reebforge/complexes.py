@@ -139,16 +139,8 @@ class SimplicialComplex:
         for s in self.simplex_set:
             if s[0] < 0 or s[-1] >= self.num_vertices:
                 raise VertexOutOfRangeError(f"simplex {s} outside 0..{self.num_vertices - 1}")
-        self._check_faces()
+        self.facets  # the face check: a failed facet lookup raises MissingFaceError
         self._check_coordinates()
-
-    def _check_faces(self):
-        # Facet closure implies full face closure by induction on dimension.
-        for s in self.simplex_set:
-            if len(s) > 1:
-                for facet in itertools.combinations(s, len(s) - 1):
-                    if facet not in self.simplex_set:
-                        raise MissingFaceError(f"face {facet} of {s} is missing")
 
     def _check_coordinates(self):
         if self.coordinates is not None:
@@ -188,27 +180,21 @@ class SimplicialComplex:
     def facets(self):
         """The facet table, laid out as ``ReebComplex.facets``: ``facets[i][u]``
         is the id, a position in ``simplices``, of simplex i minus vertex u.
-        Per dimension, the columns u are zipped into rows, so a missing facet
-        raises MissingFaceError naming the first simplex that misses one."""
+        ``combinations`` omits the last vertex first, hence the reversal.
+        Building it is the face check (facet closure implies face closure by
+        induction on dimension): the first simplex, in canonical order, that
+        misses a facet raises MissingFaceError."""
         if self._facets is None:
             get = {s: i for i, s in enumerate(self.simplices)}.__getitem__
             table = []
             try:
-                for n, block in itertools.groupby(self.simplices, len):
-                    block = list(block)
-                    if n == 1:
-                        table.extend([()] * len(block))
-                        continue
-                    columns = []
-                    for u in range(n):
-                        faces = map(operator.itemgetter(*range(u), *range(u + 1, n)), block)
-                        # An edge's face is one vertex; zip makes it a 1-tuple.
-                        columns.append(map(get, faces if n > 2 else zip(faces)))
-                    table.extend(zip(*columns))
+                for s in self.simplices:
+                    table.append(
+                        tuple(map(get, itertools.combinations(s, len(s) - 1)))[::-1]
+                        if len(s) > 1 else ()
+                    )
             except KeyError as exc:
-                face = exc.args[0]
-                s = next(s for s in self.simplices if set(face) < set(s))
-                raise MissingFaceError(f"face {face} of {s} is missing") from None
+                raise MissingFaceError(f"face {exc.args[0]} of {s} is missing") from None
             self._facets = tuple(table)
         return self._facets
 
@@ -292,8 +278,8 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
 
     Raw simplices must not repeat; absent faces are an error unless
     ``close_faces`` asks for downward completion.  A canonical listing, as
-    ``io.complex_to_doc`` writes it, keeps its order, and building its facet
-    table is its face check; any other is canonicalised once, here.
+    ``io.complex_to_doc`` writes it, keeps its order; any other is
+    canonicalised once, here.
     """
     num_vertices = int(num_vertices)
     canon = list(map(tuple, simplices))
@@ -320,9 +306,8 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
     )
     if ordered:
         complex_._sorted = tuple(canon)
+    if not close_faces:  # faces closed on request need no check
         complex_.facets  # the face check: a failed facet lookup raises MissingFaceError
-    else:
-        complex_._check_faces()
     complex_._check_coordinates()
     return complex_
 
@@ -513,6 +498,15 @@ def _chain_count(facets):
     for i, j in _face_pairs(facets):
         ending[j] += ending[i]
     return sum(ending)
+
+
+def _refuse_chains(facets, cap, what, stage):
+    """Raise BudgetExceededError when the chains of a facet table's face
+    poset, the simplices of ``what``, number more than ``cap``."""
+    size = _chain_count(facets)
+    if size > cap:
+        message = f"{size} simplices of {what} exceed the cap of {cap}"
+        raise BudgetExceededError(message, cap=cap, stage=stage, count=size)
 
 
 def _subdivision_size(k):

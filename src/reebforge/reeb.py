@@ -53,7 +53,7 @@ from .complexes import (
     _edge_checked_map,
     _face_order_complex,
     _face_pairs,
-    _subdivision_size,
+    _refuse_chains,
     barycentric_subdivision,
     canonical_simplex,
     component_classes,
@@ -62,7 +62,7 @@ from .complexes import (
     label_components,
     simplex_key,
 )
-from .errors import BudgetExceededError, EmptyComplexError, InvariantError, UnknownSimplexError
+from .errors import EmptyComplexError, InvariantError, UnknownSimplexError
 from .homology import BettiVector, _delta_betti, betti
 
 
@@ -229,10 +229,7 @@ def verify_quotient(f, cell_cap=None):
     """
     from .fiberprod import resolve_cell_cap  # fiberprod imports this module
     cap = resolve_cell_cap(cell_cap)
-    size = _subdivision_size(f.domain)
-    if size > cap:
-        message = f"{size} simplices of the quotient map's sd(X) exceed the cap of {cap}"
-        raise BudgetExceededError(message, cap=cap, stage="quotient subdivision", count=size)
+    _refuse_chains(f.domain.facets, cap, "the quotient map's sd(X)", "quotient subdivision")
     space = reeb_space(f)
     q = space.quotient_map
     carrier = f.domain.simplices

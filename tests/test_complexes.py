@@ -692,13 +692,21 @@ def test_malformed_listings_raise_the_fallback_errors(change, error):
 
 
 def test_canonical_listing_names_its_first_missing_face():
+    # Every path checks faces by building the facet table in canonical
+    # order, so every listing, and the checked constructor, names the first
+    # simplex in canonical order that misses a facet.
     n, listing = DISK
     listing = [s for s in listing if tuple(s) != SHARED_EDGE]
     assert _is_canonical_listing(list(map(tuple, listing)))
+    shuffled = list(listing)
+    shuffle(shuffled)
     first = min((t for t in TRIANGLES if set(SHARED_EDGE) < set(t)), key=simplex_key)
-    with pytest.raises(MissingFaceError) as info:
-        validate_complex(n, listing)
-    assert str(info.value) == f"face {SHARED_EDGE} of {first} is missing"
+    for build, order in itertools.product(
+        (validate_complex, SimplicialComplex), (listing, shuffled, listing[::-1])
+    ):
+        with pytest.raises(MissingFaceError) as info:
+            build(n, order)
+        assert str(info.value) == f"face {SHARED_EDGE} of {first} is missing"
 
 
 def test_canonical_listing_past_its_vertex_count_is_out_of_range():
