@@ -26,6 +26,7 @@ from .fiberprod import descent_check, fiber_power_betti, resolve_cell_cap
 from .homology import betti_report
 from .io import (
     complex_to_doc,
+    dump_report,
     dumps_report,
     function_from_doc,
     function_to_doc,
@@ -181,8 +182,10 @@ def cmd_fixtures(args):
         if kind in artifacts:
             path = os.path.join(args.output, f"{args.name}.{kind}.json")
             # Popped, so that the fixture, facet tables and all, is freed
-            # before its document is serialized.
-            _write_output(dumps_report(to_doc(artifacts.pop(kind))), path)
+            # before its document is serialized; streamed, so that the
+            # serialized text is never held whole.
+            with open(path, "w", encoding="utf-8") as fh:
+                dump_report(to_doc(artifacts.pop(kind)), fh)
             written.append(path)
     _write_output(dumps_report({"written": written}), None)
     return EXIT_OK

@@ -8,6 +8,7 @@ derived object deterministic.  Optional vertex coordinates are exact rationals
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import operator
@@ -330,12 +331,12 @@ class SimplicialMap:
     Dimension-collapsing images are allowed; constant maps are legal.
     """
 
-    __slots__ = ("domain", "codomain", "vertex_images", "_image_cache")
+    __slots__ = ("domain", "codomain", "vertex_images", "_simplex_images")
 
     def __init__(self, domain, codomain, vertex_images):
         self.domain, self.codomain = domain, codomain
         self.vertex_images = tuple(int(v) for v in vertex_images)
-        self._image_cache = {}
+        self._simplex_images = None
         if len(self.vertex_images) != domain.num_vertices:
             raise ValueCountMismatchError(
                 f"{len(self.vertex_images)} images for {domain.num_vertices} vertices"
@@ -343,16 +344,12 @@ class SimplicialMap:
         for w in self.vertex_images:
             if w < 0 or w >= codomain.num_vertices:
                 raise VertexOutOfRangeError(f"image vertex {w} outside codomain")
-        # Every simplex is tested, in set order; the error names the
-        # failure that comes first in canonical order.
-        images = self.vertex_images
+        # The error names the first failure in canonical order.
         targets = codomain.simplex_set
-        failed = [
-            s for s in domain.simplex_set
-            if tuple(sorted({images[v] for v in s})) not in targets
-        ]
-        if failed:
-            raise NotSimplicialError(min(failed, key=simplex_key))
+        if not targets.issuperset(self.simplex_images):
+            raise NotSimplicialError(next(
+                s for s, t in zip(domain.simplices, self.simplex_images) if t not in targets
+            ))
 
     @classmethod
     def _unchecked(cls, domain, codomain, vertex_images):
@@ -360,16 +357,35 @@ class SimplicialMap:
         self = cls.__new__(cls)
         self.domain, self.codomain = domain, codomain
         self.vertex_images = tuple(vertex_images)
-        self._image_cache = {}
+        self._simplex_images = None
         return self
+
+    @property
+    def simplex_images(self):
+        """The image table: ``simplex_images[i]`` is the image of domain
+        simplex i as a canonical simplex.  Simplex i is its facet
+        ``facets[i][0]`` plus its first vertex, so its image is that facet's
+        image, the same tuple when the vertex's image is already in it."""
+        if self._simplex_images is None:
+            images = self.vertex_images
+            table = []
+            for s, fs in zip(self.domain.simplices, self.domain.facets):
+                w = images[s[0]]
+                if not fs:
+                    table.append((w,))
+                    continue
+                below = table[fs[0]]
+                if w in below:
+                    table.append(below)
+                else:
+                    k = bisect.bisect_left(below, w)
+                    table.append(below[:k] + (w,) + below[k:])
+            self._simplex_images = tuple(table)
+        return self._simplex_images
 
     def image_simplex(self, simplex):
         """Image vertex set of a domain simplex, as a canonical simplex."""
-        cached = self._image_cache.get(simplex)
-        if cached is None:
-            cached = tuple(sorted({self.vertex_images[v] for v in simplex}))
-            self._image_cache[simplex] = cached
-        return cached
+        return tuple(sorted({self.vertex_images[v] for v in simplex}))
 
     def __eq__(self, other):
         return (

@@ -146,11 +146,11 @@ def fiber_power_nerve(f, p, cell_cap=None):
     """
     _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
-    maximal = f.domain.maximal_simplices
     by_cod_vertex = {}
-    for s in maximal:
-        for w in f.image_simplex(s):
-            by_cod_vertex.setdefault(w, []).append(s)
+    for s, image, up in zip(f.domain.simplices, f.simplex_images, f.domain.cofaces):
+        if not up:  # a maximal simplex
+            for w in image:
+                by_cod_vertex.setdefault(w, []).append(s)
 
     cover = set()
     for w in sorted(by_cod_vertex):
@@ -323,8 +323,7 @@ class _MorseModel:
     def __init__(self, f, label=None):
         simps = f.domain.simplices
         keys, shrinks, cuts = [], [], []
-        for i, (s, fs) in enumerate(zip(simps, f.domain.facets)):
-            tau = f.image_simplex(s)
+        for i, (s, fs, tau) in enumerate(zip(simps, f.domain.facets, f.simplex_images)):
             keys.append((tau, 0 if label is None else label[i]))
             over = [tau.index(f.vertex_images[v]) for v in s]
             counts = [over.count(u) for u in range(len(tau))]
@@ -446,7 +445,7 @@ class _MorseModel:
 
 def _group_sizes(f):
     """How many domain simplices have each exact image."""
-    return list(Counter(map(f.image_simplex, f.domain.simplices)).values())
+    return list(Counter(f.simplex_images).values())
 
 
 def _quotient_group_sizes(k, strata):
@@ -535,7 +534,7 @@ def image_subcomplex(f):
     """The subcomplex of the codomain spanned by the image simplices."""
     return SimplicialComplex(
         f.codomain.num_vertices,
-        {f.image_simplex(s) for s in f.domain.simplices},
+        set(f.simplex_images),
     )
 
 

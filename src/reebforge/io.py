@@ -8,6 +8,7 @@ positions from the decoder.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -80,10 +81,11 @@ def complex_from_doc(doc, close_faces=False):
     simplices = doc["simplices"]
     if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
         raise FormatError("'simplices' must be a list of integer arrays")
-    for s in simplices:
-        for v in s:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise FormatError(f"simplex entry {v!r} is not an integer")
+    if not set(map(type, itertools.chain.from_iterable(simplices))) <= {int}:
+        for s in simplices:  # name the entry; an int subclass other than bool passes
+            for v in s:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise FormatError(f"simplex entry {v!r} is not an integer")
 
     coordinates = None
     if "vertices" in doc:
@@ -171,6 +173,12 @@ def load_complex(path, close_faces=False):
 def dumps_report(doc):
     """Canonical report serialization: sorted keys, two-space indent."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def dump_report(doc, fh):
+    """Write ``dumps_report(doc)`` to ``fh`` chunk by chunk, never whole."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def reeb_complex_to_doc(space):

@@ -152,16 +152,13 @@ def reeb_space(f):
     simps = f.domain.simplices
     table = f.domain.facets
     images = f.vertex_images
+    taus = f.simplex_images
     groups = {}
-    keeping = []
-    for i, s in enumerate(simps):
-        image = f.image_simplex(s)
+    for i, image in enumerate(taus):
         groups.setdefault(image, []).append(i)
-        if len(image) == len(s):
-            keeping.append(())
-            continue
-        over = [images[v] for v in s]
-        keeping.append([table[i][j] for j, w in enumerate(over) if over.count(w) > 1])
+    # A facet's image lies in its simplex's; they are equal, and the facet
+    # image-keeping, exactly when the dropped vertex's image repeats.
+    keeping = [[g for g in fs if len(taus[g]) == len(tau)] for fs, tau in zip(table, taus)]
 
     parent = list(range(len(simps)))
     exact_strata = [0] * len(simps)
@@ -204,7 +201,7 @@ def fiber_components_at(f, tau):
     members = []
     while stack:
         i = stack.pop()
-        image = f.image_simplex(simps[i])
+        image = f.simplex_images[i]
         if tau_set.issubset(image):
             members.append(i)
         elif not tau_set.issuperset(image):
@@ -232,12 +229,8 @@ def verify_quotient(f, cell_cap=None):
     _refuse_chains(f.domain.facets, cap, "the quotient map's sd(X)", "quotient subdivision")
     space = reeb_space(f)
     q = space.quotient_map
-    carrier = f.domain.simplices
-
-    commutes = all(
-        space.codomain_projection[q.vertex_images[i]] == f.image_simplex(carrier[i])
-        for i in range(len(carrier))
-    )
+    proj = space.codomain_projection
+    commutes = tuple(proj[j] for j in q.vertex_images) == f.simplex_images
 
     # Each stratum of q lies over a realization simplex: one over each.
     taus = reeb_space(q).codomain_projection

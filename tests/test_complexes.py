@@ -53,7 +53,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 from reebforge.io import complex_to_doc
-from reebforge.reeb import reeb_space
+from reebforge.reeb import pl_as_simplicial_map, reeb_space
 
 from .oracles import (
     face_pairs_by_combinations,
@@ -161,11 +161,11 @@ def test_not_simplicial_error_names_the_canonically_first_failure():
         assert err.value.simplex == want
 
 
-def test_map_check_leaves_the_image_cache_to_callers():
+def test_map_check_builds_the_image_table():
     f = SimplicialMap(boundary_delta3(), full_simplex(3), [0, 1, 2, 3])
-    assert f._image_cache == {}
+    assert f._simplex_images is not None
+    assert f.simplex_images[f.domain.simplices.index((0, 2))] == (0, 2)
     assert f.image_simplex((0, 2)) == (0, 2)
-    assert f._image_cache == {(0, 2): (0, 2)}
 
 
 def test_constant_map_is_simplicial():
@@ -714,3 +714,48 @@ def test_canonical_listing_past_its_vertex_count_is_out_of_range():
     with pytest.raises(VertexOutOfRangeError) as info:
         validate_complex(n - 1, listing)
     assert str(info.value) == f"simplex ({n - 1},) outside 0..{n - 2}"
+
+
+# The image table against the image of each simplex's vertex set, on checked
+# maps and on the maps the package builds unchecked (a slice, a quotient map).
+
+def images_of_vertex_sets(f):
+    w = f.vertex_images
+    return tuple(tuple(sorted({w[v] for v in s})) for s in f.domain.simplices)
+
+
+IMAGE_TABLE_MAPS = [
+    *(pytest.param(lambda s=s: random_map(s), id=f"random{s}") for s in range(50)),
+    pytest.param(lambda: disk_collapse(1), id="disk1"),
+    pytest.param(lambda: disk_collapse(2), id="disk2"),
+    pytest.param(lambda: torus_height()[1], id="torus_slice"),
+    pytest.param(lambda: product_power(disk_collapse(1), 3), id="product_n1_k3"),
+    pytest.param(lambda: product_power(disk_collapse(2), 2), id="product"),
+    pytest.param(lambda: pl_as_simplicial_map(random_function(3)).map, id="slice"),
+    pytest.param(lambda: reeb_space(disk_collapse(2)).quotient_map, id="quotient"),
+    pytest.param(lambda: reeb_space(random_map(7)).quotient_map, id="quotient_random7"),
+]
+
+
+@pytest.mark.parametrize("build", IMAGE_TABLE_MAPS)
+def test_image_table_is_the_image_of_each_vertex_set(build):
+    f = build()
+    table = f.simplex_images
+    assert table == images_of_vertex_sets(f)
+    assert table == tuple(map(f.image_simplex, f.domain.simplices))
+    # A simplex whose first vertex's image repeats shares its facet's tuple.
+    for t, fs in zip(table, f.domain.facets):
+        if fs and len(table[fs[0]]) == len(t):
+            assert t is table[fs[0]]
+
+
+def test_edge_checked_maps_leave_the_image_table_unbuilt():
+    built = [
+        _edge_checked_map(path_complex(3), path_complex(3), [0, 1, 1], [(0, 1), (1, 2)]),
+        pl_as_simplicial_map(random_function(3)).map,
+        torus_height()[1],
+        reeb_space(disk_collapse(2)).quotient_map,
+    ]
+    for f in built:
+        assert f._simplex_images is None
+    assert built[0].simplex_images == ((0,), (1,), (1,), (0, 1), (1,))

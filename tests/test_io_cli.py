@@ -662,18 +662,21 @@ def checked_rebuild(complex_):
     )
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        FixtureSpec("disk_collapse", {"n": 1}),
-        FixtureSpec("disk_collapse", {"n": 2}),
-        FixtureSpec("product_power", {"n": 1, "k": 3}),
-        FixtureSpec("product_power", {"n": 2, "k": 2}),
-        FixtureSpec("torus_height"),
-        *(FixtureSpec("random_map", {"seed": seed}) for seed in range(5)),
-    ],
-    ids=lambda spec: "-".join([spec.name, *map(str, spec.parameters.values())]),
-)
+FIXTURE_SPECS = [
+    FixtureSpec("disk_collapse", {"n": 1}),
+    FixtureSpec("disk_collapse", {"n": 2}),
+    FixtureSpec("product_power", {"n": 1, "k": 3}),
+    FixtureSpec("product_power", {"n": 2, "k": 2}),
+    FixtureSpec("torus_height"),
+    *(FixtureSpec("random_map", {"seed": seed}) for seed in range(5)),
+]
+
+
+def spec_id(spec):
+    return "-".join([spec.name, *map(str, spec.parameters.values())])
+
+
+@pytest.mark.parametrize("spec", FIXTURE_SPECS, ids=spec_id)
 def test_parsed_fixtures_equal_the_checked_constructor(spec):
     for kind, artifact in build_fixture(spec).items():
         text = dumps_report((map_to_doc if kind == "map" else function_to_doc)(artifact))
@@ -693,3 +696,33 @@ def test_parsed_fixtures_equal_the_checked_constructor(spec):
             )
             assert complex_ == want == checked_rebuild(complex_)
             assert complex_.simplices == want.simplices
+
+
+@pytest.mark.parametrize("spec", FIXTURE_SPECS, ids=spec_id)
+def test_emitted_files_are_their_report_serialization(spec, tmp_path, capsys):
+    params = [arg for k, v in spec.parameters.items() for arg in ("--param", f"{k}={v}")]
+    code, _, _ = run_cli(["fixtures", "emit", spec.name, *params, "-o", str(tmp_path)], capsys)
+    assert code == 0
+    for kind, artifact in build_fixture(spec).items():
+        text = dumps_report((map_to_doc if kind == "map" else function_to_doc)(artifact))
+        assert (tmp_path / f"{spec.name}.{kind}.json").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, "1", None])
+def test_non_integer_simplex_entries_are_named(entry):
+    with pytest.raises(FormatError) as err:
+        complex_from_doc({"simplices": [[0], [1], [0, 1], [0, entry]]})
+    assert str(err.value) == f"simplex entry {entry!r} is not an integer"
+
+
+def test_the_first_non_integer_simplex_entry_is_named():
+    with pytest.raises(FormatError, match=r"^simplex entry 'a' is not an integer$"):
+        complex_from_doc({"simplices": [["a", None], [1, 2.5], [0]]})
+
+
+def test_int_subclass_simplex_entries_are_accepted():
+    class Id(int):
+        pass
+
+    k = complex_from_doc({"simplices": [[Id(0)], [Id(1)], [Id(0), Id(1)]]})
+    assert k == complex_from_doc({"simplices": [[0], [1], [0, 1]]})

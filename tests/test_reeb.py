@@ -44,6 +44,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 from reebforge import complexes, descent_check, homology, reeb
+from reebforge.fiberprod import fiber_power_betti, image_subcomplex
 from reebforge.complexes import _face_pairs
 from reebforge.homology import regular_cw_betti
 from reebforge.io import reeb_graph_to_dot
@@ -619,6 +620,38 @@ def test_reeb_space_builds_no_coface_index(build):
     space = reeb_space(f)
     space.betti()
     assert f.domain._cofaces is None
+
+
+@pytest.mark.parametrize("build, _quotient", SCAN_CASES)
+def test_image_keeping_facets_by_size_are_those_dropping_a_repeated_image(build, _quotient):
+    f = build()
+    w, taus = f.vertex_images, f.simplex_images
+    for s, fs, tau in zip(f.domain.simplices, f.domain.facets, taus):
+        over = [w[v] for v in s]
+        by_repeat = [fs[j] for j, x in enumerate(over) if over.count(x) > 1]
+        assert [g for g in fs if len(taus[g]) == len(tau)] == by_repeat
+
+
+def test_package_readers_take_images_from_the_table_alone(monkeypatch):
+    def readers(f):
+        return [
+            reeb_space(f).betti(),
+            verify_quotient(f),
+            fiber_components_at(f, (0, 1)),
+            image_subcomplex(f),
+            fiber_power_betti(f, 1),
+            fiber_power_betti(f, 0, engine="nerve"),
+            descent_check(f, p_max=1),
+            descent_check(f, target="reeb", p_max=1),
+        ]
+
+    want = readers(disk_collapse(2))
+
+    def refuse(self, simplex):
+        raise AssertionError(f"image_simplex({simplex}) called")
+
+    monkeypatch.setattr(SimplicialMap, "image_simplex", refuse)
+    assert readers(disk_collapse(2)) == want
 
 
 # The event sweep against the per-level rescan it replaced.
