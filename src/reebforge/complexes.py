@@ -167,10 +167,7 @@ class SimplicialComplex:
     def by_dim(self):
         """dict dimension -> canonical list of simplices of that dimension."""
         if self._by_dim is None:
-            table = {}
-            for s in self.simplices:
-                table.setdefault(len(s) - 1, []).append(s)
-            self._by_dim = table
+            self._by_dim = {len(run[0]) - 1: run for run in _runs(self.simplices)}
         return self._by_dim
 
     @property
@@ -181,21 +178,35 @@ class SimplicialComplex:
     def facets(self):
         """The facet table, laid out as ``ReebComplex.facets``: ``facets[i][u]``
         is the id, a position in ``simplices``, of simplex i minus vertex u.
-        ``combinations`` omits the last vertex first, hence the reversal.
+
+        It is built one dimension at a time.  The simplices of one size are
+        read as columns, and for each omitted vertex u one ``map`` looks up
+        the rows of the other columns; the per-u ids are zipped into rows.
         Building it is the face check (facet closure implies face closure by
-        induction on dimension): the first simplex, in canonical order, that
-        misses a facet raises MissingFaceError."""
+        induction on dimension): when a lookup fails, the first simplex in
+        canonical order that misses a facet raises MissingFaceError, naming
+        the first missing facet in ``combinations`` order."""
         if self._facets is None:
-            get = {s: i for i, s in enumerate(self.simplices)}.__getitem__
+            index = {s: i for i, s in enumerate(self.simplices)}
+            get = index.__getitem__
             table = []
-            try:
-                for s in self.simplices:
-                    table.append(
-                        tuple(map(get, itertools.combinations(s, len(s) - 1)))[::-1]
-                        if len(s) > 1 else ()
+            for run in _runs(self.simplices):
+                if len(run[0]) == 1:
+                    table += [()] * len(run)
+                    continue
+                cols = list(zip(*run))
+                try:
+                    table += zip(*[
+                        map(get, zip(*cols[:u], *cols[u + 1 :])) for u in range(len(cols))
+                    ])
+                except KeyError:
+                    s, face = next(
+                        (s, face)
+                        for s in run
+                        for face in itertools.combinations(s, len(s) - 1)
+                        if face not in index
                     )
-            except KeyError as exc:
-                raise MissingFaceError(f"face {exc.args[0]} of {s} is missing") from None
+                    raise MissingFaceError(f"face {face} of {s} is missing") from None
             self._facets = tuple(table)
         return self._facets
 
@@ -313,16 +324,29 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
     return complex_
 
 
+def _runs(simplices):
+    """The maximal runs of neighbouring simplices of one size, as lists."""
+    return (list(run) for _, run in itertools.groupby(simplices, len))
+
+
 def _is_canonical_listing(simplices):
     """Whether each simplex is non-empty and strictly ascending, and each
     neighbouring pair strictly increases under ``simplex_key``: then the
-    listing is in canonical order and holds no duplicate."""
-    keys = list(map(simplex_key, simplices))
-    return (
-        all(simplices)
-        and all(all(map(operator.lt, s, s[1:])) for s in simplices)
-        and all(map(operator.lt, keys, keys[1:]))
-    )
+    listing is in canonical order and holds no duplicate.  It is read one
+    run of equal sizes at a time: the sizes ascend from one, each run
+    ascends lexicographically, and each of its columns lies below the next."""
+    size = 0
+    for run in _runs(simplices):
+        if len(run[0]) <= size:
+            return False
+        size = len(run[0])
+        cols = list(zip(*run))
+        if not (
+            all(map(operator.lt, run, run[1:]))
+            and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
+        ):
+            return False
+    return True
 
 
 class SimplicialMap:
@@ -483,10 +507,16 @@ def barycentric_subdivision(complex_):
 
 def _face_order_complex(facets):
     """The order complex of a facet table's face poset, on its ids."""
+    return _complex_of_chains(len(facets), _face_ups(facets))
+
+
+def _face_ups(facets):
+    """Each cell's proper cofaces, ascending, in a facet table whose ids
+    ascend along the face order."""
     ups = [[] for _ in facets]
     for i, j in _face_pairs(facets):
         ups[i].append(j)
-    return _complex_of_chains(len(facets), ups)
+    return ups
 
 
 def _face_pairs(facets):
@@ -536,9 +566,14 @@ def _complex_of_chains(n, ups):
     ``ups`` is as ``_enumerate_chains`` takes it, and is verified there, so
     every chain is a strictly ascending tuple of ids in 0..n-1: canonical and
     distinct, and the complex is built without re-sorting any of them; the
-    up-sets are transitive, so the chains are closed under faces.
+    up-sets are transitive, so the chains are closed under faces.  The
+    chains come out in canonical order, which the complex keeps as its
+    ``simplices``.
     """
-    return SimplicialComplex._from_canonical(n, _enumerate_chains(n, ups))
+    chains = _enumerate_chains(n, ups)
+    complex_ = SimplicialComplex._from_canonical(n, chains)
+    complex_._sorted = tuple(chains)
+    return complex_
 
 
 def _check_up_sets(n, ups):
@@ -569,29 +604,29 @@ def _check_up_sets(n, ups):
 
 
 def _enumerate_chains(n, ups, cap=None):
-    """All nonempty chains of a poset on ids 0..n-1.
+    """All nonempty chains of a poset on ids 0..n-1, in canonical order.
 
     ``ups[i]`` must list, in strictly ascending order, every id above i, and
     each must be greater than i and less than n (id order is a linear
     extension); anything else raises InvariantError.  Chains come out as
-    ascending tuples, each once.
+    ascending tuples, each once, one length at a time: each chain of one
+    length is extended by every id above its top, in up-set order, so a
+    length's chains are lexicographic when the shorter ones are.  A cap is
+    checked once per length, so a BudgetExceededError's ``count`` is the
+    number of chains up to the first length whose chains pass the cap, not
+    the cap plus one.
     """
     _check_up_sets(n, ups)
     chains = []
-    stack = []
-    for start in range(n):
-        stack.append((start,))
-        while stack:
-            chain = stack.pop()
-            chains.append(chain)
-            if cap is not None and len(chains) > cap:
-                raise BudgetExceededError(
-                    f"chain enumeration passed the cap of {cap}",
-                    cap=cap, stage="chains", count=len(chains),
-                )
-            top = chain[-1]
-            for nxt in ups[top]:
-                stack.append(chain + (nxt,))
+    level = [(i,) for i in range(n)]
+    while level:
+        chains += level
+        if cap is not None and len(chains) > cap:
+            raise BudgetExceededError(
+                f"chain enumeration passed the cap of {cap}",
+                cap=cap, stage="chains", count=len(chains),
+            )
+        level = [c + (j,) for c in level for j in ups[c[-1]]]
     return chains
 
 

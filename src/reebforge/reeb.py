@@ -42,6 +42,7 @@ and only the components that a leaving simplex touches are relabelled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,11 +54,11 @@ from .complexes import (
     _edge_checked_map,
     _face_order_complex,
     _face_pairs,
+    _face_ups,
     _refuse_chains,
     barycentric_subdivision,
     canonical_simplex,
     component_classes,
-    connected_components,
     find_root,
     label_components,
     simplex_key,
@@ -252,9 +253,13 @@ def b1_inequality_check(f):
     k = f.domain
     if not k.simplex_set:
         return {"components": [], "ok": True}
+    # A component of a complex is a subcomplex: its vertices are its
+    # 0-simplices, which come first in id order, ascending.
+    simps = k.simplices
+    ids = range(len(simps))
     rows = []
-    for cls in connected_components(k, k.simplices):
-        verts = sorted({v for s in cls for v in s})
+    for cls in component_classes(ids, k.facets, list(ids)):
+        verts = [simps[i][0] for i in cls if len(simps[i]) == 1]
         sub, _ = k.restrict_to_vertices(verts)
         restricted = SimplicialMap(
             sub, f.codomain, [f.vertex_images[v] for v in verts]
@@ -327,21 +332,15 @@ def reeb_graph(g):
     """
     k2 = g.complex.skeleton(2)
     simps = k2.simplices
-    vertices = [s[0] for s in k2.by_dim().get(0, ())]
-    levels = sorted({g.values[v] for v in vertices})
-    position = {t: i for i, t in enumerate(levels)}
-    level_of = {v: position[g.values[v]] for v in vertices}
+    levels, level_of = _vertex_levels(g)
+    first, last = _level_spans(k2, level_of)
 
     cofaces = k2.cofaces
     starts = [[] for _ in levels]
     ends = [[] for _ in levels]
-    last = []
-    for i, s in enumerate(simps):
-        span = [level_of[v] for v in s]
-        hi = max(span)
-        starts[min(span)].append(i)
+    for i, (lo, hi) in enumerate(zip(first, last)):
+        starts[lo].append(i)
         ends[hi].append(i)
-        last.append(hi)
 
     parent = list(range(len(simps)))
     members = {}  # live root -> active ids of its component
@@ -386,8 +385,57 @@ def reeb_graph(g):
                 members[find_root(parent, s)].append(s)
     edges.sort()
 
-    vertex_to_node = {v: node_of_vertex[v] for v in vertices}
+    vertex_to_node = {v: node_of_vertex[v] for v in level_of}
     return ReebGraph(tuple(nodes), tuple(edges), vertex_to_node)
+
+
+# Past this common denominator, level keys would be long integers; the
+# values are then ranked as Fractions.
+_LEVEL_DENOMINATOR_CAP = 1 << 64
+
+
+def _level_keys(values):
+    """Keys that order and tie exactly as the rational ``values`` do: each
+    value times the values' common denominator, an integer, or the values
+    themselves when that denominator would pass ``_LEVEL_DENOMINATOR_CAP``."""
+    den = 1
+    for q in {v.denominator for v in values}:
+        den = math.lcm(den, q)
+        if den > _LEVEL_DENOMINATOR_CAP:
+            return values
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _vertex_levels(g):
+    """(levels, level_of): the sorted distinct values of g at the vertices of
+    its complex, its 0-simplices, and ``level_of[v]``, the position of v's
+    value among them, for each such vertex v in ascending order.  Vertex ids
+    that are no 0-simplex are not ranked.  The values are ranked by the
+    exact keys of ``_level_keys``, which hash and sort faster than Fractions."""
+    vertices = [s[0] for s in g.complex.by_dim().get(0, ())]
+    values = list(map(g.values.__getitem__, vertices))
+    keys = _level_keys(values)
+    value_of = dict(zip(keys, values))
+    ordered = sorted(value_of)
+    position = {t: i for i, t in enumerate(ordered)}
+    level_of = dict(zip(vertices, map(position.__getitem__, keys)))
+    return [value_of[t] for t in ordered], level_of
+
+
+def _level_spans(k, level_of):
+    """(lo, hi): the lowest and highest level of each simplex of k, in id
+    order, read one dimension at a time from its vertex columns."""
+    get = level_of.__getitem__
+    lo, hi = [], []
+    for run in k.by_dim().values():
+        cols = [list(map(get, col)) for col in zip(*run)]
+        if len(cols) == 1:
+            lo += cols[0]
+            hi += cols[0]
+        else:
+            lo += map(min, *cols)
+            hi += map(max, *cols)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -423,11 +471,8 @@ def pl_as_simplicial_map(g):
     k = g.complex
     if not k.simplex_set:
         raise EmptyComplexError("cannot slice an empty complex")
-    vertices = [s[0] for s in k.by_dim()[0]]
-    levels = sorted({g.values[v] for v in vertices})
+    levels, level_of = _vertex_levels(g)
     n = len(levels)
-    position = {t: i for i, t in enumerate(levels)}
-    level_of = {v: position[g.values[v]] for v in vertices}
 
     codomain_levels = []
     for i, t in enumerate(levels):
@@ -443,44 +488,60 @@ def pl_as_simplicial_map(g):
     # Cells (sigma, c): c = 2i is the slice of sigma at level i, c = 2i+1 the
     # slice over the open gap (levels[i], levels[i+1]).  A simplex spanning
     # levels lo < hi has value cells strictly between them and gap cells from
-    # lo up to hi.  Ids ascend along the face order: k.simplices is
-    # canonical, and each simplex lists its value cells before its gap
-    # cells, each ascending.  ``cell_of[sid][c]`` is the id of cell
-    # (simplex sid, c).
+    # lo up to hi; one spanning a single level has one value cell there.
+    # Ids ascend along the face order: k.simplices is canonical, and each
+    # simplex lists its value cells before its gap cells, each ascending.
+    # So cell 2i of simplex s has id v0[s] + i and cell 2i+1 has g0[s] + i.
     simps = k.simplices
+    lows, highs = _level_spans(k, level_of)
     cells = []
-    cell_of = []
-    for s in simps:
-        span = [level_of[v] for v in s]
-        lo, hi = min(span), max(span)
+    v0 = []
+    g0 = []
+    for s, lo, hi in zip(simps, lows, highs):
+        start = len(cells)
         if lo == hi:
-            own = [2 * lo]
+            cells.append((s, 2 * lo))
+            v0.append(start - lo)
         else:
-            own = [2 * i for i in range(lo + 1, hi)] + [2 * i + 1 for i in range(lo, hi)]
-        ids = {}
-        for c in own:
-            ids[c] = len(cells)
-            cells.append((s, c))
-        cell_of.append(ids)
+            cells += [(s, 2 * i) for i in range(lo + 1, hi)]
+            cells += [(s, 2 * i + 1) for i in range(lo, hi)]
+            v0.append(start - lo - 1)
+        g0.append(start + hi - 2 * lo - 1)
 
-    # A cell's up-set holds the cells of its simplex and of the proper
-    # cofaces of that simplex, at c - 1, c and c + 1 for a level cell and at
-    # c for a gap cell.
-    hosts = [[sid] for sid in range(len(simps))]
-    for i, j in _face_pairs(k.facets):
-        hosts[i].append(j)
+    # A cell's up-set holds the other cells of its simplex and the cells of
+    # the proper cofaces t of that simplex, at c - 1, c and c + 1 for a level
+    # cell and at c for a gap cell.  A coface spans the levels of its face,
+    # so it has a gap cell at every gap of the face.  At a level i of the
+    # face it has a value cell when i lies strictly inside its span or is
+    # its only level, a gap cell below unless i is its lowest level, and one
+    # above unless i is its highest; strictly inside the face's span, all
+    # three.  Ids index one shared list, so every chain holds the same int
+    # objects.
+    ids = list(range(len(cells)))
+    above = _face_ups(k.facets)
     ups = []
-    for sid, ids in enumerate(cell_of):
-        for c, me in ids.items():
-            targets = (c, c - 1, c + 1) if c % 2 == 0 else (c,)
-            bigger = []
-            for host in hosts[sid]:
-                theirs = cell_of[host]
-                for c2 in targets:
-                    other = theirs.get(c2)
-                    if other is not None and other != me:
-                        bigger.append(other)
-            ups.append(tuple(sorted(bigger)))
+    for s, (lo, hi) in enumerate(zip(lows, highs)):
+        up = above[s]
+        if lo == hi:
+            cell = []
+            for t in up:
+                if lows[t] < lo < highs[t]:
+                    cell += (ids[v0[t] + lo], ids[g0[t] + lo - 1], ids[g0[t] + lo])
+                elif lows[t] < lo:
+                    cell.append(ids[g0[t] + lo - 1])
+                elif lo < highs[t]:
+                    cell.append(ids[g0[t] + lo])
+                else:
+                    cell.append(ids[v0[t] + lo])
+            ups.append(tuple(cell))
+            continue
+        for i in range(lo + 1, hi):
+            cell = [ids[g0[s] + i - 1], ids[g0[s] + i]]
+            for t in up:
+                cell += (ids[v0[t] + i], ids[g0[t] + i - 1], ids[g0[t] + i])
+            ups.append(tuple(cell))
+        for i in range(lo, hi):
+            ups.append(tuple([ids[g0[t] + i] for t in up]))
 
     sliced = _complex_of_chains(len(cells), ups)
     images = [c for (_, c) in cells]

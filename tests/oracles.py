@@ -28,7 +28,13 @@ the slicing definition of a simplicial complex's facet table and
 ``face_pairs_by_combinations`` the per-simplex listing of proper faces, both
 of which the cached ``SimplicialComplex.facets`` replaced, and
 ``face_pairs_keeping_down_sets`` the face-pair walk that kept every cell's
-down-set to the end; ``stratum_poset``
+down-set to the end.  ``is_canonical_listing_by_keys`` is the canonical-order
+test by one key tuple per simplex, ``first_missing_face`` names the face that
+the face check must report, ``levels_by_fraction_sort`` ranks vertex values
+as Fractions, and ``slice_cells_and_up_sets`` with ``chains_by_stack`` is the
+level slice as built from per-simplex cell dicts and a depth-first chain
+stack, before the closed-form up-sets and chains in canonical order;
+``stratum_poset``
 hands a Reeb space's face relation to the package's generic ``Poset``, whose
 order complex the realization is checked against.
 ``morse_complex_unpruned`` is the gradient flow of the lifted matching over
@@ -130,6 +136,32 @@ def facet_table(simplices):
         tuple(index[s[:u] + s[u + 1 :]] for u in range(len(s))) if len(s) > 1 else ()
         for s in simplices
     )
+
+
+def is_canonical_listing_by_keys(simplices):
+    """Whether each simplex is non-empty and strictly ascending and each
+    neighbouring pair strictly increases under the (size, lexicographic)
+    key, by one key tuple per simplex: the definition that the package's
+    run-by-run check replaced."""
+    keys = [(len(s), s) for s in simplices]
+    return (
+        all(simplices)
+        and all(all(a < b for a, b in zip(s, s[1:])) for s in simplices)
+        and all(a < b for a, b in zip(keys, keys[1:]))
+    )
+
+
+def first_missing_face(simplices):
+    """(face, simplex) for the first simplex, in canonical order, with a
+    facet outside ``simplices``, and its first such facet in the order that
+    drops the last vertex first; None when every facet is present."""
+    present = set(simplices)
+    for s in _canonical(simplices):
+        for u in reversed(range(len(s)) if len(s) > 1 else ()):
+            face = s[:u] + s[u + 1 :]
+            if face not in present:
+                return face, s
+    return None
 
 
 def face_pairs_by_combinations(simplices):
@@ -944,3 +976,65 @@ def morse_complex_unpruned(f, p, label=None):
             stack.pop()
         bounds.append(memo.pop(cell))
     return dims, bounds
+
+
+def levels_by_fraction_sort(g):
+    """(levels, level_of) of a PL function: its sorted distinct values at the
+    0-simplices of its complex, as Fractions, and each such vertex's
+    position among them."""
+    vertices = sorted(s[0] for s in g.complex.simplex_set if len(s) == 1)
+    levels = sorted({g.values[v] for v in vertices})
+    position = {t: i for i, t in enumerate(levels)}
+    return levels, {v: position[g.values[v]] for v in vertices}
+
+
+def slice_cells_and_up_sets(g):
+    """(cells, ups) of the level slice of a PL function, built as before the
+    closed form: a ``{level: id}`` dict of cells per simplex, and each cell's
+    up-set gathered from the dicts of its simplex and of every proper coface
+    at c - 1, c and c + 1 (a value cell) or at c (a gap cell), then sorted.
+    Cell (sigma, 2i) is sigma at level i, (sigma, 2i + 1) sigma over the gap
+    above level i."""
+    simps = _canonical(g.complex.simplex_set)
+    _, level_of = levels_by_fraction_sort(g)
+    cells = []
+    cell_of = []
+    for s in simps:
+        span = [level_of[v] for v in s]
+        lo, hi = min(span), max(span)
+        own = [2 * lo] if lo == hi else (
+            [2 * i for i in range(lo + 1, hi)] + [2 * i + 1 for i in range(lo, hi)]
+        )
+        ids = {}
+        for c in own:
+            ids[c] = len(cells)
+            cells.append((s, c))
+        cell_of.append(ids)
+    hosts = [[sid] for sid in range(len(simps))]
+    for i, j in face_pairs_by_combinations(simps):
+        hosts[i].append(j)
+    ups = []
+    for sid, ids in enumerate(cell_of):
+        for c, me in ids.items():
+            targets = (c, c - 1, c + 1) if c % 2 == 0 else (c,)
+            bigger = [
+                cell_of[host][c2]
+                for host in hosts[sid]
+                for c2 in targets
+                if c2 in cell_of[host] and cell_of[host][c2] != me
+            ]
+            ups.append(tuple(sorted(bigger)))
+    return cells, ups
+
+
+def chains_by_stack(n, ups):
+    """Every chain of the poset on 0..n-1 with the given transitive up-sets,
+    by depth-first extension from each start, in that visiting order."""
+    chains = []
+    for start in range(n):
+        stack = [(start,)]
+        while stack:
+            chain = stack.pop()
+            chains.append(chain)
+            stack.extend(chain + (j,) for j in ups[chain[-1]])
+    return chains

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reebforge import (
@@ -33,6 +33,7 @@ from reebforge.complexes import (
     _chain_count,
     _complex_of_chains,
     _edge_checked_map,
+    _enumerate_chains,
     _face_pairs,
     _is_canonical_listing,
     _lattice_paths,
@@ -59,7 +60,9 @@ from .oracles import (
     face_pairs_by_combinations,
     face_pairs_keeping_down_sets,
     facet_table,
+    first_missing_face,
     first_non_simplicial,
+    is_canonical_listing_by_keys,
     partition_face_relation,
     partition_up_closed,
     poset_chains,
@@ -411,6 +414,44 @@ def test_chain_cap_names_stage_count_and_cap():
     assert (exc.stage, exc.count, exc.cap) == ("chains", 6, 5)
 
 
+def test_chain_cap_passes_at_the_chain_count_and_raises_one_below():
+    # The cap is checked once per chain length: one below the chain count,
+    # the last length passes it, and the count names every chain.
+    for poset in reeb_posets():
+        full = poset.order_complex()
+        total = len(full.simplex_set)
+        assert poset.order_complex(cap=total) == full
+        with pytest.raises(BudgetExceededError) as info:
+            poset.order_complex(cap=total - 1)
+        exc = info.value
+        assert str(exc) == f"chain enumeration passed the cap of {total - 1}"
+        assert (exc.stage, exc.count, exc.cap) == ("chains", total, total - 1)
+
+
+def test_chain_cap_counts_every_chain_up_to_the_length_that_passes_it():
+    # A 3-chain: 3 vertices, 3 edges, 1 triangle.
+    ups = [(1, 2), (2,), ()]
+    for cap, count in ((0, 3), (2, 3), (3, 6), (5, 6), (6, 7)):
+        with pytest.raises(BudgetExceededError) as info:
+            _enumerate_chains(3, ups, cap=cap)
+        assert (info.value.stage, info.value.count, info.value.cap) == ("chains", count, cap)
+    assert len(_enumerate_chains(3, ups, cap=7)) == 7
+
+
+@pytest.mark.parametrize("n, ups", [
+    (3, [(1, 2), (2,), ()]),
+    (5, [(2, 3, 4), (2, 3, 4), (4,), (4,), ()]),
+    (4, [(), (), (), ()]),
+    (0, []),
+])
+def test_chains_come_out_in_canonical_order(n, ups):
+    chains = _enumerate_chains(n, ups)
+    assert chains == sorted(chains, key=simplex_key)
+    assert sorted(chains) == poset_chains(n, [(i, j) for i, up in enumerate(ups) for j in up])
+    oc = _complex_of_chains(n, ups)
+    assert oc._sorted == tuple(chains) == oc.simplices
+
+
 def test_poset_ids_need_not_be_a_linear_extension():
     # Same chain poset, element ids reversed relative to the order.
     p = Poset(["a", "b", "c"], [(2, 1), (1, 0)])
@@ -544,6 +585,26 @@ def test_facets_and_cofaces_match_slicing_on_fixtures(build):
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(simplicial_complexes())
 def test_facets_and_cofaces_match_slicing_on_random_complexes(k):
+    assert_facets_match_slicing(k)
+
+
+# The column build against the slicing definition on complexes that the
+# package builds itself: slices, subdivisions and a realization.
+
+BUILT_COMPLEXES = [
+    pytest.param(lambda: pl_as_simplicial_map(random_function(3)).map.domain, id="slice"),
+    pytest.param(lambda: pl_as_simplicial_map(torus_height()[0]).map.domain, id="height_slice"),
+    pytest.param(lambda: barycentric_subdivision(minimal_torus())[0], id="sd_torus"),
+    pytest.param(lambda: barycentric_subdivision(disk_collapse(2).domain)[0], id="sd_disk2"),
+    pytest.param(lambda: barycentric_subdivision(full_simplex(3))[0], id="sd_tetrahedron"),
+    pytest.param(lambda: reeb_space(disk_collapse(2)).realization, id="realization"),
+]
+
+
+@pytest.mark.parametrize("build", BUILT_COMPLEXES)
+def test_facets_and_cofaces_match_slicing_on_built_complexes(build):
+    k = build()
+    assert k._sorted == tuple(sorted(k.simplex_set, key=simplex_key))
     assert_facets_match_slicing(k)
 
 
@@ -707,6 +768,74 @@ def test_canonical_listing_names_its_first_missing_face():
         with pytest.raises(MissingFaceError) as info:
             build(n, order)
         assert str(info.value) == f"face {SHARED_EDGE} of {first} is missing"
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(simplicial_complexes(), st.data())
+def test_face_check_names_the_first_simplex_missing_a_facet(k, data):
+    # Drop a few simplices that have cofaces; every path names the first
+    # simplex in canonical order that misses a facet, and that facet.
+    removable = [s for s, up in zip(k.simplices, k.cofaces) if up]
+    assume(removable)
+    dropped = set(data.draw(st.lists(st.sampled_from(removable), min_size=1, max_size=3)))
+    listing = [s for s in k.simplices if s not in dropped]
+    face, first = first_missing_face(listing)
+    shuffled = data.draw(st.permutations(listing))
+    for build, order in itertools.product(
+        (validate_complex, SimplicialComplex), (listing, shuffled, listing[::-1])
+    ):
+        with pytest.raises(MissingFaceError) as info:
+            build(k.num_vertices, order)
+        assert str(info.value) == f"face {face} of {first} is missing"
+
+
+@st.composite
+def relisted_complexes(draw):
+    """A complex's canonical listing, as it is or changed in one way."""
+    listing = list(draw(simplicial_complexes()).simplices)
+    change = draw(st.sampled_from(
+        ["none", "shuffled", "reversed", "duplicated", "descending", "empty_simplex", "empty"]
+    ))
+    if change == "shuffled":
+        listing = draw(st.permutations(listing))
+    elif change == "reversed":
+        listing.reverse()
+    elif change == "duplicated":
+        i = draw(st.integers(0, len(listing) - 1))
+        listing.insert(draw(st.integers(0, len(listing))), listing[i])
+    elif change == "descending":
+        wide = [i for i, s in enumerate(listing) if len(s) > 1]
+        if wide:
+            i = draw(st.sampled_from(wide))
+            listing[i] = listing[i][::-1]
+    elif change == "empty_simplex":
+        listing.insert(draw(st.integers(0, len(listing))), ())
+    elif change == "empty":
+        listing = []
+    return listing
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(relisted_complexes())
+def test_canonical_listing_check_matches_the_key_definition(listing):
+    assert _is_canonical_listing(listing) == is_canonical_listing_by_keys(listing)
+
+
+def test_canonical_listing_check_on_named_listings():
+    n, listing = DISK
+    listing = list(map(tuple, listing))
+    assert _is_canonical_listing(listing) and is_canonical_listing_by_keys(listing)
+    for bad in (
+        listing[::-1],
+        listing + [listing[-1]],
+        listing[:3] + [()] + listing[3:],
+        [()] + listing,
+        listing[:-1] + [listing[-1][::-1]],
+        [(0,), (1,), (0, 1), (2,)],
+    ):
+        assert not _is_canonical_listing(bad)
+        assert not is_canonical_listing_by_keys(bad)
+    assert _is_canonical_listing([]) and is_canonical_listing_by_keys([])
 
 
 def test_canonical_listing_past_its_vertex_count_is_out_of_range():

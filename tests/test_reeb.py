@@ -50,12 +50,15 @@ from reebforge.homology import regular_cw_betti
 from reebforge.io import reeb_graph_to_dot
 
 from .oracles import (
+    chains_by_stack,
     convolve,
     first_non_simplicial,
     level_component_count,
+    levels_by_fraction_sort,
     partition_up_closed,
     reeb_graph_rescan,
     reeb_space_scan,
+    slice_cells_and_up_sets,
     stratum_poset,
 )
 from .test_fiberprod import assert_boundary_squares_to_zero
@@ -306,6 +309,51 @@ def test_b1_inequality_examples():
     assert report["ok"]
     assert report["components"][0]["b1_domain"] == 2
     assert report["components"][0]["b1_reeb"] == 1
+
+
+def b1_rows_by_face_components(f):
+    """The rows as built from ``connected_components``, whose neighbours are
+    all proper faces inside the subset, before the split read the facet
+    table."""
+    k = f.domain
+    rows = []
+    for cls in connected_components(k, k.simplices):
+        verts = sorted({v for s in cls for v in s})
+        sub, _ = k.restrict_to_vertices(verts)
+        restricted = SimplicialMap(sub, f.codomain, [f.vertex_images[v] for v in verts])
+        b1_domain = betti(sub)[1]
+        b1_reeb = reeb_space(restricted).betti()[1]
+        rows.append({
+            "vertices": len(verts), "b1_domain": b1_domain, "b1_reeb": b1_reeb,
+            "holds": b1_reeb <= b1_domain,
+        })
+    return rows
+
+
+def torus_and_circle_map():
+    # Two components: the minimal torus on 0..6 and a 4-cycle on 7..10.
+    torus = minimal_torus().simplices
+    square = circle(4).simplices
+    domain = SimplicialComplex(11, torus + tuple(tuple(v + 7 for v in s) for s in square))
+    return SimplicialMap(domain, full_simplex(2), [v % 3 for v in range(7)] + [0, 1, 2, 0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: disk_collapse(1), lambda: disk_collapse(2), lambda: torus_height()[1],
+     torus_and_circle_map],
+    ids=["disk1", "disk2", "torus_slice", "two_components"],
+)
+def test_b1_rows_match_the_face_relation_components(build):
+    f = build()
+    report = b1_inequality_check(f)
+    assert report["components"] == b1_rows_by_face_components(f)
+    assert report["ok"] == all(row["holds"] for row in report["components"])
+
+
+def test_b1_rows_of_a_two_component_domain():
+    report = b1_inequality_check(torus_and_circle_map())
+    assert [(r["vertices"], r["b1_domain"]) for r in report["components"]] == [(7, 2), (4, 1)]
 
 
 def test_reeb_space_idempotence():
@@ -804,6 +852,115 @@ def test_slice_with_an_image_shifted_by_two_raises_on_an_edge(build, monkeypatch
     assert i in (a, b)
     assert (wa, wb) == (shifted[a], shifted[b])
     assert abs(wa - wb) >= 2
+
+
+# The closed-form slice against the per-simplex cell dicts it replaced: the
+# same cells, up-sets, images and chains, with the chains already in
+# canonical order.
+
+
+def assert_slice_matches_cell_dicts(g, monkeypatch):
+    seen = []
+    build = reeb._complex_of_chains
+    monkeypatch.setattr(reeb, "_complex_of_chains", lambda n, ups: seen.append(ups) or build(n, ups))
+    model = pl_as_simplicial_map(g)
+    cells, ups = slice_cells_and_up_sets(g)
+    assert model.cells == tuple(cells)
+    assert list(map(tuple, seen[0])) == ups
+    assert model.map.vertex_images == tuple(c for _, c in cells)
+    chains = chains_by_stack(len(cells), ups)
+    domain = model.map.domain
+    assert domain.simplex_set == frozenset(chains)
+    ordered = sorted(chains)
+    ordered.sort(key=len)
+    assert domain._sorted == tuple(ordered)
+    return model
+
+
+def mesh_slice_function(seed, m=10):
+    """The shuffled torus that the mesh benchmark slices at this seed."""
+    values = list(range(m * m))
+    random.Random(f"reeb_graph_mesh:{seed}:{m}").shuffle(values)
+    return PLFunction(grid_torus(m, m), [Fraction(v) for v in values])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_slice_matches_cell_dicts_on_recorded_mesh_seeds(seed, monkeypatch):
+    model = assert_slice_matches_cell_dicts(mesh_slice_function(seed), monkeypatch)
+    assert euler_characteristic(model.map.domain) == 0
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 4])
+@pytest.mark.parametrize("m", [3, 5])
+def test_slice_matches_cell_dicts_on_tori_with_tied_values(m, top, monkeypatch):
+    # Few distinct values give flat edges and flat triangles, and cofaces
+    # that start or end at a flat face's level.
+    rng = random.Random(f"{m}:{top}")
+    values = [rng.randint(0, top) for _ in range(m * m)]
+    assert_slice_matches_cell_dicts(PLFunction(grid_torus(m, m), values), monkeypatch)
+    rows = [v // m for v in range(m * m)]
+    assert_slice_matches_cell_dicts(PLFunction(grid_torus(m, m), rows), monkeypatch)
+
+
+def test_slice_matches_cell_dicts_on_random_and_named_functions(monkeypatch):
+    for seed in range(5):
+        assert_slice_matches_cell_dicts(random_function(seed), monkeypatch)
+    assert_slice_matches_cell_dicts(torus_height()[0], monkeypatch)
+    assert_slice_matches_cell_dicts(height_on_square_circle(), monkeypatch)
+
+
+def test_slice_matches_cell_dicts_with_unused_vertex_ids(monkeypatch):
+    # Vertex ids 1, 4 and 6 are no simplex; their values are no level.
+    k = SimplicialComplex(7, [(0, 2, 3), (3, 5), (0,), (2,), (3,), (5,), (0, 2), (0, 3), (2, 3)])
+    g = PLFunction(k, [Fraction(1, 2), -9, Fraction(1, 2), 0, 99, Fraction(-2, 3), 7])
+    model = assert_slice_matches_cell_dicts(g, monkeypatch)
+    assert [lvl[1] for lvl in model.codomain_levels if lvl[0] == "value"] == [
+        Fraction(-2, 3), 0, Fraction(1, 2),
+    ]
+
+
+# Vertex levels are ranked on integer keys over the common denominator, or
+# on the Fractions themselves past the denominator cap; both give the
+# Fraction sort's levels.
+
+LEVEL_VALUES = [
+    pytest.param([-3, 5, Fraction(-1, 2), 0, -3], id="negative"),
+    pytest.param([Fraction(1, 3), Fraction(2, 7), Fraction(-1, 3), Fraction(2, 7), 1], id="mixed"),
+    pytest.param([Fraction(5, 6)] * 4 + [Fraction(10, 12), Fraction(-5, 6)], id="ties"),
+    pytest.param([4] * 5, id="one_level"),
+    pytest.param(
+        [Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]
+        + [Fraction(-1, 53), Fraction(1, 2)],
+        id="fallback",
+    ),
+]
+
+
+@pytest.mark.parametrize("values", LEVEL_VALUES)
+def test_vertex_levels_equal_the_fraction_sort(values, monkeypatch):
+    g = PLFunction(path_complex(len(values)), values)
+    want = levels_by_fraction_sort(g)
+    levels, level_of = reeb._vertex_levels(g)
+    assert (levels, level_of) == want
+    assert all(type(t) is Fraction for t in levels)
+    # The same levels when every input takes the Fraction sort.
+    monkeypatch.setattr(reeb, "_LEVEL_DENOMINATOR_CAP", 0)
+    assert reeb._vertex_levels(g) == want
+
+
+def test_level_keys_fall_back_to_fractions_past_the_denominator_cap():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    wide = [Fraction(1, p) for p in primes]
+    assert reeb._level_keys(wide) is wide
+    narrow = [Fraction(1, 3), Fraction(2, 7), Fraction(-5)]
+    assert reeb._level_keys(narrow) == [7, 6, -105]
+
+
+def test_vertex_levels_skip_unused_vertex_ids():
+    k = SimplicialComplex(5, [(0,), (2,), (4,), (0, 4)])
+    g = PLFunction(k, [3, -100, Fraction(1, 2), 100, 3])
+    assert reeb._vertex_levels(g) == ([Fraction(1, 2), 3], {0: 1, 2: 0, 4: 1})
+    assert reeb._vertex_levels(g) == levels_by_fraction_sort(g)
 
 
 def test_slice_of_empty_complex_is_a_typed_error():
