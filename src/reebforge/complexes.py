@@ -612,20 +612,27 @@ def _enumerate_chains(n, ups, cap=None):
     ascending tuples, each once, one length at a time: each chain of one
     length is extended by every id above its top, in up-set order, so a
     length's chains are lexicographic when the shorter ones are.  A cap is
-    checked once per length, so a BudgetExceededError's ``count`` is the
-    number of chains up to the first length whose chains pass the cap, not
-    the cap plus one.
+    checked once per length, on the count of chains up to that length,
+    before any chain of it is built: a BudgetExceededError's ``count`` is
+    the number of chains up to the first length whose chains pass the cap,
+    not the cap plus one, and no chain of that length is held.
     """
     _check_up_sets(n, ups)
+
+    def check_cap(count):
+        if cap is not None and count > cap:
+            raise BudgetExceededError(
+                f"chain enumeration passed the cap of {cap}",
+                cap=cap, stage="chains", count=count,
+            )
+
+    check_cap(n)
     chains = []
     level = [(i,) for i in range(n)]
     while level:
         chains += level
-        if cap is not None and len(chains) > cap:
-            raise BudgetExceededError(
-                f"chain enumeration passed the cap of {cap}",
-                cap=cap, stage="chains", count=len(chains),
-            )
+        if cap is not None:
+            check_cap(len(chains) + sum(len(ups[c[-1]]) for c in level))
         level = [c + (j,) for c in level for j in ups[c[-1]]]
     return chains
 

@@ -42,7 +42,6 @@ and only the components that a leaving simplex touches are relabelled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -389,37 +388,16 @@ def reeb_graph(g):
     return ReebGraph(tuple(nodes), tuple(edges), vertex_to_node)
 
 
-# Past this common denominator, level keys would be long integers; the
-# values are then ranked as Fractions.
-_LEVEL_DENOMINATOR_CAP = 1 << 64
-
-
-def _level_keys(values):
-    """Keys that order and tie exactly as the rational ``values`` do: each
-    value times the values' common denominator, an integer, or the values
-    themselves when that denominator would pass ``_LEVEL_DENOMINATOR_CAP``."""
-    den = 1
-    for q in {v.denominator for v in values}:
-        den = math.lcm(den, q)
-        if den > _LEVEL_DENOMINATOR_CAP:
-            return values
-    return [v.numerator * (den // v.denominator) for v in values]
-
-
 def _vertex_levels(g):
     """(levels, level_of): the sorted distinct values of g at the vertices of
     its complex, its 0-simplices, and ``level_of[v]``, the position of v's
     value among them, for each such vertex v in ascending order.  Vertex ids
-    that are no 0-simplex are not ranked.  The values are ranked by the
-    exact keys of ``_level_keys``, which hash and sort faster than Fractions."""
+    that are no 0-simplex are not ranked."""
     vertices = [s[0] for s in g.complex.by_dim().get(0, ())]
     values = list(map(g.values.__getitem__, vertices))
-    keys = _level_keys(values)
-    value_of = dict(zip(keys, values))
-    ordered = sorted(value_of)
-    position = {t: i for i, t in enumerate(ordered)}
-    level_of = dict(zip(vertices, map(position.__getitem__, keys)))
-    return [value_of[t] for t in ordered], level_of
+    levels = sorted(set(values))
+    position = {t: i for i, t in enumerate(levels)}
+    return levels, dict(zip(vertices, map(position.__getitem__, values)))
 
 
 def _level_spans(k, level_of):

@@ -438,6 +438,24 @@ def test_chain_cap_counts_every_chain_up_to_the_length_that_passes_it():
     assert len(_enumerate_chains(3, ups, cap=7)) == 7
 
 
+class _UnreadUpSet(tuple):
+    """An up-set whose length may be read but whose ids may not."""
+
+    def __iter__(self):
+        raise AssertionError("a chain of the refused length was built")
+
+
+def test_chain_cap_refuses_a_length_before_building_any_of_its_chains(monkeypatch):
+    # Every refusal below comes before the 2-chains, so no up-set is read
+    # for its ids; the up-set check, which reads them, is tested above.
+    monkeypatch.setattr(complexes, "_check_up_sets", lambda n, ups: None)
+    ups = [_UnreadUpSet(up) for up in ((1, 2), (2,), ())]
+    for cap, count in ((0, 3), (2, 3), (3, 6), (5, 6)):
+        with pytest.raises(BudgetExceededError) as info:
+            _enumerate_chains(3, ups, cap=cap)
+        assert (info.value.count, info.value.cap) == (count, cap)
+
+
 @pytest.mark.parametrize("n, ups", [
     (3, [(1, 2), (2,), ()]),
     (5, [(2, 3, 4), (2, 3, 4), (4,), (4,), ()]),

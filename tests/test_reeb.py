@@ -349,11 +349,9 @@ def test_b1_rows_match_the_face_relation_components(build):
     report = b1_inequality_check(f)
     assert report["components"] == b1_rows_by_face_components(f)
     assert report["ok"] == all(row["holds"] for row in report["components"])
-
-
-def test_b1_rows_of_a_two_component_domain():
-    report = b1_inequality_check(torus_and_circle_map())
-    assert [(r["vertices"], r["b1_domain"]) for r in report["components"]] == [(7, 2), (4, 1)]
+    if build is torus_and_circle_map:
+        rows = [(r["vertices"], r["b1_domain"]) for r in report["components"]]
+        assert rows == [(7, 2), (4, 1)]
 
 
 def test_reeb_space_idempotence():
@@ -884,7 +882,9 @@ def mesh_slice_function(seed, m=10):
     return PLFunction(grid_torus(m, m), [Fraction(v) for v in values])
 
 
-@pytest.mark.parametrize("seed", range(20))
+# Three of the mesh benchmark's recorded seeds; the tied-value tori below
+# reach every branch of the closed-form up-sets.
+@pytest.mark.parametrize("seed", [0, 3, 19])
 def test_slice_matches_cell_dicts_on_recorded_mesh_seeds(seed, monkeypatch):
     model = assert_slice_matches_cell_dicts(mesh_slice_function(seed), monkeypatch)
     assert euler_characteristic(model.map.domain) == 0
@@ -919,10 +919,6 @@ def test_slice_matches_cell_dicts_with_unused_vertex_ids(monkeypatch):
     ]
 
 
-# Vertex levels are ranked on integer keys over the common denominator, or
-# on the Fractions themselves past the denominator cap; both give the
-# Fraction sort's levels.
-
 LEVEL_VALUES = [
     pytest.param([-3, 5, Fraction(-1, 2), 0, -3], id="negative"),
     pytest.param([Fraction(1, 3), Fraction(2, 7), Fraction(-1, 3), Fraction(2, 7), 1], id="mixed"),
@@ -931,29 +927,17 @@ LEVEL_VALUES = [
     pytest.param(
         [Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]
         + [Fraction(-1, 53), Fraction(1, 2)],
-        id="fallback",
+        id="many_denominators",
     ),
 ]
 
 
 @pytest.mark.parametrize("values", LEVEL_VALUES)
-def test_vertex_levels_equal_the_fraction_sort(values, monkeypatch):
+def test_vertex_levels_equal_the_fraction_sort(values):
     g = PLFunction(path_complex(len(values)), values)
-    want = levels_by_fraction_sort(g)
     levels, level_of = reeb._vertex_levels(g)
-    assert (levels, level_of) == want
+    assert (levels, level_of) == levels_by_fraction_sort(g)
     assert all(type(t) is Fraction for t in levels)
-    # The same levels when every input takes the Fraction sort.
-    monkeypatch.setattr(reeb, "_LEVEL_DENOMINATOR_CAP", 0)
-    assert reeb._vertex_levels(g) == want
-
-
-def test_level_keys_fall_back_to_fractions_past_the_denominator_cap():
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-    wide = [Fraction(1, p) for p in primes]
-    assert reeb._level_keys(wide) is wide
-    narrow = [Fraction(1, 3), Fraction(2, 7), Fraction(-5)]
-    assert reeb._level_keys(narrow) == [7, 6, -105]
 
 
 def test_vertex_levels_skip_unused_vertex_ids():
