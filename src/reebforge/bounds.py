@@ -14,7 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
-from .errors import BudgetExceededError, InvalidParamsError, ZeroPolynomialError
+from .errors import ZeroPolynomialError, _refuse_past_cap, _require_at_least
 
 # The most decimal digits a bound value may have, and the bit length of
 # 10 ** MAX_BOUND_DIGITS: 2 ** (_CAP_BITS - 1) < 10 ** MAX_BOUND_DIGITS < 2 ** _CAP_BITS.
@@ -24,8 +24,7 @@ _CAP_BITS = 3_321_929
 
 def _require_positive(**params):
     for name, value in params.items():
-        if not isinstance(value, int) or value < 1:
-            raise InvalidParamsError(f"{name} must be a positive integer, got {value!r}")
+        _require_at_least(name, value, 1)
 
 
 def bound_closed(s, d, k):
@@ -79,21 +78,13 @@ def bound_reeb(s, d, n, m, c):
     for _ in range(c):
         exponent *= n + m
         if exponent > 4 * MAX_BOUND_DIGITS:
-            raise _too_many_digits()
+            break
     bits = base.bit_length()
-    if (bits - 1) * exponent >= _CAP_BITS:
-        raise _too_many_digits()
-    value = base**exponent
-    if bits * exponent >= _CAP_BITS and value >= 10**MAX_BOUND_DIGITS:
-        raise _too_many_digits()
-    return value
-
-
-def _too_many_digits():
-    return BudgetExceededError(
-        f"bound digits exceed the cap of {MAX_BOUND_DIGITS}",
-        cap=MAX_BOUND_DIGITS, stage="bound digits",
-    )
+    if exponent <= 4 * MAX_BOUND_DIGITS and (bits - 1) * exponent < _CAP_BITS:
+        value = base**exponent
+        if bits * exponent < _CAP_BITS or value < 10**MAX_BOUND_DIGITS:
+            return value
+    _refuse_past_cap(None, MAX_BOUND_DIGITS, "bound digits", "bound digits")
 
 
 def _strip(poly):

@@ -20,9 +20,15 @@ from .bounds import (
     bound_report,
     bound_sign_components,
 )
-from .complexes import _refuse_chains
-from .errors import BudgetExceededError, InvariantError, ReebForgeError
-from .fiberprod import descent_check, fiber_power_betti, resolve_cell_cap
+from .complexes import _chain_count
+from .errors import (
+    BudgetExceededError,
+    InvariantError,
+    ReebForgeError,
+    _refuse_past_cap,
+    resolve_cell_cap,
+)
+from .fiberprod import descent_check, fiber_power_betti
 from .homology import betti_report
 from .io import (
     complex_to_doc,
@@ -101,7 +107,10 @@ def cmd_reeb(args):
         **reeb_complex_to_doc(space),
     }
     if args.emit_realization:
-        _refuse_chains(space.facets, resolve_cell_cap(), "the realization", "realization")
+        _refuse_past_cap(
+            _chain_count(space.facets), resolve_cell_cap(),
+            "simplices of the realization", "realization",
+        )
         report["realization"] = complex_to_doc(space.realization)
     _write_output(dumps_report(report), args.output)
     return EXIT_OK

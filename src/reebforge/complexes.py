@@ -546,20 +546,6 @@ def _chain_count(facets):
     return sum(ending)
 
 
-def _refuse_chains(facets, cap, what, stage):
-    """Raise BudgetExceededError when the chains of a facet table's face
-    poset, the simplices of ``what``, number more than ``cap``."""
-    size = _chain_count(facets)
-    if size > cap:
-        message = f"{size} simplices of {what} exceed the cap of {cap}"
-        raise BudgetExceededError(message, cap=cap, stage=stage, count=size)
-
-
-def _subdivision_size(k):
-    """|sd(K)|, the chains of K's face poset, without sd(K)."""
-    return _chain_count(k.facets)
-
-
 def _complex_of_chains(n, ups):
     """The order complex of a poset on ids 0..n-1, given by its up-sets.
 

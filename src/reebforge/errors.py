@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget policy.
+
+A construction that can blow up (sd(X), the realization, a fiber power,
+the nerve's cover, a bound's digits) is counted, before it is built
+wherever the count can be had without it, and ``_refuse_past_cap``
+refuses a count past its cap with "<count> <what> exceed the cap of
+<cap>", naming the stage, the count and the cap.  Three refusals made
+inside a loop build their own error: the chain enumeration's, once per
+length, and the nerve's per-vertex estimate and simplex count.  The cell
+cap is an explicit cap, else ``REEBFORGE_CELL_CAP``, else
+``DEFAULT_CELL_CAP``; it and every other numeric parameter are checked by
+``_require_at_least``, which takes only an ``int`` that is not a ``bool``.
+"""
+
+import os
+
+DEFAULT_CELL_CAP = 200_000
+CELL_CAP_ENV = "REEBFORGE_CELL_CAP"
 
 
 class ReebForgeError(Exception):
@@ -38,7 +55,8 @@ class UnknownSimplexError(ReebForgeError):
 
 
 class BudgetExceededError(ReebForgeError):
-    """A construction grew past the configured cell cap.
+    """A construction grew past its cap: the cell cap, or for a bound's
+    value the bound-digit cap (``bounds.MAX_BOUND_DIGITS``).
 
     ``cap`` is the cap, ``stage`` names the construction that hit it and
     ``count`` is how many cells it would have built; each may be None.
@@ -51,9 +69,46 @@ class BudgetExceededError(ReebForgeError):
         super().__init__(message)
 
 
+def _refuse_past_cap(count, cap, what, stage):
+    """Raise BudgetExceededError when ``count`` of ``what`` passes ``cap``.
+
+    A ``count`` of None is one too large to write out: it is always refused,
+    and left out of the message.
+    """
+    if count is None:
+        raise BudgetExceededError(f"{what} exceed the cap of {cap}", cap=cap, stage=stage)
+    if count > cap:
+        raise BudgetExceededError(
+            f"{count} {what} exceed the cap of {cap}", cap=cap, stage=stage, count=count
+        )
+
+
 class InvalidParamsError(ReebForgeError):
     """A parameter is out of range or unknown: a bound parameter, a fold
     count, a cell cap, a thread count, an engine name or a descent target."""
+
+
+def _require_at_least(name, value, low):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidParamsError(f"{name} must be >= {low}, got {value}")
+
+
+def resolve_cell_cap(cell_cap=None):
+    """Explicit cap, else the environment override, else the default.
+
+    The cap must be a positive int; the environment's string is parsed as
+    one.  Anything else raises InvalidParamsError.
+    """
+    if cell_cap is None:
+        raw = os.environ.get(CELL_CAP_ENV)
+        try:
+            cell_cap = int(raw) if raw else DEFAULT_CELL_CAP
+        except ValueError:
+            raise InvalidParamsError(f"cell cap must be an integer, got {raw!r}") from None
+    _require_at_least("cell cap", cell_cap, 1)
+    return cell_cap
 
 
 class EmptyComplexError(ReebForgeError):

@@ -97,39 +97,19 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import os
 from collections import Counter
 
-from .complexes import SimplicialComplex, _face_pairs, _subdivision_size, simplex_key
-from .errors import BudgetExceededError, InvalidParamsError, InvariantError
+from .complexes import SimplicialComplex, _chain_count, _face_pairs, simplex_key
+from .errors import (
+    BudgetExceededError,
+    InvalidParamsError,
+    InvariantError,
+    _refuse_past_cap,
+    _require_at_least,
+    resolve_cell_cap,
+)
 from .homology import _betti_numbers, betti
 from .reeb import reeb_space
-
-DEFAULT_CELL_CAP = 200_000
-CELL_CAP_ENV = "REEBFORGE_CELL_CAP"
-
-
-def resolve_cell_cap(cell_cap=None):
-    """Explicit cap, else the environment override, else the default.
-
-    The cap must be a positive int; the environment's string is parsed as
-    one.  Anything else raises InvalidParamsError.
-    """
-    if cell_cap is None:
-        raw = os.environ.get(CELL_CAP_ENV)
-        try:
-            cell_cap = int(raw) if raw else DEFAULT_CELL_CAP
-        except ValueError:
-            raise InvalidParamsError(f"cell cap must be an integer, got {raw!r}") from None
-    _require_at_least("cell cap", cell_cap, 1)
-    return cell_cap
-
-
-def _require_at_least(name, value, low):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise InvalidParamsError(f"{name} must be >= {low}, got {value}")
 
 
 def fiber_power_nerve(f, p, cell_cap=None):
@@ -165,11 +145,7 @@ def fiber_power_nerve(f, p, cell_cap=None):
             )
         cover.update(itertools.product(group, repeat=p + 1))
     cover = sorted(cover, key=lambda t: tuple(simplex_key(s) for s in t))
-    if len(cover) > cap:
-        raise BudgetExceededError(
-            f"{len(cover)} cover cells exceed the cap of {cap}",
-            cap=cap, stage="nerve cover", count=len(cover),
-        )
+    _refuse_past_cap(len(cover), cap, "cover cells", "nerve cover")
 
     vertex_sets = [tuple(set(s) for s in tup) for tup in cover]
 
@@ -478,15 +454,7 @@ def _check_cell_cap(sizes, p, cap, places=1, what="fiber-power cells"):
     over the group sizes n, by default its unreduced cell count, passes the
     cap; a count too large to write out is left out of the message."""
     total = _power_count(sizes, p, cap)
-    if total is None:
-        raise BudgetExceededError(
-            f"{what} exceed the cap of {cap}", cap=cap, stage="fiber-power cells"
-        )
-    if total * places > cap:
-        raise BudgetExceededError(
-            f"{total * places} {what} exceed the cap of {cap}",
-            cap=cap, stage="fiber-power cells", count=total * places,
-        )
+    _refuse_past_cap(None if total is None else total * places, cap, what, "fiber-power cells")
 
 
 def _fiber_powers(f, ps, sizes, cap, label=None):
@@ -558,7 +526,9 @@ def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
         target_betti = betti(image_subcomplex(f))
         label, sizes = None, _group_sizes(f)
     elif target == "reeb":
-        _check_cell_cap([_subdivision_size(f.domain)], 0, cap)
+        _refuse_past_cap(
+            _chain_count(f.domain.facets), cap, "fiber-power cells", "fiber-power cells"
+        )
         space = reeb_space(f)
         target_betti, label = space.betti(), space.exact_strata
         sizes = _quotient_group_sizes(f.domain, label)

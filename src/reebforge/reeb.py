@@ -45,16 +45,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
+    _chain_count,
     _complex_of_chains,
     _edge_checked_map,
     _face_order_complex,
     _face_pairs,
     _face_ups,
-    _refuse_chains,
     barycentric_subdivision,
     canonical_simplex,
     component_classes,
@@ -62,7 +63,13 @@ from .complexes import (
     label_components,
     simplex_key,
 )
-from .errors import EmptyComplexError, InvariantError, UnknownSimplexError
+from .errors import (
+    EmptyComplexError,
+    InvariantError,
+    UnknownSimplexError,
+    _refuse_past_cap,
+    resolve_cell_cap,
+)
 from .homology import BettiVector, _delta_betti, betti
 
 
@@ -178,40 +185,17 @@ def fiber_components_at(f, tau):
     """Partition of S_tau = {sigma : tau inside f(sigma)} into components.
 
     Over any point in the open simplex tau these classes correspond one-to-one
-    with the connected components of the fiber.  The members are collected
-    by walking up the coface index from the vertices over tau[0], not by
-    scanning the domain.  A minimal member maps exactly onto tau, so it lies
-    above such a vertex through faces with image inside tau, and every
-    coface of a member is a member: the walk only passes simplices whose
-    image is inside tau or contains it.
+    with the connected components of the fiber.  The members are read off
+    the image table in id order; every coface of a member is a member, so
+    the coface index joins them.
     """
     tau = canonical_simplex(tau)
     if tau not in f.codomain.simplex_set:
         raise UnknownSimplexError(f"{tau} is not a simplex of the codomain")
     tau_set = set(tau)
+    members = [i for i, image in enumerate(f.simplex_images) if tau_set.issubset(image)]
     simps = f.domain.simplices
-    cofaces = f.domain.cofaces
-    # Vertices come first in canonical order, so their ids are 0..V-1.
-    stack = [
-        i
-        for i, (v,) in enumerate(f.domain.by_dim().get(0, ()))
-        if f.vertex_images[v] == tau[0]
-    ]
-    seen = set(stack)
-    members = []
-    while stack:
-        i = stack.pop()
-        image = f.simplex_images[i]
-        if tau_set.issubset(image):
-            members.append(i)
-        elif not tau_set.issuperset(image):
-            continue
-        for c in cofaces[i]:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    members.sort()
-    classes = component_classes(members, cofaces, list(range(len(simps))))
+    classes = component_classes(members, f.domain.cofaces, list(range(len(simps))))
     return [[simps[i] for i in cls] for cls in classes]
 
 
@@ -224,9 +208,10 @@ def verify_quotient(f, cell_cap=None):
     realization vertices.  Returns a report dict; nothing raises on failure.
     It is refused first when |sd(X)| passes the cap, resolved as by ``descent_check``.
     """
-    from .fiberprod import resolve_cell_cap  # fiberprod imports this module
-    cap = resolve_cell_cap(cell_cap)
-    _refuse_chains(f.domain.facets, cap, "the quotient map's sd(X)", "quotient subdivision")
+    _refuse_past_cap(
+        _chain_count(f.domain.facets), resolve_cell_cap(cell_cap),
+        "simplices of the quotient map's sd(X)", "quotient subdivision",
+    )
     space = reeb_space(f)
     q = space.quotient_map
     proj = space.codomain_projection
@@ -276,8 +261,7 @@ def b1_inequality_check(f):
     return {"components": rows, "ok": all(r["holds"] for r in rows)}
 
 
-@dataclass(frozen=True)
-class ReebNode:
+class ReebNode(NamedTuple):
     """A Reeb graph node: one level-set component at one critical value."""
 
     id: int

@@ -37,7 +37,6 @@ from reebforge.complexes import (
     _face_pairs,
     _is_canonical_listing,
     _lattice_paths,
-    _subdivision_size,
     simplex_key,
 )
 from reebforge.fixtures import (
@@ -641,7 +640,7 @@ def test_subdivision_equals_the_order_complex_of_the_face_poset(build):
     sd, carrier = barycentric_subdivision(k)
     assert carrier == k.simplices
     assert sd == reference
-    assert _subdivision_size(k) == len(reference.simplex_set)
+    assert _chain_count(k.facets) == len(reference.simplex_set)
 
 
 def test_face_pairs_free_each_down_set_after_its_last_coface():
@@ -661,7 +660,7 @@ def test_face_pairs_free_each_down_set_after_its_last_coface():
 
     count, now = peak(_face_pairs)
     reference, before = peak(face_pairs_keeping_down_sets)
-    assert count == reference == _subdivision_size(k) == 1507489
+    assert count == reference == _chain_count(k.facets) == 1507489
     assert 2 * now <= before
 
 

@@ -21,14 +21,13 @@ from reebforge import (
     reeb_space,
 )
 from reebforge import fiberprod
-from reebforge.complexes import _subdivision_size
+from reebforge.complexes import _chain_count
+from reebforge.errors import DEFAULT_CELL_CAP, resolve_cell_cap
 from reebforge.fiberprod import (
-    DEFAULT_CELL_CAP,
     _MorseModel,
     _check_cell_cap,
     _group_sizes,
     _quotient_group_sizes,
-    resolve_cell_cap,
 )
 from reebforge.fixtures import (
     boundary_delta3,
@@ -954,7 +953,7 @@ def test_reeb_target_cap_counts_the_quotient_map_powers():
 )
 def test_subdivision_size_counts_the_subdivision(build):
     k = build()
-    assert _subdivision_size(k) == len(barycentric_subdivision(k)[0].simplex_set)
+    assert _chain_count(k.facets) == len(barycentric_subdivision(k)[0].simplex_set)
 
 
 @pytest.mark.parametrize(
