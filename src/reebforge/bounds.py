@@ -84,7 +84,7 @@ def bound_reeb(s, d, n, m, c):
         value = base**exponent
         if bits * exponent < _CAP_BITS or value < 10**MAX_BOUND_DIGITS:
             return value
-    _refuse_past_cap(None, MAX_BOUND_DIGITS, "bound digits", "bound digits")
+    _refuse_past_cap(None, MAX_BOUND_DIGITS, "bound digits", "bound digits")  # always raises
 
 
 def _strip(poly):

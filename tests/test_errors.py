@@ -12,13 +12,11 @@ from reebforge import (
     bound_reeb,
     bound_sign_components,
     descent_check,
-    errors,
     fiber_power_betti,
     fiber_power_nerve,
-    fiberprod,
-    reeb,
     verify_quotient,
 )
+from reebforge import errors, fiberprod, reeb
 from reebforge.cli import build_parser
 from reebforge.errors import DEFAULT_CELL_CAP
 from reebforge.fiberprod import _check_cell_cap
