@@ -14,6 +14,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BudgetExceededError,
@@ -100,81 +101,59 @@ class SimplicialComplex:
 
     Immutable after construction: treat all attributes as read-only.
     ``coordinates``, when present, is one rational point per vertex id, all
-    with a common ambient dimension.
+    with a common ambient dimension.  The constructor is the one checked
+    way in: ``validate_complex`` without face closure.
     """
 
-    __slots__ = (
-        "num_vertices", "simplex_set", "coordinates", "_sorted", "_by_dim", "_facets", "_cofaces",
-        "_maximal",
-    )
-
     def __init__(self, num_vertices, simplices, coordinates=None):
-        self._fill(int(num_vertices), (canonical_simplex(s) for s in simplices), coordinates)
-        self._check()
+        num_vertices = int(num_vertices)
+        listing, ordered = _checked_listing(num_vertices, simplices)
+        self._fill(num_vertices, listing, ordered)
+        self.facets  # the face check: a failed facet lookup raises MissingFaceError
+        self.coordinates = _rational_points(num_vertices, coordinates)
 
     @classmethod
-    def _from_canonical(cls, num_vertices, simplices, coordinates=None):
+    def _from_canonical(cls, num_vertices, simplices, coordinates=None, ordered=False):
         """A complex on simplices already known to be canonical and in range.
 
-        Nothing is re-sorted or re-checked; the caller vouches for the input.
+        Nothing is re-sorted or re-checked; the caller vouches for the input,
+        and with ``ordered`` for its canonical order, kept as ``simplices``.
         """
         self = cls.__new__(cls)
-        self._fill(num_vertices, simplices, coordinates)
+        self._fill(num_vertices, simplices, ordered)
+        self.coordinates = coordinates
         return self
 
-    def _fill(self, num_vertices, simplices, coordinates):
+    def _fill(self, num_vertices, simplices, ordered):
         self.num_vertices = num_vertices
         self.simplex_set = frozenset(simplices)
-        if coordinates is not None:
-            coordinates = tuple(tuple(Fraction(c) for c in point) for point in coordinates)
-        self.coordinates = coordinates
-        self._sorted = None
-        self._by_dim = None
-        self._facets = None
-        self._cofaces = None
-        self._maximal = None
+        if ordered:
+            self.simplices = tuple(simplices)
 
-    def _check(self):
-        if self.num_vertices < 0:
-            raise VertexOutOfRangeError("negative vertex count")
-        for s in self.simplex_set:
-            if s[0] < 0 or s[-1] >= self.num_vertices:
-                raise VertexOutOfRangeError(f"simplex {s} outside 0..{self.num_vertices - 1}")
-        self.facets  # the face check: a failed facet lookup raises MissingFaceError
-        self._check_coordinates()
-
-    def _check_coordinates(self):
-        if self.coordinates is not None:
-            if len(self.coordinates) != self.num_vertices:
-                raise ValueCountMismatchError("one coordinate point per vertex required")
-            dims = {len(p) for p in self.coordinates}
-            if len(dims) > 1:
-                raise InvalidSimplexError("coordinate points have mixed ambient dimensions")
-
-    @property
+    @cached_property
     def simplices(self):
         """All simplices in canonical order.
 
         A lexicographic sort followed by a stable sort on length gives the
         order of ``simplex_key`` without building a key tuple per simplex.
         """
-        if self._sorted is None:
-            ordered = sorted(self.simplex_set)
-            ordered.sort(key=len)
-            self._sorted = tuple(ordered)
-        return self._sorted
+        ordered = sorted(self.simplex_set)
+        ordered.sort(key=len)
+        return tuple(ordered)
+
+    @cached_property
+    def _by_dim(self):
+        return {len(run[0]) - 1: run for run in _runs(self.simplices)}
 
     def by_dim(self):
         """dict dimension -> canonical list of simplices of that dimension."""
-        if self._by_dim is None:
-            self._by_dim = {len(run[0]) - 1: run for run in _runs(self.simplices)}
         return self._by_dim
 
-    @property
+    @cached_property
     def dim(self):
         return max((len(s) - 1 for s in self.simplex_set), default=-1)
 
-    @property
+    @cached_property
     def facets(self):
         """The facet table, laid out as ``ReebComplex.facets``: ``facets[i][u]``
         is the id, a position in ``simplices``, of simplex i minus vertex u.
@@ -186,47 +165,41 @@ class SimplicialComplex:
         induction on dimension): when a lookup fails, the first simplex in
         canonical order that misses a facet raises MissingFaceError, naming
         the first missing facet in ``combinations`` order."""
-        if self._facets is None:
-            index = {s: i for i, s in enumerate(self.simplices)}
-            get = index.__getitem__
-            table = []
-            for run in _runs(self.simplices):
-                if len(run[0]) == 1:
-                    table += [()] * len(run)
-                    continue
-                cols = list(zip(*run))
-                try:
-                    table += zip(*[
-                        map(get, zip(*cols[:u], *cols[u + 1 :])) for u in range(len(cols))
-                    ])
-                except KeyError:
-                    s, face = next(
-                        (s, face)
-                        for s in run
-                        for face in itertools.combinations(s, len(s) - 1)
-                        if face not in index
-                    )
-                    raise MissingFaceError(f"face {face} of {s} is missing") from None
-            self._facets = tuple(table)
-        return self._facets
+        index = {s: i for i, s in enumerate(self.simplices)}
+        get = index.__getitem__
+        table = []
+        for run in _runs(self.simplices):
+            if len(run[0]) == 1:
+                table += [()] * len(run)
+                continue
+            cols = list(zip(*run))
+            try:
+                table += zip(*[
+                    map(get, zip(*cols[:u], *cols[u + 1 :])) for u in range(len(cols))
+                ])
+            except KeyError:
+                s, face = next(
+                    (s, face)
+                    for s in run
+                    for face in itertools.combinations(s, len(s) - 1)
+                    if face not in index
+                )
+                raise MissingFaceError(f"face {face} of {s} is missing") from None
+        return tuple(table)
 
-    @property
+    @cached_property
     def cofaces(self):
         """Ids of each simplex's codimension-one cofaces, ascending: ``facets`` inverted."""
-        if self._cofaces is None:
-            table = [[] for _ in self.facets]
-            for i, fs in enumerate(self.facets):
-                for g in fs:
-                    table[g].append(i)
-            self._cofaces = tuple(map(tuple, table))
-        return self._cofaces
+        table = [[] for _ in self.facets]
+        for i, fs in enumerate(self.facets):
+            for g in fs:
+                table[g].append(i)
+        return tuple(map(tuple, table))
 
-    @property
+    @cached_property
     def maximal_simplices(self):
         """Simplices that are not proper faces of any other simplex."""
-        if self._maximal is None:
-            self._maximal = tuple(s for s, up in zip(self.simplices, self.cofaces) if not up)
-        return self._maximal
+        return tuple(s for s, up in zip(self.simplices, self.cofaces) if not up)
 
     def simplex_counts(self):
         """Tuple of simplex counts per dimension 0..dim."""
@@ -288,40 +261,50 @@ class SimplicialComplex:
 def validate_complex(num_vertices, simplices, close_faces=False, coordinates=None):
     """Build a SimplicialComplex from raw input, loudly.
 
-    Raw simplices must not repeat; absent faces are an error unless
-    ``close_faces`` asks for downward completion.  A canonical listing, as
-    ``io.complex_to_doc`` writes it, keeps its order; any other is
-    canonicalised once, here.
+    Without ``close_faces`` this is the checked constructor.  With it, the
+    listing gets the same checks and its faces are added, with no face check.
     """
-    num_vertices = int(num_vertices)
-    canon = list(map(tuple, simplices))
-    ordered = not close_faces and _is_canonical_listing(canon)
+    if not close_faces:
+        return SimplicialComplex(num_vertices, simplices, coordinates)
+    n = int(num_vertices)
+    listing, _ = _checked_listing(n, simplices)
+    closed = set(listing)
+    for s in listing:
+        for k in range(1, len(s)):
+            closed.update(itertools.combinations(s, k))
+    return SimplicialComplex._from_canonical(n, closed, _rational_points(n, coordinates))
+
+
+def _checked_listing(num_vertices, simplices):
+    """(listing, ordered): the simplices as canonical tuples, checked, and
+    whether they came in canonical order, which they then keep."""
+    listing = list(map(tuple, simplices))
+    ordered = _is_canonical_listing(listing)
     if not ordered:
-        canon = [canonical_simplex(s) for s in canon]
-        unique = set()
-        for s in canon:
-            if s in unique:
+        listing = [canonical_simplex(s) for s in listing]
+        seen = set()
+        for s in listing:
+            if s in seen:
                 raise DuplicateSimplexError(f"simplex {s} listed twice")
-            unique.add(s)
-    for s in canon:
+            seen.add(s)
+    for s in listing:
         if s[0] < 0 or s[-1] >= num_vertices:
             raise VertexOutOfRangeError(f"simplex {s} outside 0..{num_vertices - 1}")
     if num_vertices < 0:
         raise VertexOutOfRangeError("negative vertex count")
-    if close_faces:
-        for s in canon:
-            for k in range(1, len(s)):
-                unique.update(itertools.combinations(s, k))
-    # The simplices are canonical and in range: build on them as they are.
-    complex_ = SimplicialComplex._from_canonical(
-        num_vertices, canon if ordered else unique, coordinates
-    )
-    if ordered:
-        complex_._sorted = tuple(canon)
-    if not close_faces:  # faces closed on request need no check
-        complex_.facets  # the face check: a failed facet lookup raises MissingFaceError
-    complex_._check_coordinates()
-    return complex_
+    return listing, ordered
+
+
+def _rational_points(num_vertices, coordinates):
+    """Coordinates as rational points, one per vertex, of one ambient dimension."""
+    if coordinates is None:
+        return None
+    points = tuple(tuple(Fraction(c) for c in point) for point in coordinates)
+    if len(points) != num_vertices:
+        raise ValueCountMismatchError("one coordinate point per vertex required")
+    if len({len(p) for p in points}) > 1:
+        raise InvalidSimplexError("coordinate points have mixed ambient dimensions")
+    return points
 
 
 def _runs(simplices):
@@ -355,12 +338,9 @@ class SimplicialMap:
     Dimension-collapsing images are allowed; constant maps are legal.
     """
 
-    __slots__ = ("domain", "codomain", "vertex_images", "_simplex_images")
-
     def __init__(self, domain, codomain, vertex_images):
         self.domain, self.codomain = domain, codomain
         self.vertex_images = tuple(int(v) for v in vertex_images)
-        self._simplex_images = None
         if len(self.vertex_images) != domain.num_vertices:
             raise ValueCountMismatchError(
                 f"{len(self.vertex_images)} images for {domain.num_vertices} vertices"
@@ -375,37 +355,26 @@ class SimplicialMap:
                 s for s, t in zip(domain.simplices, self.simplex_images) if t not in targets
             ))
 
-    @classmethod
-    def _unchecked(cls, domain, codomain, vertex_images):
-        """A map the package built, with int images; the caller checks it."""
-        self = cls.__new__(cls)
-        self.domain, self.codomain = domain, codomain
-        self.vertex_images = tuple(vertex_images)
-        self._simplex_images = None
-        return self
-
-    @property
+    @cached_property
     def simplex_images(self):
         """The image table: ``simplex_images[i]`` is the image of domain
         simplex i as a canonical simplex.  Simplex i is its facet
         ``facets[i][0]`` plus its first vertex, so its image is that facet's
         image, the same tuple when the vertex's image is already in it."""
-        if self._simplex_images is None:
-            images = self.vertex_images
-            table = []
-            for s, fs in zip(self.domain.simplices, self.domain.facets):
-                w = images[s[0]]
-                if not fs:
-                    table.append((w,))
-                    continue
-                below = table[fs[0]]
-                if w in below:
-                    table.append(below)
-                else:
-                    k = bisect.bisect_left(below, w)
-                    table.append(below[:k] + (w,) + below[k:])
-            self._simplex_images = tuple(table)
-        return self._simplex_images
+        images = self.vertex_images
+        table = []
+        for s, fs in zip(self.domain.simplices, self.domain.facets):
+            w = images[s[0]]
+            if not fs:
+                table.append((w,))
+                continue
+            below = table[fs[0]]
+            if w in below:
+                table.append(below)
+            else:
+                k = bisect.bisect_left(below, w)
+                table.append(below[:k] + (w,) + below[k:])
+        return tuple(table)
 
     def image_simplex(self, simplex):
         """Image vertex set of a domain simplex, as a canonical simplex."""
@@ -440,8 +409,9 @@ def _edge_checked_map(domain, codomain, vertex_images, edges):
     failure is the engine's, not the input's, so it raises InvariantError
     naming the edge and its images.
     """
-    f = SimplicialMap._unchecked(domain, codomain, vertex_images)
-    images = f.vertex_images
+    f = SimplicialMap.__new__(SimplicialMap)  # built here, with int images; checked below
+    f.domain, f.codomain = domain, codomain
+    f.vertex_images = images = tuple(vertex_images)
     targets = codomain.simplex_set
     if len(images) != domain.num_vertices:
         raise InvariantError(f"{len(images)} images for {domain.num_vertices} domain vertices")
@@ -556,10 +526,7 @@ def _complex_of_chains(n, ups):
     chains come out in canonical order, which the complex keeps as its
     ``simplices``.
     """
-    chains = _enumerate_chains(n, ups)
-    complex_ = SimplicialComplex._from_canonical(n, chains)
-    complex_._sorted = tuple(chains)
-    return complex_
+    return SimplicialComplex._from_canonical(n, _enumerate_chains(n, ups), ordered=True)
 
 
 def _check_up_sets(n, ups):

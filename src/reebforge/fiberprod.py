@@ -121,8 +121,9 @@ def fiber_power_nerve(f, p, cell_cap=None):
     componentwise simplex intersections are nonempty and the images of those
     intersections share a codomain vertex.  Enumeration aborts with
     BudgetExceededError, stage "nerve cover", once the cover passes the cap
-    (or one codomain vertex's tuples alone pass four times the cap), and
-    stage "nerve simplices" once the simplex count passes the cap.
+    (or the cover so far plus all of one codomain vertex's tuples passes 4
+    times the cap, before they join it), and stage "nerve simplices" once
+    the simplex count passes the cap.
     """
     _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
@@ -139,8 +140,9 @@ def fiber_power_nerve(f, p, cell_cap=None):
         if count is not None:
             count += len(cover)
         if count is None or count > 4 * cap:
+            cells = "cover cells" if count is None else f"{count} cover cells"
             raise BudgetExceededError(
-                f"cover for codomain vertex {w} alone exceeds the cap of {cap}",
+                f"{cells} with codomain vertex {w}'s tuples exceed 4 times the cap of {cap}",
                 cap=cap, stage="nerve cover", count=count,
             )
         cover.update(itertools.product(group, repeat=p + 1))

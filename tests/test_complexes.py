@@ -16,6 +16,7 @@ from reebforge import (
     MissingFaceError,
     NotSimplicialError,
     Poset,
+    ReebForgeError,
     SimplicialComplex,
     SimplicialMap,
     UnknownSimplexError,
@@ -165,7 +166,7 @@ def test_not_simplicial_error_names_the_canonically_first_failure():
 
 def test_map_check_builds_the_image_table():
     f = SimplicialMap(boundary_delta3(), full_simplex(3), [0, 1, 2, 3])
-    assert f._simplex_images is not None
+    assert "simplex_images" in vars(f)
     assert f.simplex_images[f.domain.simplices.index((0, 2))] == (0, 2)
     assert f.image_simplex((0, 2)) == (0, 2)
 
@@ -466,7 +467,7 @@ def test_chains_come_out_in_canonical_order(n, ups):
     assert chains == sorted(chains, key=simplex_key)
     assert sorted(chains) == poset_chains(n, [(i, j) for i, up in enumerate(ups) for j in up])
     oc = _complex_of_chains(n, ups)
-    assert oc._sorted == tuple(chains) == oc.simplices
+    assert vars(oc)["simplices"] == tuple(chains) == oc.simplices
 
 
 def test_poset_ids_need_not_be_a_linear_extension():
@@ -621,7 +622,7 @@ BUILT_COMPLEXES = [
 @pytest.mark.parametrize("build", BUILT_COMPLEXES)
 def test_facets_and_cofaces_match_slicing_on_built_complexes(build):
     k = build()
-    assert k._sorted == tuple(sorted(k.simplex_set, key=simplex_key))
+    assert vars(k)["simplices"] == tuple(sorted(k.simplex_set, key=simplex_key))
     assert_facets_match_slicing(k)
 
 
@@ -862,6 +863,101 @@ def test_canonical_listing_past_its_vertex_count_is_out_of_range():
     assert str(info.value) == f"simplex ({n - 1},) outside 0..{n - 2}"
 
 
+# The checked constructor is ``validate_complex`` without face closure: on
+# every listing both build equal complexes in the same order, or raise the
+# same error with the same message.  The table pins the error that a listing
+# with several faults raises.
+
+
+def built_or_refused(build, n, listing, coordinates):
+    try:
+        k = build(n, listing, coordinates=coordinates)
+    except ReebForgeError as exc:
+        return type(exc), str(exc)
+    return k, k.simplices, k.coordinates
+
+
+def assert_one_checked_path(n, listing, coordinates=None):
+    got = built_or_refused(SimplicialComplex, n, listing, coordinates)
+    assert got == built_or_refused(validate_complex, n, listing, coordinates)
+    return got
+
+
+def ingest_cases():
+    n, listing = DISK
+    shuffled = list(listing)
+    shuffle(shuffled)
+    first = min((t for t in TRIANGLES if set(SHARED_EDGE) < set(t)), key=simplex_key)
+    open_listing = [s for s in listing if tuple(s) != SHARED_EDGE]
+    missing = (MissingFaceError, f"face {SHARED_EDGE} of {first} is missing")
+    points = [[i, i * i] for i in range(n)]
+    return [
+        ("canonical", n, listing, None, None),
+        ("shuffled", n, shuffled, None, None),
+        ("reversed", n, listing[::-1], None, None),
+        ("coordinates", n, shuffled, points, None),
+        ("duplicated", n, listing + [listing[5]],
+         None, (DuplicateSimplexError, f"simplex {tuple(listing[5])} listed twice")),
+        ("duplicated_out_of_range", n, shuffled + [[0, n]] * 2,
+         None, (DuplicateSimplexError, f"simplex (0, {n}) listed twice")),
+        ("out_of_range", n - 1, listing,
+         None, (VertexOutOfRangeError, f"simplex ({n - 1},) outside 0..{n - 2}")),
+        ("negative_count", -1, [], None, (VertexOutOfRangeError, "negative vertex count")),
+        ("negative_count_with_simplices", -1, listing,
+         None, (VertexOutOfRangeError, "simplex (0,) outside 0..-2")),
+        ("empty_simplex", n, listing + [[]], None, (InvalidSimplexError, "empty simplex")),
+        ("repeated_vertex", n, [[3, 3]] + listing + [[0, 1], [1, 0]],
+         None, (InvalidSimplexError, "repeated vertex id 3 in simplex (3, 3)")),
+        ("missing_face", n, open_listing, None, missing),
+        ("shuffled_missing_face", n, open_listing[::-1], None, missing),
+        ("missing_face_and_coordinates", n, open_listing, points[1:], missing),
+        ("coordinate_count", n, listing, points[1:],
+         (ValueCountMismatchError, "one coordinate point per vertex required")),
+        ("mixed_coordinates", n, shuffled, points[:-1] + [[0]],
+         (InvalidSimplexError, "coordinate points have mixed ambient dimensions")),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, listing, coordinates, error",
+    [pytest.param(*case[1:], id=case[0]) for case in ingest_cases()],
+)
+def test_constructor_and_validate_complex_are_one_checked_path(n, listing, coordinates, error):
+    got = assert_one_checked_path(n, listing, coordinates)
+    if error is None:
+        disk = validate_complex(*DISK)
+        assert (got[0].simplex_set, got[1]) == (disk.simplex_set, disk.simplices)
+    else:
+        assert got == error
+
+
+@st.composite
+def raw_listings(draw):
+    """A complex's listing, changed in one way, perhaps missing a simplex,
+    with a vertex count around 7 and perhaps one coordinate point per id."""
+    listing = draw(relisted_complexes())
+    if listing and draw(st.booleans()):
+        del listing[draw(st.integers(0, len(listing) - 1))]
+    n = draw(st.integers(-1, 8))
+    coordinates = draw(st.none() | st.lists(
+        st.lists(st.integers(-2, 2), min_size=1, max_size=2),
+        min_size=max(n, 0), max_size=max(n, 0) + 1,
+    ))
+    return n, listing, coordinates
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(raw_listings())
+def test_constructor_and_validate_complex_agree_on_drawn_listings(case):
+    assert_one_checked_path(*case)
+
+
+def test_constructor_refuses_a_simplex_listed_twice():
+    with pytest.raises(DuplicateSimplexError) as info:
+        SimplicialComplex(2, [(0,), (1,), (0,)])
+    assert str(info.value) == "simplex (0,) listed twice"
+
+
 # The image table against the image of each simplex's vertex set, on checked
 # maps and on the maps the package builds unchecked (a slice, a quotient map).
 
@@ -903,5 +999,5 @@ def test_edge_checked_maps_leave_the_image_table_unbuilt():
         reeb_space(disk_collapse(2)).quotient_map,
     ]
     for f in built:
-        assert f._simplex_images is None
+        assert "simplex_images" not in vars(f)
     assert built[0].simplex_images == ((0,), (1,), (1,), (0, 1), (1,))

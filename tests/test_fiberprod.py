@@ -1077,7 +1077,7 @@ def test_budget_error_names_stage_count_and_cap():
     [
         # The constant circle map has 3 maximal edges over one codomain
         # vertex, so 9 cover cells at p = 1, all in one group.
-        (2, "nerve cover", 9),  # the group alone passes 4 * cap
+        (2, "nerve cover", 9),  # the cover with the group's tuples passes 4 * cap
         (3, "nerve cover", 9),  # the deduplicated cover passes cap
         (9, "nerve simplices", 10),  # the nerve's tenth simplex passes cap
     ],
@@ -1088,6 +1088,16 @@ def test_nerve_budget_errors_name_stage_count_and_cap(cap, stage, count):
         fiber_power_nerve(constant_circle_map(), 1, cell_cap=cap)
     exc = info.value
     assert (exc.stage, exc.count, exc.cap) == (stage, count, cap)
+
+
+def test_nerve_refusal_before_a_vertex_says_what_it_counts():
+    # disk_collapse(1) at p = 2: the cover gathered through codomain vertex 1
+    # plus all of vertex 2's tuples is 23 cells, tested against 4 * cap.
+    with pytest.raises(BudgetExceededError) as info:
+        fiber_power_nerve(disk_collapse(1), 2, cell_cap=5)
+    exc = info.value
+    assert (exc.stage, exc.count, exc.cap) == ("nerve cover", 23, 5)
+    assert str(exc) == "23 cover cells with codomain vertex 2's tuples exceed 4 times the cap of 5"
 
 
 def test_default_engine_never_enumerates_the_nerve(monkeypatch):

@@ -302,7 +302,7 @@ def test_cli_budget_exit_code(tmp_path, capsys):
 
 HUGE_POWER_REFUSALS = {
     "auto": "fiber-power cells exceed the cap of 200000",
-    "nerve": "cover for codomain vertex 0 alone exceeds the cap of 200000",
+    "nerve": "cover cells with codomain vertex 0's tuples exceed 4 times the cap of 200000",
 }
 
 
