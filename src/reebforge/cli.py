@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -200,7 +201,15 @@ def cmd_fixtures(args):
     return EXIT_OK
 
 
+def _late(name):
+    """A command that looks ``name`` up in the module globals when it runs,
+    so that the cached parser holds no command function object."""
+    return lambda args: globals()[name](args)
+
+
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="reebforge",
         description="Exact Reeb graphs/spaces of simplicial maps, Betti numbers, "
@@ -219,7 +228,7 @@ def build_parser():
     p = sub.add_parser("betti", help="Betti numbers of a complex file")
     p.add_argument("file")
     add_common(p)
-    p.set_defaults(func=cmd_betti)
+    p.set_defaults(func=_late("cmd_betti"))
 
     p = sub.add_parser("reeb", help="Reeb graph or Reeb space of a map/function file")
     p.add_argument("file")
@@ -229,7 +238,7 @@ def build_parser():
     p.add_argument("--dot", action="store_true", help="emit DOT instead of a report (--graph only)")
     p.add_argument("--emit-realization", action="store_true", help="inline the realization complex")
     add_common(p)
-    p.set_defaults(func=cmd_reeb)
+    p.set_defaults(func=_late("cmd_reeb"))
 
     p = sub.add_parser("fiber-power", help="Betti numbers of an iterated fiber power")
     p.add_argument("file")
@@ -237,7 +246,7 @@ def build_parser():
     p.add_argument("--engine", choices=("auto", "nerve", "cells"), default="auto")
     p.add_argument("--cell-cap", type=int, default=None)
     add_common(p)
-    p.set_defaults(func=cmd_fiber_power)
+    p.set_defaults(func=_late("cmd_fiber_power"))
 
     p = sub.add_parser("verify", help="run verification checks on a map file")
     p.add_argument("file")
@@ -247,7 +256,7 @@ def build_parser():
     p.add_argument("--target", choices=("image", "reeb"), default="image")
     p.add_argument("--cell-cap", type=int, default=None)
     add_common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=_late("cmd_verify"))
 
     p = sub.add_parser("bounds", help="evaluate a quantitative bound exactly")
     p.add_argument("name", choices=("closed", "general", "sign-components", "reeb"))
@@ -258,17 +267,17 @@ def build_parser():
     p.add_argument("--m", type=int, default=1)
     p.add_argument("-c", type=int, default=1, help="exponent constant for the reeb bound")
     p.add_argument("-o", "--output", help="write the report to this path instead of stdout")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=_late("cmd_bounds"))
 
     p = sub.add_parser("fixtures", help="list fixtures or emit one as files")
     fsub = p.add_subparsers(dest="action", required=True)
     pl = fsub.add_parser("list")
-    pl.set_defaults(func=cmd_fixtures, action="list")
+    pl.set_defaults(func=_late("cmd_fixtures"), action="list")
     pe = fsub.add_parser("emit")
     pe.add_argument("name")
     pe.add_argument("--param", action="append", metavar="KEY=VALUE")
     pe.add_argument("-o", "--output", required=True, help="directory for the emitted files")
-    pe.set_defaults(func=cmd_fixtures, action="emit")
+    pe.set_defaults(func=_late("cmd_fixtures"), action="emit")
 
     return parser
 

@@ -62,9 +62,9 @@ def label_components(members, neighbors, parent):
     reset for the members only, so one array can serve many disjoint or
     successive calls.  The smaller root wins each union, so a class's root is
     its smallest id and the sorted roots give the classes in id order.
-    ``find_root`` is inlined, as this loop is hot: it labels every
-    exact-image group of a Reeb space and every component that a leaving
-    simplex touches in the Reeb-graph sweep.
+    ``find_root`` is inlined, as this loop is hot: it labels every domain
+    simplex of a Reeb space in one pass, over the image-keeping facets, and
+    every component that a leaving simplex touches in the Reeb-graph sweep.
     """
     for s in members:
         parent[s] = s
@@ -323,11 +323,12 @@ def _is_canonical_listing(simplices):
         if len(run[0]) <= size:
             return False
         size = len(run[0])
+        # The run test first: a run that does not ascend is refused before
+        # it is transposed.
+        if not all(map(operator.lt, run, run[1:])):
+            return False
         cols = list(zip(*run))
-        if not (
-            all(map(operator.lt, run, run[1:]))
-            and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
-        ):
+        if not all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:])):
             return False
     return True
 

@@ -18,7 +18,10 @@ sigma|tau <= sigma'|tau.  Inside E_tau, rho < rho' is a chain of
 image-keeping facets, each dropping a vertex whose image repeats, since
 every simplex between rho and rho' has image tau.  So a path in S_tau
 restricts to a path in E_tau under the image-keeping facet relation, and
-the components of S_tau are those of E_tau, one to one.  Simplex ids follow
+the components of S_tau are those of E_tau, one to one.  An image-keeping
+facet lies in its simplex's E_tau, so one ``label_components`` pass over
+all domain ids, joined along those facets, finds the components of every
+E_tau at once.  Simplex ids follow
 the canonical order, dimension first, in which sigma|tau comes no later
 than sigma, so the components keep their order, and each one's smallest
 member has one vertex over each vertex of tau: a member of E_tau stays in
@@ -42,6 +45,7 @@ and only the components that a leaving simplex touches are relabelled.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -150,35 +154,35 @@ def _check_face_maps(taus, facets):
 def reeb_space(f):
     """Construct the Reeb space of a simplicial map.
 
-    Strata are computed over every exact image tau in canonical order, so
-    their facets (module docstring) are numbered before them.  The
-    components of S_tau are those of E_tau, found by one union-find per tau
-    that joins each simplex of E_tau to its image-keeping facets; one parent
-    array serves every tau, so each domain simplex is touched once.
+    The components of S_tau are those of E_tau (module docstring), found by
+    one ``label_components`` pass over all domain ids that joins each
+    simplex to its image-keeping facets.  Such a facet has its simplex's
+    image, so each class lies in one E_tau, and its root is its smallest
+    id.  Strata are numbered by (tau in canonical order, root), so their
+    facets are numbered before them; a stratum's component index counts
+    the roots over its tau.
     """
     simps = f.domain.simplices
     table = f.domain.facets
     images = f.vertex_images
     taus = f.simplex_images
-    groups = {}
-    for i, image in enumerate(taus):
-        groups.setdefault(image, []).append(i)
     # A facet's image lies in its simplex's; they are equal, and the facet
     # image-keeping, exactly when the dropped vertex's image repeats.
     keeping = [[g for g in fs if len(taus[g]) == len(tau)] for fs, tau in zip(table, taus)]
-
-    parent = list(range(len(simps)))
-    exact_strata = [0] * len(simps)
+    ids = range(len(simps))
+    parent = list(ids)
+    # The roots come ascending and the sort is stable: (tau, root) order.
+    roots = sorted(label_components(ids, keeping, parent), key=lambda r: simplex_key(taus[r]))
+    index = {r: i for i, r in enumerate(roots)}
+    exact_strata = tuple(index[find_root(parent, i)] for i in ids)
     strata = []
     facets = []
-    for tau in sorted(groups, key=simplex_key):
-        for ci, cls in enumerate(component_classes(groups[tau], keeping, parent)):
-            over = [images[v] for v in simps[cls[0]]]
-            facets.append(tuple(exact_strata[g] for _, g in sorted(zip(over, table[cls[0]]))))
-            for i in cls:
-                exact_strata[i] = len(strata)
+    for tau, group in itertools.groupby(roots, key=taus.__getitem__):
+        for ci, r in enumerate(group):
             strata.append(Stratum(tau, ci))
-    return ReebComplex(f, tuple(strata), tuple(exact_strata), tuple(facets))
+            over = [images[v] for v in simps[r]]
+            facets.append(tuple(exact_strata[g] for _, g in sorted(zip(over, table[r]))))
+    return ReebComplex(f, tuple(strata), exact_strata, tuple(facets))
 
 
 def fiber_components_at(f, tau):

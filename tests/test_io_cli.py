@@ -17,9 +17,10 @@ from reebforge import (
     SimplicialComplex,
     ValueCountMismatchError,
     VertexOutOfRangeError,
+    cli,
     complexes,
 )
-from reebforge.cli import main
+from reebforge.cli import build_parser, main
 from reebforge.fixtures import (
     FixtureSpec,
     boundary_delta3,
@@ -532,6 +533,39 @@ def test_cli_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal invariant failed" in err
+
+
+# The parser is built once per process and holds no command function, so a
+# command replaced after the first call is the one that runs, and no flag
+# carries over from one parse to the next.
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    assert run_cli(["fixtures", "list"], capsys)[0] == 0
+    seen = []
+
+    def replaced(args):
+        seen.append(args.name)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_bounds", replaced)
+    code, out, _ = run_cli(["bounds", "closed", "--s", "1", "--d", "2"], capsys)
+    assert (code, out, seen) == (0, "", ["closed"])
+
+
+def test_flags_do_not_leak_from_one_parse_to_the_next(tmp_path):
+    parse = build_parser().parse_args
+    emit = ["fixtures", "emit", "disk_collapse", "-o", str(tmp_path)]
+    assert parse([*emit, "--param", "n=2"]).param == ["n=2"]
+    assert parse([*emit, "--param", "n=2"]).param == ["n=2"]
+    assert parse(emit).param is None
+    assert parse(["verify", "f.map.json", "--b1"]).b1
+    args = parse(["verify", "f.map.json", "--quotient"])
+    assert (args.b1, args.quotient) == (False, True)
 
 
 def run_cli_process(args, env=None):

@@ -511,6 +511,35 @@ def test_reeb_space_matches_s_tau_scan_on_random_maps(seed):
     assert_reeb_space_matches_scan(random_map(seed))
 
 
+def test_reeb_space_labels_all_domain_ids_in_one_pass(monkeypatch):
+    calls = []
+
+    def counting(members, neighbors, parent):
+        calls.append(len(members))
+        return complexes.label_components(members, neighbors, parent)
+
+    def refuse(*args):
+        raise AssertionError("component_classes called")
+
+    monkeypatch.setattr(reeb, "label_components", counting)
+    monkeypatch.setattr(reeb, "component_classes", refuse)
+    for f in (disk_collapse(2), torus_height()[1], product_power(disk_collapse(2), 2)):
+        calls.clear()
+        reeb_space(f)
+        assert calls == [len(f.domain.simplices)]
+
+
+def test_components_over_one_tau_are_numbered_by_smallest_id():
+    # Over vertex 0: {0, 4, (0, 4)}, {1, 2, (1, 2)} and {3}.  By smallest id
+    # (0, 1, 3) they come A, B, C; by largest id (5, 6, 3), C, A, B.
+    domain = SimplicialComplex(5, [(0,), (1,), (2,), (3,), (4,), (0, 4), (1, 2)])
+    f = SimplicialMap(domain, SimplicialComplex(1, [(0,)]), [0] * 5)
+    space = reeb_space(f)
+    assert [s.component for s in space.strata] == [0, 1, 2]
+    assert space.exact_strata == (0, 1, 1, 2, 0, 0, 1)
+    assert_reeb_space_matches_scan(f)
+
+
 # The quotient map is checked on the edges of sd(domain) alone; it must equal
 # the map that the full check accepts, and a corrupted stratum list must
 # fail on an edge.
