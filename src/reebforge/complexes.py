@@ -99,6 +99,8 @@ def component_classes(members, neighbors, parent):
 class SimplicialComplex:
     """A finite abstract simplicial complex.
 
+    A complex is its canonical listing, ``simplices``: ids are positions in
+    it, and ``simplex_set`` is derived from it on demand.
     Immutable after construction: treat all attributes as read-only.
     ``coordinates``, when present, is one rational point per vertex id, all
     with a common ambient dimension.  The constructor is the one checked
@@ -116,8 +118,9 @@ class SimplicialComplex:
     def _from_canonical(cls, num_vertices, simplices, coordinates=None, ordered=False):
         """A complex on simplices already known to be canonical and in range.
 
-        Nothing is re-sorted or re-checked; the caller vouches for the input,
-        and with ``ordered`` for its canonical order, kept as ``simplices``.
+        Nothing is re-checked; the caller vouches for the input, and with
+        ``ordered`` for its canonical order.  Only the listing is stored,
+        sorted once unless ``ordered``; ``simplex_set`` is derived on demand.
         """
         self = cls.__new__(cls)
         self._fill(num_vertices, simplices, ordered)
@@ -126,20 +129,17 @@ class SimplicialComplex:
 
     def _fill(self, num_vertices, simplices, ordered):
         self.num_vertices = num_vertices
-        self.simplex_set = frozenset(simplices)
-        if ordered:
-            self.simplices = tuple(simplices)
+        # A lexicographic sort followed by a stable sort on length gives the
+        # order of ``simplex_key`` without building a key tuple per simplex.
+        if not ordered:
+            simplices = sorted(simplices)
+            simplices.sort(key=len)
+        self.simplices = tuple(simplices)
 
     @cached_property
-    def simplices(self):
-        """All simplices in canonical order.
-
-        A lexicographic sort followed by a stable sort on length gives the
-        order of ``simplex_key`` without building a key tuple per simplex.
-        """
-        ordered = sorted(self.simplex_set)
-        ordered.sort(key=len)
-        return tuple(ordered)
+    def simplex_set(self):
+        """The simplices as a frozenset, derived from the listing on first read."""
+        return frozenset(self.simplices)
 
     @cached_property
     def _by_dim(self):
@@ -149,9 +149,9 @@ class SimplicialComplex:
         """dict dimension -> canonical list of simplices of that dimension."""
         return self._by_dim
 
-    @cached_property
+    @property
     def dim(self):
-        return max((len(s) - 1 for s in self.simplex_set), default=-1)
+        return len(self.simplices[-1]) - 1 if self.simplices else -1
 
     @cached_property
     def facets(self):
@@ -168,7 +168,7 @@ class SimplicialComplex:
         index = {s: i for i, s in enumerate(self.simplices)}
         get = index.__getitem__
         table = []
-        for run in _runs(self.simplices):
+        for run in self.by_dim().values():
             if len(run[0]) == 1:
                 table += [()] * len(run)
                 continue
@@ -209,36 +209,34 @@ class SimplicialComplex:
     def skeleton(self, k):
         """Sub-complex of all simplices of dimension <= k.
 
-        A complex is its own k-skeleton once k reaches its dimension, and is
-        returned as it is: it is immutable, so sharing it (and its cached
-        order and coface index) is safe.
+        Canonical order is dimension first, so its listing is a prefix of
+        this one.  A complex is its own k-skeleton once k reaches its
+        dimension, and is returned as it is: it is immutable, so sharing it
+        (and its cached facet and coface tables) is safe.
         """
         if k >= self.dim:
             return self
-        return SimplicialComplex._from_canonical(
-            self.num_vertices,
-            [s for s in self.simplex_set if len(s) <= k + 1],
-            self.coordinates,
-        )
+        prefix = self.simplices[: bisect.bisect_right(self.simplices, k + 1, key=len)]
+        return SimplicialComplex._from_canonical(self.num_vertices, prefix, self.coordinates, ordered=True)
 
     def restrict_to_vertices(self, keep):
         """Full subcomplex on ``keep`` with dense reindexing.
 
         Returns (subcomplex, old_to_new dict).  The reindexing keeps vertex
-        order, so each simplex stays canonical.
+        order, so each simplex and the listing, filtered in order, stay canonical.
         """
         keep = sorted(set(keep))
         old_to_new = {v: i for i, v in enumerate(keep)}
         kept_set = set(keep)
         simplices = [
             tuple(old_to_new[v] for v in s)
-            for s in self.simplex_set
+            for s in self.simplices
             if kept_set.issuperset(s)
         ]
         coords = None
         if self.coordinates is not None:
             coords = tuple(self.coordinates[v] for v in keep)
-        return SimplicialComplex._from_canonical(len(keep), simplices, coords), old_to_new
+        return SimplicialComplex._from_canonical(len(keep), simplices, coords, ordered=True), old_to_new
 
     def __contains__(self, simplex):
         return tuple(sorted(simplex)) in self.simplex_set
@@ -247,15 +245,15 @@ class SimplicialComplex:
         return (
             isinstance(other, SimplicialComplex)
             and self.num_vertices == other.num_vertices
-            and self.simplex_set == other.simplex_set
+            and self.simplices == other.simplices
             and self.coordinates == other.coordinates
         )
 
     def __hash__(self):
-        return hash((self.num_vertices, self.simplex_set))
+        return hash((self.num_vertices, self.simplices))
 
     def __repr__(self):
-        return f"SimplicialComplex(v={self.num_vertices}, simplices={len(self.simplex_set)}, dim={self.dim})"
+        return f"SimplicialComplex(v={self.num_vertices}, simplices={len(self.simplices)}, dim={self.dim})"
 
 
 def validate_complex(num_vertices, simplices, close_faces=False, coordinates=None):
@@ -524,8 +522,9 @@ def _complex_of_chains(n, ups):
     every chain is a strictly ascending tuple of ids in 0..n-1: canonical and
     distinct, and the complex is built without re-sorting any of them; the
     up-sets are transitive, so the chains are closed under faces.  The
-    chains come out in canonical order, which the complex keeps as its
-    ``simplices``.
+    chains come out in canonical order, and the complex is that listing,
+    kept as its ``simplices``; no set of them is built unless
+    ``simplex_set`` is read.
     """
     return SimplicialComplex._from_canonical(n, _enumerate_chains(n, ups), ordered=True)
 

@@ -86,6 +86,10 @@ def complex_from_doc(doc, close_faces=False):
             for v in s:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise FormatError(f"simplex entry {v!r} is not an integer")
+    for name in ("num_vertices", "ambient_dim"):
+        value = doc.get(name, 0)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise FormatError(f"{name!r} must be a non-negative integer")
 
     coordinates = None
     if "vertices" in doc:
@@ -93,17 +97,13 @@ def complex_from_doc(doc, close_faces=False):
         if not isinstance(raw, list) or not all(isinstance(point, list) for point in raw):
             raise FormatError("'vertices' must be a list of coordinate arrays")
         coordinates = [[parse_rational(c) for c in point] for point in raw]
-        if "ambient_dim" in doc:
-            for point in coordinates:
-                if len(point) != doc["ambient_dim"]:
-                    raise FormatError("coordinate arity disagrees with 'ambient_dim'")
+        if "ambient_dim" in doc and any(len(p) != doc["ambient_dim"] for p in coordinates):
+            raise FormatError("coordinate arity disagrees with 'ambient_dim'")
     elif "ambient_dim" in doc:
         raise FormatError("'ambient_dim' requires 'vertices'")
 
     if "num_vertices" in doc:
         num_vertices = doc["num_vertices"]
-        if not isinstance(num_vertices, int) or isinstance(num_vertices, bool) or num_vertices < 0:
-            raise FormatError("'num_vertices' must be a non-negative integer")
     elif coordinates is not None:
         num_vertices = len(coordinates)
     else:

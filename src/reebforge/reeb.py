@@ -223,7 +223,7 @@ def verify_quotient(f, cell_cap=None):
 
     # Each stratum of q lies over a realization simplex: one over each.
     taus = reeb_space(q).codomain_projection
-    fibers_connected = len(taus) == len(set(taus)) == len(space.realization.simplex_set)
+    fibers_connected = len(taus) == len(set(taus)) == len(space.realization.simplices)
 
     vertex_surjective = set(q.vertex_images) == set(range(space.realization.num_vertices))
 
@@ -239,7 +239,7 @@ def verify_quotient(f, cell_cap=None):
 def b1_inequality_check(f):
     """Check b1(Reeb realization) <= b1(domain), per connected component."""
     k = f.domain
-    if not k.simplex_set:
+    if not k.simplices:
         return {"components": [], "ok": True}
     # A component of a complex is a subcomplex: its vertices are its
     # 0-simplices, which come first in id order, ascending.
@@ -435,7 +435,7 @@ def pl_as_simplicial_map(g):
     onto a vertex or an edge of the path, and then every chain does.
     """
     k = g.complex
-    if not k.simplex_set:
+    if not k.simplices:
         raise EmptyComplexError("cannot slice an empty complex")
     levels, level_of = _vertex_levels(g)
     n = len(levels)

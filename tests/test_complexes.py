@@ -338,13 +338,45 @@ def test_subdivision_equals_its_checked_rebuild(build):
     assert_checked_rebuild(sd)
 
 
-def test_skeleton_restriction_and_nerve_equal_their_checked_rebuilds():
+# A skeleton is a prefix of the listing and a restriction filters it in
+# order; both must give what filtering the simplex set and sorting gives.
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(simplicial_complexes(), st.booleans(), st.sets(st.integers(0, 6)))
+def test_skeleton_restriction_and_nerve_equal_their_checked_rebuilds(drawn, with_points, keep):
     triangle = SimplicialComplex(3, full_simplex(2).simplex_set, [(0, 0), (1, 0), (0, 1)])
     for k in (minimal_torus(), triangle):
         assert_checked_rebuild(k.skeleton(1))
         assert_checked_rebuild(k.restrict_to_vertices([0, 2])[0])
     assert_checked_rebuild(minimal_torus().restrict_to_vertices([0, 2, 3, 5])[0])
     assert_checked_rebuild(fiber_power_nerve(disk_collapse(1), 1))
+
+    points = [(v, v * v) for v in range(drawn.num_vertices)] if with_points else None
+    k = SimplicialComplex(drawn.num_vertices, drawn.simplices, points)
+    for d in range(-1, k.dim + 2):
+        skeleton = k.skeleton(d)
+        want = sorted((s for s in k.simplex_set if len(s) <= d + 1), key=simplex_key)
+        assert skeleton.simplices == tuple(want)
+        assert_checked_rebuild(skeleton)
+    sub, old_to_new = k.restrict_to_vertices(keep)
+    want = [tuple(old_to_new[v] for v in s) for s in k.simplex_set if keep.issuperset(s)]
+    assert sub.simplices == tuple(sorted(want, key=simplex_key))
+    assert_checked_rebuild(sub)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: barycentric_subdivision(minimal_torus())[0],
+        lambda: reeb_space(disk_collapse(2)).realization,
+        lambda: pl_as_simplicial_map(random_function(3)).map.domain,
+    ],
+    ids=["sd", "realization", "slice"],
+)
+def test_order_complexes_derive_their_simplex_set_on_demand(build):
+    k = build()
+    assert "simplex_set" not in vars(k)
+    assert k.simplex_set == frozenset(k.simplices)
+    assert vars(k)["simplex_set"] is k.simplex_set
 
 
 def test_lattice_paths_are_all_monotone_grid_paths():
@@ -925,7 +957,8 @@ def ingest_cases():
 def test_constructor_and_validate_complex_are_one_checked_path(n, listing, coordinates, error):
     got = assert_one_checked_path(n, listing, coordinates)
     if error is None:
-        disk = validate_complex(*DISK)
+        disk = validate_complex(*DISK, coordinates=coordinates)
+        assert got[0] == disk and hash(got[0]) == hash(disk)
         assert (got[0].simplex_set, got[1]) == (disk.simplex_set, disk.simplices)
     else:
         assert got == error

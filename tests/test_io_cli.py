@@ -670,6 +670,18 @@ MALFORMED_COMPLEXES = {
         {"simplices": [[0]], "vertices": [["1", "2"]], "ambient_dim": 3}, False,
         FormatError, "coordinate arity disagrees with 'ambient_dim'",
     ),
+    "ambient_dim_bool": (
+        {"simplices": [[0]], "vertices": [["1"]], "ambient_dim": True}, False,
+        FormatError, "'ambient_dim' must be a non-negative integer",
+    ),
+    "ambient_dim_negative": (
+        {"simplices": [], "vertices": [], "ambient_dim": -3}, False,
+        FormatError, "'ambient_dim' must be a non-negative integer",
+    ),
+    "ambient_dim_string": (
+        {"simplices": [[0]], "vertices": [["1"]], "ambient_dim": "1"}, False,
+        FormatError, "'ambient_dim' must be a non-negative integer",
+    ),
     "coordinate_count": (
         {"num_vertices": 2, "simplices": [[0], [1]], "vertices": [["1"]]}, False,
         ValueCountMismatchError, "one coordinate point per vertex required",
