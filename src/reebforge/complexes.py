@@ -64,7 +64,8 @@ def label_components(members, neighbors, parent):
     its smallest id and the sorted roots give the classes in id order.
     ``find_root`` is inlined, as this loop is hot: it labels every domain
     simplex of a Reeb space in one pass, over the image-keeping facets, and
-    every component that a leaving simplex touches in the Reeb-graph sweep.
+    in the Reeb-graph sweep both the local no-split tests and the relabels
+    of the components that may have split.
     """
     for s in members:
         parent[s] = s

@@ -40,7 +40,9 @@ each simplex of the 2-skeleton, whose face relation determines level-set
 connectivity exactly, enters an active set at its lowest vertex level and
 leaves it after its highest.  One union-find carries the level and slab
 components across levels: entering simplices are joined to their cofaces,
-and only the components that a leaving simplex touches are relabelled.
+and a component that a leaving simplex touches is relabelled only when a
+local test, over the survivors next to the leaving simplices, cannot rule
+out a split.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .complexes import (
@@ -308,13 +311,32 @@ def reeb_graph(g):
     One union-find carries the components across levels.  A coface of an
     active simplex started no later than it, so the only face pairs a level
     adds join an entering simplex to its cofaces, and unions suffice.  Only
-    a component holding a leaving simplex can split; its survivors are
-    closed under cofaces and are relabelled alone, each new part keeping the
-    old component's node as the node below its slab edge.  Every other
-    component keeps its root and node.  The smaller root wins each union, so
-    a root is its component's smallest active id; simplex ids follow the
-    canonical order, and nodes inside a level come in root order.  Work is
-    the sizes of the touched components plus the output, each simplex
+    a component holding a leaving simplex can split, and a local test rules
+    the split out for most of them.  A face of a leaving simplex ends no
+    later than it, so it is leaving too or already gone; so a survivor that
+    touches the leaving set is a coface of a leaving simplex.  Call these
+    survivors the near set.  Any path between two survivors through the old
+    component enters and leaves the leaving set through the near set, so if
+    the near set is connected among the survivors, they are still one
+    component.  The test joins the near set to its own cofaces, survivors
+    too (the cofaces of its edges are triangles, so the two are closed under
+    cofaces), and asks for one class.  It is sufficient only and assumes no
+    manifold.  When it fails, or when at least half the ids in the
+    component's heap (below) leave at this level, so that scanning the heap
+    costs at most twice the leaving ids, each of which leaves once, the
+    survivors, closed under cofaces, are relabelled alone, each new part
+    keeping the old component's node as the node below its slab edge; with
+    no survivor the component dies.  Every other component keeps its node.
+
+    The smaller root wins each union, so a root is its component's
+    smallest active id; simplex ids follow the canonical order, and nodes
+    inside a level come in root order.  A skipped relabel must still move
+    the root off a leaving id.  So each component keeps its ids in a
+    min-heap whose dead ids go only when they reach the top: a union pushes
+    the smaller heap into the larger, a relabel heapifies each new part,
+    and a skip pops the dead ids off the top and makes the new top the
+    root.  Work is the output, the near sets and their cofaces, the
+    relabels that run, and a logarithmic heap step per union, each simplex
     weighted by its coface count.
     """
     k2 = g.complex.skeleton(2)
@@ -330,7 +352,8 @@ def reeb_graph(g):
         ends[hi].append(i)
 
     parent = list(range(len(simps)))
-    members = {}  # live root -> active ids of its component
+    scratch = list(parent)  # the no-split test's own union-find
+    members = {}  # live root -> min-heap of its component's ids, dead ones lazily kept
     node_of = {}  # live root -> its node at this level, or below its slab
     nodes = []
     edges = []
@@ -351,7 +374,8 @@ def reeb_graph(g):
                     if len(kept) < len(merged):
                         kept, merged = merged, kept
                         members[a] = kept
-                    kept.extend(merged)
+                    for x in merged:
+                        heappush(kept, x)
         node_of = {}
         for ci, root in enumerate(sorted(members)):
             node_of[root] = len(nodes)
@@ -362,18 +386,46 @@ def reeb_graph(g):
         for s in starts[i]:
             if len(simps[s]) == 1:
                 node_of_vertex[simps[s][0]] = node_of[find_root(parent, s)]
-        for r in {find_root(parent, s) for s in ends[i]}:
+        leaving = {}
+        for s in ends[i]:
+            leaving.setdefault(find_root(parent, s), []).append(s)
+        for r, gone in leaving.items():
             below = node_of.pop(r)
-            survivors = [s for s in members.pop(r) if last[s] > i]
-            for root in label_components(survivors, cofaces, parent):
+            heap = members.pop(r)
+            if 2 * len(gone) < len(heap) and _survivors_stay_connected(gone, cofaces, last, i, scratch):
+                while last[heap[0]] <= i:
+                    heappop(heap)
+                root = heap[0]
+                parent[root] = root
+                parent[r] = root
+                members[root] = heap
+                node_of[root] = below
+                continue
+            survivors = [s for s in heap if last[s] > i]
+            roots = label_components(survivors, cofaces, parent)
+            for root in roots:
                 members[root] = []
                 node_of[root] = below
             for s in survivors:
                 members[find_root(parent, s)].append(s)
+            for root in roots:
+                heapify(members[root])
     edges.sort()
 
     vertex_to_node = {v: node_of_vertex[v] for v in level_of}
     return ReebGraph(tuple(nodes), tuple(edges), vertex_to_node)
+
+
+def _survivors_stay_connected(gone, cofaces, last, i, parent):
+    """Whether a component stays connected once its ids ``gone`` leave after
+    level i, by the local test of ``reeb_graph``: the surviving cofaces of
+    ``gone``, joined to their own cofaces in the scratch union-find
+    ``parent``, form one class.  False when nothing survives."""
+    near = {c for s in gone for c in cofaces[s] if last[c] > i}
+    local = set(near)
+    for c in near:
+        local.update(cofaces[c])
+    return len(label_components(local, cofaces, parent)) == 1
 
 
 def _vertex_levels(g):

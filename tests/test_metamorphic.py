@@ -9,6 +9,9 @@ ids are permuted and whose values go through an increasing affine map
 a v + b: the level sets are the same, only their values move.
 """
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -27,7 +30,9 @@ from reebforge import (
     reeb_space,
     verify_quotient,
 )
+from reebforge import cli
 from reebforge.fixtures import disk_collapse, grid_torus, random_function, random_map
+from reebforge.io import parse_rational, rational_str
 
 # The 50 maps of the descent battery and both disks, each with the seed of
 # its relabellings.
@@ -138,3 +143,88 @@ def test_relabelling_a_function_keeps_its_invariants(build, seed):
     rng = random.Random(seed)
     for _ in range(3):
         assert function_invariants(relabel_function(g, rng)) == want
+
+
+# The CLI on the files of the benchmark's CLI session, relabelled in the
+# documents themselves: the relabelled files list simplices in no canonical
+# order, so the CLI's checked ingest puts them back in order before any fast
+# path runs.  These report fields must not change.
+
+REPORT_FIELDS = ("betti", "total", "euler", "num_strata")
+
+SESSION_FILES = [
+    pytest.param("disk_collapse.map.json", [["reeb", "--space"], ["fiber-power", "-p", "2"]],
+                 id="disk"),
+    pytest.param("torus_height.function.json", [["reeb", "--space"], ["reeb", "--graph"]],
+                 id="torus"),
+    pytest.param("product_power.map.json", [["reeb", "--space"]], id="product"),
+    pytest.param("product_domain.json", [["betti"]], id="product_domain"),
+]
+
+
+@pytest.fixture(scope="module")
+def session_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("session")
+    for argv in (
+        ["fixtures", "emit", "disk_collapse", "--param", "n=2"],
+        ["fixtures", "emit", "torus_height"],
+        ["fixtures", "emit", "product_power", "--param", "n=2", "--param", "k=2"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["-o", str(out)]) == 0
+    product = json.loads((out / "product_power.map.json").read_text(encoding="utf-8"))
+    (out / "product_domain.json").write_text(json.dumps(product["domain"]), encoding="utf-8")
+    return out
+
+
+def relabel_complex_doc(doc, perm):
+    """A complex document with vertex v renamed perm[v] (the session's files
+    carry no coordinates)."""
+    return {"num_vertices": doc["num_vertices"],
+            "simplices": [[perm[v] for v in s] for s in doc["simplices"]]}
+
+
+def relabel_doc(doc, rng):
+    """A map, function or complex document with its vertex ids permuted, and
+    a function's values sent to a v + b, a > 0."""
+    def perm(c):
+        return rng.sample(range(c["num_vertices"]), c["num_vertices"])
+
+    if "vertex_images" in doc:
+        dom, cod = perm(doc["domain"]), perm(doc["codomain"])
+        images = [None] * len(dom)
+        for v, w in enumerate(doc["vertex_images"]):
+            images[dom[v]] = cod[w]
+        return {"domain": relabel_complex_doc(doc["domain"], dom),
+                "codomain": relabel_complex_doc(doc["codomain"], cod), "vertex_images": images}
+    if "values" in doc:
+        p = perm(doc["complex"])
+        a = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        values = [None] * len(p)
+        for v, x in enumerate(doc["values"]):
+            values[p[v]] = rational_str(a * parse_rational(x) + b)
+        return {"complex": relabel_complex_doc(doc["complex"], p), "values": values}
+    return relabel_complex_doc(doc, perm(doc))
+
+
+def report_fields(argv, capsys):
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    fields = {k: report[k] for k in REPORT_FIELDS if k in report}
+    assert fields
+    return fields
+
+
+@pytest.mark.parametrize("name, commands", SESSION_FILES)
+def test_relabelling_a_session_file_keeps_the_cli_reports(session_dir, tmp_path, capsys, name, commands):
+    path = session_dir / name
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    want = [report_fields([command, str(path), *options], capsys) for command, *options in commands]
+    rng = random.Random(name)
+    relabelled = tmp_path / name
+    for _ in range(3):
+        relabelled.write_text(json.dumps(relabel_doc(doc, rng)), encoding="utf-8")
+        got = [report_fields([command, str(relabelled), *options], capsys)
+               for command, *options in commands]
+        assert got == want

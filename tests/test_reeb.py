@@ -819,6 +819,38 @@ def test_sweep_matches_rescan_with_tied_values(data):
     assert_sweep_matches_rescan(PLFunction(grid_torus(m, n), [Fraction(v) for v in values]))
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_sweep_matches_rescan_on_non_manifold_complexes_with_tied_values(data):
+    # Pinched, branching and dangling pieces: the local no-split test may
+    # not lean on a manifold's links, and ties make flat edges and triangles.
+    k = data.draw(simplicial_complexes())
+    top = data.draw(st.integers(min_value=0, max_value=6))
+    values = data.draw(
+        st.lists(st.integers(min_value=0, max_value=top), min_size=k.num_vertices,
+                 max_size=k.num_vertices)
+    )
+    assert_sweep_matches_rescan(PLFunction(k, [Fraction(v) for v in values]))
+
+
+def test_sweep_relabels_only_where_the_local_test_fails(monkeypatch):
+    # Under row-major values the component a leaving simplex touches is the
+    # whole band of active simplices; relabelling it at every level hands
+    # label_components about 262,000 ids on this torus, growing about 8x
+    # per doubling of m.  The local test and the relabels it cannot skip
+    # stay within twice the simplex count.
+    handed = []
+    label = reeb.label_components
+    monkeypatch.setattr(
+        reeb, "label_components",
+        lambda members, neighbors, parent: handed.append(len(members)) or label(members, neighbors, parent),
+    )
+    g = grid_torus_function(40, "rowmajor")
+    graph = reeb_graph(g)
+    assert (len(graph.nodes), tuple(graph.betti())) == (3120, (1, 1))
+    assert sum(handed) <= 2 * len(g.complex.simplices) == 2 * 9600
+
+
 # The slice builds its domain from verified up-sets and checks its map
 # without sorting the domain.  Both must equal their checked rebuilds: the
 # constructor canonicalises every chain and checks vertex range and face
