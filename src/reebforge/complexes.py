@@ -9,15 +9,15 @@ derived object deterministic.  Optional vertex coordinates are exact rationals
 from __future__ import annotations
 
 import bisect
-import heapq
+import graphlib
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
-    BudgetExceededError,
     DuplicateSimplexError,
     InvalidParamsError,
     InvalidSimplexError,
@@ -27,6 +27,8 @@ from .errors import (
     UnknownSimplexError,
     ValueCountMismatchError,
     VertexOutOfRangeError,
+    _refuse_past_cap,
+    _require_ints,
 )
 
 
@@ -109,7 +111,6 @@ class SimplicialComplex:
     """
 
     def __init__(self, num_vertices, simplices, coordinates=None):
-        num_vertices = int(num_vertices)
         listing, ordered = _checked_listing(num_vertices, simplices)
         self._fill(num_vertices, listing, ordered)
         self.facets  # the face check: a failed facet lookup raises MissingFaceError
@@ -265,19 +266,23 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
     """
     if not close_faces:
         return SimplicialComplex(num_vertices, simplices, coordinates)
-    n = int(num_vertices)
-    listing, _ = _checked_listing(n, simplices)
+    listing, _ = _checked_listing(num_vertices, simplices)
     closed = set(listing)
     for s in listing:
         for k in range(1, len(s)):
             closed.update(itertools.combinations(s, k))
-    return SimplicialComplex._from_canonical(n, closed, _rational_points(n, coordinates))
+    return SimplicialComplex._from_canonical(
+        num_vertices, closed, _rational_points(num_vertices, coordinates)
+    )
 
 
 def _checked_listing(num_vertices, simplices):
     """(listing, ordered): the simplices as canonical tuples, checked, and
-    whether they came in canonical order, which they then keep."""
+    whether they came in canonical order, which they then keep.  The vertex
+    count and every vertex id must be an ``int``, not merely convertible."""
+    _require_ints("vertex count", (num_vertices,))
     listing = list(map(tuple, simplices))
+    _require_ints("vertex id", list(itertools.chain.from_iterable(listing)))
     ordered = _is_canonical_listing(listing)
     if not ordered:
         listing = [canonical_simplex(s) for s in listing]
@@ -298,12 +303,23 @@ def _rational_points(num_vertices, coordinates):
     """Coordinates as rational points, one per vertex, of one ambient dimension."""
     if coordinates is None:
         return None
-    points = tuple(tuple(Fraction(c) for c in point) for point in coordinates)
+    points = tuple(_fractions("coordinate", point) for point in coordinates)
     if len(points) != num_vertices:
         raise ValueCountMismatchError("one coordinate point per vertex required")
     if len({len(p) for p in points}) > 1:
         raise InvalidSimplexError("coordinate points have mixed ambient dimensions")
     return points
+
+
+def _fractions(name, values):
+    """``values`` as Fractions, each given as a ``numbers.Rational`` that is
+    not a ``bool``: a float, which ``Fraction`` would take as its binary
+    fraction, or a string raises InvalidParamsError."""
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, numbers.Rational) or isinstance(value, bool):
+            raise InvalidParamsError(f"{name} must be a rational, got {value!r}")
+    return tuple(map(Fraction, values))
 
 
 def _runs(simplices):
@@ -340,7 +356,8 @@ class SimplicialMap:
 
     def __init__(self, domain, codomain, vertex_images):
         self.domain, self.codomain = domain, codomain
-        self.vertex_images = tuple(int(v) for v in vertex_images)
+        self.vertex_images = tuple(vertex_images)
+        _require_ints("vertex image", self.vertex_images)
         if len(self.vertex_images) != domain.num_vertices:
             raise ValueCountMismatchError(
                 f"{len(self.vertex_images)} images for {domain.num_vertices} vertices"
@@ -395,11 +412,12 @@ class SimplicialMap:
         return f"SimplicialMap({self.domain!r} -> {self.codomain!r})"
 
 
-def _edge_checked_map(domain, codomain, vertex_images, edges):
+def _edge_checked_map(domain, codomain, vertex_images):
     """A vertex map the package built into a flag complex, checked edge by edge.
 
-    ``edges`` yields every edge (i, j) of the domain, each at least once.
-    The codomain must be flag: a vertex set whose members are pairwise
+    The edges are the domain's 1-simplices: in canonical order they are one
+    run of the listing, right after the vertices, found by bisection on
+    size.  The codomain must be flag: a vertex set whose members are pairwise
     joined by edges is a simplex.  Then the map is simplicial exactly when
     every image is a codomain vertex and every domain edge maps onto a vertex
     or an edge.  One way is plain.  For the other, two distinct image
@@ -420,7 +438,8 @@ def _edge_checked_map(domain, codomain, vertex_images, edges):
             raise InvariantError(
                 f"domain vertex {images.index(w)} maps to {w}, not a codomain vertex"
             )
-    for i, j in edges:
+    simps = domain.simplices
+    for i, j in simps[bisect.bisect_left(simps, 2, key=len) : bisect.bisect_right(simps, 2, key=len)]:
         a, b = images[i], images[j]
         if a != b and ((a, b) if a < b else (b, a)) not in targets:
             raise InvariantError(
@@ -437,7 +456,7 @@ class PLFunction:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", _fractions("value", self.values))
         if len(self.values) != self.complex.num_vertices:
             raise ValueCountMismatchError(
                 f"{len(self.values)} values for {self.complex.num_vertices} vertices"
@@ -477,7 +496,7 @@ def barycentric_subdivision(complex_):
 
 def _face_order_complex(facets):
     """The order complex of a facet table's face poset, on its ids."""
-    return _complex_of_chains(len(facets), _face_ups(facets))
+    return _complex_of_chains(_face_ups(facets))
 
 
 def _face_ups(facets):
@@ -516,29 +535,28 @@ def _chain_count(facets):
     return sum(ending)
 
 
-def _complex_of_chains(n, ups):
-    """The order complex of a poset on ids 0..n-1, given by its up-sets.
+def _complex_of_chains(ups):
+    """The order complex of a poset on ids 0..n-1, given by its n up-sets.
 
     ``ups`` is as ``_enumerate_chains`` takes it, and is verified there, so
-    every chain is a strictly ascending tuple of ids in 0..n-1: canonical and
+    every chain is a strictly ascending tuple of ids in range: canonical and
     distinct, and the complex is built without re-sorting any of them; the
     up-sets are transitive, so the chains are closed under faces.  The
     chains come out in canonical order, and the complex is that listing,
     kept as its ``simplices``; no set of them is built unless
     ``simplex_set`` is read.
     """
-    return SimplicialComplex._from_canonical(n, _enumerate_chains(n, ups), ordered=True)
+    return SimplicialComplex._from_canonical(len(ups), _enumerate_chains(ups), ordered=True)
 
 
-def _check_up_sets(n, ups):
-    """Raise InvariantError unless the up-sets are those of a poset on 0..n-1.
+def _check_up_sets(ups):
+    """Raise InvariantError unless ``ups`` are the up-sets of a poset on 0..n-1.
 
     Each ``ups[i]`` must ascend strictly within i+1..n-1, and hold ``ups[j]``
     for each j in it: the relation is transitive, so every subsequence of a
     chain is a chain and the chains are closed under faces.
     """
-    if len(ups) != n:
-        raise InvariantError(f"{len(ups)} up-sets for {n} poset elements")
+    n = len(ups)
     for i, up in enumerate(ups):
         prev = i
         for j in up:
@@ -557,36 +575,22 @@ def _check_up_sets(n, ups):
                     )
 
 
-def _enumerate_chains(n, ups, cap=None):
-    """All nonempty chains of a poset on ids 0..n-1, in canonical order.
+def _enumerate_chains(ups):
+    """All nonempty chains of a poset on ids 0..n-1, n = len(ups), in canonical order.
 
     ``ups[i]`` must list, in strictly ascending order, every id above i, and
-    each must be greater than i and less than n (id order is a linear
+    each must be greater than i and in range (id order is a linear
     extension); anything else raises InvariantError.  Chains come out as
     ascending tuples, each once, one length at a time: each chain of one
     length is extended by every id above its top, in up-set order, so a
     length's chains are lexicographic when the shorter ones are.  A cap is
-    checked once per length, on the count of chains up to that length,
-    before any chain of it is built: a BudgetExceededError's ``count`` is
-    the number of chains up to the first length whose chains pass the cap,
-    not the cap plus one, and no chain of that length is held.
+    the caller's, checked on ``_chain_count`` before this runs.
     """
-    _check_up_sets(n, ups)
-
-    def check_cap(count):
-        if cap is not None and count > cap:
-            raise BudgetExceededError(
-                f"chain enumeration passed the cap of {cap}",
-                cap=cap, stage="chains", count=count,
-            )
-
-    check_cap(n)
+    _check_up_sets(ups)
     chains = []
-    level = [(i,) for i in range(n)]
+    level = [(i,) for i in range(len(ups))]
     while level:
         chains += level
-        if cap is not None:
-            check_cap(len(chains) + sum(len(ups[c[-1]]) for c in level))
         level = [c + (j,) for c in level for j in ups[c[-1]]]
     return chains
 
@@ -597,8 +601,9 @@ class Poset:
 
     Covers are (lower, higher) index pairs and are reduced to the transitive
     reduction at construction time.  Indices need not be a linear extension;
-    ``_order``, the smallest-id-first topological order, is kept from
-    construction.
+    ``_order``, a topological order, is kept from construction.  Ranked in
+    it, the covers are a facet table whose ids ascend along the order, and
+    the chains are counted and built from it as sd(K)'s are from K's.
     """
 
     elements: tuple
@@ -606,81 +611,66 @@ class Poset:
 
     def __init__(self, elements, covers):
         elements = tuple(elements)
-        covers = tuple(sorted(set((int(a), int(b)) for a, b in covers)))
+        pairs = [tuple(pair) for pair in covers]
+        _require_ints("poset relation id", list(itertools.chain.from_iterable(pairs)))
+        covers = tuple(sorted(set(pairs)))
         n = len(elements)
         for a, b in covers:
             if a == b:
                 raise InvalidSimplexError(f"reflexive relation ({a}, {b})")
             if not (0 <= a < n and 0 <= b < n):
                 raise VertexOutOfRangeError(f"relation ({a}, {b}) outside 0..{n - 1}")
-        # Raises on cycles.  The reduced covers have the same transitive
-        # closure, so this smallest-id-first order is also theirs.
-        order = _topological_order(n, covers)
+        order = _topological_order(n, covers)  # raises on cycles
+        reduced = _transitive_reduction(_rank_facets(order, covers))
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covers", _transitive_reduction(n, covers, order))
+        object.__setattr__(self, "covers", tuple(sorted((order[i], order[j]) for i, j in reduced)))
+        # The reduced covers have the same transitive closure, so this
+        # order is also theirs.
         object.__setattr__(self, "_order", order)
 
     def order_complex(self, cap=None):
         """The simplicial complex of chains of this poset.
 
-        Chains are enumerated on ranks in a topological order, so ids ascend
-        along them, and renamed back to element ids, each sorted again.
+        The chains are counted and enumerated on ranks, so ids ascend along
+        them; with a ``cap``, a count past it raises BudgetExceededError
+        (stage "chains") before any chain is built.  Each chain is renamed
+        back to element ids and sorted again.
         """
-        n = len(self.elements)
         order = self._order
-        pos = {e: i for i, e in enumerate(order)}
-        _, above = _closure(n, self.covers, order)
-        ups = [tuple(sorted(pos[j] for j in above[e])) for e in order]
-        chains = [tuple(sorted(order[i] for i in c)) for c in _enumerate_chains(n, ups, cap=cap)]
-        return SimplicialComplex._from_canonical(n, chains)
+        facets = _rank_facets(order, self.covers)
+        if cap is not None:
+            _refuse_past_cap(_chain_count(facets), cap, "chains", "chains")
+        chains = [tuple(sorted(order[i] for i in c)) for c in _enumerate_chains(_face_ups(facets))]
+        return SimplicialComplex._from_canonical(len(order), chains)
 
 
 def _topological_order(n, edges):
-    indeg = [0] * n
-    succ = [[] for _ in range(n)]
+    """The ids 0..n-1, each pair's lower id first; a cycle raises."""
+    below = {i: [] for i in range(n)}
     for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    out = []
-    heapq.heapify(ready)
-    while ready:
-        i = heapq.heappop(ready)
-        out.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-    if len(out) != n:
-        raise InvalidSimplexError("relation has a cycle")
-    return out
+        below[b].append(a)
+    try:
+        return list(graphlib.TopologicalSorter(below).static_order())
+    except graphlib.CycleError:
+        raise InvalidSimplexError("relation has a cycle") from None
 
 
-def _closure(n, edges, order):
-    """Successor lists and, for each id, the set of ids above it.
-
-    ``edges`` hold no repeated pair, and ``order`` is a topological order
-    of them.
-    """
-    succ = [[] for _ in range(n)]
-    for a, b in edges:
-        succ[a].append(b)
-    above = [set() for _ in range(n)]
-    for i in reversed(order):
-        for j in succ[i]:
-            above[i].add(j)
-            above[i] |= above[j]
-    return succ, above
+def _rank_facets(order, covers):
+    """The relation ``covers`` as a facet table on ranks in ``order``, a
+    topological order of it: ``facets[r]`` lists the ranks of the elements
+    below the element of rank r, so ids ascend along the order."""
+    rank = {e: r for r, e in enumerate(order)}
+    facets = [[] for _ in order]
+    for a, b in covers:
+        facets[rank[b]].append(rank[a])
+    return facets
 
 
-def _transitive_reduction(n, edges, order):
-    """Drop covering pairs implied by longer paths."""
-    succ, above = _closure(n, edges, order)
-    reduced = []
-    for a, b in edges:
-        if not any(b in above[j] for j in succ[a] if j != b):
-            reduced.append((a, b))
-    return tuple(sorted(reduced))
+def _transitive_reduction(facets):
+    """The covering pairs (i, j) of a facet table's relation: each facet i
+    of j that lies below no other facet of j, read off ``_face_ups``."""
+    above = list(map(set, _face_ups(facets)))
+    return [(i, j) for j, fs in enumerate(facets) for i in fs if above[i].isdisjoint(fs)]
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ A construction that can blow up (sd(X), the realization, a fiber power,
 the nerve's cover, a bound's digits) is counted, before it is built
 wherever the count can be had without it, and ``_refuse_past_cap``
 refuses a count past its cap with "<count> <what> exceed the cap of
-<cap>", naming the stage, the count and the cap.  Three refusals made
-inside a loop build their own error: the chain enumeration's, once per
-length, and the nerve's per-vertex estimate and simplex count.  The cell
-cap is an explicit cap, else ``REEBFORGE_CELL_CAP``, else
-``DEFAULT_CELL_CAP``; it and every other numeric parameter are checked by
-``_require_at_least``, which takes only an ``int`` that is not a ``bool``.
+<cap>", naming the stage, the count and the cap.  Only the nerve's two
+refusals, its per-vertex estimate and its simplex count, are made inside
+a loop and build their own error.  The cell cap is an explicit cap, else
+``REEBFORGE_CELL_CAP``, else ``DEFAULT_CELL_CAP``; it and every other
+numeric parameter are checked by ``_require_at_least``, and every integer
+that the checked constructors take by ``_require_ints``: each takes only
+an ``int`` that is not a ``bool``.
 """
 
 import os
@@ -84,13 +85,22 @@ def _refuse_past_cap(count, cap, what, stage):
 
 
 class InvalidParamsError(ReebForgeError):
-    """A parameter is out of range or unknown: a bound parameter, a fold
-    count, a cell cap, a thread count, an engine name or a descent target."""
+    """A parameter is out of range, of the wrong type or unknown: a bound
+    parameter, a fold count, a cell cap, a thread count, an engine name, a
+    descent target, or an input of a checked constructor."""
+
+
+def _require_ints(name, values):
+    """Raise InvalidParamsError naming the first of ``values`` that is not an
+    ``int`` or is a ``bool``; one pass over their types settles most calls."""
+    if not set(map(type, values)) <= {int}:
+        for value in values:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_at_least(name, value, low):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    _require_ints(name, (value,))
     if value < low:
         raise InvalidParamsError(f"{name} must be >= {low}, got {value}")
 

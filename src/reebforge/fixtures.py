@@ -45,15 +45,6 @@ def boundary_delta3():
     return validate_complex(4, faces, close_faces=True)
 
 
-def minimal_torus():
-    """The 7-vertex torus triangulation (every vertex pair is an edge)."""
-    faces = []
-    for i in range(7):
-        faces.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
-        faces.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
-    return validate_complex(7, faces, close_faces=True)
-
-
 def grid_torus(m, n):
     """Torus as an m x n periodic grid with consistent diagonals."""
     if m < 3 or n < 3:

@@ -61,7 +61,6 @@ from .complexes import (
     _complex_of_chains,
     _edge_checked_map,
     _face_order_complex,
-    _face_pairs,
     _face_ups,
     barycentric_subdivision,
     canonical_simplex,
@@ -128,8 +127,7 @@ class ReebComplex:
         over a facet holds the restrictions of all its members, sigma's too.
         """
         sd, _ = barycentric_subdivision(self.map.domain)
-        edges = _face_pairs(self.map.domain.facets)
-        return _edge_checked_map(sd, self.realization, self.exact_strata, edges)
+        return _edge_checked_map(sd, self.realization, self.exact_strata)
 
     def betti(self):
         """Reeb-space Betti numbers: cellular homology with the signs (-1)**u."""
@@ -463,14 +461,12 @@ class LevelSliceModel:
     The codomain path alternates value vertices and gap vertices for the open
     intervals between consecutive values; ``codomain_levels[i]`` describes
     vertex i as ("value", v) or ("gap", lo, hi).  The domain is the order
-    complex of the level/slab cell decomposition of the original complex;
-    ``cells[j]`` records the (original simplex, codomain vertex) pair behind
-    domain vertex j.
+    complex of the level/slab cell decomposition of the original complex,
+    and ``map`` sends each cell to its codomain vertex.
     """
 
     map: SimplicialMap
     codomain_levels: tuple
-    cells: tuple
 
 
 def pl_as_simplicial_map(g):
@@ -510,19 +506,19 @@ def pl_as_simplicial_map(g):
     # Ids ascend along the face order: k.simplices is canonical, and each
     # simplex lists its value cells before its gap cells, each ascending.
     # So cell 2i of simplex s has id v0[s] + i and cell 2i+1 has g0[s] + i.
-    simps = k.simplices
+    # A cell's image is its c.
     lows, highs = _level_spans(k, level_of)
-    cells = []
+    images = []
     v0 = []
     g0 = []
-    for s, lo, hi in zip(simps, lows, highs):
-        start = len(cells)
+    for lo, hi in zip(lows, highs):
+        start = len(images)
         if lo == hi:
-            cells.append((s, 2 * lo))
+            images.append(2 * lo)
             v0.append(start - lo)
         else:
-            cells += [(s, 2 * i) for i in range(lo + 1, hi)]
-            cells += [(s, 2 * i + 1) for i in range(lo, hi)]
+            images += range(2 * lo + 2, 2 * hi, 2)
+            images += range(2 * lo + 1, 2 * hi, 2)
             v0.append(start - lo - 1)
         g0.append(start + hi - 2 * lo - 1)
 
@@ -535,7 +531,7 @@ def pl_as_simplicial_map(g):
     # above unless i is its highest; strictly inside the face's span, all
     # three.  Ids index one shared list, so every chain holds the same int
     # objects.
-    ids = list(range(len(cells)))
+    ids = list(range(len(images)))
     above = _face_ups(k.facets)
     ups = []
     for s, (lo, hi) in enumerate(zip(lows, highs)):
@@ -561,8 +557,5 @@ def pl_as_simplicial_map(g):
         for i in range(lo, hi):
             ups.append(tuple([ids[g0[t] + i] for t in up]))
 
-    sliced = _complex_of_chains(len(cells), ups)
-    images = [c for (_, c) in cells]
-    edges = ((i, j) for i, up in enumerate(ups) for j in up)
-    f = _edge_checked_map(sliced, path, images, edges)
-    return LevelSliceModel(f, tuple(codomain_levels), tuple(cells))
+    f = _edge_checked_map(_complex_of_chains(ups), path, images)
+    return LevelSliceModel(f, tuple(codomain_levels))

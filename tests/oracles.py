@@ -43,8 +43,10 @@ them from the Cayley-trick parity tables of ``cayley_tables``, that the
 transferred complex of ``reebforge.fiberprod`` replaced; it reads only the
 matching and the critical simplices of the package's ``_MorseModel``.
 ``koszul_signs`` gives each critical cell its sign sigma, which carries the
-flow's complex to the package's.  Otherwise only the result types and the
-internal-invariant error come from the package.
+flow's complex to the package's.  ``minimal_torus``, the 7-vertex torus, is
+a test complex, built by the package's checked ``validate_complex``.
+Otherwise only the result types and the internal-invariant error come from
+the package.
 """
 
 import heapq
@@ -52,7 +54,7 @@ from fractions import Fraction
 from math import gcd
 from itertools import combinations, product
 
-from reebforge.complexes import Poset
+from reebforge.complexes import Poset, validate_complex
 from reebforge.errors import InvariantError
 from reebforge.fiberprod import _MorseModel
 from reebforge.homology import BettiVector
@@ -86,6 +88,15 @@ class UnionFind:
 
 def _canonical(members):
     return sorted(set(members), key=lambda s: (len(s), s))
+
+
+def minimal_torus():
+    """The 7-vertex torus triangulation (every vertex pair is an edge)."""
+    faces = []
+    for i in range(7):
+        faces.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
+        faces.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
+    return validate_complex(7, faces, close_faces=True)
 
 
 def first_non_simplicial(domain_simplices, codomain_simplices, vertex_images):

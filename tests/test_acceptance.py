@@ -37,7 +37,6 @@ from reebforge.fixtures import (
     disk_collapse,
     full_simplex,
     grid_torus,
-    minimal_torus,
     path_complex,
     product_power,
     random_function,
@@ -45,7 +44,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 
-from .oracles import convolve, fiber_power_triangulation_betti
+from .oracles import convolve, fiber_power_triangulation_betti, minimal_torus
 
 X = [0, 1]
 

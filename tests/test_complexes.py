@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 import tracemalloc
 
 import pytest
@@ -15,6 +16,7 @@ from reebforge import (
     InvariantError,
     MissingFaceError,
     NotSimplicialError,
+    PLFunction,
     Poset,
     ReebForgeError,
     SimplicialComplex,
@@ -46,7 +48,6 @@ from reebforge.fixtures import (
     disk_collapse,
     full_simplex,
     grid_torus,
-    minimal_torus,
     path_complex,
     product_power,
     random_function,
@@ -63,6 +64,7 @@ from .oracles import (
     first_missing_face,
     first_non_simplicial,
     is_canonical_listing_by_keys,
+    minimal_torus,
     partition_face_relation,
     partition_up_closed,
     poset_chains,
@@ -411,14 +413,13 @@ def test_order_complex_equals_its_checked_rebuild_and_its_chains():
         [(1, 2), (0, 2), ()],
         [(1, 3), (2,), ()],
         [(1,), (1, 2), ()],
-        [(1,), ()],
         [(1,), (2,), ()],
     ],
-    ids=["not_ascending", "below_own_id", "id_past_n", "own_id", "too_few_up_sets", "not_transitive"],
+    ids=["not_ascending", "below_own_id", "id_past_n", "own_id", "not_transitive"],
 )
 def test_malformed_up_sets_raise_invariant_error(ups):
     with pytest.raises(InvariantError):
-        _complex_of_chains(3, ups)
+        _complex_of_chains(ups)
 
 
 def test_poset_rejects_cycles():
@@ -439,53 +440,52 @@ def test_poset_order_complex_of_chain():
 
 
 def test_chain_cap_names_stage_count_and_cap():
-    # The 3-chain has 7 chains; the sixth passes a cap of 5.
+    # The 3-chain has 7 chains, all counted before any is built.
     with pytest.raises(BudgetExceededError) as info:
         Poset(["a", "b", "c"], [(0, 1), (1, 2)]).order_complex(cap=5)
     exc = info.value
-    assert (exc.stage, exc.count, exc.cap) == ("chains", 6, 5)
+    assert str(exc) == "7 chains exceed the cap of 5"
+    assert (exc.stage, exc.count, exc.cap) == ("chains", 7, 5)
 
 
 def test_chain_cap_passes_at_the_chain_count_and_raises_one_below():
-    # The cap is checked once per chain length: one below the chain count,
-    # the last length passes it, and the count names every chain.
+    # The cap is checked on the total chain count: one below it refuses,
+    # and the count names every chain.
     for poset in reeb_posets():
         full = poset.order_complex()
-        total = len(full.simplex_set)
+        total = len(full.simplices)
         assert poset.order_complex(cap=total) == full
         with pytest.raises(BudgetExceededError) as info:
             poset.order_complex(cap=total - 1)
         exc = info.value
-        assert str(exc) == f"chain enumeration passed the cap of {total - 1}"
+        assert str(exc) == f"{total} chains exceed the cap of {total - 1}"
         assert (exc.stage, exc.count, exc.cap) == ("chains", total, total - 1)
 
 
-def test_chain_cap_counts_every_chain_up_to_the_length_that_passes_it():
-    # A 3-chain: 3 vertices, 3 edges, 1 triangle.
-    ups = [(1, 2), (2,), ()]
-    for cap, count in ((0, 3), (2, 3), (3, 6), (5, 6), (6, 7)):
+def test_chain_cap_refusal_counts_every_chain():
+    # A 3-chain: 3 vertices, 3 edges, 1 triangle.  Every cap below 7 is
+    # refused with the whole count, however few chains of each length.
+    poset = Poset(["a", "b", "c"], [(0, 1), (1, 2)])
+    for cap in range(7):
         with pytest.raises(BudgetExceededError) as info:
-            _enumerate_chains(3, ups, cap=cap)
-        assert (info.value.stage, info.value.count, info.value.cap) == ("chains", count, cap)
-    assert len(_enumerate_chains(3, ups, cap=7)) == 7
+            poset.order_complex(cap=cap)
+        assert (info.value.stage, info.value.count, info.value.cap) == ("chains", 7, cap)
+    assert len(poset.order_complex(cap=7).simplices) == 7
 
 
-class _UnreadUpSet(tuple):
-    """An up-set whose length may be read but whose ids may not."""
+def test_chain_cap_refuses_a_poset_before_building_any_chain(monkeypatch):
+    def refuse(ups):
+        raise AssertionError("a chain was built past the cap")
 
-    def __iter__(self):
-        raise AssertionError("a chain of the refused length was built")
-
-
-def test_chain_cap_refuses_a_length_before_building_any_of_its_chains(monkeypatch):
-    # Every refusal below comes before the 2-chains, so no up-set is read
-    # for its ids; the up-set check, which reads them, is tested above.
-    monkeypatch.setattr(complexes, "_check_up_sets", lambda n, ups: None)
-    ups = [_UnreadUpSet(up) for up in ((1, 2), (2,), ())]
-    for cap, count in ((0, 3), (2, 3), (3, 6), (5, 6)):
+    posets = list(reeb_posets())
+    totals = [len(poset.order_complex().simplices) for poset in posets]
+    monkeypatch.setattr(complexes, "_enumerate_chains", refuse)
+    for poset, total in zip(posets, totals):
         with pytest.raises(BudgetExceededError) as info:
-            _enumerate_chains(3, ups, cap=cap)
-        assert (info.value.count, info.value.cap) == (count, cap)
+            poset.order_complex(cap=total - 1)
+        assert (info.value.count, info.value.cap) == (total, total - 1)
+    with pytest.raises(AssertionError):
+        posets[0].order_complex(cap=totals[0])
 
 
 @pytest.mark.parametrize("n, ups", [
@@ -495,11 +495,55 @@ def test_chain_cap_refuses_a_length_before_building_any_of_its_chains(monkeypatc
     (0, []),
 ])
 def test_chains_come_out_in_canonical_order(n, ups):
-    chains = _enumerate_chains(n, ups)
+    chains = _enumerate_chains(ups)
     assert chains == sorted(chains, key=simplex_key)
     assert sorted(chains) == poset_chains(n, [(i, j) for i, up in enumerate(ups) for j in up])
-    oc = _complex_of_chains(n, ups)
+    oc = _complex_of_chains(ups)
+    assert oc.num_vertices == n
     assert vars(oc)["simplices"] == tuple(chains) == oc.simplices
+
+
+@st.composite
+def relations(draw):
+    """A relation on 0..n-1 with no cycle, its ids in no particular order:
+    pairs ascending in a drawn permutation of the ids."""
+    n = draw(st.integers(0, 8))
+    perm = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))))
+    return n, [(perm[a], perm[b]) for a, b in pairs if n and a < b]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(relations())
+def test_poset_covers_chains_and_cap_match_the_brute_force_poset(case):
+    # Chains by pairwise comparability, and the covers as the pairs of the
+    # order with nothing between them; the cap's count is the chain count.
+    n, pairs = case
+    poset = Poset(range(n), pairs)
+    chains = poset_chains(n, pairs)
+    less = {(a, b) for a in range(n) for b in range(n) if _below(pairs, a, b)}
+    covers = sorted((a, b) for a, b in less if not any((a, c) in less and (c, b) in less for c in range(n)))
+    assert list(poset.covers) == covers
+    oc = poset.order_complex()
+    assert sorted(oc.simplices) == chains
+    assert_checked_rebuild(oc)
+    assert poset.order_complex(cap=len(chains)) == oc
+    if chains:
+        with pytest.raises(BudgetExceededError) as info:
+            poset.order_complex(cap=len(chains) - 1)
+        assert info.value.count == len(chains)
+
+
+def _below(pairs, a, b):
+    """Whether a path of ``pairs`` leads from a up to b."""
+    seen, todo = set(), [a]
+    while todo:
+        x = todo.pop()
+        for lo, hi in pairs:
+            if lo == x and hi not in seen:
+                seen.add(hi)
+                todo.append(hi)
+    return b in seen
 
 
 def test_poset_ids_need_not_be_a_linear_extension():
@@ -568,13 +612,12 @@ def maps_into_flag_complexes(draw):
 @given(maps_into_flag_complexes())
 def test_edge_check_agrees_with_full_check(case):
     domain, codomain, images = case
-    edges = [s for s in domain.simplex_set if len(s) == 2]
     try:
         full = SimplicialMap(domain, codomain, images)
     except (NotSimplicialError, VertexOutOfRangeError, ValueCountMismatchError):
         full = None
     try:
-        fast = _edge_checked_map(domain, codomain, images, edges)
+        fast = _edge_checked_map(domain, codomain, images)
     except InvariantError:
         fast = None
     assert fast == full
@@ -584,11 +627,11 @@ def test_edge_check_names_the_edge_and_its_images():
     path = path_complex(4)
     domain = path_complex(3)
     with pytest.raises(InvariantError, match=r"domain edge \(1, 2\) maps to 1 and 3"):
-        _edge_checked_map(domain, path, [0, 1, 3], [(0, 1), (1, 2)])
+        _edge_checked_map(domain, path, [0, 1, 3])
     with pytest.raises(InvariantError, match="domain vertex 2 maps to 4, not a codomain vertex"):
-        _edge_checked_map(domain, path, [0, 1, 4], [(0, 1), (1, 2)])
+        _edge_checked_map(domain, path, [0, 1, 4])
     with pytest.raises(InvariantError, match="2 images for 3 domain vertices"):
-        _edge_checked_map(domain, path, [0, 1], [(0, 1), (1, 2)])
+        _edge_checked_map(domain, path, [0, 1])
 
 
 def test_face_pairs_are_the_edges_of_the_subdivision():
@@ -991,6 +1034,66 @@ def test_constructor_refuses_a_simplex_listed_twice():
     assert str(info.value) == "simplex (0,) listed twice"
 
 
+# The checked constructors take exact input as it is: what ``int`` or
+# ``Fraction`` would coerce, a float, a bool or a digit string, is refused.
+
+PATH3 = [(0,), (1,), (2,), (0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: SimplicialComplex(2, [(0,), (0.5,)]),
+                     "vertex id must be an integer, got 0.5", id="float_vertex_id"),
+        pytest.param(lambda: SimplicialComplex(3, [(0,), (True,)]),
+                     "vertex id must be an integer, got True", id="bool_vertex_id"),
+        pytest.param(lambda: SimplicialComplex(3, [(0,), ("1",)]),
+                     "vertex id must be an integer, got '1'", id="string_vertex_id"),
+        pytest.param(lambda: SimplicialComplex(2.7, [(0,), (1,)]),
+                     "vertex count must be an integer, got 2.7", id="float_count"),
+        pytest.param(lambda: validate_complex(2.7, [(0, 1)], close_faces=True),
+                     "vertex count must be an integer, got 2.7", id="float_count_closed"),
+        pytest.param(lambda: SimplicialComplex(True, [(0,)]),
+                     "vertex count must be an integer, got True", id="bool_count"),
+        pytest.param(lambda: SimplicialMap(path_complex(3), path_complex(3), [0.9, 1.2, 2.5]),
+                     "vertex image must be an integer, got 0.9", id="float_images"),
+        pytest.param(lambda: SimplicialMap(path_complex(3), path_complex(3), [0, True, 1]),
+                     "vertex image must be an integer, got True", id="bool_image"),
+        pytest.param(lambda: SimplicialMap(path_complex(3), path_complex(3), [0, "1", 2]),
+                     "vertex image must be an integer, got '1'", id="string_image"),
+        pytest.param(lambda: PLFunction(path_complex(3), [0.1, 0, 1]),
+                     "value must be a rational, got 0.1", id="float_value"),
+        pytest.param(lambda: PLFunction(path_complex(3), [0, False, 1]),
+                     "value must be a rational, got False", id="bool_value"),
+        pytest.param(lambda: PLFunction(path_complex(3), [0, "1/2", 1]),
+                     "value must be a rational, got '1/2'", id="string_value"),
+        pytest.param(lambda: SimplicialComplex(2, [(0,), (1,)], coordinates=[[0], [0.5]]),
+                     "coordinate must be a rational, got 0.5", id="float_coordinate"),
+        pytest.param(lambda: validate_complex(2, [(0, 1)], True, [[0], [0.5]]),
+                     "coordinate must be a rational, got 0.5", id="float_coordinate_closed"),
+        pytest.param(lambda: Poset("ab", [(0, 1.0)]),
+                     "poset relation id must be an integer, got 1.0", id="float_relation"),
+        pytest.param(lambda: Poset("ab", [("0", 1)]),
+                     "poset relation id must be an integer, got '0'", id="string_relation"),
+    ],
+)
+def test_checked_constructors_refuse_input_they_would_coerce(build, message):
+    with pytest.raises(InvalidParamsError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_checked_constructors_take_ints_and_fractions_as_they_are():
+    k = SimplicialComplex(3, PATH3, coordinates=[[0], [Fraction(1, 2)], [1]])
+    assert k.coordinates == ((0,), (Fraction(1, 2),), (1,))
+    assert all(type(c) is Fraction for p in k.coordinates for c in p)
+    g = PLFunction(k, [2, Fraction(-1, 3), 0])
+    assert g.values == (2, Fraction(-1, 3), 0)
+    assert all(type(v) is Fraction for v in g.values)
+    assert SimplicialMap(k, k, [0, 1, 1]).vertex_images == (0, 1, 1)
+    assert Poset("abc", [(0, 1), (1, 2), (0, 2)]).covers == ((0, 1), (1, 2))
+
+
 # The image table against the image of each simplex's vertex set, on checked
 # maps and on the maps the package builds unchecked (a slice, a quotient map).
 
@@ -1026,7 +1129,7 @@ def test_image_table_is_the_image_of_each_vertex_set(build):
 
 def test_edge_checked_maps_leave_the_image_table_unbuilt():
     built = [
-        _edge_checked_map(path_complex(3), path_complex(3), [0, 1, 1], [(0, 1), (1, 2)]),
+        _edge_checked_map(path_complex(3), path_complex(3), [0, 1, 1]),
         pl_as_simplicial_map(random_function(3)).map,
         torus_height()[1],
         reeb_space(disk_collapse(2)).quotient_map,

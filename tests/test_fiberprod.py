@@ -34,7 +34,6 @@ from reebforge.fixtures import (
     circle,
     disk_collapse,
     full_simplex,
-    minimal_torus,
     path_complex,
     product_power,
     random_function,

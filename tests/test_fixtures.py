@@ -14,12 +14,13 @@ from reebforge.fixtures import (
     build_fixture,
     disk_collapse,
     grid_torus,
-    minimal_torus,
     product_power,
     random_function,
     random_map,
     torus_height,
 )
+
+from .oracles import minimal_torus
 
 
 def test_disk_collapse_validates():

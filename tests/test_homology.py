@@ -31,7 +31,6 @@ from reebforge.fixtures import (
     disk_collapse,
     full_simplex,
     grid_torus,
-    minimal_torus,
     path_complex,
     product_power,
     random_map,
@@ -45,6 +44,7 @@ from .oracles import (
     collapse_face_poset_sets,
     convolve,
     gauss_rank_fractions,
+    minimal_torus,
     naive_betti,
     smith_rank,
     stratum_poset,

@@ -506,7 +506,7 @@ def test_cli_output_file(tmp_path, capsys):
 def test_cli_reeb_space_builds_no_order_complex(tmp_path, capsys, monkeypatch):
     # Every order complex the package builds enumerates its chains in
     # ``complexes._enumerate_chains``; the guard fires on the realization.
-    def refuse(n, ups, cap=None):
+    def refuse(ups):
         raise AssertionError("order complex built")
 
     path = tmp_path / "disk.json"

@@ -10,12 +10,15 @@ a v + b: the level sets are the same, only their values move.
 """
 
 import contextlib
+import functools
 import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebforge import (
     BudgetExceededError,
@@ -143,6 +146,31 @@ def test_relabelling_a_function_keeps_its_invariants(build, seed):
     rng = random.Random(seed)
     for _ in range(3):
         assert function_invariants(relabel_function(g, rng)) == want
+
+
+def slice_invariants(g):
+    space = reeb_space(pl_as_simplicial_map(g).map)
+    return space.betti(), len(space.strata)
+
+
+@functools.cache
+def random_slice_invariants(seed):
+    return slice_invariants(random_function(seed))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 49), st.data())
+def test_relabelling_a_sliced_function_keeps_its_reeb_space(seed, data):
+    # Any permutation, drawn: the slice's closed-form up-sets and images
+    # lean on ids ascending along the face order, which relabelling moves.
+    g = random_function(seed)
+    n = g.complex.num_vertices
+    perm = data.draw(st.permutations(range(n)))
+    values = [None] * n
+    for v, x in enumerate(g.values):
+        values[perm[v]] = x
+    relabelled_g = PLFunction(relabelled(g.complex, perm), values)
+    assert slice_invariants(relabelled_g) == random_slice_invariants(seed)
 
 
 # The CLI on the files of the benchmark's CLI session, relabelled in the
