@@ -14,7 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
-from .errors import ZeroPolynomialError, _refuse_past_cap, _require_at_least
+from .errors import ZeroPolynomialError, _fractions, _refuse_past_cap, _require_at_least
 
 # The most decimal digits a bound value may have, and the bit length of
 # 10 ** MAX_BOUND_DIGITS: 2 ** (_CAP_BITS - 1) < 10 ** MAX_BOUND_DIGITS < 2 ** _CAP_BITS.
@@ -146,7 +146,7 @@ def count_distinct_real_roots(poly):
     Sturm's theorem applied to the squarefree part: the variation difference
     of the chain's leading-coefficient signs at -infinity and +infinity.
     """
-    poly = _strip([Fraction(c) for c in poly])
+    poly = _strip(_fractions("coefficient", poly))
     if not poly:
         raise ZeroPolynomialError("the zero polynomial has no root structure")
     if len(poly) == 1:
@@ -183,7 +183,7 @@ def univariate_sign_components(polys):
         raise ZeroPolynomialError("at least one polynomial is required")
     product = [Fraction(1)]
     for poly in polys:
-        poly = _strip([Fraction(c) for c in poly])
+        poly = _strip(_fractions("coefficient", poly))
         if not poly:
             raise ZeroPolynomialError("the zero polynomial is not allowed")
         product = _poly_mul(product, poly)

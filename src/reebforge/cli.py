@@ -89,6 +89,10 @@ def cmd_reeb(args):
     f, g = _load_map_or_function(args.file, args.close_faces)
     if args.dot and not args.graph:
         raise ReebForgeError("--dot renders Reeb graphs; combine it with --graph")
+    if args.emit_realization and args.graph:
+        raise ReebForgeError(
+            "--emit-realization inlines a Reeb space's realization; combine it with --space"
+        )
     if args.graph:
         if g is None:
             raise ReebForgeError("--graph needs a PL function file")
@@ -243,7 +247,7 @@ def build_parser():
     p = sub.add_parser("fiber-power", help="Betti numbers of an iterated fiber power")
     p.add_argument("file")
     p.add_argument("-p", type=int, required=True, help="fold count minus one (p >= 0)")
-    p.add_argument("--engine", choices=("auto", "nerve", "cells"), default="auto")
+    p.add_argument("--engine", choices=("auto", "cells"), default="auto")
     p.add_argument("--cell-cap", type=int, default=None)
     add_common(p)
     p.set_defaults(func=_late("cmd_fiber_power"))

@@ -11,10 +11,8 @@ from __future__ import annotations
 import bisect
 import graphlib
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -27,6 +25,7 @@ from .errors import (
     UnknownSimplexError,
     ValueCountMismatchError,
     VertexOutOfRangeError,
+    _fractions,
     _refuse_past_cap,
     _require_ints,
 )
@@ -309,17 +308,6 @@ def _rational_points(num_vertices, coordinates):
     if len({len(p) for p in points}) > 1:
         raise InvalidSimplexError("coordinate points have mixed ambient dimensions")
     return points
-
-
-def _fractions(name, values):
-    """``values`` as Fractions, each given as a ``numbers.Rational`` that is
-    not a ``bool``: a float, which ``Fraction`` would take as its binary
-    fraction, or a string raises InvalidParamsError."""
-    values = tuple(values)
-    for value in values:
-        if not isinstance(value, numbers.Rational) or isinstance(value, bool):
-            raise InvalidParamsError(f"{name} must be a rational, got {value!r}")
-    return tuple(map(Fraction, values))
 
 
 def _runs(simplices):

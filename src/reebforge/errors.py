@@ -6,14 +6,20 @@ wherever the count can be had without it, and ``_refuse_past_cap``
 refuses a count past its cap with "<count> <what> exceed the cap of
 <cap>", naming the stage, the count and the cap.  Only the nerve's two
 refusals, its per-vertex estimate and its simplex count, are made inside
-a loop and build their own error.  The cell cap is an explicit cap, else
+a loop and build their own error; no CLI command reaches them, only the
+API's ``fiber_power_nerve``.  The cell cap is an explicit cap, else
 ``REEBFORGE_CELL_CAP``, else ``DEFAULT_CELL_CAP``; it and every other
 numeric parameter are checked by ``_require_at_least``, and every integer
-that the checked constructors take by ``_require_ints``: each takes only
-an ``int`` that is not a ``bool``.
+that the checked constructors and the fixture generators take by
+``_require_ints``: each takes only an ``int`` that is not a ``bool``.
+Every rational, a coordinate, a PL value or a polynomial coefficient, goes
+through ``_fractions``, which takes only a ``numbers.Rational`` that is not
+a ``bool``.
 """
 
+import numbers
 import os
+from fractions import Fraction
 
 DEFAULT_CELL_CAP = 200_000
 CELL_CAP_ENV = "REEBFORGE_CELL_CAP"
@@ -87,7 +93,8 @@ def _refuse_past_cap(count, cap, what, stage):
 class InvalidParamsError(ReebForgeError):
     """A parameter is out of range, of the wrong type or unknown: a bound
     parameter, a fold count, a cell cap, a thread count, an engine name, a
-    descent target, or an input of a checked constructor."""
+    descent target, a fixture parameter, a polynomial coefficient, or an
+    input of a checked constructor."""
 
 
 def _require_ints(name, values):
@@ -97,6 +104,17 @@ def _require_ints(name, values):
         for value in values:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+
+
+def _fractions(name, values):
+    """``values`` as Fractions, each given as a ``numbers.Rational`` that is
+    not a ``bool``: a float, which ``Fraction`` would take as its binary
+    fraction, or a string raises InvalidParamsError."""
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, numbers.Rational) or isinstance(value, bool):
+            raise InvalidParamsError(f"{name} must be a rational, got {value!r}")
+    return tuple(map(Fraction, values))
 
 
 def _require_at_least(name, value, low):

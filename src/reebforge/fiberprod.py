@@ -90,7 +90,8 @@ groups become the pairs (tau, stratum), and the argument above holds as is.
 The nerve of the closed convex cells {(x0..xp) in s0 x ... x sp : f(x0) =
 ... = f(xp)} over tuples of maximal simplices is homotopy equivalent to W_p.
 A vertex of maximal-simplex degree g gives it a simplex on g**(p+1) vertices,
-so it runs only for ``engine="nerve"``, as the tests' reference.
+so no ``src/`` function calls ``fiber_power_nerve``: it is the tests'
+independent reference for the cell model.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ from .reeb import reeb_space
 def fiber_power_nerve(f, p, cell_cap=None):
     """Nerve of the maximal-simplex cover of the (p+1)-fold fiber power.
 
+    No ``src/`` function calls it: it is the tests' independent reference
+    for ``fiber_power_betti``, exact by the nerve lemma but exponential.
     Nerve vertex i is the i-th cover tuple in canonical order.  A tuple of
     maximal simplices is a cover vertex iff the intersection of their
     images is nonempty; a set of tuples spans a nerve simplex iff all
@@ -487,14 +490,10 @@ def fiber_power_betti(f, p, engine="auto", cell_cap=None):
     """Betti vector of the (p+1)-fold fiber power of f.
 
     ``engine`` is "auto" (the default) or "cells", which both run the cell
-    model, or "nerve", which enumerates the nerve of the convex cover of the
-    unreduced map as an independent reference; the nerve only fits small
-    maximal-simplex degrees and raises BudgetExceededError past the cap.
+    model; any other name raises InvalidParamsError.
     """
     _require_at_least("p", p, 0)
     cap = resolve_cell_cap(cell_cap)
-    if engine == "nerve":
-        return betti(fiber_power_nerve(f, p, cap))
     if engine not in ("auto", "cells"):
         raise InvalidParamsError(f"unknown engine {engine!r}")
     return _fiber_powers(f, range(p, p + 1), _group_sizes(f), cap)[0]

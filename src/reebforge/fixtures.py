@@ -14,7 +14,7 @@ from .complexes import (
     staircase_product,
     validate_complex,
 )
-from .errors import InvalidParamsError, InvariantError, UnsupportedDimensionError
+from .errors import InvalidParamsError, InvariantError, UnsupportedDimensionError, _require_ints
 from .reeb import pl_as_simplicial_map
 
 
@@ -136,9 +136,11 @@ def random_map(seed, size=12):
     every backbone edge simplicial and the domain connected), then decorated
     with image-compatible chords and triangles.
     """
+    _require_ints("seed", (seed,))
+    _require_ints("size", (size,))
     if size < 6 or size > 64:
         raise InvalidParamsError("size must be between 6 and 64")
-    rng = random.Random(int(seed))
+    rng = random.Random(seed)
     codomain = _CODOMAINS[rng.choice(sorted(_CODOMAINS))]()
     n = rng.randint(6, size)
 
@@ -179,8 +181,8 @@ def random_map(seed, size=12):
 
 def random_function(seed, size=12):
     """Reproducible random 2-complex with distinct integer vertex values."""
-    rng = random.Random(int(seed) ^ 0x5EED)
-    domain = random_map(seed, size=size).domain
+    domain = random_map(seed, size=size).domain  # checks seed and size
+    rng = random.Random(seed ^ 0x5EED)
     values = list(range(domain.num_vertices))
     rng.shuffle(values)
     return PLFunction(domain, [Fraction(v) for v in values])
@@ -218,6 +220,7 @@ def build_fixture(spec):
     for key, value in spec.parameters.items():
         if key not in allowed:
             raise InvalidParamsError(f"fixture {spec.name!r} has no parameter {key!r}")
+        _require_ints(key, (value,))
         lo, hi = allowed[key]
         if not (lo <= value <= hi):
             raise InvalidParamsError(f"{key}={value} outside {lo}..{hi} for {spec.name!r}")

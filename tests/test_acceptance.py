@@ -25,6 +25,7 @@ from reebforge import (
     euler_characteristic,
     fiber_components_at,
     fiber_power_betti,
+    fiber_power_nerve,
     pl_as_simplicial_map,
     reeb_graph,
     reeb_space,
@@ -224,7 +225,7 @@ def test_criterion_7_oracle_equivalence():
         assert len(f.domain.maximal_simplices) <= 6
         for p in (0, 1):
             oracle = fiber_power_triangulation_betti(f, p)
-            assert fiber_power_betti(f, p, engine="nerve").as_list() == oracle
+            assert betti(fiber_power_nerve(f, p)).as_list() == oracle
             assert fiber_power_betti(f, p, engine="cells").as_list() == oracle
 
     _report(7, f"all oracle equivalences hold in {time.monotonic()-start:.2f}s")

@@ -98,6 +98,23 @@ def test_root_counts():
     assert count_distinct_real_roots([5]) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_distinct_real_roots([0.1, 1]),
+        lambda: count_distinct_real_roots(["1/2", 1]),
+        lambda: count_distinct_real_roots([True, 1]),
+        lambda: univariate_sign_components([[0.5, 1.0]]),
+    ],
+    ids=["float", "str", "bool", "sign_components_float"],
+)
+def test_root_counters_take_only_rational_coefficients(call):
+    # A float would be read as its binary fraction and a string parsed, so
+    # each is refused, as a bool is, rather than coerced.
+    with pytest.raises(InvalidParamsError, match="coefficient must be a rational"):
+        call()
+
+
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
         count_distinct_real_roots([0, 0])

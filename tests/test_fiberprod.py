@@ -1,3 +1,4 @@
+import json
 import time
 from itertools import combinations, product
 
@@ -20,7 +21,7 @@ from reebforge import (
     image_subcomplex,
     reeb_space,
 )
-from reebforge import fiberprod
+from reebforge import cli, fiberprod
 from reebforge.complexes import _chain_count
 from reebforge.errors import DEFAULT_CELL_CAP, resolve_cell_cap
 from reebforge.fiberprod import (
@@ -41,6 +42,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 from reebforge.homology import regular_cw_betti
+from reebforge.io import dumps_report, map_to_doc
 from reebforge.reeb import Stratum, pl_as_simplicial_map
 
 from .oracles import (
@@ -99,7 +101,7 @@ def test_cells_p0_recovers_domain_betti():
 
 def test_constant_map_powers_are_cartesian_powers():
     const = constant_circle_map()
-    assert fiber_power_betti(const, 1, engine="nerve") == (1, 2, 1)
+    assert betti(fiber_power_nerve(const, 1)) == (1, 2, 1)
     assert fiber_power_betti(const, 1, engine="cells") == (1, 2, 1)
     assert fiber_power_betti(const, 2, engine="cells") == (1, 3, 3, 1)
 
@@ -109,7 +111,7 @@ def test_identity_powers_are_the_domain():
     ident = SimplicialMap(sphere, sphere, list(range(4)))
     for p in (0, 1, 2):
         assert fiber_power_betti(ident, p, engine="cells") == (1, 0, 1)
-    assert fiber_power_betti(ident, 1, engine="nerve") == (1, 0, 1)
+    assert betti(fiber_power_nerve(ident, 1)) == (1, 0, 1)
 
 
 def test_identity_power_at_a_large_p_takes_time_linear_in_p():
@@ -231,7 +233,7 @@ def test_engines_match_geometric_triangulation_oracle(index, p):
     f = small_instances()[index]
     assert len(f.domain.maximal_simplices) <= 6
     expected = fiber_power_triangulation_betti(f, p)
-    assert fiber_power_betti(f, p, engine="nerve").as_list() == expected
+    assert betti(fiber_power_nerve(f, p)).as_list() == expected
     assert fiber_power_betti(f, p, engine="cells").as_list() == expected
 
 
@@ -248,7 +250,7 @@ def low_degree_instances():
 def test_engines_agree_on_low_degree_maps(index):
     f = low_degree_instances()[index]
     for p in (0, 1):
-        nerve = fiber_power_betti(f, p, engine="nerve", cell_cap=500_000)
+        nerve = betti(fiber_power_nerve(f, p, 500_000))
         cells = fiber_power_betti(f, p, engine="cells", cell_cap=500_000)
         assert nerve == cells
 
@@ -706,7 +708,7 @@ def test_huge_powers_are_refused_without_counting_them(p):
     with pytest.raises(BudgetExceededError) as cells:
         fiber_power_betti(f, p)
     with pytest.raises(BudgetExceededError) as nerve:
-        fiber_power_betti(f, p, engine="nerve")
+        betti(fiber_power_nerve(f, p))
     assert time.perf_counter() - start < 0.5
     assert (cells.value.stage, cells.value.count, cells.value.cap) == (
         "fiber-power cells", None, 200_000)
@@ -1041,7 +1043,7 @@ def test_reeb_strata_powers_match_nerve_of_quotient_map(build, p_max):
     f = build()
     quotient = reeb_space(f).quotient_map
     expected = [
-        fiber_power_betti(quotient, p, engine="nerve").as_list() for p in range(p_max + 1)
+        betti(fiber_power_nerve(quotient, p)).as_list() for p in range(p_max + 1)
     ]
     assert descent_check(f, target="reeb", p_max=p_max)["power_betti"] == expected
 
@@ -1099,12 +1101,14 @@ def test_nerve_refusal_before_a_vertex_says_what_it_counts():
     assert str(exc) == "23 cover cells with codomain vertex 2's tuples exceed 4 times the cap of 5"
 
 
-def test_default_engine_never_enumerates_the_nerve(monkeypatch):
+def test_default_engine_never_enumerates_the_nerve(monkeypatch, tmp_path, capsys):
     # Maximal-simplex degree 2: small enough for the nerve at p <= 2, so the
-    # nerve's values are the reference the default engine must reproduce
-    # without ever enumerating a nerve.
+    # nerve's values are the reference the default engine and the CLI must
+    # reproduce without ever enumerating a nerve.
     f = low_degree_instances()[0]
-    expected = [fiber_power_betti(f, p, engine="nerve") for p in range(3)]
+    expected = [betti(fiber_power_nerve(f, p)) for p in range(3)]
+    path = tmp_path / "double_cover.map.json"
+    path.write_text(dumps_report(map_to_doc(f)), encoding="utf-8")
 
     def refuse(*args, **kwargs):
         raise RuntimeError("the production path enumerated a nerve")
@@ -1114,6 +1118,8 @@ def test_default_engine_never_enumerates_the_nerve(monkeypatch):
     report = descent_check(f, p_max=2)
     assert report["power_betti"] == [bv.as_list() for bv in expected]
     assert report["ok"]
+    assert cli.main(["fiber-power", str(path), "-p", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == expected[1].as_list()
 
 
 def test_cell_cap_env_override(monkeypatch):
@@ -1170,9 +1176,10 @@ def test_non_integer_numbers_raise_invalid_params(call):
     "call",
     [
         lambda f: fiber_power_betti(f, 1, engine="simplicial"),
+        lambda f: fiber_power_betti(f, 1, engine="nerve"),
         lambda f: descent_check(f, target="domain"),
     ],
-    ids=["engine", "target"],
+    ids=["engine", "nerve", "target"],
 )
 def test_unknown_names_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):

@@ -108,6 +108,33 @@ def test_random_map_size_budget():
         random_map(0, size=3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_map(1.7),
+        lambda: random_map(True),
+        lambda: random_map("1"),
+        lambda: random_map(3, size=12.5),
+        lambda: random_map(3, size=True),
+        lambda: random_function(1.5),
+        lambda: random_function(3, size=12.5),
+        lambda: build_fixture(FixtureSpec("random_map", {"seed": 1.5})),
+        lambda: build_fixture(FixtureSpec("random_map", {"size": "12"})),
+        lambda: build_fixture(FixtureSpec("disk_collapse", {"n": True})),
+    ],
+    ids=[
+        "seed_float", "seed_bool", "seed_str", "size_float", "size_bool",
+        "function_seed_float", "function_size_float",
+        "spec_seed_float", "spec_size_str", "spec_n_bool",
+    ],
+)
+def test_fixture_numbers_must_be_integers(call):
+    # Nothing is truncated by int() or read as 0 or 1, and no bare
+    # ValueError escapes from random.
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        call()
+
+
 def test_random_function_distinct_values():
     for seed in range(10):
         g = random_function(seed)

@@ -200,6 +200,27 @@ def test_cli_reeb_graph_requires_function_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--space", "--dot"], "--dot renders Reeb graphs; combine it with --graph"),
+        (
+            ["--graph", "--emit-realization"],
+            "--emit-realization inlines a Reeb space's realization; combine it with --space",
+        ),
+    ],
+    ids=["space_dot", "graph_emit_realization"],
+)
+def test_cli_reeb_refuses_a_flag_of_the_other_mode(tmp_path, capsys, flags, message):
+    # Neither flag is dropped in silence: each is an input error.
+    code, _, _ = run_cli(["fixtures", "emit", "torus_height", "-o", str(tmp_path)], capsys)
+    assert code == 0
+    path = os.path.join(str(tmp_path), "torus_height.function.json")
+    code, out, err = run_cli(["reeb", path, *flags], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"reebforge: error: {message}\n"
+
+
 def test_cli_betti_torus_fixture_file(tmp_path, capsys):
     height, _ = torus_height()
     path = tmp_path / "torus.json"
@@ -303,7 +324,6 @@ def test_cli_budget_exit_code(tmp_path, capsys):
 
 HUGE_POWER_REFUSALS = {
     "auto": "fiber-power cells exceed the cap of 200000",
-    "nerve": "cover cells with codomain vertex 0's tuples exceed 4 times the cap of 200000",
 }
 
 
@@ -376,14 +396,15 @@ def test_cli_map_naming_a_missing_domain_is_an_input_error(tmp_path, capsys):
 
 
 def test_cli_fiber_power_nerve_engine(tmp_path, capsys):
+    # The nerve is the tests' reference only: the CLI refuses the name as
+    # a usage error, before the file is read.
     path = tmp_path / "disk.json"
     path.write_text(dumps_report(map_to_doc(disk_collapse(1))), encoding="utf-8")
-    code, default_out, _ = run_cli(["fiber-power", str(path), "-p", "1"], capsys)
-    assert code == 0
-    code, out, _ = run_cli(["fiber-power", str(path), "-p", "1", "--engine", "nerve"], capsys)
-    assert code == 0
-    assert '"engine": "nerve"' in out
-    assert json.loads(out)["betti"] == json.loads(default_out)["betti"]
+    with pytest.raises(SystemExit) as info:
+        main(["fiber-power", str(path), "-p", "1", "--engine", "nerve"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert "invalid choice: 'nerve'" in err
 
 
 def test_cli_bounds(capsys):

@@ -43,7 +43,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 from reebforge import complexes, descent_check, homology, reeb
-from reebforge.fiberprod import fiber_power_betti, image_subcomplex
+from reebforge.fiberprod import fiber_power_betti, fiber_power_nerve, image_subcomplex
 from reebforge.complexes import _face_pairs
 from reebforge.homology import regular_cw_betti
 from reebforge.io import reeb_graph_to_dot
@@ -715,7 +715,7 @@ def test_package_readers_take_images_from_the_table_alone(monkeypatch):
             fiber_components_at(f, (0, 1)),
             image_subcomplex(f),
             fiber_power_betti(f, 1),
-            fiber_power_betti(f, 0, engine="nerve"),
+            betti(fiber_power_nerve(f, 0)),
             descent_check(f, p_max=1),
             descent_check(f, target="reeb", p_max=1),
         ]
