@@ -86,13 +86,13 @@ def cmd_betti(args):
 
 
 def cmd_reeb(args):
-    f, g = _load_map_or_function(args.file, args.close_faces)
     if args.dot and not args.graph:
         raise ReebForgeError("--dot renders Reeb graphs; combine it with --graph")
     if args.emit_realization and args.graph:
         raise ReebForgeError(
             "--emit-realization inlines a Reeb space's realization; combine it with --space"
         )
+    f, g = _load_map_or_function(args.file, args.close_faces)
     if args.graph:
         if g is None:
             raise ReebForgeError("--graph needs a PL function file")
@@ -135,6 +135,8 @@ def cmd_fiber_power(args):
 
 
 def cmd_verify(args):
+    if args.descent is None and not (args.b1 or args.quotient):
+        raise ReebForgeError("choose at least one of --descent, --b1, --quotient")
     f = _as_map(*_load_map_or_function(args.file, args.close_faces))
     checks = {}
     if args.descent is not None:
@@ -145,28 +147,27 @@ def cmd_verify(args):
         checks["b1"] = b1_inequality_check(f)
     if args.quotient:
         checks["quotient"] = verify_quotient(f, cell_cap=args.cell_cap)
-    if not checks:
-        raise ReebForgeError("choose at least one of --descent, --b1, --quotient")
     ok = all(section["ok"] for section in checks.values())
     report = {"checks": checks, "ok": ok}
     _write_output(dumps_report(report), args.output)
     return EXIT_OK if ok else EXIT_FAIL
 
 
+# Bound name -> (name of its evaluator in this module, parameter names).
+# The evaluator is looked up in the module globals when the command runs,
+# so that a wrapped or replaced evaluator is the one called.
+_BOUNDS = {
+    "closed": ("bound_closed", ("s", "d", "k")),
+    "general": ("bound_general", ("s", "d", "k")),
+    "sign-components": ("bound_sign_components", ("s", "d", "k")),
+    "reeb": ("bound_reeb", ("s", "d", "n", "m", "c")),
+}
+
+
 def cmd_bounds(args):
-    # Built per call, so that the evaluators are looked up in the module
-    # globals when the command runs.
-    table = {
-        "closed": (bound_closed, ("s", "d", "k")),
-        "general": (bound_general, ("s", "d", "k")),
-        "sign-components": (bound_sign_components, ("s", "d", "k")),
-        "reeb": (bound_reeb, ("s", "d", "n", "m", "c")),
-    }
-    if args.name not in table:
-        raise ReebForgeError(f"unknown bound {args.name!r}")
-    evaluate, names = table[args.name]
+    evaluator, names = _BOUNDS[args.name]
     params = {key: getattr(args, key) for key in names}
-    report = bound_report(args.name, evaluate(*params.values()), **params)
+    report = bound_report(args.name, globals()[evaluator](*params.values()), **params)
     _write_output(dumps_report(report), args.output)
     return EXIT_OK
 
@@ -263,7 +264,7 @@ def build_parser():
     p.set_defaults(func=_late("cmd_verify"))
 
     p = sub.add_parser("bounds", help="evaluate a quantitative bound exactly")
-    p.add_argument("name", choices=("closed", "general", "sign-components", "reeb"))
+    p.add_argument("name", choices=tuple(_BOUNDS))
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
@@ -297,10 +298,7 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"reebforge: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ReebForgeError as exc:
-        print(f"reebforge: error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
+    except (ReebForgeError, OSError) as exc:
         print(f"reebforge: error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

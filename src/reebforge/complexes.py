@@ -709,20 +709,18 @@ def staircase_product(k1, k2, f1=None, f2=None):
     )
     pair_id = {p: i for i, p in enumerate(pairs)}
 
-    simplices = set()
+    tops = []
     for sigma in k1.maximal_simplices:
         a = sorted(sigma, key=pos1.__getitem__)
         for tau in k2.maximal_simplices:
             b = sorted(tau, key=pos2.__getitem__)
             for path in _lattice_paths(len(a), len(b)):
-                top = tuple(pair_id[(a[i], b[j])] for i, j in path)
-                for k in range(1, len(top) + 1):
-                    simplices.update(itertools.combinations(top, k))
+                tops.append(tuple(pair_id[(a[i], b[j])] for i, j in path))
 
     coords = None
     if k1.coordinates is not None and k2.coordinates is not None:
         coords = tuple(k1.coordinates[u] + k2.coordinates[v] for u, v in pairs)
-    product = SimplicialComplex(len(pairs), simplices, coordinates=coords)
+    product = validate_complex(len(pairs), tops, close_faces=True, coordinates=coords)
 
     if f1 is None:
         return StaircaseProduct(product, tuple(pairs))

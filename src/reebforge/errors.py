@@ -10,8 +10,11 @@ a loop and build their own error; no CLI command reaches them, only the
 API's ``fiber_power_nerve``.  The cell cap is an explicit cap, else
 ``REEBFORGE_CELL_CAP``, else ``DEFAULT_CELL_CAP``; it and every other
 numeric parameter are checked by ``_require_at_least``, and every integer
-that the checked constructors and the fixture generators take by
-``_require_ints``: each takes only an ``int`` that is not a ``bool``.
+that the checked constructors and the fixture generators (``path_complex``,
+``circle``, ``full_simplex``, ``grid_torus``, ``disk_collapse``,
+``product_power``, ``random_map``, ``random_function`` and
+``build_fixture``) take by ``_require_ints``: each takes only an ``int``
+that is not a ``bool``.
 Every rational, a coordinate, a PL value or a polynomial coefficient, goes
 through ``_fractions``, which takes only a ``numbers.Rational`` that is not
 a ``bool``.

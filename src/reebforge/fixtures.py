@@ -14,18 +14,26 @@ from .complexes import (
     staircase_product,
     validate_complex,
 )
-from .errors import InvalidParamsError, InvariantError, UnsupportedDimensionError, _require_ints
+from .errors import (
+    InvalidParamsError,
+    InvariantError,
+    UnsupportedDimensionError,
+    _require_at_least,
+    _require_ints,
+)
 from .reeb import pl_as_simplicial_map
 
 
 def path_complex(n):
     """A path on n vertices."""
+    _require_ints("n", (n,))
     simplices = [(i,) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
     return SimplicialComplex(n, simplices)
 
 
 def circle(n=3):
     """An n-gon circle."""
+    _require_ints("n", (n,))
     if n < 3:
         raise InvalidParamsError("a circle needs at least 3 vertices")
     simplices = [(i,) for i in range(n)] + [
@@ -36,6 +44,7 @@ def circle(n=3):
 
 def full_simplex(dim):
     """The full simplex on dim+1 vertices, with all faces."""
+    _require_ints("dim", (dim,))
     return validate_complex(dim + 1, [tuple(range(dim + 1))], close_faces=True)
 
 
@@ -47,6 +56,7 @@ def boundary_delta3():
 
 def grid_torus(m, n):
     """Torus as an m x n periodic grid with consistent diagonals."""
+    _require_ints("grid torus side", (m, n))
     if m < 3 or n < 3:
         raise InvalidParamsError("grid torus needs m, n >= 3")
 
@@ -72,6 +82,7 @@ def disk_collapse(n):
     the least carrier vertex otherwise, so the whole boundary hexagon lands
     on w and the map realizes the quotient collapsing the disk boundary.
     """
+    _require_ints("n", (n,))
     if n == 1:
         path = path_complex(4)
         return SimplicialMap(path, circle(3), [0, 1, 2, 0])
@@ -89,6 +100,7 @@ def disk_collapse(n):
 
 def product_power(f, k):
     """The k-fold staircase product map f x ... x f."""
+    _require_ints("k", (k,))
     if k < 1:
         raise InvalidParamsError("k must be >= 1")
     result = f
@@ -134,9 +146,10 @@ def random_map(seed, size=12):
 
     The domain is grown as a walk on the codomain (so the vertex images make
     every backbone edge simplicial and the domain connected), then decorated
-    with image-compatible chords and triangles.
+    with image-compatible chords and triangles.  A negative seed is
+    refused: ``random.Random`` seeds from its absolute value.
     """
-    _require_ints("seed", (seed,))
+    _require_at_least("seed", seed, 0)
     _require_ints("size", (size,))
     if size < 6 or size > 64:
         raise InvalidParamsError("size must be between 6 and 64")

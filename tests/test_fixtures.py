@@ -12,8 +12,11 @@ from reebforge.fixtures import (
     FIXTURE_PARAMS,
     FixtureSpec,
     build_fixture,
+    circle,
     disk_collapse,
+    full_simplex,
     grid_torus,
+    path_complex,
     product_power,
     random_function,
     random_map,
@@ -133,6 +136,32 @@ def test_fixture_numbers_must_be_integers(call):
     # ValueError escapes from random.
     with pytest.raises(InvalidParamsError, match="must be an integer"):
         call()
+
+
+GENERATORS = {
+    "grid_torus_m": lambda x: grid_torus(x, 3),
+    "grid_torus_n": lambda x: grid_torus(3, x),
+    "circle": circle,
+    "path_complex": path_complex,
+    "full_simplex": full_simplex,
+    "disk_collapse": disk_collapse,
+    "product_power": lambda x: product_power(disk_collapse(1), x),
+}
+
+
+@pytest.mark.parametrize(
+    "call, arg, message",
+    [(GENERATORS[name], bad, "must be an integer") for name in GENERATORS for bad in (1.5, True, "3")]
+    + [(random_map, -1, "seed must be >= 0, got -1"),
+       (random_function, -1, "seed must be >= 0, got -1")],
+    ids=[f"{name}-{bad!r}" for name in GENERATORS for bad in (1.5, True, "3")]
+    + ["random_map-negative_seed", "random_function-negative_seed"],
+)
+def test_fixture_generators_refuse_what_is_not_a_count(call, arg, message):
+    # No bare TypeError from range, no bool read as 1, and no negative
+    # seed that random.Random would read as its absolute value.
+    with pytest.raises(InvalidParamsError, match=message):
+        call(arg)
 
 
 def test_random_function_distinct_values():

@@ -200,22 +200,27 @@ def test_cli_reeb_graph_requires_function_file(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--space", "--dot"], "--dot renders Reeb graphs; combine it with --graph"),
-        (
-            ["--graph", "--emit-realization"],
-            "--emit-realization inlines a Reeb space's realization; combine it with --space",
-        ),
-    ],
-    ids=["space_dot", "graph_emit_realization"],
+SPACE_DOT = (["--space", "--dot"], "--dot renders Reeb graphs; combine it with --graph")
+GRAPH_EMIT_REALIZATION = (
+    ["--graph", "--emit-realization"],
+    "--emit-realization inlines a Reeb space's realization; combine it with --space",
 )
-def test_cli_reeb_refuses_a_flag_of_the_other_mode(tmp_path, capsys, flags, message):
-    # Neither flag is dropped in silence: each is an input error.
+
+
+@pytest.mark.parametrize(
+    "flags, message, missing",
+    [(*SPACE_DOT, False), (*GRAPH_EMIT_REALIZATION, False),
+     (*SPACE_DOT, True), (*GRAPH_EMIT_REALIZATION, True)],
+    ids=["space_dot", "graph_emit_realization",
+         "space_dot_missing_path", "graph_emit_realization_missing_path"],
+)
+def test_cli_reeb_refuses_a_flag_of_the_other_mode(tmp_path, capsys, flags, message, missing):
+    # Neither flag is dropped in silence: each is an input error, settled
+    # before the file is read, so a missing file gets the same refusal.
     code, _, _ = run_cli(["fixtures", "emit", "torus_height", "-o", str(tmp_path)], capsys)
     assert code == 0
-    path = os.path.join(str(tmp_path), "torus_height.function.json")
+    name = "absent.json" if missing else "torus_height.function.json"
+    path = os.path.join(str(tmp_path), name)
     code, out, err = run_cli(["reeb", path, *flags], capsys)
     assert (code, out) == (1, "")
     assert err == f"reebforge: error: {message}\n"
@@ -301,6 +306,15 @@ def test_cli_verify_quotient_runs_under_the_cell_cap(tmp_path, capsys):
     code, out, err = run_cli(["verify", str(product), "--quotient"], capsys)
     assert (code, out) == (3, "")
     assert "1507489 simplices of the quotient map's sd(X) exceed the cap of 200000" in err
+
+
+@pytest.mark.parametrize("name", ["absent.json", "torus_height.function.json"])
+def test_cli_verify_without_a_check_is_refused_before_the_file_is_read(tmp_path, capsys, name):
+    code, _, _ = run_cli(["fixtures", "emit", "torus_height", "-o", str(tmp_path)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["verify", os.path.join(str(tmp_path), name)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "reebforge: error: choose at least one of --descent, --b1, --quotient\n"
 
 
 def test_cli_verify_descent(tmp_path, capsys):
@@ -429,6 +443,21 @@ def test_cli_bounds_reeb_past_the_digit_cap_exits_3_at_once(capsys, c):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "bound digits exceed the cap of 1000000" in err
+
+
+def test_cli_bounds_choices_are_the_bound_table(capsys):
+    (commands,) = build_parser()._subparsers._group_actions
+    (name,) = (a for a in commands.choices["bounds"]._actions if a.dest == "name")
+    names = ["closed", "general", "sign-components", "reeb"]
+    assert list(name.choices) == list(cli._BOUNDS) == names
+    with pytest.raises(SystemExit) as info:
+        main(["bounds", "nope", "--s", "1", "--d", "1"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert "argument name: invalid choice: 'nope' (choose from " in err
+    # argparse lists the choices in the table's order.
+    positions = [err.index(n, err.index("choose from")) for n in names]
+    assert positions == sorted(positions)
 
 
 def test_cli_bounds_invalid_params(capsys):
