@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -27,6 +28,7 @@ from .errors import (
     InvariantError,
     ReebForgeError,
     _refuse_past_cap,
+    _require_at_least,
     resolve_cell_cap,
 )
 from .fiberprod import descent_check, fiber_power_betti
@@ -122,6 +124,9 @@ def cmd_reeb(args):
 
 
 def cmd_fiber_power(args):
+    # The API's own checks, run before the file is read; the API repeats them.
+    _require_at_least("p", args.p, 0)
+    resolve_cell_cap(args.cell_cap)
     f = _as_map(*_load_map_or_function(args.file, args.close_faces))
     bv = fiber_power_betti(f, args.p, engine=args.engine, cell_cap=args.cell_cap)
     report = {
@@ -137,6 +142,12 @@ def cmd_fiber_power(args):
 def cmd_verify(args):
     if args.descent is None and not (args.b1 or args.quotient):
         raise ReebForgeError("choose at least one of --descent, --b1, --quotient")
+    # The API's own checks, run before the file is read; the API repeats them.
+    # The cap is resolved only for the checks that take one.
+    if args.descent is not None:
+        _require_at_least("p_max", args.descent, 0)
+    if args.descent is not None or args.quotient:
+        resolve_cell_cap(args.cell_cap)
     f = _as_map(*_load_map_or_function(args.file, args.close_faces))
     checks = {}
     if args.descent is not None:
@@ -288,9 +299,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The command, parse included, runs with the cyclic garbage collector
+    # paused.  Every table the engine builds is acyclic (tuples, lists and
+    # dicts of ints) and is freed by reference counting, so the collections
+    # that its allocations would set off find nothing; what little cyclic
+    # garbage a command leaves does not grow with its input, and is collected
+    # once the collector is back on.  The caller's setting is restored on
+    # every exit path, argparse's SystemExit included.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"reebforge: budget exceeded: {exc}", file=sys.stderr)
@@ -301,6 +320,9 @@ def main(argv=None):
     except (ReebForgeError, OSError) as exc:
         print(f"reebforge: error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -110,7 +110,12 @@ class SimplicialComplex:
     """
 
     def __init__(self, num_vertices, simplices, coordinates=None):
-        listing, ordered = _checked_listing(num_vertices, simplices)
+        self._fill_checked(num_vertices, _int_listing(num_vertices, simplices), coordinates)
+
+    def _fill_checked(self, num_vertices, listing, coordinates):
+        """The constructor past its type pass (``_int_listing``), which the
+        caller has made: every check but the types."""
+        listing, ordered = _checked_listing(num_vertices, listing)
         self._fill(num_vertices, listing, ordered)
         self.facets  # the face check: a failed facet lookup raises MissingFaceError
         self.coordinates = _rational_points(num_vertices, coordinates)
@@ -263,9 +268,18 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
     Without ``close_faces`` this is the checked constructor.  With it, the
     listing gets the same checks and its faces are added, with no face check.
     """
+    return _validated(num_vertices, _int_listing(num_vertices, simplices), close_faces, coordinates)
+
+
+def _validated(num_vertices, listing, close_faces, coordinates):
+    """``validate_complex`` past its type pass, which the caller has made:
+    ``num_vertices`` and every vertex id are ints and ``listing`` is a list
+    of tuples.  A parsed document's own type pass vouches for it."""
     if not close_faces:
-        return SimplicialComplex(num_vertices, simplices, coordinates)
-    listing, _ = _checked_listing(num_vertices, simplices)
+        complex_ = SimplicialComplex.__new__(SimplicialComplex)
+        complex_._fill_checked(num_vertices, listing, coordinates)
+        return complex_
+    listing, _ = _checked_listing(num_vertices, listing)
     closed = set(listing)
     for s in listing:
         for k in range(1, len(s)):
@@ -275,13 +289,18 @@ def validate_complex(num_vertices, simplices, close_faces=False, coordinates=Non
     )
 
 
-def _checked_listing(num_vertices, simplices):
-    """(listing, ordered): the simplices as canonical tuples, checked, and
-    whether they came in canonical order, which they then keep.  The vertex
-    count and every vertex id must be an ``int``, not merely convertible."""
+def _int_listing(num_vertices, simplices):
+    """The type pass: the simplices as a list of tuples.  The vertex count
+    and every vertex id must be an ``int``, not merely convertible."""
     _require_ints("vertex count", (num_vertices,))
     listing = list(map(tuple, simplices))
     _require_ints("vertex id", list(itertools.chain.from_iterable(listing)))
+    return listing
+
+
+def _checked_listing(num_vertices, listing):
+    """(listing, ordered): a listing past its type pass as canonical tuples,
+    checked, and whether it came in canonical order, which it then keeps."""
     ordered = _is_canonical_listing(listing)
     if not ordered:
         listing = [canonical_simplex(s) for s in listing]

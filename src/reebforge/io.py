@@ -13,7 +13,7 @@ import json
 import os
 from fractions import Fraction
 
-from .complexes import PLFunction, SimplicialMap, validate_complex
+from .complexes import PLFunction, SimplicialMap, _validated
 from .errors import FormatError
 
 
@@ -108,7 +108,8 @@ def complex_from_doc(doc, close_faces=False):
         num_vertices = len(coordinates)
     else:
         num_vertices = 1 + max((max(s) for s in simplices if s), default=-1)
-    return validate_complex(num_vertices, simplices, close_faces=close_faces, coordinates=coordinates)
+    # The type pass above is the only one: the complex is checked past it.
+    return _validated(num_vertices, list(map(tuple, simplices)), close_faces, coordinates)
 
 
 def complex_to_doc(complex_):

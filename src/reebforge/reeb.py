@@ -168,8 +168,13 @@ def reeb_space(f):
     images = f.vertex_images
     taus = f.simplex_images
     # A facet's image lies in its simplex's; they are equal, and the facet
-    # image-keeping, exactly when the dropped vertex's image repeats.
-    keeping = [[g for g in fs if len(taus[g]) == len(tau)] for fs, tau in zip(table, taus)]
+    # image-keeping, exactly when the dropped vertex's image repeats.  A
+    # simplex whose vertices have distinct images has no such facet, so its
+    # facets are not scanned.
+    keeping = [
+        () if len(tau) == len(s) else [g for g in fs if len(taus[g]) == len(tau)]
+        for s, fs, tau in zip(simps, table, taus)
+    ]
     ids = range(len(simps))
     parent = list(ids)
     # The roots come ascending and the sort is stable: (tau, root) order.
@@ -213,8 +218,9 @@ def verify_quotient(f, cell_cap=None):
     realization vertices.  Returns a report dict; nothing raises on failure.
     It is refused first when |sd(X)| passes the cap, resolved as by ``descent_check``.
     """
+    cap = resolve_cell_cap(cell_cap)  # before the count, which builds the facet table
     _refuse_past_cap(
-        _chain_count(f.domain.facets), resolve_cell_cap(cell_cap),
+        _chain_count(f.domain.facets), cap,
         "simplices of the quotient map's sd(X)", "quotient subdivision",
     )
     space = reeb_space(f)

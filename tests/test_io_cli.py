@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -585,6 +586,99 @@ def test_cli_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "internal invariant failed" in err
 
 
+# A command runs with the cyclic garbage collector paused, and leaves the
+# caller's setting as it found it on every exit path.
+
+
+def test_a_command_starts_no_automatic_collection(tmp_path, capsys):
+    path = tmp_path / "product.json"
+    path.write_text(
+        dumps_report(map_to_doc(product_power(disk_collapse(2), 2))), encoding="utf-8"
+    )
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        code, out, _ = run_cli(["reeb", str(path), "--space"], capsys)
+    finally:
+        gc.callbacks.remove(hook)
+    assert code == 0
+    assert json.loads(out)["betti"] == [1, 0, 2, 0, 1]
+    assert started == []
+    assert gc.isenabled()
+
+
+def _raising(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+CLOSED = ["bounds", "closed", "--s", "1", "--d", "2"]
+# Each case: argv, what the replaced ``cmd_bounds`` raises (None: the real
+# command runs), and the exit code or the exception that escapes ``main``.
+COLLECTOR_EXITS = {
+    "ok": (CLOSED, None, 0),
+    "input_error": (["betti", "MISSING"], None, 1),
+    "usage_error": (["bounds", "no-such-bound", "--s", "1", "--d", "2"], None, SystemExit),
+    "budget": (
+        ["bounds", "reeb", "--s", "10", "--d", "10", "--n", "3", "--m", "3", "-c", "8"], None, 3
+    ),
+    "invariant": (CLOSED, InvariantError("ridge 0 lies in 3 facets, not 2"), 4),
+    "unexpected": (CLOSED, RuntimeError("not a reebforge error"), RuntimeError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller_enabled", "caller_disabled"])
+@pytest.mark.parametrize("case", sorted(COLLECTOR_EXITS))
+def test_a_command_leaves_the_callers_collector_as_it_found_it(
+    tmp_path, capsys, monkeypatch, case, enabled
+):
+    argv, raised, outcome = COLLECTOR_EXITS[case]
+    argv = [str(tmp_path / "absent.json") if a == "MISSING" else a for a in argv]
+    if raised is not None:
+        monkeypatch.setattr(cli, "cmd_bounds", _raising(raised))
+    if not enabled:
+        gc.disable()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome) as info:
+                main(argv)
+            if outcome is SystemExit:
+                assert info.value.code == 2
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_the_cyclic_garbage_a_command_leaves_does_not_grow_with_its_input(tmp_path, capsys):
+    paths = {}
+    for name, f in (("disk", disk_collapse(2)), ("product", product_power(disk_collapse(2), 2))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dumps_report(map_to_doc(f)), encoding="utf-8")
+
+    def unreachable_left(path):
+        gc.collect()
+        gc.disable()  # so that no automatic collection takes any of it first
+        try:
+            assert run_cli(["reeb", str(path), "--space"], capsys)[0] == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    unreachable_left(paths["disk"])  # warm: a first call leaves one-time garbage of its own
+    assert unreachable_left(paths["disk"]) == unreachable_left(paths["product"])
+
+
 # The parser is built once per process and holds no command function, so a
 # command replaced after the first call is the one that runs, and no flag
 # carries over from one parse to the next.
@@ -652,6 +746,42 @@ def test_cli_rejects_bad_number(tmp_path, case):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("reebforge: error:")
+
+
+# A flag value out of range is refused by the API's own check, with its
+# text, before the file is read: a missing file gets the same refusal.
+EARLY_FLAG_REFUSALS = {
+    "fiber_power_p_negative": (["fiber-power", "MISSING", "-p", "-1"], "p must be >= 0, got -1"),
+    "verify_descent_negative": (
+        ["verify", "MISSING", "--descent", "-1"], "p_max must be >= 0, got -1"
+    ),
+    "verify_quotient_cap_zero": (
+        ["verify", "MISSING", "--quotient", "--cell-cap", "0"], "cell cap must be >= 1, got 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EARLY_FLAG_REFUSALS))
+def test_cli_refuses_a_flag_value_out_of_range_before_the_file_is_read(tmp_path, capsys, case):
+    argv, message = EARLY_FLAG_REFUSALS[case]
+    missing = str(tmp_path / "absent.json")
+    code, out, err = run_cli([missing if a == "MISSING" else a for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"reebforge: error: {message}\n"
+
+
+def test_cli_verify_resolves_the_cap_only_for_the_checks_that_take_one(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "disk.json"
+    path.write_text(dumps_report(map_to_doc(disk_collapse(2))), encoding="utf-8")
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "abc")
+    code, out, _ = run_cli(["verify", str(path), "--b1"], capsys)
+    assert code == 0
+    assert json.loads(out)["checks"]["b1"]["ok"]
+    code, out, err = run_cli(["verify", str(tmp_path / "absent.json"), "--quotient"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "reebforge: error: cell cap must be an integer, got 'abc'\n"
 
 
 BAD_DOCUMENTS = {
@@ -814,6 +944,22 @@ def test_non_integer_simplex_entries_are_named(entry):
 def test_the_first_non_integer_simplex_entry_is_named():
     with pytest.raises(FormatError, match=r"^simplex entry 'a' is not an integer$"):
         complex_from_doc({"simplices": [["a", None], [1, 2.5], [0]]})
+
+
+@pytest.mark.parametrize("close_faces", [False, True])
+def test_a_parsed_document_gets_one_type_pass(monkeypatch, close_faces):
+    # io's pass over the entries' types is the only one: the complex is
+    # checked past it.  The constructor keeps its own for every other caller.
+    doc = complex_to_doc(disk_collapse(2).domain)
+    want = complex_from_doc(doc, close_faces=close_faces)
+
+    def refuse(*args):
+        raise AssertionError("a second type pass")
+
+    monkeypatch.setattr(complexes, "_int_listing", refuse)
+    assert complex_from_doc(doc, close_faces=close_faces) == want
+    with pytest.raises(AssertionError, match="a second type pass"):
+        SimplicialComplex(want.num_vertices, want.simplices)
 
 
 def test_int_subclass_simplex_entries_are_accepted():

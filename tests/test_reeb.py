@@ -285,6 +285,22 @@ def test_verify_quotient_cap_resolves_as_descent_checks_does(monkeypatch):
             verify_quotient(f, cell_cap=bad)
 
 
+def test_verify_quotient_refuses_a_bad_cap_before_it_counts(monkeypatch):
+    # The cap is resolved first: an invalid one is refused before the facet
+    # table is built and sd(X)'s chains are counted.
+    def refuse(*args):
+        raise AssertionError("sd(X) counted")
+
+    f = disk_collapse(2)
+    monkeypatch.setattr(reeb, "_chain_count", refuse)
+    for bad in (0, True):
+        with pytest.raises(InvalidParamsError):
+            verify_quotient(f, cell_cap=bad)
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "abc")
+    with pytest.raises(InvalidParamsError):
+        verify_quotient(f)
+
+
 def test_b1_inequality_examples():
     # Identity: equality.
     k = minimal_torus()
