@@ -94,6 +94,8 @@ def cmd_reeb(args):
         raise ReebForgeError(
             "--emit-realization inlines a Reeb space's realization; combine it with --space"
         )
+    # The API's own check, run before the file is read.
+    cap = resolve_cell_cap() if args.emit_realization else None
     f, g = _load_map_or_function(args.file, args.close_faces)
     if args.graph:
         if g is None:
@@ -115,8 +117,7 @@ def cmd_reeb(args):
     }
     if args.emit_realization:
         _refuse_past_cap(
-            _chain_count(space.facets), resolve_cell_cap(),
-            "simplices of the realization", "realization",
+            _chain_count(space.facets), cap, "simplices of the realization", "realization"
         )
         report["realization"] = complex_to_doc(space.realization)
     _write_output(dumps_report(report), args.output)

@@ -359,6 +359,8 @@ class _MorseModel:
         bounds = [{} for _ in dims]
         for g, (base, m) in enumerate(blocks):
             # Each term's Kronecker product, over the non-empty columns only.
+            # Entries of several terms add up; one that cancels to 0 is
+            # deleted, since the rank stage takes no zero entry.
             for h, mats, odd in self._terms(g, p):
                 (top, n), acc = blocks[h], [(0, 0, -1 if odd else 1)]
                 for mat in mats:
@@ -367,9 +369,13 @@ class _MorseModel:
                         for a, b, c in acc for q, col in mat for r, e in col
                     ]
                 for a, b, c in acc:
-                    row = bounds[base + a]
-                    row[top + b] = row.get(top + b, 0) + c
-        return _betti_numbers(dims, [{r: e for r, e in b.items() if e} for b in bounds])
+                    row, r = bounds[base + a], top + b
+                    e = row.get(r, 0) + c
+                    if e:
+                        row[r] = e
+                    else:
+                        del row[r]
+        return _betti_numbers(dims, bounds)
 
     def _terms(self, g, p):
         """The Morse boundary of group g's cells as Kronecker terms (target

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-from .complexes import SimplicialComplex, find_root
+from .complexes import SimplicialComplex
 from .errors import InvariantError
 
 
@@ -188,17 +188,20 @@ def _betti_numbers(dims, boundaries):
     """Betti vector of a cellular chain complex.
 
     ``boundaries[c]`` maps each facet id of cell c, or critical cell of a
-    Morse complex, to its incidence.  Within a dimension, cells are numbered
-    in id order.  The ranks come from the coboundaries, bottom up: delta^d
-    has the d-cells as columns and the (d+1)-cells as rows, and rank delta^d
-    = rank of the boundary on the (d+1)-cells.
+    Morse complex, to its incidence; no producer passes a zero entry.  The
+    ranks come from the coboundaries, bottom up: delta^d has the d-cells as
+    columns and the (d+1)-cells as rows, and rank delta^d = rank of the
+    boundary on the (d+1)-cells.  Rows and columns are the cells' own ids,
+    with no table renumbering each dimension from 0: within one dimension id
+    order is that numbering's order, so a column's largest id is the pivot
+    row that numbering would pick, and clearing skips the same columns.
 
     Degree 0 needs no elimination: every 1-cell has boundary a - b for two
     distinct 0-cells, or 0 for a Morse complex's loop (anything else raises
     InvariantError), so rank delta^0 is the number of 0-cells minus the
     number of components of the 1-skeleton, the size of a spanning forest.
-    One union-find walks the 1-cells in descending id order and keeps those
-    that join two trees.
+    One union-find, its path-halving find inlined, walks the 1-cells in
+    descending id order and keeps those that join two trees.
     Those forest 1-cells are cleared from delta^1: for a forest edge e, the
     cut cochain of one side A of T - e, T the tree of e, is delta^0 of the
     indicator of A, and e is its only forest edge.  Since delta^1 delta^0 =
@@ -208,39 +211,44 @@ def _betti_numbers(dims, boundaries):
     is the pivot row of a reduced column of delta^(d-1) is a column of
     delta^d that lies in the span of the columns before it (the reduced
     column is a cocycle with that lowest row), so it would reduce to zero
-    and is skipped.
+    and is skipped.  So is an empty column, which adds no pivot.
     """
     by_dim = {}
-    row = [0] * len(dims)
     for c, d in enumerate(dims):
-        group = by_dim.setdefault(d, [])
-        row[c] = len(group)
-        group.append(c)
+        by_dim.setdefault(d, []).append(c)
     top = max(by_dim, default=-1)
     ranks = [0] * (top + 2)
     cleared = ()
     if top > 0:
-        parent = list(range(len(by_dim.get(0, ()))))
+        # Indexed by id up to the last 0-cell: a Delta complex lists its
+        # 0-cells first, so its forest needs no slot for a higher cell.
+        zeros = by_dim.get(0, ())
+        parent = list(range(zeros[-1] + 1 if zeros else 0))
         cleared = set()
         for c in reversed(by_dim.get(1, ())):
             ends = boundaries[c]
             if not ends:
                 continue
-            if len(ends) != 2 or sorted(ends.values()) != [-1, 1]:
+            if len(ends) != 2:
                 raise InvariantError(f"1-cell {c} has boundary {ends}, not a - b")
-            a, b = (find_root(parent, row[g]) for g in ends)
+            (a, x), (b, y) = ends.items()
+            if x != -y or x not in (1, -1):
+                raise InvariantError(f"1-cell {c} has boundary {ends}, not a - b")
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a != b:
-                parent[max(a, b)] = min(a, b)
-                cleared.add(row[c])
+                parent[a] = b
+                cleared.add(c)
         ranks[1] = len(cleared)
     for d in range(1, top):
-        coboundary = [{} for _ in by_dim.get(d, ())]
+        coboundary = {c: {} for c in by_dim.get(d, ())}
         for c in by_dim.get(d + 1, ()):
-            r = row[c]
             for g, e in boundaries[c].items():
-                coboundary[row[g]][r] = e
+                coboundary[g][c] = e
         cleared = _pivot_rows(
-            col for i, col in enumerate(coboundary) if i not in cleared
+            col for c, col in coboundary.items() if col and c not in cleared
         )
         ranks[d + 1] = len(cleared)
     return BettiVector(len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1] for d in range(top + 1))

@@ -398,6 +398,29 @@ def test_transferred_complex_of_imperfect_matchings_matches_the_flow(monkeypatch
             assert_boundary_squares_to_zero(dims, boundaries)
 
 
+def test_cancelled_entries_of_imperfect_matchings_reach_no_rank_stage(monkeypatch):
+    # Terms of split pairs cancel entry by entry on seed 10, at every p and
+    # over both labels; the engine deletes such an entry, since the rank
+    # stage takes no zero entry.
+    monkeypatch.setattr(fiberprod, "_group_matching", imperfect_matching)
+    seen = []
+    ranked = fiberprod._betti_numbers
+
+    def record(dims, boundaries):
+        seen.append(boundaries)
+        return ranked(dims, boundaries)
+
+    monkeypatch.setattr(fiberprod, "_betti_numbers", record)
+    f = random_map(10)
+    for lab in (None, reeb_space(f).exact_strata):
+        model = _MorseModel(f, lab)
+        for p in range(3):
+            model.betti(p)
+    assert len(seen) == 6
+    for boundaries in seen:
+        assert all(all(bd.values()) for bd in boundaries)
+
+
 def higher_dimensional_maps():
     """Maps from domains of dimension 3 to 6 onto a triangle or a
     tetrahedron: groups over a tetrahedron give terms with two h steps, at

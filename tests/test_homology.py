@@ -276,6 +276,40 @@ def test_cleared_betti_matches_uncleared_oracle(monkeypatch, producer):
         assert out.as_list() == betti_numbers_uncleared(dims, boundaries)
 
 
+@pytest.mark.parametrize("producer", sorted(CORE_PRODUCERS))
+def test_producers_hand_the_rank_stage_no_zero_entry(monkeypatch, producer):
+    cores = signed_cores(monkeypatch, CORE_PRODUCERS[producer])
+    assert cores
+    for _, boundaries, _ in cores:
+        assert all(all(bd.values()) for bd in boundaries)
+
+
+def relabel(dims, boundaries, rng):
+    """The complex with cell c renamed new[c], by a random permutation."""
+    new = list(range(len(dims)))
+    rng.shuffle(new)
+    relabelled_dims, relabelled = [0] * len(dims), [None] * len(dims)
+    for c, d in enumerate(dims):
+        relabelled_dims[new[c]] = d
+        relabelled[new[c]] = {new[g]: e for g, e in boundaries[c].items()}
+    return relabelled_dims, relabelled
+
+
+@pytest.mark.parametrize("producer", sorted(CORE_PRODUCERS))
+def test_betti_numbers_do_not_depend_on_cell_ids(monkeypatch, producer):
+    # The rank stage takes a cell's id as its row and column, so a
+    # relabelling changes every pivot order, forest and clearing, but no
+    # Betti number.
+    rng = random.Random(34)
+    cores = signed_cores(monkeypatch, CORE_PRODUCERS[producer])
+    monkeypatch.undo()
+    assert cores
+    for dims, boundaries, out in cores:
+        dims, boundaries = relabel(dims, boundaries, rng)
+        assert homology._betti_numbers(dims, boundaries) == out
+        assert out.as_list() == betti_numbers_uncleared(dims, boundaries)
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(simplicial_complexes())
 def test_betti_matches_naive_oracle_on_random_complexes(complex_):
@@ -393,8 +427,18 @@ def test_betti_numbers_rejects_malformed_one_cells(boundary):
     # holds only for boundaries a - b.
     dims = [0, 0, 0, 1]
     boundaries = [{}, {}, {}, boundary]
-    with pytest.raises(InvariantError, match="1-cell 3 has boundary"):
+    with pytest.raises(InvariantError, match="1-cell 3 has boundary") as raised:
         homology._betti_numbers(dims, boundaries)
+    assert str(raised.value) == f"1-cell 3 has boundary {boundary}, not a - b"
+
+
+@pytest.mark.parametrize(
+    "boundary", [{0: 1, 1: -1}, {0: -1, 1: 1}, {1: 1, 0: -1}, {1: -1, 0: 1}]
+)
+def test_betti_numbers_accept_a_minus_b_in_any_order(boundary):
+    # Two 0-cells joined by one edge, and a third 0-cell alone.
+    dims = [0, 0, 0, 1]
+    assert homology._betti_numbers(dims, [{}, {}, {}, boundary]) == (2,)
 
 
 def test_betti_numbers_accepts_a_loop_one_cell():

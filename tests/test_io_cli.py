@@ -784,6 +784,21 @@ def test_cli_verify_resolves_the_cap_only_for_the_checks_that_take_one(
     assert err == "reebforge: error: cell cap must be an integer, got 'abc'\n"
 
 
+def test_cli_reeb_resolves_the_realization_cap_before_the_file_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    missing = str(tmp_path / "absent.json")
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "abc")
+    code, out, err = run_cli(["reeb", missing, "--space", "--emit-realization"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "reebforge: error: cell cap must be an integer, got 'abc'\n"
+    # Without --emit-realization no cap is resolved: the file error stands.
+    code, out, err = run_cli(["reeb", missing, "--space"], capsys)
+    assert (code, out) == (1, "")
+    assert "cell cap" not in err
+    assert "absent.json" in err
+
+
 BAD_DOCUMENTS = {
     "vertex_entry_not_an_array": (["betti", "FILE"], b'{"simplices": [[0]], "vertices": [5]}'),
     "vertex_entry_a_string": (["betti", "FILE"], b'{"simplices": [[0]], "vertices": ["12"]}'),
