@@ -27,26 +27,26 @@ def _require_positive(**params):
         _require_at_least(name, value, 1)
 
 
+def _sign_condition_sum(top, d, k):
+    """The double sum of both sign-condition bounds, summed over i first:
+    C(top, j) 6^j d (2d-1)^(k-1) appears once for each i in 0..k-j, so the
+    sum is d (2d-1)^(k-1) times the sum over j = 0..k of (k-j+1) C(top, j) 6^j."""
+    unit = d * (2 * d - 1) ** (k - 1)
+    return unit * sum((k - j + 1) * comb(top, j) * 6**j for j in range(k + 1))
+
+
 def bound_closed(s, d, k):
     """Betti bound for a closed sign-condition set:
     sum_{i=0}^{k} sum_{j=0}^{k-i} C(s+1, j) 6^j d (2d-1)^(k-1)."""
     _require_positive(s=s, d=d, k=k)
-    unit = d * (2 * d - 1) ** (k - 1)
-    return sum(
-        comb(s + 1, j) * 6**j * unit for i in range(k + 1) for j in range(k - i + 1)
-    )
+    return _sign_condition_sum(s + 1, d, k)
 
 
 def bound_general(s, d, k):
     """Betti bound for an arbitrary sign-condition set:
     sum_{i=0}^{k} sum_{j=0}^{k-i} C(2ks+1, j) 6^j d (2d-1)^(k-1)."""
     _require_positive(s=s, d=d, k=k)
-    unit = d * (2 * d - 1) ** (k - 1)
-    return sum(
-        comb(2 * k * s + 1, j) * 6**j * unit
-        for i in range(k + 1)
-        for j in range(k - i + 1)
-    )
+    return _sign_condition_sum(2 * k * s + 1, d, k)
 
 
 def bound_sign_components(s, d, k):
@@ -102,37 +102,21 @@ def _poly_mul(a, b):
     return _strip(out)
 
 
-def _poly_div(a, b):
-    """Quotient and remainder over the rationals."""
+def _poly_rem(a, b):
+    """Remainder of a by b over the rationals; b is stripped and nonzero."""
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / Fraction(b[-1])
-    while len(a) >= len(b) and _strip(a):
-        a = _strip(a)
-        if len(a) < len(b):
-            break
+    inv = 1 / b[-1]
+    while len(a) >= len(b):
         coeff = a[-1] * inv
         shift = len(a) - len(b)
-        q[shift] = coeff
         for i, y in enumerate(b):
             a[shift + i] -= coeff * y
-        a = a[:-1]
-    return _strip(q), _strip(a)
+        a = _strip(a[:-1])
+    return a
 
 
 def _poly_derivative(a):
     return _strip([i * c for i, c in enumerate(a)][1:])
-
-
-def _poly_gcd(a, b):
-    a, b = _strip(a), _strip(b)
-    while b:
-        _, r = _poly_div(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
 
 
 def _sign_variations(signs):
@@ -143,22 +127,19 @@ def _sign_variations(signs):
 def count_distinct_real_roots(poly):
     """Number of distinct real roots of a nonzero rational polynomial.
 
-    Sturm's theorem applied to the squarefree part: the variation difference
-    of the chain's leading-coefficient signs at -infinity and +infinity.
+    Sturm's theorem on p itself (Basu, Pollack and Roy, *Algorithms in Real
+    Algebraic Geometry*, Thm 2.50): the variation difference of the signed
+    remainder sequence of p and p' at -infinity and +infinity.  It needs no
+    squarefree step: the sequence ends at gcd(p, p'), which divides every
+    member, so at any point that is not a root it scales all signs alike.
+    A constant has the sequence (p) alone, and no root.
     """
     poly = _strip(_fractions("coefficient", poly))
     if not poly:
         raise ZeroPolynomialError("the zero polynomial has no root structure")
-    if len(poly) == 1:
-        return 0
-    derivative = _poly_derivative(poly)
-    square_part = _poly_gcd(poly, derivative)
-    poly, _ = _poly_div(poly, square_part)
-
     chain = [poly, _poly_derivative(poly)]
     while chain[-1]:
-        _, r = _poly_div(chain[-2], chain[-1])
-        chain.append([-c for c in r])
+        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
     chain.pop()
 
     at_minus = []

@@ -722,10 +722,8 @@ def staircase_product(k1, k2, f1=None, f2=None):
     pos1 = {v: i for i, v in enumerate(o1)}
     pos2 = {v: i for i, v in enumerate(o2)}
 
-    pairs = sorted(
-        ((u, v) for u in o1 for v in o2),
-        key=lambda p: (pos1[p[0]], pos2[p[1]]),
-    )
+    # The nested loop over o1, then o2, yields the pairs in (pos1, pos2) order.
+    pairs = [(u, v) for u in o1 for v in o2]
     pair_id = {p: i for i, p in enumerate(pairs)}
 
     tops = []

@@ -443,7 +443,8 @@ def _quotient_group_sizes(k, strata):
     for i, j in _face_pairs(k.facets):
         top = strata[j]
         for key, n in ending[i].items():
-            ending[j][key if top in key else tuple(sorted(key + (top,)))] += n
+            # Strata never fall along a face pair, so key is sorted with key[-1] <= top.
+            ending[j][key if key[-1] == top else key + (top,)] += n
     sizes = Counter()
     for counts in ending:
         sizes.update(counts)
@@ -507,10 +508,9 @@ def fiber_power_betti(f, p, engine="auto", cell_cap=None):
 
 def image_subcomplex(f):
     """The subcomplex of the codomain spanned by the image simplices."""
-    return SimplicialComplex(
-        f.codomain.num_vertices,
-        set(f.simplex_images),
-    )
+    # Unchecked: images are canonical codomain simplices, and a face of one
+    # is the image of a face of its domain simplex.
+    return SimplicialComplex._from_canonical(f.codomain.num_vertices, set(f.simplex_images))
 
 
 def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):

@@ -106,7 +106,7 @@ def collapse_face_poset(facets):
         if not alive[i] or count[i] != 1:
             continue
         j = xor[i]
-        if not alive[j] or count[j]:
+        if count[j]:  # j is live: count/XOR track only live covers
             continue
         alive[i] = alive[j] = False
         for gone in (i, j):
@@ -118,8 +118,8 @@ def collapse_face_poset(facets):
                 if count[g] == 1:
                     heapq.heappush(heap, g)
                 elif not count[g]:
-                    for h in facets[g]:
-                        if alive[h] and count[h] == 1:
+                    for h in facets[g]:  # a live cell's facets are all live
+                        if count[h] == 1:
                             heapq.heappush(heap, h)
     kept = [i for i in range(n) if alive[i]]
     position = [0] * n
@@ -149,11 +149,12 @@ def _pivot_rows(columns):
     cross-multiplication, with a gcd division keeping entries small.  A column
     that does not reduce to zero adds its lowest row.  The pivot order is
     deterministic, so reduced columns are reproducible.  Returns the set of
-    pivot rows; the reduced columns are dropped with the call.
+    pivot rows; the reduced columns are dropped with the call.  A column
+    holds no zero entry, and is read, never changed.
     """
     pivots = {}
+    # Taken as given: every producer, and rank_fraction_free, hands over zero-free columns.
     for col in columns:
-        col = {r: v for r, v in col.items() if v}
         while col:
             low = max(col)
             seen = pivots.get(low)
@@ -180,8 +181,9 @@ def _pivot_rows(columns):
 
 def rank_fraction_free(columns):
     """Exact rank of a sparse integer matrix given as row->value column dicts:
-    the number of pivots of its fraction-free reduction."""
-    return len(_pivot_rows(columns))
+    the number of pivots of its fraction-free reduction.  Explicit zero
+    entries are allowed; they are dropped here, as ``_pivot_rows`` takes none."""
+    return len(_pivot_rows({r: v for r, v in col.items() if v} for col in columns))
 
 
 def _betti_numbers(dims, boundaries):

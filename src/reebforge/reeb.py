@@ -161,7 +161,9 @@ def reeb_space(f):
     image, so each class lies in one E_tau, and its root is its smallest
     id.  Strata are numbered by (tau in canonical order, root), so their
     facets are numbered before them; a stratum's component index counts
-    the roots over its tau.
+    the roots over its tau.  So ``exact_strata`` never decreases along a
+    face pair: a face has a smaller image, whose strata come first, or the
+    same image, reached by image-keeping facets and so in the same stratum.
     """
     simps = f.domain.simplices
     table = f.domain.facets
@@ -385,8 +387,8 @@ def reeb_graph(g):
             node_of[root] = len(nodes)
             nodes.append(ReebNode(len(nodes), t, i, ci))
         for rep, a in open_slab:
-            b = node_of[find_root(parent, rep)]
-            edges.append((a, b) if a <= b else (b, a))
+            # a is a node of an earlier level than the other end, so the pair is ordered.
+            edges.append((a, node_of[find_root(parent, rep)]))
         for s in starts[i]:
             if len(simps[s]) == 1:
                 node_of_vertex[simps[s][0]] = node_of[find_root(parent, s)]
@@ -499,10 +501,12 @@ def pl_as_simplicial_map(g):
         codomain_levels.append(("value", t))
         if i + 1 < n:
             codomain_levels.append(("gap", t, levels[i + 1]))
-    path_edges = [(j, j + 1) for j in range(2 * n - 2)]
-    path = SimplicialComplex(
+    # Built unchecked: the vertices, then the edges (j, j + 1), are a
+    # canonical listing in range and closed under faces.
+    path = SimplicialComplex._from_canonical(
         2 * n - 1,
-        [(j,) for j in range(2 * n - 1)] + path_edges,
+        [(j,) for j in range(2 * n - 1)] + [(j, j + 1) for j in range(2 * n - 2)],
+        ordered=True,
     )
 
     # Cells (sigma, c): c = 2i is the slice of sigma at level i, c = 2i+1 the

@@ -43,15 +43,20 @@ them from the Cayley-trick parity tables of ``cayley_tables``, that the
 transferred complex of ``reebforge.fiberprod`` replaced; it reads only the
 matching and the critical simplices of the package's ``_MorseModel``.
 ``koszul_signs`` gives each critical cell its sign sigma, which carries the
-flow's complex to the package's.  ``minimal_torus``, the 7-vertex torus, is
+flow's complex to the package's.  ``quotient_group_sizes_sorted`` counts
+the Reeb quotient map's groups with each key re-sorted and scanned, as
+before the keys were appended in stratum order, and
+``sign_condition_double_sum`` is the sign-condition bounds' double sum,
+term by term.  ``minimal_torus``, the 7-vertex torus, is
 a test complex, built by the package's checked ``validate_complex``.
 Otherwise only the result types and the internal-invariant error come from
 the package.
 """
 
 import heapq
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from itertools import combinations, product
 
 from reebforge.complexes import Poset, validate_complex
@@ -1049,3 +1054,27 @@ def chains_by_stack(n, ups):
             chains.append(chain)
             stack.extend(chain + (j,) for j in ups[chain[-1]])
     return chains
+
+
+def quotient_group_sizes_sorted(simplices, strata):
+    """The group sizes of the Reeb quotient map sd(K) -> R, from K's face
+    pairs: chains ending at each simplex, keyed by their set of strata, a
+    key extended by a membership scan and a sort."""
+    ending = [Counter({(s,): 1}) for s in strata]
+    for i, j in face_pairs_by_combinations(simplices):
+        top = strata[j]
+        for key, n in ending[i].items():
+            ending[j][key if top in key else tuple(sorted(key + (top,)))] += n
+    sizes = Counter()
+    for counts in ending:
+        sizes.update(counts)
+    return list(sizes.values())
+
+
+def sign_condition_double_sum(top, d, k):
+    """sum_{i=0}^{k} sum_{j=0}^{k-i} C(top, j) 6^j d (2d-1)^(k-1), term by term."""
+    return sum(
+        comb(top, j) * 6**j * d * (2 * d - 1) ** (k - 1)
+        for i in range(k + 1)
+        for j in range(k - i + 1)
+    )

@@ -1,7 +1,10 @@
 import math
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebforge import (
     BudgetExceededError,
@@ -15,6 +18,8 @@ from reebforge import (
     univariate_sign_components,
 )
 from reebforge.bounds import _CAP_BITS, MAX_BOUND_DIGITS, bound_report
+
+from .oracles import sign_condition_double_sum
 
 X = [0, 1]  # the polynomial X in ascending coefficients
 
@@ -43,6 +48,15 @@ def test_bound_reeb_hand_values():
     assert bound_reeb(2, 2, 1, 1, 1) == 16
     assert bound_reeb(1, 1, 3, 4, 5) == 1
     assert bound_reeb(2, 3, 2, 1, 2) == 6**9 == 10077696
+
+
+def test_sign_condition_bounds_equal_the_double_sum_on_a_grid():
+    # One sum over j with weight k - j + 1, against the double sum term by term.
+    for s in range(1, 7):
+        for d in range(1, 7):
+            for k in range(1, 7):
+                assert bound_closed(s, d, k) == sign_condition_double_sum(s + 1, d, k)
+                assert bound_general(s, d, k) == sign_condition_double_sum(2 * k * s + 1, d, k)
 
 
 def test_general_dominates_closed_on_grid():
@@ -92,10 +106,46 @@ def test_root_counts():
     assert count_distinct_real_roots(X) == 1
     assert count_distinct_real_roots([-1, 0, 1]) == 2  # X^2 - 1
     assert count_distinct_real_roots([1, 0, 1]) == 0  # X^2 + 1
-    assert count_distinct_real_roots([1, -2, 1]) == 1  # (X-1)^2, squarefree part
+    assert count_distinct_real_roots([1, -2, 1]) == 1  # (X-1)^2, a double root
     assert count_distinct_real_roots([0, 0, 0, 1]) == 1  # X^3
     assert count_distinct_real_roots([6, -5, 1]) == 2  # (X-2)(X-3)
     assert count_distinct_real_roots([5]) == 0
+
+
+def times(a, b):
+    """The product of two coefficient lists, ascending."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def factored_polynomials(draw):
+    """(coefficients, distinct real roots) of a nonzero constant times
+    products of (X - r)^m, m <= 3, and of X^2 + a, a > 0, which has none."""
+    roots = draw(st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=4))
+    squares = draw(st.lists(st.fractions(min_value=Fraction(1, 7), max_value=5), max_size=2))
+    poly = [draw(rationals.filter(bool))]
+    for r, m in roots:
+        for _ in range(m):
+            poly = times(poly, [-r, 1])
+    for a in squares:
+        poly = times(poly, [a, 0, 1])
+    return poly, len({r for r, _ in roots})
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(factored_polynomials())
+def test_root_count_is_the_number_of_distinct_roots(drawn):
+    # Sturm's chain runs on p itself; repeated roots count once.
+    poly, distinct = drawn
+    assert count_distinct_real_roots(poly) == distinct
+    assert univariate_sign_components([poly]) == 2 * distinct + 1
 
 
 @pytest.mark.parametrize(

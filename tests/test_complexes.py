@@ -289,6 +289,34 @@ def test_staircase_orders_a_decreasing_map_by_image():
     assert images == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def nested_loop_pairs(k1, k2, f1=None, f2=None):
+    """The vertex pairs of K1 x K2 by a nested loop over each factor's
+    vertices, ordered by (image, id) when factor maps are given."""
+    def order(k, f):
+        verts = range(k.num_vertices)
+        return list(verts) if f is None else sorted(verts, key=lambda v: (f.vertex_images[v], v))
+
+    return tuple((u, v) for u in order(k1, f1) for v in order(k2, f2))
+
+
+@pytest.mark.parametrize(
+    "k1, k2, f1, f2",
+    [
+        (circle(4), path_complex(3), None, None),
+        (full_simplex(2), boundary_delta3(), None, None),
+        *((f.domain, f.domain, f, f) for f in (
+            SimplicialMap(path_complex(3), path_complex(2), [1, 0, 1]),
+            disk_collapse(2),
+            random_map(7),
+        )),
+    ],
+    ids=["circle_path", "triangle_sphere", "folded_path", "disk2", "random7"],
+)
+def test_staircase_pairs_come_in_nested_loop_order(k1, k2, f1, f2):
+    # staircase_product takes the nested loop's pairs as its vertex order, unsorted.
+    assert staircase_product(k1, k2, f1, f2).vertex_pairs == nested_loop_pairs(k1, k2, f1, f2)
+
+
 @pytest.mark.parametrize(
     "call",
     [

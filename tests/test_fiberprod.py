@@ -22,7 +22,7 @@ from reebforge import (
     reeb_space,
 )
 from reebforge import cli, fiberprod
-from reebforge.complexes import _chain_count
+from reebforge.complexes import _chain_count, _face_pairs
 from reebforge.errors import DEFAULT_CELL_CAP, resolve_cell_cap
 from reebforge.fiberprod import (
     _MorseModel,
@@ -55,6 +55,7 @@ from .oracles import (
     koszul_signs,
     morse_complex_unpruned,
     morse_facets_unpruned,
+    quotient_group_sizes_sorted,
 )
 
 
@@ -993,6 +994,42 @@ def test_quotient_group_sizes_count_the_quotient_map(build):
     space = reeb_space(f)
     sizes = _quotient_group_sizes(f.domain, space.exact_strata)
     assert sorted(sizes) == sorted(_group_sizes(space.quotient_map))
+
+
+# The 50 battery maps, both disks and the product: where the quotient's
+# group keys and the image subcomplex lean on orders the package builds.
+ORDER_CASES = [
+    *(pytest.param(lambda s=s: random_map(s), id=f"random{s}") for s in range(50)),
+    pytest.param(lambda: disk_collapse(1), id="disk1"),
+    pytest.param(lambda: disk_collapse(2), id="disk2"),
+    pytest.param(lambda: product_power(disk_collapse(2), 2), id="product"),
+]
+
+
+@pytest.mark.parametrize("build", ORDER_CASES)
+def test_strata_never_decrease_along_a_face_pair(build):
+    # _quotient_group_sizes appends a chain's top stratum to its key unsorted.
+    f = build()
+    strata = reeb_space(f).exact_strata
+    assert all(strata[i] <= strata[j] for i, j in _face_pairs(f.domain.facets))
+
+
+@pytest.mark.parametrize("build", ORDER_CASES)
+def test_quotient_group_sizes_equal_the_sorted_key_reference(build):
+    f = build()
+    strata = reeb_space(f).exact_strata
+    assert _quotient_group_sizes(f.domain, strata) == quotient_group_sizes_sorted(
+        f.domain.simplices, strata
+    )
+
+
+@pytest.mark.parametrize("build", ORDER_CASES[:50])
+def test_image_subcomplex_equals_its_checked_build(build):
+    # Built unchecked, it must equal the constructor's canonicalised,
+    # range- and face-checked build of the same image set.
+    f = build()
+    checked = SimplicialComplex(f.codomain.num_vertices, set(f.simplex_images))
+    assert image_subcomplex(f) == checked
 
 
 def test_reeb_target_never_builds_the_subdivision(monkeypatch):

@@ -164,6 +164,22 @@ def test_rank_matches_gauss_oracle_on_random_sparse_matrices():
         assert rank_fraction_free(columns) == gauss_rank_fractions(dense)
 
 
+def test_rank_fraction_free_drops_explicit_zeros():
+    # The public rank takes explicit zeros, which the rank stage's own
+    # elimination does not: a column of zeros only, and zeros beside
+    # nonzeros, give the rank of the zero-free matrix.
+    rng = random.Random(35)
+    assert rank_fraction_free([{0: 0, 3: 0}, {}]) == 0
+    assert rank_fraction_free([{0: 0, 1: 2}, {0: 0, 1: 3, 2: 0}, {5: 0}]) == 1
+    for _ in range(40):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        dense = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)] for _ in range(rows)]
+        with_zeros = [{r: dense[r][c] for r in range(rows)} for c in range(cols)]
+        zero_free = [{r: v for r, v in col.items() if v} for col in with_zeros]
+        assert rank_fraction_free(with_zeros) == rank_fraction_free(zero_free)
+        assert rank_fraction_free(with_zeros) == gauss_rank_fractions(dense)
+
+
 def test_rank_matches_oracles_on_boundary_matrices_up_to_50():
     for complex_ in SUITE:
         by_dim = {d: list(v) for d, v in complex_.by_dim().items()}

@@ -752,6 +752,8 @@ def assert_sweep_matches_rescan(g):
     got, want = reeb_graph(g), reeb_graph_rescan(g)
     assert got.nodes == want.nodes
     assert got.edges == want.edges
+    # The sweep writes each slab edge unswapped: its lower end is the older node.
+    assert all(got.nodes[a].level < got.nodes[b].level for a, b in got.edges)
     assert got.vertex_to_node == want.vertex_to_node
     assert reeb_graph_to_dot(got) == reeb_graph_to_dot(want)
 
@@ -878,6 +880,7 @@ def assert_slice_matches_checked_rebuild(g):
     f = model.map
     domain = SimplicialComplex(f.domain.num_vertices, f.domain.simplex_set)
     assert domain == f.domain
+    assert SimplicialComplex(f.codomain.num_vertices, f.codomain.simplex_set) == f.codomain
     assert SimplicialMap(domain, f.codomain, f.vertex_images) == f
     assert first_non_simplicial(domain.simplex_set, f.codomain.simplex_set, f.vertex_images) is None
     # The images come in face order without a sort: those of the oracle's
