@@ -47,7 +47,14 @@ from .io import (
     reeb_graph_to_doc,
     reeb_graph_to_dot,
 )
-from .reeb import b1_inequality_check, pl_as_simplicial_map, reeb_graph, reeb_space, verify_quotient
+from .reeb import (
+    _slice_strata,
+    b1_inequality_check,
+    pl_as_simplicial_map,
+    reeb_graph,
+    reeb_space,
+    verify_quotient,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -106,7 +113,11 @@ def cmd_reeb(args):
         else:
             _write_output(dumps_report(reeb_graph_to_doc(graph)), args.output)
         return EXIT_OK
-    space = reeb_space(_as_map(f, g))
+    if g is not None and not args.emit_realization:
+        # The slice's strata, counted off the Reeb graph (reeb module docstring).
+        space = _slice_strata(g)
+    else:
+        space = reeb_space(_as_map(f, g))
     bv = space.betti()
     report = {
         "betti": bv.as_list(),

@@ -737,7 +737,16 @@ def staircase_product(k1, k2, f1=None, f2=None):
     coords = None
     if k1.coordinates is not None and k2.coordinates is not None:
         coords = tuple(k1.coordinates[u] + k2.coordinates[v] for u, v in pairs)
-    product = validate_complex(len(pairs), tops, close_faces=True, coordinates=coords)
+    # Built unchecked: a lattice path steps to pairs of larger id, so each
+    # top ascends strictly within range, and its faces, sorted size by size,
+    # are the closure in canonical order.  The factors' points are rational
+    # and of one dimension each, and so are their concatenations.
+    by_size = {}
+    for top in tops:
+        for k in range(1, len(top) + 1):
+            by_size.setdefault(k, set()).update(itertools.combinations(top, k))
+    listing = [s for k in sorted(by_size) for s in sorted(by_size[k])]
+    product = SimplicialComplex._from_canonical(len(pairs), listing, coords, ordered=True)
 
     if f1 is None:
         return StaircaseProduct(product, tuple(pairs))

@@ -53,6 +53,7 @@ Otherwise only the result types and the internal-invariant error come from
 the package.
 """
 
+import functools
 import heapq
 from collections import Counter
 from fractions import Fraction
@@ -62,8 +63,9 @@ from itertools import combinations, product
 from reebforge.complexes import Poset, validate_complex
 from reebforge.errors import InvariantError
 from reebforge.fiberprod import _MorseModel
-from reebforge.homology import BettiVector
-from reebforge.reeb import ReebComplex, ReebGraph, ReebNode, Stratum
+from reebforge.fixtures import random_map
+from reebforge.homology import BettiVector, regular_cw_betti
+from reebforge.reeb import ReebComplex, ReebGraph, ReebNode, Stratum, reeb_space
 
 
 class UnionFind:
@@ -601,6 +603,16 @@ def _cell_poset(f, p, label=None):
             facets.append(found)
             cid += 1
     return dims, facets
+
+
+@functools.cache
+def cell_poset_betti(seed, p, labelled):
+    """``regular_cw_betti`` of ``_cell_poset`` for the p-th fiber power of
+    ``random_map(seed)``, over its Reeb strata when ``labelled``.  Cached:
+    several tests compare an engine with the same reference."""
+    f = random_map(seed)
+    label = reeb_space(f).exact_strata if labelled else None
+    return regular_cw_betti(*_cell_poset(f, p, label))
 
 
 def collapse_face_poset_sets(facets):

@@ -317,6 +317,39 @@ def test_staircase_pairs_come_in_nested_loop_order(k1, k2, f1, f2):
     assert staircase_product(k1, k2, f1, f2).vertex_pairs == nested_loop_pairs(k1, k2, f1, f2)
 
 
+def assert_checked_closure(k):
+    """k equals the checked closure of its own maximal simplices, points included."""
+    assert k == validate_complex(
+        k.num_vertices, k.maximal_simplices, close_faces=True, coordinates=k.coordinates
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: staircase_product(*(disk_collapse(1).domain,) * 2, *(disk_collapse(1),) * 2),
+        lambda: staircase_product(*(disk_collapse(2).domain,) * 2, *(disk_collapse(2),) * 2),
+        lambda: staircase_product(
+            SimplicialComplex(3, full_simplex(2).simplices, [[0, 0], [1, 0], [0, 1]]),
+            SimplicialComplex(2, path_complex(2).simplices, [[Fraction(1, 2)], [3]]),
+        ),
+    ],
+    ids=["disk1", "disk2", "with_points"],
+)
+def test_staircase_product_builds_the_checked_closure(build):
+    # The product is built unchecked, its faces listed size by size.
+    prod = build()
+    assert_checked_closure(prod.complex)
+    if prod.product_map is not None:
+        assert_checked_closure(prod.product_map.codomain)
+
+
+def test_staircase_power_builds_the_checked_closure():
+    power = product_power(disk_collapse(2), 2)
+    assert_checked_closure(power.domain)
+    assert_checked_closure(power.codomain)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -192,6 +193,46 @@ def test_cli_reeb_graph_dot(tmp_path, capsys):
     code, out, _ = run_cli(["reeb", str(path), "--space"], capsys)
     assert code == 0
     assert json.loads(out)["betti"] == [1, 1]
+
+
+# `reeb --space` on a function file counts the slice's strata off the Reeb
+# graph; only --emit-realization, which needs the strata's facets, slices.
+# The digest is the benchmark session's record of `reeb --space` on the
+# emitted torus_height function file.
+TORUS_SPACE_SHA256 = "0ff36be6043d5c264283525f8cad9af708c1f9fc46620cc2f37c87aa0712fe89"
+
+
+def test_cli_reeb_space_of_a_function_file_builds_no_slice(tmp_path, capsys, monkeypatch):
+    code, _, _ = run_cli(["fixtures", "emit", "torus_height", "-o", str(tmp_path)], capsys)
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("the slice path ran")
+
+    for module in (cli, reebforge.reeb):
+        monkeypatch.setattr(module, "pl_as_simplicial_map", refuse)
+        monkeypatch.setattr(module, "reeb_space", refuse)
+    path = os.path.join(str(tmp_path), "torus_height.function.json")
+    code, out, err = run_cli(["reeb", path, "--space"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TORUS_SPACE_SHA256
+
+
+def test_cli_reeb_space_with_realization_still_slices(tmp_path, capsys, monkeypatch):
+    code, _, _ = run_cli(["fixtures", "emit", "torus_height", "-o", str(tmp_path)], capsys)
+    assert code == 0
+    path = os.path.join(str(tmp_path), "torus_height.function.json")
+    code, out, _ = run_cli(["reeb", path, "--space"], capsys)
+    assert code == 0
+    plain = json.loads(out)
+    sliced = []
+    slice_ = cli.pl_as_simplicial_map
+    monkeypatch.setattr(cli, "pl_as_simplicial_map", lambda g: sliced.append(g) or slice_(g))
+    code, out, _ = run_cli(["reeb", path, "--space", "--emit-realization"], capsys)
+    assert (code, len(sliced)) == (0, 1)
+    full = json.loads(out)
+    assert full.pop("realization")["simplices"]
+    assert full == plain
 
 
 def test_cli_reeb_graph_requires_function_file(tmp_path, capsys):
@@ -827,7 +868,7 @@ def test_cli_rejects_slicing_an_empty_complex(tmp_path):
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
-    assert err.startswith("reebforge: error:")
+    assert err == "reebforge: error: cannot slice an empty complex\n"
 
 
 # A parsed complex is built on the canonical simplices that the validator

@@ -46,7 +46,7 @@ from reebforge import complexes, descent_check, homology, reeb
 from reebforge.fiberprod import fiber_power_betti, fiber_power_nerve, image_subcomplex
 from reebforge.complexes import _face_pairs
 from reebforge.homology import regular_cw_betti
-from reebforge.io import reeb_graph_to_dot
+from reebforge.io import dumps_report, reeb_complex_to_doc, reeb_graph_to_dot
 
 from .oracles import (
     chains_by_stack,
@@ -63,6 +63,7 @@ from .oracles import (
 )
 from .test_fiberprod import assert_boundary_squares_to_zero
 from .test_homology import simplicial_complexes
+from .test_metamorphic import relabel_function
 
 
 def height_on_square_circle():
@@ -952,10 +953,14 @@ def assert_slice_matches_cell_dicts(g, monkeypatch):
     return model
 
 
-def mesh_slice_function(seed, m=10):
-    """The shuffled torus that the mesh benchmark slices at this seed."""
+def mesh_torus_function(seed, m, kind="shuffled"):
+    """The grid torus of the mesh benchmark at this seed, size and value
+    kind; it slices the shuffled one at m = 10."""
     values = list(range(m * m))
-    random.Random(f"reeb_graph_mesh:{seed}:{m}").shuffle(values)
+    if kind == "shuffled":
+        random.Random(f"reeb_graph_mesh:{seed}:{m}").shuffle(values)
+    elif kind == "rowindex":
+        values = [v // m for v in values]
     return PLFunction(grid_torus(m, m), [Fraction(v) for v in values])
 
 
@@ -963,7 +968,7 @@ def mesh_slice_function(seed, m=10):
 # reach every branch of the closed-form up-sets.
 @pytest.mark.parametrize("seed", [0, 3, 19])
 def test_slice_matches_cell_dicts_on_recorded_mesh_seeds(seed, monkeypatch):
-    model = assert_slice_matches_cell_dicts(mesh_slice_function(seed), monkeypatch)
+    model = assert_slice_matches_cell_dicts(mesh_torus_function(seed, 10), monkeypatch)
     assert euler_characteristic(model.map.domain) == 0
 
 
@@ -1025,5 +1030,89 @@ def test_vertex_levels_skip_unused_vertex_ids():
 
 
 def test_slice_of_empty_complex_is_a_typed_error():
-    with pytest.raises(EmptyComplexError):
-        pl_as_simplicial_map(PLFunction(SimplicialComplex(0, []), []))
+    # The strata read off the sweep keep the slice's refusal: the sweep
+    # alone would return an empty graph.
+    for slice_ in (pl_as_simplicial_map, reeb._slice_strata):
+        with pytest.raises(EmptyComplexError, match="cannot slice an empty complex"):
+            slice_(PLFunction(SimplicialComplex(0, []), []))
+
+
+# `reeb --space` on a function file reads the slice's strata off the Reeb
+# graph (reeb module docstring).  Its report must be the slice path's, byte
+# for byte: the strata in canonical order, each component index counting
+# from 0 within its tau, and the Betti numbers and Euler characteristic.
+
+
+def space_report(space):
+    """The report of ``reeb --space``, less the realization."""
+    bv = space.betti()
+    return dumps_report({
+        "betti": bv.as_list(),
+        "total": bv.total,
+        "euler": bv.euler,
+        "num_strata": len(space.strata),
+        **reeb_complex_to_doc(space),
+    })
+
+
+def assert_slice_strata_match_the_slice(g):
+    want = space_report(reeb_space(pl_as_simplicial_map(g).map))
+    assert space_report(reeb._slice_strata(g)) == want
+
+
+def function_file_functions():
+    """The functions that the tests and CI write to function files and run
+    ``reeb --space`` on, with relabellings of the torus height and the
+    domains of ``random_function``."""
+    height = torus_height()[0]
+    yield height
+    yield PLFunction(height.complex, [v / 3 for v in height.values])
+    rng = random.Random("torus_height.function.json")
+    for _ in range(3):
+        yield relabel_function(height, rng)
+    yield height_on_square_circle()
+    yield PLFunction(full_simplex(2), [Fraction(1)] * 3)
+    k = SimplicialComplex(7, [(0, 2, 3), (3, 5), (0,), (2,), (3,), (5,), (0, 2), (0, 3), (2, 3)])
+    yield PLFunction(k, [Fraction(1, 2), -9, Fraction(1, 2), 0, 99, Fraction(-2, 3), 7])
+    for seed in range(10):
+        yield random_function(seed)
+
+
+def test_slice_strata_match_the_slice_on_function_files():
+    for g in function_file_functions():
+        assert_slice_strata_match_the_slice(g)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_slice_strata_match_the_slice_on_recorded_mesh_tori(m):
+    # Row-major and row-index values do not depend on the seed.
+    for kind in ("rowmajor", "rowindex"):
+        assert_slice_strata_match_the_slice(mesh_torus_function(0, m, kind))
+    for seed in range(20):
+        assert_slice_strata_match_the_slice(mesh_torus_function(seed, m))
+
+
+@st.composite
+def tied_functions_on_two_parts(draw):
+    """Values from 0..top, over 1 or 2, on two disjoint complexes on 7 vertex
+    ids each, some unused; the second holds a 3-simplex, and its values may
+    be shifted past the first's, leaving a gap that no slab crosses."""
+    first = draw(simplicial_complexes())
+    second = draw(simplicial_complexes())
+    tet = tuple(sorted(draw(st.sets(st.integers(0, 6), min_size=4, max_size=4))))
+    faces = {f for k in range(1, 5) for f in combinations(tet, k)}
+    simplices = set(first.simplices) | {
+        tuple(v + 7 for v in s) for s in faces.union(second.simplices)
+    }
+    top = draw(st.integers(0, 4))
+    shift = draw(st.sampled_from([0, top + 1]))
+    denominator = draw(st.integers(1, 2))
+    values = draw(st.lists(st.integers(0, top), min_size=14, max_size=14))
+    values = [Fraction(v + (shift if i >= 7 else 0), denominator) for i, v in enumerate(values)]
+    return PLFunction(SimplicialComplex(14, simplices), values)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(tied_functions_on_two_parts())
+def test_slice_strata_match_the_slice_with_tied_values(g):
+    assert_slice_strata_match_the_slice(g)
