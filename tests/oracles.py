@@ -10,7 +10,10 @@ and ``partition_up_closed`` the per-family sort-and-index partition that the
 package's coface-index union-find replaced; both are kept to check the
 production paths against.  ``reeb_space_scan`` is the Reeb-space
 construction that partitioned every S_tau = {sigma : tau inside f(sigma)},
-before the strata came from the exact-image groups alone.  Likewise
+before the strata came from the exact-image groups alone, and
+``b1_rows_by_face_components`` the b1 check's rows from a restricted copy
+of the map on each domain component, before one Reeb space of the whole
+map served every component.  Likewise
 ``fiber_power_cells_tuples`` is the tuple-keyed fiber-power cell enumerator
 that mixed-radix cell ids replaced, ``_cell_poset`` the mixed-radix
 enumerator of every cell of a power, whose regular cellular homology the
@@ -60,11 +63,11 @@ from fractions import Fraction
 from math import comb, gcd
 from itertools import combinations, product
 
-from reebforge.complexes import Poset, validate_complex
+from reebforge.complexes import Poset, SimplicialMap, connected_components, validate_complex
 from reebforge.errors import InvariantError
 from reebforge.fiberprod import _MorseModel
 from reebforge.fixtures import random_map
-from reebforge.homology import BettiVector, regular_cw_betti
+from reebforge.homology import BettiVector, betti, regular_cw_betti
 from reebforge.reeb import ReebComplex, ReebGraph, ReebNode, Stratum, reeb_space
 
 
@@ -849,6 +852,25 @@ def reeb_space_scan(f):
         stratum_id[(f.image_simplex(s), comp_of[f.image_simplex(s)][s])] for s in simplices
     ]
     return ReebComplex(f, tuple(strata), tuple(exact), tuple(facets))
+
+
+def b1_rows_by_face_components(f):
+    """The rows as built from ``connected_components``, whose neighbours are
+    all proper faces inside the subset, before the split read the facet
+    table."""
+    k = f.domain
+    rows = []
+    for cls in connected_components(k, k.simplices):
+        verts = sorted({v for s in cls for v in s})
+        sub, _ = k.restrict_to_vertices(verts)
+        restricted = SimplicialMap(sub, f.codomain, [f.vertex_images[v] for v in verts])
+        b1_domain = betti(sub)[1]
+        b1_reeb = reeb_space(restricted).betti()[1]
+        rows.append({
+            "vertices": len(verts), "b1_domain": b1_domain, "b1_reeb": b1_reeb,
+            "holds": b1_reeb <= b1_domain,
+        })
+    return rows
 
 
 def convolve(a, b):

@@ -1,10 +1,11 @@
+import functools
 import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reebforge import (
@@ -49,6 +50,7 @@ from reebforge.homology import regular_cw_betti
 from reebforge.io import dumps_report, reeb_complex_to_doc, reeb_graph_to_dot
 
 from .oracles import (
+    b1_rows_by_face_components,
     chains_by_stack,
     convolve,
     first_non_simplicial,
@@ -328,25 +330,6 @@ def test_b1_inequality_examples():
     assert report["components"][0]["b1_reeb"] == 1
 
 
-def b1_rows_by_face_components(f):
-    """The rows as built from ``connected_components``, whose neighbours are
-    all proper faces inside the subset, before the split read the facet
-    table."""
-    k = f.domain
-    rows = []
-    for cls in connected_components(k, k.simplices):
-        verts = sorted({v for s in cls for v in s})
-        sub, _ = k.restrict_to_vertices(verts)
-        restricted = SimplicialMap(sub, f.codomain, [f.vertex_images[v] for v in verts])
-        b1_domain = betti(sub)[1]
-        b1_reeb = reeb_space(restricted).betti()[1]
-        rows.append({
-            "vertices": len(verts), "b1_domain": b1_domain, "b1_reeb": b1_reeb,
-            "holds": b1_reeb <= b1_domain,
-        })
-    return rows
-
-
 def torus_and_circle_map():
     # Two components: the minimal torus on 0..6 and a 4-cycle on 7..10.
     torus = minimal_torus().simplices
@@ -355,20 +338,126 @@ def torus_and_circle_map():
     return SimplicialMap(domain, full_simplex(2), [v % 3 for v in range(7)] + [0, 1, 2, 0])
 
 
-@pytest.mark.parametrize(
-    "build",
-    [lambda: disk_collapse(1), lambda: disk_collapse(2), lambda: torus_height()[1],
-     torus_and_circle_map],
-    ids=["disk1", "disk2", "torus_slice", "two_components"],
-)
-def test_b1_rows_match_the_face_relation_components(build):
-    f = build()
+def triangle_and_square_map():
+    # Two components with interleaved ids: the 3-cycle 0-2-4 and the 4-cycle
+    # 1-3-5-6, the map that CI's console step checks with `verify --b1`.
+    edges = [(0, 2), (0, 4), (2, 4), (1, 3), (1, 6), (3, 5), (5, 6)]
+    domain = SimplicialComplex(7, [(v,) for v in range(7)] + edges)
+    return SimplicialMap(domain, full_simplex(2), [0, 0, 1, 0, 2, 0, 0])
+
+
+def disjoint_union(maps, ids, num_vertices):
+    """The disjoint union of maps onto one codomain, on ``num_vertices``
+    ids: the maps' vertices, counted map after map, take ``ids`` in order."""
+    simplices = []
+    images = [0] * num_vertices
+    offset = 0
+    for f in maps:
+        new = ids[offset : offset + f.domain.num_vertices]
+        simplices += [tuple(new[v] for v in s) for s in f.domain.simplices]
+        for v, image in enumerate(f.vertex_images):
+            images[new[v]] = image
+        offset += f.domain.num_vertices
+    return SimplicialMap(SimplicialComplex(num_vertices, simplices), maps[0].codomain, images)
+
+
+@functools.cache
+def battery_seeds_by_codomain():
+    seeds = {}
+    for seed in range(50):
+        seeds.setdefault(random_map(seed).codomain.simplices, []).append(seed)
+    return seeds
+
+
+@st.composite
+def interleaved_battery_unions(draw):
+    """A disjoint union of 2-3 battery maps that share a codomain, repeats
+    allowed, with their vertex ids shuffled together so that no component
+    is a contiguous id range, and 1-2 ids left unused."""
+    group = draw(st.sampled_from(sorted(battery_seeds_by_codomain().values())))
+    maps = [random_map(s) for s in draw(st.lists(st.sampled_from(group), min_size=2, max_size=3))]
+    used = sum(f.domain.num_vertices for f in maps)
+    total = used + draw(st.integers(1, 2))
+    ids = draw(st.permutations(range(total)))[:used]
+    offset = 0
+    for f in maps:
+        part = ids[offset : offset + f.domain.num_vertices]
+        assume(max(part) - min(part) >= len(part))
+        offset += f.domain.num_vertices
+    return disjoint_union(maps, ids, total)
+
+
+def assert_b1_rows_match_the_face_relation_components(f):
     report = b1_inequality_check(f)
     assert report["components"] == b1_rows_by_face_components(f)
     assert report["ok"] == all(row["holds"] for row in report["components"])
+    return report
+
+
+@given(interleaved_battery_unions())
+@settings(max_examples=40, deadline=None)
+def assert_b1_rows_match_on_interleaved_battery_unions(f):
+    assert_b1_rows_match_the_face_relation_components(f)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: disk_collapse(1), lambda: disk_collapse(2), lambda: torus_height()[1],
+     torus_and_circle_map, triangle_and_square_map,
+     *(lambda s=s: random_map(s) for s in range(50)),
+     lambda: product_power(disk_collapse(2), 2), None],
+    ids=["disk1", "disk2", "torus_slice", "two_components", "interleaved_cycles"]
+    + [f"random{s}" for s in range(50)] + ["product", "interleaved_unions"],
+)
+def test_b1_rows_match_the_face_relation_components(build):
+    if build is None:
+        assert_b1_rows_match_on_interleaved_battery_unions()
+        return
+    report = assert_b1_rows_match_the_face_relation_components(build())
+    rows = [tuple(r.values()) for r in report["components"]]
     if build is torus_and_circle_map:
-        rows = [(r["vertices"], r["b1_domain"]) for r in report["components"]]
-        assert rows == [(7, 2), (4, 1)]
+        assert [row[:2] for row in rows] == [(7, 2), (4, 1)]
+    if build is triangle_and_square_map:
+        assert rows == [(3, 1, 1, True), (4, 1, 0, True)]
+
+
+@pytest.mark.parametrize("build", [torus_and_circle_map, triangle_and_square_map])
+def test_b1_check_reads_one_reeb_space_and_no_restricted_copy(monkeypatch, build):
+    # Each component's parts, renumbered in ascending id order, are the very
+    # tables that the restricted copy hands to the collapse, call for call.
+    tables = []
+
+    def recording(real):
+        def record(dims, facets):
+            tables.append((list(dims), [tuple(fs) for fs in facets]))
+            return real(dims, facets)
+        return record
+
+    monkeypatch.setattr(homology, "_delta_betti", recording(homology._delta_betti))
+    monkeypatch.setattr(reeb, "_delta_betti", recording(reeb._delta_betti))
+    f = build()
+    want = b1_rows_by_face_components(f)
+    assert len(want) >= 2
+    copied, tables[:] = tables[:], []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the b1 check built a restricted copy")
+
+    monkeypatch.setattr(SimplicialComplex, "restrict_to_vertices", refuse)
+    monkeypatch.setattr(reeb, "SimplicialMap", refuse)
+    calls = []
+    real = reeb.reeb_space
+    monkeypatch.setattr(reeb, "reeb_space", lambda g: calls.append(g) or real(g))
+    assert b1_inequality_check(f)["components"] == want
+    assert len(calls) == 1 and calls[0] is f
+    assert tables == copied
+
+
+@pytest.mark.parametrize("num_vertices", [0, 2])
+def test_b1_check_of_an_empty_domain_has_no_rows(num_vertices):
+    empty = SimplicialComplex(num_vertices, [])
+    f = SimplicialMap(empty, SimplicialComplex(1, [(0,)]), [0] * num_vertices)
+    assert b1_inequality_check(f) == {"components": [], "ok": True}
 
 
 def test_reeb_space_idempotence():
