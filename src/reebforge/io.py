@@ -12,9 +12,10 @@ import itertools
 import json
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .complexes import PLFunction, SimplicialMap, _validated
-from .errors import FormatError
+from .errors import FormatError, InvariantError
 
 
 def parse_rational(value):
@@ -171,15 +172,128 @@ def load_complex(path, close_faces=False):
     return complex_from_doc(read_document(path), close_faces=close_faces)
 
 
+# The report writer.  Its text is that of json.dumps(doc, indent=2,
+# sort_keys=True) and a newline, built from whole lines: a list of one
+# scalar type is one str.join per batch of items, a listing of non-empty int
+# lists one %d template per inner length.  Types are tested with ``type(x)
+# is``, so a bool never takes an int path.  An int subclass is written as
+# its int, as json writes it; any other type (a float, a Fraction, a set, a
+# key that is not a str) is one no report holds, and is refused with
+# InvariantError.
+_SCALARS = {
+    int: int.__repr__,
+    str: _encode_str,  # json's own escaper under its default ensure_ascii
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+_SEQUENCES = frozenset((list, tuple))
+# Items of one list joined into one piece (256 simplices of the product's
+# listings take about 20 KiB), and the characters a chunk gathers before it
+# is yielded; a chunk is thus under _CHUNK plus one piece, and one string or
+# int is never split.
+_BATCH = 256
+_CHUNK = 1 << 14
+
+
+def _refused(what, value):
+    return InvariantError(f"a report cannot hold a {what} of type {type(value).__name__}")
+
+
+def _pieces(value, nl):
+    """The text of ``value``, in pieces; its inner lines begin with ``nl``."""
+    kind = type(value)
+    render = _SCALARS.get(kind)
+    if render is not None:
+        yield render(value)
+    elif kind is dict:
+        if not value:
+            yield "{}"
+            return
+        inner = nl + "  "
+        try:
+            keys = sorted(value)
+        except TypeError:  # keys of mixed types: the loop names one
+            keys = value
+        lead = "{" + inner
+        for key in keys:
+            if type(key) is not str:
+                raise _refused("key", key)
+            item = value[key]
+            render = _SCALARS.get(type(item))
+            if render is None:
+                yield lead + _encode_str(key) + ": "
+                yield from _pieces(item, inner)
+            else:
+                yield lead + _encode_str(key) + ": " + render(item)
+            lead = "," + inner
+        yield nl + "}"
+    elif kind in _SEQUENCES:
+        if not value:
+            yield "[]"
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        lead = "[" + inner
+        types = set(map(type, value))
+        render = _SCALARS.get(next(iter(types))) if len(types) == 1 else None
+        if render is not None:
+            for start in range(0, len(value), _BATCH):
+                yield lead + sep.join(map(render, value[start:start + _BATCH]))
+                lead = sep
+        elif (
+            types <= _SEQUENCES
+            and all(value)
+            and set(map(type, itertools.chain.from_iterable(value))) == {int}
+        ):
+            deeper = inner + "  "
+            templates = {
+                k: "[" + deeper + ("," + deeper).join(["%d"] * k) + inner + "]"
+                for k in set(map(len, value))
+            }
+            for start in range(0, len(value), _BATCH):
+                batch = value[start:start + _BATCH]
+                yield lead + sep.join([templates[len(s)] % tuple(s) for s in batch])
+                lead = sep
+        else:
+            for item in value:
+                render = _SCALARS.get(type(item))
+                if render is None:
+                    yield lead
+                    yield from _pieces(item, inner)
+                else:
+                    yield lead + render(item)
+                lead = sep
+        yield nl + "]"
+    elif isinstance(value, int):  # a caller's vertex ids may subclass int
+        yield int.__repr__(value)
+    else:
+        raise _refused("value", value)
+
+
+def _report_chunks(doc):
+    """The text of ``dumps_report(doc)`` in chunks of about _CHUNK characters."""
+    chunk = []
+    size = 0
+    for piece in _pieces(doc, "\n"):
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            yield "".join(chunk)
+            chunk = []
+            size = 0
+    chunk.append("\n")
+    yield "".join(chunk)
+
+
 def dumps_report(doc):
     """Canonical report serialization: sorted keys, two-space indent."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(_report_chunks(doc))
 
 
 def dump_report(doc, fh):
     """Write ``dumps_report(doc)`` to ``fh`` chunk by chunk, never whole."""
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    for chunk in _report_chunks(doc):
+        fh.write(chunk)
 
 
 def reeb_complex_to_doc(space):

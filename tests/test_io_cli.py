@@ -1,13 +1,17 @@
 import gc
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reebforge
 from reebforge import (
@@ -28,12 +32,14 @@ from reebforge.fixtures import (
     boundary_delta3,
     build_fixture,
     disk_collapse,
+    grid_torus,
     product_power,
     torus_height,
 )
 from reebforge.io import (
     complex_from_doc,
     complex_to_doc,
+    dump_report,
     dumps_report,
     function_from_doc,
     function_to_doc,
@@ -1024,3 +1030,179 @@ def test_int_subclass_simplex_entries_are_accepted():
 
     k = complex_from_doc({"simplices": [[Id(0)], [Id(1)], [Id(0), Id(1)]]})
     assert k == complex_from_doc({"simplices": [[0], [1], [0, 1]]})
+
+
+# The report writer gives the text of json.dumps(doc, indent=2,
+# sort_keys=True) and a newline, byte for byte, for every document a report
+# can hold, and refuses every other value.
+
+
+def reference_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def streamed_text(doc):
+    fh = io.StringIO()
+    dump_report(doc, fh)
+    return fh.getvalue()
+
+
+_STRINGS = st.text(max_size=4) | st.text(
+    st.sampled_from('a"\\/\x00\x1f\x7f\n\té\u2028\U0001f600'), max_size=4
+)
+# The largest ints below the 4,300-digit limit on int-to-str conversion.
+_INTS = st.integers(-(10**30), 10**30) | st.sampled_from([10**4299 - 1, -(10**4299) + 1])
+_LISTINGS = st.lists(
+    st.lists(st.integers(-3, 10**6), min_size=1, max_size=5).map(
+        lambda s: s if len(s) % 2 else tuple(s)  # tuples as well as lists
+    ),
+    min_size=1,
+    max_size=8,
+)
+# Lists that look like a fast shape and must leave it.
+_MIXES = st.sampled_from([[1, True], [[1], []], [[1], 2], [[True]], [(0, 1), [2, False]]])
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | _INTS
+    | _STRINGS
+    | st.lists(_INTS, max_size=6)
+    | st.lists(st.booleans() | st.none(), max_size=3)
+    | st.lists(_STRINGS, max_size=3)
+    | _LISTINGS
+    | _LISTINGS.map(lambda listing: listing * 70)  # runs past one batch
+    | _MIXES
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_DOCUMENTS)
+def test_reports_are_the_text_of_json_dumps(doc):
+    want = reference_text(doc)
+    assert dumps_report(doc) == want
+    assert streamed_text(doc) == want
+
+
+@pytest.fixture(scope="module")
+def product_map_doc():
+    return map_to_doc(product_power(disk_collapse(2), 2))
+
+
+def _grid_torus_function_doc():
+    values = list(range(400))
+    random.Random(20).shuffle(values)
+    return {"complex": complex_to_doc(grid_torus(20, 20)), "values": values}
+
+
+# Each case: the input file's document and the command whose report is
+# captured as the CLI builds it.
+CLI_REPORTS = {
+    "product_space_realization": (
+        "product", ["reeb", "FILE", "--space", "--emit-realization"]
+    ),
+    "grid_torus_graph": (_grid_torus_function_doc, ["reeb", "FILE", "--graph"]),
+    "disk_descent": (
+        lambda: map_to_doc(disk_collapse(2)), ["verify", "FILE", "--descent", "2"]
+    ),
+}
+
+
+def cli_report(case, product_map_doc, tmp_path, capsys, monkeypatch):
+    """The document that ``case``'s command hands to ``dumps_report``."""
+    make_input, argv = CLI_REPORTS[case]
+    path = tmp_path / "input.json"
+    doc = product_map_doc if make_input == "product" else make_input()
+    path.write_text(dumps_report(doc), encoding="utf-8")
+    seen = []
+
+    def record(report):
+        seen.append(report)
+        return dumps_report(report)
+
+    monkeypatch.setattr(cli, "dumps_report", record)
+    code, out, _ = run_cli([str(path) if a == "FILE" else a for a in argv], capsys)
+    assert code == 0 and len(seen) == 1 and out == dumps_report(seen[0])
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["product_map", *CLI_REPORTS])
+def test_large_reports_are_the_text_of_json_dumps(
+    case, product_map_doc, tmp_path, capsys, monkeypatch
+):
+    if case == "product_map":
+        doc = product_map_doc
+    else:
+        doc = cli_report(case, product_map_doc, tmp_path, capsys, monkeypatch)
+    want = reference_text(doc)
+    assert dumps_report(doc) == want
+    assert streamed_text(doc) == want
+
+
+def test_int_subclass_ids_are_written_as_ints():
+    class Id(int):
+        pass
+
+    doc = complex_to_doc(complex_from_doc({"simplices": [[Id(0)], [Id(1)], [Id(0), Id(1)]]}))
+    assert dumps_report(doc) == reference_text(doc)
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        (1.5, "float"),
+        (Fraction(1, 2), "Fraction"),
+        ({1, 2}, "set"),
+        ({1: 2}, "int"),
+        (object(), "object"),
+    ],
+    ids=["float", "Fraction", "set", "int_key", "object"],
+)
+def test_a_value_no_report_holds_is_refused_by_type(value, name):
+    for doc in (value, {"rows": [value]}, [[0, 1], value]):
+        for write in (dumps_report, streamed_text):
+            with pytest.raises(InvariantError, match=rf"\b{name}\b"):
+                write(doc)
+
+
+def test_a_refused_report_exits_4_with_nothing_on_stdout(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "bound_report", lambda name, value, **params: {"value": 0.5})
+    code, out, err = run_cli(["bounds", "closed", "--s", "1", "--d", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert "float" in err
+
+
+def test_a_document_is_written_in_bounded_chunks(product_map_doc):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    dump_report(product_map_doc, Recorder())
+    assert len(writes) > 1
+    assert max(map(len, writes)) <= 64 * 1024
+    assert "".join(writes) == dumps_report(product_map_doc)
+
+
+def test_writing_a_report_leaves_no_cyclic_garbage(
+    product_map_doc, tmp_path, capsys, monkeypatch
+):
+    space = cli_report(
+        "product_space_realization", product_map_doc, tmp_path, capsys, monkeypatch
+    )
+    del space["realization"]  # the product's `reeb --space` report
+    gc.collect()
+    gc.disable()
+    try:
+        dumps_report(space)
+        dump_report(product_map_doc, io.StringIO())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
