@@ -102,7 +102,7 @@ def cmd_reeb(args):
             "--emit-realization inlines a Reeb space's realization; combine it with --space"
         )
     # The API's own check, run before the file is read.
-    cap = resolve_cell_cap() if args.emit_realization else None
+    cap = resolve_cell_cap(args.cell_cap) if args.emit_realization else None
     f, g = _load_map_or_function(args.file, args.close_faces)
     if args.graph:
         if g is None:
@@ -265,6 +265,7 @@ def build_parser():
     group.add_argument("--space", action="store_true", help="Reeb space of a simplicial map")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of a report (--graph only)")
     p.add_argument("--emit-realization", action="store_true", help="inline the realization complex")
+    p.add_argument("--cell-cap", type=int, default=None, help="cap on the realization's simplices")
     add_common(p)
     p.set_defaults(func=_late("cmd_reeb"))
 

@@ -12,7 +12,7 @@ import bisect
 import graphlib
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
@@ -455,19 +455,20 @@ def _edge_checked_map(domain, codomain, vertex_images):
     return f
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(namedtuple("PLFunction", "complex values")):
     """A piecewise-linear function given by one rational value per vertex."""
 
-    complex: SimplicialComplex
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _fractions("value", self.values))
-        if len(self.values) != self.complex.num_vertices:
-            raise ValueCountMismatchError(
-                f"{len(self.values)} values for {self.complex.num_vertices} vertices"
-            )
+    def __new__(cls, complex, values):
+        values = _fractions("value", values)
+        if len(values) != complex.num_vertices:
+            raise ValueCountMismatchError(f"{len(values)} values for {complex.num_vertices} vertices")
+        return super().__new__(cls, complex, values)
+
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` checks too
+        return cls(*iterable)
 
 
 def connected_components(complex_, subset):
@@ -602,21 +603,19 @@ def _enumerate_chains(ups):
     return chains
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(namedtuple("Poset", "elements covers")):
     """A finite poset stored as elements plus covering pairs.
 
     Covers are (lower, higher) index pairs and are reduced to the transitive
-    reduction at construction time.  Indices need not be a linear extension;
-    ``_order``, a topological order, is kept from construction.  Ranked in
-    it, the covers are a facet table whose ids ascend along the order, and
-    the chains are counted and built from it as sd(K)'s are from K's.
+    reduction at construction time.  Indices need not be a linear extension:
+    ranked in a topological order, the covers are a facet table whose ids
+    ascend along the order, and the chains are counted and built from it as
+    sd(K)'s are from K's.
     """
 
-    elements: tuple
-    covers: tuple
+    __slots__ = ()
 
-    def __init__(self, elements, covers):
+    def __new__(cls, elements, covers):
         elements = tuple(elements)
         pairs = [tuple(pair) for pair in covers]
         _require_ints("poset relation id", list(itertools.chain.from_iterable(pairs)))
@@ -629,21 +628,22 @@ class Poset:
                 raise VertexOutOfRangeError(f"relation ({a}, {b}) outside 0..{n - 1}")
         order = _topological_order(n, covers)  # raises on cycles
         reduced = _transitive_reduction(_rank_facets(order, covers))
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covers", tuple(sorted((order[i], order[j]) for i, j in reduced)))
-        # The reduced covers have the same transitive closure, so this
-        # order is also theirs.
-        object.__setattr__(self, "_order", order)
+        return super().__new__(cls, elements, tuple(sorted((order[i], order[j]) for i, j in reduced)))
+
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` checks too
+        return cls(*iterable)
 
     def order_complex(self, cap=None):
         """The simplicial complex of chains of this poset.
 
-        The chains are counted and enumerated on ranks, so ids ascend along
-        them; with a ``cap``, a count past it raises BudgetExceededError
-        (stage "chains") before any chain is built.  Each chain is renamed
-        back to element ids and sorted again.
+        The chains are counted and enumerated on ranks in a topological
+        order of the reduced covers, whose transitive closure is the
+        relation's, so ids ascend along them; with a ``cap``, a count past
+        it raises BudgetExceededError (stage "chains") before any chain is
+        built.  Each chain is renamed back to element ids and sorted again.
         """
-        order = self._order
+        order = _topological_order(len(self.elements), self.covers)
         facets = _rank_facets(order, self.covers)
         if cap is not None:
             _refuse_past_cap(_chain_count(facets), cap, "chains", "chains")
@@ -680,8 +680,13 @@ def _transitive_reduction(facets):
     return [(i, j) for j, fs in enumerate(facets) for i in fs if above[i].isdisjoint(fs)]
 
 
-@dataclass(frozen=True)
-class StaircaseProduct:
+class StaircaseProduct(
+    namedtuple(
+        "StaircaseProduct",
+        "complex vertex_pairs product_map codomain_pairs",
+        defaults=(None, None),
+    )
+):
     """Result of a staircase triangulation of a product.
 
     ``vertex_pairs[i]`` is the (vertex-of-K1, vertex-of-K2) pair behind
@@ -690,10 +695,7 @@ class StaircaseProduct:
     vertices.
     """
 
-    complex: SimplicialComplex
-    vertex_pairs: tuple
-    product_map: object = None
-    codomain_pairs: tuple = None
+    __slots__ = ()
 
 
 def staircase_product(k1, k2, f1=None, f2=None):

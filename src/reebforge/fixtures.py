@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .complexes import (
@@ -201,12 +201,14 @@ def random_function(seed, size=12):
     return PLFunction(domain, [Fraction(v) for v in values])
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
-    """A named fixture with integer parameters."""
+class FixtureSpec(namedtuple("FixtureSpec", "name parameters")):
+    """A named fixture with integer parameters; each spec gets its own
+    empty ``parameters`` when none are given."""
 
-    name: str
-    parameters: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, name, parameters=None):
+        return super().__new__(cls, name, {} if parameters is None else parameters)
 
 
 FIXTURE_PARAMS = {

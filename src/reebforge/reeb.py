@@ -65,11 +65,9 @@ order: the realization, fiber powers, the verifiers and the quotient map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -96,12 +94,10 @@ from .errors import (
 from .homology import BettiVector, _delta_betti
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(namedtuple("Stratum", "tau component")):
     """A codomain simplex together with one fiber component over it."""
 
-    tau: tuple
-    component: int
+    __slots__ = ()
 
 
 class ReebComplex:
@@ -306,22 +302,16 @@ def _part_b1(dims, facets, part):
     return _delta_betti([dims[c] for c in part], [[position[g] for g in facets[c]] for c in part])[1]
 
 
-class ReebNode(NamedTuple):
+class ReebNode(namedtuple("ReebNode", "id value level component")):
     """A Reeb graph node: one level-set component at one critical value."""
 
-    id: int
-    value: Fraction
-    level: int
-    component: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReebGraph:
+class ReebGraph(namedtuple("ReebGraph", "nodes edges vertex_to_node")):
     """The Reeb graph of a real-valued PL function, as a multigraph."""
 
-    nodes: tuple
-    edges: tuple
-    vertex_to_node: dict
+    __slots__ = ()
 
     def betti(self):
         ids = range(len(self.nodes))
@@ -494,12 +484,11 @@ def _level_spans(k, level_of):
     return lo, hi
 
 
-class _SliceStrata(NamedTuple):
+class _SliceStrata(namedtuple("_SliceStrata", "strata graph")):
     """The strata and Betti numbers of the Reeb space of a function's slice,
     counted off its Reeb graph by ``_slice_strata``."""
 
-    strata: tuple
-    graph: ReebGraph
+    __slots__ = ()
 
     def betti(self):
         return self.graph.betti()
@@ -527,8 +516,7 @@ def _slice_strata(g):
     return _SliceStrata(tuple(Stratum(tau, i) for tau, k in counts for i in range(k)), graph)
 
 
-@dataclass(frozen=True)
-class LevelSliceModel:
+class LevelSliceModel(namedtuple("LevelSliceModel", "map codomain_levels")):
     """A PL function re-expressed as a simplicial map onto a segment complex.
 
     The codomain path alternates value vertices and gap vertices for the open
@@ -538,8 +526,7 @@ class LevelSliceModel:
     and ``map`` sends each cell to its codomain vertex.
     """
 
-    map: SimplicialMap
-    codomain_levels: tuple
+    __slots__ = ()
 
 
 def pl_as_simplicial_map(g):

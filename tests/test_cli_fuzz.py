@@ -32,6 +32,7 @@ FIXTURES = [
 CAP = ["--cell-cap", "2000"]
 MAP_COMMANDS = [
     ["reeb", "FILE", "--space"],
+    ["reeb", "FILE", "--space", "--emit-realization", *CAP],
     ["reeb", "FILE", "--graph"],
     ["fiber-power", "FILE", "-p", "1", *CAP],
     ["verify", "FILE", "--descent", "1", *CAP],

@@ -805,6 +805,10 @@ EARLY_FLAG_REFUSALS = {
     "verify_quotient_cap_zero": (
         ["verify", "MISSING", "--quotient", "--cell-cap", "0"], "cell cap must be >= 1, got 0"
     ),
+    "reeb_realization_cap_zero": (
+        ["reeb", "MISSING", "--space", "--emit-realization", "--cell-cap", "0"],
+        "cell cap must be >= 1, got 0",
+    ),
 }
 
 
@@ -844,6 +848,22 @@ def test_cli_reeb_resolves_the_realization_cap_before_the_file_is_read(
     assert (code, out) == (1, "")
     assert "cell cap" not in err
     assert "absent.json" in err
+
+
+def test_cli_reeb_realization_honours_the_cell_cap_flag(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "disk.map.json"
+    path.write_text(dumps_report(map_to_doc(disk_collapse(2))), encoding="utf-8")
+    # The flag wins over the environment, as it does for fiber-power and verify.
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "abc")
+    argv = ["reeb", str(path), "--space", "--emit-realization", "--cell-cap"]
+    code, out, err = run_cli([*argv, "73"], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "reebforge: budget exceeded: 74 simplices of the realization exceed the cap of 73\n"
+    )
+    code, out, _ = run_cli([*argv, "74"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["realization"]["simplices"]) == 74
 
 
 BAD_DOCUMENTS = {
