@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -12,7 +13,6 @@ from .complexes import (
     SimplicialMap,
     barycentric_subdivision,
     staircase_product,
-    validate_complex,
 )
 from .errors import (
     InvalidParamsError,
@@ -43,32 +43,44 @@ def circle(n=3):
 
 
 def full_simplex(dim):
-    """The full simplex on dim+1 vertices, with all faces."""
-    _require_ints("dim", (dim,))
-    return validate_complex(dim + 1, [tuple(range(dim + 1))], close_faces=True)
+    """The full simplex on dim+1 vertices, with all faces.
+
+    ``combinations`` lists each size lexicographically, so the listing is
+    canonical as written and is built through ``_from_canonical``.
+    """
+    _require_at_least("dim", dim, 0)
+    vertices = range(dim + 1)
+    listing = [s for k in range(1, dim + 2) for s in itertools.combinations(vertices, k)]
+    return SimplicialComplex._from_canonical(dim + 1, listing, ordered=True)
 
 
 def boundary_delta3():
-    """The boundary of the tetrahedron: a triangulated 2-sphere."""
-    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    return validate_complex(4, faces, close_faces=True)
+    """The boundary of the tetrahedron: a triangulated 2-sphere, the
+    2-skeleton of ``full_simplex(3)``."""
+    return full_simplex(3).skeleton(2)
 
 
 def grid_torus(m, n):
-    """Torus as an m x n periodic grid with consistent diagonals."""
+    """Torus as an m x n periodic grid with consistent diagonals.
+
+    Vertex (i, j) is i * n + j, and each grid square is cut along its
+    (i + 1, j)-(i, j + 1) diagonal.  The listing is written closed: the
+    m * n vertices, the 3 * m * n horizontal, vertical and diagonal edges
+    and the 2 * m * n triangles, each size sorted, so it is built through
+    ``_from_canonical`` with no re-check.  ``tests/oracles.py`` keeps the
+    checked build, which closes the triangles' faces.
+    """
     _require_ints("grid torus side", (m, n))
     if m < 3 or n < 3:
         raise InvalidParamsError("grid torus needs m, n >= 3")
-
-    def v(i, j):
-        return (i % m) * n + (j % n)
-
-    faces = []
-    for i in range(m):
-        for j in range(n):
-            faces.append(tuple(sorted((v(i, j), v(i + 1, j), v(i, j + 1)))))
-            faces.append(tuple(sorted((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))))
-    return validate_complex(m * n, faces, close_faces=True)
+    rows = ((i * n, (i + 1) % m * n) for i in range(m))
+    squares = [(r + j, r + (j + 1) % n, s + j, s + (j + 1) % n) for r, s in rows for j in range(n)]
+    edges = [e for a, b, c, _ in squares for e in ((a, b), (a, c), (b, c))]
+    edges = sorted([(x, y) if x < y else (y, x) for x, y in edges])
+    triangles = [t for a, b, c, d in squares for t in ((a, b, c), (b, c, d))]
+    triangles = sorted(map(tuple, map(sorted, triangles)))
+    listing = [(v,) for v in range(m * n)] + edges + triangles
+    return SimplicialComplex._from_canonical(m * n, listing, ordered=True)
 
 
 def disk_collapse(n):
@@ -146,7 +158,11 @@ def random_map(seed, size=12):
 
     The domain is grown as a walk on the codomain (so the vertex images make
     every backbone edge simplicial and the domain connected), then decorated
-    with image-compatible chords and triangles.  A negative seed is
+    with image-compatible chords and triangles.  The listing is closed and
+    canonical by construction (every vertex, sorted backbone and chord
+    pairs, each triangle with its three edges), so the domain is built
+    through ``_from_canonical`` with no re-check; ``tests/oracles.py`` keeps
+    the checked build.  The map itself is checked.  A negative seed is
     refused: ``random.Random`` seeds from its absolute value.
     """
     _require_at_least("seed", seed, 0)
@@ -188,7 +204,7 @@ def random_map(seed, size=12):
         if image_of((i, j, k)) in codomain.simplex_set:
             simplices.add((i, j, k))
             simplices.update(((i, j), (i, k), (j, k)))
-    domain = validate_complex(n, simplices, close_faces=True)
+    domain = SimplicialComplex._from_canonical(n, simplices)
     return SimplicialMap(domain, codomain, images)
 
 

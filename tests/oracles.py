@@ -51,13 +51,17 @@ the Reeb quotient map's groups with each key re-sorted and scanned, as
 before the keys were appended in stratum order, and
 ``sign_condition_double_sum`` is the sign-condition bounds' double sum,
 term by term.  ``minimal_torus``, the 7-vertex torus, is
-a test complex, built by the package's checked ``validate_complex``.
+a test complex, built by the package's checked ``validate_complex``, and
+``grid_torus_checked`` and ``random_map_checked`` are the two generators
+as built through it, triangles closed by ``validate_complex``, before
+each wrote its own closed, canonical listing.
 Otherwise only the result types and the internal-invariant error come from
 the package.
 """
 
 import functools
 import heapq
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
@@ -107,6 +111,73 @@ def minimal_torus():
         faces.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
         faces.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
     return validate_complex(7, faces, close_faces=True)
+
+
+def grid_torus_checked(m, n):
+    """``fixtures.grid_torus`` as it was built before it wrote its own closed
+    listing: the triangles only, checked and closed by ``validate_complex``."""
+
+    def v(i, j):
+        return (i % m) * n + (j % n)
+
+    faces = []
+    for i in range(m):
+        for j in range(n):
+            faces.append(tuple(sorted((v(i, j), v(i + 1, j), v(i, j + 1)))))
+            faces.append(tuple(sorted((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))))
+    return validate_complex(m * n, faces, close_faces=True)
+
+
+_CHECKED_CODOMAINS = {
+    "point": lambda: validate_complex(1, [(0,)]),
+    "segment": lambda: validate_complex(2, [(0, 1)], close_faces=True),
+    "circle": lambda: validate_complex(3, [(0, 1), (1, 2), (0, 2)], close_faces=True),
+    "triangle": lambda: validate_complex(3, [(0, 1, 2)], close_faces=True),
+    "sphere": lambda: validate_complex(
+        4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], close_faces=True
+    ),
+}
+
+
+def random_map_checked(seed, size=12):
+    """``fixtures.random_map`` as it was built before it wrote its own closed
+    listing: the same draws, with the codomain and the domain's simplex set
+    each checked and closed by ``validate_complex``."""
+    rng = random.Random(seed)
+    codomain = _CHECKED_CODOMAINS[rng.choice(sorted(_CHECKED_CODOMAINS))]()
+    n = rng.randint(6, size)
+
+    cod_vertices = [s[0] for s in codomain.by_dim()[0]]
+    images = [rng.choice(cod_vertices)]
+    for _ in range(1, n):
+        here = images[-1]
+        nbrs = [here] + [
+            u for u in cod_vertices if u != here and tuple(sorted((here, u))) in codomain.simplex_set
+        ]
+        images.append(rng.choice(sorted(nbrs)))
+
+    simplices = set((i,) for i in range(n))
+    simplices.update((i - 1, i) for i in range(1, n))
+
+    def image_of(ids):
+        return tuple(sorted({images[i] for i in ids}))
+
+    budget = 40
+    for _ in range(n):
+        if len(simplices) >= budget:
+            break
+        i, j = sorted(rng.sample(range(n), 2))
+        if image_of((i, j)) in codomain.simplex_set:
+            simplices.add((i, j))
+    for _ in range(2 * n):
+        if len(simplices) + 4 > budget:
+            break
+        i, j, k = sorted(rng.sample(range(n), 3))
+        if image_of((i, j, k)) in codomain.simplex_set:
+            simplices.add((i, j, k))
+            simplices.update(((i, j), (i, k), (j, k)))
+    domain = validate_complex(n, simplices, close_faces=True)
+    return SimplicialMap(domain, codomain, images)
 
 
 def first_non_simplicial(domain_simplices, codomain_simplices, vertex_images):

@@ -5,12 +5,14 @@ from reebforge import (
     SimplicialComplex,
     UnsupportedDimensionError,
     betti,
+    validate_complex,
     euler_characteristic,
     verify_quotient,
 )
 from reebforge.fixtures import (
     FIXTURE_PARAMS,
     FixtureSpec,
+    boundary_delta3,
     build_fixture,
     circle,
     disk_collapse,
@@ -23,7 +25,7 @@ from reebforge.fixtures import (
     torus_height,
 )
 
-from .oracles import minimal_torus
+from .oracles import grid_torus_checked, minimal_torus, random_map_checked
 
 
 def test_disk_collapse_validates():
@@ -82,6 +84,45 @@ def test_grid_torus_shapes():
     assert betti(t) == (1, 2, 1)
     with pytest.raises(InvalidParamsError):
         grid_torus(2, 5)
+
+
+def assert_equals_checked_build(built, reference):
+    # The generator's own listing equals the validated build, and the
+    # checked constructor takes it as it stands: that builds the facet
+    # table, so it is also the face check.
+    assert built == reference
+    assert SimplicialComplex(built.num_vertices, built.simplices) == built
+
+
+# Every square size of the reeb_graph_mesh workload.
+MESH_TORUS_SIDES = (6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20)
+
+
+@pytest.mark.parametrize("m", range(3, 21))
+def test_grid_torus_equals_its_checked_build(m):
+    sides = [(m, n) for n in range(3, 9)]
+    if m in MESH_TORUS_SIDES:
+        sides.append((m, m))
+    for rows, cols in sides:
+        assert_equals_checked_build(grid_torus(rows, cols), grid_torus_checked(rows, cols))
+
+
+@pytest.mark.parametrize("size", (6, 12, 32, 64))
+def test_random_map_equals_its_checked_build(size):
+    for seed in range(200):
+        f = random_map(seed) if size == 12 else random_map(seed, size=size)
+        reference = random_map_checked(seed, size)
+        assert f == reference
+        assert_equals_checked_build(f.domain, reference.domain)
+        assert_equals_checked_build(f.codomain, reference.codomain)
+
+
+def test_simplex_fixtures_equal_their_checked_builds():
+    for dim in range(6):
+        closed = validate_complex(dim + 1, [tuple(range(dim + 1))], close_faces=True)
+        assert_equals_checked_build(full_simplex(dim), closed)
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert_equals_checked_build(boundary_delta3(), validate_complex(4, faces, close_faces=True))
 
 
 def test_minimal_torus_is_two_neighborly():
@@ -153,9 +194,10 @@ GENERATORS = {
     "call, arg, message",
     [(GENERATORS[name], bad, "must be an integer") for name in GENERATORS for bad in (1.5, True, "3")]
     + [(random_map, -1, "seed must be >= 0, got -1"),
-       (random_function, -1, "seed must be >= 0, got -1")],
+       (random_function, -1, "seed must be >= 0, got -1"),
+       (full_simplex, -1, "dim must be >= 0, got -1")],
     ids=[f"{name}-{bad!r}" for name in GENERATORS for bad in (1.5, True, "3")]
-    + ["random_map-negative_seed", "random_function-negative_seed"],
+    + ["random_map-negative_seed", "random_function-negative_seed", "full_simplex-negative_dim"],
 )
 def test_fixture_generators_refuse_what_is_not_a_count(call, arg, message):
     # No bare TypeError from range, no bool read as 1, and no negative
