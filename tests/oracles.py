@@ -52,9 +52,10 @@ before the keys were appended in stratum order, and
 ``sign_condition_double_sum`` is the sign-condition bounds' double sum,
 term by term.  ``minimal_torus``, the 7-vertex torus, is
 a test complex, built by the package's checked ``validate_complex``, and
-``grid_torus_checked`` and ``random_map_checked`` are the two generators
-as built through it, triangles closed by ``validate_complex``, before
-each wrote its own closed, canonical listing.
+``grid_torus_checked``, ``random_map_checked``, ``full_simplex_checked``
+and ``boundary_delta3_checked`` are those generators as built through it,
+faces closed by ``validate_complex``, before each wrote its own closed,
+canonical listing.
 Otherwise only the result types and the internal-invariant error come from
 the package.
 """
@@ -128,14 +129,22 @@ def grid_torus_checked(m, n):
     return validate_complex(m * n, faces, close_faces=True)
 
 
+def full_simplex_checked(dim):
+    """``fixtures.full_simplex``'s checked build: the top simplex, closed."""
+    return validate_complex(dim + 1, [tuple(range(dim + 1))], close_faces=True)
+
+
+def boundary_delta3_checked():
+    """``fixtures.boundary_delta3``'s checked build: its four triangles, closed."""
+    return validate_complex(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], close_faces=True)
+
+
 _CHECKED_CODOMAINS = {
     "point": lambda: validate_complex(1, [(0,)]),
     "segment": lambda: validate_complex(2, [(0, 1)], close_faces=True),
     "circle": lambda: validate_complex(3, [(0, 1), (1, 2), (0, 2)], close_faces=True),
-    "triangle": lambda: validate_complex(3, [(0, 1, 2)], close_faces=True),
-    "sphere": lambda: validate_complex(
-        4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], close_faces=True
-    ),
+    "triangle": lambda: full_simplex_checked(2),
+    "sphere": boundary_delta3_checked,
 }
 
 

@@ -5,7 +5,6 @@ from reebforge import (
     SimplicialComplex,
     UnsupportedDimensionError,
     betti,
-    validate_complex,
     euler_characteristic,
     verify_quotient,
 )
@@ -25,7 +24,13 @@ from reebforge.fixtures import (
     torus_height,
 )
 
-from .oracles import grid_torus_checked, minimal_torus, random_map_checked
+from .oracles import (
+    boundary_delta3_checked,
+    full_simplex_checked,
+    grid_torus_checked,
+    minimal_torus,
+    random_map_checked,
+)
 
 
 def test_disk_collapse_validates():
@@ -110,7 +115,7 @@ def test_grid_torus_equals_its_checked_build(m):
 @pytest.mark.parametrize("size", (6, 12, 32, 64))
 def test_random_map_equals_its_checked_build(size):
     for seed in range(200):
-        f = random_map(seed) if size == 12 else random_map(seed, size=size)
+        f = random_map(seed, size=size)
         reference = random_map_checked(seed, size)
         assert f == reference
         assert_equals_checked_build(f.domain, reference.domain)
@@ -119,10 +124,8 @@ def test_random_map_equals_its_checked_build(size):
 
 def test_simplex_fixtures_equal_their_checked_builds():
     for dim in range(6):
-        closed = validate_complex(dim + 1, [tuple(range(dim + 1))], close_faces=True)
-        assert_equals_checked_build(full_simplex(dim), closed)
-    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    assert_equals_checked_build(boundary_delta3(), validate_complex(4, faces, close_faces=True))
+        assert_equals_checked_build(full_simplex(dim), full_simplex_checked(dim))
+    assert_equals_checked_build(boundary_delta3(), boundary_delta3_checked())
 
 
 def test_minimal_torus_is_two_neighborly():
