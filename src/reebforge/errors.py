@@ -112,12 +112,16 @@ def _require_ints(name, values):
 def _fractions(name, values):
     """``values`` as Fractions, each given as a ``numbers.Rational`` that is
     not a ``bool``: a float, which ``Fraction`` would take as its binary
-    fraction, or a string raises InvalidParamsError."""
+    fraction, or a string raises InvalidParamsError.  A ``Fraction`` is
+    immutable, so one whose type is exactly ``Fraction`` is kept as it is;
+    one pass over the types returns an all-``Fraction`` tuple unchanged."""
     values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
     for value in values:
         if not isinstance(value, numbers.Rational) or isinstance(value, bool):
             raise InvalidParamsError(f"{name} must be a rational, got {value!r}")
-    return tuple(map(Fraction, values))
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _require_at_least(name, value, low):

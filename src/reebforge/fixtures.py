@@ -66,19 +66,23 @@ def grid_torus(m, n):
     Vertex (i, j) is i * n + j, and each grid square is cut along its
     (i + 1, j)-(i, j + 1) diagonal.  The listing is written closed: the
     m * n vertices, the 3 * m * n horizontal, vertical and diagonal edges
-    and the 2 * m * n triangles, each size sorted, so it is built through
-    ``_from_canonical`` with no re-check.  ``tests/oracles.py`` keeps the
-    checked build, which closes the triangles' faces.
+    and the 2 * m * n triangles.  Each edge is oriented as it is written,
+    only the triangles that wrap around the torus are sorted one by one,
+    and each size is sorted once, so the listing is canonical and is built
+    through ``_from_canonical`` with no re-check.  ``tests/oracles.py``
+    keeps the checked build, which closes the triangles' faces.
     """
     _require_ints("grid torus side", (m, n))
     if m < 3 or n < 3:
         raise InvalidParamsError("grid torus needs m, n >= 3")
     rows = ((i * n, (i + 1) % m * n) for i in range(m))
     squares = [(r + j, r + (j + 1) % n, s + j, s + (j + 1) % n) for r, s in rows for j in range(n)]
-    edges = [e for a, b, c, _ in squares for e in ((a, b), (a, c), (b, c))]
-    edges = sorted([(x, y) if x < y else (y, x) for x, y in edges])
-    triangles = [t for a, b, c, d in squares for t in ((a, b, c), (b, c, d))]
-    triangles = sorted(map(tuple, map(sorted, triangles)))
+    edges = [(x, y) if x < y else (y, x)
+             for a, b, c, _ in squares for x, y in ((a, b), (a, c), (b, c))]
+    edges.sort()
+    triangles = [t if t[0] < t[1] < t[2] else tuple(sorted(t))
+                 for a, b, c, d in squares for t in ((a, b, c), (b, c, d))]
+    triangles.sort()
     listing = [(v,) for v in range(m * n)] + edges + triangles
     return SimplicialComplex._from_canonical(m * n, listing, ordered=True)
 

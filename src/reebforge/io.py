@@ -33,7 +33,7 @@ def parse_rational(value):
 
 
 def rational_str(value):
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def _no_floats(text):

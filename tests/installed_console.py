@@ -63,6 +63,17 @@ def same_graph_shape(first, second):
 
 
 @check
+def dot_labels_match_graph(graph_out, dot_out):
+    import re
+
+    with open(dot_out, encoding="utf-8") as fh:
+        labels = re.findall(r'^  n(\d+) \[label="value=([^"]*)"\];$', fh.read(), re.M)
+    nodes = [(str(n["id"]), n["value"]) for n in _load(graph_out)["nodes"]]
+    assert labels == nodes, (labels, nodes)
+    assert any("/3" in value for _, value in labels), labels
+
+
+@check
 def plain_equals_realization(plain_out, full_out):
     plain, full = _load(plain_out), _load(full_out)
     assert full.pop("realization")["simplices"]

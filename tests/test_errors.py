@@ -1,11 +1,16 @@
 """The budget policy: one refusal routine, one cell cap and one check of
-numeric parameters, all in ``reebforge.errors``."""
+numeric parameters, all in ``reebforge.errors``; and the one path every
+rational value takes in (``_fractions``) and out (``io.rational_str``)."""
+
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from reebforge import (
     BudgetExceededError,
     InvalidParamsError,
+    PLFunction,
     SimplicialMap,
     bound_closed,
     bound_general,
@@ -20,8 +25,8 @@ from reebforge import errors, fiberprod, reeb
 from reebforge.cli import build_parser
 from reebforge.errors import DEFAULT_CELL_CAP
 from reebforge.fiberprod import _check_cell_cap
-from reebforge.fixtures import boundary_delta3, disk_collapse, random_map
-from reebforge.io import dump_report, map_to_doc
+from reebforge.fixtures import boundary_delta3, disk_collapse, path_complex, random_map
+from reebforge.io import dump_report, map_to_doc, rational_str
 
 
 def _identity_map():
@@ -132,3 +137,61 @@ def test_bounds_refuse_a_bool_for_every_parameter(evaluate, arity):
         params[place] = True
         with pytest.raises(InvalidParamsError, match="must be an integer, got True"):
             evaluate(*params)
+
+
+class _Tagged(Fraction):
+    """A ``Fraction`` subclass that prints differently, so one kept as it is
+    shows in a writer's output."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return "tagged"
+
+
+def test_fractions_keep_exact_fractions_as_the_same_objects():
+    given = [Fraction(1, 3), Fraction(-4, 6), Fraction(5)]
+    out = errors._fractions("value", given)
+    assert type(out) is tuple
+    assert all(a is b for a, b in zip(out, given, strict=True))
+    assert errors._fractions("value", ()) == ()
+
+
+@pytest.mark.parametrize(
+    "given",
+    [[3, -1, 0], [_Tagged(1, 2)], [Fraction(1, 3), _Tagged(1, 2)], [2, _Tagged(-5, 3), Fraction(7)]],
+    ids=["ints", "subclass", "fraction_then_subclass", "int_subclass_fraction"],
+)
+def test_fractions_convert_ints_and_subclasses_to_exact_fractions(given):
+    out = errors._fractions("value", given)
+    assert out == tuple(Fraction(v) for v in given)
+    assert all(type(v) is Fraction for v in out)
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(1.5, "1.5"), (True, "True"), ("1/2", "'1/2'"), (Decimal("0.5"), "Decimal('0.5')")],
+    ids=["float", "bool", "str", "decimal"],
+)
+@pytest.mark.parametrize("before", [0, 1, 5], ids=["first", "after_one", "after_five"])
+def test_fractions_refuse_what_is_not_an_exact_rational_wherever_it_stands(bad, shown, before):
+    values = [Fraction(k, 2) for k in range(before)] + [bad, Fraction(1)]
+    with pytest.raises(InvalidParamsError) as info:
+        errors._fractions("value", values)
+    assert str(info.value) == f"value must be a rational, got {shown}"
+
+
+def test_pl_function_replace_refuses_a_float_after_fractions():
+    g = PLFunction(path_complex(3), [Fraction(0), Fraction(1), Fraction(2)])
+    with pytest.raises(InvalidParamsError, match=r"^value must be a rational, got 1\.5$"):
+        g._replace(values=[Fraction(1), 1.5, Fraction(2)])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, 7, -12, True, False, Fraction(-3, 4), Fraction(6, 4), Fraction(-8, 4), _Tagged(2, 6), 0.5],
+    ids=["zero", "int", "negative_int", "true", "false", "negative", "reduced", "reduced_to_int",
+         "subclass", "half_float"],
+)
+def test_rational_str_writes_the_exact_fraction(value):
+    assert rational_str(value) == str(Fraction(value))

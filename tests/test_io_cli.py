@@ -47,6 +47,7 @@ from reebforge.io import (
     map_to_doc,
     parse_document,
     parse_rational,
+    reeb_graph_to_doc,
     reeb_graph_to_dot,
 )
 from reebforge.reeb import reeb_graph
@@ -139,6 +140,28 @@ def test_dot_output_is_stable():
     assert dot.startswith("graph reeb {")
     assert 'n0 [label="value=0"];' in dot
     assert dot.count("--") == 4
+
+
+def test_graph_writers_equal_a_reference_built_from_exact_fractions():
+    k = grid_torus(12, 12)
+    order = list(range(k.num_vertices))
+    random.Random(42).shuffle(order)
+    graph = reeb_graph(PLFunction(k, [Fraction(v, 3) for v in order]))
+    labels = [str(Fraction(n.value)) for n in graph.nodes]
+    assert any("/3" in s for s in labels) and any("/" not in s for s in labels)
+    dot = ["graph reeb {"]
+    dot += [f'  n{n.id} [label="value={s}"];' for n, s in zip(graph.nodes, labels)]
+    dot += [f"  n{a} -- n{b};" for a, b in graph.edges] + ["}"]
+    assert reeb_graph_to_dot(graph) == "\n".join(dot) + "\n"
+    bv = graph.betti()
+    doc = {
+        "nodes": [{"id": n.id, "value": s, "component": n.component}
+                  for n, s in zip(graph.nodes, labels)],
+        "edges": [list(e) for e in graph.edges],
+        "betti": bv.as_list(),
+        "total": bv.total,
+    }
+    assert dumps_report(reeb_graph_to_doc(graph)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def run_cli(args, capsys):
