@@ -63,10 +63,16 @@ def label_components(members, neighbors, parent):
     reset for the members only, so one array can serve many disjoint or
     successive calls.  The smaller root wins each union, so a class's root is
     its smallest id and the sorted roots give the classes in id order.
-    ``find_root`` is inlined, as this loop is hot: it labels every domain
-    simplex of a Reeb space in one pass, over the image-keeping facets, and
-    in the Reeb-graph sweep both the local no-split tests and the relabels
-    of the components that may have split.
+    Every pointer it leaves on a member goes to that member or to a smaller
+    one: the reset, each union and each halving step (union-find as in
+    Tarjan, J. ACM 22(2), 1975) all keep ``parent[s] <= s``.  So when the
+    members are listed in ascending order, one pass over them,
+    ``parent[s] = parent[parent[s]]``, takes each to its root with no
+    ``find_root``: each pointer lands on an earlier member, rooted already.
+    Callers that label their members so must list them ascending.
+    ``find_root`` is inlined, as this loop is hot: it runs in the Reeb-graph
+    sweep both the local no-split tests and the relabels of the components
+    that may have split.
     """
     for s in members:
         parent[s] = s
@@ -90,11 +96,13 @@ def label_components(members, neighbors, parent):
 def component_classes(members, neighbors, parent):
     """The classes of ``label_components`` as id lists, in class order.
 
-    Each class lists its members in the order ``members`` gives them.
+    ``members`` must be ascending: one ascending pass labels them (see
+    ``label_components``), and each class lists its members ascending.
     """
     classes = {root: [] for root in label_components(members, neighbors, parent)}
     for s in members:
-        classes[find_root(parent, s)].append(s)
+        root = parent[s] = parent[parent[s]]
+        classes[root].append(s)
     return list(classes.values())
 
 

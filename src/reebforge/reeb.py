@@ -19,21 +19,40 @@ image-keeping facets, each dropping a vertex whose image repeats, since
 every simplex between rho and rho' has image tau.  So a path in S_tau
 restricts to a path in E_tau under the image-keeping facet relation, and
 the components of S_tau are those of E_tau, one to one.  An image-keeping
-facet lies in its simplex's E_tau, so one ``label_components`` pass over
-all domain ids, joined along those facets, finds the components of every
-E_tau at once.  Simplex ids follow
-the canonical order, dimension first, in which sigma|tau comes no later
-than sigma, so the components keep their order, and each one's smallest
-member has one vertex over each vertex of tau: a member of E_tau stays in
-its component when a vertex whose image repeats is dropped.  The stratum
-below stratum (tau, c) over a facet tau' of tau holds every member's
-restriction to tau', the smallest member's facet among them.  So (tau, c)
-has one facet d_u over tau minus tau[u], and for u < w both d_(w-1) d_u and
-d_u d_w are the stratum over tau minus tau[u] and tau[w] that holds the
-restriction of c's smallest member: the face maps commute, and the strata
-form a Delta-complex.  The signs (-1)**u
-orient it with no propagation, as for a simplicial complex: the two paths
-to a face of codimension two carry (-1)**(u+w-1) and (-1)**(u+w), so d d = 0.
+facet lies in its simplex's E_tau, so joining every domain simplex to its
+image-keeping facets finds the components of every E_tau at once.  Simplex
+ids follow the canonical order, dimension first, in which sigma|tau comes
+no later than sigma, so the components keep their order, and each one's
+smallest member has one vertex over each vertex of tau: a member of E_tau
+stays in its component when a vertex whose image repeats is dropped.  The
+stratum below stratum (tau, c) over a facet tau' of tau holds every
+member's restriction to tau', the smallest member's facet among them.  So
+(tau, c) has one facet d_u over tau minus tau[u], and for u < w both
+d_(w-1) d_u and d_u d_w are the stratum over tau minus tau[u] and tau[w]
+that holds the restriction of c's smallest member: the face maps commute,
+and the strata form a Delta-complex.  The signs (-1)**u orient it with no
+propagation, as for a simplicial complex: the two paths to a face of
+codimension two carry (-1)**(u+w-1) and (-1)**(u+w), so d d = 0.
+
+Most joins of a simplex to its image-keeping facets are redundant (the swap
+rule).  Call a member of E_tau transversal if it has one vertex over each
+vertex of tau, and a swap if it has exactly one vertex more.  A swap has
+two vertices over one vertex of tau; its image-keeping facets are the two
+that drop one of them, and both are transversal.  Two transversal faces of
+a member sigma that differ over one vertex of tau, in v and v', are the two
+image-keeping facets of their union, a swap face of sigma; exchanging one
+vertex at a time, all the transversal faces of sigma are linked through
+swap faces of sigma.  So, by induction in canonical order, which lists
+every face first: a swap joins its two facets and holds their class; a
+larger member sigma, with two or more vertices beyond the transversal ones,
+finds its swap faces already joined, so all its transversal faces share a
+class; each of its image-keeping facets, a swap or larger, holds the class
+of its own transversal faces, which are sigma's; so all those facets
+already lie in one class, and joining sigma to any one of them is the full
+join.  The classes are those of the full join, and each is still named by
+its smallest id, a transversal member, as the smaller root wins each union.
+Every pointer then goes to a smaller id, so one ascending pass,
+parent[i] = parent[parent[i]], takes every id to its root.
 
 For a real-valued function the classical sweep is implemented independently:
 each simplex of the 2-skeleton, whose face relation determines level-set
@@ -67,7 +86,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .complexes import (
     SimplicialComplex,
@@ -169,33 +188,59 @@ def reeb_space(f):
     """Construct the Reeb space of a simplicial map.
 
     The components of S_tau are those of E_tau (module docstring), found by
-    one ``label_components`` pass over all domain ids that joins each
-    simplex to its image-keeping facets.  Such a facet has its simplex's
-    image, so each class lies in one E_tau, and its root is its smallest
-    id.  Strata are numbered by (tau in canonical order, root), so their
-    facets are numbered before them; a stratum's component index counts
-    the roots over its tau.  So ``exact_strata`` never decreases along a
-    face pair: a face has a smaller image, whose strata come first, or the
-    same image, reached by image-keeping facets and so in the same stratum.
+    the swap rule in one pass over the domain ids, in canonical order: a
+    transversal member starts as its own root, a swap joins its two
+    image-keeping facets, both transversal, with one union and points at
+    the root, and a larger member points at any one of its image-keeping
+    facets, whose class already holds all of them.  Such a facet has its
+    simplex's image, so each class lies in one E_tau, and its root is its
+    smallest id.  Every pointer goes to a smaller id, so one ascending pass
+    labels every id with no ``find_root``.  Strata are numbered by (tau in
+    canonical order, root), so their facets are numbered before them; a
+    stratum's component index counts the roots over its tau.  So
+    ``exact_strata`` never decreases along a face pair: a face has a smaller
+    image, whose strata come first, or the same image, reached by
+    image-keeping facets and so in the same stratum.
     """
     simps = f.domain.simplices
     table = f.domain.facets
     images = f.vertex_images
     taus = f.simplex_images
-    # A facet's image lies in its simplex's; they are equal, and the facet
-    # image-keeping, exactly when the dropped vertex's image repeats.  A
-    # simplex whose vertices have distinct images has no such facet, so its
-    # facets are not scanned.
-    keeping = [
-        () if len(tau) == len(s) else [g for g in fs if len(taus[g]) == len(tau)]
-        for s, fs, tau in zip(simps, table, taus)
-    ]
     ids = range(len(simps))
     parent = list(ids)
+    # A facet's image lies in its simplex's; they are equal, and the facet
+    # image-keeping, exactly when the dropped vertex's image repeats, that
+    # is, when the image sizes agree.  ``extra`` counts the vertices beyond
+    # one over each vertex of tau (-1 for a vertex, which lists no facets).
+    sizes = list(map(len, taus))
+    for i, fs, n in zip(ids, table, sizes):
+        extra = len(fs) - n
+        if extra <= 0:
+            continue
+        if extra == 1:
+            a, b = [g for g in fs if sizes[g] == n]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            parent[i] = a
+            continue
+        for g in fs:
+            if sizes[g] == n:
+                parent[i] = g
+                break
+    # Every pointer goes to a smaller id, so one ascending pass roots all.
+    for i in ids:
+        parent[i] = parent[parent[i]]
     # The roots come ascending and the sort is stable: (tau, root) order.
-    roots = sorted(label_components(ids, keeping, parent), key=lambda r: simplex_key(taus[r]))
+    roots = sorted([i for i, p in zip(ids, parent) if i == p], key=lambda r: simplex_key(taus[r]))
     index = {r: i for i, r in enumerate(roots)}
-    exact_strata = tuple(index[find_root(parent, i)] for i in ids)
+    exact_strata = tuple(map(index.__getitem__, parent))
     strata = []
     facets = []
     for tau, group in itertools.groupby(roots, key=taus.__getitem__):
@@ -361,11 +406,13 @@ def reeb_graph(g):
     inside a level come in root order.  A skipped relabel must still move
     the root off a leaving id.  So each component keeps its ids in a
     min-heap whose dead ids go only when they reach the top: a union pushes
-    the smaller heap into the larger, a relabel heapifies each new part,
-    and a skip pops the dead ids off the top and makes the new top the
-    root.  Work is the output, the near sets and their cofaces, the
-    relabels that run, and a logarithmic heap step per union, each simplex
-    weighted by its coface count.
+    the smaller heap into the larger, and a skip pops the dead ids off the
+    top and makes the new top the root.  A relabel sorts the survivors and
+    labels them with ``label_components`` and one ascending pass (its
+    docstring), so each new part is filled in ascending order, and a sorted
+    list is already a heap.  Work is the output, the near sets and their
+    cofaces, the relabels that run, and a logarithmic heap step per union,
+    each simplex weighted by its coface count.
     """
     k2 = g.complex.skeleton(2)
     simps = k2.simplices
@@ -429,15 +476,14 @@ def reeb_graph(g):
                 members[root] = heap
                 node_of[root] = below
                 continue
-            survivors = [s for s in heap if last[s] > i]
+            survivors = sorted([s for s in heap if last[s] > i])
             roots = label_components(survivors, cofaces, parent)
             for root in roots:
                 members[root] = []
                 node_of[root] = below
             for s in survivors:
-                members[find_root(parent, s)].append(s)
-            for root in roots:
-                heapify(members[root])
+                root = parent[s] = parent[parent[s]]
+                members[root].append(s)
     edges.sort()
 
     vertex_to_node = {v: node_of_vertex[v] for v in level_of}

@@ -10,7 +10,9 @@ and ``partition_up_closed`` the per-family sort-and-index partition that the
 package's coface-index union-find replaced; both are kept to check the
 production paths against.  ``reeb_space_scan`` is the Reeb-space
 construction that partitioned every S_tau = {sigma : tau inside f(sigma)},
-before the strata came from the exact-image groups alone, and
+before the strata came from the exact-image groups alone,
+``reeb_space_by_keeping_facets`` the labeling of those groups that joined
+every simplex to all of its image-keeping facets, before the swap rule, and
 ``b1_rows_by_face_components`` the b1 check's rows from a restricted copy
 of the map on each domain component, before one Reeb space of the whole
 map served every component.  Likewise
@@ -932,6 +934,54 @@ def reeb_space_scan(f):
         stratum_id[(f.image_simplex(s), comp_of[f.image_simplex(s)][s])] for s in simplices
     ]
     return ReebComplex(f, tuple(strata), tuple(exact), tuple(facets))
+
+
+def reeb_space_by_keeping_facets(f):
+    """The Reeb space of f with every domain simplex joined to all of its
+    image-keeping facets, the facets whose image is its own, and every id
+    then walked to its root: the labeling that the swap rule of
+    ``reeb_space`` replaced.  The smaller root wins each union, so a class
+    is named by its smallest id; strata come in (tau, root) order, and a
+    stratum's facet over tau minus tau[u] is the stratum of its root minus
+    the root's vertex over tau[u].  Images are recomputed from the vertex
+    images, not read off the package's image table.
+    """
+    simplices = f.domain.simplices
+    index = {s: i for i, s in enumerate(simplices)}
+    images = [tuple(sorted({f.vertex_images[v] for v in s})) for s in simplices]
+    parent = list(range(len(simplices)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, s in enumerate(simplices):
+        for u in range(len(s) if len(s) > 1 else 0):
+            g = index[s[:u] + s[u + 1 :]]
+            if images[g] == images[i]:
+                a, b = sorted((find(i), find(g)))
+                parent[b] = a
+    roots = sorted(
+        (i for i in range(len(simplices)) if find(i) == i),
+        key=lambda r: (len(images[r]), images[r], r),
+    )
+    stratum_of_root = {r: k for k, r in enumerate(roots)}
+    exact = tuple(stratum_of_root[find(i)] for i in range(len(simplices)))
+    strata = []
+    facets = []
+    over_tau = Counter()
+    for r in roots:
+        tau = images[r]
+        strata.append(Stratum(tau, over_tau[tau]))
+        over_tau[tau] += 1
+        over = {f.vertex_images[v]: v for v in simplices[r]}
+        facets.append(tuple(
+            exact[index[tuple(v for v in simplices[r] if v != over[w])]]
+            for w in (tau if len(tau) > 1 else ())
+        ))
+    return ReebComplex(f, tuple(strata), exact, tuple(facets))
 
 
 def b1_rows_by_face_components(f):

@@ -1198,3 +1198,52 @@ def test_edge_checked_maps_leave_the_image_table_unbuilt():
     for f in built:
         assert "simplex_images" not in vars(f)
     assert built[0].simplex_images == ((0,), (1,), (1,), (0, 1), (1,))
+
+
+# label_components leaves every member's pointer on itself or on a smaller
+# member, so one pass over ascending members roots them all: the pass that
+# reeb_space, component_classes and the Reeb-graph sweep's relabels use in
+# place of find_root.  The order matters: a descending pass reads pointers
+# that are not yet rooted.
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_one_ascending_pass_after_label_components_matches_find_root(data):
+    n = data.draw(st.integers(min_value=2, max_value=30))
+    if data.draw(st.booleans()):
+        members = list(range(n))
+    else:
+        members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(members), st.sampled_from(members)),
+                               max_size=2 * n))
+    neighbors = [[] for _ in range(n)]
+    for a, b in pairs:
+        neighbors[a].append(b)
+    # Stale entries off the members: one array serves many calls.
+    parent = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    roots = complexes.label_components(members, neighbors, parent)
+    assert all(parent[s] <= s and parent[s] in members for s in members)
+    want = [complexes.find_root(list(parent), s) for s in members]
+    classes = {r: [s for s, w in zip(members, want) if w == r] for r in roots}
+    for s in members:
+        parent[s] = parent[parent[s]]
+    assert [parent[s] for s in members] == want
+    assert complexes.component_classes(members, neighbors, list(range(n))) == list(classes.values())
+
+
+def test_a_descending_pass_after_label_components_can_miss_the_root():
+    # Member 2 joins 3, then 1, then 0: pointers 3 -> 2 -> 1 -> 0, two
+    # unions deep below 3, which no halving step shortens.
+    members = [0, 1, 2, 3]
+    neighbors = [[], [], [3, 1, 0], []]
+    parent = list(range(4))
+    assert complexes.label_components(members, neighbors, parent) == [0]
+    assert parent == [0, 0, 1, 2]
+    descending = list(parent)
+    for s in reversed(members):
+        descending[s] = descending[descending[s]]
+    assert descending == [0, 0, 0, 1]
+    for s in members:
+        parent[s] = parent[parent[s]]
+    assert parent == [0, 0, 0, 0]

@@ -59,6 +59,7 @@ from .oracles import (
     minimal_torus,
     partition_up_closed,
     reeb_graph_rescan,
+    reeb_space_by_keeping_facets,
     reeb_space_scan,
     slice_cells_and_up_sets,
     stratum_poset,
@@ -617,22 +618,68 @@ def test_reeb_space_matches_s_tau_scan_on_random_maps(seed):
     assert_reeb_space_matches_scan(random_map(seed))
 
 
-def test_reeb_space_labels_all_domain_ids_in_one_pass(monkeypatch):
-    calls = []
+# The swap rule must give the labeling it replaced, every simplex joined to
+# all of its image-keeping facets: the same strata, the same roots and so the
+# same stratum ids.  Random maps are 2-complexes, so their members have at
+# most two vertices beyond the transversal ones; the product's have up to
+# four, and a constant map on the 4-simplex has a member of every size.
 
-    def counting(members, neighbors, parent):
-        calls.append(len(members))
-        return complexes.label_components(members, neighbors, parent)
 
+def assert_reeb_space_matches_full_join(f):
+    space = reeb_space(f)
+    want = reeb_space_by_keeping_facets(f)
+    assert space.strata == want.strata
+    assert space.exact_strata == want.exact_strata
+    assert space.facets == want.facets
+
+
+def _extra_vertices(f):
+    return max(len(s) - len(tau) for s, tau in zip(f.domain.simplices, f.simplex_images))
+
+
+def test_reeb_space_swap_rule_matches_full_join_on_fixtures():
+    constant = SimplicialMap(full_simplex(4), SimplicialComplex(1, [(0,)]), [0] * 5)
+    maps = [product_power(disk_collapse(2), 2), disk_collapse(1), disk_collapse(2), constant]
+    assert [_extra_vertices(f) for f in maps] == [4, 0, 2, 4]
+    for f in maps:
+        assert_reeb_space_matches_full_join(f)
+
+
+def test_reeb_space_swap_rule_matches_full_join_on_battery_and_quotients():
+    for seed in range(50):
+        f = random_map(seed)
+        assert_reeb_space_matches_full_join(f)
+        assert_reeb_space_matches_full_join(reeb_space(f).quotient_map)
+    for f in (disk_collapse(1), disk_collapse(2)):
+        assert_reeb_space_matches_full_join(reeb_space(f).quotient_map)
+
+
+@pytest.mark.parametrize("size", [6, 9, 14, 20])
+def test_reeb_space_swap_rule_matches_full_join_on_random_maps(size):
+    maps = [random_map(seed, size) for seed in range(30)]
+    assert max(map(_extra_vertices, maps)) == 2
+    for f in maps:
+        assert_reeb_space_matches_full_join(f)
+
+
+def test_reeb_space_joins_swap_facets_without_the_generic_union_find(monkeypatch):
     def refuse(*args):
-        raise AssertionError("component_classes called")
+        raise AssertionError("generic union-find called")
 
-    monkeypatch.setattr(reeb, "label_components", counting)
+    monkeypatch.setattr(reeb, "label_components", refuse)
     monkeypatch.setattr(reeb, "component_classes", refuse)
     for f in (disk_collapse(2), torus_height()[1], product_power(disk_collapse(2), 2)):
-        calls.clear()
-        reeb_space(f)
-        assert calls == [len(f.domain.simplices)]
+        space = reeb_space(f)
+        taus = f.simplex_images
+        swaps = 0
+        for i, (fs, tau) in enumerate(zip(f.domain.facets, taus)):
+            if len(fs) == len(tau) + 1:
+                keeping = [g for g in fs if taus[g] == tau]
+                assert len(keeping) == 2
+                assert all(len(f.domain.simplices[g]) == len(tau) for g in keeping)
+                assert {space.exact_strata[g] for g in keeping} == {space.exact_strata[i]}
+                swaps += 1
+        assert swaps
 
 
 def test_components_over_one_tau_are_numbered_by_smallest_id():
