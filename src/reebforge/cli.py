@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import os
 import sys
 
@@ -27,6 +26,7 @@ from .errors import (
     BudgetExceededError,
     InvariantError,
     ReebForgeError,
+    _collector_paused,
     _refuse_past_cap,
     _require_at_least,
     resolve_cell_cap,
@@ -311,16 +311,10 @@ def build_parser():
     return parser
 
 
+@_collector_paused
 def main(argv=None):
     # The command, parse included, runs with the cyclic garbage collector
-    # paused.  Every table the engine builds is acyclic (tuples, lists and
-    # dicts of ints) and is freed by reference counting, so the collections
-    # that its allocations would set off find nothing; what little cyclic
-    # garbage a command leaves does not grow with its input, and is collected
-    # once the collector is back on.  The caller's setting is restored on
-    # every exit path, argparse's SystemExit included.
-    was_enabled = gc.isenabled()
-    gc.disable()
+    # paused; the caller's setting is restored on every exit path.
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -333,9 +327,6 @@ def main(argv=None):
     except (ReebForgeError, OSError) as exc:
         print(f"reebforge: error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

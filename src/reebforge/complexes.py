@@ -47,14 +47,6 @@ def canonical_simplex(vertices):
     return t
 
 
-def find_root(parent, x):
-    """Root of x in a union-find parent array, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def label_components(members, neighbors, parent):
     """Union-find over ids; returns the sorted roots of the classes.
 
@@ -67,12 +59,12 @@ def label_components(members, neighbors, parent):
     one: the reset, each union and each halving step (union-find as in
     Tarjan, J. ACM 22(2), 1975) all keep ``parent[s] <= s``.  So when the
     members are listed in ascending order, one pass over them,
-    ``parent[s] = parent[parent[s]]``, takes each to its root with no
-    ``find_root``: each pointer lands on an earlier member, rooted already.
+    ``parent[s] = parent[parent[s]]``, takes each to its root with no find:
+    each pointer lands on an earlier member, rooted already.
     Callers that label their members so must list them ascending.
-    ``find_root`` is inlined, as this loop is hot: it runs in the Reeb-graph
-    sweep both the local no-split tests and the relabels of the components
-    that may have split.
+    The path-halving find is inlined, as this loop is hot: it runs in the
+    Reeb-graph sweep both the local no-split tests and the relabels of the
+    components that may have split.
     """
     for s in members:
         parent[s] = s

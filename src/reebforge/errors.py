@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the budget policy.
+"""Exception types shared across the package, the budget policy, and the
+collector policy.
 
 A construction that can blow up (sd(X), the realization, a fiber power,
 the nerve's cover, a bound's digits) is counted, before it is built
@@ -20,6 +21,8 @@ through ``_fractions``, which takes only a ``numbers.Rational`` that is not
 a ``bool``.
 """
 
+import functools
+import gc
 import numbers
 import os
 from fractions import Fraction
@@ -144,6 +147,25 @@ def resolve_cell_cap(cell_cap=None):
             raise InvalidParamsError(f"cell cap must be an integer, got {raw!r}") from None
     _require_at_least("cell cap", cell_cap, 1)
     return cell_cap
+
+
+def _collector_paused(func):
+    """``func`` run with the cyclic garbage collector paused, turned back on
+    only if it was on before, so a nested call changes nothing.  The
+    engine's tables are acyclic and freed by reference counting, so the
+    collections their allocations would set off find nothing."""
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 class EmptyComplexError(ReebForgeError):

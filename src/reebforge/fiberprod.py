@@ -105,6 +105,7 @@ from .errors import (
     BudgetExceededError,
     InvalidParamsError,
     InvariantError,
+    _collector_paused,
     _refuse_past_cap,
     _require_at_least,
     resolve_cell_cap,
@@ -493,6 +494,7 @@ def _fiber_powers(f, ps, sizes, cap, label=None):
     return [model.betti(p) for p in ps]
 
 
+@_collector_paused
 def fiber_power_betti(f, p, engine="auto", cell_cap=None):
     """Betti vector of the (p+1)-fold fiber power of f.
 
@@ -513,6 +515,7 @@ def image_subcomplex(f):
     return SimplicialComplex._from_canonical(f.codomain.num_vertices, set(f.simplex_images))
 
 
+@_collector_paused
 def descent_check(f, target="image", p_max=1, cell_cap=None, threads=1):
     """Verify b_p(target) <= sum_{i+j=p} b_i((j+1)-fold fiber power), p <= p_max.
 

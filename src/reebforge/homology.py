@@ -25,7 +25,7 @@ import heapq
 from math import gcd
 
 from .complexes import SimplicialComplex
-from .errors import InvariantError
+from .errors import InvariantError, _collector_paused
 
 
 class BettiVector:
@@ -265,6 +265,7 @@ def _delta_betti(dims, facets):
     return _betti_numbers([dims[i] for i in kept], boundaries)
 
 
+@_collector_paused
 def betti(complex_):
     """Betti vector over the rationals; a simplex's u-th face omits vertex u."""
     return _delta_betti([len(s) - 1 for s in complex_.simplices], complex_.facets)

@@ -87,6 +87,7 @@ import itertools
 from collections import namedtuple
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import repeat
 
 from .complexes import (
     SimplicialComplex,
@@ -99,7 +100,6 @@ from .complexes import (
     barycentric_subdivision,
     canonical_simplex,
     component_classes,
-    find_root,
     label_components,
     simplex_key,
 )
@@ -107,6 +107,7 @@ from .errors import (
     EmptyComplexError,
     InvariantError,
     UnknownSimplexError,
+    _collector_paused,
     _refuse_past_cap,
     resolve_cell_cap,
 )
@@ -184,6 +185,7 @@ def _check_face_maps(taus, facets):
             raise InvariantError(f"the face maps of stratum {i} over {taus[i]} do not commute")
 
 
+@_collector_paused
 def reeb_space(f):
     """Construct the Reeb space of a simplicial map.
 
@@ -195,7 +197,7 @@ def reeb_space(f):
     facets, whose class already holds all of them.  Such a facet has its
     simplex's image, so each class lies in one E_tau, and its root is its
     smallest id.  Every pointer goes to a smaller id, so one ascending pass
-    labels every id with no ``find_root``.  Strata are numbered by (tau in
+    labels every id with no find.  Strata are numbered by (tau in
     canonical order, root), so their facets are numbered before them; a
     stratum's component index counts the roots over its tau.  So
     ``exact_strata`` never decreases along a face pair: a face has a smaller
@@ -269,6 +271,7 @@ def fiber_components_at(f, tau):
     return [[simps[i] for i in cls] for cls in classes]
 
 
+@_collector_paused
 def verify_quotient(f, cell_cap=None):
     """Check the quotient structure of the Reeb space of f.
 
@@ -303,6 +306,7 @@ def verify_quotient(f, cell_cap=None):
     return report
 
 
+@_collector_paused
 def b1_inequality_check(f):
     """Check b1(Reeb realization) <= b1(domain), per connected component.
 
@@ -368,6 +372,7 @@ class ReebGraph(namedtuple("ReebGraph", "nodes edges vertex_to_node")):
         return BettiVector((b0, b1))
 
 
+@_collector_paused
 def reeb_graph(g):
     """Exact Reeb graph of the PL extension of g, by an incremental level sweep.
 
@@ -437,10 +442,17 @@ def reeb_graph(g):
         open_slab = list(node_of.items())
         for s in starts[i]:
             members[s] = [s]
+        # The path-halving find is inlined in the loops below, the hot path.
         for s in starts[i]:
-            a = find_root(parent, s)
+            a = s
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
             for c in cofaces[s]:
-                b = find_root(parent, c)
+                b = c
+                while parent[b] != b:
+                    parent[b] = parent[parent[b]]
+                    b = parent[b]
                 if a != b:
                     if b < a:
                         a, b = b, a
@@ -451,19 +463,32 @@ def reeb_graph(g):
                         members[a] = kept
                     for x in merged:
                         heappush(kept, x)
-        node_of = {}
-        for ci, root in enumerate(sorted(members)):
-            node_of[root] = len(nodes)
-            nodes.append(ReebNode(len(nodes), t, i, ci))
+        # One node per root, in root order, built in C: ReebNode adds no
+        # check of its own, so tuple.__new__ builds the same objects.
+        roots = sorted(members)
+        ids = range(len(nodes), len(nodes) + len(roots))
+        node_of = dict(zip(roots, ids))
+        nodes += map(tuple.__new__, repeat(ReebNode), zip(ids, repeat(t), repeat(i), range(len(roots))))
         for rep, a in open_slab:
+            while parent[rep] != rep:
+                parent[rep] = parent[parent[rep]]
+                rep = parent[rep]
             # a is a node of an earlier level than the other end, so the pair is ordered.
-            edges.append((a, node_of[find_root(parent, rep)]))
+            edges.append((a, node_of[rep]))
         for s in starts[i]:
             if len(simps[s]) == 1:
-                node_of_vertex[simps[s][0]] = node_of[find_root(parent, s)]
+                a = s
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                node_of_vertex[simps[s][0]] = node_of[a]
         leaving = {}
         for s in ends[i]:
-            leaving.setdefault(find_root(parent, s), []).append(s)
+            a = s
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            leaving.setdefault(a, []).append(s)
         for r, gone in leaving.items():
             below = node_of.pop(r)
             heap = members.pop(r)
@@ -575,6 +600,7 @@ class LevelSliceModel(namedtuple("LevelSliceModel", "map codomain_levels")):
     __slots__ = ()
 
 
+@_collector_paused
 def pl_as_simplicial_map(g):
     """Slice a PL function into an equivalent simplicial map (m=1 helper).
 
@@ -657,13 +683,14 @@ def pl_as_simplicial_map(g):
                     cell.append(ids[v0[t] + lo])
             ups.append(tuple(cell))
             continue
-        for i in range(lo + 1, hi):
-            cell = [ids[g0[s] + i - 1], ids[g0[s] + i]]
-            for t in up:
-                cell += (ids[v0[t] + i], ids[g0[t] + i - 1], ids[g0[t] + i])
-            ups.append(tuple(cell))
-        for i in range(lo, hi):
-            ups.append(tuple([ids[g0[t] + i] for t in up]))
+        # Each place in these up-sets is a run of consecutive ids along the
+        # span, so each run is one slice of ids and zip builds the tuples.
+        runs = [ids[g0[s] + lo : g0[s] + hi - 1], ids[g0[s] + lo + 1 : g0[s] + hi]]
+        for t in up:
+            v, w = v0[t], g0[t]
+            runs += (ids[v + lo + 1 : v + hi], ids[w + lo : w + hi - 1], ids[w + lo + 1 : w + hi])
+        ups += zip(*runs)
+        ups += zip(*[ids[g0[t] + lo : g0[t] + hi] for t in up]) if up else [()] * (hi - lo)
 
     f = _edge_checked_map(_complex_of_chains(ups), path, images)
     return LevelSliceModel(f, tuple(codomain_levels))

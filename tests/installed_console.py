@@ -98,6 +98,26 @@ def reeb_space_without_gc_pause(map_json):
 
 
 @check
+def mesh_ops_without_gc_pause(function_json):
+    import gc
+    import os
+
+    from reebforge.io import function_from_doc, read_document
+    from reebforge.reeb import pl_as_simplicial_map, reeb_graph
+
+    g = function_from_doc(read_document(function_json), base_dir=os.path.dirname(function_json))
+    started = []
+    gc.callbacks.append(lambda phase, info: phase == "start" and started.append(info["generation"]))
+    counts = []
+    for op in (reeb_graph, pl_as_simplicial_map):
+        gc.collect()  # so that no allocation before the pause sets one off
+        before = len(started)
+        op(g)
+        counts.append(len(started) - before)
+    assert (counts, gc.isenabled()) == ([0, 0], True), (counts, started)
+
+
+@check
 def written_as_dumps(*paths):
     for path in paths:
         with open(path, encoding="utf-8") as fh:

@@ -38,7 +38,10 @@ test by one key tuple per simplex, ``first_missing_face`` names the face that
 the face check must report, ``levels_by_fraction_sort`` ranks vertex values
 as Fractions, and ``slice_cells_and_up_sets`` with ``chains_by_stack`` is the
 level slice as built from per-simplex cell dicts and a depth-first chain
-stack, before the closed-form up-sets and chains in canonical order;
+stack, before the closed-form up-sets and chains in canonical order, and
+``slice_up_sets_by_level`` the closed-form up-sets built one level at a
+time, before each place became a run of ids; ``find_root`` is the
+path-halving find that the package's loops now inline;
 ``stratum_poset``
 hands a Reeb space's face relation to the package's generic ``Poset``, whose
 order complex the realization is checked against.
@@ -76,6 +79,14 @@ from reebforge.fiberprod import _MorseModel
 from reebforge.fixtures import random_map
 from reebforge.homology import BettiVector, betti, regular_cw_betti
 from reebforge.reeb import ReebComplex, ReebGraph, ReebNode, Stratum, reeb_space
+
+
+def find_root(parent, x):
+    """Root of x in a union-find parent array, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 class UnionFind:
@@ -1205,6 +1216,53 @@ def slice_cells_and_up_sets(g):
             ]
             ups.append(tuple(sorted(bigger)))
     return cells, ups
+
+
+def slice_up_sets_by_level(g):
+    """The up-sets of the level slice of a PL function in its cell order, as
+    the closed form built them one level at a time: a simplex spanning
+    levels lo < hi has value cells at lo + 1..hi - 1, then gap cells at
+    lo..hi - 1, and a value cell's up-set at level i holds its simplex's two
+    gap cells there and, for each proper coface, that coface's value cell
+    at i and its gap cells below and above i; a gap cell's at i holds each
+    proper coface's gap cell at i.  A simplex on one level has its one
+    value cell there, with the cells of its cofaces that meet the level."""
+    simps = _canonical(g.complex.simplex_set)
+    _, level_of = levels_by_fraction_sort(g)
+    spans = [(min(level_of[v] for v in s), max(level_of[v] for v in s)) for s in simps]
+    v0, g0, n = [], [], 0
+    for lo, hi in spans:
+        v0.append(n - lo if lo == hi else n - lo - 1)
+        g0.append(n + hi - 2 * lo - 1)
+        n += 1 if lo == hi else 2 * (hi - lo) - 1
+    above = [[] for _ in simps]
+    for i, j in face_pairs_by_combinations(simps):
+        above[i].append(j)
+    ups = []
+    for s, (lo, hi) in enumerate(spans):
+        up = sorted(above[s])
+        if lo == hi:
+            cell = []
+            for t in up:
+                tlo, thi = spans[t]
+                if tlo < lo < thi:
+                    cell += (v0[t] + lo, g0[t] + lo - 1, g0[t] + lo)
+                elif tlo < lo:
+                    cell.append(g0[t] + lo - 1)
+                elif lo < thi:
+                    cell.append(g0[t] + lo)
+                else:
+                    cell.append(v0[t] + lo)
+            ups.append(tuple(cell))
+            continue
+        for i in range(lo + 1, hi):
+            cell = [g0[s] + i - 1, g0[s] + i]
+            for t in up:
+                cell += (v0[t] + i, g0[t] + i - 1, g0[t] + i)
+            ups.append(tuple(cell))
+        for i in range(lo, hi):
+            ups.append(tuple(g0[t] + i for t in up))
+    return ups
 
 
 def chains_by_stack(n, ups):

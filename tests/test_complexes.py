@@ -61,6 +61,7 @@ from .oracles import (
     face_pairs_by_combinations,
     face_pairs_keeping_down_sets,
     facet_table,
+    find_root,
     first_missing_face,
     first_non_simplicial,
     is_canonical_listing_by_keys,
@@ -1224,7 +1225,7 @@ def test_one_ascending_pass_after_label_components_matches_find_root(data):
     parent = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     roots = complexes.label_components(members, neighbors, parent)
     assert all(parent[s] <= s and parent[s] in members for s in members)
-    want = [complexes.find_root(list(parent), s) for s in members]
+    want = [find_root(list(parent), s) for s in members]
     classes = {r: [s for s, w in zip(members, want) if w == r] for r in roots}
     for s in members:
         parent[s] = parent[parent[s]]

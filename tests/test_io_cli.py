@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -25,6 +26,9 @@ from reebforge import (
     VertexOutOfRangeError,
     cli,
     complexes,
+    fiberprod,
+    homology,
+    reeb,
 )
 from reebforge.cli import build_parser, main
 from reebforge.fixtures import (
@@ -747,6 +751,137 @@ def test_the_cyclic_garbage_a_command_leaves_does_not_grow_with_its_input(tmp_pa
 
     unreachable_left(paths["disk"])  # warm: a first call leaves one-time garbage of its own
     assert unreachable_left(paths["disk"]) == unreachable_left(paths["product"])
+
+
+def _shuffled_torus(m):
+    values = list(range(m * m))
+    random.Random(f"reeb_graph_mesh:0:{m}").shuffle(values)
+    return PLFunction(grid_torus(m, m), [Fraction(v) for v in values])
+
+
+# The table-building entry points pause the collector as ``main`` does
+# (``errors._collector_paused``), and leave the caller's setting as they
+# found it.  Each case: the call that returns, and the call that raises
+# with the exception it raises.
+_HEIGHT, _HEIGHT_MAP = torus_height()
+_DISK = disk_collapse(2)
+_EMPTY = PLFunction(SimplicialComplex(0, []), [])
+PAUSED_CALLS = {
+    "reeb_graph": (lambda: reeb.reeb_graph(_HEIGHT), lambda: reeb.reeb_graph(None), AttributeError),
+    "pl_as_simplicial_map": (
+        lambda: reeb.pl_as_simplicial_map(_HEIGHT),
+        lambda: reeb.pl_as_simplicial_map(_EMPTY),
+        reebforge.EmptyComplexError,
+    ),
+    "reeb_space": (lambda: reeb.reeb_space(_DISK), lambda: reeb.reeb_space(None), AttributeError),
+    "verify_quotient": (
+        lambda: reeb.verify_quotient(_DISK),
+        lambda: reeb.verify_quotient(_DISK, cell_cap=0),
+        reebforge.InvalidParamsError,
+    ),
+    "b1_inequality_check": (
+        lambda: reeb.b1_inequality_check(_HEIGHT_MAP),
+        lambda: reeb.b1_inequality_check(None),
+        AttributeError,
+    ),
+    "descent_check": (
+        lambda: fiberprod.descent_check(_DISK, p_max=2),
+        lambda: fiberprod.descent_check(_DISK, p_max=-1),
+        reebforge.InvalidParamsError,
+    ),
+    "fiber_power_betti": (
+        lambda: fiberprod.fiber_power_betti(_DISK, 1),
+        lambda: fiberprod.fiber_power_betti(_DISK, -1),
+        reebforge.InvalidParamsError,
+    ),
+    "betti": (lambda: homology.betti(_DISK.domain), lambda: homology.betti(None), AttributeError),
+}
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller_enabled", "caller_disabled"])
+@pytest.mark.parametrize("name", sorted(PAUSED_CALLS))
+def test_an_entry_point_leaves_the_callers_collector_as_it_found_it(name, enabled, raises):
+    returning, raising, error = PAUSED_CALLS[name]
+    if not enabled:
+        gc.disable()
+    try:
+        if raises:
+            with pytest.raises(error):
+                raising()
+        else:
+            returning()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("build", ["graph", "slice"])
+def test_a_mesh_op_starts_no_automatic_collection(build):
+    # The shuffled m = 20 graph and the m = 10 slice of the mesh benchmark;
+    # the same calls unpaused do set collections off, so the hook sees them.
+    g = _shuffled_torus(20 if build == "graph" else 10)
+    op = reeb.reeb_graph if build == "graph" else reeb.pl_as_simplicial_map
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()  # so that no allocation before the pause sets one off
+    gc.callbacks.append(hook)
+    try:
+        op(g)
+        paused = len(started)  # an int: no tracked allocation, so no collection
+        op.__wrapped__(g)
+    finally:
+        gc.callbacks.remove(hook)
+    assert paused == 0
+    assert started
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", ["main", *sorted(PAUSED_CALLS)])
+def test_a_paused_entry_point_keeps_its_signature(name):
+    fn = cli.main if name == "main" else getattr(reebforge, name)
+    assert fn.__wrapped__ is not fn and fn.__name__ == name
+    assert inspect.signature(fn) == inspect.signature(fn.__wrapped__)
+    assert "args" not in inspect.signature(fn).parameters
+
+
+# The pause is safe only while the tables stay acyclic: what cyclic garbage
+# an entry point leaves must not grow with its input.
+GARBAGE_INPUTS = {
+    "reeb_graph": (reeb.reeb_graph, lambda: _shuffled_torus(5), lambda: _shuffled_torus(10)),
+    "pl_as_simplicial_map": (
+        reeb.pl_as_simplicial_map, lambda: _shuffled_torus(5), lambda: _shuffled_torus(10)
+    ),
+    "reeb_space": (reeb.reeb_space, lambda: _DISK, lambda: product_power(disk_collapse(2), 2)),
+    "descent_check": (
+        lambda f: fiberprod.descent_check(f, p_max=0),
+        lambda: _DISK,
+        lambda: product_power(disk_collapse(2), 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GARBAGE_INPUTS))
+def test_the_cyclic_garbage_an_entry_point_leaves_does_not_grow_with_its_input(name):
+    op, small, large = GARBAGE_INPUTS[name]
+    small, large = small(), large()
+
+    def unreachable_left(x):
+        gc.collect()
+        gc.disable()  # so that no automatic collection takes any of it first
+        try:
+            op(x)
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    unreachable_left(small)  # warm: a first call leaves one-time garbage of its own
+    assert unreachable_left(small) == unreachable_left(large)
 
 
 # The parser is built once per process and holds no command function, so a

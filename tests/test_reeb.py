@@ -48,6 +48,7 @@ from reebforge.fiberprod import fiber_power_betti, fiber_power_nerve, image_subc
 from reebforge.complexes import _face_pairs
 from reebforge.homology import regular_cw_betti
 from reebforge.io import dumps_report, reeb_complex_to_doc, reeb_graph_to_dot
+from reebforge.reeb import ReebNode
 
 from .oracles import (
     b1_rows_by_face_components,
@@ -62,6 +63,7 @@ from .oracles import (
     reeb_space_by_keeping_facets,
     reeb_space_scan,
     slice_cells_and_up_sets,
+    slice_up_sets_by_level,
     stratum_poset,
 )
 from .test_fiberprod import assert_boundary_squares_to_zero
@@ -893,6 +895,7 @@ def assert_sweep_matches_rescan(g):
     assert all(got.nodes[a].level < got.nodes[b].level for a, b in got.edges)
     assert got.vertex_to_node == want.vertex_to_node
     assert reeb_graph_to_dot(got) == reeb_graph_to_dot(want)
+    assert all(type(node) is ReebNode for node in got.nodes)
 
 
 def grid_torus_function(m, kind):
@@ -1135,6 +1138,47 @@ def test_slice_matches_cell_dicts_with_unused_vertex_ids(monkeypatch):
     assert [lvl[1] for lvl in model.codomain_levels if lvl[0] == "value"] == [
         Fraction(-2, 3), 0, Fraction(1, 2),
     ]
+
+
+# The slice's up-sets, each place a run of ids zipped in C, against the
+# per-level loop they replaced; and the sweep's nodes, built by
+# tuple.__new__, still exactly of type ReebNode.
+
+
+def assert_id_runs_match_per_level_loop(g):
+    seen = []
+    build = reeb._complex_of_chains
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reeb, "_complex_of_chains", lambda ups: seen.append(ups) or build(ups))
+        pl_as_simplicial_map(g)
+    assert all(type(up) is tuple for up in seen[0])
+    assert seen[0] == slice_up_sets_by_level(g)
+    assert all(type(node) is ReebNode for node in reeb_graph(g).nodes)
+
+
+@pytest.mark.parametrize("m", [5, 6, 10])
+def test_id_run_up_sets_match_the_per_level_loop_on_recorded_mesh_seeds(m):
+    for seed in range(20):
+        assert_id_runs_match_per_level_loop(mesh_torus_function(seed, m))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_id_run_up_sets_match_the_per_level_loop_with_tied_values(data):
+    # Ties give one-level edges and triangles, and cofaces that start or
+    # end at a one-level face's level.
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(min_value=3, max_value=6))
+        k = grid_torus(m, m)
+    else:
+        k = data.draw(simplicial_complexes())
+    assume(k.simplices)
+    top = data.draw(st.integers(min_value=0, max_value=6))
+    values = data.draw(
+        st.lists(st.integers(min_value=0, max_value=top), min_size=k.num_vertices,
+                 max_size=k.num_vertices)
+    )
+    assert_id_runs_match_per_level_loop(PLFunction(k, [Fraction(v) for v in values]))
 
 
 LEVEL_VALUES = [
