@@ -171,7 +171,7 @@ class SimplicialComplex:
         induction on dimension): when a lookup fails, the first simplex in
         canonical order that misses a facet raises MissingFaceError, naming
         the first missing facet in ``combinations`` order."""
-        index = {s: i for i, s in enumerate(self.simplices)}
+        index = dict(zip(self.simplices, range(len(self.simplices))))
         get = index.__getitem__
         table = []
         for run in self.by_dim().values():
@@ -591,12 +591,16 @@ def _enumerate_chains(ups):
     extension); anything else raises InvariantError.  Chains come out as
     ascending tuples, each once, one length at a time: each chain of one
     length is extended by every id above its top, in up-set order, so a
-    length's chains are lexicographic when the shorter ones are.  A cap is
-    the caller's, checked on ``_chain_count`` before this runs.
+    length's chains are lexicographic when the shorter ones are; those of
+    length 2 and 3 are built whole, as tuple displays of the 1-chains' and
+    up-sets' own int objects.  A cap is the caller's, checked on
+    ``_chain_count`` before this runs.
     """
     _check_up_sets(ups)
-    chains = []
-    level = [(i,) for i in range(len(ups))]
+    chains = [(i,) for i in range(len(ups))]
+    level = [(i, j) for (i,), up in zip(chains, ups) for j in up]
+    chains += level
+    level = [(a, b, j) for a, b in level for j in ups[b]]
     while level:
         chains += level
         level = [c + (j,) for c in level for j in ups[c[-1]]]

@@ -13,6 +13,7 @@ import json
 import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import attrgetter
 
 from .complexes import PLFunction, SimplicialMap, _validated
 from .errors import FormatError, InvariantError
@@ -320,11 +321,12 @@ def reeb_graph_to_doc(graph):
 
 
 def reeb_graph_to_dot(graph):
-    """DOT rendering with stable node ids n0, n1, ..."""
+    """DOT rendering with stable node ids n0, n1, ...; each kind of line is
+    formatted by one ``map`` over its rows."""
+    ids = map(attrgetter("id"), graph.nodes)
+    values = map(rational_str, map(attrgetter("value"), graph.nodes))
     lines = ["graph reeb {"]
-    for node in graph.nodes:
-        lines.append(f'  n{node.id} [label="value={rational_str(node.value)}"];')
-    for a, b in graph.edges:
-        lines.append(f"  n{a} -- n{b};")
+    lines += map('  n%s [label="value=%s"];'.__mod__, zip(ids, values))
+    lines += map("  n%s -- n%s;".__mod__, graph.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

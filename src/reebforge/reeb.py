@@ -88,6 +88,7 @@ from collections import namedtuple
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import repeat
+from operator import attrgetter
 
 from .complexes import (
     SimplicialComplex,
@@ -417,7 +418,9 @@ def reeb_graph(g):
     docstring), so each new part is filled in ascending order, and a sorted
     list is already a heap.  Work is the output, the near sets and their
     cofaces, the relabels that run, and a logarithmic heap step per union,
-    each simplex weighted by its coface count.
+    each simplex weighted by its coface count.  The sweep hands out node ids
+    and counts each level's nodes; the nodes themselves are built after it,
+    in one pass over those counts.
     """
     k2 = g.complex.skeleton(2)
     simps = k2.simplices
@@ -435,10 +438,11 @@ def reeb_graph(g):
     scratch = list(parent)  # the no-split test's own union-find
     members = {}  # live root -> min-heap of its component's ids, dead ones lazily kept
     node_of = {}  # live root -> its node at this level, or below its slab
-    nodes = []
+    counts = []  # nodes per level, built after the sweep
     edges = []
     node_of_vertex = {}
-    for i, t in enumerate(levels):
+    n = 0
+    for i in range(len(levels)):
         open_slab = list(node_of.items())
         for s in starts[i]:
             members[s] = [s]
@@ -463,12 +467,11 @@ def reeb_graph(g):
                         members[a] = kept
                     for x in merged:
                         heappush(kept, x)
-        # One node per root, in root order, built in C: ReebNode adds no
-        # check of its own, so tuple.__new__ builds the same objects.
+        # One node per root, in root order.
         roots = sorted(members)
-        ids = range(len(nodes), len(nodes) + len(roots))
-        node_of = dict(zip(roots, ids))
-        nodes += map(tuple.__new__, repeat(ReebNode), zip(ids, repeat(t), repeat(i), range(len(roots))))
+        node_of = dict(zip(roots, range(n, n + len(roots))))
+        n += len(roots)
+        counts.append(len(roots))
         for rep, a in open_slab:
             while parent[rep] != rep:
                 parent[rep] = parent[parent[rep]]
@@ -511,8 +514,14 @@ def reeb_graph(g):
                 members[root].append(s)
     edges.sort()
 
+    # Every node in one C-level pass over the per-level counts: ReebNode
+    # adds no check of its own, so tuple.__new__ builds the same objects.
+    runs = itertools.chain.from_iterable
+    columns = (range(n), runs(map(repeat, levels, counts)),
+               runs(map(repeat, range(len(levels)), counts)), runs(map(range, counts)))
+    nodes = tuple(map(tuple.__new__, repeat(ReebNode), zip(*columns)))
     vertex_to_node = {v: node_of_vertex[v] for v in level_of}
-    return ReebGraph(tuple(nodes), tuple(edges), vertex_to_node)
+    return ReebGraph(nodes, tuple(edges), vertex_to_node)
 
 
 def _survivors_stay_connected(gone, cofaces, last, i, parent):
@@ -531,27 +540,31 @@ def _vertex_levels(g):
     """(levels, level_of): the sorted distinct values of g at the vertices of
     its complex, its 0-simplices, and ``level_of[v]``, the position of v's
     value among them, for each such vertex v in ascending order.  Vertex ids
-    that are no 0-simplex are not ranked."""
+    that are no 0-simplex are not ranked.  No Fraction is hashed (a modular
+    inverse in Python): in lowest terms, values are told apart by their
+    (numerator, denominator), and sorted on floor(t * 2**64), which never
+    decreases in t, so only values within 2**-64 compare as Fractions."""
     vertices = [s[0] for s in g.complex.by_dim().get(0, ())]
     values = list(map(g.values.__getitem__, vertices))
-    levels = sorted(set(values))
-    position = {t: i for i, t in enumerate(levels)}
-    return levels, dict(zip(vertices, map(position.__getitem__, values)))
+    pairs = list(map(attrgetter("numerator", "denominator"), values))
+    keys = sorted([((n << 64) // d, t, (n, d)) for (n, d), t in dict(zip(pairs, values)).items()])
+    position = {p: i for i, (_, _, p) in enumerate(keys)}
+    return [t for _, t, _ in keys], dict(zip(vertices, map(position.__getitem__, pairs)))
 
 
 def _level_spans(k, level_of):
     """(lo, hi): the lowest and highest level of each simplex of k, in id
-    order, read one dimension at a time from its vertex columns."""
+    order, read one dimension at a time by folding its vertex columns."""
     get = level_of.__getitem__
     lo, hi = [], []
     for run in k.by_dim().values():
         cols = [list(map(get, col)) for col in zip(*run)]
-        if len(cols) == 1:
-            lo += cols[0]
-            hi += cols[0]
-        else:
-            lo += map(min, *cols)
-            hi += map(max, *cols)
+        a = b = cols[0]
+        for col in cols[1:]:
+            a = [x if x < y else y for x, y in zip(a, col)]
+            b = [x if x > y else y for x, y in zip(b, col)]
+        lo += a
+        hi += b
     return lo, hi
 
 

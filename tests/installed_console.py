@@ -118,6 +118,27 @@ def mesh_ops_without_gc_pause(function_json):
 
 
 @check
+def mesh_ops_without_fraction_hash(function_json):
+    import os
+    from fractions import Fraction
+
+    from reebforge.io import function_from_doc, read_document
+    from reebforge.reeb import _slice_strata, pl_as_simplicial_map, reeb_graph
+
+    g = function_from_doc(read_document(function_json), base_dir=os.path.dirname(function_json))
+    assert any(t.denominator == 3 for t in g.values), function_json
+    want = reeb_graph(g)
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    Fraction.__hash__ = refuse
+    for op in (reeb_graph, _slice_strata, pl_as_simplicial_map):
+        op(g)
+    assert reeb_graph(g) == want
+
+
+@check
 def written_as_dumps(*paths):
     for path in paths:
         with open(path, encoding="utf-8") as fh:

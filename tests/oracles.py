@@ -40,7 +40,11 @@ as Fractions, and ``slice_cells_and_up_sets`` with ``chains_by_stack`` is the
 level slice as built from per-simplex cell dicts and a depth-first chain
 stack, before the closed-form up-sets and chains in canonical order, and
 ``slice_up_sets_by_level`` the closed-form up-sets built one level at a
-time, before each place became a run of ids; ``find_root`` is the
+time, before each place became a run of ids; ``chains_by_extension`` is the
+generic chain loop, before chains of length 2 and 3 were built whole,
+``level_spans_per_simplex`` the level spans by one ``min`` and ``max`` per
+simplex, before the columns were folded, and ``dot_by_fstrings`` the DOT
+writer's per-line f-strings; ``find_root`` is the
 path-halving find that the package's loops now inline;
 ``stratum_poset``
 hands a Reeb space's face relation to the package's generic ``Poset``, whose
@@ -1276,6 +1280,39 @@ def chains_by_stack(n, ups):
             chains.append(chain)
             stack.extend(chain + (j,) for j in ups[chain[-1]])
     return chains
+
+
+def chains_by_extension(ups):
+    """Every chain of the poset on 0..len(ups)-1 with the given transitive
+    up-sets, in canonical order, as the generic loop built them before the
+    chains of length 2 and 3 became tuple displays: each chain of one
+    length, starting from the 1-tuples, is extended by concatenation with
+    every id above its top."""
+    chains = []
+    level = [(i,) for i in range(len(ups))]
+    while level:
+        chains += level
+        level = [c + (j,) for c in level for j in ups[c[-1]]]
+    return chains
+
+
+def level_spans_per_simplex(k, level_of):
+    """(lo, hi): the lowest and highest level of each simplex of k, in id
+    order, by one ``min`` and one ``max`` over each simplex's levels."""
+    spans = [[level_of[v] for v in s] for s in k.simplices]
+    return list(map(min, spans)), list(map(max, spans))
+
+
+def dot_by_fstrings(graph):
+    """DOT text of a Reeb graph as the writer built it before its lines
+    were formatted in bulk: one f-string per node and per edge."""
+    lines = ["graph reeb {"]
+    for node in graph.nodes:
+        lines.append(f'  n{node.id} [label="value={node.value}"];')
+    for a, b in graph.edges:
+        lines.append(f"  n{a} -- n{b};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def quotient_group_sizes_sorted(simplices, strata):

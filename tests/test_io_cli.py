@@ -54,9 +54,11 @@ from reebforge.io import (
     reeb_graph_to_doc,
     reeb_graph_to_dot,
 )
-from reebforge.reeb import reeb_graph
+from reebforge.reeb import ReebGraph, ReebNode, reeb_graph
 from reebforge import PLFunction
 from reebforge.fixtures import circle
+
+from .oracles import dot_by_fstrings
 
 
 def test_parse_rational():
@@ -168,10 +170,93 @@ def test_graph_writers_equal_a_reference_built_from_exact_fractions():
     assert dumps_report(reeb_graph_to_doc(graph)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: reeb_graph(PLFunction(circle(5), [-3, Fraction(-7, 2), 0, Fraction(5, 3), -3])),
+                 id="negative_and_thirds"),
+    pytest.param(lambda: reeb_graph(torus_height()[0]), id="torus_height"),
+    pytest.param(lambda: ReebGraph((ReebNode(0, 4, 0, 0), ReebNode(1, 9, 1, 0)), ((0, 1),), {}),
+                 id="int_values"),
+    pytest.param(lambda: ReebGraph((), (), {}), id="empty"),
+])
+def test_dot_equals_the_per_line_fstrings(graph):
+    graph = graph()
+    assert reeb_graph_to_dot(graph) == dot_by_fstrings(graph)
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_refused(args, capsys, message):
+    """The command exits 1 with ``message`` on stderr, no traceback, and
+    nothing on stdout."""
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    assert message in err, err
+    assert "Traceback" not in err
+    assert err.startswith("reebforge: error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("param, message", [
+    ("n", "--param expects key=value, got 'n'"),
+    ("n=x", "parameter 'n' needs an integer, got 'x'"),
+])
+def test_fixture_param_refusals(tmp_path, capsys, param, message):
+    args = ["fixtures", "emit", "disk_collapse", "--param", param, "-o", str(tmp_path / "out")]
+    assert_refused(args, capsys, message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_file_that_is_not_utf8_is_refused(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"simplices": [[0]], "note": "caf\u00e9"}'.encode("latin-1"))
+    assert_refused(["betti", str(path)], capsys, f"{path} is not UTF-8: invalid continuation byte")
+
+
+def test_a_document_nested_too_deeply_is_refused(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert_refused(["betti", str(path)], capsys, "invalid document: nested too deeply")
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    pytest.param(
+        ["reeb", "FILE", "--graph"],
+        {"complex": {"simplices": [[0], [1], [0, 1]]}, "values": [0, [1]]},
+        "expected integer or rational string, got [1]",
+        id="rational_of_another_type",
+    ),
+    pytest.param(
+        ["betti", "FILE"],
+        {"simplices": [[0]], "vertices": [[0], 1]},
+        "'vertices' must be a list of coordinate arrays",
+        id="vertices_not_arrays",
+    ),
+    pytest.param(
+        ["betti", "FILE"],
+        {"simplices": [[0]], "vertices": "0"},
+        "'vertices' must be a list of coordinate arrays",
+        id="vertices_not_a_list",
+    ),
+    pytest.param(
+        ["betti", "FILE"],
+        {"simplices": [[0]], "ambient_dim": 2},
+        "'ambient_dim' requires 'vertices'",
+        id="ambient_dim_without_vertices",
+    ),
+    pytest.param(
+        ["reeb", "FILE", "--graph"],
+        {"complex": {"simplices": [[0]]}, "values": {"0": 1}},
+        "'values' must be a list of rationals",
+        id="values_not_a_list",
+    ),
+])
+def test_document_shape_refusals(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_refused([str(path) if a == "FILE" else a for a in command], capsys, message)
 
 
 def test_cli_betti_sphere(tmp_path, capsys):

@@ -56,6 +56,7 @@ from .oracles import (
     convolve,
     first_non_simplicial,
     level_component_count,
+    level_spans_per_simplex,
     levels_by_fraction_sort,
     minimal_torus,
     partition_up_closed,
@@ -1207,6 +1208,67 @@ def test_vertex_levels_skip_unused_vertex_ids():
     g = PLFunction(k, [3, -100, Fraction(1, 2), 100, 3])
     assert reeb._vertex_levels(g) == ([Fraction(1, 2), 3], {0: 1, 2: 0, 4: 1})
     assert reeb._vertex_levels(g) == levels_by_fraction_sort(g)
+
+
+@st.composite
+def vertex_values(draw):
+    """Values for a path's vertices: many sharing a few integer floors over
+    mixed denominators, negative ones, 40-digit numerators, values closer
+    than 2**-64 (so that only a Fraction comparison orders them), and ties,
+    both repeats and equal values written over other denominators."""
+    floors = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    value = st.one_of(
+        st.builds(lambda a, n, d: a + Fraction(n % d, d),
+                  st.sampled_from(floors), st.integers(0, 60), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+        st.builds(lambda k: Fraction(-1, 3) + Fraction(k, 10**30), st.integers(-50, 50)),
+        st.builds(Fraction, st.integers(-20, 20)),
+    )
+    values = draw(st.lists(value, min_size=1, max_size=30))
+    values += [Fraction(t.numerator * k, t.denominator * k)
+               for t, k in draw(st.lists(st.tuples(st.sampled_from(values), st.integers(1, 5)),
+                                         max_size=10))]
+    return draw(st.permutations(values))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(vertex_values())
+def test_vertex_levels_equal_the_fraction_sort_on_drawn_values(values):
+    g = PLFunction(path_complex(len(values)), values)
+    levels, level_of = reeb._vertex_levels(g)
+    assert (levels, level_of) == levels_by_fraction_sort(g)
+    assert all(type(t) is Fraction for t in levels)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(simplicial_complexes(), st.data())
+def test_level_spans_equal_a_per_simplex_min_and_max(k, data):
+    # Up to dimension 3, with few levels, so that many simplices tie.
+    top = data.draw(st.integers(0, 3))
+    values = data.draw(st.lists(st.integers(-top, top), min_size=k.num_vertices, max_size=k.num_vertices))
+    _, level_of = reeb._vertex_levels(PLFunction(k, values))
+    assert reeb._level_spans(k, level_of) == level_spans_per_simplex(k, level_of)
+
+
+def test_mesh_ops_hash_no_fraction(monkeypatch):
+    # Ranking levels by (numerator, denominator) pairs and integer floors
+    # hashes no Fraction, whose hash is a Python-level modular inverse.
+    height, _ = torus_height()
+    g = PLFunction(height.complex, [t / 3 for t in height.values])
+    want = (reeb_graph(g), reeb._slice_strata(g), pl_as_simplicial_map(g))
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="a Fraction was hashed"):
+        hash(Fraction(1, 3))
+    got = (reeb_graph(g), reeb._slice_strata(g), pl_as_simplicial_map(g))
+    monkeypatch.undo()
+    assert got[:2] == want[:2]
+    assert got[2].codomain_levels == want[2].codomain_levels
+    assert got[2].map.domain.simplices == want[2].map.domain.simplices
+    assert got[2].map.vertex_images == want[2].map.vertex_images
 
 
 def test_slice_of_empty_complex_is_a_typed_error():
