@@ -48,19 +48,19 @@ def canonical_simplex(vertices):
 
 
 def label_components(members, neighbors, parent):
-    """Union-find over ids; returns the sorted roots of the classes.
+    """Union-find over ids; returns the number of classes.
 
     Every member is joined to each id in ``neighbors[member]``, and each of
     those must itself be a member.  ``parent`` is an id-indexed array that is
     reset for the members only, so one array can serve many disjoint or
     successive calls.  The smaller root wins each union, so a class's root is
-    its smallest id and the sorted roots give the classes in id order.
+    its smallest id; the classes number the members less the unions.
     Every pointer it leaves on a member goes to that member or to a smaller
     one: the reset, each union and each halving step (union-find as in
     Tarjan, J. ACM 22(2), 1975) all keep ``parent[s] <= s``.  So when the
     members are listed in ascending order, one pass over them,
-    ``parent[s] = parent[parent[s]]``, takes each to its root with no find:
-    each pointer lands on an earlier member, rooted already.
+    ``parent[s] = parent[parent[s]]``, takes each to its root with no find,
+    and meets each root, where it lands on itself, before its class.
     Callers that label their members so must list them ascending.
     The path-halving find is inlined, as this loop is hot: it runs in the
     Reeb-graph sweep both the local no-split tests and the relabels of the
@@ -68,6 +68,7 @@ def label_components(members, neighbors, parent):
     """
     for s in members:
         parent[s] = s
+    classes = len(members)
     for s in members:
         for c in neighbors[s]:
             a = s
@@ -78,11 +79,12 @@ def label_components(members, neighbors, parent):
             while parent[b] != b:
                 parent[b] = parent[parent[b]]
                 b = parent[b]
-            if a < b:
+            if a != b:
+                if b < a:
+                    a, b = b, a
                 parent[b] = a
-            elif b < a:
-                parent[a] = b
-    return sorted(s for s in members if parent[s] == s)
+                classes -= 1
+    return classes
 
 
 def component_classes(members, neighbors, parent):
@@ -91,9 +93,12 @@ def component_classes(members, neighbors, parent):
     ``members`` must be ascending: one ascending pass labels them (see
     ``label_components``), and each class lists its members ascending.
     """
-    classes = {root: [] for root in label_components(members, neighbors, parent)}
+    label_components(members, neighbors, parent)
+    classes = {}
     for s in members:
         root = parent[s] = parent[parent[s]]
+        if root == s:
+            classes[s] = []
         classes[root].append(s)
     return list(classes.values())
 

@@ -88,6 +88,12 @@ def collapse_face_poset(facets):
     cover by the diamond property.  Each cell keeps only the number of its
     live covers and the XOR of their ids, which is the cover itself when the
     number is one; removing a cover decrements the one and XORs the other.
+    Removing a free pair leaves a subcomplex, so the diamond argument holds
+    among live cells: a cell with one live cover has a maximal one.  So a
+    cell is free from the moment its count drops to one, when it is pushed,
+    and needs no other test when popped.  This holds for simplicial
+    complexes and for a Reeb space's strata, whose facets lie over distinct
+    faces of tau.
     Returns (kept, core_facets): the surviving ids in ascending order and
     their facets renumbered to positions in ``kept``.
     """
@@ -106,8 +112,6 @@ def collapse_face_poset(facets):
         if not alive[i] or count[i] != 1:
             continue
         j = xor[i]
-        if count[j]:  # j is live: count/XOR track only live covers
-            continue
         alive[i] = alive[j] = False
         for gone in (i, j):
             for g in facets[gone]:
@@ -117,10 +121,6 @@ def collapse_face_poset(facets):
                 xor[g] ^= gone
                 if count[g] == 1:
                     heapq.heappush(heap, g)
-                elif not count[g]:
-                    for h in facets[g]:  # a live cell's facets are all live
-                        if count[h] == 1:
-                            heapq.heappush(heap, h)
     kept = [i for i in range(n) if alive[i]]
     position = [0] * n
     for k, i in enumerate(kept):

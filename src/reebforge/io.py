@@ -188,12 +188,9 @@ _SCALARS = {
     type(None): lambda _: "null",
 }
 _SEQUENCES = frozenset((list, tuple))
-# Items of one list joined into one piece (256 simplices of the product's
-# listings take about 20 KiB), and the characters a chunk gathers before it
-# is yielded; a chunk is thus under _CHUNK plus one piece, and one string or
-# int is never split.
+# Items of one list joined into one piece: 256 simplices of the product's
+# listings take about 20 KiB.  One string or int is never split.
 _BATCH = 256
-_CHUNK = 1 << 14
 
 
 def _refused(what, value):
@@ -271,30 +268,16 @@ def _pieces(value, nl):
         raise _refused("value", value)
 
 
-def _report_chunks(doc):
-    """The text of ``dumps_report(doc)`` in chunks of about _CHUNK characters."""
-    chunk = []
-    size = 0
-    for piece in _pieces(doc, "\n"):
-        chunk.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            yield "".join(chunk)
-            chunk = []
-            size = 0
-    chunk.append("\n")
-    yield "".join(chunk)
-
-
 def dumps_report(doc):
     """Canonical report serialization: sorted keys, two-space indent."""
-    return "".join(_report_chunks(doc))
+    return "".join(itertools.chain(_pieces(doc, "\n"), ("\n",)))
 
 
 def dump_report(doc, fh):
-    """Write ``dumps_report(doc)`` to ``fh`` chunk by chunk, never whole."""
-    for chunk in _report_chunks(doc):
-        fh.write(chunk)
+    """Write ``dumps_report(doc)`` to ``fh`` piece by piece, never whole."""
+    for piece in _pieces(doc, "\n"):
+        fh.write(piece)
+    fh.write("\n")
 
 
 def reeb_complex_to_doc(space):

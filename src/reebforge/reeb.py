@@ -368,7 +368,7 @@ class ReebGraph(namedtuple("ReebGraph", "nodes edges vertex_to_node")):
         adjacent = [[] for _ in ids]
         for a, b in self.edges:
             adjacent[a].append(b)
-        b0 = len(label_components(ids, adjacent, list(ids)))
+        b0 = label_components(ids, adjacent, list(ids))
         b1 = len(self.edges) - len(self.nodes) + b0
         return BettiVector((b0, b1))
 
@@ -505,12 +505,12 @@ def reeb_graph(g):
                 node_of[root] = below
                 continue
             survivors = sorted([s for s in heap if last[s] > i])
-            roots = label_components(survivors, cofaces, parent)
-            for root in roots:
-                members[root] = []
-                node_of[root] = below
+            label_components(survivors, cofaces, parent)
             for s in survivors:
                 root = parent[s] = parent[parent[s]]
+                if root == s:
+                    members[s] = []
+                    node_of[s] = below
                 members[root].append(s)
     edges.sort()
 
@@ -530,10 +530,8 @@ def _survivors_stay_connected(gone, cofaces, last, i, parent):
     ``gone``, joined to their own cofaces in the scratch union-find
     ``parent``, form one class.  False when nothing survives."""
     near = {c for s in gone for c in cofaces[s] if last[c] > i}
-    local = set(near)
-    for c in near:
-        local.update(cofaces[c])
-    return len(label_components(local, cofaces, parent)) == 1
+    local = near.union(*[cofaces[c] for c in near])
+    return label_components(local, cofaces, parent) == 1
 
 
 def _vertex_levels(g):

@@ -96,6 +96,12 @@ def test_vertex_out_of_range():
         validate_complex(2, [[0, 5]])
 
 
+def test_a_complex_contains_a_simplex_in_any_vertex_order():
+    k = validate_complex(3, [[0, 1, 2]], close_faces=True)
+    assert (2, 0) in k and [2, 1, 0] in k and (1,) in k
+    assert (0, 3) not in k and (2, 2) not in k
+
+
 def test_duplicate_simplex_rejected():
     with pytest.raises(DuplicateSimplexError):
         validate_complex(2, [[0, 1], [1, 0], [0], [1]])
@@ -271,6 +277,14 @@ def test_staircase_top_cell_count_law(k1, k2):
             * math.comb(d1 + d2, d1)
         )
         assert len(prod.complex.by_dim()[d1 + d2]) == expected
+
+
+def test_equal_simplicial_maps_hash_alike():
+    edge = path_complex(2)
+    a = SimplicialMap(edge, edge, [0, 1])
+    b = SimplicialMap(path_complex(2), path_complex(2), (0, 1))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, SimplicialMap(edge, edge, [1, 0])}) == 2
 
 
 def test_staircase_identity_product_map():
@@ -489,6 +503,12 @@ def test_malformed_up_sets_raise_invariant_error(ups):
 def test_poset_rejects_cycles():
     with pytest.raises(InvalidSimplexError):
         Poset(["a", "b"], [(0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (-1, 0)])
+def test_poset_rejects_a_relation_outside_its_elements(pair):
+    with pytest.raises(VertexOutOfRangeError, match=rf"relation \({pair[0]}, {pair[1]}\) outside 0..1"):
+        Poset(["a", "b"], [pair])
 
 
 def test_poset_transitive_reduction():
@@ -1260,10 +1280,11 @@ def test_one_ascending_pass_after_label_components_matches_find_root(data):
         neighbors[a].append(b)
     # Stale entries off the members: one array serves many calls.
     parent = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    roots = complexes.label_components(members, neighbors, parent)
+    count = complexes.label_components(members, neighbors, parent)
     assert all(parent[s] <= s and parent[s] in members for s in members)
     want = [find_root(list(parent), s) for s in members]
-    classes = {r: [s for s, w in zip(members, want) if w == r] for r in roots}
+    assert count == len(set(want))
+    classes = {r: [s for s, w in zip(members, want) if w == r] for r in sorted(set(want))}
     for s in members:
         parent[s] = parent[parent[s]]
     assert [parent[s] for s in members] == want
@@ -1276,8 +1297,9 @@ def test_a_descending_pass_after_label_components_can_miss_the_root():
     members = [0, 1, 2, 3]
     neighbors = [[], [], [3, 1, 0], []]
     parent = list(range(4))
-    assert complexes.label_components(members, neighbors, parent) == [0]
+    assert complexes.label_components(members, neighbors, parent) == 1
     assert parent == [0, 0, 1, 2]
+    assert {find_root(list(parent), s) for s in members} == {0}
     descending = list(parent)
     for s in reversed(members):
         descending[s] = descending[descending[s]]

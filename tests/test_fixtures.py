@@ -2,6 +2,7 @@ import pytest
 
 from reebforge import (
     InvalidParamsError,
+    InvariantError,
     SimplicialComplex,
     UnsupportedDimensionError,
     betti,
@@ -69,6 +70,12 @@ def test_product_power_k1_is_identityish():
     assert product_power(f, 1) is f
 
 
+def test_circle_needs_three_vertices():
+    with pytest.raises(InvalidParamsError, match="at least 3 vertices"):
+        circle(2)
+    assert circle(3).simplex_counts() == (3, 3)
+
+
 def test_product_power_requires_positive_k():
     with pytest.raises(InvalidParamsError):
         product_power(disk_collapse(1), 0)
@@ -78,7 +85,9 @@ def test_torus_height_fixture():
     height, sliced = torus_height()
     assert euler_characteristic(height.complex) == 0
     assert betti(height.complex) == (1, 2, 1)
-    assert len(set(height.values)) == height.complex.num_vertices
+    # 24 distinct values, each its vertex id mod 1000.
+    assert height.complex.num_vertices == len(set(height.values)) == 24
+    assert [v % 1000 for v in height.values] == list(range(24))
     # The sliced form is a genuine simplicial map onto a path.
     assert sliced.codomain.dim == 1
 
@@ -268,3 +277,9 @@ def test_fixture_spec_validation():
         "torus_height",
         "random_map",
     }
+
+
+def test_a_listed_fixture_without_a_builder_is_an_invariant_error(monkeypatch):
+    monkeypatch.setitem(FIXTURE_PARAMS, "unbuilt", {})
+    with pytest.raises(InvariantError, match="'unbuilt' is listed but has no builder"):
+        build_fixture(FixtureSpec("unbuilt"))

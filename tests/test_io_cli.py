@@ -1423,9 +1423,10 @@ def test_int_subclass_ids_are_written_as_ints():
         (Fraction(1, 2), "Fraction"),
         ({1, 2}, "set"),
         ({1: 2}, "int"),
+        ({"a": 1, 2: 3}, "int"),  # keys sorted() refuses with a TypeError
         (object(), "object"),
     ],
-    ids=["float", "Fraction", "set", "int_key", "object"],
+    ids=["float", "Fraction", "set", "int_key", "mixed_keys", "object"],
 )
 def test_a_value_no_report_holds_is_refused_by_type(value, name):
     for doc in (value, {"rows": [value]}, [[0, 1], value]):

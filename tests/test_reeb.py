@@ -187,6 +187,7 @@ def test_disk_collapse_one_gives_an_interval():
     space = reeb_space(disk_collapse(1))
     assert betti(space.realization) == (1, 0)
     assert len(space.strata) == 7
+    assert repr(space) == "ReebComplex(strata=7)"
 
 
 def test_disk_collapse_two_gives_a_sphere():
