@@ -62,9 +62,9 @@ def label_components(members, neighbors, parent):
     ``parent[s] = parent[parent[s]]``, takes each to its root with no find,
     and meets each root, where it lands on itself, before its class.
     Callers that label their members so must list them ascending.
-    The path-halving find is inlined, as this loop is hot: it runs in the
-    Reeb-graph sweep both the local no-split tests and the relabels of the
-    components that may have split.
+    The path-halving find is inlined, as this loop is hot: the Reeb-graph
+    sweep runs it in each local no-split test and, through
+    ``component_classes``, in each relabel of a component that may have split.
     """
     for s in members:
         parent[s] = s

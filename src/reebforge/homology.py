@@ -21,7 +21,6 @@ so no rank is approximated.
 
 from __future__ import annotations
 
-import heapq
 from math import gcd
 
 from .complexes import SimplicialComplex
@@ -83,15 +82,15 @@ def collapse_face_poset(facets):
     repeated inside one list; every regular complex has that property, since
     distinct facets are distinct cells.  A cell is free exactly when it has a
     single covering cell and that cover is maximal; the pair is then removed,
-    smallest free id first, so the result is deterministic.  The covering
-    relation is all that is needed: any deeper coface would force a second
+    free cells first in, first out, so the result is deterministic.  Only
+    the covering relation is needed: any deeper coface would force a second
     cover by the diamond property.  Each cell keeps only the number of its
     live covers and the XOR of their ids, which is the cover itself when the
     number is one; removing a cover decrements the one and XORs the other.
     Removing a free pair leaves a subcomplex, so the diamond argument holds
     among live cells: a cell with one live cover has a maximal one.  So a
-    cell is free from the moment its count drops to one, when it is pushed,
-    and needs no other test when popped.  This holds for simplicial
+    cell is free from the moment its count drops to one, when it is queued,
+    and needs no other test when reached.  This holds for simplicial
     complexes and for a Reeb space's strata, whose facets lie over distinct
     faces of tau.
     Returns (kept, core_facets): the surviving ids in ascending order and
@@ -105,10 +104,8 @@ def collapse_face_poset(facets):
             count[g] += 1
             xor[g] ^= c
     alive = [True] * n
-    heap = [i for i in range(n) if count[i] == 1]
-    heapq.heapify(heap)
-    while heap:
-        i = heapq.heappop(heap)
+    free = [i for i in range(n) if count[i] == 1]
+    for i in free:  # grows as it is walked: first in, first out
         if not alive[i] or count[i] != 1:
             continue
         j = xor[i]
@@ -120,7 +117,7 @@ def collapse_face_poset(facets):
                 count[g] -= 1
                 xor[g] ^= gone
                 if count[g] == 1:
-                    heapq.heappush(heap, g)
+                    free.append(g)
     kept = [i for i in range(n) if alive[i]]
     position = [0] * n
     for k, i in enumerate(kept):

@@ -42,10 +42,10 @@ def _no_floats(text):
 
 
 def parse_document(text):
-    """Strict JSON parse; trailing garbage, floats and nesting past the
-    recursion limit are format errors."""
+    """Strict JSON parse; trailing garbage, floats (NaN and the infinities
+    too) and nesting past the recursion limit are format errors."""
     try:
-        return json.loads(text, parse_float=_no_floats)
+        return json.loads(text, parse_float=_no_floats, parse_constant=_no_floats)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"invalid document: {exc.msg} at line {exc.lineno} column {exc.colno}"

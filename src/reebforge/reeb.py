@@ -413,14 +413,13 @@ def reeb_graph(g):
     the root off a leaving id.  So each component keeps its ids in a
     min-heap whose dead ids go only when they reach the top: a union pushes
     the smaller heap into the larger, and a skip pops the dead ids off the
-    top and makes the new top the root.  A relabel sorts the survivors and
-    labels them with ``label_components`` and one ascending pass (its
-    docstring), so each new part is filled in ascending order, and a sorted
-    list is already a heap.  Work is the output, the near sets and their
-    cofaces, the relabels that run, and a logarithmic heap step per union,
-    each simplex weighted by its coface count.  The sweep hands out node ids
-    and counts each level's nodes; the nodes themselves are built after it,
-    in one pass over those counts.
+    top and makes the new top the root.  A relabel hands the sorted
+    survivors to ``component_classes``, whose parts come out ascending, each
+    led by its root; a sorted list is already a heap.  Work is the output,
+    the near sets and their cofaces, the relabels that run, and a
+    logarithmic heap step per union, each simplex weighted by its coface
+    count.  The sweep hands out node ids and counts each level's nodes; the
+    nodes themselves are built after it, in one pass over those counts.
     """
     k2 = g.complex.skeleton(2)
     simps = k2.simplices
@@ -505,13 +504,9 @@ def reeb_graph(g):
                 node_of[root] = below
                 continue
             survivors = sorted([s for s in heap if last[s] > i])
-            label_components(survivors, cofaces, parent)
-            for s in survivors:
-                root = parent[s] = parent[parent[s]]
-                if root == s:
-                    members[s] = []
-                    node_of[s] = below
-                members[root].append(s)
+            for part in component_classes(survivors, cofaces, parent):
+                members[part[0]] = part
+                node_of[part[0]] = below
     edges.sort()
 
     # Every node in one C-level pass over the per-level counts: ReebNode

@@ -70,7 +70,6 @@ the package.
 """
 
 import functools
-import heapq
 import random
 from collections import Counter
 from fractions import Fraction
@@ -719,8 +718,8 @@ def collapse_face_poset_sets(facets):
     """Greedy elementary collapse keeping the set of live covers of each cell.
 
     Same contract as ``reebforge.homology.collapse_face_poset``: a cell with
-    a single cover that is itself maximal is removed with it, smallest free
-    id first.  Returns (kept, core_facets).
+    a single cover that is itself maximal is removed with it, free cells
+    first in, first out.  Returns (kept, core_facets).
     """
     n = len(facets)
     covers = [set() for _ in range(n)]
@@ -728,10 +727,8 @@ def collapse_face_poset_sets(facets):
         for g in fs:
             covers[g].add(c)
     alive = [True] * n
-    heap = [i for i in range(n) if len(covers[i]) == 1]
-    heapq.heapify(heap)
-    while heap:
-        i = heapq.heappop(heap)
+    free = [i for i in range(n) if len(covers[i]) == 1]
+    for i in free:
         if not alive[i] or len(covers[i]) != 1:
             continue
         (j,) = covers[i]
@@ -745,11 +742,11 @@ def collapse_face_poset_sets(facets):
                 group = covers[g]
                 group.discard(gone)
                 if len(group) == 1:
-                    heapq.heappush(heap, g)
+                    free.append(g)
                 elif not group:
                     for h in facets[g]:
                         if alive[h] and len(covers[h]) == 1:
-                            heapq.heappush(heap, h)
+                            free.append(h)
     kept = [i for i in range(n) if alive[i]]
     position = [0] * n
     for k, i in enumerate(kept):

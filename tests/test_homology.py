@@ -284,6 +284,7 @@ COLLAPSED_INPUTS = {
     "battery_cells_p1": lambda: battery_cell_posets(1),
     "battery_cells_p2": lambda: battery_cell_posets(2),
     "mesh_slices": lambda: [shuffled_mesh_slice(m) for m in (5, 6)],
+    "grid_torus_20": lambda: [grid_torus(20, 20).facets],
 }
 
 
@@ -293,6 +294,24 @@ def test_collapse_matches_set_of_covers_oracle_on_package_inputs(name):
     assert tables
     for facets in tables:
         assert collapse_face_poset(facets) == collapse_face_poset_sets(facets)
+
+
+# Cells in and cells kept by the first-in, first-out collapse.  A closed
+# complex has no free face, so the torus keeps every cell; a LIFO stack keeps
+# 7,211 of the product domain's cells.
+PINNED_COLLAPSES = {
+    "product_domain": (13_729, 1),
+    "product_strata": (652, 652),
+    "sd_disk": (337, 1),
+    "grid_torus_20": (2_400, 2_400),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_COLLAPSES)
+def test_collapse_keeps_the_pinned_cell_counts(name):
+    (facets,) = COLLAPSED_INPUTS[name]()
+    kept, _ = collapse_face_poset(facets)
+    assert (len(facets), len(kept)) == PINNED_COLLAPSES[name]
 
 
 # Betti numbers from cleared coboundary ranks against the uncleared boundary

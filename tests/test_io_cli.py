@@ -80,8 +80,22 @@ def test_parse_document_rejects_trailing_garbage():
 
 
 def test_parse_document_rejects_floats():
-    with pytest.raises(FormatError):
-        parse_document('{"values": [1.5]}')
+    # json reads NaN and the infinities through parse_constant, not parse_float.
+    for literal in ("1.5", "NaN", "Infinity", "-Infinity"):
+        with pytest.raises(FormatError, match=f"^floating point literal '{literal}' not allowed"):
+            parse_document('{"values": [%s]}' % literal)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_function_file_with_a_non_json_constant_is_refused(tmp_path, capsys, constant):
+    path = tmp_path / "values.function.json"
+    path.write_text(
+        '{"complex": {"simplices": [[0], [1], [0, 1]]}, "values": ["0", %s]}' % constant,
+        encoding="utf-8",
+    )
+    assert_refused(
+        ["reeb", str(path), "--graph"], capsys, f"floating point literal '{constant}' not allowed"
+    )
 
 
 def test_complex_roundtrip():

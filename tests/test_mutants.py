@@ -1,0 +1,120 @@
+"""A standing mutant table.
+
+Each row names one function of the package, a piece of its source and the
+mutant text that replaces it, and the cheapest check that kills the mutant:
+the check passes on the package as it is and fails with the mutant
+installed.  The mutant is the function's own source with that one piece
+replaced, compiled under a name outside ``src/`` (so the line tracer never
+counts it) and installed in the function's ``__code__`` with monkeypatch, so
+every caller, recursion included, runs it until the test ends.  A row whose
+piece no longer occurs once in its function fails here, so a change that
+rewrites a mutated function ports its row.
+"""
+
+import gc
+import inspect
+import json
+import textwrap
+
+import pytest
+
+from reebforge import errors, homology, io, reeb
+from reebforge.fixtures import boundary_delta3
+
+from . import test_errors, test_homology, test_reeb
+
+
+def install_mutant(monkeypatch, func, piece, mutant):
+    """Run ``func`` with ``piece`` of its source, which must occur exactly
+    once, replaced by ``mutant``.  For a function under ``_collector_paused``
+    pass its ``__wrapped__``; the wrapper itself gives the wrapper's code."""
+    code = func.__code__
+    source = textwrap.dedent("".join(inspect.getsourcelines(code)[0]))
+    assert source.count(piece) == 1, f"{piece!r} does not occur once in {code.co_name}"
+    source = source.replace(piece, mutant)
+    source = source[source.index("def "):]  # decorators were applied once already
+    if code.co_freevars:  # a closure's free variables: an enclosing function's locals
+        source = (
+            "def enclosing():\n"
+            + "".join(f"    {name} = None\n" for name in code.co_freevars)
+            + textwrap.indent(source, "    ")
+            + f"    return {code.co_name}\n"
+            + f"{code.co_name} = enclosing()\n"
+        )
+    namespace = {}
+    exec(compile(source, f"<mutant of {code.co_name}>", "exec"), namespace)
+    mutated = namespace[code.co_name].__code__
+    assert mutated.co_freevars == code.co_freevars
+    monkeypatch.setattr(func, "__code__", mutated)
+
+
+def collector_on_after_a_paused_call():
+    assert gc.isenabled()
+    homology.betti(boundary_delta3())
+    assert gc.isenabled()
+
+
+def writer_sorts_keys():
+    doc = {"b": [1, 2], "a": {"d": "x", "c": True}}
+    assert io.dumps_report(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# (id, function, piece, mutant, check, the exception the check raises under it)
+ROWS = [
+    (
+        "collapse_lifo",  # keeps 7,211 of the product domain's 13,729 cells
+        homology.collapse_face_poset,
+        "for i in free:  # grows as it is walked: first in, first out",
+        "while free:\n        i = free.pop()",
+        lambda: test_homology.test_collapse_keeps_the_pinned_cell_counts("product_domain"),
+        AssertionError,
+    ),
+    (
+        "relabel_keeps_first_part",  # PR 28
+        reeb.reeb_graph.__wrapped__,
+        "for part in component_classes(survivors, cofaces, parent):",
+        "for part in component_classes(survivors, cofaces, parent)[:1]:",
+        test_reeb.test_reeb_graph_of_circle_height_is_a_four_cycle,
+        KeyError,
+    ),
+    (
+        "collector_never_restored",  # PR 44
+        homology.betti,
+        "gc.enable()",
+        "pass",
+        collector_on_after_a_paused_call,
+        AssertionError,
+    ),
+    (
+        "fractions_isinstance",  # PR 42
+        errors._fractions,
+        "v if type(v) is Fraction else",
+        "v if isinstance(v, Fraction) else",
+        lambda: test_errors.test_fractions_convert_ints_and_subclasses_to_exact_fractions(
+            [test_errors._Tagged(1, 2)]
+        ),
+        AssertionError,
+    ),
+    (
+        "writer_unsorted_keys",  # PR 39
+        io._pieces,
+        "keys = sorted(value)",
+        "keys = list(value)",
+        writer_sorts_keys,
+        AssertionError,
+    ),
+]
+
+
+@pytest.mark.parametrize("func, piece, mutant, check, killed_by", [row[1:] for row in ROWS],
+                         ids=[row[0] for row in ROWS])
+def test_the_check_passes_and_kills_the_mutant(monkeypatch, func, piece, mutant, check, killed_by):
+    check()
+    install_mutant(monkeypatch, func, piece, mutant)
+    collector_was_on = gc.isenabled()
+    try:
+        with pytest.raises(killed_by):
+            check()
+    finally:
+        if collector_was_on:
+            gc.enable()
