@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import graphlib
 import itertools
+import math
 import operator
 from collections import namedtuple
 from functools import cached_property
@@ -28,6 +29,7 @@ from .errors import (
     _fractions,
     _refuse_past_cap,
     _require_ints,
+    resolve_cell_cap,
 )
 
 
@@ -716,11 +718,19 @@ def staircase_product(k1, k2, f1=None, f2=None):
     domain vertices are ordered by image, so both maps are monotone by
     construction, and the product map onto the staircase triangulation of
     L1 x L2 is returned.
+
+    Each chain is listed once, from its two projections sigma and tau: over
+    sigma x tau the chains are the staircase walks, the interior faces of
+    the staircase triangulation of a product of two simplices (Eilenberg and
+    Zilber, Amer. J. Math. 75, 1953).  Their number, the sum over sigma and
+    tau of the Delannoy number D(|sigma| - 1, |tau| - 1), is refused past
+    the cell cap (``resolve_cell_cap``) before any chain is built.
     """
     if (f1 is None) != (f2 is None):
         raise InvalidParamsError("supply both factor maps or neither")
     if f1 is not None and (f1.domain != k1 or f2.domain != k2):
         raise InvalidParamsError("factor maps must be defined on the factor complexes")
+    cap = resolve_cell_cap()
 
     def _order_for(k, f):
         verts = [s[0] for s in k.by_dim().get(0, ())]
@@ -730,33 +740,42 @@ def staircase_product(k1, k2, f1=None, f2=None):
 
     o1 = _order_for(k1, f1)
     o2 = _order_for(k2, f2)
-    pos1 = {v: i for i, v in enumerate(o1)}
-    pos2 = {v: i for i, v in enumerate(o2)}
-
-    # The nested loop over o1, then o2, yields the pairs in (pos1, pos2) order.
+    # The nested loop over o1, then o2, numbers pair (o1[r], o2[c]) as
+    # r * len(o2) + c.
     pairs = [(u, v) for u in o1 for v in o2]
-    pair_id = {p: i for i, p in enumerate(pairs)}
 
-    tops = []
-    for sigma in k1.maximal_simplices:
-        a = sorted(sigma, key=pos1.__getitem__)
-        for tau in k2.maximal_simplices:
-            b = sorted(tau, key=pos2.__getitem__)
-            for path in _lattice_paths(len(a), len(b)):
-                tops.append(tuple(pair_id[(a[i], b[j])] for i, j in path))
+    def _columns(k, order, scale):
+        """size -> the simplices of that size as sorted positions (times
+        ``scale``), transposed to columns."""
+        pos = {v: i * scale for i, v in enumerate(order)}
+        return {len(run[0]): list(zip(*[sorted([pos[v] for v in s]) for s in run]))
+                for run in k.by_dim().values()}
 
+    cols1 = _columns(k1, o1, len(o2))
+    cols2 = _columns(k2, o2, 1)
+    sizes = [(a, b, c1, c2) for a, c1 in cols1.items() for b, c2 in cols2.items()]
+    count = sum(
+        len(c1[0]) * len(c2[0])
+        * sum(math.comb(a - 1, i) * math.comb(b - 1, i) << i for i in range(min(a, b)))
+        for a, b, c1, c2 in sizes
+    )
+    _refuse_past_cap(count, cap, "simplices of the staircase product", "staircase product")
+
+    # Built unchecked: each simplex's positions ascend, and a walk steps up in
+    # r or c at every step, so each chain ascends strictly within range, and
+    # distinct (sigma, tau) give disjoint chains.  The factors' points are
+    # rational and of one dimension each, and so are their concatenations.
+    by_size = {}
+    for a, b, c1, c2 in sizes:
+        # Place (i, j) of every sigma x tau: the i-th vertex of sigma, j-th of tau.
+        place = {(i, j): [r + c for r in c1[i] for c in c2[j]]
+                 for i in range(a) for j in range(b)}
+        for walk in _staircase_walks(a, b):
+            by_size.setdefault(len(walk), []).extend(zip(*map(place.__getitem__, walk)))
+    listing = [s for k in sorted(by_size) for s in sorted(by_size[k])]
     coords = None
     if k1.coordinates is not None and k2.coordinates is not None:
         coords = tuple(k1.coordinates[u] + k2.coordinates[v] for u, v in pairs)
-    # Built unchecked: a lattice path steps to pairs of larger id, so each
-    # top ascends strictly within range, and its faces, sorted size by size,
-    # are the closure in canonical order.  The factors' points are rational
-    # and of one dimension each, and so are their concatenations.
-    by_size = {}
-    for top in tops:
-        for k in range(1, len(top) + 1):
-            by_size.setdefault(k, set()).update(itertools.combinations(top, k))
-    listing = [s for k in sorted(by_size) for s in sorted(by_size[k])]
     product = SimplicialComplex._from_canonical(len(pairs), listing, coords, ordered=True)
 
     if f1 is None:
@@ -771,19 +790,13 @@ def staircase_product(k1, k2, f1=None, f2=None):
     return StaircaseProduct(product, tuple(pairs), prod_map, cod.vertex_pairs)
 
 
-def _lattice_paths(rows, cols):
-    """Monotone unit-step paths through a rows x cols grid of indices, one
-    for each choice of the rows - 1 down-steps among the rows + cols - 2."""
-    steps = rows + cols - 2
-    paths = []
-    for down in itertools.combinations(range(steps), rows - 1):
-        i = j = 0
-        path = [(0, 0)]
-        for t in range(steps):
-            if t in down:
-                i += 1
-            else:
-                j += 1
-            path.append((i, j))
-        paths.append(tuple(path))
-    return paths
+def _staircase_walks(rows, cols):
+    """Every walk from (0, 0) to (rows - 1, cols - 1) by steps (1, 0), (0, 1)
+    and (1, 1): Delannoy D(rows - 1, cols - 1) of them."""
+    walks = {(0, 0): [((0, 0),)]}
+    for i in range(rows):
+        for j in range(cols):
+            if i or j:
+                ends = ((i - 1, j), (i, j - 1), (i - 1, j - 1))
+                walks[i, j] = [w + ((i, j),) for end in ends for w in walks.get(end, ())]
+    return walks[rows - 1, cols - 1]

@@ -176,6 +176,22 @@ def product_realization_size(out):
 
 
 @check
+def staircase_refused():
+    # The cube of the 2-disk's collapse is counted, 7,694,749 simplices,
+    # and refused before any is built.
+    from reebforge import BudgetExceededError
+    from reebforge.fixtures import disk_collapse, product_power
+
+    try:
+        product_power(disk_collapse(2), 3)
+    except BudgetExceededError as exc:
+        message = "7694749 simplices of the staircase product exceed the cap of 200000"
+        assert (str(exc), exc.stage, exc.count) == (message, "staircase product", 7694749), exc
+    else:
+        raise AssertionError("the cube of the 2-disk was built")
+
+
+@check
 def cold_import():
     # Run under ``python -S``: site-packages is added by hand, so nothing
     # but this module's own imports comes before the package's.

@@ -59,7 +59,10 @@ flow's complex to the package's.  ``quotient_group_sizes_sorted`` counts
 the Reeb quotient map's groups with each key re-sorted and scanned, as
 before the keys were appended in stratum order, and
 ``sign_condition_double_sum`` is the sign-condition bounds' double sum,
-term by term.  ``minimal_torus``, the 7-vertex torus, is
+term by term.  ``staircase_listing_by_closure`` is the staircase product
+as listed before each simplex came from its two projections: every face of
+every ``lattice_paths`` top over each pair of maximal simplices, gathered
+into per-size sets.  ``minimal_torus``, the 7-vertex torus, is
 a test complex, built by the package's checked ``validate_complex``, and
 ``grid_torus_checked``, ``random_map_checked``, ``full_simplex_checked``
 and ``boundary_delta3_checked`` are those generators as built through it,
@@ -1334,3 +1337,50 @@ def sign_condition_double_sum(top, d, k):
         for i in range(k + 1)
         for j in range(k - i + 1)
     )
+
+
+def lattice_paths(rows, cols):
+    """Monotone unit-step paths through a rows x cols grid of indices, one
+    for each choice of the rows - 1 down-steps among the rows + cols - 2."""
+    steps = rows + cols - 2
+    paths = []
+    for down in combinations(range(steps), rows - 1):
+        i = j = 0
+        path = [(0, 0)]
+        for t in range(steps):
+            if t in down:
+                i += 1
+            else:
+                j += 1
+            path.append((i, j))
+        paths.append(tuple(path))
+    return paths
+
+
+def staircase_listing_by_closure(k1, k2, f1=None, f2=None):
+    """The canonical listing of the staircase product K1 x K2, as built
+    before each simplex came from its two projections: every lattice-path
+    top over each pair of maximal simplices, all combinations of each top
+    gathered into per-size sets, then sorted size by size.  Vertex pairs
+    are numbered by the nested loop over each factor's vertices, ordered by
+    (image, id) when factor maps are given."""
+    def order(k, f):
+        verts = [s[0] for s in k.by_dim().get(0, ())]
+        return verts if f is None else sorted(verts, key=lambda v: (f.vertex_images[v], v))
+
+    o1, o2 = order(k1, f1), order(k2, f2)
+    pos1 = {v: i for i, v in enumerate(o1)}
+    pos2 = {v: i for i, v in enumerate(o2)}
+    pair_id = {p: i for i, p in enumerate((u, v) for u in o1 for v in o2)}
+    tops = []
+    for sigma in k1.maximal_simplices:
+        a = sorted(sigma, key=pos1.__getitem__)
+        for tau in k2.maximal_simplices:
+            b = sorted(tau, key=pos2.__getitem__)
+            for path in lattice_paths(len(a), len(b)):
+                tops.append(tuple(pair_id[(a[i], b[j])] for i, j in path))
+    by_size = {}
+    for top in tops:
+        for k in range(1, len(top) + 1):
+            by_size.setdefault(k, set()).update(combinations(top, k))
+    return tuple(s for k in sorted(by_size) for s in sorted(by_size[k]))

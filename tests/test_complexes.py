@@ -40,7 +40,7 @@ from reebforge.complexes import (
     _face_pairs,
     _face_ups,
     _is_canonical_listing,
-    _lattice_paths,
+    _staircase_walks,
     simplex_key,
 )
 from reebforge.fixtures import (
@@ -71,6 +71,7 @@ from .oracles import (
     partition_face_relation,
     partition_up_closed,
     poset_chains,
+    staircase_listing_by_closure,
     stratum_poset,
 )
 from .test_homology import simplicial_complexes
@@ -361,6 +362,89 @@ def test_staircase_product_builds_the_checked_closure(build):
         assert_checked_closure(prod.product_map.codomain)
 
 
+def power_steps(f, k):
+    """The factors of each step of ``product_power(f, k)``: (power so far, f)."""
+    power = f
+    for _ in range(k - 1):
+        yield power.domain, f.domain, power, f
+        power = staircase_product(power.domain, f.domain, power, f).product_map
+
+
+STAIRCASE_CASES = {
+    **{f"disk{n}_step{i}": step
+       for n, k in ((1, 4), (2, 2))
+       for i, step in enumerate(power_steps(disk_collapse(n), k), 2)},
+    **{f"random{seed}_maps": (random_map(seed).domain, random_map(100 + seed).domain,
+                              random_map(seed), random_map(100 + seed))
+       for seed in range(20)},
+    **{f"random{seed}": (random_map(seed).domain, random_map(100 + seed).domain, None, None)
+       for seed in range(20)},
+    "circle_path": (circle(5), path_complex(3), None, None),
+    "torus_tetrahedron": (grid_torus(3, 4), full_simplex(3), None, None),
+    "sphere_squared": (boundary_delta3(), boundary_delta3(), None, None),
+    "with_points": (
+        SimplicialComplex(3, full_simplex(2).simplices, [[0, 0], [1, 0], [0, 1]]),
+        SimplicialComplex(2, path_complex(2).simplices, [[Fraction(1, 2)], [3]]),
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STAIRCASE_CASES)
+def test_staircase_product_lists_what_the_closure_of_its_tops_lists(case):
+    # Each simplex from its two projections, against every face of every
+    # lattice-path top over pairs of maximal simplices.
+    k1, k2, f1, f2 = STAIRCASE_CASES[case]
+    assert staircase_product(k1, k2, f1, f2).complex.simplices == staircase_listing_by_closure(
+        k1, k2, f1, f2
+    )
+
+
+def staircase_count(k1, k2):
+    """sum over size pairs (a, b) of N1[a] N2[b] D(a - 1, b - 1)."""
+    return sum(
+        n1 * n2 * sum(math.comb(a, k) * math.comb(b, k) * 2**k for k in range(min(a, b) + 1))
+        for a, n1 in enumerate(k1.simplex_counts())
+        for b, n2 in enumerate(k2.simplex_counts())
+    )
+
+
+@pytest.mark.parametrize("n, k, count", [(1, 2, 67), (1, 3, 883), (1, 4, 15_307), (2, 2, 13_729)])
+def test_staircase_count_is_the_built_size(n, k, count):
+    power = product_power(disk_collapse(n), k)
+    assert len(power.domain.simplices) == count
+    *_, (k1, k2, _, _) = power_steps(disk_collapse(n), k)
+    assert staircase_count(k1, k2) == count
+
+
+def test_staircase_product_is_refused_past_the_cell_cap_before_any_walk(monkeypatch):
+    # The cube of the 2-disk's collapse, 86 s to build before it had a cap.
+    monkeypatch.delenv("REEBFORGE_CELL_CAP", raising=False)
+    f = disk_collapse(2)
+    power = product_power(f, 2)
+    monkeypatch.setattr(complexes, "_staircase_walks", None)  # never reached
+    with pytest.raises(BudgetExceededError) as info:
+        staircase_product(power.domain, f.domain, power, f)
+    assert str(info.value) == "7694749 simplices of the staircase product exceed the cap of 200000"
+    assert (info.value.stage, info.value.count, info.value.cap) == (
+        "staircase product", 7_694_749, 200_000
+    )
+
+
+def test_staircase_product_passes_at_its_count_and_is_refused_below(monkeypatch):
+    k1, k2 = grid_torus(3, 4), full_simplex(3)
+    count = staircase_count(k1, k2)
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", str(count))
+    assert len(staircase_product(k1, k2).complex.simplices) == count
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", str(count - 1))
+    with pytest.raises(BudgetExceededError) as info:
+        staircase_product(k1, k2)
+    assert (info.value.stage, info.value.count, info.value.cap) == (
+        "staircase product", count, count - 1
+    )
+
+
 def test_staircase_power_builds_the_checked_closure():
     power = product_power(disk_collapse(2), 2)
     assert_checked_closure(power.domain)
@@ -459,16 +543,20 @@ def test_order_complexes_derive_their_simplex_set_on_demand(build):
     assert vars(k)["simplex_set"] is k.simplex_set
 
 
-def test_lattice_paths_are_all_monotone_grid_paths():
+def test_staircase_walks_are_all_delannoy_walks():
     for rows in range(1, 7):
         for cols in range(1, 7):
-            paths = _lattice_paths(rows, cols)
-            # Distinct monotone corner-to-corner paths, as many as there are.
-            assert len(set(paths)) == len(paths) == math.comb(rows + cols - 2, rows - 1)
-            for path in paths:
-                assert path[0] == (0, 0) and path[-1] == (rows - 1, cols - 1)
-                steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(path, path[1:])}
-                assert steps <= {(1, 0), (0, 1)}
+            walks = _staircase_walks(rows, cols)
+            # Distinct corner-to-corner walks, as many as there are:
+            # Delannoy D(rows - 1, cols - 1).
+            delannoy = sum(
+                math.comb(rows - 1, k) * math.comb(cols - 1, k) * 2**k for k in range(rows)
+            )
+            assert len(set(walks)) == len(walks) == delannoy
+            for walk in walks:
+                assert walk[0] == (0, 0) and walk[-1] == (rows - 1, cols - 1)
+                steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(walk, walk[1:])}
+                assert steps <= {(1, 0), (0, 1), (1, 1)}
 
 
 def reeb_posets():

@@ -223,6 +223,25 @@ def test_fixture_param_refusals(tmp_path, capsys, param, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_emitting_a_product_power_reads_the_cell_cap_from_the_environment(
+    tmp_path, capsys, monkeypatch
+):
+    args = ["fixtures", "emit", "product_power", "--param", "n=1", "--param", "k=2",
+            "-o", str(tmp_path / "out")]
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "abc")
+    assert_refused(args, capsys, "cell cap must be an integer, got 'abc'")
+    # The square of the 1-disk has 67 simplices, counted before any is built.
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "66")
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "reebforge: budget exceeded: 67 simplices of the staircase product exceed the cap of 66\n"
+    )
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setenv("REEBFORGE_CELL_CAP", "67")
+    assert run_cli(args, capsys)[0] == 0
+
+
 def test_a_file_that_is_not_utf8_is_refused(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"simplices": [[0]], "note": "caf\u00e9"}'.encode("latin-1"))

@@ -18,10 +18,10 @@ import textwrap
 
 import pytest
 
-from reebforge import errors, homology, io, reeb
-from reebforge.fixtures import boundary_delta3
+from reebforge import NotSimplicialError, complexes, errors, homology, io, reeb
+from reebforge.fixtures import boundary_delta3, disk_collapse
 
-from . import test_errors, test_homology, test_reeb
+from . import test_complexes, test_errors, test_homology, test_reeb
 
 
 def install_mutant(monkeypatch, func, piece, mutant):
@@ -102,6 +102,43 @@ ROWS = [
         "keys = list(value)",
         writer_sorts_keys,
         AssertionError,
+    ),
+    (
+        "rational_str_plain",
+        io.rational_str,
+        "str(value if type(value) is Fraction else Fraction(value))",
+        "str(value)",
+        lambda: test_errors.test_rational_str_writes_the_exact_fraction(True),
+        AssertionError,
+    ),
+    (
+        "b1_vertices_every_simplex",
+        reeb.b1_inequality_check.__wrapped__,
+        "[dims[i] for i in cls].count(0)",
+        "len(cls)",
+        test_reeb.test_b1_inequality_examples,
+        AssertionError,
+    ),
+    (
+        "staircase_walks_without_diagonal",
+        complexes._staircase_walks,
+        ", (i - 1, j - 1))",
+        ")",
+        lambda: test_complexes.test_staircase_product_lists_what_the_closure_of_its_tops_lists(
+            "circle_path"
+        ),
+        AssertionError,
+    ),
+    (
+        "staircase_positions_unsorted",
+        complexes.staircase_product,
+        "sorted([pos[v] for v in s])",
+        "[pos[v] for v in s]",
+        lambda: test_complexes.test_staircase_product_builds_the_checked_closure(
+            lambda: complexes.staircase_product(*(disk_collapse(2).domain,) * 2,
+                                                *(disk_collapse(2),) * 2)
+        ),
+        NotSimplicialError,  # the checked product map sees a descending chain first
     ),
 ]
 
