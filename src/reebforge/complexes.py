@@ -717,7 +717,13 @@ def staircase_product(k1, k2, f1=None, f2=None):
     of the factors.  When maps ``f1: K1 -> L1`` and ``f2: K2 -> L2`` are given,
     domain vertices are ordered by image, so both maps are monotone by
     construction, and the product map onto the staircase triangulation of
-    L1 x L2 is returned.
+    L1 x L2 is returned.  It is simplicial by construction, so it is built
+    unchecked: a chain over sigma x tau maps to a chain of image pairs
+    monotone in both coordinates, whose projections lie in f1(sigma) and
+    f2(tau), simplices since f1 and f2 were checked when they were built;
+    so its image is a simplex of the product of the codomains.  That
+    product need not be flag (the square of the boundary of a tetrahedron
+    is not), so no edge check stands in for the map check.
 
     Each chain is listed once, from its two projections sigma and tau: over
     sigma x tau the chains are the staircase walks, the interior faces of
@@ -786,7 +792,8 @@ def staircase_product(k1, k2, f1=None, f2=None):
     images = [
         cod_id[(f1.vertex_images[u], f2.vertex_images[v])] for u, v in pairs
     ]
-    prod_map = SimplicialMap(product, cod.complex, images)
+    prod_map = SimplicialMap.__new__(SimplicialMap)  # simplicial by construction (docstring)
+    prod_map.domain, prod_map.codomain, prod_map.vertex_images = product, cod.complex, tuple(images)
     return StaircaseProduct(product, tuple(pairs), prod_map, cod.vertex_pairs)
 
 

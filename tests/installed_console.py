@@ -192,6 +192,19 @@ def staircase_refused():
 
 
 @check
+def product_map_by_construction(n, k, map_json):
+    # The product map is built unchecked; the emitted file, loaded through
+    # the checked constructor, gives the same map and image table.
+    from reebforge.fixtures import disk_collapse, product_power
+    from reebforge.io import map_from_doc, read_document
+
+    built = product_power(disk_collapse(int(n)), int(k))
+    loaded = map_from_doc(read_document(map_json))
+    assert loaded == built, map_json
+    assert loaded.simplex_images == built.simplex_images, map_json
+
+
+@check
 def cold_import():
     # Run under ``python -S``: site-packages is added by hand, so nothing
     # but this module's own imports comes before the package's.

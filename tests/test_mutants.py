@@ -138,7 +138,23 @@ ROWS = [
             lambda: complexes.staircase_product(*(disk_collapse(2).domain,) * 2,
                                                 *(disk_collapse(2),) * 2)
         ),
-        NotSimplicialError,  # the checked product map sees a descending chain first
+        NotSimplicialError,  # the checked rebuild of the product map sees a descending chain
+    ),
+    (
+        "no_union_for_a_swap",
+        reeb.reeb_space.__wrapped__,
+        "parent[b] = a\n",
+        "pass\n",
+        lambda: test_complexes.test_kunneth_relations_hold_on_staircase_products("random0"),
+        AssertionError,
+    ),
+    (
+        "empty_edge_run",
+        complexes._edge_checked_map,
+        ": bisect.bisect_right(simps, 2, key=len)]",
+        ": bisect.bisect_left(simps, 2, key=len)]",
+        test_complexes.test_edge_check_names_the_edge_and_its_images,
+        pytest.fail.Exception,  # the edge's InvariantError is never raised
     ),
 ]
 
