@@ -229,12 +229,6 @@ def cmd_fixtures(args):
     return EXIT_OK
 
 
-def _late(name):
-    """A command that looks ``name`` up in the module globals when it runs,
-    so that the cached parser holds no command function object."""
-    return lambda args: globals()[name](args)
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built once per process."""
@@ -256,7 +250,6 @@ def build_parser():
     p = sub.add_parser("betti", help="Betti numbers of a complex file")
     p.add_argument("file")
     add_common(p)
-    p.set_defaults(func=_late("cmd_betti"))
 
     p = sub.add_parser("reeb", help="Reeb graph or Reeb space of a map/function file")
     p.add_argument("file")
@@ -267,7 +260,6 @@ def build_parser():
     p.add_argument("--emit-realization", action="store_true", help="inline the realization complex")
     p.add_argument("--cell-cap", type=int, default=None, help="cap on the realization's simplices")
     add_common(p)
-    p.set_defaults(func=_late("cmd_reeb"))
 
     p = sub.add_parser("fiber-power", help="Betti numbers of an iterated fiber power")
     p.add_argument("file")
@@ -275,7 +267,6 @@ def build_parser():
     p.add_argument("--engine", choices=("auto", "cells"), default="auto")
     p.add_argument("--cell-cap", type=int, default=None)
     add_common(p)
-    p.set_defaults(func=_late("cmd_fiber_power"))
 
     p = sub.add_parser("verify", help="run verification checks on a map file")
     p.add_argument("file")
@@ -285,7 +276,6 @@ def build_parser():
     p.add_argument("--target", choices=("image", "reeb"), default="image")
     p.add_argument("--cell-cap", type=int, default=None)
     add_common(p)
-    p.set_defaults(func=_late("cmd_verify"))
 
     p = sub.add_parser("bounds", help="evaluate a quantitative bound exactly")
     p.add_argument("name", choices=tuple(_BOUNDS))
@@ -296,17 +286,14 @@ def build_parser():
     p.add_argument("--m", type=int, default=1)
     p.add_argument("-c", type=int, default=1, help="exponent constant for the reeb bound")
     p.add_argument("-o", "--output", help="write the report to this path instead of stdout")
-    p.set_defaults(func=_late("cmd_bounds"))
 
     p = sub.add_parser("fixtures", help="list fixtures or emit one as files")
     fsub = p.add_subparsers(dest="action", required=True)
-    pl = fsub.add_parser("list")
-    pl.set_defaults(func=_late("cmd_fixtures"), action="list")
+    fsub.add_parser("list")
     pe = fsub.add_parser("emit")
     pe.add_argument("name")
     pe.add_argument("--param", action="append", metavar="KEY=VALUE")
     pe.add_argument("-o", "--output", required=True, help="directory for the emitted files")
-    pe.set_defaults(func=_late("cmd_fixtures"), action="emit")
 
     return parser
 
@@ -317,7 +304,9 @@ def main(argv=None):
     # paused; the caller's setting is restored on every exit path.
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Found by name when it runs, as the tracer swaps module attributes:
+        # a wrapped or replaced command is the one called.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BudgetExceededError as exc:
         print(f"reebforge: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -389,7 +389,14 @@ def reeb_graph(g):
 
     One union-find carries the components across levels.  A coface of an
     active simplex started no later than it, so the only face pairs a level
-    adds join an entering simplex to its cofaces, and unions suffice.  Only
+    adds join an entering simplex to its cofaces, and unions suffice.  Each
+    level walks its entering simplices once, highest id first, each still
+    its own root, and makes each one's singleton heap as it goes: a coface
+    has a larger id than its face, so the coface's heap, or its component's,
+    exists before the face joins it.  It walks its leaving simplices once,
+    finding each one's root.  A vertex enters and leaves at one level, and
+    no union runs between the level's node assignment and that walk, so the
+    vertex reads its node there.  Only
     a component holding a leaving simplex can split, and a local test rules
     the split out for most of them.  A face of a leaving simplex ends no
     later than it, so it is leaving too or already gone; so a survivor that
@@ -443,14 +450,10 @@ def reeb_graph(g):
     n = 0
     for i in range(len(levels)):
         open_slab = list(node_of.items())
-        for s in starts[i]:
-            members[s] = [s]
         # The path-halving find is inlined in the loops below, the hot path.
-        for s in starts[i]:
+        for s in reversed(starts[i]):
+            members[s] = [s]
             a = s
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
             for c in cofaces[s]:
                 b = c
                 while parent[b] != b:
@@ -477,13 +480,6 @@ def reeb_graph(g):
                 rep = parent[rep]
             # a is a node of an earlier level than the other end, so the pair is ordered.
             edges.append((a, node_of[rep]))
-        for s in starts[i]:
-            if len(simps[s]) == 1:
-                a = s
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                node_of_vertex[simps[s][0]] = node_of[a]
         leaving = {}
         for s in ends[i]:
             a = s
@@ -491,6 +487,8 @@ def reeb_graph(g):
                 parent[a] = parent[parent[a]]
                 a = parent[a]
             leaving.setdefault(a, []).append(s)
+            if len(simps[s]) == 1:
+                node_of_vertex[simps[s][0]] = node_of[a]
         for r, gone in leaving.items():
             below = node_of.pop(r)
             heap = members.pop(r)

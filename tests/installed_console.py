@@ -281,6 +281,34 @@ def write_identity_map(path):
     _dump(map_to_doc(SimplicialMap(k, k, list(range(4)))), path)
 
 
+@check
+def expect_exit(code, *argv):
+    """Run the console command given after ``--`` and assert its exit code.
+    Each ``--text`` (a fixed string) and ``--regex`` (searched line by line)
+    must occur in its stderr; with ``--empty-stdout`` it writes no stdout.
+    What it writes is passed on, so the log shows it."""
+    import argparse
+    import re
+    import subprocess
+
+    split = argv.index("--")
+    parser = argparse.ArgumentParser(prog="expect-exit")
+    parser.add_argument("--text", action="append", default=[])
+    parser.add_argument("--regex", action="append", default=[])
+    parser.add_argument("--empty-stdout", action="store_true")
+    opts = parser.parse_args(argv[:split])
+    proc = subprocess.run(argv[split + 1:], capture_output=True, text=True)
+    sys.stdout.write(proc.stdout)
+    sys.stderr.write(proc.stderr)
+    assert proc.returncode == int(code), (proc.returncode, code)
+    for text in opts.text:
+        assert text in proc.stderr, text
+    for pattern in opts.regex:
+        assert re.search(pattern, proc.stderr, re.M), pattern
+    if opts.empty_stdout:
+        assert not proc.stdout, proc.stdout
+
+
 if __name__ == "__main__":
     name, *args = sys.argv[1:]
     CHECKS[name](*args)

@@ -22,7 +22,7 @@ from reebforge import (
     verify_quotient,
 )
 from reebforge import errors, fiberprod, reeb
-from reebforge.cli import build_parser
+from reebforge.cli import build_parser, cmd_reeb
 from reebforge.errors import DEFAULT_CELL_CAP
 from reebforge.fiberprod import _check_cell_cap
 from reebforge.fixtures import boundary_delta3, disk_collapse, path_complex, random_map
@@ -40,7 +40,7 @@ def _emit_realization(tmp_path, monkeypatch):
         dump_report(map_to_doc(disk_collapse(2)), fh)
     monkeypatch.setenv("REEBFORGE_CELL_CAP", "73")
     args = build_parser().parse_args(["reeb", str(path), "--space", "--emit-realization"])
-    args.func(args)
+    cmd_reeb(args)
 
 
 CRITICAL = "components of critical fiber-power cells"

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import inspect
@@ -58,7 +59,7 @@ from reebforge.reeb import ReebGraph, ReebNode, reeb_graph
 from reebforge import PLFunction
 from reebforge.fixtures import circle
 
-from .oracles import dot_by_fstrings
+from .oracles import convolve, dot_by_fstrings
 
 
 def test_parse_rational():
@@ -662,6 +663,32 @@ def test_cli_fixtures_list(capsys):
     code, out, _ = run_cli(["fixtures", "list"], capsys)
     assert code == 0
     assert "disk_collapse" in json.loads(out)["fixtures"]
+
+
+def _emitted_reports(out_dir, name, capsys, **params):
+    """``reeb --space`` on the emitted map and ``betti`` on its domain,
+    written as the CLI benchmark's set-up writes it: their Betti vectors."""
+    argv = ["fixtures", "emit", name, "-o", str(out_dir)]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    assert run_cli(argv, capsys)[0] == 0
+    map_path = out_dir / f"{name}.map.json"
+    domain_path = out_dir / f"{name}_domain.json"
+    domain = json.loads(map_path.read_text(encoding="utf-8"))["domain"]
+    domain_path.write_text(json.dumps(domain), encoding="utf-8")
+    reports = (run_cli(["reeb", str(map_path), "--space"], capsys),
+               run_cli(["betti", str(domain_path)], capsys))
+    assert [code for code, _, _ in reports] == [0, 0]
+    return [json.loads(out)["betti"] for _, out, _ in reports]
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 2)])
+def test_cli_product_reports_are_the_factors_convolved(tmp_path, capsys, n, k):
+    # Kunneth over Q, through main: the k-fold product's Reeb space and
+    # domain report the k-fold convolutions of the factor's own reports.
+    factor = _emitted_reports(tmp_path / "factor", "disk_collapse", capsys, n=n)
+    product = _emitted_reports(tmp_path / "product", "product_power", capsys, n=n, k=k)
+    assert product == [functools.reduce(convolve, [b] * k).as_list() for b in factor]
 
 
 def test_cli_deterministic_output(tmp_path, capsys):

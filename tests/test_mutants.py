@@ -18,10 +18,10 @@ import textwrap
 
 import pytest
 
-from reebforge import NotSimplicialError, complexes, errors, homology, io, reeb
+from reebforge import NotSimplicialError, complexes, errors, fiberprod, homology, io, reeb
 from reebforge.fixtures import boundary_delta3, disk_collapse
 
-from . import test_complexes, test_errors, test_homology, test_reeb
+from . import test_complexes, test_errors, test_fiberprod, test_homology, test_reeb, test_records
 
 
 def install_mutant(monkeypatch, func, piece, mutant):
@@ -155,6 +155,32 @@ ROWS = [
         ": bisect.bisect_left(simps, 2, key=len)]",
         test_complexes.test_edge_check_names_the_edge_and_its_images,
         pytest.fail.Exception,  # the edge's InvariantError is never raised
+    ),
+    (
+        "entering_ascending",  # a face joins a coface whose heap is not made yet
+        reeb.reeb_graph.__wrapped__,
+        "for s in reversed(starts[i]):",
+        "for s in starts[i]:",
+        test_reeb.test_reeb_graph_of_circle_height_is_a_four_cycle,
+        KeyError,
+    ),
+    (
+        "quotient_keys_always_appended",  # PR 35
+        fiberprod._quotient_group_sizes,
+        "key if key[-1] == top else key + (top,)",
+        "key + (top,)",
+        lambda: test_fiberprod.test_quotient_group_sizes_equal_the_sorted_key_reference(
+            lambda: disk_collapse(2)
+        ),
+        AssertionError,
+    ),
+    (
+        "nodes_as_tuples",  # PR 44
+        reeb.reeb_graph.__wrapped__,
+        "repeat(ReebNode)",
+        "repeat(tuple)",
+        lambda: test_records.test_record_keeps_its_fields_and_repr("ReebNode"),
+        AssertionError,
     ),
 ]
 
